@@ -19,12 +19,10 @@ import numpy as np
 
 from .decomposition import assign_rates, decompose_model, local_decomposition, JumpMode
 from .errors import ConfigError, NumericsError
-from .generators import DEFAULT_SLOT_BUDGET
 from .models import BathSpec, Coupling, SystemModel, named_operator
 from .models import coupled_dimer, truncated_oscillator, two_level_atom
 from .operators import hermitian_eig, identity
 from .propagation import (
-    DEFAULT_ODE_TOL,
     CorrelatorSpec,
     CorrelatorTrace,
     evolve_density,
@@ -62,7 +60,13 @@ def _require(obj: dict, path: str, key: str):
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = float("inf")
+    if not np.isfinite(number):
+        raise ConfigError(f"{path} must be a finite number, got {number}")
+    return number
 
 
 def _as_complex(value, path: str) -> complex:
@@ -319,7 +323,7 @@ def _emit(result, out: str | None, fmt: str, with_abs: bool) -> None:
         _atomic_write(out, data)
 
 
-def _task_decompose(config, model, decomps, params, tol, slot_budget):
+def _task_decompose(model, decomps, params):
     _check_keys(params, "params", ())
     report = []
     for i, dec in enumerate(decomps):
@@ -342,13 +346,13 @@ def _task_decompose(config, model, decomps, params, tol, slot_budget):
     return "json", {"dim": model.dim, "couplings": report}
 
 
-def _task_steady(config, model, decomps, params, tol, slot_budget):
+def _task_steady(model, decomps, params):
     _check_keys(params, "params", ())
     rho = steady_state(model, decomps)
     return "json", {"density_matrix": _encode_complex_matrix(rho)}
 
 
-def _task_evolve(config, model, decomps, params, tol, slot_budget):
+def _task_evolve(model, decomps, params):
     _check_keys(params, "params", ("initial_state", "times", "observable"))
     rho0 = _parse_state(_require(params, "params", "initial_state"), model, decomps,
                         "params.initial_state")
@@ -364,7 +368,7 @@ def _task_evolve(config, model, decomps, params, tol, slot_budget):
     }
 
 
-def _task_corr(config, model, decomps, params, tol, slot_budget):
+def _task_corr(model, decomps, params):
     has_qrt = "b" in params
     has_general = "insertions" in params
     if has_qrt == has_general:
@@ -387,9 +391,7 @@ def _task_corr(config, model, decomps, params, tol, slot_budget):
             raise ConfigError("params.anchor_time must be non-negative")
         rho_t = (evolve_density(model.hamiltonian, decomps, rho0, anchor)
                  if anchor > 0 else rho0)
-        trace = qrt_correlator(model.hamiltonian, decomps, a1, b, a2, rho_t, taus,
-                               slot_budget=slot_budget, ode_tol=tol)
-        return "trace", trace
+        return "trace", qrt_correlator(model.hamiltonian, decomps, a1, b, a2, rho_t, taus)
 
     _check_keys(params, "params", ("insertions", "initial_state", "taus"))
     raw_ins = params["insertions"]
@@ -407,24 +409,19 @@ def _task_corr(config, model, decomps, params, tol, slot_budget):
     spec = CorrelatorSpec(tuple(insertions), rho0)
     if "taus" in params:
         taus = _parse_grid(params["taus"], "params.taus")
-        trace = general_correlator(model.hamiltonian, decomps, spec, taus=taus,
-                                   slot_budget=slot_budget, ode_tol=tol)
-        return "trace", trace
-    value = general_correlator(model.hamiltonian, decomps, spec,
-                               slot_budget=slot_budget, ode_tol=tol)
+        return "trace", general_correlator(model.hamiltonian, decomps, spec, taus=taus)
+    value = general_correlator(model.hamiltonian, decomps, spec)
     return "json", {"value": [float(value.real) + 0.0, float(value.imag) + 0.0]}
 
 
-def _task_otoc(config, model, decomps, params, tol, slot_budget):
+def _task_otoc(model, decomps, params):
     _check_keys(params, "params", ("w", "v", "initial_state", "taus"))
     w = _parse_operator(_require(params, "params", "w"), model.dim, "params.w")
     v = _parse_operator(_require(params, "params", "v"), model.dim, "params.v")
     rho0 = _parse_state(_require(params, "params", "initial_state"), model, decomps,
                         "params.initial_state")
     taus = _parse_grid(_require(params, "params", "taus"), "params.taus")
-    trace = otoc(model.hamiltonian, decomps, w, v, rho0, taus,
-                 slot_budget=slot_budget, ode_tol=tol)
-    return "trace", trace
+    return "trace", otoc(model.hamiltonian, decomps, w, v, rho0, taus)
 
 
 _TASK_RUNNERS = {
@@ -453,8 +450,7 @@ def _run_validate() -> int:
 
 
 def run(config_path: str | None, task: str | None = None, out: str | None = None,
-        fmt: str | None = None, tol: float | None = None,
-        slot_budget: int | None = None) -> int:
+        fmt: str | None = None) -> int:
     """Execute one task; returns the process exit code instead of raising."""
     try:
         config = {}
@@ -494,11 +490,7 @@ def run(config_path: str | None, task: str | None = None, out: str | None = None
         params = config.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("params must be a JSON object")
-        result = _TASK_RUNNERS[chosen](
-            config, model, decomps, params,
-            tol if tol is not None else DEFAULT_ODE_TOL,
-            slot_budget if slot_budget is not None else DEFAULT_SLOT_BUDGET,
-        )
+        result = _TASK_RUNNERS[chosen](model, decomps, params)
         _emit(result, out_path, out_fmt, with_abs)
         return 0
     except NumericsError as exc:
@@ -524,13 +516,8 @@ def main(argv=None) -> int:
                                       "else stdout)")
     parser.add_argument("--format", choices=("csv", "json"), dest="fmt",
                         help="output format override")
-    parser.add_argument("--tol", type=float,
-                        help="integration tolerance for ODE-backed paths")
-    parser.add_argument("--slot-budget", type=int, dest="slot_budget",
-                        help="largest dense operator-slot dimension to materialize")
     args = parser.parse_args(argv)
-    return run(args.config, task=args.task, out=args.out, fmt=args.fmt,
-               tol=args.tol, slot_budget=args.slot_budget)
+    return run(args.config, task=args.task, out=args.out, fmt=args.fmt)
 
 
 if __name__ == "__main__":

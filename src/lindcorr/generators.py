@@ -221,20 +221,19 @@ def check_slot_budget(dim: int, n_slots: int, slot_budget: int) -> int:
     return size
 
 
-def multi_slot_generator(hamiltonian, decomp, n_slots: int,
-                         slot_budget: int = DEFAULT_SLOT_BUDGET) -> SuperOperator:
+def multi_slot_generator(hamiltonian, decomp, n_slots: int) -> SuperOperator:
     """Dense n-slot generator: single-slot Lindbladians plus all cross terms.
 
     G_n = sum_m lift(L, m) + sum_{m1<m2} cross_dissipator(m1, m2).  For
     n_slots = 1 this is exactly the adjoint Lindbladian.  Memory guard: the
-    state dimension d**(2n) must stay within `slot_budget` (the dense matrix
-    then holds at most slot_budget**2 entries).
+    state dimension d**(2n) must stay within DEFAULT_SLOT_BUDGET (the dense
+    matrix then holds at most DEFAULT_SLOT_BUDGET**2 entries).
     """
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1, got {n_slots}")
     h = as_operator(hamiltonian, "hamiltonian")
     decomps = _as_decomps(decomp)
-    check_slot_budget(h.shape[0], n_slots, slot_budget)
+    check_slot_budget(h.shape[0], n_slots, DEFAULT_SLOT_BUDGET)
     single = adjoint_lindbladian(h, decomps)
     m = lift(single, 1, n_slots).matrix.copy()
     for slot in range(2, n_slots + 1):

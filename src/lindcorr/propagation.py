@@ -157,11 +157,7 @@ def integrate_ode(generator, v0, tau_grid, tol: float = DEFAULT_ODE_TOL) -> list
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
-    grid = np.asarray(tau_grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise ValueError("tau grid must be a nonempty 1-d array")
-    if len(grid) > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("tau grid must be strictly ascending")
+    grid = _check_taus(tau_grid)
     v0 = np.asarray(v0, dtype=complex)
     if len(grid) == 1:
         return [v0.copy()]
@@ -187,7 +183,7 @@ def integrate_ode(generator, v0, tau_grid, tol: float = DEFAULT_ODE_TOL) -> list
 class _SlotEvolver:
     """Shared propagator/generator caches for one (hamiltonian, decomps) context."""
 
-    def __init__(self, hamiltonian, decomps, slot_budget: int, ode_tol: float):
+    def __init__(self, hamiltonian, decomps):
         self.h = as_operator(hamiltonian, "hamiltonian")
         self.decomps = _as_decomps(decomps)
         if self.decomps[0].dim != self.h.shape[0]:
@@ -196,22 +192,20 @@ class _SlotEvolver:
                 f"hamiltonian dimension {self.h.shape[0]}"
             )
         self.dim = self.h.shape[0]
-        self.slot_budget = slot_budget
-        self.ode_tol = ode_tol
         self._generators: dict[int, object] = {}
         self._propagators: dict[tuple[int, float], np.ndarray] = {}
 
     def dense(self, n_slots: int) -> bool:
-        return self.dim ** (2 * n_slots) <= self.slot_budget
+        return self.dim ** (2 * n_slots) <= DEFAULT_SLOT_BUDGET
 
     def generator(self, n_slots: int):
         gen = self._generators.get(n_slots)
         if gen is None:
             if self.dense(n_slots):
-                gen = multi_slot_generator(self.h, self.decomps, n_slots, self.slot_budget)
+                gen = multi_slot_generator(self.h, self.decomps, n_slots)
             else:
                 # matrix-free fallback; the state vector itself must still fit
-                check_slot_budget(self.dim, n_slots, self.slot_budget ** 2)
+                check_slot_budget(self.dim, n_slots, DEFAULT_SLOT_BUDGET ** 2)
                 gen = multi_slot_action(self.h, self.decomps, n_slots)
             self._generators[n_slots] = gen
         return gen
@@ -226,7 +220,7 @@ class _SlotEvolver:
                 prop = expm(gen.matrix, gap)
                 self._propagators[(n_slots, gap)] = prop
             return prop @ tensor
-        return integrate_ode(gen, tensor, [0.0, gap], self.ode_tol)[-1]
+        return integrate_ode(gen, tensor, [0.0, gap])[-1]
 
     def sweep(self, tensor: np.ndarray, n_slots: int, taus: np.ndarray,
               w: np.ndarray) -> np.ndarray:
@@ -241,7 +235,7 @@ class _SlotEvolver:
                 values[i] = w @ v
         else:
             grid = taus if taus[0] == 0.0 else np.concatenate(([0.0], taus))
-            states = integrate_ode(gen, tensor, grid, self.ode_tol)
+            states = integrate_ode(gen, tensor, grid)
             if taus[0] != 0.0:
                 states = states[1:]
             for i, v in enumerate(states):
@@ -251,8 +245,8 @@ class _SlotEvolver:
 
 def evolve_density(hamiltonian, decomp, rho0, t: float) -> np.ndarray:
     """Forward evolution rho(t) of a density matrix under the dissipative generator."""
-    if t < 0:
-        raise ValueError(f"evolution time must be >= 0, got {t}")
+    if not (t >= 0 and np.isfinite(t)):
+        raise ValueError(f"evolution time must be finite and >= 0, got {t}")
     rho0 = _check_density(rho0, "rho0")
     f = forward_lindbladian(hamiltonian, decomp)
     if rho0.shape[0] != f.dim:
@@ -290,31 +284,19 @@ def steady_state(model: SystemModel, decomp=None, null_tol: float = 1e-9) -> np.
     return rho / tr
 
 
-def qrt_correlator(hamiltonian, decomp, a1, b, a2, rho_t, taus,
-                   slot_budget: int = DEFAULT_SLOT_BUDGET,
-                   ode_tol: float = DEFAULT_ODE_TOL) -> CorrelatorTrace:
+def qrt_correlator(hamiltonian, decomp, a1, b, a2, rho_t, taus) -> CorrelatorTrace:
     """Regression-theorem correlator trace(A1 B(t+tau) A2 rho(t)).
 
-    The running-time operator B evolves under the adjoint generator while A1,
-    A2 and the state rho_t (the density matrix at the anchor time t) stay
-    fixed; value(0) = trace(B A2 rho_t A1).
+    The one-slot case of :func:`equal_time_group_correlator`: the running-time
+    operator B evolves under the adjoint generator while A1, A2 and the state
+    rho_t (the density matrix at the anchor time t) stay fixed;
+    value(0) = trace(B A2 rho_t A1).
     """
-    taus = _check_taus(taus)
-    rho_t = _check_density(rho_t, "rho_t")
-    b = as_operator(b, "running operator B")
-    ev = _SlotEvolver(hamiltonian, decomp, slot_budget, ode_tol)
-    for name, op in (("A1", a1), ("B", b), ("A2", a2), ("rho_t", rho_t)):
-        op = as_operator(op, name)
-        if op.shape[0] != ev.dim:
-            raise ValueError(f"{name} has dimension {op.shape[0]}, generator has {ev.dim}")
-    w = contraction_functional([a1, a2], rho_t)
-    values = ev.sweep(vec(b), 1, taus, w)
-    return CorrelatorTrace(taus, values)
+    return equal_time_group_correlator(hamiltonian, decomp, [a1, a2], [b], rho_t, taus)
 
 
-def equal_time_group_correlator(hamiltonian, decomp, a_ops, b_ops, rho_t, taus,
-                                slot_budget: int = DEFAULT_SLOT_BUDGET,
-                                ode_tol: float = DEFAULT_ODE_TOL) -> CorrelatorTrace:
+def equal_time_group_correlator(hamiltonian, decomp, a_ops, b_ops, rho_t,
+                                taus) -> CorrelatorTrace:
     """Correlator with n operators sharing one running time:
     trace(A1 B1(t+tau) A2 B2(t+tau) ... An Bn(t+tau) A_{n+1} rho(t)).
 
@@ -331,7 +313,7 @@ def equal_time_group_correlator(hamiltonian, decomp, a_ops, b_ops, rho_t, taus,
         raise ValueError(f"expected {n + 1} insertion matrices for {n} slots, got {len(a_ops)}")
     taus = _check_taus(taus)
     rho_t = _check_density(rho_t, "rho_t")
-    ev = _SlotEvolver(hamiltonian, decomp, slot_budget, ode_tol)
+    ev = _SlotEvolver(hamiltonian, decomp)
     for op in (*b_ops, *a_ops, rho_t):
         if op.shape[0] != ev.dim:
             raise ValueError(f"operator dimension {op.shape[0]} does not match generator dimension {ev.dim}")
@@ -340,9 +322,7 @@ def equal_time_group_correlator(hamiltonian, decomp, a_ops, b_ops, rho_t, taus,
     return CorrelatorTrace(taus, values)
 
 
-def otoc(hamiltonian, decomp, w_op, v_op, rho, taus,
-         slot_budget: int = DEFAULT_SLOT_BUDGET,
-         ode_tol: float = DEFAULT_ODE_TOL) -> CorrelatorTrace:
+def otoc(hamiltonian, decomp, w_op, v_op, rho, taus) -> CorrelatorTrace:
     """Out-of-time-order correlator trace(W^dag(tau) V^dag W(tau) V rho)."""
     w_op = as_operator(w_op, "W")
     v_op = as_operator(v_op, "V")
@@ -353,8 +333,6 @@ def otoc(hamiltonian, decomp, w_op, v_op, rho, taus,
         b_ops=[dagger(w_op), w_op],
         rho_t=rho,
         taus=taus,
-        slot_budget=slot_budget,
-        ode_tol=ode_tol,
     )
 
 
@@ -389,9 +367,7 @@ def _general_value(ev: _SlotEvolver, spec: CorrelatorSpec) -> complex:
     return complex(w @ tensor)
 
 
-def general_correlator(hamiltonian, decomp, spec: CorrelatorSpec, taus=None,
-                       slot_budget: int = DEFAULT_SLOT_BUDGET,
-                       ode_tol: float = DEFAULT_ODE_TOL):
+def general_correlator(hamiltonian, decomp, spec: CorrelatorSpec, taus=None):
     """Correlator with arbitrary per-insertion times, by descending-time recursion.
 
     Insertions sharing the latest time start as slots of one tensor; the
@@ -406,11 +382,11 @@ def general_correlator(hamiltonian, decomp, spec: CorrelatorSpec, taus=None,
     time is replaced by each tau (every tau must be >= all other insertion
     times), and a CorrelatorTrace is returned instead of a single value.
     """
-    ev = _SlotEvolver(hamiltonian, decomp, slot_budget, ode_tol)
+    ev = _SlotEvolver(hamiltonian, decomp)
     if spec.dim != ev.dim:
         raise ValueError(f"spec dimension {spec.dim} does not match generator dimension {ev.dim}")
     # fail fast if even the deepest level cannot fit
-    check_slot_budget(ev.dim, len(spec.insertions), ev.slot_budget ** 2)
+    check_slot_budget(ev.dim, len(spec.insertions), DEFAULT_SLOT_BUDGET ** 2)
     if taus is None:
         return _general_value(ev, spec)
 

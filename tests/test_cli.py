@@ -2,12 +2,13 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lindcorr import cli, decompose_model, evolve_density, otoc, qrt_correlator
+from lindcorr import cli, decompose_model, evolve_density, otoc, propagation, qrt_correlator
 from lindcorr import sigma_minus, sigma_plus, sigma_x, sigma_z, two_level_atom
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -219,7 +220,7 @@ def test_qrt_anchor_time_matches_library(tmp_path, capsys):
     assert np.max(np.abs(got - ref.values)) < 1e-12
 
 
-def test_slot_budget_flag_switches_engine(tmp_path, capsys):
+def test_slot_budget_flag_switches_engine(tmp_path, capsys, monkeypatch):
     cfg = {
         "model": _atom_config(),
         "task": "otoc",
@@ -229,11 +230,52 @@ def test_slot_budget_flag_switches_engine(tmp_path, capsys):
     path = _write(tmp_path, cfg)
     assert cli.run(path) == 0
     dense = json.loads(capsys.readouterr().out)["values"]
-    assert cli.run(path, slot_budget=4) == 0
+    monkeypatch.setattr(propagation, "DEFAULT_SLOT_BUDGET", 4)
+    assert cli.run(path) == 0
     free = json.loads(capsys.readouterr().out)["values"]
     diff = np.abs(np.array([complex(*v) for v in dense])
                   - np.array([complex(*v) for v in free]))
     assert np.max(diff) < 1e-8
+
+
+def test_slot_budget_exceeded_exits_one(tmp_path, capsys):
+    # 4 distinct times on a 9-level oscillator need a 9**8-long slot tensor,
+    # over the matrix-free limit; the run must refuse before evolving anything
+    cfg = {
+        "model": {"name": "truncated_oscillator",
+                  "params": {"omega0": 1.0, "dim": 9, "gamma": 0.1, "temperature": 0.0}},
+        "task": "corr",
+        "params": {
+            "insertions": [{"operator": op, "time": t}
+                           for op, t in (("a", 3.0), ("adag", 2.0), ("n", 1.0), ("a", 0.5))],
+            "initial_state": "maximally_mixed",
+        },
+    }
+    path = _write(tmp_path, cfg)
+    start = time.perf_counter()
+    assert cli.run(path) == 1
+    elapsed = time.perf_counter() - start
+    assert "slot budget" in capsys.readouterr().err
+    assert elapsed < 1.0
+
+
+def test_non_finite_numbers_rejected(tmp_path, capsys):
+    def corr(anchor, stop):
+        return {
+            "model": _atom_config(),
+            "task": "corr",
+            "params": {"b": "s+", "a2": "s-", "initial_state": "excited",
+                       "anchor_time": anchor,
+                       "taus": {"start": 0.0, "stop": stop, "points": 3}},
+        }
+
+    for cfg, where in ((corr(float("nan"), 1.0), "params.anchor_time"),
+                       (corr(float("inf"), 1.0), "params.anchor_time"),
+                       (corr(0.5, float("inf")), "params.taus.stop"),
+                       (corr(10 ** 400, 1.0), "params.anchor_time")):
+        assert cli.run(_write(tmp_path, cfg)) == 1
+        err = capsys.readouterr().err
+        assert where in err and "finite" in err
 
 
 # ------------------------------------------------- explicit and local models

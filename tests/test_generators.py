@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lindcorr import (
+    DEFAULT_SLOT_BUDGET,
     BathSpec,
     SlotBudgetError,
     SuperOperator,
@@ -24,6 +25,7 @@ from lindcorr import (
     sigma_minus,
     sigma_plus,
     sigma_z,
+    truncated_oscillator,
     two_level_atom,
     unvec,
     vec,
@@ -245,14 +247,14 @@ def test_multi_slot_action_matches_dense(rng):
 
 
 def test_slot_budget_enforcement():
-    h, decs = _qubit()
     check_slot_budget(2, 2, slot_budget=16)  # 16 == budget is allowed
+    model = truncated_oscillator(omega0=1.0, dim=3, gamma=0.1, temperature=0.0)
     with pytest.raises(SlotBudgetError) as excinfo:
-        multi_slot_generator(h, decs, 3, slot_budget=16)
+        multi_slot_generator(model.hamiltonian, decompose_model(model), 4)
     err = excinfo.value
-    assert err.required == 64
-    assert err.budget == 16
-    assert "depth 3" in str(err)
+    assert err.required == 3 ** 8
+    assert err.budget == DEFAULT_SLOT_BUDGET
+    assert "depth 4" in str(err)
 
 
 def test_superoperator_validation():

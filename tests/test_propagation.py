@@ -28,6 +28,7 @@ from lindcorr import (
     unvec,
     vec,
 )
+from lindcorr import propagation
 
 from conftest import random_density, random_hermitian, random_matrix
 
@@ -120,6 +121,14 @@ def test_evolve_density_validates_inputs(rng):
         evolve_density(h, decs, rho + 0.1 * sigma_plus, 1.0)
     with pytest.raises(ValueError, match="positive semidefinite"):
         evolve_density(h, decs, np.diag([1.5, -0.5]).astype(complex), 1.0)
+
+
+def test_evolve_density_rejects_non_finite_time(rng):
+    h, decs = _qubit()
+    rho = random_density(rng, 2)
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            evolve_density(h, decs, rho, t)
 
 
 def test_steady_state_zero_temperature_is_ground():
@@ -241,14 +250,14 @@ def test_equal_time_validates_counts(rng):
         equal_time_group_correlator(h, decs, [EYE2], [], rho, [0.0])
 
 
-def test_equal_time_matrix_free_matches_dense(rng):
+def test_equal_time_matrix_free_matches_dense(rng, monkeypatch):
     h, decs = _qubit(gamma=0.17, temperature=0.25)
     rho = random_density(rng, 2)
     b1, b2 = random_matrix(rng, 2), random_matrix(rng, 2)
     taus = np.linspace(0.0, 3.0, 7)
     dense = equal_time_group_correlator(h, decs, [EYE2] * 3, [b1, b2], rho, taus)
-    free = equal_time_group_correlator(h, decs, [EYE2] * 3, [b1, b2], rho, taus,
-                                       slot_budget=4)
+    monkeypatch.setattr(propagation, "DEFAULT_SLOT_BUDGET", 4)
+    free = equal_time_group_correlator(h, decs, [EYE2] * 3, [b1, b2], rho, taus)
     assert np.max(np.abs(dense.values - free.values)) < 1e-8
 
 
@@ -379,25 +388,27 @@ def test_general_sweep_validates_floor(rng):
         general_correlator(h, decs, spec, taus=[0.5, 1.5])
 
 
-def test_general_budget_fail_fast(rng):
+def test_general_budget_fail_fast(rng, monkeypatch):
     h, decs = _qubit()
     rho = random_density(rng, 2)
     spec = CorrelatorSpec(
         ((sigma_x, 3.0), (sigma_z, 2.0), (sigma_x, 1.0)), rho
     )
+    monkeypatch.setattr(propagation, "DEFAULT_SLOT_BUDGET", 7)
     with pytest.raises(SlotBudgetError) as excinfo:
-        general_correlator(h, decs, spec, slot_budget=7)
+        general_correlator(h, decs, spec)
     assert excinfo.value.required == 64
 
 
-def test_general_matrix_free_recursion(rng):
+def test_general_matrix_free_recursion(rng, monkeypatch):
     # slot budget forces the ODE path at depth two while values stay put
     h, decs = _qubit(gamma=0.3, temperature=0.15)
     rho = random_density(rng, 2)
     x, y = random_matrix(rng, 2), random_matrix(rng, 2)
     spec = CorrelatorSpec(((x, 2.0), (y, 0.8)), rho)
     dense = general_correlator(h, decs, spec)
-    free = general_correlator(h, decs, spec, slot_budget=4)
+    monkeypatch.setattr(propagation, "DEFAULT_SLOT_BUDGET", 4)
+    free = general_correlator(h, decs, spec)
     assert abs(dense - free) < 1e-8
 
 
@@ -437,6 +448,8 @@ def test_integrate_ode_validations(rng):
         integrate_ode(np.eye(2), v0, [1.0, 0.5])
     with pytest.raises(ValueError, match="nonempty"):
         integrate_ode(np.eye(2), v0, [])
+    with pytest.raises(ValueError, match="nonnegative"):
+        integrate_ode(np.eye(2), v0, [-1.0, 0.5])
     single = integrate_ode(np.eye(2), v0, [0.7])
     assert len(single) == 1 and np.array_equal(single[0], v0)
 
