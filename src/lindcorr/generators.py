@@ -85,6 +85,11 @@ class SlotKroneckerAction:
             out += y
         return out.reshape(-1)
 
+    def transpose(self) -> SlotKroneckerAction:
+        """The transposed generator: the same terms with every factor transposed."""
+        terms = tuple(tuple((slot, f.T) for slot, f in factors) for factors in self.terms)
+        return SlotKroneckerAction(dim=self.dim, slots=self.slots, terms=terms)
+
 
 def _spre(a: np.ndarray) -> np.ndarray:
     # vec(A X) = (I (x) A) vec(X)

@@ -4,23 +4,24 @@ The evaluation pattern shared by every driver: evolve a slot tensor with the
 appropriate generator, then contract it against the fixed insertion matrices
 and the state.  The contraction is carried by a dual vector `w` built once per
 (insertions, state) pair, so a tau sweep costs one propagator application and
-one dot product per point.
+one dot product per point.  For general time patterns `w` also carries the
+earlier insertions: it is pulled back through them once per sweep.
 """
 
 from __future__ import annotations
 
-import bisect
 import string
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from . import generators
 from .decomposition import decompose_model
 from .errors import DegenerateSteadyStateError, NumericsError
 from .generators import (
-    DEFAULT_SLOT_BUDGET,
     SuperOperator,
     _as_decomps,
     check_slot_budget,
@@ -196,7 +197,7 @@ class _SlotEvolver:
         self._propagators: dict[tuple[int, float], np.ndarray] = {}
 
     def dense(self, n_slots: int) -> bool:
-        return self.dim ** (2 * n_slots) <= DEFAULT_SLOT_BUDGET
+        return self.dim ** (2 * n_slots) <= generators.DEFAULT_SLOT_BUDGET
 
     def generator(self, n_slots: int):
         gen = self._generators.get(n_slots)
@@ -205,22 +206,26 @@ class _SlotEvolver:
                 gen = multi_slot_generator(self.h, self.decomps, n_slots)
             else:
                 # matrix-free fallback; the state vector itself must still fit
-                check_slot_budget(self.dim, n_slots, DEFAULT_SLOT_BUDGET ** 2)
+                check_slot_budget(self.dim, n_slots, generators.DEFAULT_SLOT_BUDGET ** 2)
                 gen = multi_slot_action(self.h, self.decomps, n_slots)
             self._generators[n_slots] = gen
         return gen
 
-    def evolve(self, tensor: np.ndarray, n_slots: int, gap: float) -> np.ndarray:
+    def _propagator(self, n_slots: int, gap: float) -> np.ndarray:
+        prop = self._propagators.get((n_slots, gap))
+        if prop is None:
+            prop = expm(self.generator(n_slots).matrix, gap)
+            self._propagators[(n_slots, gap)] = prop
+        return prop
+
+    def pull_back(self, w: np.ndarray, n_slots: int, gap: float) -> np.ndarray:
+        """Dual vector w @ exp(gap G_n): a contraction moved `gap` earlier in time."""
         if gap == 0.0:
-            return tensor
+            return w
         gen = self.generator(n_slots)
         if isinstance(gen, SuperOperator):
-            prop = self._propagators.get((n_slots, gap))
-            if prop is None:
-                prop = expm(gen.matrix, gap)
-                self._propagators[(n_slots, gap)] = prop
-            return prop @ tensor
-        return integrate_ode(gen, tensor, [0.0, gap])[-1]
+            return w @ self._propagator(n_slots, gap)
+        return integrate_ode(gen.transpose(), w, [0.0, gap])[-1]
 
     def sweep(self, tensor: np.ndarray, n_slots: int, taus: np.ndarray,
               w: np.ndarray) -> np.ndarray:
@@ -230,8 +235,9 @@ class _SlotEvolver:
         if isinstance(gen, SuperOperator):
             v, cur = tensor, 0.0
             for i, tau in enumerate(taus):
-                v = self.evolve(v, n_slots, float(tau) - cur)
-                cur = float(tau)
+                if tau != cur:
+                    v = self._propagator(n_slots, float(tau) - cur) @ v
+                    cur = float(tau)
                 values[i] = w @ v
         else:
             grid = taus if taus[0] == 0.0 else np.concatenate(([0.0], taus))
@@ -336,75 +342,74 @@ def otoc(hamiltonian, decomp, w_op, v_op, rho, taus) -> CorrelatorTrace:
     )
 
 
-def _splice_slot(tensor: np.ndarray, d2: int, n_before: int, pos: int,
-                 vec_op: np.ndarray) -> np.ndarray:
-    """Insert vec_op as a new Kronecker factor at slot position `pos` (0-based)."""
-    t = tensor.reshape((d2,) * n_before)
-    t = np.moveaxis(np.tensordot(t, vec_op, axes=0), -1, pos)
-    return t.reshape(-1)
+def _pulled_back_functional(ev: _SlotEvolver, spec: CorrelatorSpec,
+                            fixed: list[float]) -> np.ndarray:
+    """Dual vector on the latest-time slots, at the latest fixed time fixed[-1].
 
-
-def _general_value(ev: _SlotEvolver, spec: CorrelatorSpec) -> complex:
+    Starts as the contraction of every slot against the state at the earliest
+    time and walks the fixed insertion times upward: it is pulled back across
+    each gap, and at each time the insertions held there are contracted out of
+    their slots, which is the transpose of splicing them in.
+    """
     times = [t for _op, t in spec.insertions]
-    distinct = sorted(set(times), reverse=True)
     d2 = ev.dim ** 2
-
-    slots = [i for i, t in enumerate(times) if t == distinct[0]]
-    tensor = elementary_tensor([spec.insertions[i][0] for i in slots])
-    for k in range(len(distinct) - 1):
-        s_hi, s_lo = distinct[k], distinct[k + 1]
-        # growing the slot list may push past the dense budget mid-recursion;
-        # generator() revalidates at every depth
-        tensor = ev.evolve(tensor, len(slots), s_hi - s_lo)
-        for i, t in enumerate(times):
-            if t == s_lo:
-                pos = bisect.bisect_left(slots, i)
-                tensor = _splice_slot(tensor, d2, len(slots), pos, vec(spec.insertions[i][0]))
-                slots.insert(pos, i)
-    rho_anchor = evolve_density(ev.h, ev.decomps, spec.initial_state, distinct[-1])
-    eye = identity(ev.dim)
-    w = contraction_functional([eye] * (len(slots) + 1), rho_anchor)
-    return complex(w @ tensor)
+    slots = list(range(len(times)))
+    rho = evolve_density(ev.h, ev.decomps, spec.initial_state, fixed[0])
+    w = contraction_functional([identity(ev.dim)] * (len(slots) + 1), rho)
+    prev = fixed[0]
+    for t in fixed:
+        w = ev.pull_back(w, len(slots), t - prev)
+        prev = t
+        for i in [i for i in slots if times[i] == t]:
+            pos = slots.index(i)
+            w = np.tensordot(w.reshape((d2,) * len(slots)), vec(spec.insertions[i][0]),
+                             axes=(pos, 0)).reshape(-1)
+            slots.remove(i)
+    return w
 
 
 def general_correlator(hamiltonian, decomp, spec: CorrelatorSpec, taus=None):
-    """Correlator with arbitrary per-insertion times, by descending-time recursion.
+    """Correlator with arbitrary per-insertion times, by an adjoint sweep.
 
-    Insertions sharing the latest time start as slots of one tensor; the
-    tensor evolves down to the next-latest time, where the insertions
-    scheduled there splice in as new slots at their positions in the operator
-    string; at the earliest time the tensor contracts against the forward-
-    evolved state.  Equal-time groups therefore reduce to
-    :func:`equal_time_group_correlator` and two insertions to the regression
-    cascade.
+    The value is linear in the tensor of the insertions holding the latest
+    time, so everything earlier enters through one dual vector.  That vector
+    starts as the contraction against the forward-evolved state at the
+    earliest insertion time and is pulled back once up the fixed insertion
+    times: across each gap through the transposed n-slot propagator, and at
+    each time by contracting the insertions held there out of their slots.
+    The latest-time group then evolves as one equal-time sweep against it, as
+    in :func:`equal_time_group_correlator`.  When every insertion shares one
+    time, the string acts as the single operator B1...Bn on one slot.
 
     With `taus` given, the insertions holding the latest time are swept: their
     time is replaced by each tau (every tau must be >= all other insertion
-    times), and a CorrelatorTrace is returned instead of a single value.
+    times), and a CorrelatorTrace is returned.  Without it the single value is
+    returned, computed as the one-point sweep at the latest time.
     """
     ev = _SlotEvolver(hamiltonian, decomp)
     if spec.dim != ev.dim:
         raise ValueError(f"spec dimension {spec.dim} does not match generator dimension {ev.dim}")
     # fail fast if even the deepest level cannot fit
-    check_slot_budget(ev.dim, len(spec.insertions), DEFAULT_SLOT_BUDGET ** 2)
-    if taus is None:
-        return _general_value(ev, spec)
-
-    taus = _check_taus(taus)
+    check_slot_budget(ev.dim, len(spec.insertions), generators.DEFAULT_SLOT_BUDGET ** 2)
     times = [t for _op, t in spec.insertions]
     t_max = max(times)
-    swept = [i for i, t in enumerate(times) if t == t_max]
-    floor = max((t for t in times if t != t_max), default=0.0)
-    if taus[0] < floor:
+    grid = _check_taus([t_max] if taus is None else taus)
+    fixed = sorted({t for t in times if t != t_max})
+    floor = fixed[-1] if fixed else 0.0
+    if grid[0] < floor:
         raise ValueError(
             f"sweep times must not precede the fixed insertion times: "
-            f"tau={taus[0]} < {floor}"
+            f"tau={grid[0]} < {floor}"
         )
-    values = np.empty(len(taus), dtype=complex)
-    for k, tau in enumerate(taus):
-        moved = tuple(
-            (op, float(tau) if i in swept else t)
-            for i, (op, t) in enumerate(spec.insertions)
-        )
-        values[k] = _general_value(ev, CorrelatorSpec(moved, spec.initial_state))
-    return CorrelatorTrace(taus, values)
+    if fixed:
+        swept = [op for op, t in spec.insertions if t == t_max]
+        w = _pulled_back_functional(ev, spec, fixed)
+        values = ev.sweep(elementary_tensor(swept), len(swept), grid - floor, w)
+    else:
+        product = reduce(np.matmul, [op for op, _t in spec.insertions])
+        eye = identity(ev.dim)
+        w = contraction_functional([eye, eye], spec.initial_state)
+        values = ev.sweep(vec(product), 1, grid, w)
+    if taus is None:
+        return complex(values[0])
+    return CorrelatorTrace(grid, values)

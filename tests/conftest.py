@@ -1,5 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def random_matrix(rng, d):
@@ -26,3 +31,12 @@ def random_unitary(rng, d):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _src_on_child_path():
+    """Let `python -m lindcorr` child processes import the package from this checkout."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("PYTHONPATH", str(SRC), prepend=os.pathsep)
+    yield
+    patch.undo()

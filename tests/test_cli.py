@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lindcorr import cli, decompose_model, evolve_density, otoc, propagation, qrt_correlator
+from lindcorr import cli, decompose_model, evolve_density, generators, otoc, qrt_correlator
 from lindcorr import sigma_minus, sigma_plus, sigma_x, sigma_z, two_level_atom
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -230,7 +230,7 @@ def test_slot_budget_flag_switches_engine(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, cfg)
     assert cli.run(path) == 0
     dense = json.loads(capsys.readouterr().out)["values"]
-    monkeypatch.setattr(propagation, "DEFAULT_SLOT_BUDGET", 4)
+    monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 4)
     assert cli.run(path) == 0
     free = json.loads(capsys.readouterr().out)["values"]
     diff = np.abs(np.array([complex(*v) for v in dense])

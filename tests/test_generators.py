@@ -246,6 +246,17 @@ def test_multi_slot_action_matches_dense(rng):
         assert np.max(np.abs(action.apply(y) - dense @ y)) < 1e-12
 
 
+def test_multi_slot_action_transpose_matches_dense(rng):
+    model = two_level_atom(1.0, 0.15, 0.4)
+    h = model.hamiltonian
+    decs = decompose_model(model)
+    for n in (1, 2, 3):
+        dense = multi_slot_generator(h, decs, n).matrix
+        transposed = multi_slot_action(h, decs, n).transpose()
+        y = rng.standard_normal(4 ** n) + 1j * rng.standard_normal(4 ** n)
+        assert np.max(np.abs(transposed.apply(y) - dense.T @ y)) < 1e-12
+
+
 def test_slot_budget_enforcement():
     check_slot_budget(2, 2, slot_budget=16)  # 16 == budget is allowed
     model = truncated_oscillator(omega0=1.0, dim=3, gamma=0.1, temperature=0.0)

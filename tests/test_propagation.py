@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from lindcorr import (
     SlotBudgetError,
     assign_rates,
     contraction_functional,
+    coupled_dimer,
     decompose_model,
+    elementary_tensor,
     equal_time_group_correlator,
     evolve_density,
     exact_bohr_decomposition,
@@ -18,6 +22,7 @@ from lindcorr import (
     general_correlator,
     identity,
     integrate_ode,
+    multi_slot_generator,
     otoc,
     qrt_correlator,
     sigma_plus,
@@ -28,7 +33,7 @@ from lindcorr import (
     unvec,
     vec,
 )
-from lindcorr import propagation
+from lindcorr import generators, propagation
 
 from conftest import random_density, random_hermitian, random_matrix
 
@@ -256,7 +261,7 @@ def test_equal_time_matrix_free_matches_dense(rng, monkeypatch):
     b1, b2 = random_matrix(rng, 2), random_matrix(rng, 2)
     taus = np.linspace(0.0, 3.0, 7)
     dense = equal_time_group_correlator(h, decs, [EYE2] * 3, [b1, b2], rho, taus)
-    monkeypatch.setattr(propagation, "DEFAULT_SLOT_BUDGET", 4)
+    monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 4)
     free = equal_time_group_correlator(h, decs, [EYE2] * 3, [b1, b2], rho, taus)
     assert np.max(np.abs(dense.values - free.values)) < 1e-8
 
@@ -394,7 +399,7 @@ def test_general_budget_fail_fast(rng, monkeypatch):
     spec = CorrelatorSpec(
         ((sigma_x, 3.0), (sigma_z, 2.0), (sigma_x, 1.0)), rho
     )
-    monkeypatch.setattr(propagation, "DEFAULT_SLOT_BUDGET", 7)
+    monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 7)
     with pytest.raises(SlotBudgetError) as excinfo:
         general_correlator(h, decs, spec)
     assert excinfo.value.required == 64
@@ -404,12 +409,134 @@ def test_general_matrix_free_recursion(rng, monkeypatch):
     # slot budget forces the ODE path at depth two while values stay put
     h, decs = _qubit(gamma=0.3, temperature=0.15)
     rho = random_density(rng, 2)
-    x, y = random_matrix(rng, 2), random_matrix(rng, 2)
-    spec = CorrelatorSpec(((x, 2.0), (y, 0.8)), rho)
+    x, y, z = (random_matrix(rng, 2) for _ in range(3))
+    spec = CorrelatorSpec(((x, 2.0), (y, 1.4), (z, 0.8)), rho)
     dense = general_correlator(h, decs, spec)
-    monkeypatch.setattr(propagation, "DEFAULT_SLOT_BUDGET", 4)
+    monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 8)
     free = general_correlator(h, decs, spec)
     assert abs(dense - free) < 1e-8
+
+
+def _forward_recursion(h, decs, spec):
+    """Oracle: one correlator value by the descending-time recursion.
+
+    The insertions holding the latest time start as one slot tensor.  It
+    evolves under the dense n-slot generator down to each earlier insertion
+    time, where the insertions held there splice in as new slots at their
+    positions in the operator string; at the earliest time it contracts
+    against the forward-evolved state.
+    """
+    ops = [op for op, _t in spec.insertions]
+    times = [t for _op, t in spec.insertions]
+    levels = sorted(set(times), reverse=True)
+    d2 = spec.dim ** 2
+    slots = [i for i, t in enumerate(times) if t == levels[0]]
+    tensor = elementary_tensor([ops[i] for i in slots])
+    for hi, lo in zip(levels, levels[1:]):
+        tensor = expm(multi_slot_generator(h, decs, len(slots)).matrix, hi - lo) @ tensor
+        for i in [i for i, t in enumerate(times) if t == lo]:
+            pos = bisect.bisect_left(slots, i)
+            grown = np.tensordot(tensor.reshape((d2,) * len(slots)), vec(ops[i]), axes=0)
+            tensor = np.moveaxis(grown, -1, pos).reshape(-1)
+            slots.insert(pos, i)
+    fwd = forward_lindbladian(h, decs).matrix
+    rho = unvec(expm(fwd, levels[-1]) @ vec(spec.initial_state))
+    w = contraction_functional([identity(spec.dim)] * (len(slots) + 1), rho)
+    return complex(w @ tensor)
+
+
+def _dimer():
+    model = coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6)
+    return model.hamiltonian, decompose_model(model)
+
+
+def _swept_spec(rng, dim, pattern, taus):
+    """Random insertions at `pattern`'s times, None marking the swept ones (at taus[-1])."""
+    ops = [random_matrix(rng, dim) for _ in pattern]
+    times = [taus[-1] if t is None else t for t in pattern]
+    return CorrelatorSpec(tuple(zip(ops, times)), random_density(rng, dim))
+
+
+def _moved(spec, tau):
+    t_max = max(t for _op, t in spec.insertions)
+    return CorrelatorSpec(tuple((op, tau if t == t_max else t) for op, t in spec.insertions),
+                          spec.initial_state)
+
+
+# (system, insertion times with None marking the swept ones, sweep grid); the
+# three-fixed-times pattern runs on the qubit only, since the oracle would need
+# a 4096-order expm for the dimer's 3-slot level
+SWEEP_CASES = {
+    f"{name}-{system.__name__.strip('_')}": (system, pattern, taus)
+    for name, pattern, taus, systems in [
+        ("interleaved", [None, 1.0, None, 1.0], np.linspace(1.3, 4.0, 5), (_qubit, _dimer)),
+        ("two-fixed", [None, 1.4, 0.6], np.linspace(1.5, 4.5, 5), (_qubit, _dimer)),
+        ("three-fixed", [None, 1.5, 1.0, 0.5], np.linspace(1.5, 4.0, 6), (_qubit,)),
+        ("tau-at-floor", [1.0, None, 0.4], np.linspace(1.0, 3.0, 5), (_qubit, _dimer)),
+        ("all-swept", [None, None, None], np.linspace(0.0, 3.0, 5), (_qubit, _dimer)),
+    ]
+    for system in systems
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_general_sweep_matches_forward_recursion(rng, case):
+    system, pattern, taus = SWEEP_CASES[case]
+    h, decs = system()
+    spec = _swept_spec(rng, h.shape[0], pattern, taus)
+    trace = general_correlator(h, decs, spec, taus=taus)
+    expected = np.array([_forward_recursion(h, decs, _moved(spec, tau)) for tau in taus])
+    assert np.max(np.abs(trace.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_general_matrix_free_pull_back(rng, monkeypatch):
+    # at budget 16 the 3-slot level (64 coordinates) alone is matrix-free
+    h, decs = _qubit(gamma=0.3, temperature=0.15)
+    taus = np.linspace(1.5, 3.5, 5)
+    spec = _swept_spec(rng, 2, [None, 1.5, 1.0, 0.5], taus)
+    expected = np.array([_forward_recursion(h, decs, _moved(spec, tau)) for tau in taus])
+    applied = []
+    apply = generators.SlotKroneckerAction.apply
+
+    def counted(action, coords):
+        applied.append(action.slots)
+        return apply(action, coords)
+
+    monkeypatch.setattr(generators.SlotKroneckerAction, "apply", counted)
+    monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 16)
+    trace = general_correlator(h, decs, spec, taus=taus)
+    assert set(applied) == {3}
+    assert np.max(np.abs(trace.values - expected)) < 1e-8
+
+
+def test_general_sweep_expm_count(rng, monkeypatch):
+    # one pull-back per sweep: an expm per distinct grid step, per fixed gap and for the state
+    h, decs = _qubit(gamma=0.1, temperature=0.5)
+    t1, t2 = 0.6, 1.4
+    taus = np.linspace(t2, t2 + 20.0, 200)
+    spec = _swept_spec(rng, 2, [None, None, t2, t1], taus)
+    calls = []
+    expm_ = propagation.expm
+    monkeypatch.setattr(propagation, "expm", lambda m, t: calls.append(t) or expm_(m, t))
+    general_correlator(h, decs, spec, taus=taus)
+    steps = np.diff(taus - t2, prepend=0.0)
+    distinct_steps = len(set(steps[steps != 0.0]))
+    fixed_levels = 2
+    assert len(calls) <= distinct_steps + fixed_levels + 1
+
+
+def test_slot_budget_has_one_binding(rng, monkeypatch):
+    # the engine choice and the dense generator's guard read the same budget:
+    # below the dimer's 256 coordinates the OTOC runs matrix-free
+    h, decs = _dimer()
+    rho = random_density(rng, 4)
+    w_op, v_op = random_matrix(rng, 4), random_matrix(rng, 4)
+    taus = np.linspace(0.0, 2.0, 5)
+    dense = otoc(h, decs, w_op, v_op, rho, taus)
+    monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 100)
+    free = otoc(h, decs, w_op, v_op, rho, taus)
+    assert not hasattr(propagation, "DEFAULT_SLOT_BUDGET")
+    assert np.max(np.abs(dense.values - free.values)) < 1e-8
 
 
 # ------------------------------------------------------------- ode integrator
