@@ -6,17 +6,27 @@ and the state.  The contraction is carried by a dual vector `w` built once per
 (insertions, state) pair, so a tau sweep costs one propagator application and
 one dot product per point.  For general time patterns `w` also carries the
 earlier insertions: it is pulled back through them once per sweep.
+
+The n-slot generators and their propagators depend only on the model (H and
+the dissipation channels), not on the operators or the state, so the drivers
+share them across calls: the engine of the model last evaluated is held
+between calls and reused by every later call on an equal model, recognised by
+content rather than identity.  A call on another model releases it first.
+After each call the held engine keeps only the generators and propagators
+that call used, so the memory held between calls is at most the last call's
+own working set.
 """
 
 from __future__ import annotations
 
+import hashlib
 import string
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import generators
 from .decomposition import decompose_model
@@ -25,6 +35,7 @@ from .generators import (
     SuperOperator,
     _as_decomps,
     check_slot_budget,
+    dissipation_channels,
     elementary_tensor,
     forward_lindbladian,
     multi_slot_action,
@@ -156,6 +167,9 @@ def integrate_ode(generator, v0, tau_grid, tol: float = DEFAULT_ODE_TOL) -> list
     `generator` may be a dense matrix, a SuperOperator, or any object with an
     ``apply`` method (matrix-free).  `v0` is the value at tau_grid[0].
     """
+    # imported here: only the matrix-free engine integrates, and the import is heavy
+    from scipy.integrate import solve_ivp
+
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
     grid = _check_taus(tau_grid)
@@ -182,10 +196,16 @@ def integrate_ode(generator, v0, tau_grid, tol: float = DEFAULT_ODE_TOL) -> list
 
 
 class _SlotEvolver:
-    """Shared propagator/generator caches for one (hamiltonian, decomps) context."""
+    """Generator and propagator caches of one (hamiltonian, decomps) model.
+
+    Cache keys carry the engine choice, so a changed slot budget is never
+    served an engine built under another.  `_used` collects the keys touched
+    since the last :meth:`keep_used`.
+    """
 
     def __init__(self, hamiltonian, decomps):
-        self.h = as_operator(hamiltonian, "hamiltonian")
+        self.h = as_operator(hamiltonian, "hamiltonian").copy()
+        self.h.setflags(write=False)
         self.decomps = _as_decomps(decomps)
         if self.decomps[0].dim != self.h.shape[0]:
             raise ValueError(
@@ -193,30 +213,42 @@ class _SlotEvolver:
                 f"hamiltonian dimension {self.h.shape[0]}"
             )
         self.dim = self.h.shape[0]
-        self._generators: dict[int, object] = {}
-        self._propagators: dict[tuple[int, float], np.ndarray] = {}
+        self._generators: dict[tuple[int, bool], object] = {}
+        self._propagators: dict[tuple[int, bool, float], np.ndarray] = {}
+        self._used: set[tuple] = set()
 
     def dense(self, n_slots: int) -> bool:
         return self.dim ** (2 * n_slots) <= generators.DEFAULT_SLOT_BUDGET
 
     def generator(self, n_slots: int):
-        gen = self._generators.get(n_slots)
+        key = (n_slots, self.dense(n_slots))
+        self._used.add(key)
+        gen = self._generators.get(key)
         if gen is None:
-            if self.dense(n_slots):
+            if key[1]:
                 gen = multi_slot_generator(self.h, self.decomps, n_slots)
             else:
                 # matrix-free fallback; the state vector itself must still fit
                 check_slot_budget(self.dim, n_slots, generators.DEFAULT_SLOT_BUDGET ** 2)
                 gen = multi_slot_action(self.h, self.decomps, n_slots)
-            self._generators[n_slots] = gen
+            self._generators[key] = gen
         return gen
 
     def _propagator(self, n_slots: int, gap: float) -> np.ndarray:
-        prop = self._propagators.get((n_slots, gap))
+        key = (n_slots, self.dense(n_slots), gap)
+        self._used.add(key)
+        prop = self._propagators.get(key)
         if prop is None:
             prop = expm(self.generator(n_slots).matrix, gap)
-            self._propagators[(n_slots, gap)] = prop
+            self._propagators[key] = prop
         return prop
+
+    def keep_used(self) -> None:
+        """Drop every generator and propagator not used since the last call of this."""
+        for cache in (self._generators, self._propagators):
+            for key in cache.keys() - self._used:
+                cache.pop(key, None)  # a concurrent call on the model may have dropped it
+        self._used.clear()
 
     def pull_back(self, w: np.ndarray, n_slots: int, gap: float) -> np.ndarray:
         """Dual vector w @ exp(gap G_n): a contraction moved `gap` earlier in time."""
@@ -247,6 +279,41 @@ class _SlotEvolver:
             for i, v in enumerate(states):
                 values[i] = w @ v
         return values
+
+
+def _model_key(h: np.ndarray, decomps) -> bytes:
+    """Digest of what the generators read: H and every (rate, C) channel."""
+    digest = hashlib.sha256(repr(h.shape).encode())
+    digest.update(h.tobytes())
+    for rate, c in dissipation_channels(decomps):
+        digest.update(repr((float(rate), c.shape)).encode())
+        digest.update(c.tobytes())
+    return digest.digest()
+
+
+# (model key, evolver) of the model last evaluated by a driver, or None
+_held: tuple[bytes, _SlotEvolver] | None = None
+
+
+@contextmanager
+def _model_evolver(hamiltonian, decomp) -> Iterator[_SlotEvolver]:
+    """The held evolver when the model's content matches it, else a fresh one.
+
+    On exit the evolver keeps only the generators and propagators this call
+    used.
+    """
+    global _held
+    h = as_operator(hamiltonian, "hamiltonian")
+    decomps = _as_decomps(decomp)
+    key = _model_key(h, decomps)
+    if _held is None or _held[0] != key:
+        _held = None  # release the old model before building the new one
+        _held = (key, _SlotEvolver(h, decomps))
+    ev = _held[1]
+    try:
+        yield ev
+    finally:
+        ev.keep_used()
 
 
 def evolve_density(hamiltonian, decomp, rho0, t: float) -> np.ndarray:
@@ -319,12 +386,12 @@ def equal_time_group_correlator(hamiltonian, decomp, a_ops, b_ops, rho_t,
         raise ValueError(f"expected {n + 1} insertion matrices for {n} slots, got {len(a_ops)}")
     taus = _check_taus(taus)
     rho_t = _check_density(rho_t, "rho_t")
-    ev = _SlotEvolver(hamiltonian, decomp)
-    for op in (*b_ops, *a_ops, rho_t):
-        if op.shape[0] != ev.dim:
-            raise ValueError(f"operator dimension {op.shape[0]} does not match generator dimension {ev.dim}")
-    w = contraction_functional(a_ops, rho_t)
-    values = ev.sweep(elementary_tensor(b_ops), n, taus, w)
+    with _model_evolver(hamiltonian, decomp) as ev:
+        for op in (*b_ops, *a_ops, rho_t):
+            if op.shape[0] != ev.dim:
+                raise ValueError(f"operator dimension {op.shape[0]} does not match generator dimension {ev.dim}")
+        w = contraction_functional(a_ops, rho_t)
+        values = ev.sweep(elementary_tensor(b_ops), n, taus, w)
     return CorrelatorTrace(taus, values)
 
 
@@ -386,30 +453,30 @@ def general_correlator(hamiltonian, decomp, spec: CorrelatorSpec, taus=None):
     times), and a CorrelatorTrace is returned.  Without it the single value is
     returned, computed as the one-point sweep at the latest time.
     """
-    ev = _SlotEvolver(hamiltonian, decomp)
-    if spec.dim != ev.dim:
-        raise ValueError(f"spec dimension {spec.dim} does not match generator dimension {ev.dim}")
-    # fail fast if even the deepest level cannot fit
-    check_slot_budget(ev.dim, len(spec.insertions), generators.DEFAULT_SLOT_BUDGET ** 2)
-    times = [t for _op, t in spec.insertions]
-    t_max = max(times)
-    grid = _check_taus([t_max] if taus is None else taus)
-    fixed = sorted({t for t in times if t != t_max})
-    floor = fixed[-1] if fixed else 0.0
-    if grid[0] < floor:
-        raise ValueError(
-            f"sweep times must not precede the fixed insertion times: "
-            f"tau={grid[0]} < {floor}"
-        )
-    if fixed:
-        swept = [op for op, t in spec.insertions if t == t_max]
-        w = _pulled_back_functional(ev, spec, fixed)
-        values = ev.sweep(elementary_tensor(swept), len(swept), grid - floor, w)
-    else:
-        product = reduce(np.matmul, [op for op, _t in spec.insertions])
-        eye = identity(ev.dim)
-        w = contraction_functional([eye, eye], spec.initial_state)
-        values = ev.sweep(vec(product), 1, grid, w)
+    with _model_evolver(hamiltonian, decomp) as ev:
+        if spec.dim != ev.dim:
+            raise ValueError(f"spec dimension {spec.dim} does not match generator dimension {ev.dim}")
+        # fail fast if even the deepest level cannot fit
+        check_slot_budget(ev.dim, len(spec.insertions), generators.DEFAULT_SLOT_BUDGET ** 2)
+        times = [t for _op, t in spec.insertions]
+        t_max = max(times)
+        grid = _check_taus([t_max] if taus is None else taus)
+        fixed = sorted({t for t in times if t != t_max})
+        floor = fixed[-1] if fixed else 0.0
+        if grid[0] < floor:
+            raise ValueError(
+                f"sweep times must not precede the fixed insertion times: "
+                f"tau={grid[0]} < {floor}"
+            )
+        if fixed:
+            swept = [op for op, t in spec.insertions if t == t_max]
+            w = _pulled_back_functional(ev, spec, fixed)
+            values = ev.sweep(elementary_tensor(swept), len(swept), grid - floor, w)
+        else:
+            product = reduce(np.matmul, [op for op, _t in spec.insertions])
+            eye = identity(ev.dim)
+            w = contraction_functional([eye, eye], spec.initial_state)
+            values = ev.sweep(vec(product), 1, grid, w)
     if taus is None:
         return complex(values[0])
     return CorrelatorTrace(grid, values)

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lindcorr import propagation
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -40,3 +42,11 @@ def _src_on_child_path():
     patch.setenv("PYTHONPATH", str(SRC), prepend=os.pathsep)
     yield
     patch.undo()
+
+
+@pytest.fixture(autouse=True)
+def _no_held_engine():
+    """Start and end each test without a propagation engine held from another call."""
+    propagation._held = None
+    yield
+    propagation._held = None

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lindcorr import (
-    DEFAULT_SLOT_BUDGET,
     BathSpec,
     SlotBudgetError,
     SuperOperator,
@@ -30,6 +29,7 @@ from lindcorr import (
     unvec,
     vec,
 )
+from lindcorr.generators import DEFAULT_SLOT_BUDGET
 
 from conftest import random_density, random_hermitian, random_matrix
 
@@ -266,6 +266,14 @@ def test_slot_budget_enforcement():
     assert err.required == 3 ** 8
     assert err.budget == DEFAULT_SLOT_BUDGET
     assert "depth 4" in str(err)
+
+
+def test_package_has_no_budget_copy():
+    # the budget has one binding, in generators: a package-level copy would not steer the engine
+    import lindcorr
+
+    assert not hasattr(lindcorr, "DEFAULT_SLOT_BUDGET")
+    assert "DEFAULT_SLOT_BUDGET" not in lindcorr.__all__
 
 
 def test_superoperator_validation():

@@ -1,4 +1,6 @@
 import bisect
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -539,6 +541,119 @@ def test_slot_budget_has_one_binding(rng, monkeypatch):
     assert np.max(np.abs(dense.values - free.values)) < 1e-8
 
 
+# ------------------------------------------------------ engine reuse across calls
+
+
+def _count_expm(monkeypatch):
+    calls = []
+    expm_ = propagation.expm
+    monkeypatch.setattr(propagation, "expm", lambda m, t: calls.append(t) or expm_(m, t))
+    return calls
+
+
+def _otoc_inputs(rng, dim):
+    return random_matrix(rng, dim), random_matrix(rng, dim), random_density(rng, dim)
+
+
+def test_engine_reused_on_equal_model(rng, monkeypatch):
+    # the dimer and its decomposition are rebuilt as new objects for each call
+    w_op, v_op, rho = _otoc_inputs(rng, 4)
+    taus = np.linspace(0.0, 2.0, 5)
+    first = otoc(*_dimer(), w_op, v_op, rho, taus)
+    calls = _count_expm(monkeypatch)
+    again = otoc(*_dimer(), w_op, v_op, rho, taus)
+    other = otoc(*_dimer(), *_otoc_inputs(rng, 4), taus)
+    assert calls == []
+    assert np.array_equal(again.values, first.values)
+    assert not np.array_equal(other.values, first.values)
+
+
+def test_engine_misses_on_changed_rates(rng, monkeypatch):
+    h, decs = _qubit(gamma=0.1, temperature=0.5)
+    h2, decs2 = _qubit(gamma=0.2, temperature=0.5)
+    assert np.array_equal(h, h2)
+    args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
+    otoc(h, decs, *args)
+    calls = _count_expm(monkeypatch)
+    changed = otoc(h2, decs2, *args)
+    assert calls
+    propagation._held = None
+    assert np.array_equal(changed.values, otoc(h2, decs2, *args).values)
+
+
+def test_engine_misses_on_hamiltonian_mutated_in_place(rng, monkeypatch):
+    h, decs = _qubit(gamma=0.1, temperature=0.5)
+    h = h.copy()
+    args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
+    otoc(h, decs, *args)
+    assert not np.shares_memory(propagation._held[1].h, h)
+    h[0, 0] += 0.5
+    calls = _count_expm(monkeypatch)
+    mutated = otoc(h, decs, *args)
+    assert calls
+    propagation._held = None
+    assert np.array_equal(mutated.values, otoc(h, decs, *args).values)
+
+
+def test_model_sequence_matches_fresh_evaluations(rng):
+    # A, B, A: each model's values are those of a fresh evaluation, bit for bit
+    taus = np.linspace(1.0, 3.0, 5)
+    runs = {}
+    for name, system, dim, pattern in (("A", _dimer, 4, [None, 1.0, None, 1.0]),
+                                       ("B", _qubit, 2, [None, 1.0, None, 0.5])):
+        spec = _swept_spec(rng, dim, pattern, taus)
+        runs[name] = (system(), _otoc_inputs(rng, dim), spec)
+
+    def evaluate(name):
+        (h, decs), ops, spec = runs[name]
+        return (otoc(h, decs, *ops, taus).values,
+                general_correlator(h, decs, spec, taus=taus).values)
+
+    fresh = {}
+    for name in runs:
+        propagation._held = None
+        fresh[name] = evaluate(name)
+    propagation._held = None
+    for name in ("A", "B", "A"):
+        for got, expected in zip(evaluate(name), fresh[name]):
+            assert np.array_equal(got, expected)
+
+
+def test_lowered_budget_switches_held_engine(rng, monkeypatch):
+    h, decs = _dimer()
+    args = (*_otoc_inputs(rng, 4), np.linspace(0.0, 2.0, 5))
+    dense = otoc(h, decs, *args)
+    applied = []
+    apply = generators.SlotKroneckerAction.apply
+    monkeypatch.setattr(generators.SlotKroneckerAction, "apply",
+                        lambda action, coords: applied.append(action.slots) or apply(action, coords))
+    calls = _count_expm(monkeypatch)
+    monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 100)
+    free = otoc(h, decs, *args)
+    assert calls == [] and set(applied) == {2}
+    assert list(propagation._held[1]._generators) == [(2, False)]
+    assert np.max(np.abs(dense.values - free.values)) < 1e-8
+
+
+def test_held_propagators_are_the_last_calls(rng):
+    h, decs = _dimer()
+    floor = 1.0
+    first, second = np.linspace(1.3, 4.0, 5), np.linspace(1.0, 3.0, 7)
+    spec = _swept_spec(rng, 4, [None, floor, None, floor], first)
+
+    def held_steps():
+        return {gap for _n, _dense, gap in propagation._held[1]._propagators}
+
+    def steps(taus):
+        return set(np.diff(taus - floor, prepend=0.0)) - {0.0}
+
+    general_correlator(h, decs, spec, taus=first)
+    assert held_steps() and held_steps() <= steps(first)
+    general_correlator(h, decs, spec, taus=second)
+    assert held_steps() and held_steps() <= steps(second)
+    assert not held_steps() & steps(first)
+
+
 # ------------------------------------------------------------- ode integrator
 
 
@@ -565,6 +680,13 @@ def test_integrate_ode_matches_expm(rng):
     out = integrate_ode(g, v0, grid, tol=1e-12)
     for t, v in zip(grid, out):
         assert np.max(np.abs(v - expm(g, t) @ v0)) < 1e-9
+
+
+def test_import_leaves_ode_solver_unloaded():
+    # only the matrix-free engine integrates; scipy.integrate costs about 24 MB at import
+    code = "import sys, lindcorr, lindcorr.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_integrate_ode_validations(rng):
