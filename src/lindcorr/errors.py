@@ -17,14 +17,18 @@ class DegenerateSteadyStateError(NumericsError):
 
 
 class SlotBudgetError(ValueError):
-    """A requested slot count needs more memory than the configured budget."""
+    """A requested slot count needs more memory than the engine admits.
 
-    def __init__(self, slots: int, required: int, budget: int):
+    `quantity` names what `required` and `budget` measure.
+    """
+
+    def __init__(self, slots: int, required: int, budget: int,
+                 quantity: str = "state dimension"):
         self.slots = slots
         self.required = required
         self.budget = budget
         super().__init__(
-            f"slot budget exceeded at depth {slots}: state dimension {required} "
+            f"slot budget exceeded at depth {slots}: {quantity} {required} "
             f"> budget {budget}"
         )
 

@@ -12,8 +12,14 @@ them:
   rate * [P, .] on the earlier slot times [., Q] on the later slot, with
   (P, Q) = (C^dag, C) for each dissipation channel C.
 * ``multi_slot_generator`` / ``multi_slot_action`` — the full n-slot generator,
-  dense within the slot budget or as a matrix-free sum of slotwise Kronecker
-  actions beyond it.
+  as one dense matrix, or as its list of slot-local Kronecker terms.  The
+  terms either act matrix-free (``SlotKroneckerAction.apply``) or assemble
+  into a sparse CSR matrix (``SlotKroneckerAction.to_csr``).
+
+The propagation engine picks the form by the slot tensor's length d**(2n):
+dense up to ``DEFAULT_SLOT_BUDGET``, the measured crossover, and CSR above it.
+A CSR generator is admitted only if the upper bound on its bytes, computed
+from the factors' nonzeros before assembly, stays within ``_CSR_BYTE_CAP``.
 
 Channel bookkeeping: each decomposition contributes gamma0 with operator c0,
 then per mode gamma_down with C_j and gamma_up with C_j^dag, in that order.
@@ -23,6 +29,7 @@ channels; there are no cross-reservoir terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, Sequence
@@ -33,7 +40,12 @@ from .decomposition import JumpDecomposition
 from .errors import SlotBudgetError
 from .operators import as_operator, dagger, identity, vec
 
-DEFAULT_SLOT_BUDGET = 4096
+# dense/sparse engine crossover in slot-tensor coordinates, measured by
+# bench/crossover.py (BENCH_5.json): dense and CSR tie on a cold call at order
+# 256, CSR wins from 324 on, and dense wins at 256 once its propagator is reused
+DEFAULT_SLOT_BUDGET = 256
+# the largest CSR generator admitted, in bytes
+_CSR_BYTE_CAP = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -62,11 +74,12 @@ class SuperOperator:
 
 @dataclass(frozen=True)
 class SlotKroneckerAction:
-    """Matrix-free n-slot generator: sum of products of slot-local factors.
+    """The n-slot generator as a sum of products of slot-local factors.
 
     Each term is a tuple of (slot index, d^2 x d^2 factor) pairs over distinct
-    slots; application contracts every factor along its slot axis.  Same
-    action as the dense generator, without the d**(4n) memory footprint.
+    slots.  :meth:`apply` contracts every factor along its slot axis, and
+    :meth:`to_csr` assembles the sparse matrix the engine steps with; both
+    give the dense generator's action without its d**(4n) memory footprint.
     """
 
     dim: int
@@ -85,10 +98,32 @@ class SlotKroneckerAction:
             out += y
         return out.reshape(-1)
 
-    def transpose(self) -> SlotKroneckerAction:
-        """The transposed generator: the same terms with every factor transposed."""
-        terms = tuple(tuple((slot, f.T) for slot, f in factors) for factors in self.terms)
-        return SlotKroneckerAction(dim=self.dim, slots=self.slots, terms=terms)
+    def csr_bytes(self) -> int:
+        """Upper bound on the bytes of :meth:`to_csr`, from the factors' nonzeros.
+
+        A term stores the product of its factors' nonzeros times d**2 per slot
+        it leaves alone; the terms' sum stores at most their total.  Each entry
+        takes 16 bytes of value and 4 of column index, each row 4 of pointer.
+        """
+        d2 = self.dim ** 2
+        nnz = sum(math.prod(int(np.count_nonzero(f)) for _slot, f in factors)
+                  * d2 ** (self.slots - len(factors)) for factors in self.terms)
+        return 20 * nnz + 4 * (d2 ** self.slots + 1)
+
+    def to_csr(self):
+        """The generator as a scipy.sparse CSR array: the sum of the terms, each the
+        Kronecker product of its factors with identities on the other slots."""
+        import scipy.sparse as sp  # imported here: only the sparse engine assembles
+
+        eye = sp.eye_array(self.dim ** 2, dtype=complex, format="csr")
+        total = None
+        for factors in self.terms:
+            by_slot = dict(factors)
+            blocks = [sp.csr_array(by_slot[s]) if s in by_slot else eye
+                      for s in range(1, self.slots + 1)]
+            term = reduce(lambda a, b: sp.kron(a, b, format="csr"), blocks)
+            total = term if total is None else total + term
+        return total
 
 
 def _spre(a: np.ndarray) -> np.ndarray:
@@ -223,6 +258,15 @@ def check_slot_budget(dim: int, n_slots: int, slot_budget: int) -> int:
     size = dim ** (2 * n_slots)
     if size > slot_budget:
         raise SlotBudgetError(slots=n_slots, required=size, budget=slot_budget)
+    return size
+
+
+def check_csr_bytes(action: SlotKroneckerAction) -> int:
+    """Byte bound of the action's CSR matrix, raising SlotBudgetError over the cap."""
+    size = action.csr_bytes()
+    if size > _CSR_BYTE_CAP:
+        raise SlotBudgetError(slots=action.slots, required=size, budget=_CSR_BYTE_CAP,
+                              quantity="sparse generator bytes")
     return size
 
 

@@ -7,6 +7,16 @@ and the state.  The contraction is carried by a dual vector `w` built once per
 one dot product per point.  For general time patterns `w` also carries the
 earlier insertions: it is pulled back through them once per sweep.
 
+Two engines step a slot tensor of n slots, picked by its length d**(2n).  Up
+to ``generators.DEFAULT_SLOT_BUDGET`` coordinates, the measured crossover, the
+dense generator's propagator exp(step G) is computed once per distinct grid
+step (steps that differ only by rounding are one step) and applied by
+matrix-vector products.  Above it the generator is a CSR matrix and
+``integrate_ode`` computes the action exp(tau G) v with ``expm_multiply``,
+without forming a propagator; a pull-back uses the transposed matrix.  A CSR
+generator whose byte bound exceeds the cap is refused with SlotBudgetError
+before it is assembled.
+
 The n-slot generators and their propagators depend only on the model (H and
 the dissipation channels), not on the operators or the state, so the drivers
 share them across calls: the engine of the model last evaluated is held
@@ -24,6 +34,7 @@ import string
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
+from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -34,7 +45,7 @@ from .errors import DegenerateSteadyStateError, NumericsError
 from .generators import (
     SuperOperator,
     _as_decomps,
-    check_slot_budget,
+    check_csr_bytes,
     dissipation_channels,
     elementary_tensor,
     forward_lindbladian,
@@ -45,7 +56,6 @@ from .models import SystemModel
 from .operators import as_operator, dagger, expm, identity, is_hermitian, unvec, vec
 
 _DENSITY_ATOL = 1e-10
-DEFAULT_ODE_TOL = 1e-10
 
 
 def _check_density(rho, name: str = "state") -> np.ndarray:
@@ -161,46 +171,70 @@ def contraction_functional(a_ops: Sequence[np.ndarray], rho: np.ndarray) -> np.n
     return w.reshape(-1)
 
 
-def integrate_ode(generator, v0, tau_grid, tol: float = DEFAULT_ODE_TOL) -> list[np.ndarray]:
-    """Adaptive Runge-Kutta solution of dv/dtau = G v, sampled on `tau_grid`.
+def _grid_steps(taus: np.ndarray, origin: float = 0.0) -> np.ndarray:
+    """Steps of `taus` from `origin`, each within rounding of the step before set to it.
 
-    `generator` may be a dense matrix, a SuperOperator, or any object with an
-    ``apply`` method (matrix-free).  `v0` is the value at tau_grid[0].
+    A step that differs from the one before it by at most a few ulps of the
+    grid's largest tau takes that step's value, so an evenly spaced grid has
+    one step value, and every value is one of the grid's actual steps.
     """
-    # imported here: only the matrix-free engine integrates, and the import is heavy
-    from scipy.integrate import solve_ivp
+    steps = np.diff(taus - origin, prepend=0.0)
+    tol = 4 * np.spacing(taus[-1])
+    for i in range(1, len(steps)):
+        if abs(steps[i] - steps[i - 1]) <= tol:
+            steps[i] = steps[i - 1]
+    return steps
 
-    if not tol > 0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
+
+@contextmanager
+def _seeded_global_rng() -> Iterator[None]:
+    """Seed NumPy's global stream for the block and restore the caller's state after.
+
+    scipy's 1-norm estimator draws from the global stream; seeding it makes
+    the result independent of the caller's state and leaves that state alone.
+    """
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        yield
+    finally:
+        np.random.set_state(state)
+
+
+def integrate_ode(generator, v0, tau_grid) -> list[np.ndarray]:
+    """Solution exp((tau - tau_grid[0]) G) v0 of dv/dtau = G v, sampled on `tau_grid`.
+
+    `generator` is a dense or scipy.sparse matrix or a SuperOperator.  The
+    action of the exponential is computed by scipy's ``expm_multiply``
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), one call per run of
+    equal steps, which it evaluates at the run's evenly spaced points.
+    """
+    # imported here: only the sparse engine steps this way, and the import is heavy
+    from scipy.sparse.linalg import expm_multiply
+
     grid = _check_taus(tau_grid)
-    v0 = np.asarray(v0, dtype=complex)
-    if len(grid) == 1:
-        return [v0.copy()]
-    if hasattr(generator, "apply"):
-        rhs = lambda _t, y: generator.apply(y)  # noqa: E731
-    else:
-        mat = np.asarray(generator, dtype=complex)
-        rhs = lambda _t, y: mat @ y  # noqa: E731
-    sol = solve_ivp(
-        rhs,
-        (grid[0], grid[-1]),
-        v0,
-        method="DOP853",
-        t_eval=grid,
-        rtol=tol,
-        atol=tol,
-    )
-    if not sol.success:
-        raise NumericsError(f"ODE integration failed (step underflow?): {sol.message}")
-    return [sol.y[:, i].copy() for i in range(sol.y.shape[1])]
+    mat = getattr(generator, "matrix", generator)
+    states = [np.asarray(v0, dtype=complex)]
+    with _seeded_global_rng():
+        for step, run in groupby(_grid_steps(grid, grid[0])[1:]):
+            count = len(list(run))
+            out = expm_multiply(mat, states[-1], start=0.0, stop=count * step,
+                                num=count + 1, endpoint=True)
+            states.extend(out[1:])
+    if not all(np.all(np.isfinite(v)) for v in states):
+        raise NumericsError("expm_multiply produced non-finite values")
+    return states
 
 
 class _SlotEvolver:
     """Generator and propagator caches of one (hamiltonian, decomps) model.
 
-    Cache keys carry the engine choice, so a changed slot budget is never
-    served an engine built under another.  `_used` collects the keys touched
-    since the last :meth:`keep_used`.
+    A level of n slots is dense (cached propagators) when its tensor has at
+    most ``generators.DEFAULT_SLOT_BUDGET`` coordinates and sparse (a CSR
+    generator stepped by ``integrate_ode``) above.  Cache keys carry the
+    engine choice, so a changed slot budget is never served an engine built
+    under another.  `_used` collects the keys touched since the last
+    :meth:`keep_used`.
     """
 
     def __init__(self, hamiltonian, decomps):
@@ -221,6 +255,7 @@ class _SlotEvolver:
         return self.dim ** (2 * n_slots) <= generators.DEFAULT_SLOT_BUDGET
 
     def generator(self, n_slots: int):
+        """Dense SuperOperator or CSR matrix; the CSR bytes are checked before assembly."""
         key = (n_slots, self.dense(n_slots))
         self._used.add(key)
         gen = self._generators.get(key)
@@ -228,9 +263,9 @@ class _SlotEvolver:
             if key[1]:
                 gen = multi_slot_generator(self.h, self.decomps, n_slots)
             else:
-                # matrix-free fallback; the state vector itself must still fit
-                check_slot_budget(self.dim, n_slots, generators.DEFAULT_SLOT_BUDGET ** 2)
-                gen = multi_slot_action(self.h, self.decomps, n_slots)
+                action = multi_slot_action(self.h, self.decomps, n_slots)
+                check_csr_bytes(action)
+                gen = action.to_csr()
             self._generators[key] = gen
         return gen
 
@@ -257,28 +292,27 @@ class _SlotEvolver:
         gen = self.generator(n_slots)
         if isinstance(gen, SuperOperator):
             return w @ self._propagator(n_slots, gap)
-        return integrate_ode(gen.transpose(), w, [0.0, gap])[-1]
+        return integrate_ode(gen.T, w, [0.0, gap])[-1]
 
     def sweep(self, tensor: np.ndarray, n_slots: int, taus: np.ndarray,
-              w: np.ndarray) -> np.ndarray:
-        """Values w @ T(tau) along an ascending grid, stepping gap by gap."""
+              w: np.ndarray, origin: float = 0.0) -> np.ndarray:
+        """Values w @ T(tau) along an ascending grid; `tensor` is T at `origin`.
+
+        Steps that differ only by rounding share one dense propagator, or one
+        ``expm_multiply`` call on the sparse engine.
+        """
         gen = self.generator(n_slots)
-        values = np.empty(len(taus), dtype=complex)
         if isinstance(gen, SuperOperator):
-            v, cur = tensor, 0.0
-            for i, tau in enumerate(taus):
-                if tau != cur:
-                    v = self._propagator(n_slots, float(tau) - cur) @ v
-                    cur = float(tau)
+            values = np.empty(len(taus), dtype=complex)
+            v = tensor
+            for i, step in enumerate(_grid_steps(taus, origin)):
+                if step != 0.0:
+                    v = self._propagator(n_slots, float(step)) @ v
                 values[i] = w @ v
-        else:
-            grid = taus if taus[0] == 0.0 else np.concatenate(([0.0], taus))
-            states = integrate_ode(gen, tensor, grid)
-            if taus[0] != 0.0:
-                states = states[1:]
-            for i, v in enumerate(states):
-                values[i] = w @ v
-        return values
+            return values
+        grid = taus if taus[0] == origin else np.concatenate(([origin], taus))
+        states = integrate_ode(gen, tensor, grid)
+        return np.array([w @ v for v in states[len(grid) - len(taus):]])
 
 
 def _model_key(h: np.ndarray, decomps) -> bytes:
@@ -413,20 +447,26 @@ def _pulled_back_functional(ev: _SlotEvolver, spec: CorrelatorSpec,
                             fixed: list[float]) -> np.ndarray:
     """Dual vector on the latest-time slots, at the latest fixed time fixed[-1].
 
-    Starts as the contraction of every slot against the state at the earliest
-    time and walks the fixed insertion times upward: it is pulled back across
-    each gap, and at each time the insertions held there are contracted out of
-    their slots, which is the transpose of splicing them in.
+    Starts as the contraction against the state at the earliest time, where
+    the insertions held at that time are fixed matrices between the slots of
+    the others, and walks the later fixed insertion times upward: it is pulled
+    back across each gap, and at each time the insertions held there are
+    contracted out of their slots, which is the transpose of splicing them in.
     """
     times = [t for _op, t in spec.insertions]
     d2 = ev.dim ** 2
-    slots = list(range(len(times)))
+    slots = [i for i, t in enumerate(times) if t != fixed[0]]
+    a_ops = [identity(ev.dim) for _ in range(len(slots) + 1)]
+    before = 0  # slots left of the insertion
+    for op, t in spec.insertions:
+        if t == fixed[0]:
+            a_ops[before] = a_ops[before] @ op
+        else:
+            before += 1
     rho = evolve_density(ev.h, ev.decomps, spec.initial_state, fixed[0])
-    w = contraction_functional([identity(ev.dim)] * (len(slots) + 1), rho)
-    prev = fixed[0]
-    for t in fixed:
+    w = contraction_functional(a_ops, rho)
+    for prev, t in zip(fixed, fixed[1:]):
         w = ev.pull_back(w, len(slots), t - prev)
-        prev = t
         for i in [i for i in slots if times[i] == t]:
             pos = slots.index(i)
             w = np.tensordot(w.reshape((d2,) * len(slots)), vec(spec.insertions[i][0]),
@@ -456,8 +496,6 @@ def general_correlator(hamiltonian, decomp, spec: CorrelatorSpec, taus=None):
     with _model_evolver(hamiltonian, decomp) as ev:
         if spec.dim != ev.dim:
             raise ValueError(f"spec dimension {spec.dim} does not match generator dimension {ev.dim}")
-        # fail fast if even the deepest level cannot fit
-        check_slot_budget(ev.dim, len(spec.insertions), generators.DEFAULT_SLOT_BUDGET ** 2)
         times = [t for _op, t in spec.insertions]
         t_max = max(times)
         grid = _check_taus([t_max] if taus is None else taus)
@@ -468,10 +506,13 @@ def general_correlator(hamiltonian, decomp, spec: CorrelatorSpec, taus=None):
                 f"sweep times must not precede the fixed insertion times: "
                 f"tau={grid[0]} < {floor}"
             )
+        # fail fast: the level evolved first has the most slots, and its
+        # generator's size is checked before anything is assembled or evolved
+        ev.generator(len(times) - times.count(fixed[0]) if fixed else 1)
         if fixed:
             swept = [op for op, t in spec.insertions if t == t_max]
             w = _pulled_back_functional(ev, spec, fixed)
-            values = ev.sweep(elementary_tensor(swept), len(swept), grid - floor, w)
+            values = ev.sweep(elementary_tensor(swept), len(swept), grid, w, origin=floor)
         else:
             product = reduce(np.matmul, [op for op, _t in spec.insertions])
             eye = identity(ev.dim)

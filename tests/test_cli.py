@@ -235,19 +235,21 @@ def test_slot_budget_flag_switches_engine(tmp_path, capsys, monkeypatch):
     free = json.loads(capsys.readouterr().out)["values"]
     diff = np.abs(np.array([complex(*v) for v in dense])
                   - np.array([complex(*v) for v in free]))
-    assert np.max(diff) < 1e-8
+    assert np.max(diff) < 1e-12
 
 
 def test_slot_budget_exceeded_exits_one(tmp_path, capsys):
-    # 4 distinct times on a 9-level oscillator need a 9**8-long slot tensor,
-    # over the matrix-free limit; the run must refuse before evolving anything
+    # 5 distinct times on a 9-level oscillator first evolve a 4-slot tensor,
+    # whose sparse generator is bounded at about 21 GiB, over the byte cap;
+    # the run must refuse before evolving anything
     cfg = {
         "model": {"name": "truncated_oscillator",
                   "params": {"omega0": 1.0, "dim": 9, "gamma": 0.1, "temperature": 0.0}},
         "task": "corr",
         "params": {
             "insertions": [{"operator": op, "time": t}
-                           for op, t in (("a", 3.0), ("adag", 2.0), ("n", 1.0), ("a", 0.5))],
+                           for op, t in (("a", 3.0), ("adag", 2.0), ("n", 1.0), ("a", 0.5),
+                                         ("adag", 0.25))],
             "initial_state": "maximally_mixed",
         },
     }

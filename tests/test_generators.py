@@ -10,6 +10,7 @@ from lindcorr import (
     assign_rates,
     check_slot_budget,
     commutator,
+    coupled_dimer,
     contraction_functional,
     cross_dissipator,
     decompose_model,
@@ -252,9 +253,31 @@ def test_multi_slot_action_transpose_matches_dense(rng):
     decs = decompose_model(model)
     for n in (1, 2, 3):
         dense = multi_slot_generator(h, decs, n).matrix
-        transposed = multi_slot_action(h, decs, n).transpose()
+        transposed = multi_slot_action(h, decs, n).to_csr().T  # what a pull-back steps with
         y = rng.standard_normal(4 ** n) + 1j * rng.standard_normal(4 ** n)
-        assert np.max(np.abs(transposed.apply(y) - dense.T @ y)) < 1e-12
+        assert np.max(np.abs(transposed @ y - dense.T @ y)) < 1e-12
+
+
+def test_multi_slot_action_csr_matches_dense():
+    model = two_level_atom(1.0, 0.15, 0.4)
+    h = model.hamiltonian
+    decs = decompose_model(model)
+    for n in (1, 2, 3):
+        dense = multi_slot_generator(h, decs, n).matrix
+        csr = multi_slot_action(h, decs, n).to_csr()
+        assert csr.format == "csr"
+        assert np.max(np.abs(csr.toarray() - dense)) < 1e-15
+
+
+def test_csr_bytes_bound_the_assembled_matrix():
+    for model in (two_level_atom(1.0, 0.15, 0.4), coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6),
+                  truncated_oscillator(omega0=1.0, dim=5, gamma=0.1, temperature=0.5)):
+        decs = decompose_model(model)
+        for n in (1, 2):
+            action = multi_slot_action(model.hamiltonian, decs, n)
+            csr = action.to_csr()
+            held = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+            assert held <= action.csr_bytes()
 
 
 def test_slot_budget_enforcement():

@@ -11,9 +11,11 @@ from lindcorr import (
     CorrelatorTrace,
     DegenerateSteadyStateError,
     SlotBudgetError,
+    annihilation,
     assign_rates,
     contraction_functional,
     coupled_dimer,
+    dagger,
     decompose_model,
     elementary_tensor,
     equal_time_group_correlator,
@@ -31,6 +33,7 @@ from lindcorr import (
     sigma_x,
     sigma_z,
     steady_state,
+    truncated_oscillator,
     two_level_atom,
     unvec,
     vec,
@@ -265,7 +268,7 @@ def test_equal_time_matrix_free_matches_dense(rng, monkeypatch):
     dense = equal_time_group_correlator(h, decs, [EYE2] * 3, [b1, b2], rho, taus)
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 4)
     free = equal_time_group_correlator(h, decs, [EYE2] * 3, [b1, b2], rho, taus)
-    assert np.max(np.abs(dense.values - free.values)) < 1e-8
+    assert np.max(np.abs(dense.values - free.values)) < 1e-12
 
 
 # ----------------------------------------------------------------------- otoc
@@ -401,14 +404,20 @@ def test_general_budget_fail_fast(rng, monkeypatch):
     spec = CorrelatorSpec(
         ((sigma_x, 3.0), (sigma_z, 2.0), (sigma_x, 1.0)), rho
     )
+    # the first level evolved has two slots (16 coordinates), sparse at budget 7;
+    # its byte bound is over the lowered cap, and nothing is evolved before the refusal
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 7)
+    monkeypatch.setattr(generators, "_CSR_BYTE_CAP", 1000)
+    calls = _count_expm(monkeypatch)
     with pytest.raises(SlotBudgetError) as excinfo:
         general_correlator(h, decs, spec)
-    assert excinfo.value.required == 64
+    assert excinfo.value.required == generators.multi_slot_action(h, decs, 2).csr_bytes()
+    assert "bytes" in str(excinfo.value)
+    assert calls == []
 
 
 def test_general_matrix_free_recursion(rng, monkeypatch):
-    # slot budget forces the ODE path at depth two while values stay put
+    # slot budget forces the sparse engine at depth two while values stay put
     h, decs = _qubit(gamma=0.3, temperature=0.15)
     rho = random_density(rng, 2)
     x, y, z = (random_matrix(rng, 2) for _ in range(3))
@@ -416,7 +425,20 @@ def test_general_matrix_free_recursion(rng, monkeypatch):
     dense = general_correlator(h, decs, spec)
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 8)
     free = general_correlator(h, decs, spec)
-    assert abs(dense - free) < 1e-8
+    assert abs(dense - free) < 1e-12
+
+
+def _sparse_orders(monkeypatch):
+    """Orders of the generators stepped by integrate_ode, one entry per call."""
+    orders = []
+    integrate = propagation.integrate_ode
+
+    def counted(gen, v0, grid):
+        orders.append(gen.shape[0])
+        return integrate(gen, v0, grid)
+
+    monkeypatch.setattr(propagation, "integrate_ode", counted)
+    return orders
 
 
 def _forward_recursion(h, decs, spec):
@@ -497,18 +519,11 @@ def test_general_matrix_free_pull_back(rng, monkeypatch):
     taus = np.linspace(1.5, 3.5, 5)
     spec = _swept_spec(rng, 2, [None, 1.5, 1.0, 0.5], taus)
     expected = np.array([_forward_recursion(h, decs, _moved(spec, tau)) for tau in taus])
-    applied = []
-    apply = generators.SlotKroneckerAction.apply
-
-    def counted(action, coords):
-        applied.append(action.slots)
-        return apply(action, coords)
-
-    monkeypatch.setattr(generators.SlotKroneckerAction, "apply", counted)
+    orders = _sparse_orders(monkeypatch)
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 16)
     trace = general_correlator(h, decs, spec, taus=taus)
-    assert set(applied) == {3}
-    assert np.max(np.abs(trace.values - expected)) < 1e-8
+    assert set(orders) == {4 ** 3}
+    assert np.max(np.abs(trace.values - expected)) < 1e-12
 
 
 def test_general_sweep_expm_count(rng, monkeypatch):
@@ -527,6 +542,79 @@ def test_general_sweep_expm_count(rng, monkeypatch):
     assert len(calls) <= distinct_steps + fixed_levels + 1
 
 
+def test_uniform_sweep_makes_one_step_expm(rng, monkeypatch):
+    # the steps of a linspace grid differ in their last bits; they share one
+    # propagator on the dense engine and one expm_multiply call on the sparse one
+    import scipy.sparse.linalg
+
+    h, decs = _qubit(gamma=0.1, temperature=0.5)
+    args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 20.0, 200))
+    steps = np.diff(args[-1])
+    assert len(set(steps)) > 1
+    calls = _count_expm(monkeypatch)
+    dense = otoc(h, decs, *args)
+    assert len(calls) == 1
+    multiply = []
+    expm_multiply = scipy.sparse.linalg.expm_multiply
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
+                        lambda *a, **k: multiply.append(k["num"]) or expm_multiply(*a, **k))
+    monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 4)
+    sparse = otoc(h, decs, *args)
+    assert multiply == [200]
+    assert np.max(np.abs(dense.values - sparse.values)) < 1e-12
+
+
+def test_sparse_engine_leaves_global_rng_alone(rng):
+    # at gap 5 the dim-30 generator's 1-norm is estimated, which draws random numbers
+    model = truncated_oscillator(1.0, 30, 0.1, 0.5)
+    decs = decompose_model(model)
+    a = annihilation(30)
+    rho = random_density(rng, 30)
+    runs = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        trace = qrt_correlator(model.hamiltonian, decs, identity(30), dagger(a), a, rho, [0.0, 5.0])
+        after = np.random.random()
+        np.random.seed(seed)
+        assert after == np.random.random()
+        runs.append(trace.values)
+    assert not propagation._held[1].dense(1)
+    assert np.array_equal(runs[0], runs[1])
+
+
+def test_held_engine_bytes_bounded(rng):
+    # one 3-slot dimer call holds a CSR generator, not a 4096-order dense one
+    h, decs = _dimer()
+    taus = np.linspace(0.5, 2.5, 5)
+    general_correlator(h, decs, _swept_spec(rng, 4, [None, None, None, 0.5], taus), taus=taus)
+    ev = propagation._held[1]
+    assert (3, False) in ev._generators
+    held = 0
+    for m in [*ev._generators.values(), *ev._propagators.values()]:
+        m = getattr(m, "matrix", m)
+        parts = (m.data, m.indices, m.indptr) if hasattr(m, "indptr") else (m,)
+        held += sum(p.nbytes for p in parts)
+    assert held < 16 * 2 ** 20
+
+
+def test_csr_byte_cap_refuses_before_assembly(rng, monkeypatch):
+    h, decs = _dimer()
+    bound = generators.multi_slot_action(h, decs, 3).csr_bytes()
+    assembled = []
+    to_csr = generators.SlotKroneckerAction.to_csr
+    monkeypatch.setattr(generators.SlotKroneckerAction, "to_csr",
+                        lambda action: assembled.append(action.slots) or to_csr(action))
+    monkeypatch.setattr(generators, "_CSR_BYTE_CAP", bound - 1)
+    b_ops = [random_matrix(rng, 4) for _ in range(3)]
+    with pytest.raises(SlotBudgetError) as excinfo:
+        equal_time_group_correlator(h, decs, [identity(4)] * 4, b_ops, random_density(rng, 4), [0.0, 1.0])
+    assert excinfo.value.required == bound and excinfo.value.budget == bound - 1
+    assert assembled == []
+    monkeypatch.setattr(generators, "_CSR_BYTE_CAP", bound)
+    equal_time_group_correlator(h, decs, [identity(4)] * 4, b_ops, random_density(rng, 4), [0.0, 1.0])
+    assert assembled == [3]
+
+
 def test_slot_budget_has_one_binding(rng, monkeypatch):
     # the engine choice and the dense generator's guard read the same budget:
     # below the dimer's 256 coordinates the OTOC runs matrix-free
@@ -538,7 +626,7 @@ def test_slot_budget_has_one_binding(rng, monkeypatch):
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 100)
     free = otoc(h, decs, w_op, v_op, rho, taus)
     assert not hasattr(propagation, "DEFAULT_SLOT_BUDGET")
-    assert np.max(np.abs(dense.values - free.values)) < 1e-8
+    assert np.max(np.abs(dense.values - free.values)) < 1e-12
 
 
 # ------------------------------------------------------ engine reuse across calls
@@ -623,16 +711,13 @@ def test_lowered_budget_switches_held_engine(rng, monkeypatch):
     h, decs = _dimer()
     args = (*_otoc_inputs(rng, 4), np.linspace(0.0, 2.0, 5))
     dense = otoc(h, decs, *args)
-    applied = []
-    apply = generators.SlotKroneckerAction.apply
-    monkeypatch.setattr(generators.SlotKroneckerAction, "apply",
-                        lambda action, coords: applied.append(action.slots) or apply(action, coords))
+    orders = _sparse_orders(monkeypatch)
     calls = _count_expm(monkeypatch)
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 100)
     free = otoc(h, decs, *args)
-    assert calls == [] and set(applied) == {2}
+    assert calls == [] and set(orders) == {16 ** 2}
     assert list(propagation._held[1]._generators) == [(2, False)]
-    assert np.max(np.abs(dense.values - free.values)) < 1e-8
+    assert np.max(np.abs(dense.values - free.values)) < 1e-12
 
 
 def test_held_propagators_are_the_last_calls(rng):
@@ -668,7 +753,7 @@ def test_integrate_ode_scalar_decay(rng):
     lam = -0.3
     v0 = np.ones(3, dtype=complex)
     grid = np.linspace(0.0, 5.0, 6)
-    out = integrate_ode(lam * np.eye(3), v0, grid, tol=1e-12)
+    out = integrate_ode(lam * np.eye(3), v0, grid)
     for t, v in zip(grid, out):
         assert np.max(np.abs(v - np.exp(lam * t))) < 1e-10
 
@@ -677,22 +762,21 @@ def test_integrate_ode_matches_expm(rng):
     g = random_matrix(rng, 4) - 1.5 * np.eye(4)
     v0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     grid = np.linspace(0.0, 2.0, 5)
-    out = integrate_ode(g, v0, grid, tol=1e-12)
+    out = integrate_ode(g, v0, grid)
     for t, v in zip(grid, out):
         assert np.max(np.abs(v - expm(g, t) @ v0)) < 1e-9
 
 
 def test_import_leaves_ode_solver_unloaded():
-    # only the matrix-free engine integrates; scipy.integrate costs about 24 MB at import
-    code = "import sys, lindcorr, lindcorr.cli; print('scipy.integrate' in sys.modules)"
+    # only the sparse engine needs scipy.sparse, and nothing needs scipy.integrate
+    code = ("import sys, lindcorr, lindcorr.cli; "
+            "print('scipy.integrate' in sys.modules, 'scipy.sparse' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_integrate_ode_validations(rng):
     v0 = np.ones(2, dtype=complex)
-    with pytest.raises(ValueError, match="> 0"):
-        integrate_ode(np.eye(2), v0, [0.0, 1.0], tol=0.0)
     with pytest.raises(ValueError, match="ascending"):
         integrate_ode(np.eye(2), v0, [1.0, 0.5])
     with pytest.raises(ValueError, match="nonempty"):
