@@ -25,6 +25,7 @@ from .operators import hermitian_eig, identity
 from .propagation import (
     CorrelatorSpec,
     CorrelatorTrace,
+    _evolve_grid,
     evolve_density,
     general_correlator,
     otoc,
@@ -357,7 +358,7 @@ def _task_evolve(model, decomps, params):
     rho0 = _parse_state(_require(params, "params", "initial_state"), model, decomps,
                         "params.initial_state")
     times = _parse_grid(_require(params, "params", "times"), "params.times")
-    states = [evolve_density(model.hamiltonian, decomps, rho0, float(t)) for t in times]
+    states = _evolve_grid(model.hamiltonian, decomps, rho0, times)
     if "observable" in params:
         obs = _parse_operator(params["observable"], model.dim, "params.observable")
         values = np.array([np.trace(obs @ rho) for rho in states])

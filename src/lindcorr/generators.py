@@ -6,7 +6,9 @@ them:
 
 * ``adjoint_lindbladian`` — Heisenberg-picture generator
   L[B] = i[H, B] + sum of adjoint dissipators, one channel per rate.
-* ``forward_lindbladian`` — its trace-pairing dual, evolving density matrices.
+* ``forward_lindbladian`` — its trace-pairing dual, evolving density matrices;
+  the duality checks' reference, since the propagation engine evolves states
+  on the adjoint generator itself.
 * ``lift`` — a one-slot superoperator acting on slot m of n.
 * ``cross_dissipator`` — the commutator-pair coupling between two slots,
   rate * [P, .] on the earlier slot times [., Q] on the later slot, with

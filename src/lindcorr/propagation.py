@@ -17,6 +17,13 @@ without forming a propagator; a pull-back uses the transposed matrix.  A CSR
 generator whose byte bound exceeds the cap is refused with SlotBudgetError
 before it is assembled.
 
+The forward dynamics has no engine of its own.  Under the trace pairing
+trace(B rho) = vec(rho^T) . vec(B) a density matrix is a dual vector of the
+one-slot level G_1: rho(t) is vec(rho0^T) pulled back through exp(t G_1), and
+the stationary state is the left null vector of G_1, found by SVD on a dense
+level and by a sparse LU of G_1^T bordered with the trace functional on a
+sparse one.
+
 The n-slot generators and their propagators depend only on the model (H and
 the dissipation channels), not on the operators or the state, so the drivers
 share them across calls: the engine of the model last evaluated is held
@@ -30,6 +37,7 @@ own working set.
 from __future__ import annotations
 
 import hashlib
+import math
 import string
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -48,7 +56,6 @@ from .generators import (
     check_csr_bytes,
     dissipation_channels,
     elementary_tensor,
-    forward_lindbladian,
     multi_slot_action,
     multi_slot_generator,
 )
@@ -285,34 +292,34 @@ class _SlotEvolver:
                 cache.pop(key, None)  # a concurrent call on the model may have dropped it
         self._used.clear()
 
-    def pull_back(self, w: np.ndarray, n_slots: int, gap: float) -> np.ndarray:
-        """Dual vector w @ exp(gap G_n): a contraction moved `gap` earlier in time."""
-        if gap == 0.0:
-            return w
-        gen = self.generator(n_slots)
-        if isinstance(gen, SuperOperator):
-            return w @ self._propagator(n_slots, gap)
-        return integrate_ode(gen.T, w, [0.0, gap])[-1]
-
-    def sweep(self, tensor: np.ndarray, n_slots: int, taus: np.ndarray,
-              w: np.ndarray, origin: float = 0.0) -> np.ndarray:
-        """Values w @ T(tau) along an ascending grid; `tensor` is T at `origin`.
+    def trajectory(self, v: np.ndarray, n_slots: int, taus: np.ndarray,
+                   origin: float = 0.0, adjoint: bool = False) -> Iterator[np.ndarray]:
+        """`v` carried along an ascending grid from `origin`: exp((tau - origin) G_n) v,
+        or the dual vector v @ exp((tau - origin) G_n) when `adjoint`.
 
         Steps that differ only by rounding share one dense propagator, or one
         ``expm_multiply`` call on the sparse engine.
         """
         gen = self.generator(n_slots)
         if isinstance(gen, SuperOperator):
-            values = np.empty(len(taus), dtype=complex)
-            v = tensor
-            for i, step in enumerate(_grid_steps(taus, origin)):
+            for step in _grid_steps(taus, origin):
                 if step != 0.0:
-                    v = self._propagator(n_slots, float(step)) @ v
-                values[i] = w @ v
-            return values
+                    prop = self._propagator(n_slots, float(step))
+                    v = v @ prop if adjoint else prop @ v
+                yield v
+            return
         grid = taus if taus[0] == origin else np.concatenate(([origin], taus))
-        states = integrate_ode(gen, tensor, grid)
-        return np.array([w @ v for v in states[len(grid) - len(taus):]])
+        yield from integrate_ode(gen.T if adjoint else gen, v, grid)[len(grid) - len(taus):]
+
+    def pull_back(self, w: np.ndarray, n_slots: int, gap: float) -> np.ndarray:
+        """Dual vector w @ exp(gap G_n): a contraction moved `gap` earlier in time."""
+        (w,) = self.trajectory(w, n_slots, np.array([gap]), adjoint=True)
+        return w
+
+    def sweep(self, tensor: np.ndarray, n_slots: int, taus: np.ndarray,
+              w: np.ndarray, origin: float = 0.0) -> np.ndarray:
+        """Values w @ T(tau) along an ascending grid; `tensor` is T at `origin`."""
+        return np.array([w @ v for v in self.trajectory(tensor, n_slots, taus, origin)])
 
 
 def _model_key(h: np.ndarray, decomps) -> bytes:
@@ -350,45 +357,136 @@ def _model_evolver(hamiltonian, decomp) -> Iterator[_SlotEvolver]:
         ev.keep_used()
 
 
-def evolve_density(hamiltonian, decomp, rho0, t: float) -> np.ndarray:
-    """Forward evolution rho(t) of a density matrix under the dissipative generator."""
-    if not (t >= 0 and np.isfinite(t)):
-        raise ValueError(f"evolution time must be finite and >= 0, got {t}")
+def _densities(ev: _SlotEvolver, rho0: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
+    """rho(t) along an ascending grid, one state stepped along it on `ev`'s 1-slot level.
+
+    By the trace pairing trace(B rho) = vec(rho^T) . vec(B), vec(rho(t)^T) is
+    the dual vector vec(rho0^T) pulled back through exp(t G_1).  Each state is
+    made Hermitian; a trace drift over 1e-8 raises, one over 1e-12 is
+    normalised away.
+    """
+    out = []
+    for w in ev.trajectory(vec(rho0.T), 1, times, adjoint=True):
+        rho = unvec(w).T
+        rho = 0.5 * (rho + rho.conj().T)
+        tr = float(np.trace(rho).real)
+        drift = abs(tr - 1.0)
+        if drift > 1e-8:
+            raise NumericsError(f"trace drift {drift:.3e} after evolution exceeds 1e-8")
+        out.append(rho / tr if drift > 1e-12 else rho)
+    return out
+
+
+def _evolve_grid(hamiltonian, decomp, rho0, times) -> list[np.ndarray]:
+    """:func:`evolve_density` at every time of `times`, in their order, from one
+    state stepped once along the sorted distinct times."""
+    times = np.asarray(times, dtype=float)
+    for t in times:
+        if not (t >= 0 and np.isfinite(t)):
+            raise ValueError(f"evolution time must be finite and >= 0, got {t}")
     rho0 = _check_density(rho0, "rho0")
-    f = forward_lindbladian(hamiltonian, decomp)
-    if rho0.shape[0] != f.dim:
-        raise ValueError(f"state dimension {rho0.shape[0]} does not match generator dimension {f.dim}")
-    rho = unvec(expm(f.matrix, float(t)) @ vec(rho0))
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = float(np.trace(rho).real)
-    drift = abs(tr - 1.0)
-    if drift > 1e-8:
-        raise NumericsError(f"trace drift {drift:.3e} after evolution exceeds 1e-8")
-    if drift > 1e-12:
-        rho = rho / tr
+    grid, where = np.unique(times, return_inverse=True)
+    with _model_evolver(hamiltonian, decomp) as ev:
+        if rho0.shape[0] != ev.dim:
+            raise ValueError(f"state dimension {rho0.shape[0]} does not match generator dimension {ev.dim}")
+        states = _densities(ev, rho0, grid)
+    return [states[i] for i in where]
+
+
+def evolve_density(hamiltonian, decomp, rho0, t: float) -> np.ndarray:
+    """Forward evolution rho(t) of a density matrix under the dissipative generator.
+
+    Runs on the held engine of the model: vec(rho(t)^T) is vec(rho0^T) pulled
+    back through exp(t G_1), G_1 the one-slot adjoint generator, so the
+    forward dynamics shares the correlators' generator and propagators.
+    """
+    (rho,) = _evolve_grid(hamiltonian, decomp, rho0, [t])
     return rho
 
 
-def steady_state(model: SystemModel, decomp=None, null_tol: float = 1e-9) -> np.ndarray:
-    """Unique trace-one stationary state of the forward generator.
+# the bordered steady-state solve is kept while its 1-norm condition estimate
+# kappa stays within _LU_MARGIN / null_tol; kappa * s[-2] / s[0] (s the
+# singular values of G_1) measured 2.5-5.5 on near-degenerate families
+# (bench/forward.py), so a kept solve has s[-2] > null_tol * s[0] and the SVD
+# criterion would also find a one-dimensional null space
+_LU_MARGIN = 0.1
 
-    Raises DegenerateSteadyStateError when the null space is not
-    one-dimensional (e.g. any rate-free model), reporting the multiplicity.
+
+def _svd_null_vector(g: np.ndarray, null_tol: float) -> np.ndarray:
+    """Left null vector of the dense generator `g`, by SVD.
+
+    Raises DegenerateSteadyStateError unless exactly one singular value is at
+    most null_tol times the largest.
     """
-    decomps = decompose_model(model) if decomp is None else _as_decomps(decomp)
-    f = forward_lindbladian(model.hamiltonian, decomps)
-    _u, s, vh = np.linalg.svd(f.matrix)
+    u, s, _vh = np.linalg.svd(g)
     if s[0] == 0.0:
         raise DegenerateSteadyStateError(multiplicity=len(s))
     nullity = int(np.sum(s <= null_tol * s[0]))
     if nullity != 1:
         raise DegenerateSteadyStateError(multiplicity=nullity)
-    rho = unvec(vh[-1].conj())
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = float(np.trace(rho).real)
+    return u[:, -1].conj()
+
+
+def _bordered_null_vector(g) -> tuple[np.ndarray, float]:
+    """Left null vector w of the CSR generator `g` with vec(I) . w = 1, by sparse LU,
+    and the 1-norm condition estimate of the system solved.
+
+    The system is g^T w = 0 with its row 0 replaced by the trace functional
+    vec(I)^T.  Unitality (g vec(I) = 0) makes row 0 a combination of the
+    others, so the bordered matrix is nonsingular exactly when the null space
+    is one-dimensional.  splu raises RuntimeError when it is exactly singular.
+    """
+    import scipy.sparse as sp  # imported here: only sparse levels solve this way
+    from scipy.sparse.linalg import LinearOperator, onenormest, splu
+
+    n = g.shape[0]
+    trace_row = sp.csr_array(vec(identity(math.isqrt(n))).reshape(1, -1))
+    a = sp.vstack([trace_row, g.T.tocsr()[1:]], format="csc")
+    lu = splu(a)
+    inverse = LinearOperator(a.shape, matvec=lu.solve, dtype=complex,
+                             rmatvec=lambda x: lu.solve(x, trans="H"))
+    with _seeded_global_rng():  # onenormest draws from the global stream
+        kappa = float(abs(a).sum(axis=0).max()) * onenormest(inverse)
+    rhs = np.zeros(n, dtype=complex)
+    rhs[0] = 1.0
+    return lu.solve(rhs), kappa
+
+
+def steady_state(model: SystemModel, decomp=None, null_tol: float = 1e-9) -> np.ndarray:
+    """Unique trace-one stationary state: the left null vector of G_1.
+
+    The stationary rho satisfies trace(G_1[B] rho) = 0 for every B, so
+    vec(rho^T) is the left null vector of the one-slot adjoint generator G_1,
+    taken from the model's held engine.  A dense level finds it by SVD; a
+    sparse one by a sparse LU of G_1^T bordered with the trace functional,
+    falling back to the SVD when the LU is singular or its condition estimate
+    exceeds 0.1 / null_tol.  `null_tol` must lie strictly between 0 and 1.
+
+    Raises DegenerateSteadyStateError when more or fewer than one singular
+    value of G_1 is at most null_tol times the largest (e.g. any rate-free
+    model), reporting that multiplicity.
+    """
+    null_tol = float(null_tol)
+    if not 0.0 < null_tol < 1.0:  # also rejects NaN
+        raise ValueError(f"null_tol must lie strictly between 0 and 1, got {null_tol}")
+    decomps = decompose_model(model) if decomp is None else _as_decomps(decomp)
+    with _model_evolver(model.hamiltonian, decomps) as ev:
+        gen = ev.generator(1)
+        if isinstance(gen, SuperOperator):
+            w = _svd_null_vector(gen.matrix, null_tol)
+        else:
+            try:
+                w, kappa = _bordered_null_vector(gen)
+            except RuntimeError:  # splu: the bordered matrix is exactly singular
+                kappa = np.inf
+            if not kappa <= _LU_MARGIN / null_tol:  # also a NaN estimate
+                w = _svd_null_vector(gen.toarray(), null_tol)
+    rho = unvec(w).T
+    tr = complex(np.trace(rho))
     if abs(tr) < 1e-10 * np.linalg.norm(rho):
         raise NumericsError("steady-state candidate is traceless; cannot normalize")
-    return rho / tr
+    rho = rho / tr
+    return 0.5 * (rho + rho.conj().T)
 
 
 def qrt_correlator(hamiltonian, decomp, a1, b, a2, rho_t, taus) -> CorrelatorTrace:
@@ -463,7 +561,7 @@ def _pulled_back_functional(ev: _SlotEvolver, spec: CorrelatorSpec,
             a_ops[before] = a_ops[before] @ op
         else:
             before += 1
-    rho = evolve_density(ev.h, ev.decomps, spec.initial_state, fixed[0])
+    (rho,) = _densities(ev, spec.initial_state, np.array([fixed[0]]))
     w = contraction_functional(a_ops, rho)
     for prev, t in zip(fixed, fixed[1:]):
         w = ev.pull_back(w, len(slots), t - prev)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lindcorr import cli, decompose_model, evolve_density, generators, otoc, qrt_correlator
+from lindcorr import propagation
 from lindcorr import sigma_minus, sigma_plus, sigma_x, sigma_z, two_level_atom
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -143,6 +144,52 @@ def test_evolve_states_json(tmp_path, capsys):
     for t, state in zip(payload["times"], payload["states"]):
         assert abs(state[0][0][0] - np.exp(-gamma * t)) < 1e-8
         assert abs(state[0][0][0] + state[1][1][0] - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("model", [
+    _atom_config(gamma=0.3, temperature=0.7),
+    {"name": "truncated_oscillator",
+     "params": {"omega0": 1.0, "dim": 17, "gamma": 0.2, "temperature": 0.5}},
+], ids=["qubit", "oscillator-17"])
+def test_evolve_states_match_per_time_evolution(tmp_path, capsys, model):
+    # one state stepped along the grid equals evolving from t = 0 to each time
+    cfg = {"model": model, "task": "evolve",
+           "params": {"initial_state": "excited",
+                      "times": {"start": 0.5, "stop": 6.0, "points": 12}}}
+    assert cli.run(_write(tmp_path, cfg)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    parsed = cli._parse_model(cfg)
+    decs = decompose_model(parsed)
+    rho0 = cli._parse_state("excited", parsed, decs, "params.initial_state")
+    for t, state in zip(payload["times"], payload["states"]):
+        got = np.array([[complex(*z) for z in row] for row in state])
+        expected = evolve_density(parsed.hamiltonian, decs, rho0, t)
+        assert np.max(np.abs(got - expected)) < 1e-12
+        assert np.array_equal(got, got.conj().T)
+
+
+def test_evolve_uniform_grid_makes_one_expm(tmp_path, monkeypatch):
+    calls = []
+    expm_ = propagation.expm
+    monkeypatch.setattr(propagation, "expm", lambda m, t: calls.append(t) or expm_(m, t))
+    cfg = {"model": _atom_config(gamma=0.2, temperature=0.4), "task": "evolve",
+           "params": {"initial_state": "excited", "observable": "sz",
+                      "times": {"start": 0.0, "stop": 10.0, "points": 50}},
+           "output": {"format": "csv"}}
+    assert cli.run(_write(tmp_path, cfg), out=str(tmp_path / "out.csv")) == 0
+    assert len(calls) == 1
+
+
+def test_evolve_repeated_and_negative_times(tmp_path, capsys):
+    cfg = {"model": _atom_config(gamma=0.2), "task": "evolve",
+           "params": {"initial_state": "excited",
+                      "times": {"start": 2.0, "stop": 2.0, "points": 3}}}
+    assert cli.run(_write(tmp_path, cfg)) == 0
+    states = json.loads(capsys.readouterr().out)["states"]
+    assert states[0] == states[1] == states[2]
+    cfg["params"]["times"] = {"start": -1.0, "stop": 2.0, "points": 3}
+    assert cli.run(_write(tmp_path, cfg)) == 1
+    assert ">= 0" in capsys.readouterr().err
 
 
 # ------------------------------------------------- correlator task vs library

@@ -26,6 +26,7 @@ from lindcorr import (
     general_correlator,
     identity,
     integrate_ode,
+    multi_slot_action,
     multi_slot_generator,
     otoc,
     qrt_correlator,
@@ -161,6 +162,139 @@ def test_steady_state_degenerate_without_dissipation():
     with pytest.raises(DegenerateSteadyStateError) as excinfo:
         steady_state(model)
     assert excinfo.value.multiplicity == 2
+
+
+@pytest.mark.parametrize("null_tol", [-1.0, 0.0, 1.0, 2.0, np.nan, np.inf, -np.inf])
+def test_steady_state_rejects_null_tol_outside_unit_interval(null_tol):
+    with pytest.raises(ValueError, match="null_tol"):
+        steady_state(two_level_atom(1.0, 0.2, 0.3), null_tol=null_tol)
+
+
+def _oscillator(dim, gamma=0.1, temperature=0.5):
+    return truncated_oscillator(omega0=1.0, dim=dim, gamma=gamma, temperature=temperature)
+
+
+def _forward_matrix(model):
+    return forward_lindbladian(model.hamiltonian, decompose_model(model)).matrix
+
+
+def _svd_nullity(model, null_tol=1e-9):
+    """Null-space dimension of the forward generator by the SVD criterion."""
+    s = np.linalg.svd(_forward_matrix(model), compute_uv=False)
+    return int(np.sum(s <= null_tol * s[0]))
+
+
+def _svd_steady_state(model):
+    """The steady state as the SVD null vector of the forward generator."""
+    _u, _s, vh = np.linalg.svd(_forward_matrix(model))
+    rho = unvec(vh[-1].conj())
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("dim", [20, 30])
+def test_steady_state_sparse_level_matches_svd(dim):
+    model = _oscillator(dim)
+    expected = _svd_steady_state(model)
+    rho = steady_state(model)
+    assert not propagation._held[1].dense(1)
+    assert np.max(np.abs(rho - expected)) < 1e-12
+    assert np.max(np.abs(rho - rho.conj().T)) == 0.0
+
+
+def test_steady_state_sparse_rate_free_reports_multiplicity():
+    # H = n on 17 levels: every diagonal matrix is stationary
+    with pytest.raises(DegenerateSteadyStateError) as excinfo:
+        steady_state(_oscillator(17, gamma=0.0))
+    assert excinfo.value.multiplicity == 17
+
+
+NEAR_DEGENERATE = {
+    "qubit": lambda r: two_level_atom(1.0, r, 0.5),
+    "dimer": lambda r: coupled_dimer(omega1=1.0, omega2=1.25, g=0.3, gamma1=r, gamma2=0.6 * r,
+                                     temperature=0.6),
+    "oscillator-8": lambda r: _oscillator(8, gamma=r),
+    "oscillator-20": lambda r: _oscillator(20, gamma=r),
+}
+
+
+@pytest.mark.parametrize("family", NEAR_DEGENERATE)
+def test_steady_state_near_degenerate_family_matches_svd_decision(family, monkeypatch):
+    # rates going to 0 cross the SVD threshold; the bordered LU (every level
+    # made sparse below) and the dense SVD of G_1 must decide as the SVD of F
+    differing = []
+    for rate in np.geomspace(1e-3, 1e-12, 28):
+        model = NEAR_DEGENERATE[family](rate)
+        multiplicity = _svd_nullity(model)
+        dense = model.dim ** 2 <= generators.DEFAULT_SLOT_BUDGET
+        for budget in (generators.DEFAULT_SLOT_BUDGET, 1) if dense else (1,):
+            monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", budget)
+            try:
+                rho = steady_state(model)
+            except DegenerateSteadyStateError as exc:
+                if exc.multiplicity != multiplicity:
+                    differing.append((rate, budget, exc.multiplicity, multiplicity))
+                continue
+            if multiplicity != 1:
+                differing.append((rate, budget, 1, multiplicity))
+                continue
+            g = multi_slot_action(model.hamiltonian, decompose_model(model), 1).to_csr()
+            _w, kappa = propagation._bordered_null_vector(g)
+            if kappa <= 1e4:
+                assert np.max(np.abs(rho - _svd_steady_state(model))) < 1e-10
+            else:
+                residual = g.T @ vec(rho.T)
+                assert np.max(np.abs(residual)) < 1e-12 * abs(g).sum(axis=0).max()
+    assert differing == []
+
+
+def test_steady_state_leaves_sparse_unloaded_on_dense_level():
+    code = ("import sys, lindcorr as lc; "
+            "lc.steady_state(lc.coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6)); "
+            "print('scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_steady_state_shares_the_one_slot_generator(monkeypatch):
+    model = _oscillator(30)
+    decs = decompose_model(model)
+    assembled = []
+    action = propagation.multi_slot_action
+    monkeypatch.setattr(propagation, "multi_slot_action",
+                        lambda h, d, n: assembled.append(n) or action(h, d, n))
+    rho = steady_state(model, decs)
+    a = annihilation(30)
+    qrt_correlator(model.hamiltonian, decs, identity(30), dagger(a), a, rho,
+                   np.linspace(0.0, 1.0, 3))
+    assert assembled == [1]
+
+
+def test_evolve_density_sparse_level_matches_forward_expm(rng):
+    model = _oscillator(17)
+    decs = decompose_model(model)
+    rho0 = random_density(rng, 17)
+    f = forward_lindbladian(model.hamiltonian, decs).matrix
+    for t in (0.5, 3.0):
+        expected = unvec(expm(f, t) @ vec(rho0))
+        rho = evolve_density(model.hamiltonian, decs, rho0, t)
+        assert np.max(np.abs(rho - expected)) < 1e-12
+    assert not propagation._held[1].dense(1)
+
+
+def test_general_correlator_enters_the_engine_once(rng, monkeypatch):
+    h, decs = _qubit(gamma=0.3, temperature=0.4)
+    entries = []
+    held = propagation._model_evolver
+
+    def counted(*args):
+        entries.append(args)
+        return held(*args)
+
+    monkeypatch.setattr(propagation, "_model_evolver", counted)
+    spec = _swept_spec(rng, 2, [None, 1.0, 0.5], np.array([1.5]))
+    general_correlator(h, decs, spec, taus=np.linspace(1.0, 2.0, 4))
+    assert len(entries) == 1
 
 
 # ------------------------------------------------------------ qrt correlators
@@ -726,17 +860,19 @@ def test_held_propagators_are_the_last_calls(rng):
     first, second = np.linspace(1.3, 4.0, 5), np.linspace(1.0, 3.0, 7)
     spec = _swept_spec(rng, 4, [None, floor, None, floor], first)
 
-    def held_steps():
-        return {gap for _n, _dense, gap in propagation._held[1]._propagators}
+    def held():
+        return set(propagation._held[1]._propagators)
 
-    def steps(taus):
-        return set(np.diff(taus - floor, prepend=0.0)) - {0.0}
+    def used(taus):
+        # the 2-slot sweep steps, and the 1-slot evolution of the state to the floor
+        sweep = set(np.diff(taus - floor, prepend=0.0)) - {0.0}
+        return {(2, True, step) for step in sweep} | {(1, True, floor)}
 
     general_correlator(h, decs, spec, taus=first)
-    assert held_steps() and held_steps() <= steps(first)
+    assert held() and held() <= used(first)
     general_correlator(h, decs, spec, taus=second)
-    assert held_steps() and held_steps() <= steps(second)
-    assert not held_steps() & steps(first)
+    assert held() and held() <= used(second)
+    assert not held() & (used(first) - used(second))
 
 
 # ------------------------------------------------------------- ode integrator
