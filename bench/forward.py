@@ -84,8 +84,8 @@ def lu_steady_state(model, decs):
     """Bordered LU on the held engine's CSR G_1 (assembled here at dense levels too)."""
     with propagation._model_evolver(model.hamiltonian, decs) as ev:
         gen = ev.generator(1)
-        if isinstance(gen, generators.SuperOperator):
-            gen = scipy.sparse.csr_array(gen.matrix)
+        if ev.dense(1):
+            gen = scipy.sparse.csr_array(gen)
         w, _kappa = propagation._bordered_null_vector(gen)
     return lc.unvec(w).T
 

@@ -24,12 +24,9 @@ from .generators import (
     SuperOperator,
     adjoint_dissipator,
     adjoint_lindbladian,
-    check_slot_budget,
-    cross_dissipator,
     dissipation_channels,
     elementary_tensor,
     forward_lindbladian,
-    lift,
     multi_slot_action,
     multi_slot_generator,
 )
@@ -103,12 +100,10 @@ __all__ = [
     "anticommutator",
     "assign_rates",
     "bose_occupation",
-    "check_slot_budget",
     "closed_correlator",
     "commutator",
     "contraction_functional",
     "coupled_dimer",
-    "cross_dissipator",
     "dagger",
     "decompose_model",
     "default_freq_tol",
@@ -127,7 +122,6 @@ __all__ = [
     "identity",
     "integrate_ode",
     "is_hermitian",
-    "lift",
     "local_decomposition",
     "multi_slot_action",
     "multi_slot_generator",

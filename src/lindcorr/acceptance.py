@@ -8,12 +8,14 @@ bottom is shared by the test suite and the command-line ``validate`` task.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -198,8 +200,10 @@ def check_grouping_consistency() -> str:
     return f"two models x 20 operator pairs: max relative deviation {worst:.2e}"
 
 
-def _brute_force_two_slot(h: np.ndarray, decomps) -> np.ndarray:
-    """Column-by-column two-slot generator from termwise matrix arithmetic."""
+def _brute_force_generator(h: np.ndarray, decomps, n_slots: int) -> np.ndarray:
+    """Column-by-column n-slot generator from termwise matrix arithmetic: L on each
+    slot, plus rate * [C^dag, .] on slot m1 times [., C] on slot m2 for each
+    channel C and each slot pair m1 < m2."""
     d = h.shape[0]
     d2 = d * d
     channels = [(rate, c) for rate, c in dissipation_channels(decomps)]
@@ -213,16 +217,23 @@ def _brute_force_two_slot(h: np.ndarray, decomps) -> np.ndarray:
 
     basis = [unvec(np.eye(d2, dtype=complex)[:, k]) for k in range(d2)]
     cols = []
-    for ea in basis:
-        for eb in basis:
-            terms = [(lindblad(ea), eb), (ea, lindblad(eb))]
+    for ops in itertools.product(basis, repeat=n_slots):
+        terms = []
+        for m in range(n_slots):
+            term = list(ops)
+            term[m] = lindblad(ops[m])
+            terms.append(term)
+        for m1, m2 in itertools.combinations(range(n_slots), 2):
             for rate, c in channels:
                 p, q = c.conj().T, c
-                terms.append((rate * (p @ ea - ea @ p), eb @ q - q @ eb))
-            col = np.zeros(d2 * d2, dtype=complex)
-            for x, y in terms:
-                col += np.kron(vec(x), vec(y))
-            cols.append(col)
+                term = list(ops)
+                term[m1] = rate * (p @ ops[m1] - ops[m1] @ p)
+                term[m2] = ops[m2] @ q - q @ ops[m2]
+                terms.append(term)
+        col = np.zeros(d2 ** n_slots, dtype=complex)
+        for term in terms:
+            col += reduce(np.kron, [vec(x) for x in term])
+        cols.append(col)
     return np.column_stack(cols)
 
 
@@ -233,7 +244,7 @@ def check_two_slot_brute_force() -> str:
     for model in (two_level_atom(1.0, 0.1, 0.0), two_level_atom(1.0, 0.1, 0.7)):
         decs = decompose_model(model)
         built = multi_slot_generator(model.hamiltonian, decs, 2).matrix
-        brute = _brute_force_two_slot(model.hamiltonian, decs)
+        brute = _brute_force_generator(model.hamiltonian, decs, n_slots=2)
         worst_gen = max(worst_gen, float(np.max(np.abs(built - brute))))
     assert worst_gen <= 1e-12, f"two-slot generator deviation {worst_gen:.3e} exceeds 1e-12"
 

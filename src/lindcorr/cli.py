@@ -71,12 +71,10 @@ def _as_number(value, path: str) -> float:
 
 
 def _as_complex(value, path: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{path} must be a number or an [re, im] pair")
+    pair = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair):
+        raise ConfigError(f"{path} must be a number or an [re, im] pair")
+    return complex(*(_as_number(v, path) for v in pair))
 
 
 def _parse_matrix(value, path: str) -> np.ndarray:

@@ -9,14 +9,11 @@ them:
 * ``forward_lindbladian`` — its trace-pairing dual, evolving density matrices;
   the duality checks' reference, since the propagation engine evolves states
   on the adjoint generator itself.
-* ``lift`` — a one-slot superoperator acting on slot m of n.
-* ``cross_dissipator`` — the commutator-pair coupling between two slots,
-  rate * [P, .] on the earlier slot times [., Q] on the later slot, with
-  (P, Q) = (C^dag, C) for each dissipation channel C.
-* ``multi_slot_generator`` / ``multi_slot_action`` — the full n-slot generator,
-  as one dense matrix, or as its list of slot-local Kronecker terms.  The
-  terms either act matrix-free (``SlotKroneckerAction.apply``) or assemble
-  into a sparse CSR matrix (``SlotKroneckerAction.to_csr``).
+* ``multi_slot_action`` — the full n-slot generator as its list of slot-local
+  Kronecker terms, the one place the generator is defined.  The terms either
+  act matrix-free (``SlotKroneckerAction.apply``) or assemble, by one loop,
+  into a dense matrix (``to_dense``, behind ``multi_slot_generator``) or a
+  sparse CSR matrix (``to_csr``).
 
 The propagation engine picks the form by the slot tensor's length d**(2n):
 dense up to ``DEFAULT_SLOT_BUDGET``, the measured crossover, and CSR above it.
@@ -79,9 +76,10 @@ class SlotKroneckerAction:
     """The n-slot generator as a sum of products of slot-local factors.
 
     Each term is a tuple of (slot index, d^2 x d^2 factor) pairs over distinct
-    slots.  :meth:`apply` contracts every factor along its slot axis, and
-    :meth:`to_csr` assembles the sparse matrix the engine steps with; both
-    give the dense generator's action without its d**(4n) memory footprint.
+    slots.  :meth:`apply` contracts every factor along its slot axis;
+    :meth:`to_dense` and :meth:`to_csr` assemble the matrix the engine steps
+    with, each term as the Kronecker product of its factors with identities on
+    the other slots.
     """
 
     dim: int
@@ -112,20 +110,32 @@ class SlotKroneckerAction:
                   * d2 ** (self.slots - len(factors)) for factors in self.terms)
         return 20 * nnz + 4 * (d2 ** self.slots + 1)
 
-    def to_csr(self):
-        """The generator as a scipy.sparse CSR array: the sum of the terms, each the
-        Kronecker product of its factors with identities on the other slots."""
-        import scipy.sparse as sp  # imported here: only the sparse engine assembles
-
-        eye = sp.eye_array(self.dim ** 2, dtype=complex, format="csr")
+    def _assemble(self, eye, kron, factor):
+        # the sum of the terms, each the Kronecker product of its factors with
+        # `eye` on the slots it leaves alone
         total = None
         for factors in self.terms:
             by_slot = dict(factors)
-            blocks = [sp.csr_array(by_slot[s]) if s in by_slot else eye
+            blocks = [factor(by_slot[s]) if s in by_slot else eye
                       for s in range(1, self.slots + 1)]
-            term = reduce(lambda a, b: sp.kron(a, b, format="csr"), blocks)
+            term = reduce(kron, blocks)
             total = term if total is None else total + term
         return total
+
+    def to_dense(self) -> np.ndarray:
+        """The generator as a dense matrix, refused with SlotBudgetError when its
+        tensor has more than ``DEFAULT_SLOT_BUDGET`` coordinates."""
+        if not _dense_fits(self.dim, self.slots):
+            raise SlotBudgetError(slots=self.slots, required=self.dim ** (2 * self.slots),
+                                  budget=DEFAULT_SLOT_BUDGET)
+        return self._assemble(identity(self.dim ** 2), np.kron, np.asarray)
+
+    def to_csr(self):
+        """The generator as a scipy.sparse CSR array."""
+        import scipy.sparse as sp  # imported here: only the sparse engine assembles
+
+        return self._assemble(sp.eye_array(self.dim ** 2, dtype=complex, format="csr"),
+                              lambda a, b: sp.kron(a, b, format="csr"), sp.csr_array)
 
 
 def _spre(a: np.ndarray) -> np.ndarray:
@@ -216,51 +226,15 @@ def forward_lindbladian(hamiltonian, decomp) -> SuperOperator:
     return SuperOperator(dim=h.shape[0], slots=1, matrix=m)
 
 
-def lift(s: SuperOperator, slot: int, n_slots: int) -> SuperOperator:
-    """Embed a one-slot superoperator as slot `slot` of an `n_slots` generator."""
-    if s.slots != 1:
-        raise ValueError(f"lift expects a one-slot superoperator, got {s.slots} slots")
-    if not 1 <= slot <= n_slots:
-        raise ValueError(f"slot {slot} out of range 1..{n_slots}")
-    d2 = s.dim ** 2
-    m = np.kron(np.eye(d2 ** (slot - 1)), np.kron(s.matrix, np.eye(d2 ** (n_slots - slot))))
-    return SuperOperator(dim=s.dim, slots=n_slots, matrix=m)
-
-
 def _cross_terms(decomp, m1: int, m2: int) -> Iterator[tuple[int, np.ndarray, int, np.ndarray]]:
     # (P, Q) = (C^dag, C) per channel; left commutator on the earlier slot
     for rate, c in dissipation_channels(decomp):
         yield m1, rate * left_commutator_action(c.conj().T), m2, right_commutator_action(c)
 
 
-def cross_dissipator(decomp, m1: int, m2: int, n_slots: int) -> SuperOperator:
-    """Two-slot coupling term between slots m1 < m2 of an n-slot generator.
-
-    For each dissipation channel C at rate g, applies g*[C^dag, .] to slot m1
-    and [., C] to slot m2.  The asymmetry is meaningful: slot indices are
-    positions in the operator string, and the left commutator always acts on
-    the earlier (left) position.
-    """
-    decomps = _as_decomps(decomp)
-    dim = decomps[0].dim
-    if not 1 <= m1 < m2 <= n_slots:
-        raise ValueError(f"need 1 <= m1 < m2 <= n_slots, got m1={m1}, m2={m2}, n_slots={n_slots}")
-    d2 = dim ** 2
-    size = d2 ** n_slots
-    m = np.zeros((size, size), dtype=complex)
-    for s1, f1, s2, f2 in _cross_terms(decomps, m1, m2):
-        # I (x) ... f1 ... (x) ... f2 ... (x) I with f1 at slot s1, f2 at slot s2
-        blocks = [np.eye(d2 ** (s1 - 1)), f1, np.eye(d2 ** (s2 - s1 - 1)), f2, np.eye(d2 ** (n_slots - s2))]
-        m += reduce(np.kron, blocks)
-    return SuperOperator(dim=dim, slots=n_slots, matrix=m)
-
-
-def check_slot_budget(dim: int, n_slots: int, slot_budget: int) -> int:
-    """State dimension d**(2n), raising SlotBudgetError if over budget."""
-    size = dim ** (2 * n_slots)
-    if size > slot_budget:
-        raise SlotBudgetError(slots=n_slots, required=size, budget=slot_budget)
-    return size
+def _dense_fits(dim: int, n_slots: int) -> bool:
+    """Whether the n-slot level takes the dense engine: d**(2n) <= DEFAULT_SLOT_BUDGET."""
+    return dim ** (2 * n_slots) <= DEFAULT_SLOT_BUDGET
 
 
 def check_csr_bytes(action: SlotKroneckerAction) -> int:
@@ -275,32 +249,32 @@ def check_csr_bytes(action: SlotKroneckerAction) -> int:
 def multi_slot_generator(hamiltonian, decomp, n_slots: int) -> SuperOperator:
     """Dense n-slot generator: single-slot Lindbladians plus all cross terms.
 
-    G_n = sum_m lift(L, m) + sum_{m1<m2} cross_dissipator(m1, m2).  For
-    n_slots = 1 this is exactly the adjoint Lindbladian.  Memory guard: the
-    state dimension d**(2n) must stay within DEFAULT_SLOT_BUDGET (the dense
-    matrix then holds at most DEFAULT_SLOT_BUDGET**2 entries).
+    The dense assembly of :func:`multi_slot_action`; for n_slots = 1 this is
+    exactly the adjoint Lindbladian.  Memory guard: the state dimension
+    d**(2n) must stay within DEFAULT_SLOT_BUDGET (the dense matrix then holds
+    at most DEFAULT_SLOT_BUDGET**2 entries).
+    """
+    action = multi_slot_action(hamiltonian, decomp, n_slots)
+    return SuperOperator(dim=action.dim, slots=n_slots, matrix=action.to_dense())
+
+
+def multi_slot_action(hamiltonian, decomp, n_slots: int) -> SlotKroneckerAction:
+    """The n-slot generator as slot-local Kronecker terms.
+
+    G_n = sum_m L on slot m + sum_{m1<m2} rate * [C^dag, .] on slot m1 times
+    [., C] on slot m2, for each dissipation channel C: the left commutator
+    always acts on the earlier (left) position of the operator string.  Each
+    d^2 x d^2 factor takes 16 d**4 bytes; a factor over ``_CSR_BYTE_CAP`` is
+    refused with SlotBudgetError before any is built.
     """
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1, got {n_slots}")
     h = as_operator(hamiltonian, "hamiltonian")
     decomps = _as_decomps(decomp)
-    check_slot_budget(h.shape[0], n_slots, DEFAULT_SLOT_BUDGET)
-    single = adjoint_lindbladian(h, decomps)
-    m = lift(single, 1, n_slots).matrix.copy()
-    for slot in range(2, n_slots + 1):
-        m += lift(single, slot, n_slots).matrix
-    for m1 in range(1, n_slots + 1):
-        for m2 in range(m1 + 1, n_slots + 1):
-            m += cross_dissipator(decomps, m1, m2, n_slots).matrix
-    return SuperOperator(dim=h.shape[0], slots=n_slots, matrix=m)
-
-
-def multi_slot_action(hamiltonian, decomp, n_slots: int) -> SlotKroneckerAction:
-    """Matrix-free counterpart of :func:`multi_slot_generator` (same action)."""
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-    h = as_operator(hamiltonian, "hamiltonian")
-    decomps = _as_decomps(decomp)
+    factor_bytes = 16 * h.shape[0] ** 4
+    if factor_bytes > _CSR_BYTE_CAP:
+        raise SlotBudgetError(slots=n_slots, required=factor_bytes, budget=_CSR_BYTE_CAP,
+                              quantity="slot factor bytes")
     single = adjoint_lindbladian(h, decomps).matrix
     terms: list[tuple[tuple[int, np.ndarray], ...]] = []
     for slot in range(1, n_slots + 1):

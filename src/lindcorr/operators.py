@@ -9,8 +9,6 @@ Everything downstream relies on two fixed conventions set here:
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import scipy.linalg
 
@@ -129,17 +127,12 @@ def hermitian_eig(h, tol: float = 1e-10):
     return w, u
 
 
-def _expm_dense(a: np.ndarray, s: float) -> np.ndarray:
+def expm(a, s: float = 1.0) -> np.ndarray:
+    """exp(s*A) of a square matrix; raises NumericsError on overflow."""
+    a = as_operator(a, "expm argument")
     if s == 0:
         return np.eye(a.shape[0], dtype=complex)
     out = scipy.linalg.expm(a * s)
     if not np.all(np.isfinite(out)):
         raise NumericsError(f"expm overflow: norm(s*A) = {np.linalg.norm(a * s):.3e}")
     return out
-
-
-def expm(a, s: float = 1.0):
-    """exp(s*A) for a matrix, or slotwise for a SuperOperator-like carrier."""
-    if hasattr(a, "matrix") and hasattr(a, "slots"):
-        return dataclasses.replace(a, matrix=_expm_dense(a.matrix, s))
-    return _expm_dense(as_operator(a, "expm argument"), s)

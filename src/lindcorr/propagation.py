@@ -47,12 +47,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import generators
 from .decomposition import decompose_model
 from .errors import DegenerateSteadyStateError, NumericsError
 from .generators import (
-    SuperOperator,
     _as_decomps,
+    _dense_fits,
     check_csr_bytes,
     dissipation_channels,
     elementary_tensor,
@@ -211,21 +210,20 @@ def _seeded_global_rng() -> Iterator[None]:
 def integrate_ode(generator, v0, tau_grid) -> list[np.ndarray]:
     """Solution exp((tau - tau_grid[0]) G) v0 of dv/dtau = G v, sampled on `tau_grid`.
 
-    `generator` is a dense or scipy.sparse matrix or a SuperOperator.  The
-    action of the exponential is computed by scipy's ``expm_multiply``
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), one call per run of
-    equal steps, which it evaluates at the run's evenly spaced points.
+    `generator` is a dense or scipy.sparse matrix.  The action of the
+    exponential is computed by scipy's ``expm_multiply`` (Al-Mohy & Higham,
+    SIAM J. Sci. Comput. 33, 2011), one call per run of equal steps, which it
+    evaluates at the run's evenly spaced points.
     """
     # imported here: only the sparse engine steps this way, and the import is heavy
     from scipy.sparse.linalg import expm_multiply
 
     grid = _check_taus(tau_grid)
-    mat = getattr(generator, "matrix", generator)
     states = [np.asarray(v0, dtype=complex)]
     with _seeded_global_rng():
         for step, run in groupby(_grid_steps(grid, grid[0])[1:]):
             count = len(list(run))
-            out = expm_multiply(mat, states[-1], start=0.0, stop=count * step,
+            out = expm_multiply(generator, states[-1], start=0.0, stop=count * step,
                                 num=count + 1, endpoint=True)
             states.extend(out[1:])
     if not all(np.all(np.isfinite(v)) for v in states):
@@ -259,16 +257,17 @@ class _SlotEvolver:
         self._used: set[tuple] = set()
 
     def dense(self, n_slots: int) -> bool:
-        return self.dim ** (2 * n_slots) <= generators.DEFAULT_SLOT_BUDGET
+        return _dense_fits(self.dim, n_slots)
 
     def generator(self, n_slots: int):
-        """Dense SuperOperator or CSR matrix; the CSR bytes are checked before assembly."""
+        """G_n as a dense ndarray on a dense level, else as a CSR matrix whose
+        bytes are checked before assembly."""
         key = (n_slots, self.dense(n_slots))
         self._used.add(key)
         gen = self._generators.get(key)
         if gen is None:
             if key[1]:
-                gen = multi_slot_generator(self.h, self.decomps, n_slots)
+                gen = multi_slot_generator(self.h, self.decomps, n_slots).matrix
             else:
                 action = multi_slot_action(self.h, self.decomps, n_slots)
                 check_csr_bytes(action)
@@ -281,7 +280,7 @@ class _SlotEvolver:
         self._used.add(key)
         prop = self._propagators.get(key)
         if prop is None:
-            prop = expm(self.generator(n_slots).matrix, gap)
+            prop = expm(self.generator(n_slots), gap)
             self._propagators[key] = prop
         return prop
 
@@ -301,7 +300,7 @@ class _SlotEvolver:
         ``expm_multiply`` call on the sparse engine.
         """
         gen = self.generator(n_slots)
-        if isinstance(gen, SuperOperator):
+        if self.dense(n_slots):
             for step in _grid_steps(taus, origin):
                 if step != 0.0:
                     prop = self._propagator(n_slots, float(step))
@@ -472,8 +471,8 @@ def steady_state(model: SystemModel, decomp=None, null_tol: float = 1e-9) -> np.
     decomps = decompose_model(model) if decomp is None else _as_decomps(decomp)
     with _model_evolver(model.hamiltonian, decomps) as ev:
         gen = ev.generator(1)
-        if isinstance(gen, SuperOperator):
-            w = _svd_null_vector(gen.matrix, null_tol)
+        if ev.dense(1):
+            w = _svd_null_vector(gen, null_tol)
         else:
             try:
                 w, kappa = _bordered_null_vector(gen)

@@ -330,6 +330,19 @@ def test_non_finite_numbers_rejected(tmp_path, capsys):
 # ------------------------------------------------- explicit and local models
 
 
+def test_overflowing_matrix_entries_rejected(tmp_path, capsys):
+    # an entry beyond the float range, as a scalar or inside an [re, im] pair
+    for entry in ("1" + "0" * 400, "1e999", "[0.5, " + "9" * 400 + "]"):
+        path = tmp_path / "run.json"
+        path.write_text('{"model": {"hamiltonian": [[%s, 0.0], [0.0, -0.5]], '
+                        '"couplings": [{"operator": "sx"}]}, '
+                        '"bath": {"temperature": 0.0, "rate_profile": 0.1}, '
+                        '"task": "steady"}' % entry, encoding="utf-8")
+        assert cli.run(str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model.hamiltonian[0][0]") and "finite" in err
+
+
 def test_explicit_model_requires_bath(tmp_path, capsys):
     cfg = {
         "model": {"hamiltonian": [[0.5, 0.0], [0.0, -0.5]],

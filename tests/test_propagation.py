@@ -725,7 +725,6 @@ def test_held_engine_bytes_bounded(rng):
     assert (3, False) in ev._generators
     held = 0
     for m in [*ev._generators.values(), *ev._propagators.values()]:
-        m = getattr(m, "matrix", m)
         parts = (m.data, m.indices, m.indptr) if hasattr(m, "indptr") else (m,)
         held += sum(p.nbytes for p in parts)
     assert held < 16 * 2 ** 20
@@ -747,6 +746,21 @@ def test_csr_byte_cap_refuses_before_assembly(rng, monkeypatch):
     monkeypatch.setattr(generators, "_CSR_BYTE_CAP", bound)
     equal_time_group_correlator(h, decs, [identity(4)] * 4, b_ops, random_density(rng, 4), [0.0, 1.0])
     assert assembled == [3]
+
+
+def test_slot_factor_bytes_refused_before_any_factor(monkeypatch):
+    # each d^2 x d^2 slot factor of a 30-level oscillator takes 16 * 30**4 bytes;
+    # above the lowered cap the steady state is refused before one is built
+    model = _oscillator(30)
+    decs = decompose_model(model)
+    built = []
+    monkeypatch.setattr(generators, "adjoint_lindbladian", lambda *args: built.append(args))
+    monkeypatch.setattr(generators, "_CSR_BYTE_CAP", 16 * 30 ** 4 - 1)
+    with pytest.raises(SlotBudgetError) as excinfo:
+        steady_state(model, decs)
+    assert excinfo.value.required == 16 * 30 ** 4
+    assert "slot factor bytes" in str(excinfo.value)
+    assert built == []
 
 
 def test_slot_budget_has_one_binding(rng, monkeypatch):
