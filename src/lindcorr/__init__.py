@@ -22,7 +22,6 @@ from .errors import ConfigError, DegenerateSteadyStateError, NumericsError, Slot
 from .generators import (
     SlotKroneckerAction,
     SuperOperator,
-    adjoint_dissipator,
     adjoint_lindbladian,
     dissipation_channels,
     elementary_tensor,
@@ -94,7 +93,6 @@ __all__ = [
     "SlotKroneckerAction",
     "SuperOperator",
     "SystemModel",
-    "adjoint_dissipator",
     "adjoint_lindbladian",
     "annihilation",
     "anticommutator",

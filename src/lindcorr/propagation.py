@@ -52,7 +52,6 @@ from .errors import DegenerateSteadyStateError, NumericsError
 from .generators import (
     _as_decomps,
     _dense_fits,
-    check_csr_bytes,
     dissipation_channels,
     elementary_tensor,
     multi_slot_action,
@@ -269,9 +268,7 @@ class _SlotEvolver:
             if key[1]:
                 gen = multi_slot_generator(self.h, self.decomps, n_slots).matrix
             else:
-                action = multi_slot_action(self.h, self.decomps, n_slots)
-                check_csr_bytes(action)
-                gen = action.to_csr()
+                gen = multi_slot_action(self.h, self.decomps, n_slots).to_csr()
             self._generators[key] = gen
         return gen
 

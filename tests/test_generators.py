@@ -5,7 +5,6 @@ from lindcorr import (
     BathSpec,
     SlotBudgetError,
     SuperOperator,
-    adjoint_dissipator,
     adjoint_lindbladian,
     assign_rates,
     commutator,
@@ -36,14 +35,6 @@ from conftest import random_density, random_hermitian, random_matrix
 def _qubit(gamma=0.1, temperature=0.0, omega0=1.0):
     model = two_level_atom(omega0, gamma, temperature)
     return model.hamiltonian, decompose_model(model)
-
-
-def test_adjoint_dissipator_is_unital(rng):
-    for _ in range(10):
-        d = int(rng.integers(2, 5))
-        c = random_matrix(rng, d)
-        dis = adjoint_dissipator(c)
-        assert np.linalg.norm(dis.apply(vec(identity(d)))) < 1e-13
 
 
 def test_adjoint_lindbladian_damped_qubit():
@@ -147,16 +138,22 @@ def test_cross_damped_qubit_hand_values():
     (two_level_atom(1.0, 0.15, 0.4), 3),
     (truncated_oscillator(omega0=1.0, dim=3, gamma=0.1, temperature=0.5), 2),
     (coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6), 2),
-], ids=["qubit-3", "oscillator3-2", "dimer-2"])
-def test_generator_matches_brute_force(model, n):
+    (truncated_oscillator(omega0=1.0, dim=17, gamma=0.1, temperature=0.5), 1),
+    (two_level_atom(1.0, 0.15, 0.4), 5),
+], ids=["qubit-3", "oscillator3-2", "dimer-2", "oscillator17-1", "qubit-5"])
+def test_generator_matches_brute_force(model, n, rng):
     # an independent reference: the generator built column by column from
-    # plain matrix products, which also pins each term's slot placement
+    # plain matrix products, which also pins each term's slot placement; the
+    # last two are sparse levels, assembled from CSR factors only
     decs = decompose_model(model)
     brute = _brute_force_generator(model.hamiltonian, decs, n)
-    dense = multi_slot_generator(model.hamiltonian, decs, n).matrix
-    csr = multi_slot_action(model.hamiltonian, decs, n).to_csr()
-    assert np.max(np.abs(dense - brute)) < 1e-12
-    assert np.max(np.abs(csr.toarray() - brute)) < 1e-12
+    action = multi_slot_action(model.hamiltonian, decs, n)
+    assert np.max(np.abs(action.to_csr().toarray() - brute)) < 1e-12
+    y = (rng.standard_normal(len(brute)) + 1j * rng.standard_normal(len(brute))) / len(brute)
+    assert np.max(np.abs(action.apply(y) - brute @ y)) < 1e-12
+    if generators._dense_fits(model.dim, n):
+        dense = multi_slot_generator(model.hamiltonian, decs, n).matrix
+        assert np.max(np.abs(dense - brute)) < 1e-12
 
 
 def test_four_placement_expansion(rng):
@@ -259,6 +256,27 @@ def test_csr_bytes_bound_the_assembled_matrix():
             csr = action.to_csr()
             held = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
             assert held <= action.csr_bytes()
+
+
+def test_factor_bytes_bound_the_built_factors(rng):
+    # the bound read from the d x d operators covers the CSR factors the assembly
+    # builds; a random model's many dense channels sum past d**4 entries for L,
+    # which holds at most that many
+    h6 = random_hermitian(rng, 6)
+    random6 = (h6, assign_rates(exact_bohr_decomposition(h6, random_hermitian(rng, 6)),
+                                BathSpec(temperature=0.5, rate_profile=0.1, gamma0=0.05)))
+    models = [(m.hamiltonian, decompose_model(m)) for m in (
+        two_level_atom(1.0, 0.15, 0.4), coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6),
+        truncated_oscillator(omega0=1.0, dim=20, gamma=0.1, temperature=0.5))]
+    for h, decs in [*models, random6]:
+        for n in (1, 2):
+            action = multi_slot_action(h, decs, n)
+            factors = {id(f): f for term in action._csr_terms for _slot, f in term}
+            held = sum(f.data.nbytes + f.indices.nbytes + f.indptr.nbytes
+                       for f in factors.values())
+            assert len(factors) == 1 + (n - 1) * 2 * len(action.channels)
+            assert held <= action._factor_bytes()
+    assert multi_slot_action(*random6, 1)._factor_bytes() == 20 * 6 ** 4 + 4 * (6 * 6 + 1)
 
 
 def test_slot_budget_enforcement(monkeypatch):

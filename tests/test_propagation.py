@@ -1,6 +1,7 @@
 import bisect
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from lindcorr import (
     coupled_dimer,
     dagger,
     decompose_model,
+    dissipation_channels,
     elementary_tensor,
     equal_time_group_correlator,
     evolve_density,
@@ -734,9 +736,9 @@ def test_csr_byte_cap_refuses_before_assembly(rng, monkeypatch):
     h, decs = _dimer()
     bound = generators.multi_slot_action(h, decs, 3).csr_bytes()
     assembled = []
-    to_csr = generators.SlotKroneckerAction.to_csr
-    monkeypatch.setattr(generators.SlotKroneckerAction, "to_csr",
-                        lambda action: assembled.append(action.slots) or to_csr(action))
+    assemble = generators.SlotKroneckerAction._assemble
+    monkeypatch.setattr(generators.SlotKroneckerAction, "_assemble",
+                        lambda action, *a: assembled.append(action.slots) or assemble(action, *a))
     monkeypatch.setattr(generators, "_CSR_BYTE_CAP", bound - 1)
     b_ops = [random_matrix(rng, 4) for _ in range(3)]
     with pytest.raises(SlotBudgetError) as excinfo:
@@ -749,18 +751,50 @@ def test_csr_byte_cap_refuses_before_assembly(rng, monkeypatch):
 
 
 def test_slot_factor_bytes_refused_before_any_factor(monkeypatch):
-    # each d^2 x d^2 slot factor of a 30-level oscillator takes 16 * 30**4 bytes;
-    # above the lowered cap the steady state is refused before one is built
+    # the CSR slot factors of a 30-level oscillator are bounded from its d x d
+    # operators' nonzeros, nnz(kron(A, B)) = nnz(A) nnz(B); under a cap one byte
+    # below that bound the steady state is refused before a factor is built
     model = _oscillator(30)
     decs = decompose_model(model)
+    d, nnz = 30, np.count_nonzero
+    lind = 2 * d * nnz(model.hamiltonian) + sum(
+        nnz(c) ** 2 + 2 * d * nnz(c.conj().T @ c) for _rate, c in dissipation_channels(decs))
+    bound = 20 * lind + 4 * (d * d + 1)
     built = []
-    monkeypatch.setattr(generators, "adjoint_lindbladian", lambda *args: built.append(args))
-    monkeypatch.setattr(generators, "_CSR_BYTE_CAP", 16 * 30 ** 4 - 1)
+    slot_factors = generators._slot_factors
+    monkeypatch.setattr(generators, "_slot_factors",
+                        lambda *args, **kw: built.append(args) or slot_factors(*args, **kw))
+    monkeypatch.setattr(generators, "_CSR_BYTE_CAP", bound - 1)
     with pytest.raises(SlotBudgetError) as excinfo:
         steady_state(model, decs)
-    assert excinfo.value.required == 16 * 30 ** 4
+    assert excinfo.value.required == bound
     assert "slot factor bytes" in str(excinfo.value)
     assert built == []
+    monkeypatch.setattr(generators, "_CSR_BYTE_CAP", bound)
+    assert abs(np.trace(steady_state(model, decs)) - 1.0) < 1e-12
+    assert len(built) == 1
+
+
+def test_steady_state_beyond_dense_factor_size():
+    # one dense d^2 x d^2 factor of a 91-level oscillator would take 16 * 91**4
+    # bytes, over the 1 GiB cap; its CSR factors take well under 1 MB
+    rho = steady_state(_oscillator(91))
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+
+
+def test_cold_sparse_steady_state_stays_below_one_dense_factor():
+    # a cold 40-level steady state builds only CSR factors: its traced peak stays
+    # below the 16 * 40**4 bytes of one dense d^2 x d^2 factor
+    model = _oscillator(40)
+    decs = decompose_model(model)
+    tracemalloc.start()
+    try:
+        steady_state(model, decs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 40 ** 4
 
 
 def test_slot_budget_has_one_binding(rng, monkeypatch):
