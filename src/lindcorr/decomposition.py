@@ -183,7 +183,10 @@ def bose_occupation(omega: float, temperature: float) -> float:
         raise ValueError(f"occupation needs omega > 0, got {omega}")
     if temperature == 0:
         return 0.0
-    return 1.0 / math.expm1(omega / temperature)
+    try:
+        return 1.0 / math.expm1(omega / temperature)
+    except OverflowError:  # omega / temperature > ~709.8: the occupation is below 1e-308
+        return 0.0
 
 
 def assign_rates(decomp: JumpDecomposition, bath: BathSpec) -> JumpDecomposition:

@@ -249,9 +249,14 @@ def forward_lindbladian(hamiltonian, decomp) -> SuperOperator:
     return SuperOperator(dim=h.shape[0], slots=1, matrix=m)
 
 
+def _dense_order(order: int) -> bool:
+    """Whether a generator of this order takes the dense engine: order <= DEFAULT_SLOT_BUDGET."""
+    return order <= DEFAULT_SLOT_BUDGET
+
+
 def _dense_fits(dim: int, n_slots: int) -> bool:
     """Whether the n-slot level takes the dense engine: d**(2n) <= DEFAULT_SLOT_BUDGET."""
-    return dim ** (2 * n_slots) <= DEFAULT_SLOT_BUDGET
+    return _dense_order(dim ** (2 * n_slots))
 
 
 def multi_slot_generator(hamiltonian, decomp, n_slots: int) -> SuperOperator:

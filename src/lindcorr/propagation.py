@@ -17,6 +17,17 @@ without forming a propagator; a pull-back uses the transposed matrix.  A CSR
 generator whose byte bound exceeds the cap is refused with SlotBudgetError
 before it is assembled.
 
+A sparse level is also split into blocks that its generator never couples
+(under the exact decomposition G_n conserves the total Bohr frequency over
+all slots; Davies, Commun. Math. Phys. 39, 91, 1974).  They are found once
+per level, as the connected components of the CSR generator's sparsity
+pattern, and a value sum_b w_b . exp(tau G_b) T_b needs only the blocks where
+both T and w are nonzero.  So a sweep steps only those blocks, and a pull-back
+or a density evolution only the blocks where its vector is nonzero, under the
+restricted generator G[S, S], which takes the dense or the CSR engine by its
+own order against the same budget.  The steady state is never restricted:
+its null-space count must see every block.
+
 The forward dynamics has no engine of its own.  Under the trace pairing
 trace(B rho) = vec(rho^T) . vec(B) a density matrix is a dual vector of the
 one-slot level G_1: rho(t) is vec(rho0^T) pulled back through exp(t G_1), and
@@ -52,6 +63,7 @@ from .errors import DegenerateSteadyStateError, NumericsError
 from .generators import (
     _as_decomps,
     _dense_fits,
+    _dense_order,
     dissipation_channels,
     elementary_tensor,
     multi_slot_action,
@@ -230,15 +242,32 @@ def integrate_ode(generator, v0, tau_grid) -> list[np.ndarray]:
     return states
 
 
+def _block_labels(gen) -> np.ndarray:
+    """Block of each coordinate of the CSR generator `gen`: the connected components
+    of its sparsity pattern.  They are read from the stored positions, never from
+    the values, so every stored entry links its row and column whatever its phase."""
+    import scipy.sparse as sp  # imported here: only sparse levels have blocks
+    from scipy.sparse.csgraph import connected_components
+
+    pattern = sp.csr_array((np.ones(gen.nnz), gen.indices, gen.indptr), shape=gen.shape)
+    return connected_components(pattern, directed=False)[1]
+
+
 class _SlotEvolver:
     """Generator and propagator caches of one (hamiltonian, decomps) model.
 
     A level of n slots is dense (cached propagators) when its tensor has at
     most ``generators.DEFAULT_SLOT_BUDGET`` coordinates and sparse (a CSR
-    generator stepped by ``integrate_ode``) above.  Cache keys carry the
-    engine choice, so a changed slot budget is never served an engine built
-    under another.  `_used` collects the keys touched since the last
-    :meth:`keep_used`.
+    generator stepped by ``integrate_ode``) above.  A sparse level also holds
+    its blocks, the connected components of its generator's sparsity pattern,
+    found once per level.  The generator never couples two blocks, so a vector
+    stays zero on the blocks where it is zero, and only the coordinates S of
+    the touched blocks are stepped, under G[S, S]; that restricted generator
+    is in turn dense (cached propagators) or CSR by its own order against the
+    same budget.  When S is every coordinate the level's generator itself is
+    stepped.  Cache keys end with the engine choice, so a changed slot budget
+    is never served an engine built under another.  `_used` collects the keys
+    touched since the last :meth:`keep_used`.
     """
 
     def __init__(self, hamiltonian, decomps):
@@ -251,8 +280,9 @@ class _SlotEvolver:
                 f"hamiltonian dimension {self.h.shape[0]}"
             )
         self.dim = self.h.shape[0]
-        self._generators: dict[tuple[int, bool], object] = {}
-        self._propagators: dict[tuple[int, bool, float], np.ndarray] = {}
+        self._generators: dict[tuple, object] = {}
+        self._propagators: dict[tuple, np.ndarray] = {}
+        self._labels: dict[tuple[int, bool], np.ndarray] = {}
         self._used: set[tuple] = set()
 
     def dense(self, n_slots: int) -> bool:
@@ -272,40 +302,93 @@ class _SlotEvolver:
             self._generators[key] = gen
         return gen
 
-    def _propagator(self, n_slots: int, gap: float) -> np.ndarray:
-        key = (n_slots, self.dense(n_slots), gap)
+    def _level(self, n_slots: int, *vectors: np.ndarray):
+        """(generator, key, coordinates) that `vectors` are stepped on.
+
+        The whole n-slot level, with coordinates None, unless the level is
+        sparse and some of its blocks are zero in one of `vectors`: then the
+        coordinates of the blocks where every one is nonzero (possibly none)
+        and their generator G[S, S], keyed by the level, those blocks and its
+        engine choice.
+        """
+        gen = self.generator(n_slots)
+        key = (n_slots, self.dense(n_slots))
+        if key[1]:
+            return gen, key, None
+        labels = self._labels.get(key)
+        if labels is None:
+            labels = self._labels[key] = _block_labels(gen)
+        touched = np.ones(int(labels.max()) + 1, dtype=bool)
+        for v in vectors:
+            hit = np.zeros_like(touched)
+            hit[labels[v != 0]] = True
+            touched &= hit
+        if touched.all():
+            return gen, key, None
+        coords = np.flatnonzero(touched[labels])
+        if not len(coords):
+            return None, None, coords
+        key = (*key, np.flatnonzero(touched).tobytes(), _dense_order(len(coords)))
+        self._used.add(key)
+        part = self._generators.get(key)
+        if part is None:
+            part = gen[coords][:, coords]
+            part = self._generators[key] = part.toarray() if key[-1] else part
+        return part, key, coords
+
+    def _propagator(self, gen: np.ndarray, key: tuple, gap: float) -> np.ndarray:
+        key = (*key, gap)
         self._used.add(key)
         prop = self._propagators.get(key)
         if prop is None:
-            prop = expm(self.generator(n_slots), gap)
+            prop = expm(gen, gap)
             self._propagators[key] = prop
         return prop
 
     def keep_used(self) -> None:
-        """Drop every generator and propagator not used since the last call of this."""
-        for cache in (self._generators, self._propagators):
+        """Drop every generator, propagator and block labelling not used since the
+        last call of this."""
+        for cache in (self._generators, self._propagators, self._labels):
             for key in cache.keys() - self._used:
                 cache.pop(key, None)  # a concurrent call on the model may have dropped it
         self._used.clear()
+
+    def _steps(self, gen, key: tuple, v: np.ndarray, taus: np.ndarray, origin: float,
+               adjoint: bool) -> Iterator[np.ndarray]:
+        """`v` carried along the grid under `gen`: by propagators cached under `key`
+        when its engine choice (its last entry) is dense, else by ``integrate_ode``.
+
+        Steps that differ only by rounding share one dense propagator, or one
+        ``expm_multiply`` call on the sparse engine.
+        """
+        if key[-1]:
+            for step in _grid_steps(taus, origin):
+                if step != 0.0:
+                    prop = self._propagator(gen, key, float(step))
+                    v = v @ prop if adjoint else prop @ v
+                yield v
+            return
+        grid = taus if taus[0] == origin else np.concatenate(([origin], taus))
+        yield from integrate_ode(gen.T if adjoint else gen, v, grid)[len(grid) - len(taus):]
 
     def trajectory(self, v: np.ndarray, n_slots: int, taus: np.ndarray,
                    origin: float = 0.0, adjoint: bool = False) -> Iterator[np.ndarray]:
         """`v` carried along an ascending grid from `origin`: exp((tau - origin) G_n) v,
         or the dual vector v @ exp((tau - origin) G_n) when `adjoint`.
 
-        Steps that differ only by rounding share one dense propagator, or one
-        ``expm_multiply`` call on the sparse engine.
+        On a sparse level only the blocks where `v` is nonzero are stepped.
         """
-        gen = self.generator(n_slots)
-        if self.dense(n_slots):
-            for step in _grid_steps(taus, origin):
-                if step != 0.0:
-                    prop = self._propagator(n_slots, float(step))
-                    v = v @ prop if adjoint else prop @ v
-                yield v
+        gen, key, coords = self._level(n_slots, v)
+        if coords is None:
+            yield from self._steps(gen, key, v, taus, origin, adjoint)
             return
-        grid = taus if taus[0] == origin else np.concatenate(([origin], taus))
-        yield from integrate_ode(gen.T if adjoint else gen, v, grid)[len(grid) - len(taus):]
+        part = v[coords]
+        steps = self._steps(gen, key, part, taus, origin, adjoint) if len(coords) else (
+            part for _tau in taus)
+        for u in steps:
+            out = np.zeros(len(v), dtype=complex)
+            out[coords] = u
+            yield out
 
     def pull_back(self, w: np.ndarray, n_slots: int, gap: float) -> np.ndarray:
         """Dual vector w @ exp(gap G_n): a contraction moved `gap` earlier in time."""
@@ -314,8 +397,17 @@ class _SlotEvolver:
 
     def sweep(self, tensor: np.ndarray, n_slots: int, taus: np.ndarray,
               w: np.ndarray, origin: float = 0.0) -> np.ndarray:
-        """Values w @ T(tau) along an ascending grid; `tensor` is T at `origin`."""
-        return np.array([w @ v for v in self.trajectory(tensor, n_slots, taus, origin)])
+        """Values w @ T(tau) along an ascending grid; `tensor` is T at `origin`.
+
+        On a sparse level only the blocks where both T and w are nonzero are
+        stepped; when they share none, the values are exact zeros.
+        """
+        gen, key, coords = self._level(n_slots, tensor, w)
+        if coords is not None:
+            if not len(coords):
+                return np.zeros(len(taus), dtype=complex)
+            tensor, w = tensor[coords], w[coords]
+        return np.array([w @ v for v in self._steps(gen, key, tensor, taus, origin, False)])
 
 
 def _model_key(h: np.ndarray, decomps) -> bytes:
@@ -412,14 +504,16 @@ def _svd_null_vector(g: np.ndarray, null_tol: float) -> np.ndarray:
     """Left null vector of the dense generator `g`, by SVD.
 
     Raises DegenerateSteadyStateError unless exactly one singular value is at
-    most null_tol times the largest.
+    most null_tol times the largest.  The nullity is decided from the singular
+    values alone; the singular vectors are computed only when it is one.
     """
-    u, s, _vh = np.linalg.svd(g)
+    s = np.linalg.svd(g, compute_uv=False)
     if s[0] == 0.0:
         raise DegenerateSteadyStateError(multiplicity=len(s))
     nullity = int(np.sum(s <= null_tol * s[0]))
     if nullity != 1:
         raise DegenerateSteadyStateError(multiplicity=nullity)
+    u, _s, _vh = np.linalg.svd(g)
     return u[:, -1].conj()
 
 

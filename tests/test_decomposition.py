@@ -180,6 +180,12 @@ def test_bose_occupation():
     assert abs(bose_occupation(1.0, 1e6) - (1e6 - 0.5)) / 1e6 < 1e-5
 
 
+def test_bose_occupation_deep_cold_is_zero():
+    # omega / T = 1024 overflows exp; the occupation, about exp(-1024), is 0 in doubles
+    assert bose_occupation(2.0, 2.0 ** -9) == 0.0
+    assert bose_occupation(700.0, 1.0) == 1.0 / np.expm1(700.0)
+
+
 def test_decompose_model_per_coupling():
     model = two_level_atom(1.0, 0.25, 0.0)
     decs = decompose_model(model)

@@ -650,7 +650,9 @@ def test_general_sweep_matches_forward_recursion(rng, case):
 
 
 def test_general_matrix_free_pull_back(rng, monkeypatch):
-    # at budget 16 the 3-slot level (64 coordinates) alone is matrix-free
+    # at budget 16 the 3-slot level (64 coordinates) alone is matrix-free; the
+    # pulled-back contraction is zero on some of its blocks, so the blocks it
+    # touches, more than 16 coordinates, are stepped by expm_multiply
     h, decs = _qubit(gamma=0.3, temperature=0.15)
     taus = np.linspace(1.5, 3.5, 5)
     spec = _swept_spec(rng, 2, [None, 1.5, 1.0, 0.5], taus)
@@ -658,7 +660,7 @@ def test_general_matrix_free_pull_back(rng, monkeypatch):
     orders = _sparse_orders(monkeypatch)
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 16)
     trace = general_correlator(h, decs, spec, taus=taus)
-    assert set(orders) == {4 ** 3}
+    assert orders and all(16 < order <= 4 ** 3 for order in orders)
     assert np.max(np.abs(trace.values - expected)) < 1e-12
 
 
