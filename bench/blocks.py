@@ -1,35 +1,50 @@
-"""Sector engine, layer by layer: the blocks of sparse levels and the steps on them.
+"""Sector engine, layer by layer: the blocks of each level and the steps on them.
 
-    python3 bench/blocks.py [--out BENCH_9.json] [--repeats 3]
+    python3 bench/blocks.py [--out BENCH_10.json] [--repeats 3]
 
-Run it from the root of a checkout.  A sparse level (more than
-`lindcorr.generators.DEFAULT_SLOT_BUDGET` coordinates) steps only the blocks of
-its generator where both the slot tensor T and the dual vector w are nonzero.
+Run it from the root of a checkout.  A level steps only the blocks of its
+generator where both the slot tensor T and the dual vector w are nonzero.
 For each case below, with BLAS and OpenMP threads fixed at 1, it times:
 
-* assembly of the CSR generator G_n and its block labels (the connected
-  components of its sparsity pattern, `propagation._block_labels`);
+* assembly of the generator G_n (CSR on a sparse level, more than
+  `lindcorr.generators.DEFAULT_SLOT_BUDGET` coordinates, dense below) and its
+  block labels (the connected components of its sparsity pattern,
+  `propagation._block_labels`: `connected_components` on a CSR level, NumPy
+  min-label propagation on a dense one);
 * extraction of the restricted generator G[S, S] over the touched
-  coordinates S, as CSR and, when S is within the budget, as a dense array;
+  coordinates S: on a sparse level as CSR and, when S is within the budget,
+  as a dense array; on a dense level as the dense slice;
 * the sweep on the restricted level (`_SlotEvolver.sweep` with the labels
-  held: cold, with G[S, S] and its propagator built, and warm, on the held
-  engine) against the sweep of the whole level, w @ exp(tau G_n) T by
-  `integrate_ode` on the full CSR generator (the sparse engine before blocks);
+  held: cold, with its propagator built, and warm, on the held engine)
+  against the sweep of the whole level, w @ exp(tau G_n) T: by
+  `integrate_ode` on the full CSR generator on a sparse level (the sparse
+  engine before blocks), by one propagator of the whole level and 40
+  products on a dense one (the dense engine before blocks);
 * the tracemalloc peak of each sweep (NumPy and SciPy arrays; one more call).
 
-The cases are the sparse levels of the wide-slots benchmark workload (2-slot
-OTOCs of 6- and 9-level oscillators with W = x, the 30-level regression
-trace from the steady state, the rate-free 9-level OTOC), the 3-slot
-`coupled_dimer` sweep and a 3-slot 6-level oscillator sweep, on the grid
-linspace(0, 10, 41).  Each time is the median of `--repeats` runs.
+The sparse cases are the sparse levels of the wide-slots benchmark workload
+(2-slot OTOCs of 6- and 9-level oscillators with W = x, the 30-level
+regression trace from the steady state, the rate-free 9-level OTOC), the
+3-slot `coupled_dimer` sweep and a 3-slot 6-level oscillator sweep; the
+dense ones are Pauli-string OTOCs of the otoc-map workload's dimer (order
+256), the rate-free 12-level regression trace of wide-slots (order 144) and a
+3-slot qubit sweep (order 64); all on the grid linspace(0, 10, 41).  Each
+time is the median of `--repeats` runs.
+
+It also times single-use pull-backs w @ exp(gap G_n) on dense levels, as the
+general-pattern sweeps make them: the whole level's propagator and one
+product (the engine before this measurement) against `_SlotEvolver.pull_back`
+on the touched blocks, cold (an action by `expm_multiply`), on the second
+call with the gap (the propagator is formed) and held.
 
 It then re-runs the dense/CSR crossover at block orders: for unions of whole
-blocks of those generators (what the engine steps), of orders 35 to 1666 and
-on up to two levels per order, a vector on the union is stepped along the
-same grid by a dense propagator (one expm and 40 products, cold) and by
-`expm_multiply` on its CSR generator.  The budget it suggests is, as in
-`bench/crossover.py`, the largest order up to which the median dense/CSR
-time ratio stays at or below 1.
+blocks of the sparse generators (what the engine steps), of orders 35 to
+1666 and on up to two levels per order, a vector on the union is stepped
+along the same grid by a dense propagator (one expm and 40 products, cold)
+and by `expm_multiply` on its CSR generator.  The budget it suggests is, as
+in `bench/crossover.py`, the largest order up to which the median dense/CSR
+time ratio stays at or below 1.  The result goes under the key "blocks" of
+`--out`, next to what else that file holds.
 """
 
 from __future__ import annotations
@@ -99,7 +114,7 @@ def cases(rng: np.random.Generator) -> list[tuple[str, object, tuple, list, list
     dimer = lc.coupled_dimer(**DIMER)
     decs = lc.decompose_model(dimer)
     out.append(("group:coupled_dimer:n=3", dimer.hamiltonian, decs,
-                [lc.identity(4), _site(lc.sigma_x, 1), _site(lc.sigma_z, 1), lc.identity(4)],
+                [lc.identity(4), _site(lc.sigma_x, 1), _site(lc.sigma_x, 0), lc.identity(4)],
                 [_site(lc.sigma_plus, 0), _site(lc.sigma_minus, 1), _site(lc.sigma_z, 0)],
                 lc.steady_state(dimer, decs)))
     model = lc.truncated_oscillator(dim=6, **OSCILLATOR)
@@ -108,7 +123,26 @@ def cases(rng: np.random.Generator) -> list[tuple[str, object, tuple, list, list
     x, n = a + a.conj().T, a.conj().T @ a
     out.append(("group:oscillator:d=6,n=3", model.hamiltonian, decs, [lc.identity(6)] * 4,
                 [x, n, x], lc.steady_state(model, decs)))
+    decs = lc.decompose_model(dimer)
+    rho = lc.steady_state(dimer, decs)
+    for w_label, v_label in (("XI", "ZZ"), ("ZY", "XI"), ("YX", "IZ")):
+        w_op, v_op = _pauli(w_label), _pauli(v_label)
+        out.append((f"otoc:coupled_dimer:W={w_label},V={v_label}", dimer.hamiltonian, decs,
+                    [lc.identity(4), v_op.conj().T, v_op], [w_op.conj().T, w_op], rho))
+    free = lc.truncated_oscillator(dim=12, omega0=1.0, gamma=0.0, temperature=0.0)
+    a = lc.annihilation(12)
+    out.append(("qrt:rate-free:d=12", free.hamiltonian, lc.decompose_model(free),
+                [lc.identity(12), a], [a.conj().T], _density(rng, 12)))
+    qubit = lc.two_level_atom(1.0, 0.1, 0.5)
+    out.append(("group:two_level_atom:n=3", qubit.hamiltonian, lc.decompose_model(qubit),
+                [lc.identity(2), lc.sigma_x, lc.sigma_x, lc.identity(2)],
+                [lc.sigma_plus, lc.sigma_minus, lc.sigma_z], lc.steady_state(qubit)))
     return out
+
+
+def _pauli(label: str) -> np.ndarray:
+    paulis = {"I": lc.identity(2), "X": lc.sigma_x, "Y": lc.sigma_y, "Z": lc.sigma_z}
+    return np.kron(paulis[label[0]], paulis[label[1]])
 
 
 def _median(fn, repeats: int) -> tuple[float, object]:
@@ -130,32 +164,44 @@ def _peak(fn) -> int:
 
 
 def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, object, np.ndarray]:
-    """The case's row, and its level's CSR generator and block labels."""
+    """The case's row, and its level's generator and block labels."""
     n = len(b_ops)
     tensor = lc.elementary_tensor(b_ops)
     w = lc.contraction_functional(a_ops, rho)
+    dense = generators._dense_fits(h.shape[0], n)
     action = generators.multi_slot_action(h, decs, n)
-    assemble_s, gen = _median(action.to_csr, repeats)
+    assemble_s, gen = _median(action.to_dense if dense else action.to_csr, repeats)
     labels_s, labels = _median(lambda: propagation._block_labels(gen), repeats)
     sizes = np.bincount(labels)
 
     def held_evolver():
         ev = propagation._SlotEvolver(h, decs)
-        ev._generators[(n, False)] = gen
-        ev._labels[(n, False)] = labels
+        ev._generators[(n, dense)] = gen
+        ev._labels[(n, dense)] = labels
         return ev
 
-    ev = held_evolver()
-    _part, _key, coords = ev._level(n, tensor, w)
+    coords = held_evolver()._level(n, tensor, w)
     order = len(tensor) if coords is None else len(coords)
     if coords is None:
         coords = np.arange(len(tensor))
-    extract_csr_s, part = _median(lambda: gen[coords][:, coords], repeats)
-    extract_dense_s = (_median(lambda: gen[coords][:, coords].toarray(), repeats)[0]
-                       if generators._dense_order(order) else None)
+    if dense:
+        extract_csr_s, extract_dense_s = None, _median(lambda: gen[np.ix_(coords, coords)],
+                                                       repeats)[0]
+        touched_nnz = int(np.count_nonzero(gen[np.ix_(coords, coords)]))
+    else:
+        extract_csr_s, part = _median(lambda: gen[coords][:, coords], repeats)
+        extract_dense_s = (_median(lambda: gen[coords][:, coords].toarray(), repeats)[0]
+                           if generators._dense_order(order) else None)
+        touched_nnz = int(part.nnz)
 
     def full_sweep():
-        return np.array([w @ v for v in propagation.integrate_ode(gen, tensor, TAUS)])
+        if not dense:
+            return np.array([w @ v for v in propagation.integrate_ode(gen, tensor, TAUS)])
+        prop, v, out = lc.expm(gen, float(TAUS[1] - TAUS[0])), tensor, [w @ tensor]
+        for _ in TAUS[1:]:
+            v = prop @ v
+            out.append(w @ v)
+        return np.array(out)
 
     def cold_sweep():
         return held_evolver().sweep(tensor, n, TAUS, w)
@@ -166,25 +212,86 @@ def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, 
     warm.sweep(tensor, n, TAUS, w)
     warm_s, _ = _median(lambda: warm.sweep(tensor, n, TAUS, w), repeats)
     scale = float(np.max(np.abs(expected))) or 1.0
+    engine = "dense" if generators._dense_order(order) else "csr"
     row = {
-        "case": name, "slots": n, "level_order": len(tensor), "level_nnz": int(gen.nnz),
+        "case": name, "slots": n, "level_order": len(tensor),
+        "level_engine": "dense" if dense else "csr",
+        "level_nnz": int(np.count_nonzero(gen)) if dense else int(gen.nnz),
         "assemble_s": assemble_s, "labels_s": labels_s, "blocks": len(sizes),
         "largest_block": int(sizes.max()),
         "touched_blocks": int(len(np.unique(labels[coords]))) if order else 0,
-        "touched_order": order, "touched_engine": "dense" if generators._dense_order(order) else "csr",
+        "touched_order": order, "touched_engine": engine,
         "extract_csr_s": extract_csr_s, "extract_dense_s": extract_dense_s,
-        "touched_nnz": int(part.nnz),
+        "touched_nnz": touched_nnz,
         "full_sweep_s": full_s, "sector_sweep_cold_s": cold_s, "sector_sweep_warm_s": warm_s,
         "speedup_cold": full_s / cold_s, "speedup_warm": full_s / warm_s,
         "full_sweep_peak_b": _peak(full_sweep), "sector_sweep_peak_b": _peak(cold_sweep),
         "max_rel_deviation": float(np.max(np.abs(values - expected))) / scale,
     }
-    print(f"{name:28s} order {len(tensor):6d} blocks {len(sizes):3d} touched {order:5d} "
-          f"({row['touched_engine']}) | labels {labels_s:.4f} s extract {extract_csr_s:.4f} s | "
+    print(f"{name:34s} order {len(tensor):6d} ({row['level_engine']}) blocks {len(sizes):3d} "
+          f"touched {order:5d} ({engine}) | labels {labels_s:.4f} s | "
           f"sweep full {full_s:.4f} s sector cold {cold_s:.4f} s warm {warm_s:.4f} s | "
           f"peak {row['full_sweep_peak_b'] / 2**20:.1f} -> {row['sector_sweep_peak_b'] / 2**20:.1f} MiB"
           f" | deviation {row['max_rel_deviation']:.1e}", flush=True)
     return row, gen, labels
+
+
+def pull_back_cases(rng: np.random.Generator) -> list[tuple[str, object, tuple, int, np.ndarray]]:
+    """(name, hamiltonian, decomps, slots, dual vector) of each single-use pull-back."""
+    dimer = lc.coupled_dimer(**DIMER)
+    decs = lc.decompose_model(dimer)
+    rho = lc.steady_state(dimer, decs)
+    out = []
+    for mid, last in (("XI", "ZZ"), ("ZY", "XY")):
+        out.append((f"pull_back:coupled_dimer:n=2:{mid},{last}", dimer.hamiltonian, decs, 2,
+                     lc.contraction_functional([lc.identity(4), _pauli(mid), _pauli(last)], rho)))
+    out.append(("pull_back:coupled_dimer:n=2:random", dimer.hamiltonian, decs, 2,
+                lc.contraction_functional([lc.identity(4), _density(rng, 4), _density(rng, 4)],
+                                          _density(rng, 4))))
+    qubit = lc.two_level_atom(1.0, 0.1, 0.5)
+    out.append(("pull_back:two_level_atom:n=3:random", qubit.hamiltonian,
+                lc.decompose_model(qubit), 3,
+                lc.contraction_functional([_density(rng, 2) for _ in range(4)], _density(rng, 2))))
+    return out
+
+
+def measure_pull_back(name, h, decs, n, w, repeats: int) -> dict:
+    """A dense level's pull-back across one gap: the whole propagator and one product
+    against the engine's, cold (by action), on the gap's second call and held."""
+    gap = 0.8
+    gen = generators.multi_slot_generator(h, decs, n).matrix
+    labels = propagation._block_labels(gen)
+
+    def held_evolver():
+        ev = propagation._SlotEvolver(h, decs)
+        ev._generators[(n, True)] = gen
+        ev._labels[(n, True)] = labels
+        return ev
+
+    def second_call():
+        ev = held_evolver()
+        ev._acted.add((n, True, gap))  # the gap was stepped by action in an earlier call
+        return ev.pull_back(w, n, gap)
+
+    coords = held_evolver()._level(n, w)
+    full_s, expected = _median(lambda: w @ lc.expm(gen, gap), repeats)
+    cold_s, pulled = _median(lambda: held_evolver().pull_back(w, n, gap), repeats)
+    second_s, _ = _median(second_call, repeats)
+    held = held_evolver()
+    held.pull_back(w, n, gap)
+    held.pull_back(w, n, gap)
+    held_s, _ = _median(lambda: held.pull_back(w, n, gap), repeats)
+    row = {"case": name, "slots": n, "level_order": len(gen), "gap": gap,
+           "touched_order": len(gen) if coords is None else len(coords),
+           "full_propagator_s": full_s, "pull_back_cold_s": cold_s,
+           "pull_back_second_call_s": second_s, "pull_back_held_s": held_s,
+           "speedup_cold": full_s / cold_s,
+           "max_rel_deviation": float(np.max(np.abs(pulled - expected)) / np.max(np.abs(expected)))}
+    print(f"{name:38s} order {len(gen):4d} touched {row['touched_order']:4d} | full "
+          f"{full_s * 1e3:.2f} ms | pull_back cold {cold_s * 1e3:.2f} ms second call "
+          f"{second_s * 1e3:.2f} ms held {held_s * 1e3:.3f} ms | deviation "
+          f"{row['max_rel_deviation']:.1e}", flush=True)
+    return row
 
 
 def _union_of_blocks(labels: np.ndarray, order: int) -> np.ndarray | None:
@@ -235,7 +342,7 @@ def block_crossover(levels, rng: np.random.Generator, repeats: int) -> list[dict
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_9.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_10.json"))
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
     rng = np.random.default_rng(9)
@@ -243,8 +350,10 @@ def main(argv=None) -> int:
     for name, *inputs in cases(rng):
         row, gen, labels = measure_case(name, *inputs, args.repeats)
         rows.append(row)
-        if all(len(labels) != len(seen) or gen.nnz != g.nnz for _n, g, seen in levels):
+        if row["level_engine"] == "csr" and all(
+                len(labels) != len(seen) or gen.nnz != g.nnz for _n, g, seen in levels):
             levels.append((name, gen, labels))  # the OTOCs of one model share a level
+    pull_backs = [measure_pull_back(*case, args.repeats) for case in pull_back_cases(rng)]
     crossover = block_crossover(levels, rng, args.repeats)
     by_order = {}
     for row in crossover:
@@ -264,12 +373,16 @@ def main(argv=None) -> int:
         "grid": "linspace(0, 10, 41)",
         "repeats": args.repeats,
         "cases": rows,
+        "pull_backs": pull_backs,
         "block_crossover": crossover,
         "block_crossover_by_order": by_order,
         "suggested_slot_budget": suggested,
         "slot_budget": generators.DEFAULT_SLOT_BUDGET,
     }
-    Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    out = Path(args.out)
+    record = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    record["blocks"] = result
+    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"suggested DEFAULT_SLOT_BUDGET at block orders {suggested} "
           f"(set: {generators.DEFAULT_SLOT_BUDGET}); written to {args.out}")
     return 0

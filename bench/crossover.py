@@ -1,6 +1,7 @@
 """Dense/sparse engine crossover: both engines timed at slot-tensor orders 144 to 1296.
 
     python3 bench/crossover.py [--out BENCH_5.json] [--repeats 5]
+    python3 bench/crossover.py --single-use [--out BENCH_10.json] [--repeats 7]
 
 Run it from the root of a checkout.  Each order is reached by `qrt_correlator`
 (one slot, order d**2) and, where d**4 hits it, by `otoc` (two slots), on a
@@ -17,6 +18,17 @@ time ratio, cold and warm, and the largest relative deviation between the
 engines.  The budget it suggests is the largest order up to which that cold
 median ratio stays at or below 1: dense is at least as fast on a cold call,
 and the warm calls only add to its lead.
+
+`--single-use` times instead one step applied once on a dense generator, as
+a pull-back across one gap is: forming the propagator and applying it
+(`expm` and one matrix-vector product) against the action of the exponential
+(`integrate_ode`, which calls `expm_multiply`, on the generator and on its
+transpose), on the dense levels of qubits, oscillators and the dimer at
+orders 16 to 256.  The order it suggests for
+`propagation._SINGLE_USE_ORDER` is the largest order up to which the median
+propagator/action time ratio stays at or below 1; above it a step applied
+once is taken as an action.  The result goes under the key "single_use" of
+`--out`, next to what else that file holds.
 """
 
 from __future__ import annotations
@@ -134,9 +146,7 @@ def measure(repeats: int) -> dict:
         suggested = order
     return {
         "script": "bench/crossover.py",
-        "env": {"python": platform.python_version(), "numpy": np.__version__,
-                "scipy": scipy.__version__, "machine": platform.machine(),
-                "cpus": os.cpu_count(), "blas_threads": 1},
+        "env": _env(),
         "grid": "linspace(0, 10, 41)",
         "repeats": repeats,
         "rows": rows,
@@ -146,12 +156,106 @@ def measure(repeats: int) -> dict:
     }
 
 
+# (model, slots) of each dense level timed by --single-use, by order
+SINGLE_USE_LEVELS = {
+    16: [("two_level_atom", 2), ("oscillator:d=4", 1)],
+    25: [("oscillator:d=5", 1)],
+    36: [("oscillator:d=6", 1)],
+    49: [("oscillator:d=7", 1)],
+    64: [("two_level_atom", 3), ("oscillator:d=8", 1)],
+    81: [("oscillator:d=3", 2), ("oscillator:d=9", 1)],
+    100: [("oscillator:d=10", 1)],
+    144: [("oscillator:d=12", 1)],
+    196: [("oscillator:d=14", 1)],
+    256: [("coupled_dimer", 2), ("oscillator:d=16", 1)],
+}
+
+
+def _level_model(name: str):
+    if name == "two_level_atom":
+        return lc.two_level_atom(1.0, 0.1, 0.5)
+    if name == "coupled_dimer":
+        return lc.coupled_dimer(**DIMER)
+    return lc.truncated_oscillator(dim=int(name.split("=")[1]), **OSCILLATOR)
+
+
+def _median_s(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def measure_single_use(repeats: int) -> dict:
+    """One step exp(gap G) v applied once: propagator and product against the action."""
+    rng = np.random.default_rng(10)
+    gap = 0.7
+    rows = []
+    for order, levels in SINGLE_USE_LEVELS.items():
+        for name, slots in levels:
+            model = _level_model(name)
+            decs = lc.decompose_model(model)
+            gen = lc.multi_slot_generator(model.hamiltonian, decs, slots).matrix
+            assert len(gen) == order
+            v = rng.standard_normal(order) + 1j * rng.standard_normal(order)
+            prop_s = _median_s(lambda: lc.expm(gen, gap) @ v, repeats)
+            action_s = _median_s(lambda: propagation.integrate_ode(gen, v, [0.0, gap]), repeats)
+            adjoint_s = _median_s(lambda: propagation.integrate_ode(gen.T, v, [0.0, gap]), repeats)
+            exact = lc.expm(gen, gap) @ v
+            action = propagation.integrate_ode(gen, v, [0.0, gap])[-1]
+            rows.append({"order": order, "level": f"{name}:n={slots}", "propagator_s": prop_s,
+                         "action_s": action_s, "adjoint_action_s": adjoint_s,
+                         "propagator_over_action": prop_s / action_s,
+                         "rel_deviation": float(np.max(np.abs(action - exact))
+                                                / np.max(np.abs(exact)))})
+            print(f"{order:4d} {name}:n={slots:<3d} expm + product {prop_s * 1e3:8.3f} ms | action "
+                  f"{action_s * 1e3:7.3f} ms (transposed {adjoint_s * 1e3:7.3f} ms) | deviation "
+                  f"{rows[-1]['rel_deviation']:.1e}", flush=True)
+    by_order = {str(order): statistics.median(r["propagator_over_action"] for r in rows
+                                              if r["order"] == order)
+                for order in SINGLE_USE_LEVELS}
+    suggested = 0
+    for order in SINGLE_USE_LEVELS:
+        if by_order[str(order)] > 1.0:
+            break
+        suggested = order
+    return {
+        "script": "bench/crossover.py --single-use",
+        "env": _env(),
+        "gap": gap,
+        "repeats": repeats,
+        "rows": rows,
+        "propagator_over_action_median": by_order,
+        "suggested_single_use_order": suggested,
+        "single_use_order": propagation._SINGLE_USE_ORDER,
+    }
+
+
+def _env() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "machine": platform.machine(),
+            "cpus": os.cpu_count(), "blas_threads": 1}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_5.json"))
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--repeats", type=int, default=None)
+    parser.add_argument("--single-use", action="store_true")
     args = parser.parse_args(argv)
-    result = measure(args.repeats)
+    if args.single_use:
+        out = Path(args.out or ROOT / "BENCH_10.json")
+        result = measure_single_use(args.repeats or 7)
+        record = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+        record["single_use"] = result
+        out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        print(f"suggested single-use order {result['suggested_single_use_order']} "
+              f"(set: {result['single_use_order']}); written to {out}")
+        return 0
+    args.out = args.out or str(ROOT / "BENCH_5.json")
+    result = measure(args.repeats or 5)
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(f"suggested DEFAULT_SLOT_BUDGET {result['suggested_slot_budget']} "
           f"(set: {result['slot_budget']}); written to {args.out}")

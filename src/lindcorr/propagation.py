@@ -9,24 +9,30 @@ earlier insertions: it is pulled back through them once per sweep.
 
 Two engines step a slot tensor of n slots, picked by its length d**(2n).  Up
 to ``generators.DEFAULT_SLOT_BUDGET`` coordinates, the measured crossover, the
-dense generator's propagator exp(step G) is computed once per distinct grid
-step (steps that differ only by rounding are one step) and applied by
-matrix-vector products.  Above it the generator is a CSR matrix and
-``integrate_ode`` computes the action exp(tau G) v with ``expm_multiply``,
-without forming a propagator; a pull-back uses the transposed matrix.  A CSR
-generator whose byte bound exceeds the cap is refused with SlotBudgetError
-before it is assembled.
+generator is dense: its propagator exp(step G) is computed once per distinct
+grid step (steps that differ only by rounding are one step) and applied by
+matrix-vector products, except that a step applied once on a generator of
+more than ``_SINGLE_USE_ORDER`` coordinates, such as a pull-back across one
+gap, is the action exp(step G) v computed by ``integrate_ode`` without
+forming the propagator; the held engine forms it when the same step comes
+again.  Above the budget the generator is a CSR matrix and ``integrate_ode``
+computes the action exp(tau G) v with ``expm_multiply``; a pull-back uses the
+transposed matrix.  A CSR generator whose byte bound exceeds the cap is
+refused with SlotBudgetError before it is assembled.
 
-A sparse level is also split into blocks that its generator never couples
+Every level is also split into blocks that its generator never couples
 (under the exact decomposition G_n conserves the total Bohr frequency over
 all slots; Davies, Commun. Math. Phys. 39, 91, 1974).  They are found once
-per level, as the connected components of the CSR generator's sparsity
-pattern, and a value sum_b w_b . exp(tau G_b) T_b needs only the blocks where
-both T and w are nonzero.  So a sweep steps only those blocks, and a pull-back
-or a density evolution only the blocks where its vector is nonzero, under the
-restricted generator G[S, S], which takes the dense or the CSR engine by its
-own order against the same budget.  The steady state is never restricted:
-its null-space count must see every block.
+per level, as the connected components of the generator's sparsity pattern,
+and a value sum_b w_b . exp(tau G_b) T_b needs only the blocks where both T
+and w are nonzero.  So a sweep steps only those blocks, and a pull-back or a
+density evolution only the blocks where its vector is nonzero, under the
+restricted generator G[S, S].  A dense level applies the slice of its own
+propagator to S: the dense expm is exactly zero between blocks, so the slice
+is exact.  On a sparse level G[S, S] takes the dense or the CSR engine by its
+own order against the same budget.  The steady state's null-space count sees
+every block; its SVD null vector is then set to exact zeros outside its own
+block, where the SVD leaves roundoff.
 
 The forward dynamics has no engine of its own.  Under the trace pairing
 trace(B rho) = vec(rho^T) . vec(B) a density matrix is a dual vector of the
@@ -243,14 +249,36 @@ def integrate_ode(generator, v0, tau_grid) -> list[np.ndarray]:
 
 
 def _block_labels(gen) -> np.ndarray:
-    """Block of each coordinate of the CSR generator `gen`: the connected components
-    of its sparsity pattern.  They are read from the stored positions, never from
-    the values, so every stored entry links its row and column whatever its phase."""
-    import scipy.sparse as sp  # imported here: only sparse levels have blocks
+    """Block of each coordinate of the generator `gen`, numbered from 0: the connected
+    components of its sparsity pattern.
+
+    A CSR generator's pattern is read from its stored positions, never from the
+    values, so every stored entry links its row and column whatever its phase.
+    A dense one's is `gen != 0`, labelled in NumPy by min-label propagation
+    (so a dense level never imports scipy.sparse).
+    """
+    if isinstance(gen, np.ndarray):
+        linked = gen != 0
+        linked |= linked.T
+        labels = np.arange(len(gen))
+        while True:
+            lowest = np.minimum(labels, np.where(linked, labels, len(gen)).min(axis=1))
+            lowest = lowest[lowest]  # a label is a coordinate of the block: jump to its label
+            if np.array_equal(lowest, labels):
+                return np.unique(labels, return_inverse=True)[1]
+            labels = lowest
+    import scipy.sparse as sp  # imported here: only sparse levels store a pattern
     from scipy.sparse.csgraph import connected_components
 
     pattern = sp.csr_array((np.ones(gen.nnz), gen.indices, gen.indptr), shape=gen.shape)
     return connected_components(pattern, directed=False)[1]
+
+
+# a step applied once on a dense generator of more than this order is taken as
+# the action exp(step G) v by expm_multiply instead of forming exp(step G):
+# against one expm and one product the action measured slower up to order 49,
+# about even at 64 and 2-13x faster from 81 to 256 (bench/crossover.py, BENCH_10.json)
+_SINGLE_USE_ORDER = 49
 
 
 class _SlotEvolver:
@@ -258,14 +286,17 @@ class _SlotEvolver:
 
     A level of n slots is dense (cached propagators) when its tensor has at
     most ``generators.DEFAULT_SLOT_BUDGET`` coordinates and sparse (a CSR
-    generator stepped by ``integrate_ode``) above.  A sparse level also holds
-    its blocks, the connected components of its generator's sparsity pattern,
+    generator stepped by ``integrate_ode``) above.  Each level also holds its
+    blocks, the connected components of its generator's sparsity pattern,
     found once per level.  The generator never couples two blocks, so a vector
     stays zero on the blocks where it is zero, and only the coordinates S of
-    the touched blocks are stepped, under G[S, S]; that restricted generator
-    is in turn dense (cached propagators) or CSR by its own order against the
-    same budget.  When S is every coordinate the level's generator itself is
-    stepped.  Cache keys end with the engine choice, so a changed slot budget
+    the touched blocks are stepped, under G[S, S]: on a dense level by the
+    slice of the level's own propagator, on a sparse one by dense propagators
+    of G[S, S] cached under its blocks when S is within the budget, else by
+    ``integrate_ode``.  A step applied once on a dense engine above
+    ``_SINGLE_USE_ORDER`` is an action by ``integrate_ode``; `_acted` records
+    its propagator key, so the same step in a later call forms and caches the
+    propagator.  Cache keys carry the engine choice, so a changed slot budget
     is never served an engine built under another.  `_used` collects the keys
     touched since the last :meth:`keep_used`.
     """
@@ -283,6 +314,7 @@ class _SlotEvolver:
         self._generators: dict[tuple, object] = {}
         self._propagators: dict[tuple, np.ndarray] = {}
         self._labels: dict[tuple[int, bool], np.ndarray] = {}
+        self._acted: set[tuple] = set()  # propagator keys of the gaps stepped by action
         self._used: set[tuple] = set()
 
     def dense(self, n_slots: int) -> bool:
@@ -302,88 +334,116 @@ class _SlotEvolver:
             self._generators[key] = gen
         return gen
 
-    def _level(self, n_slots: int, *vectors: np.ndarray):
-        """(generator, key, coordinates) that `vectors` are stepped on.
-
-        The whole n-slot level, with coordinates None, unless the level is
-        sparse and some of its blocks are zero in one of `vectors`: then the
-        coordinates of the blocks where every one is nonzero (possibly none)
-        and their generator G[S, S], keyed by the level, those blocks and its
-        engine choice.
-        """
-        gen = self.generator(n_slots)
+    def labels(self, n_slots: int) -> np.ndarray:
+        """Block of each coordinate of G_n (:func:`_block_labels`), found once per level."""
         key = (n_slots, self.dense(n_slots))
-        if key[1]:
-            return gen, key, None
+        gen = self.generator(n_slots)
         labels = self._labels.get(key)
         if labels is None:
             labels = self._labels[key] = _block_labels(gen)
+        return labels
+
+    def _level(self, n_slots: int, *vectors: np.ndarray) -> np.ndarray | None:
+        """Coordinates of the n-slot level that `vectors` are stepped on.
+
+        None (every coordinate) unless some blocks are zero in one of
+        `vectors`: then the coordinates of the blocks where every one is
+        nonzero, possibly none.
+        """
+        labels = self.labels(n_slots)
         touched = np.ones(int(labels.max()) + 1, dtype=bool)
         for v in vectors:
             hit = np.zeros_like(touched)
             hit[labels[v != 0]] = True
             touched &= hit
-        if touched.all():
-            return gen, key, None
-        coords = np.flatnonzero(touched[labels])
-        if not len(coords):
-            return None, None, coords
-        key = (*key, np.flatnonzero(touched).tobytes(), _dense_order(len(coords)))
-        self._used.add(key)
-        part = self._generators.get(key)
-        if part is None:
-            part = gen[coords][:, coords]
-            part = self._generators[key] = part.toarray() if key[-1] else part
-        return part, key, coords
+        return None if touched.all() else np.flatnonzero(touched[labels])
 
-    def _propagator(self, gen: np.ndarray, key: tuple, gap: float) -> np.ndarray:
+    def _propagator(self, key: tuple, gap: float, generator) -> np.ndarray:
+        """exp(gap G), cached under `key` and the gap; `generator()` gives G on a miss."""
         key = (*key, gap)
         self._used.add(key)
         prop = self._propagators.get(key)
         if prop is None:
-            prop = expm(gen, gap)
+            prop = expm(generator(), gap)
             self._propagators[key] = prop
         return prop
 
     def keep_used(self) -> None:
-        """Drop every generator, propagator and block labelling not used since the
-        last call of this."""
+        """Drop every generator, propagator, block labelling and record of a gap
+        stepped by action not used since the last call of this."""
         for cache in (self._generators, self._propagators, self._labels):
             for key in cache.keys() - self._used:
                 cache.pop(key, None)  # a concurrent call on the model may have dropped it
+        self._acted &= self._used
         self._used.clear()
 
-    def _steps(self, gen, key: tuple, v: np.ndarray, taus: np.ndarray, origin: float,
-               adjoint: bool) -> Iterator[np.ndarray]:
-        """`v` carried along the grid under `gen`: by propagators cached under `key`
-        when its engine choice (its last entry) is dense, else by ``integrate_ode``.
+    def _steps(self, n_slots: int, coords: np.ndarray | None, v: np.ndarray, taus: np.ndarray,
+               origin: float, adjoint: bool) -> Iterator[np.ndarray]:
+        """`v`, a vector on `coords` of the n-slot level (None: every coordinate),
+        carried along the grid under G[S, S] by the engines the class describes.
 
-        Steps that differ only by rounding share one dense propagator, or one
-        ``expm_multiply`` call on the sparse engine.
+        A run of equal steps (steps that differ only by rounding are one step)
+        fetches one propagator, or makes one ``expm_multiply`` call on the CSR
+        engine.  A dense propagator that is not held and would be used for one
+        step only is not formed above ``_SINGLE_USE_ORDER`` the first time.
         """
-        if key[-1]:
-            for step in _grid_steps(taus, origin):
-                if step != 0.0:
-                    prop = self._propagator(gen, key, float(step))
-                    v = v @ prop if adjoint else prop @ v
-                yield v
+        level = (n_slots, self.dense(n_slots))
+        gen = self.generator(n_slots)
+
+        def restricted():
+            if coords is None:
+                return gen
+            return gen[np.ix_(coords, coords)] if level[1] else gen[coords][:, coords]
+
+        if level[1]:
+            key, order = level, len(gen)
+
+            def propagator(gap):
+                prop = self._propagator(key, gap, lambda: gen)
+                return prop if coords is None else prop[np.ix_(coords, coords)]
+        elif coords is not None and _dense_order(len(coords)):
+            key, order = (*level, coords.tobytes()), len(coords)
+
+            def propagator(gap):
+                return self._propagator(key, gap, lambda: restricted().toarray())
+        else:
+            part = restricted()
+            grid = taus if taus[0] == origin else np.concatenate(([origin], taus))
+            yield from integrate_ode(part.T if adjoint else part, v, grid)[len(grid) - len(taus):]
             return
-        grid = taus if taus[0] == origin else np.concatenate(([origin], taus))
-        yield from integrate_ode(gen.T if adjoint else gen, v, grid)[len(grid) - len(taus):]
+        for step, run in groupby(_grid_steps(taus, origin)):
+            count, gap = len(list(run)), float(step)
+            if gap == 0.0:
+                for _ in range(count):
+                    yield v
+                continue
+            once = (*key, gap)
+            if (count == 1 and order > _SINGLE_USE_ORDER and once not in self._propagators
+                    and once not in self._acted):
+                self._acted.add(once)
+                self._used.add(once)
+                part = restricted()
+                (_start, v) = integrate_ode(part.T if adjoint else part, v, [0.0, gap])
+                yield v
+                continue
+            prop = propagator(gap)
+            for _ in range(count):
+                v = v @ prop if adjoint else prop @ v
+                yield v
 
     def trajectory(self, v: np.ndarray, n_slots: int, taus: np.ndarray,
                    origin: float = 0.0, adjoint: bool = False) -> Iterator[np.ndarray]:
         """`v` carried along an ascending grid from `origin`: exp((tau - origin) G_n) v,
         or the dual vector v @ exp((tau - origin) G_n) when `adjoint`.
 
-        On a sparse level only the blocks where `v` is nonzero are stepped.
+        Only the blocks where `v` is nonzero are stepped.
         """
-        gen, key, coords = self._level(n_slots, v)
+        coords = self._level(n_slots, v)
         if coords is None:
-            yield from self._steps(gen, key, v, taus, origin, adjoint)
+            yield from self._steps(n_slots, None, v, taus, origin, adjoint)
             return
         part = v[coords]
-        steps = self._steps(gen, key, part, taus, origin, adjoint) if len(coords) else (
+        steps = self._steps(n_slots, coords, part, taus, origin, adjoint) if len(coords) else (
             part for _tau in taus)
         for u in steps:
             out = np.zeros(len(v), dtype=complex)
@@ -399,15 +459,15 @@ class _SlotEvolver:
               w: np.ndarray, origin: float = 0.0) -> np.ndarray:
         """Values w @ T(tau) along an ascending grid; `tensor` is T at `origin`.
 
-        On a sparse level only the blocks where both T and w are nonzero are
-        stepped; when they share none, the values are exact zeros.
+        Only the blocks where both T and w are nonzero are stepped; when they
+        share none, the values are exact zeros.
         """
-        gen, key, coords = self._level(n_slots, tensor, w)
+        coords = self._level(n_slots, tensor, w)
         if coords is not None:
             if not len(coords):
                 return np.zeros(len(taus), dtype=complex)
             tensor, w = tensor[coords], w[coords]
-        return np.array([w @ v for v in self._steps(gen, key, tensor, taus, origin, False)])
+        return np.array([w @ v for v in self._steps(n_slots, coords, tensor, taus, origin, False)])
 
 
 def _model_key(h: np.ndarray, decomps) -> bytes:
@@ -500,21 +560,24 @@ def evolve_density(hamiltonian, decomp, rho0, t: float) -> np.ndarray:
 _LU_MARGIN = 0.1
 
 
-def _svd_null_vector(g: np.ndarray, null_tol: float) -> np.ndarray:
-    """Left null vector of the dense generator `g`, by SVD.
+def _svd_null_vector(g: np.ndarray, null_tol: float, labels: np.ndarray) -> np.ndarray:
+    """Left null vector of the dense generator `g`, by SVD, exactly zero outside
+    its block (`labels` numbers the blocks of `g`).
 
     Raises DegenerateSteadyStateError unless exactly one singular value is at
-    most null_tol times the largest.  The nullity is decided from the singular
-    values alone; the singular vectors are computed only when it is one.
+    most null_tol times the largest.  A one-dimensional null space of a
+    block-diagonal `g` lies in one block, the one holding the largest entry;
+    the SVD leaves roundoff in the others, which is set to zero after the count.
     """
-    s = np.linalg.svd(g, compute_uv=False)
+    u, s, _vh = np.linalg.svd(g)
     if s[0] == 0.0:
         raise DegenerateSteadyStateError(multiplicity=len(s))
     nullity = int(np.sum(s <= null_tol * s[0]))
     if nullity != 1:
         raise DegenerateSteadyStateError(multiplicity=nullity)
-    u, _s, _vh = np.linalg.svd(g)
-    return u[:, -1].conj()
+    w = u[:, -1].conj()
+    w[labels != labels[np.argmax(np.abs(w))]] = 0.0
+    return w
 
 
 def _bordered_null_vector(g) -> tuple[np.ndarray, float]:
@@ -550,7 +613,8 @@ def steady_state(model: SystemModel, decomp=None, null_tol: float = 1e-9) -> np.
     taken from the model's held engine.  A dense level finds it by SVD; a
     sparse one by a sparse LU of G_1^T bordered with the trace functional,
     falling back to the SVD when the LU is singular or its condition estimate
-    exceeds 0.1 / null_tol.  `null_tol` must lie strictly between 0 and 1.
+    exceeds 0.1 / null_tol; an SVD null vector is set to exact zeros outside
+    its block of G_1.  `null_tol` must lie strictly between 0 and 1.
 
     Raises DegenerateSteadyStateError when more or fewer than one singular
     value of G_1 is at most null_tol times the largest (e.g. any rate-free
@@ -563,14 +627,14 @@ def steady_state(model: SystemModel, decomp=None, null_tol: float = 1e-9) -> np.
     with _model_evolver(model.hamiltonian, decomps) as ev:
         gen = ev.generator(1)
         if ev.dense(1):
-            w = _svd_null_vector(gen, null_tol)
+            w = _svd_null_vector(gen, null_tol, ev.labels(1))
         else:
             try:
                 w, kappa = _bordered_null_vector(gen)
             except RuntimeError:  # splu: the bordered matrix is exactly singular
                 kappa = np.inf
             if not kappa <= _LU_MARGIN / null_tol:  # also a NaN estimate
-                w = _svd_null_vector(gen.toarray(), null_tol)
+                w = _svd_null_vector(gen.toarray(), null_tol, ev.labels(1))
     rho = unvec(w).T
     tr = complex(np.trace(rho))
     if abs(tr) < 1e-10 * np.linalg.norm(rho):

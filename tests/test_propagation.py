@@ -250,6 +250,24 @@ def test_steady_state_near_degenerate_family_matches_svd_decision(family, monkey
     assert differing == []
 
 
+@pytest.mark.parametrize("family", NEAR_DEGENERATE)
+def test_steady_state_is_exactly_zero_outside_its_block(family, monkeypatch):
+    # the SVD null vector carries roundoff in the blocks where the state is zero;
+    # it is set to zero there, on a dense level and in the sparse SVD fallback
+    rate = 1e-3
+    model = NEAR_DEGENERATE[family](rate)
+    expected = _svd_steady_state(model)
+    for budget in (generators.DEFAULT_SLOT_BUDGET, 1):
+        monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", budget)
+        monkeypatch.setattr(propagation, "_LU_MARGIN", 0.0)  # the sparse level falls back to SVD
+        rho = steady_state(model)
+        labels = propagation._held[1].labels(1)
+        w = vec(rho.T)
+        outside = labels != labels[np.argmax(np.abs(w))]
+        assert np.any(outside) and not np.any(w[outside])
+        assert np.max(np.abs(rho - expected)) < 1e-10
+
+
 def test_steady_state_leaves_sparse_unloaded_on_dense_level():
     code = ("import sys, lindcorr as lc; "
             "lc.steady_state(lc.coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6)); "
@@ -662,6 +680,31 @@ def test_general_matrix_free_pull_back(rng, monkeypatch):
     trace = general_correlator(h, decs, spec, taus=taus)
     assert orders and all(16 < order <= 4 ** 3 for order in orders)
     assert np.max(np.abs(trace.values - expected)) < 1e-12
+
+
+def test_single_use_pull_back_acts_then_forms_the_propagator_once(rng, monkeypatch):
+    # an order-256 gap used once is the action of the dimer's 2-slot generator,
+    # without an expm; the held engine records the gap, and the same gap seen in
+    # a later call forms and keeps the propagator
+    h, decs = _dimer()
+    ev = propagation._SlotEvolver(h, decs)
+    gen = ev.generator(2)
+    assert ev.dense(2) and len(gen) > propagation._SINGLE_USE_ORDER
+    w = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    expected = w @ expm(gen, 0.8)
+    calls = _count_expm(monkeypatch)
+    orders = _sparse_orders(monkeypatch)
+    pulled = ev.pull_back(w, 2, 0.8)
+    assert calls == [] and orders == [256]
+    assert np.max(np.abs(pulled - expected)) <= 1e-12 * np.max(np.abs(expected))
+    ev.keep_used()  # the end of a correlator call
+    for _call in range(2):
+        again = ev.pull_back(w, 2, 0.8)
+        ev.keep_used()
+    assert calls == [0.8] and orders == [256]
+    assert np.max(np.abs(again - expected)) <= 1e-12 * np.max(np.abs(expected))
+    ev.pull_back(w, 2, 0.9)
+    assert calls == [0.8] and orders == [256, 256]
 
 
 def test_general_sweep_expm_count(rng, monkeypatch):

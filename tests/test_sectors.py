@@ -1,8 +1,9 @@
-"""The sector engine: a sparse level steps only the blocks its vectors touch.
+"""The sector engine: a level steps only the blocks its vectors touch.
 
-Every reference here steps the whole CSR generator of the level with
-``integrate_ode`` (or is the dense engine), so a wrong block labelling or a
-wrong restriction shows as a deviation from it.
+Every reference here steps the whole generator of the level, by
+``integrate_ode`` on the CSR generator or by the dense level's full
+propagator, so a wrong block labelling or a wrong restriction shows as a
+deviation from it.
 """
 
 from contextlib import contextmanager
@@ -10,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,7 @@ from lindcorr import (
     identity,
     integrate_ode,
     multi_slot_action,
+    multi_slot_generator,
     otoc,
     qrt_correlator,
     sigma_minus,
@@ -39,6 +42,7 @@ from lindcorr import (
     sigma_z,
     steady_state,
     truncated_oscillator,
+    two_level_atom,
     unvec,
     vec,
 )
@@ -93,7 +97,7 @@ def _dimer_case(n):
     model = coupled_dimer(**DIMER)
     decs = decompose_model(model)
     b_ops = [_site(sigma_plus, 0), _site(sigma_minus, 1), _site(sigma_z, 0)][:n]
-    a_ops = [identity(4), _site(sigma_x, 1), _site(sigma_z, 1), identity(4)][:n + 1]
+    a_ops = [identity(4), _site(sigma_x, 1), _site(sigma_x, 0), identity(4)][:n + 1]
     return model.hamiltonian, decs, a_ops, b_ops, steady_state(model, decs)
 
 
@@ -131,6 +135,7 @@ def test_block_engine_matches_full_engine(case, monkeypatch):
     orders = _stepped(monkeypatch)
     values = equal_time_group_correlator(h, decs, a_ops, b_ops, rho, TAUS).values
     assert orders and max(orders) < len(tensor)  # only some blocks were stepped
+    assert all(len(key) == 2 for key in propagation._held[1]._generators)  # no G[S, S] held
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -258,6 +263,77 @@ def test_held_engine_trims_its_block_labels(rng, monkeypatch):
     assert set(ev._labels) == {(1, False)}
     assert (2, False) not in ev._generators
     assert all(key[0] == 1 for key in [*ev._generators, *ev._propagators])
+
+
+# ------------------------------------------------------------ dense levels
+
+
+def _dense_level(name):
+    """(evolver, n) of a dense level: the dimer's 2-slot one (order 256) or the
+    qubit's 3-slot one (order 64)."""
+    model = coupled_dimer(**DIMER) if name == "dimer-2" else two_level_atom(1.0, 0.1, 0.5)
+    return propagation._SlotEvolver(model.hamiltonian, decompose_model(model)), (
+        2 if name == "dimer-2" else 3)
+
+
+@pytest.mark.parametrize("name", ["dimer-2", "qubit-3"])
+def test_dense_labels_and_exact_zero_propagators(name):
+    # the NumPy labelling finds the components connected_components finds, and
+    # the dense expm is exactly zero between them, so slicing it is exact
+    ev, n = _dense_level(name)
+    gen = ev.generator(n)
+    labels = ev.labels(n)
+    assert ev.dense(n) and 1 < labels.max() + 1 < len(gen)
+    assert np.array_equal(labels, propagation._block_labels(scipy.sparse.csr_array(gen)))
+    apart = labels[:, None] != labels[None, :]
+    assert not np.any(gen[apart])
+    for gap in (0.3, 2.5):
+        assert np.count_nonzero(propagation.expm(gen, gap)[apart]) == 0
+
+
+@pytest.mark.parametrize("name", ["dimer-2", "qubit-3"])
+def test_dense_block_sweep_and_pull_back_match_full_propagator(name, rng):
+    # a tensor on some blocks against a w on others and on them: the restricted
+    # sweep, a trajectory and a pull-back against the full propagator's products
+    ev, n = _dense_level(name)
+    gen = ev.generator(n)
+    labels = ev.labels(n)
+    tensor = (rng.standard_normal(len(gen)) + 1j) * (labels % 3 == 0)
+    w = (rng.standard_normal(len(gen)) + 1j) * (labels % 2 == 0)
+    coords = ev._level(n, tensor, w)
+    assert 0 < len(coords) < len(gen)
+    taus = np.linspace(0.5, 4.5, 9)
+    expected = np.array([w @ scipy.linalg.expm(tau * gen) @ tensor for tau in taus])
+    values = ev.sweep(tensor, n, taus, w)
+    assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
+    for v, tau in zip(ev.trajectory(tensor, n, taus, origin=0.5), taus):
+        full = scipy.linalg.expm((tau - 0.5) * gen) @ tensor
+        assert np.max(np.abs(v - full)) <= 1e-12 * np.max(np.abs(full))
+    pulled = ev.pull_back(w, n, 1.7)
+    full = w @ scipy.linalg.expm(1.7 * gen)
+    assert np.max(np.abs(pulled - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+def test_one_block_dense_level_is_byte_identical_to_full_propagator(rng):
+    # a random H and coupling on 3 levels make one block of the dense 2-slot level
+    # (81 coordinates); its sweep takes the level's own propagator, as before blocks
+    h = random_hermitian(rng, 3)
+    dec = assign_rates(exact_bohr_decomposition(h, random_hermitian(rng, 3)),
+                       BathSpec(temperature=0.5, rate_profile=0.2, gamma0=0.05))
+    a_ops = [random_matrix(rng, 3) for _ in range(3)]
+    b_ops = [random_matrix(rng, 3) for _ in range(2)]
+    rho = random_density(rng, 3)
+    values = equal_time_group_correlator(h, dec, a_ops, b_ops, rho, TAUS).values
+    ev = propagation._held[1]
+    assert ev.dense(2) and np.all(ev.labels(2) == 0)
+    gen = multi_slot_generator(h, dec, 2).matrix
+    v, w = elementary_tensor(b_ops), contraction_functional(a_ops, rho)
+    expected = []
+    for step in propagation._grid_steps(TAUS):
+        if step != 0.0:
+            v = propagation.expm(gen, float(step)) @ v
+        expected.append(w @ v)
+    assert np.array_equal(values, np.array(expected))
 
 
 # ------------------------------------------------------------ properties
