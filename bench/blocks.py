@@ -34,8 +34,8 @@ time is the median of `--repeats` runs.
 It also times single-use pull-backs w @ exp(gap G_n) on dense levels, as the
 general-pattern sweeps make them: the whole level's propagator and one
 product (the engine before this measurement) against `_SlotEvolver.pull_back`
-on the touched blocks, cold (an action by `expm_multiply`), on the second
-call with the gap (the propagator is formed) and held.
+on the touched blocks, an action by `expm_multiply` on every call, cold and
+on an engine that holds the level's generator and labels.
 
 It then re-runs the dense/CSR crossover at block orders: for unions of whole
 blocks of the sparse generators (what the engine steps), of orders 35 to
@@ -257,7 +257,7 @@ def pull_back_cases(rng: np.random.Generator) -> list[tuple[str, object, tuple, 
 
 def measure_pull_back(name, h, decs, n, w, repeats: int) -> dict:
     """A dense level's pull-back across one gap: the whole propagator and one product
-    against the engine's, cold (by action), on the gap's second call and held."""
+    against the engine's action, cold and held."""
     gap = 0.8
     gen = generators.multi_slot_generator(h, decs, n).matrix
     labels = propagation._block_labels(gen)
@@ -268,28 +268,21 @@ def measure_pull_back(name, h, decs, n, w, repeats: int) -> dict:
         ev._labels[(n, True)] = labels
         return ev
 
-    def second_call():
-        ev = held_evolver()
-        ev._acted.add((n, True, gap))  # the gap was stepped by action in an earlier call
-        return ev.pull_back(w, n, gap)
-
     coords = held_evolver()._level(n, w)
     full_s, expected = _median(lambda: w @ lc.expm(gen, gap), repeats)
     cold_s, pulled = _median(lambda: held_evolver().pull_back(w, n, gap), repeats)
-    second_s, _ = _median(second_call, repeats)
     held = held_evolver()
-    held.pull_back(w, n, gap)
     held.pull_back(w, n, gap)
     held_s, _ = _median(lambda: held.pull_back(w, n, gap), repeats)
     row = {"case": name, "slots": n, "level_order": len(gen), "gap": gap,
            "touched_order": len(gen) if coords is None else len(coords),
            "full_propagator_s": full_s, "pull_back_cold_s": cold_s,
-           "pull_back_second_call_s": second_s, "pull_back_held_s": held_s,
+           "pull_back_held_s": held_s,
            "speedup_cold": full_s / cold_s,
            "max_rel_deviation": float(np.max(np.abs(pulled - expected)) / np.max(np.abs(expected)))}
     print(f"{name:38s} order {len(gen):4d} touched {row['touched_order']:4d} | full "
-          f"{full_s * 1e3:.2f} ms | pull_back cold {cold_s * 1e3:.2f} ms second call "
-          f"{second_s * 1e3:.2f} ms held {held_s * 1e3:.3f} ms | deviation "
+          f"{full_s * 1e3:.2f} ms | pull_back cold {cold_s * 1e3:.2f} ms held "
+          f"{held_s * 1e3:.3f} ms | deviation "
           f"{row['max_rel_deviation']:.1e}", flush=True)
     return row
 

@@ -7,18 +7,22 @@ and the state.  The contraction is carried by a dual vector `w` built once per
 one dot product per point.  For general time patterns `w` also carries the
 earlier insertions: it is pulled back through them once per sweep.
 
-Two engines step a slot tensor of n slots, picked by its length d**(2n).  Up
-to ``generators.DEFAULT_SLOT_BUDGET`` coordinates, the measured crossover, the
-generator is dense: its propagator exp(step G) is computed once per distinct
-grid step (steps that differ only by rounding are one step) and applied by
-matrix-vector products, except that a step applied once on a generator of
-more than ``_SINGLE_USE_ORDER`` coordinates, such as a pull-back across one
-gap, is the action exp(step G) v computed by ``integrate_ode`` without
-forming the propagator; the held engine forms it when the same step comes
-again.  Above the budget the generator is a CSR matrix and ``integrate_ode``
-computes the action exp(tau G) v with ``expm_multiply``; a pull-back uses the
-transposed matrix.  A CSR generator whose byte bound exceeds the cap is
-refused with SlotBudgetError before it is assembled.
+A level of n slots has d**(2n) coordinates.  Up to
+``generators.DEFAULT_SLOT_BUDGET``, the measured crossover, its generator is
+dense; above, it is a CSR matrix whose byte bound is checked against the cap
+before assembly (SlotBudgetError).  A grid is walked in runs of equal steps
+(steps that differ only by rounding are one step), and each run is stepped
+in one of two ways, chosen from the run alone.  If the matrix its propagator
+would be formed from is within the budget and the run has more than one step
+or that matrix at most ``_SINGLE_USE_ORDER`` coordinates, the propagator
+exp(step G) is formed once, cached, and applied by matrix-vector products.
+Otherwise the run is one action by ``integrate_ode`` (``expm_multiply``);
+a pull-back uses the transposed matrix.  So a uniform grid forms one
+propagator, and a step used once on a large generator, such as a pull-back
+across one gap, forms none.  The two ways agree within the engine
+tolerance, 1e-12 of the result's largest entry: measured at most 7.9e-14 on
+random models of order 26 to 625 (``bench/repeats.py``, BENCH_11.json) and
+1.5e-13 at order 196 (BENCH_10.json).
 
 Every level is also split into blocks that its generator never couples
 (under the exact decomposition G_n conserves the total Bohr frequency over
@@ -27,12 +31,11 @@ per level, as the connected components of the generator's sparsity pattern,
 and a value sum_b w_b . exp(tau G_b) T_b needs only the blocks where both T
 and w are nonzero.  So a sweep steps only those blocks, and a pull-back or a
 density evolution only the blocks where its vector is nonzero, under the
-restricted generator G[S, S].  A dense level applies the slice of its own
-propagator to S: the dense expm is exactly zero between blocks, so the slice
-is exact.  On a sparse level G[S, S] takes the dense or the CSR engine by its
-own order against the same budget.  The steady state's null-space count sees
-every block; its SVD null vector is then set to exact zeros outside its own
-block, where the SVD leaves roundoff.
+restricted generator G[S, S].  A propagator is formed from the whole level
+on a dense level and sliced to S: the dense expm is exactly zero between
+blocks, so the slice is exact.  On a sparse level it is formed from G[S, S].
+The steady state's null-space count sees every block; its SVD null vector is
+then set to exact zeros outside its own block, where the SVD leaves roundoff.
 
 The forward dynamics has no engine of its own.  Under the trace pairing
 trace(B rho) = vec(rho^T) . vec(B) a density matrix is a dual vector of the
@@ -48,7 +51,8 @@ between calls and reused by every later call on an equal model, recognised by
 content rather than identity.  A call on another model releases it first.
 After each call the held engine keeps only the generators and propagators
 that call used, so the memory held between calls is at most the last call's
-own working set.
+own working set.  What it holds changes the time of a later call, never its
+path or its values: a repeated call returns the same bytes.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ import math
 import string
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import groupby
 from typing import Iterator, Sequence
 
@@ -232,7 +236,7 @@ def integrate_ode(generator, v0, tau_grid) -> list[np.ndarray]:
     SIAM J. Sci. Comput. 33, 2011), one call per run of equal steps, which it
     evaluates at the run's evenly spaced points.
     """
-    # imported here: only the sparse engine steps this way, and the import is heavy
+    # imported here: only action steps need it, and the import is heavy
     from scipy.sparse.linalg import expm_multiply
 
     grid = _check_taus(tau_grid)
@@ -284,21 +288,17 @@ _SINGLE_USE_ORDER = 49
 class _SlotEvolver:
     """Generator and propagator caches of one (hamiltonian, decomps) model.
 
-    A level of n slots is dense (cached propagators) when its tensor has at
-    most ``generators.DEFAULT_SLOT_BUDGET`` coordinates and sparse (a CSR
-    generator stepped by ``integrate_ode``) above.  Each level also holds its
-    blocks, the connected components of its generator's sparsity pattern,
-    found once per level.  The generator never couples two blocks, so a vector
-    stays zero on the blocks where it is zero, and only the coordinates S of
-    the touched blocks are stepped, under G[S, S]: on a dense level by the
-    slice of the level's own propagator, on a sparse one by dense propagators
-    of G[S, S] cached under its blocks when S is within the budget, else by
-    ``integrate_ode``.  A step applied once on a dense engine above
-    ``_SINGLE_USE_ORDER`` is an action by ``integrate_ode``; `_acted` records
-    its propagator key, so the same step in a later call forms and caches the
-    propagator.  Cache keys carry the engine choice, so a changed slot budget
-    is never served an engine built under another.  `_used` collects the keys
-    touched since the last :meth:`keep_used`.
+    A level of n slots is dense when its tensor has at most
+    ``generators.DEFAULT_SLOT_BUDGET`` coordinates and a CSR generator above.
+    Each level also holds its blocks, the connected components of its
+    generator's sparsity pattern, found once per level.  The generator never
+    couples two blocks, so a vector stays zero on the blocks where it is zero,
+    and only the coordinates S of the touched blocks are stepped, under
+    G[S, S], each run of equal steps by a cached propagator or by one
+    ``integrate_ode`` action (:meth:`_steps`).  Cache keys carry the engine
+    choice, so a changed slot budget is never served an engine built under
+    another.  `_used` collects the keys touched since the last
+    :meth:`keep_used`.
     """
 
     def __init__(self, hamiltonian, decomps):
@@ -314,7 +314,6 @@ class _SlotEvolver:
         self._generators: dict[tuple, object] = {}
         self._propagators: dict[tuple, np.ndarray] = {}
         self._labels: dict[tuple[int, bool], np.ndarray] = {}
-        self._acted: set[tuple] = set()  # propagator keys of the gaps stepped by action
         self._used: set[tuple] = set()
 
     def dense(self, n_slots: int) -> bool:
@@ -369,67 +368,52 @@ class _SlotEvolver:
         return prop
 
     def keep_used(self) -> None:
-        """Drop every generator, propagator, block labelling and record of a gap
-        stepped by action not used since the last call of this."""
-        for cache in (self._generators, self._propagators, self._labels):
-            for key in cache.keys() - self._used:
-                cache.pop(key, None)  # a concurrent call on the model may have dropped it
-        self._acted &= self._used
+        """Drop every generator, propagator and block labelling not used since
+        the last call of this."""
+        for held in (self._generators, self._propagators, self._labels):
+            for key in held.keys() - self._used:
+                held.pop(key, None)  # a concurrent call on the model may have dropped it
         self._used.clear()
 
     def _steps(self, n_slots: int, coords: np.ndarray | None, v: np.ndarray, taus: np.ndarray,
                origin: float, adjoint: bool) -> Iterator[np.ndarray]:
         """`v`, a vector on `coords` of the n-slot level (None: every coordinate),
-        carried along the grid under G[S, S] by the engines the class describes.
+        carried along the grid under G[S, S].
 
-        A run of equal steps (steps that differ only by rounding are one step)
-        fetches one propagator, or makes one ``expm_multiply`` call on the CSR
-        engine.  A dense propagator that is not held and would be used for one
-        step only is not formed above ``_SINGLE_USE_ORDER`` the first time.
+        Each run of equal steps (steps that differ only by rounding are one
+        step) is stepped by the cached propagator of its step when the matrix
+        it would be formed from, the whole level on a dense level and G[S, S]
+        on a sparse one, is within the budget and the run has more than one
+        step or that matrix at most ``_SINGLE_USE_ORDER`` coordinates;
+        otherwise by one ``integrate_ode`` call on G[S, S].  The choice reads
+        the run alone, never what earlier calls held.
         """
         level = (n_slots, self.dense(n_slots))
         gen = self.generator(n_slots)
-
-        def restricted():
-            if coords is None:
-                return gen
-            return gen[np.ix_(coords, coords)] if level[1] else gen[coords][:, coords]
-
-        if level[1]:
-            key, order = level, len(gen)
-
-            def propagator(gap):
-                prop = self._propagator(key, gap, lambda: gen)
-                return prop if coords is None else prop[np.ix_(coords, coords)]
-        elif coords is not None and _dense_order(len(coords)):
-            key, order = (*level, coords.tobytes()), len(coords)
-
-            def propagator(gap):
-                return self._propagator(key, gap, lambda: restricted().toarray())
+        restricted = cache(lambda: gen if coords is None else (
+            gen[np.ix_(coords, coords)] if level[1] else gen[coords][:, coords]))
+        if level[1] or coords is None:
+            key, order = level, gen.shape[0]
         else:
-            part = restricted()
-            grid = taus if taus[0] == origin else np.concatenate(([origin], taus))
-            yield from integrate_ode(part.T if adjoint else part, v, grid)[len(grid) - len(taus):]
-            return
+            key, order = (*level, coords.tobytes()), len(coords)
         for step, run in groupby(_grid_steps(taus, origin)):
             count, gap = len(list(run)), float(step)
             if gap == 0.0:
                 for _ in range(count):
                     yield v
-                continue
-            once = (*key, gap)
-            if (count == 1 and order > _SINGLE_USE_ORDER and once not in self._propagators
-                    and once not in self._acted):
-                self._acted.add(once)
-                self._used.add(once)
+            elif _dense_order(order) and (count > 1 or order <= _SINGLE_USE_ORDER):
+                prop = self._propagator(key, gap, lambda: gen if level[1] else restricted().toarray())
+                if level[1] and coords is not None:
+                    prop = prop[np.ix_(coords, coords)]
+                for _ in range(count):
+                    v = v @ prop if adjoint else prop @ v
+                    yield v
+            else:
                 part = restricted()
-                (_start, v) = integrate_ode(part.T if adjoint else part, v, [0.0, gap])
-                yield v
-                continue
-            prop = propagator(gap)
-            for _ in range(count):
-                v = v @ prop if adjoint else prop @ v
-                yield v
+                (_start, *states) = integrate_ode(part.T if adjoint else part, v,
+                                                  gap * np.arange(count + 1))
+                yield from states
+                v = states[-1]
 
     def trajectory(self, v: np.ndarray, n_slots: int, taus: np.ndarray,
                    origin: float = 0.0, adjoint: bool = False) -> Iterator[np.ndarray]:

@@ -2,9 +2,12 @@ import bisect
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindcorr import (
     BathSpec,
@@ -14,6 +17,7 @@ from lindcorr import (
     SlotBudgetError,
     annihilation,
     assign_rates,
+    closed_correlator,
     contraction_functional,
     coupled_dimer,
     dagger,
@@ -682,10 +686,10 @@ def test_general_matrix_free_pull_back(rng, monkeypatch):
     assert np.max(np.abs(trace.values - expected)) < 1e-12
 
 
-def test_single_use_pull_back_acts_then_forms_the_propagator_once(rng, monkeypatch):
+def test_single_use_pull_back_acts_on_every_call(rng, monkeypatch):
     # an order-256 gap used once is the action of the dimer's 2-slot generator,
-    # without an expm; the held engine records the gap, and the same gap seen in
-    # a later call forms and keeps the propagator
+    # without an expm, on every call and with the same bytes; a propagator of the
+    # gap cached by a uniform run leaves the choice as it is
     h, decs = _dimer()
     ev = propagation._SlotEvolver(h, decs)
     gen = ev.generator(2)
@@ -694,17 +698,97 @@ def test_single_use_pull_back_acts_then_forms_the_propagator_once(rng, monkeypat
     expected = w @ expm(gen, 0.8)
     calls = _count_expm(monkeypatch)
     orders = _sparse_orders(monkeypatch)
-    pulled = ev.pull_back(w, 2, 0.8)
-    assert calls == [] and orders == [256]
-    assert np.max(np.abs(pulled - expected)) <= 1e-12 * np.max(np.abs(expected))
-    ev.keep_used()  # the end of a correlator call
+    pulled = []
+    for _call in range(3):
+        pulled.append(ev.pull_back(w, 2, 0.8))
+        ev.keep_used()  # the end of a correlator call
+    assert calls == [] and orders == [256] * 3
+    assert all(np.array_equal(p, pulled[0]) for p in pulled)
+    assert np.max(np.abs(pulled[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
+    list(ev.trajectory(w, 2, np.array([0.8, 1.6]), adjoint=True))  # one run of two steps
+    assert calls == [0.8] and (2, True, 0.8) in ev._propagators
+    assert np.array_equal(ev.pull_back(w, 2, 0.8), pulled[0])
+    assert calls == [0.8] and orders == [256] * 4
+
+
+def _dimer_pull_back(rng):
+    h, decs = _dimer()
+    ev = propagation._SlotEvolver(h, decs)
+    w = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+
+    def call():
+        pulled = ev.pull_back(w, 2, 0.8)
+        ev.keep_used()  # the end of a correlator call
+        return pulled
+    return call
+
+
+def _oscillator_evolution(rng):
+    model = _oscillator(12)
+    decs, rho0 = decompose_model(model), random_density(rng, 12)
+    return lambda: evolve_density(model.hamiltonian, decs, rho0, 0.7)
+
+
+def _order_256_gap(rng):
+    # the gap 1.2 - 0.4 pulls the contraction back on the dimer's 2-slot level
+    h, decs = _dimer()
+    spec = CorrelatorSpec(tuple(zip((random_matrix(rng, 4) for _ in range(3)), (2.0, 1.2, 0.4))),
+                          random_density(rng, 4))
+    return lambda: general_correlator(h, decs, spec)
+
+
+@pytest.mark.parametrize("build", [_dimer_pull_back, _oscillator_evolution, _order_256_gap])
+def test_repeated_calls_return_the_same_bytes(rng, build):
+    # each step of these calls is single-use above _SINGLE_USE_ORDER; the engine
+    # picks its path from the run alone, not from what an earlier call held
+    call = build(rng)
+    first = call()
     for _call in range(2):
-        again = ev.pull_back(w, 2, 0.8)
-        ev.keep_used()
-    assert calls == [0.8] and orders == [256]
-    assert np.max(np.abs(again - expected)) <= 1e-12 * np.max(np.abs(expected))
-    ev.pull_back(w, 2, 0.9)
-    assert calls == [0.8] and orders == [256, 256]
+        assert np.array_equal(call(), first)
+
+
+def test_repeated_geomspace_otoc_forms_no_level_propagator(monkeypatch):
+    # every step of a geometric grid is new, so each is one action of the touched
+    # blocks; a second call forms no order-256 expm and holds no 2-slot propagator
+    h, decs = _dimer()
+    rho = steady_state(coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6))
+    w_op, v_op = np.kron(sigma_x, EYE2), np.kron(sigma_z, sigma_z)
+    taus = np.geomspace(1e-3, 20.0, 400)
+    first = otoc(h, decs, w_op, v_op, rho, taus)
+    orders = []
+    expm_ = propagation.expm
+    monkeypatch.setattr(propagation, "expm", lambda m, t: orders.append(len(m)) or expm_(m, t))
+    second = otoc(h, decs, w_op, v_op, rho, taus)
+    assert 256 not in orders
+    assert not [key for key in propagation._held[1]._propagators if key[0] == 2]
+    assert np.array_equal(second.values, first.values)
+
+
+@st.composite
+def _closed_patterns(draw):
+    """(seed, dim, times): times a < b < c over three or four insertions in any
+    order, b and c held once each, so the gap b - a is pulled back on the 2-slot level."""
+    a = draw(st.floats(0.0, 2.0))
+    b = a + draw(st.floats(0.05, 2.0))
+    c = b + draw(st.floats(0.05, 2.0))
+    times = draw(st.permutations([c, b, a] + [a] * draw(st.integers(0, 1))))
+    return draw(st.integers(0, 2 ** 32 - 1)), draw(st.sampled_from([3, 4])), times
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_closed_patterns())
+def test_general_correlator_matches_closed_system_on_acted_gaps(pattern):
+    # at zero rates the adjoint engine is the Heisenberg picture; the fixed gap,
+    # used once on a level of order d**4 > _SINGLE_USE_ORDER, is one integrate_ode action
+    seed, d, times = pattern
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, d)
+    dec = _silent(h, random_hermitian(rng, d))
+    spec = CorrelatorSpec(tuple((random_matrix(rng, d), t) for t in times), random_density(rng, d))
+    with mock.patch.object(propagation, "integrate_ode", wraps=propagation.integrate_ode) as acted:
+        got = general_correlator(h, dec, spec)
+    assert [call.args[0].shape[0] for call in acted.call_args_list] == [d ** 4]
+    assert abs(got - closed_correlator(h, spec)) <= 1e-12
 
 
 def test_general_sweep_expm_count(rng, monkeypatch):

@@ -7,6 +7,7 @@ deviation from it.
 """
 
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -401,3 +402,33 @@ def test_block_engine_sweep_matches_full_engine(model, data):
         values = propagation._SlotEvolver(h, dec).sweep(tensor, 2, TAUS, w)
     scale = np.linalg.norm(tensor) * np.linalg.norm(w)
     assert np.max(np.abs(values - expected)) <= 1e-12 * scale
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(_models(), st.sampled_from(["dense", "block", "csr"]), st.floats(0.05, 5.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_action_matches_propagator_within_engine_tolerance(model, engine, gap, seed):
+    # the engine tolerance of the propagation module: one step above
+    # _SINGLE_USE_ORDER, taken by integrate_ode on a dense level, on a sparse
+    # level's restricted dense block or on a CSR level, against the product with
+    # the whole level's propagator, within 1e-12 of the result's largest entry
+    h, s, bath = model
+    energies, u = hermitian_eig(h)
+    h = np.diag(energies).astype(complex)
+    dec = assign_rates(exact_bohr_decomposition(h, u.conj().T @ s @ u), bath)
+    n = 3 if len(h) == 2 else 2  # orders 64, 81 and 256
+    csr = multi_slot_action(h, dec, n).to_csr()
+    order = csr.shape[0]
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(order) + 1j * rng.standard_normal(order)
+    budget, touched = {"dense": order, "block": order - 1, "csr": 1}[engine], order
+    if engine == "block":  # a sparse level whose touched blocks fit the budget
+        labels = propagation._block_labels(csr)
+        w[labels == np.argmin(np.bincount(labels))] = 0.0
+        touched = np.count_nonzero(w)
+    expected = w @ propagation.expm(csr.toarray(), gap)
+    with _budget(budget), mock.patch.object(propagation, "integrate_ode",
+                                            wraps=propagation.integrate_ode) as acted:
+        got = propagation._SlotEvolver(h, dec).pull_back(w, n, gap)
+    assert acted.call_count == (touched > propagation._SINGLE_USE_ORDER)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
