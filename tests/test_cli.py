@@ -56,6 +56,22 @@ def test_golden_fixture_via_module_invocation(tmp_path):
     assert out.read_bytes() == (FIXTURES / "golden_corr.csv").read_bytes()
 
 
+def test_golden_fixture_matches_closed_form():
+    # T = 0 qubit started excited: trace(s+(tau) s- rho) is the coherence
+    # decaying at gamma / 2 while rotating at omega0, exp((i omega0 - gamma/2) tau)
+    cfg = json.loads((FIXTURES / "golden_corr.json").read_text(encoding="utf-8"))
+    params = cfg["model"]["params"]
+    assert cfg["model"]["name"] == "two_level_atom" and params["temperature"] == 0.0
+    assert (cfg["params"]["b"], cfg["params"]["a2"], cfg["params"]["initial_state"]) == (
+        "s+", "s-", "excited")
+    rows = np.loadtxt(FIXTURES / "golden_corr.csv", delimiter=",", skiprows=1)
+    taus = rows[:, 0]
+    expected = np.exp((1j * params["omega0"] - params["gamma"] / 2) * taus)
+    assert len(rows) == cfg["params"]["taus"]["points"]
+    assert np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - expected)) <= 1e-14
+    assert np.max(np.abs(rows[:, 3] - np.abs(expected))) <= 1e-14
+
+
 # ------------------------------------------------------------------ reports
 
 
