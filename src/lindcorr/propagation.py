@@ -10,32 +10,35 @@ earlier insertions: it is pulled back through them once per sweep.
 A level of n slots has d**(2n) coordinates.  Up to
 ``generators.DEFAULT_SLOT_BUDGET``, the measured crossover, its generator is
 dense; above, it is a CSR matrix whose byte bound is checked against the cap
-before assembly (SlotBudgetError).  A grid is walked in runs of equal steps
-(steps that differ only by rounding are one step), and each run is stepped
-in one of two ways, chosen from the run alone.  If the matrix its propagator
-would be formed from is within the budget and the run has more than one step
-or that matrix at most ``_SINGLE_USE_ORDER`` coordinates, the propagator
-exp(step G) is formed once, cached, and applied by matrix-vector products.
-Otherwise the run is one action by ``integrate_ode`` (``expm_multiply``);
-a pull-back uses the transposed matrix.  So a uniform grid forms one
-propagator, and a step used once on a large generator, such as a pull-back
-across one gap, forms none.  The two ways agree within the engine
+before assembly (SlotBudgetError).
+
+Every level is split into blocks that its generator never couples (under
+the exact decomposition G_n conserves the total Bohr frequency over all
+slots; Davies, Commun. Math. Phys. 39, 91, 1974).  They are found once per
+level, as the connected components of the generator's sparsity pattern, and
+a value sum_b w_b . exp(tau G_b) T_b needs only the blocks where both T and
+w are nonzero.  So a sweep steps only the coordinates S of those blocks, and
+a pull-back or a density evolution only those of the blocks where its vector
+is nonzero, grouped block by block so that each block G_b is a diagonal
+slice of the restricted generator G[S, S].
+
+A grid is walked in runs of equal steps (steps that differ only by rounding
+are one step), and each run is stepped in one of two ways, chosen from the
+run alone.  If S has at most the budget's coordinates and the run has more
+than one step or S at most ``_SINGLE_USE_ORDER`` coordinates, the run is
+stepped by matrix-vector products with the block-diagonal propagator of its
+step, made of the block propagators exp(step G_b), each formed once per
+level and step and cached.  Otherwise the run is one action of G[S, S] by
+``integrate_ode`` (``expm_multiply``); a pull-back uses the transposed
+matrix.  So a uniform grid forms each touched block's propagator once, and
+a step used once on many coordinates, such as a pull-back across one gap,
+forms none.  A level of one block is its own block: its propagator is
+formed from the whole generator.  The two ways agree within the engine
 tolerance, 1e-12 of the result's largest entry: measured at most 7.9e-14 on
 random models of order 26 to 625 (``bench/repeats.py``, BENCH_11.json) and
-1.5e-13 at order 196 (BENCH_10.json).
-
-Every level is also split into blocks that its generator never couples
-(under the exact decomposition G_n conserves the total Bohr frequency over
-all slots; Davies, Commun. Math. Phys. 39, 91, 1974).  They are found once
-per level, as the connected components of the generator's sparsity pattern,
-and a value sum_b w_b . exp(tau G_b) T_b needs only the blocks where both T
-and w are nonzero.  So a sweep steps only those blocks, and a pull-back or a
-density evolution only the blocks where its vector is nonzero, under the
-restricted generator G[S, S].  A propagator is formed from the whole level
-on a dense level and sliced to S: the dense expm is exactly zero between
-blocks, so the slice is exact.  On a sparse level it is formed from G[S, S].
-The steady state's null-space count sees every block; its SVD null vector is
-then set to exact zeros outside its own block, where the SVD leaves roundoff.
+1.5e-13 at order 196 (BENCH_10.json).  The steady state's null-space count
+sees every block; its SVD null vector is then set to exact zeros outside its
+own block, where the SVD leaves roundoff.
 
 The forward dynamics has no engine of its own.  Under the trace pairing
 trace(B rho) = vec(rho^T) . vec(B) a density matrix is a dual vector of the
@@ -49,9 +52,10 @@ the dissipation channels), not on the operators or the state, so the drivers
 share them across calls: the engine of the model last evaluated is held
 between calls and reused by every later call on an equal model, recognised by
 content rather than identity.  A call on another model releases it first.
-After each call the held engine keeps only the generators and propagators
-that call used, so the memory held between calls is at most the last call's
-own working set.  What it holds changes the time of a later call, never its
+After each call the held engine keeps only the generators and the steps'
+block propagators that call used, so the memory held between calls is at
+most the last call's own working set, where the blocks of one step count at
+most the N**2 entries of the whole level's propagator.  What it holds changes the time of a later call, never its
 path or its values: a repeated call returns the same bytes.
 """
 
@@ -291,10 +295,12 @@ class _SlotEvolver:
     A level of n slots is dense when its tensor has at most
     ``generators.DEFAULT_SLOT_BUDGET`` coordinates and a CSR generator above.
     Each level also holds its blocks, the connected components of its
-    generator's sparsity pattern, found once per level.  The generator never
-    couples two blocks, so a vector stays zero on the blocks where it is zero,
-    and only the coordinates S of the touched blocks are stepped, under
-    G[S, S], each run of equal steps by a cached propagator or by one
+    generator's sparsity pattern, and its coordinates sorted by block, both
+    found once per level.  The generator never couples two blocks, so a
+    vector stays zero on the blocks where it is zero, and only the
+    coordinates S of the touched blocks are stepped, block by block, under
+    G[S, S]: each run of equal steps by the block propagators exp(step G_b),
+    cached per level and step as one map from block to matrix, or by one
     ``integrate_ode`` action (:meth:`_steps`).  Cache keys carry the engine
     choice, so a changed slot budget is never served an engine built under
     another.  `_used` collects the keys touched since the last
@@ -312,8 +318,9 @@ class _SlotEvolver:
             )
         self.dim = self.h.shape[0]
         self._generators: dict[tuple, object] = {}
-        self._propagators: dict[tuple, np.ndarray] = {}
+        self._propagators: dict[tuple, dict[int, np.ndarray]] = {}
         self._labels: dict[tuple[int, bool], np.ndarray] = {}
+        self._grouped: dict[tuple[int, bool], np.ndarray] = {}
         self._used: set[tuple] = set()
 
     def dense(self, n_slots: int) -> bool:
@@ -343,34 +350,52 @@ class _SlotEvolver:
         return labels
 
     def _level(self, n_slots: int, *vectors: np.ndarray) -> np.ndarray | None:
-        """Coordinates of the n-slot level that `vectors` are stepped on.
+        """Coordinates of the n-slot level that `vectors` are stepped on, grouped by block.
 
-        None (every coordinate) unless some blocks are zero in one of
-        `vectors`: then the coordinates of the blocks where every one is
-        nonzero, possibly none.
+        None (every coordinate, in order) when every one of `vectors` touches
+        every block of a level that has one block or is sparse, whose whole
+        level is then stepped as it is held (a sparse level's by one action);
+        else the coordinates of the blocks where every one is nonzero,
+        possibly none, block after block in label order.
         """
         labels = self.labels(n_slots)
+        key = (n_slots, self.dense(n_slots))
+        grouped = self._grouped.get(key)
+        if grouped is None:
+            grouped = self._grouped[key] = np.argsort(labels, kind="stable")
         touched = np.ones(int(labels.max()) + 1, dtype=bool)
         for v in vectors:
             hit = np.zeros_like(touched)
             hit[labels[v != 0]] = True
             touched &= hit
-        return None if touched.all() else np.flatnonzero(touched[labels])
+        if touched.all() and (len(touched) == 1 or not key[1]):
+            return None
+        return grouped[touched[labels[grouped]]]
 
-    def _propagator(self, key: tuple, gap: float, generator) -> np.ndarray:
-        """exp(gap G), cached under `key` and the gap; `generator()` gives G on a miss."""
-        key = (*key, gap)
+    def _propagator(self, level: tuple, gap: float, spans, part) -> np.ndarray:
+        """exp(gap G[S, S]), block-diagonal over `spans`, (block, start, stop) of each
+        block of S; `part(start, stop)` gives the block's G_b on a miss.
+
+        The level's block propagators exp(gap G_b) are cached under `level` and
+        the gap, one matrix per block.
+        """
+        key = (*level, gap)
         self._used.add(key)
-        prop = self._propagators.get(key)
-        if prop is None:
-            prop = expm(generator(), gap)
-            self._propagators[key] = prop
+        held = self._propagators.setdefault(key, {})
+        for block, start, stop in spans:
+            if block not in held:
+                held[block] = expm(part(start, stop), gap)
+        if len(spans) == 1:
+            return held[spans[0][0]]
+        prop = np.zeros((spans[-1][2], spans[-1][2]), dtype=complex)
+        for block, start, stop in spans:
+            prop[start:stop, start:stop] = held[block]
         return prop
 
     def keep_used(self) -> None:
         """Drop every generator, propagator and block labelling not used since
         the last call of this."""
-        for held in (self._generators, self._propagators, self._labels):
+        for held in (self._generators, self._propagators, self._labels, self._grouped):
             for key in held.keys() - self._used:
                 held.pop(key, None)  # a concurrent call on the model may have dropped it
         self._used.clear()
@@ -381,36 +406,41 @@ class _SlotEvolver:
         carried along the grid under G[S, S].
 
         Each run of equal steps (steps that differ only by rounding are one
-        step) is stepped by the cached propagator of its step when the matrix
-        it would be formed from, the whole level on a dense level and G[S, S]
-        on a sparse one, is within the budget and the run has more than one
-        step or that matrix at most ``_SINGLE_USE_ORDER`` coordinates;
-        otherwise by one ``integrate_ode`` call on G[S, S].  The choice reads
-        the run alone, never what earlier calls held.
+        step) is stepped by the block-diagonal propagator of its step, made of
+        the cached propagators exp(step G_b) of the blocks of S, when S has at
+        most ``DEFAULT_SLOT_BUDGET`` coordinates and the run has more than one
+        step or S at most ``_SINGLE_USE_ORDER``; otherwise by one
+        ``integrate_ode`` call on G[S, S].  The choice reads the run alone,
+        never what earlier calls held.
         """
         level = (n_slots, self.dense(n_slots))
         gen = self.generator(n_slots)
         restricted = cache(lambda: gen if coords is None else (
             gen[np.ix_(coords, coords)] if level[1] else gen[coords][:, coords]))
-        if level[1] or coords is None:
-            key, order = level, gen.shape[0]
+        if coords is None:  # the whole level as one span
+            order, spans = gen.shape[0], [(0, 0, gen.shape[0])]
         else:
-            key, order = (*level, coords.tobytes()), len(coords)
+            order, blocks = len(coords), self.labels(n_slots)[coords]
+            starts = np.flatnonzero(np.diff(blocks, prepend=-1))
+            spans = list(zip(blocks[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), order]))
+
+        def part(start, stop):
+            block = restricted()[start:stop, start:stop]
+            return block if level[1] else block.toarray()
+
         for step, run in groupby(_grid_steps(taus, origin)):
             count, gap = len(list(run)), float(step)
             if gap == 0.0:
                 for _ in range(count):
                     yield v
             elif _dense_order(order) and (count > 1 or order <= _SINGLE_USE_ORDER):
-                prop = self._propagator(key, gap, lambda: gen if level[1] else restricted().toarray())
-                if level[1] and coords is not None:
-                    prop = prop[np.ix_(coords, coords)]
+                prop = self._propagator(level, gap, spans, part)
                 for _ in range(count):
                     v = v @ prop if adjoint else prop @ v
                     yield v
             else:
-                part = restricted()
-                (_start, *states) = integrate_ode(part.T if adjoint else part, v,
+                whole = restricted()
+                (_start, *states) = integrate_ode(whole.T if adjoint else whole, v,
                                                   gap * np.arange(count + 1))
                 yield from states
                 v = states[-1]

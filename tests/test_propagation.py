@@ -688,12 +688,13 @@ def test_general_matrix_free_pull_back(rng, monkeypatch):
 
 def test_single_use_pull_back_acts_on_every_call(rng, monkeypatch):
     # an order-256 gap used once is the action of the dimer's 2-slot generator,
-    # without an expm, on every call and with the same bytes; a propagator of the
-    # gap cached by a uniform run leaves the choice as it is
+    # without an expm, on every call and with the same bytes; the block
+    # propagators of the gap cached by a uniform run leave the choice as it is
     h, decs = _dimer()
     ev = propagation._SlotEvolver(h, decs)
     gen = ev.generator(2)
-    assert ev.dense(2) and len(gen) > propagation._SINGLE_USE_ORDER
+    blocks = int(ev.labels(2).max()) + 1
+    assert ev.dense(2) and len(gen) > propagation._SINGLE_USE_ORDER and blocks > 1
     w = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     expected = w @ expm(gen, 0.8)
     calls = _count_expm(monkeypatch)
@@ -706,9 +707,9 @@ def test_single_use_pull_back_acts_on_every_call(rng, monkeypatch):
     assert all(np.array_equal(p, pulled[0]) for p in pulled)
     assert np.max(np.abs(pulled[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
     list(ev.trajectory(w, 2, np.array([0.8, 1.6]), adjoint=True))  # one run of two steps
-    assert calls == [0.8] and (2, True, 0.8) in ev._propagators
+    assert calls == [0.8] * blocks and len(ev._propagators[(2, True, 0.8)]) == blocks
     assert np.array_equal(ev.pull_back(w, 2, 0.8), pulled[0])
-    assert calls == [0.8] and orders == [256] * 4
+    assert calls == [0.8] * blocks and orders == [256] * 4
 
 
 def _dimer_pull_back(rng):
@@ -808,8 +809,9 @@ def test_general_sweep_expm_count(rng, monkeypatch):
 
 
 def test_uniform_sweep_makes_one_step_expm(rng, monkeypatch):
-    # the steps of a linspace grid differ in their last bits; they share one
-    # propagator on the dense engine and one expm_multiply call on the sparse one
+    # the steps of a linspace grid differ in their last bits; they share one gap
+    # on the dense engine, each touched block's propagator formed once, and one
+    # expm_multiply call on the sparse one
     import scipy.sparse.linalg
 
     h, decs = _qubit(gamma=0.1, temperature=0.5)
@@ -818,7 +820,8 @@ def test_uniform_sweep_makes_one_step_expm(rng, monkeypatch):
     assert len(set(steps)) > 1
     calls = _count_expm(monkeypatch)
     dense = otoc(h, decs, *args)
-    assert len(calls) == 1
+    assert len(set(calls)) == 1
+    assert len(calls) == len(propagation._held[1]._propagators[(2, True, calls[0])])
     multiply = []
     expm_multiply = scipy.sparse.linalg.expm_multiply
     monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
@@ -855,7 +858,8 @@ def test_held_engine_bytes_bounded(rng):
     ev = propagation._held[1]
     assert (3, False) in ev._generators
     held = 0
-    for m in [*ev._generators.values(), *ev._propagators.values()]:
+    for m in [*ev._generators.values(), *(p for blocks in ev._propagators.values()
+                                          for p in blocks.values())]:
         parts = (m.data, m.indices, m.indptr) if hasattr(m, "indptr") else (m,)
         held += sum(p.nbytes for p in parts)
     assert held < 16 * 2 ** 20

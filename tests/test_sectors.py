@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lindcorr import (
@@ -40,6 +40,7 @@ from lindcorr import (
     sigma_minus,
     sigma_plus,
     sigma_x,
+    sigma_y,
     sigma_z,
     steady_state,
     truncated_oscillator,
@@ -153,7 +154,7 @@ def test_rate_free_oscillator_steps_single_coordinates(rng, monkeypatch):
     values = equal_time_group_correlator(model.hamiltonian, decs, a_ops, [x, x], rho, TAUS).values
     labels = propagation._held[1]._labels[(2, False)]
     assert len(np.unique(labels)) == 9 ** 4
-    assert orders == [np.count_nonzero(tensor * w)]  # one dense step of the touched coordinates
+    assert orders == [1] * np.count_nonzero(tensor * w)  # one order-1 expm per touched coordinate
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -337,6 +338,36 @@ def test_one_block_dense_level_is_byte_identical_to_full_propagator(rng):
     assert np.array_equal(values, np.array(expected))
 
 
+def _pauli(label):
+    paulis = {"I": identity(2), "X": sigma_x, "Y": sigma_y, "Z": sigma_z}
+    return kron(paulis[label[0]], paulis[label[1]])
+
+
+def test_dimer_otoc_forms_only_its_touched_blocks(monkeypatch):
+    # W = XI, V = ZZ touches 70 of the 256 coordinates of the dimer's 2-slot
+    # level: only the touched blocks' propagators are formed, each once, and
+    # the held propagators are those blocks' exactly
+    model = coupled_dimer(**DIMER)
+    decs = decompose_model(model)
+    rho = steady_state(model, decs)
+    w_op, v_op = _pauli("XI"), _pauli("ZZ")
+    orders = _stepped(monkeypatch)
+    values = otoc(model.hamiltonian, decs, w_op, v_op, rho, TAUS).values
+    ev = propagation._held[1]
+    tensor = elementary_tensor([dagger(w_op), w_op])
+    w = contraction_functional([identity(4), dagger(v_op), v_op], rho)
+    coords = ev._level(2, tensor, w)
+    sizes = np.bincount(ev.labels(2)[coords])
+    sizes = sizes[sizes > 0]
+    assert ev.dense(2) and len(coords) == 70
+    assert orders and max(orders) <= 70
+    assert sorted(orders) == sorted(sizes.tolist())  # one uniform grid: each block once
+    (blocks,) = ev._propagators.values()
+    assert sum(m.nbytes for m in blocks.values()) == 16 * int(np.sum(sizes ** 2))
+    expected = _full_sweep(model.hamiltonian, decs, tensor, w, TAUS)
+    assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 # ------------------------------------------------------------ properties
 
 
@@ -432,3 +463,49 @@ def test_action_matches_propagator_within_engine_tolerance(model, engine, gap, s
         got = propagation._SlotEvolver(h, dec).pull_back(w, n, gap)
     assert acted.call_count == (touched > propagation._SINGLE_USE_ORDER)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_models(), st.sampled_from(["dense", "sparse"]), st.sampled_from(["all", "single", "union"]),
+       st.data())
+def test_block_propagators_match_level_propagator(model, kind, touch, data):
+    # a uniform run steps the touched blocks by their own propagators, put
+    # together block-diagonally: against the whole level's expm on a dense level
+    # and against expm(G[S, S]) on a sparse one, for vectors on every block, on
+    # the order-1 blocks only, or on a drawn union of blocks
+    h, s, bath = model
+    energies, u = hermitian_eig(h)
+    h = np.diag(energies).astype(complex)
+    dec = assign_rates(exact_bohr_decomposition(h, u.conj().T @ s @ u), bath)
+    gen = multi_slot_action(h, dec, 2).to_csr()
+    labels = propagation._block_labels(gen)
+    sizes = np.bincount(labels)
+    if touch == "all":
+        picked = np.ones(len(sizes), dtype=bool)
+    elif touch == "single":
+        picked = sizes == 1
+    else:
+        picked = np.array(data.draw(st.lists(st.booleans(), min_size=len(sizes),
+                                             max_size=len(sizes))))
+    if kind == "sparse":
+        picked[np.argmax(sizes)] = False  # S must fit the budget of a sparse level
+    assume(len(sizes) > 1 and picked.any())
+    inside = picked[labels]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    v = (rng.standard_normal(len(labels)) + 1j * rng.standard_normal(len(labels))) * inside
+    taus = np.linspace(0.0, data.draw(st.floats(0.5, 8.0)), 5)
+    order = len(labels) if kind == "dense" else len(labels) - 1
+    with _budget(order), mock.patch.object(propagation, "integrate_ode") as acted:
+        ev = propagation._SlotEvolver(h, dec)
+        got = list(ev.trajectory(v, 2, taus))
+        assert not acted.called and ev.dense(2) == (kind == "dense")
+    (blocks,) = ev._propagators.values()
+    assert sorted(blocks) == np.flatnonzero(picked).tolist()
+    full = gen.toarray() if kind == "dense" else gen[inside][:, inside].toarray()
+    prop = propagation.expm(full, float(taus[1]))
+    expected = v if kind == "dense" else v[inside]
+    for state in got[1:]:
+        expected = prop @ expected
+        part = state if kind == "dense" else state[inside]
+        assert np.max(np.abs(part - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert kind == "dense" or not np.any(state[~inside])
