@@ -1,6 +1,7 @@
 """Sector engine, layer by layer: the blocks of each level and the steps on them.
 
     python3 bench/blocks.py [--out BENCH_10.json] [--repeats 3]
+    python3 bench/blocks.py --dimer-otocs [--label change] [--out BENCH_12.json]
 
 Run it from the root of a checkout.  A level steps only the blocks of its
 generator where both the slot tensor T and the dual vector w are nonzero.
@@ -45,6 +46,16 @@ and by `expm_multiply` on its CSR generator.  The budget it suggests is, as
 in `bench/crossover.py`, the largest order up to which the median dense/CSR
 time ratio stays at or below 1.  The result goes under the key "blocks" of
 `--out`, next to what else that file holds.
+
+With `--dimer-otocs` it measures only the Pauli-string OTOCs of the dimer
+(order-256 dense level) and how their propagators are formed: per case the
+cold sweep (a fresh engine holding the level's generator and labels) and the
+warm one (on the engine the cold sweep left), the sizes of the touched
+blocks, the order of every `expm` the cold sweep made and the propagator
+bytes the engine holds after it.  The rows go under `--label` in the key
+"dimer_otocs" of `--out` (default BENCH_12.json).  The script reads the
+propagator cache of whichever engine its checkout holds, so running it in
+two checkouts compares them.
 """
 
 from __future__ import annotations
@@ -236,6 +247,45 @@ def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, 
     return row, gen, labels
 
 
+def _held_bytes(ev) -> int:
+    """Bytes of the propagators `ev` holds: arrays, or maps from block to array."""
+    return sum(m.nbytes for held in ev._propagators.values()
+               for m in (held.values() if isinstance(held, dict) else [held]))
+
+
+def measure_dimer_otoc(name, h, decs, a_ops, b_ops, rho, repeats: int) -> dict:
+    """How a dimer OTOC's sweep forms its propagators, cold and warm."""
+    tensor = lc.elementary_tensor(b_ops)
+    w = lc.contraction_functional(a_ops, rho)
+    gen = generators.multi_slot_generator(h, decs, 2).matrix
+    labels = propagation._block_labels(gen)
+
+    def held_evolver():
+        ev = propagation._SlotEvolver(h, decs)
+        ev._generators[(2, True)] = gen
+        ev._labels[(2, True)] = labels
+        return ev
+
+    coords = held_evolver()._level(2, tensor, w)
+    sizes = np.bincount(labels if coords is None else labels[coords])
+    cold_s, _ = _median(lambda: held_evolver().sweep(tensor, 2, TAUS, w), repeats)
+    orders, expm = [], propagation.expm
+    propagation.expm = lambda m, t: orders.append(int(m.shape[0])) or expm(m, t)
+    try:
+        warm = held_evolver()
+        warm.sweep(tensor, 2, TAUS, w)
+    finally:
+        propagation.expm = expm
+    warm_s, _ = _median(lambda: warm.sweep(tensor, 2, TAUS, w), repeats)
+    row = {"case": name, "level_order": len(gen), "sweep_cold_s": cold_s, "sweep_warm_s": warm_s,
+           "touched_block_sizes": sorted(int(b) for b in sizes[sizes > 0]),
+           "expm_orders": sorted(orders), "held_propagator_b": _held_bytes(warm)}
+    print(f"{name:34s} touched {row['touched_block_sizes']} | expm orders {row['expm_orders']} | "
+          f"sweep cold {cold_s * 1e3:.2f} ms warm {warm_s * 1e3:.3f} ms | held "
+          f"{row['held_propagator_b']} B", flush=True)
+    return row
+
+
 def pull_back_cases(rng: np.random.Generator) -> list[tuple[str, object, tuple, int, np.ndarray]]:
     """(name, hamiltonian, decomps, slots, dual vector) of each single-use pull-back."""
     dimer = lc.coupled_dimer(**DIMER)
@@ -333,12 +383,33 @@ def block_crossover(levels, rng: np.random.Generator, repeats: int) -> list[dict
     return rows
 
 
+def _env() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "machine": platform.machine(),
+            "cpus": os.cpu_count(), "blas_threads": 1}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_10.json"))
+    parser.add_argument("--out")
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--dimer-otocs", action="store_true",
+                        help="measure only the dimer OTOCs' propagators, under --label")
+    parser.add_argument("--label", default="change")
     args = parser.parse_args(argv)
+    args.out = args.out or str(ROOT / ("BENCH_12.json" if args.dimer_otocs else "BENCH_10.json"))
     rng = np.random.default_rng(9)
+    if args.dimer_otocs:
+        rows = [measure_dimer_otoc(name, *inputs, args.repeats) for name, *inputs in cases(rng)
+                if name.startswith("otoc:coupled_dimer")]
+        out = Path(args.out)
+        record = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+        record.setdefault("dimer_otocs", {})[args.label] = {
+            "script": "bench/blocks.py --dimer-otocs", "env": _env(), "grid": "linspace(0, 10, 41)",
+            "repeats": args.repeats, "rows": rows}
+        out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        print(f"written to {args.out} under {args.label!r}")
+        return 0
     rows, levels = [], []
     for name, *inputs in cases(rng):
         row, gen, labels = measure_case(name, *inputs, args.repeats)
@@ -360,9 +431,7 @@ def main(argv=None) -> int:
         suggested = int(order)
     result = {
         "script": "bench/blocks.py",
-        "env": {"python": platform.python_version(), "numpy": np.__version__,
-                "scipy": scipy.__version__, "machine": platform.machine(),
-                "cpus": os.cpu_count(), "blas_threads": 1},
+        "env": _env(),
         "grid": "linspace(0, 10, 41)",
         "repeats": args.repeats,
         "cases": rows,

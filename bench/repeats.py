@@ -95,12 +95,14 @@ def workloads(rng: np.random.Generator) -> dict:
 
 
 def held_bytes(ev) -> dict:
-    """Bytes of the arrays the engine holds, by cache."""
+    """Bytes of the arrays the engine holds, by cache (a propagator entry is an
+    array, or a map from block to array)."""
     out = {}
     for name, held in (("generators", ev._generators), ("propagators", ev._propagators),
-                       ("labels", ev._labels)):
+                       ("labels", ev._labels), ("grouped", getattr(ev, "_grouped", {}))):
         out[name] = 0
-        for m in held.values():
+        for m in (m for entry in held.values()
+                  for m in (entry.values() if isinstance(entry, dict) else [entry])):
             parts = (m.data, m.indices, m.indptr) if hasattr(m, "indptr") else (m,)
             out[name] += sum(int(p.nbytes) for p in parts)
     return out

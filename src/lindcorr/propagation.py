@@ -54,9 +54,10 @@ between calls and reused by every later call on an equal model, recognised by
 content rather than identity.  A call on another model releases it first.
 After each call the held engine keeps only the generators and the steps'
 block propagators that call used, so the memory held between calls is at
-most the last call's own working set, where the blocks of one step count at
-most the N**2 entries of the whole level's propagator.  What it holds changes the time of a later call, never its
-path or its values: a repeated call returns the same bytes.
+most the last call's own working set (the blocks of one step hold at most
+the entries of the whole level's propagator).  What it holds changes the
+time of a later call, never its path or its values: a repeated call returns
+the same bytes.
 """
 
 from __future__ import annotations
@@ -352,11 +353,10 @@ class _SlotEvolver:
     def _level(self, n_slots: int, *vectors: np.ndarray) -> np.ndarray | None:
         """Coordinates of the n-slot level that `vectors` are stepped on, grouped by block.
 
-        None (every coordinate, in order) when every one of `vectors` touches
-        every block of a level that has one block or is sparse, whose whole
-        level is then stepped as it is held (a sparse level's by one action);
-        else the coordinates of the blocks where every one is nonzero,
-        possibly none, block after block in label order.
+        None (every coordinate, in order) when `vectors` touch every block and
+        the level has one block or is sparse, so it is stepped whole, as held;
+        else the coordinates of the blocks where every one of `vectors` is
+        nonzero, possibly none, block after block in label order.
         """
         labels = self.labels(n_slots)
         key = (n_slots, self.dense(n_slots))
@@ -372,9 +372,9 @@ class _SlotEvolver:
             return None
         return grouped[touched[labels[grouped]]]
 
-    def _propagator(self, level: tuple, gap: float, spans, part) -> np.ndarray:
+    def _propagator(self, level: tuple, gap: float, spans, block_generator) -> np.ndarray:
         """exp(gap G[S, S]), block-diagonal over `spans`, (block, start, stop) of each
-        block of S; `part(start, stop)` gives the block's G_b on a miss.
+        block of S; `block_generator(start, stop)` gives the block's G_b on a miss.
 
         The level's block propagators exp(gap G_b) are cached under `level` and
         the gap, one matrix per block.
@@ -384,7 +384,7 @@ class _SlotEvolver:
         held = self._propagators.setdefault(key, {})
         for block, start, stop in spans:
             if block not in held:
-                held[block] = expm(part(start, stop), gap)
+                held[block] = expm(block_generator(start, stop), gap)
         if len(spans) == 1:
             return held[spans[0][0]]
         prop = np.zeros((spans[-1][2], spans[-1][2]), dtype=complex)
@@ -393,8 +393,8 @@ class _SlotEvolver:
         return prop
 
     def keep_used(self) -> None:
-        """Drop every generator, propagator and block labelling not used since
-        the last call of this."""
+        """Drop every generator, propagator, block labelling and block order not
+        used since the last call of this."""
         for held in (self._generators, self._propagators, self._labels, self._grouped):
             for key in held.keys() - self._used:
                 held.pop(key, None)  # a concurrent call on the model may have dropped it
@@ -422,9 +422,10 @@ class _SlotEvolver:
         else:
             order, blocks = len(coords), self.labels(n_slots)[coords]
             starts = np.flatnonzero(np.diff(blocks, prepend=-1))
-            spans = list(zip(blocks[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), order]))
+            spans = list(zip(blocks[starts].tolist(), starts.tolist(),
+                             [*starts[1:].tolist(), order]))
 
-        def part(start, stop):
+        def block_generator(start, stop):
             block = restricted()[start:stop, start:stop]
             return block if level[1] else block.toarray()
 
@@ -434,13 +435,13 @@ class _SlotEvolver:
                 for _ in range(count):
                     yield v
             elif _dense_order(order) and (count > 1 or order <= _SINGLE_USE_ORDER):
-                prop = self._propagator(level, gap, spans, part)
+                prop = self._propagator(level, gap, spans, block_generator)
                 for _ in range(count):
                     v = v @ prop if adjoint else prop @ v
                     yield v
             else:
-                whole = restricted()
-                (_start, *states) = integrate_ode(whole.T if adjoint else whole, v,
+                part = restricted()
+                (_start, *states) = integrate_ode(part.T if adjoint else part, v,
                                                   gap * np.arange(count + 1))
                 yield from states
                 v = states[-1]

@@ -3,7 +3,8 @@
 Every reference here steps the whole generator of the level, by
 ``integrate_ode`` on the CSR generator or by the dense level's full
 propagator, so a wrong block labelling or a wrong restriction shows as a
-deviation from it.
+deviation from it.  The one exception checks the block propagators of a
+sparse level against the exponential of the restricted generator G[S, S].
 """
 
 from contextlib import contextmanager
