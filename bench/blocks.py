@@ -51,11 +51,10 @@ With `--dimer-otocs` it measures only the Pauli-string OTOCs of the dimer
 (order-256 dense level) and how their propagators are formed: per case the
 cold sweep (a fresh engine holding the level's generator and labels) and the
 warm one (on the engine the cold sweep left), the sizes of the touched
-blocks, the order of every `expm` the cold sweep made and the propagator
-bytes the engine holds after it.  The rows go under `--label` in the key
-"dimer_otocs" of `--out` (default BENCH_12.json).  The script reads the
-propagator cache of whichever engine its checkout holds, so running it in
-two checkouts compares them.
+blocks, the order of every `expm` the cold sweep made and the bytes the
+engine holds after it (`_SlotEvolver.held_bytes`: generator, block labels
+and order, and propagators).  The rows go under `--label` in the key
+"dimer_otocs" of `--out` (default BENCH_12.json).
 """
 
 from __future__ import annotations
@@ -247,12 +246,6 @@ def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, 
     return row, gen, labels
 
 
-def _held_bytes(ev) -> int:
-    """Bytes of the propagators `ev` holds: arrays, or maps from block to array."""
-    return sum(m.nbytes for held in ev._propagators.values()
-               for m in (held.values() if isinstance(held, dict) else [held]))
-
-
 def measure_dimer_otoc(name, h, decs, a_ops, b_ops, rho, repeats: int) -> dict:
     """How a dimer OTOC's sweep forms its propagators, cold and warm."""
     tensor = lc.elementary_tensor(b_ops)
@@ -279,10 +272,10 @@ def measure_dimer_otoc(name, h, decs, a_ops, b_ops, rho, repeats: int) -> dict:
     warm_s, _ = _median(lambda: warm.sweep(tensor, 2, TAUS, w), repeats)
     row = {"case": name, "level_order": len(gen), "sweep_cold_s": cold_s, "sweep_warm_s": warm_s,
            "touched_block_sizes": sorted(int(b) for b in sizes[sizes > 0]),
-           "expm_orders": sorted(orders), "held_propagator_b": _held_bytes(warm)}
+           "expm_orders": sorted(orders), "held_b": warm.held_bytes()}
     print(f"{name:34s} touched {row['touched_block_sizes']} | expm orders {row['expm_orders']} | "
           f"sweep cold {cold_s * 1e3:.2f} ms warm {warm_s * 1e3:.3f} ms | held "
-          f"{row['held_propagator_b']} B", flush=True)
+          f"{row['held_b']} B", flush=True)
     return row
 
 

@@ -97,13 +97,13 @@ def timed(call, warm: bool, repeats: int) -> tuple[float, np.ndarray]:
     """Median seconds of `repeats` calls, and the values of the last one."""
     times = []
     for _ in range(repeats):
-        propagation._held = None
+        propagation._release_engines()
         if warm:
             call()
         start = time.perf_counter()
         values = call().values
         times.append(time.perf_counter() - start)
-    propagation._held = None
+    propagation._release_engines()
     return statistics.median(times), np.asarray(values)
 
 

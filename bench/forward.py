@@ -94,20 +94,20 @@ def timed(call, warm: bool, repeats: int):
     """Median seconds of `repeats` calls, the tracemalloc peak of one more, and its result."""
     times = []
     for _ in range(repeats):
-        propagation._held = None
+        propagation._release_engines()
         if warm:
             call()
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
-    propagation._held = None
+    propagation._release_engines()
     if warm:
         call()
     tracemalloc.start()
     result = call()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    propagation._held = None
+    propagation._release_engines()
     return {"s": statistics.median(times), "peak_mb": peak / 2 ** 20}, result
 
 

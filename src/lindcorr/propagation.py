@@ -49,15 +49,19 @@ sparse one.
 
 The n-slot generators and their propagators depend only on the model (H and
 the dissipation channels), not on the operators or the state, so the drivers
-share them across calls: the engine of the model last evaluated is held
-between calls and reused by every later call on an equal model, recognised by
-content rather than identity.  A call on another model releases it first.
-After each call the held engine keeps only the generators and the steps'
-block propagators that call used, so the memory held between calls is at
-most the last call's own working set (the blocks of one step hold at most
-the entries of the whole level's propagator).  What it holds changes the
-time of a later call, never its path or its values: a repeated call returns
-the same bytes.
+share them across calls: the engines of the models evaluated lately are held
+between calls, most recently used last, and reused by every later call on an
+equal model, recognised by content rather than identity.  At the start of a
+call every held engine but the requested one is idle, and idle engines are
+dropped, least recently used first, while they hold more than
+``_IDLE_BYTE_CAP`` bytes, before a new engine is built; so an engine larger
+than the cap is released before the next model's generators are assembled.
+After each call an engine keeps only the generators and the steps' block
+propagators that call used, so between calls the engines hold at most the
+cap plus the last call's own working set (the blocks of one step hold at
+most the entries of the whole level's propagator).  What they hold changes
+the time of a later call, never its path or its values: a repeated call
+returns the same bytes.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ from __future__ import annotations
 import hashlib
 import math
 import string
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, reduce
@@ -323,6 +328,7 @@ class _SlotEvolver:
         self._labels: dict[tuple[int, bool], np.ndarray] = {}
         self._grouped: dict[tuple[int, bool], np.ndarray] = {}
         self._used: set[tuple] = set()
+        self.kept_bytes = 0  # held_bytes() at the last keep_used
 
     def dense(self, n_slots: int) -> bool:
         return _dense_fits(self.dim, n_slots)
@@ -394,11 +400,20 @@ class _SlotEvolver:
 
     def keep_used(self) -> None:
         """Drop every generator, propagator, block labelling and block order not
-        used since the last call of this."""
+        used since the last call of this, and count the bytes kept."""
         for held in (self._generators, self._propagators, self._labels, self._grouped):
             for key in held.keys() - self._used:
                 held.pop(key, None)  # a concurrent call on the model may have dropped it
         self._used.clear()
+        self.kept_bytes = self.held_bytes()
+
+    def held_bytes(self) -> int:
+        """Bytes of the arrays the engine holds: its dense and CSR generators (data,
+        indices and indptr), block propagators, block labels and block orders."""
+        arrays = [*self._generators.values(), *self._labels.values(), *self._grouped.values(),
+                  *(m for blocks in list(self._propagators.values()) for m in list(blocks.values()))]
+        return sum(part.nbytes for m in arrays
+                   for part in ((m.data, m.indices, m.indptr) if hasattr(m, "indptr") else (m,)))
 
     def _steps(self, n_slots: int, coords: np.ndarray | None, v: np.ndarray, taus: np.ndarray,
                origin: float, adjoint: bool) -> Iterator[np.ndarray]:
@@ -495,25 +510,51 @@ def _model_key(h: np.ndarray, decomps) -> bytes:
     return digest.digest()
 
 
-# (model key, evolver) of the model last evaluated by a driver, or None
-_held: tuple[bytes, _SlotEvolver] | None = None
+# idle engines are dropped, least recently used first, while they hold more
+# than this many bytes: 32 dense order-256 levels
+_IDLE_BYTE_CAP = 32 * 2 ** 20
+
+# model key -> evolver of the models evaluated lately, most recently used last
+_held: dict[bytes, _SlotEvolver] = {}
+_held_lock = threading.Lock()  # guards the map's lookups, reordering and eviction
+
+
+def _release_engines() -> None:
+    """Drop every held engine."""
+    with _held_lock:
+        _held.clear()
+
+
+def _recent_engine() -> _SlotEvolver | None:
+    """The engine of the model evaluated last, or None when none is held."""
+    with _held_lock:
+        return next(reversed(_held.values()), None)
 
 
 @contextmanager
 def _model_evolver(hamiltonian, decomp) -> Iterator[_SlotEvolver]:
-    """The held evolver when the model's content matches it, else a fresh one.
+    """The held evolver whose model's content matches, else a fresh one, held
+    from then on as the most recently used.
 
+    Every other held evolver is idle; before anything is built, idle ones are
+    dropped, least recently used first, while their bytes, counted at their
+    last :meth:`_SlotEvolver.keep_used`, add up to more than ``_IDLE_BYTE_CAP``.
     On exit the evolver keeps only the generators and propagators this call
     used.
     """
-    global _held
     h = as_operator(hamiltonian, "hamiltonian")
     decomps = _as_decomps(decomp)
     key = _model_key(h, decomps)
-    if _held is None or _held[0] != key:
-        _held = None  # release the old model before building the new one
-        _held = (key, _SlotEvolver(h, decomps))
-    ev = _held[1]
+    with _held_lock:
+        idle = {k: ev.kept_bytes for k, ev in _held.items() if k != key}
+        total = sum(idle.values())
+        for k, size in idle.items():  # least recently used first
+            if total <= _IDLE_BYTE_CAP:
+                break
+            _held.pop(k, None)
+            total -= size
+        ev = _held.pop(key, None) or _SlotEvolver(h, decomps)
+        _held[key] = ev
     try:
         yield ev
     finally:

@@ -47,6 +47,6 @@ def _src_on_child_path():
 @pytest.fixture(autouse=True)
 def _no_held_engine():
     """Start and end each test without a propagation engine held from another call."""
-    propagation._held = None
+    propagation._release_engines()
     yield
-    propagation._held = None
+    propagation._release_engines()

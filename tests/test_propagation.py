@@ -2,6 +2,8 @@ import bisect
 import subprocess
 import sys
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -203,7 +205,7 @@ def test_steady_state_sparse_level_matches_svd(dim):
     model = _oscillator(dim)
     expected = _svd_steady_state(model)
     rho = steady_state(model)
-    assert not propagation._held[1].dense(1)
+    assert not propagation._recent_engine().dense(1)
     assert np.max(np.abs(rho - expected)) < 1e-12
     assert np.max(np.abs(rho - rho.conj().T)) == 0.0
 
@@ -265,7 +267,7 @@ def test_steady_state_is_exactly_zero_outside_its_block(family, monkeypatch):
         monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", budget)
         monkeypatch.setattr(propagation, "_LU_MARGIN", 0.0)  # the sparse level falls back to SVD
         rho = steady_state(model)
-        labels = propagation._held[1].labels(1)
+        labels = propagation._recent_engine().labels(1)
         w = vec(rho.T)
         outside = labels != labels[np.argmax(np.abs(w))]
         assert np.any(outside) and not np.any(w[outside])
@@ -303,7 +305,7 @@ def test_evolve_density_sparse_level_matches_forward_expm(rng):
         expected = unvec(expm(f, t) @ vec(rho0))
         rho = evolve_density(model.hamiltonian, decs, rho0, t)
         assert np.max(np.abs(rho - expected)) < 1e-12
-    assert not propagation._held[1].dense(1)
+    assert not propagation._recent_engine().dense(1)
 
 
 def test_general_correlator_enters_the_engine_once(rng, monkeypatch):
@@ -761,7 +763,7 @@ def test_repeated_geomspace_otoc_forms_no_level_propagator(monkeypatch):
     monkeypatch.setattr(propagation, "expm", lambda m, t: orders.append(len(m)) or expm_(m, t))
     second = otoc(h, decs, w_op, v_op, rho, taus)
     assert 256 not in orders
-    assert not [key for key in propagation._held[1]._propagators if key[0] == 2]
+    assert not [key for key in propagation._recent_engine()._propagators if key[0] == 2]
     assert np.array_equal(second.values, first.values)
 
 
@@ -821,7 +823,7 @@ def test_uniform_sweep_makes_one_step_expm(rng, monkeypatch):
     calls = _count_expm(monkeypatch)
     dense = otoc(h, decs, *args)
     assert len(set(calls)) == 1
-    assert len(calls) == len(propagation._held[1]._propagators[(2, True, calls[0])])
+    assert len(calls) == len(propagation._recent_engine()._propagators[(2, True, calls[0])])
     multiply = []
     expm_multiply = scipy.sparse.linalg.expm_multiply
     monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
@@ -846,7 +848,7 @@ def test_sparse_engine_leaves_global_rng_alone(rng):
         np.random.seed(seed)
         assert after == np.random.random()
         runs.append(trace.values)
-    assert not propagation._held[1].dense(1)
+    assert not propagation._recent_engine().dense(1)
     assert np.array_equal(runs[0], runs[1])
 
 
@@ -855,14 +857,9 @@ def test_held_engine_bytes_bounded(rng):
     h, decs = _dimer()
     taus = np.linspace(0.5, 2.5, 5)
     general_correlator(h, decs, _swept_spec(rng, 4, [None, None, None, 0.5], taus), taus=taus)
-    ev = propagation._held[1]
+    ev = propagation._recent_engine()
     assert (3, False) in ev._generators
-    held = 0
-    for m in [*ev._generators.values(), *(p for blocks in ev._propagators.values()
-                                          for p in blocks.values())]:
-        parts = (m.data, m.indices, m.indptr) if hasattr(m, "indptr") else (m,)
-        held += sum(p.nbytes for p in parts)
-    assert held < 16 * 2 ** 20
+    assert ev.held_bytes() == ev.kept_bytes < 16 * 2 ** 20
 
 
 def test_csr_byte_cap_refuses_before_assembly(rng, monkeypatch):
@@ -958,6 +955,22 @@ def _otoc_inputs(rng, dim):
     return random_matrix(rng, dim), random_matrix(rng, dim), random_density(rng, dim)
 
 
+def _count_assembly(monkeypatch):
+    """Levels assembled, one entry (n_slots) per dense or CSR generator built."""
+    built = []
+    dense, action = propagation.multi_slot_generator, propagation.multi_slot_action
+    monkeypatch.setattr(propagation, "multi_slot_generator",
+                        lambda h, d, n: built.append(n) or dense(h, d, n))
+    monkeypatch.setattr(propagation, "multi_slot_action",
+                        lambda h, d, n: built.append(n) or action(h, d, n))
+    return built
+
+
+def _held_models():
+    """The held engines, least recently used first."""
+    return list(propagation._held.values())
+
+
 def test_engine_reused_on_equal_model(rng, monkeypatch):
     # the dimer and its decomposition are rebuilt as new objects for each call
     w_op, v_op, rho = _otoc_inputs(rng, 4)
@@ -979,8 +992,8 @@ def test_engine_misses_on_changed_rates(rng, monkeypatch):
     otoc(h, decs, *args)
     calls = _count_expm(monkeypatch)
     changed = otoc(h2, decs2, *args)
-    assert calls
-    propagation._held = None
+    assert calls and len(_held_models()) == 2  # missed while the first engine is held
+    propagation._release_engines()
     assert np.array_equal(changed.values, otoc(h2, decs2, *args).values)
 
 
@@ -989,12 +1002,12 @@ def test_engine_misses_on_hamiltonian_mutated_in_place(rng, monkeypatch):
     h = h.copy()
     args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
     otoc(h, decs, *args)
-    assert not np.shares_memory(propagation._held[1].h, h)
+    assert not np.shares_memory(propagation._recent_engine().h, h)
     h[0, 0] += 0.5
     calls = _count_expm(monkeypatch)
     mutated = otoc(h, decs, *args)
-    assert calls
-    propagation._held = None
+    assert calls and len(_held_models()) == 2  # missed while the first engine is held
+    propagation._release_engines()
     assert np.array_equal(mutated.values, otoc(h, decs, *args).values)
 
 
@@ -1014,12 +1027,105 @@ def test_model_sequence_matches_fresh_evaluations(rng):
 
     fresh = {}
     for name in runs:
-        propagation._held = None
+        propagation._release_engines()
         fresh[name] = evaluate(name)
-    propagation._held = None
+    propagation._release_engines()
     for name in ("A", "B", "A"):
         for got, expected in zip(evaluate(name), fresh[name]):
             assert np.array_equal(got, expected)
+
+
+def test_returning_model_finds_its_engine_warm(rng, monkeypatch):
+    # A, B, A: the return to A assembles nothing and forms no propagator
+    a_args = (*_otoc_inputs(rng, 4), np.linspace(0.0, 2.0, 5))
+    b_args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
+    first = otoc(*_dimer(), *a_args)
+    engine = propagation._recent_engine()
+    otoc(*_qubit(), *b_args)
+    calls, built = _count_expm(monkeypatch), _count_assembly(monkeypatch)
+    back = otoc(*_dimer(), *a_args)
+    assert calls == [] and built == []
+    assert propagation._recent_engine() is engine
+    assert _held_models()[0] is not engine  # the qubit's engine is now the least recent
+    propagation._release_engines()
+    fresh = otoc(*_dimer(), *a_args)
+    assert calls and built
+    assert np.array_equal(back.values, fresh.values) and np.array_equal(back.values, first.values)
+
+
+def test_idle_engines_evicted_least_recently_used_first(rng, monkeypatch):
+    args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
+    models = [_qubit(gamma=gamma, temperature=0.5) for gamma in (0.1, 0.2, 0.3, 0.4, 0.5)]
+    engines = []
+
+    def call(k):
+        otoc(*models[k], *args)
+        if k == len(engines):
+            engines.append(propagation._recent_engine())
+        held = _held_models()
+        assert held[-1] is engines[k]
+        assert sum(ev.kept_bytes for ev in held[:-1]) <= propagation._IDLE_BYTE_CAP
+        return [engines.index(ev) for ev in held]
+
+    call(0)
+    size = engines[0].kept_bytes
+    assert size > 0
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", int(2.5 * size))
+    assert call(1) == [0, 1]
+    assert call(2) == [0, 1, 2]
+    assert {ev.kept_bytes for ev in engines} == {size}
+    assert call(3) == [1, 2, 3]     # three idle engines are over the cap: 0 goes
+    assert call(1) == [2, 3, 1]     # a hit moves the engine last and evicts nothing
+    assert call(4) == [3, 1, 4]     # 2 is now the least recently used
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)
+    assert call(1) == [1]           # every idle engine goes, the requested one stays
+
+
+def test_engine_over_cap_is_released_before_next_build(rng, monkeypatch):
+    otoc(*_dimer(), *_otoc_inputs(rng, 4), np.linspace(0.0, 2.0, 5))
+    big = weakref.ref(propagation._recent_engine())
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", big().kept_bytes - 1)
+    released = []
+    dense = propagation.multi_slot_generator
+    monkeypatch.setattr(propagation, "multi_slot_generator",
+                        lambda h, d, n: released.append(big() is None) or dense(h, d, n))
+    otoc(*_qubit(), *_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
+    assert released and all(released)
+    assert len(_held_models()) == 1
+
+
+def test_engine_map_under_concurrent_calls(rng, monkeypatch):
+    # four threads interleave five models while a tiny cap evicts on nearly every call
+    args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
+    models = [_qubit(gamma=gamma, temperature=0.5) for gamma in (0.1, 0.2, 0.3, 0.4, 0.5)]
+    expected = [otoc(*model, *args).values for model in models]
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 1)
+    order = [k % len(models) for k in range(40)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda k: otoc(*models[k], *args).values, order, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, values in zip(order, got):
+        assert np.array_equal(values, expected[k])
+    otoc(*models[0], *args)
+    assert len(_held_models()) == 1
+
+
+def test_held_bytes_counts_generators_and_labels(monkeypatch):
+    ev = propagation._SlotEvolver(*_dimer())
+    assert ev.held_bytes() == 0
+    gen = ev.generator(2)
+    assert ev.held_bytes() == gen.nbytes == 256 ** 2 * 16
+    labels = ev.labels(2)
+    assert ev.held_bytes() == gen.nbytes + labels.nbytes
+    monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 100)
+    csr = ev.generator(2)
+    assert not ev.dense(2)
+    assert ev.held_bytes() == (gen.nbytes + labels.nbytes + csr.data.nbytes
+                               + csr.indices.nbytes + csr.indptr.nbytes)
 
 
 def test_lowered_budget_switches_held_engine(rng, monkeypatch):
@@ -1031,7 +1137,7 @@ def test_lowered_budget_switches_held_engine(rng, monkeypatch):
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 100)
     free = otoc(h, decs, *args)
     assert calls == [] and set(orders) == {16 ** 2}
-    assert list(propagation._held[1]._generators) == [(2, False)]
+    assert list(propagation._recent_engine()._generators) == [(2, False)]
     assert np.max(np.abs(dense.values - free.values)) < 1e-12
 
 
@@ -1042,7 +1148,7 @@ def test_held_propagators_are_the_last_calls(rng):
     spec = _swept_spec(rng, 4, [None, floor, None, floor], first)
 
     def held():
-        return set(propagation._held[1]._propagators)
+        return set(propagation._recent_engine()._propagators)
 
     def used(taus):
         # the 2-slot sweep steps, and the 1-slot evolution of the state to the floor

@@ -138,7 +138,7 @@ def test_block_engine_matches_full_engine(case, monkeypatch):
     orders = _stepped(monkeypatch)
     values = equal_time_group_correlator(h, decs, a_ops, b_ops, rho, TAUS).values
     assert orders and max(orders) < len(tensor)  # only some blocks were stepped
-    assert all(len(key) == 2 for key in propagation._held[1]._generators)  # no G[S, S] held
+    assert all(len(key) == 2 for key in propagation._recent_engine()._generators)  # no G[S, S] held
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -153,7 +153,7 @@ def test_rate_free_oscillator_steps_single_coordinates(rng, monkeypatch):
     expected = _full_sweep(model.hamiltonian, decs, tensor, w, TAUS)
     orders = _stepped(monkeypatch)
     values = equal_time_group_correlator(model.hamiltonian, decs, a_ops, [x, x], rho, TAUS).values
-    labels = propagation._held[1]._labels[(2, False)]
+    labels = propagation._recent_engine()._labels[(2, False)]
     assert len(np.unique(labels)) == 9 ** 4
     assert orders == [1] * np.count_nonzero(tensor * w)  # one order-1 expm per touched coordinate
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -168,7 +168,7 @@ def test_general_correlator_pull_back_on_sparse_level(rng, monkeypatch):
     spec_ops = ((_site(sigma_plus, 0), 3.0), (_site(sigma_z, 1), 1.0), (_site(sigma_minus, 0), 0.5))
     spec = propagation.CorrelatorSpec(spec_ops, random_density(rng, 4))
     dense = general_correlator(model.hamiltonian, decs, spec, taus=taus).values
-    propagation._held = None
+    propagation._release_engines()
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 100)
     pulled = []
     pull_back = propagation._SlotEvolver.pull_back
@@ -176,7 +176,7 @@ def test_general_correlator_pull_back_on_sparse_level(rng, monkeypatch):
                         lambda ev, w, n, gap: pulled.append(n) or pull_back(ev, w, n, gap))
     orders = _stepped(monkeypatch)
     sparse = general_correlator(model.hamiltonian, decs, spec, taus=taus).values
-    assert pulled == [2] and not propagation._held[1].dense(2)
+    assert pulled == [2] and not propagation._recent_engine().dense(2)
     assert 0 < max(orders) < 256
     assert np.max(np.abs(sparse - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -206,7 +206,7 @@ def test_one_block_model_is_byte_identical_to_full_engine(rng, monkeypatch):
     b_ops = [random_matrix(rng, 3) for _ in range(2)]
     rho = random_density(rng, 3)
     values = equal_time_group_correlator(h, dec, a_ops, b_ops, rho, TAUS).values
-    assert np.all(propagation._held[1]._labels[(2, False)] == 0)
+    assert np.all(propagation._recent_engine()._labels[(2, False)] == 0)
     expected = _full_sweep(h, dec, elementary_tensor(b_ops), contraction_functional(a_ops, rho), TAUS)
     assert np.array_equal(values, expected)
 
@@ -223,7 +223,7 @@ def test_blocks_come_from_the_pattern_not_the_values(rng, monkeypatch):
     b_ops = [hop, random_matrix(rng, 3)]
     rho = random_density(rng, 3)
     values = equal_time_group_correlator(h, dec, a_ops, b_ops, rho, TAUS).values
-    ev = propagation._held[1]
+    ev = propagation._recent_engine()
     gen = ev.generator(2)
     assert np.all(gen.data.real == 0) and np.all(gen.data != 0)
     assert len(np.unique(ev._labels[(2, False)])) == 4 ** 2  # 4 blocks per slot
@@ -246,7 +246,7 @@ def test_disjoint_tensor_and_contraction_give_exact_zeros(monkeypatch):
                         lambda *a, **k: multiply.append(k["num"]) or expm_multiply(*a, **k))
     orders = _stepped(monkeypatch)
     trace = equal_time_group_correlator(model.hamiltonian, decs, [identity(9)] * 3, [a, a], rho, TAUS)
-    assert not propagation._held[1].dense(2)
+    assert not propagation._recent_engine().dense(2)
     assert np.array_equal(trace.values, np.zeros(len(TAUS)))
     assert multiply == [] and orders == []
 
@@ -258,11 +258,11 @@ def test_held_engine_trims_its_block_labels(rng, monkeypatch):
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 8)
     rho = random_density(rng, 4)
     otoc(model.hamiltonian, decs, _site(sigma_plus, 0), _site(sigma_z, 1), rho, TAUS)
-    ev = propagation._held[1]
+    ev = propagation._recent_engine()
     assert set(ev._labels) == {(2, False)}
     a = _site(sigma_minus, 1)
     qrt_correlator(model.hamiltonian, decs, identity(4), dagger(a), a, rho, TAUS)
-    assert propagation._held[1] is ev
+    assert propagation._recent_engine() is ev
     assert set(ev._labels) == {(1, False)}
     assert (2, False) not in ev._generators
     assert all(key[0] == 1 for key in [*ev._generators, *ev._propagators])
@@ -327,7 +327,7 @@ def test_one_block_dense_level_is_byte_identical_to_full_propagator(rng):
     b_ops = [random_matrix(rng, 3) for _ in range(2)]
     rho = random_density(rng, 3)
     values = equal_time_group_correlator(h, dec, a_ops, b_ops, rho, TAUS).values
-    ev = propagation._held[1]
+    ev = propagation._recent_engine()
     assert ev.dense(2) and np.all(ev.labels(2) == 0)
     gen = multi_slot_generator(h, dec, 2).matrix
     v, w = elementary_tensor(b_ops), contraction_functional(a_ops, rho)
@@ -354,7 +354,7 @@ def test_dimer_otoc_forms_only_its_touched_blocks(monkeypatch):
     w_op, v_op = _pauli("XI"), _pauli("ZZ")
     orders = _stepped(monkeypatch)
     values = otoc(model.hamiltonian, decs, w_op, v_op, rho, TAUS).values
-    ev = propagation._held[1]
+    ev = propagation._recent_engine()
     tensor = elementary_tensor([dagger(w_op), w_op])
     w = contraction_functional([identity(4), dagger(v_op), v_op], rho)
     coords = ev._level(2, tensor, w)
