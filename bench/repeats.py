@@ -1,6 +1,7 @@
 """Repeated calls on the held engine, and the engine tolerance.
 
     python3 bench/repeats.py [--out BENCH_11.json] [--label change] [--repeats 3]
+    python3 bench/repeats.py --engines [--out BENCH_13.json] [--label change] [--repeats 3]
 
 Run it from the root of a checkout: it imports lindcorr from that checkout's
 `src`, so running the same file in two checkouts compares them.  With BLAS
@@ -27,6 +28,21 @@ of a sparse 2-slot level in the energy eigenbasis (d = 3 to 5, half the
 blocks) and a CSR 2-slot level (d = 4, 5).  The deviation is the largest
 entry of the difference over the largest entry of the propagator product.
 
+With `--engines` it records instead how the engines of several models are
+held between calls.  First a scan: the dimer OTOC W = XI, V = ZZ on the grid
+linspace(0, 20, 41) against the steady state, at each of `--scan-points`
+bath temperatures from 0.2 to 2.0, each a new model; after each call it
+records the engines held, their bytes (`_SlotEvolver.held_bytes`; the
+engines other than the last call's are the idle ones, bounded by
+`propagation._IDLE_BYTE_CAP`) and the process's ru_maxrss.  Then
+`--rounds` passes of two interleaved sequences, each pass from no held
+engine over `--repeats` sequences, with the median time of every call: the
+damped and the rate-free dimer OTOC of the otoc-map workload, and the five
+`corr` configs of perfbench's general-sweep workload (seed `--seed`) run
+through `lindcorr.cli.run`.  The first pass is cold; a later call is warm
+when its model's engine is still held.  Each call's values are checked to
+be the bytes of its first pass.
+
 The rows go under `--label` in `--out`, next to what else that file holds.
 """
 
@@ -36,8 +52,10 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -94,25 +112,37 @@ def workloads(rng: np.random.Generator) -> dict:
             "otoc:oscillator:d=9:x,x:geomspace25": oscillator_otoc}
 
 
-def held_bytes(ev) -> dict:
-    """Bytes of the arrays the engine holds, by cache (a propagator entry is an
-    array, or a map from block to array)."""
-    out = {}
-    for name, held in (("generators", ev._generators), ("propagators", ev._propagators),
-                       ("labels", ev._labels), ("grouped", getattr(ev, "_grouped", {}))):
-        out[name] = 0
-        for m in (m for entry in held.values()
-                  for m in (entry.values() if isinstance(entry, dict) else [entry])):
-            parts = (m.data, m.indices, m.indptr) if hasattr(m, "indptr") else (m,)
-            out[name] += sum(int(p.nbytes) for p in parts)
-    return out
+def release() -> None:
+    """Drop every held engine (a checkout from before the engine map holds one,
+    as (key, engine), in `propagation._held`)."""
+    if hasattr(propagation, "_release_engines"):
+        propagation._release_engines()
+    else:
+        propagation._held = None
+
+
+def held_engines() -> list:
+    """The held engines, least recently used first."""
+    held = propagation._held
+    if isinstance(held, dict):
+        return list(held.values())
+    return [] if held is None else [held[1]]
+
+
+def held_bytes(ev) -> int | None:
+    """`ev.held_bytes()`, or None on a checkout whose engine does not count its bytes."""
+    return ev.held_bytes() if hasattr(ev, "held_bytes") else None
+
+
+def _mib(b: int | None) -> str:
+    return "n/a" if b is None else f"{b / 2**20:.1f}"
 
 
 def measure_calls(name, call, repeats: int) -> dict:
     times = [[] for _ in range(CALLS)]
     held, same = [], []
     for _sequence in range(repeats):
-        propagation._held = None
+        release()
         first = None
         for k in range(CALLS):
             start = time.perf_counter()
@@ -120,16 +150,128 @@ def measure_calls(name, call, repeats: int) -> dict:
             times[k].append(time.perf_counter() - start)
             first = values if first is None else first
             if _sequence == 0:
-                held.append(held_bytes(propagation._held[1]))
+                held.append(held_bytes(held_engines()[-1]))
                 same.append(bool(np.array_equal(values, first)))
-    propagation._held = None
+    release()
     row = {"workload": name, "calls": [
         {"call": k + 1, "time_s": statistics.median(times[k]), "held_bytes": held[k],
          "same_bytes_as_first_call": same[k]} for k in range(CALLS)]}
     print(name + " | " + " | ".join(
-        f"call {c['call']} {c['time_s']:.4f} s, propagators {c['held_bytes']['propagators'] / 2**20:.1f}"
+        f"call {c['call']} {c['time_s']:.4f} s, held {_mib(c['held_bytes'])}"
         f" MiB, same {c['same_bytes_as_first_call']}" for c in row["calls"]), flush=True)
     return row
+
+
+def otoc_pair(rng: np.random.Generator) -> list:
+    """(name, call, values) of the damped and the rate-free dimer OTOC, as in otoc-map."""
+    grid = np.linspace(0.0, 20.0, 41)
+    out = []
+    for name, params in (("damped", DIMER), ("rate-free", {**DIMER, "gamma1": 0.0, "gamma2": 0.0})):
+        model = lc.coupled_dimer(**params)
+        decs = lc.decompose_model(model)
+        if name == "damped":
+            rho = lc.steady_state(model, decs)
+        else:
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        out.append((f"otoc:{name}_dimer:XI,ZZ", lambda h=model.hamiltonian, dc=decs, r=rho: lc.otoc(
+            h, dc, _pauli("XI"), _pauli("ZZ"), r, grid), lambda trace: np.asarray(trace.values)))
+    return out
+
+
+def general_sweep_configs(seed: int, workdir: Path) -> list:
+    """(name, call, values) of the five `corr` configs of perfbench's general-sweep."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads as perfbench_workloads  # perfbench/workloads.py of this checkout
+
+    return [(c.name, c.run, c.values)
+            for c in perfbench_workloads.build("general-sweep", seed, "full", workdir)]
+
+
+def interleaved(name: str, calls: list, rounds: int, repeats: int) -> dict:
+    """Median time of each call of `rounds` passes over `calls`, over `repeats`
+    sequences that each start with no engine held: a model's first call is
+    cold, a later one finds its engine warm if it is still held."""
+    times = [[[] for _ in calls] for _ in range(rounds)]
+    first, same = {}, True
+    for _sequence in range(repeats):
+        release()
+        for r in range(rounds):
+            for k, (_label, call, values) in enumerate(calls):
+                start = time.perf_counter()
+                out = call()
+                times[r][k].append(time.perf_counter() - start)
+                got = values(out)
+                same &= bool(np.array_equal(got, first.setdefault(k, got)))
+    release()
+    passes = [[statistics.median(t) for t in row] for row in times]
+    result = {"sequence": name, "calls": [label for label, _c, _v in calls], "rounds": rounds,
+              "call_s_by_round": passes, "pass_s_by_round": [sum(row) for row in passes],
+              "same_bytes_every_round": same}
+    print(f"{name}: pass " + " | ".join(f"round {r + 1} {t:.4f} s" for r, t in
+                                       enumerate(result["pass_s_by_round"]))
+          + f" | same bytes {same}", flush=True)
+    return result
+
+
+def _maxrss_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
+def temperature_scan(points: int) -> dict:
+    """A damped-dimer OTOC at each of `points` bath temperatures, each a new model:
+    per call its time, the engines held after it and their bytes, and ru_maxrss."""
+    grid = np.linspace(0.0, 20.0, 41)
+    start_rss = _maxrss_mib()
+    release()
+    rows = []
+    for temperature in np.linspace(0.2, 2.0, points):
+        model = lc.coupled_dimer(**{**DIMER, "temperature": float(temperature)})
+        start = time.perf_counter()
+        decs = lc.decompose_model(model)
+        rho = lc.steady_state(model, decs)
+        lc.otoc(model.hamiltonian, decs, _pauli("XI"), _pauli("ZZ"), rho, grid)
+        elapsed = time.perf_counter() - start
+        engines = held_engines()
+        sizes = [held_bytes(ev) for ev in engines]
+        counted = None not in sizes
+        rows.append({"temperature": float(temperature), "time_s": elapsed, "engines": len(engines),
+                     "held_bytes": sum(sizes) if counted else None,
+                     "idle_bytes": sum(sizes[:-1]) if counted else None,
+                     "last_engine_bytes": sizes[-1] if counted else None,
+                     "maxrss_mib": _maxrss_mib()})
+    release()
+    cap = getattr(propagation, "_IDLE_BYTE_CAP", None)
+    counted = rows[0]["held_bytes"] is not None
+    summary = {
+        "points": points, "idle_byte_cap": cap,
+        "max_engines": max(r["engines"] for r in rows),
+        "max_held_bytes": max(r["held_bytes"] for r in rows) if counted else None,
+        "max_idle_bytes": max(r["idle_bytes"] for r in rows) if counted else None,
+        "max_engine_bytes": max(r["last_engine_bytes"] for r in rows) if counted else None,
+        "maxrss_before_mib": start_rss, "maxrss_after_mib": rows[-1]["maxrss_mib"],
+        "median_call_s": statistics.median(r["time_s"] for r in rows),
+    }
+    print(f"temperature scan, {points} models: at most {summary['max_engines']} engines, "
+          f"held {_mib(summary['max_held_bytes'])} MiB, idle {_mib(summary['max_idle_bytes'])} MiB "
+          f"(cap {_mib(cap)}), maxrss {start_rss:.1f} -> {summary['maxrss_after_mib']:.1f} MiB",
+          flush=True)
+    return {"summary": summary, "rows": rows}
+
+
+def engines(args) -> dict:
+    """The engine-map record: the scan (first, so ru_maxrss reads its rise) and the
+    interleaved sequences."""
+    scan = temperature_scan(args.scan_points)
+    rng = np.random.default_rng(13)
+    with tempfile.TemporaryDirectory() as workdir:
+        sequences = [interleaved("otoc-pair:damped,rate-free_dimer", otoc_pair(rng),
+                                 args.rounds, args.repeats),
+                     interleaved(f"general-sweep:seed={args.seed}",
+                                 general_sweep_configs(args.seed, Path(workdir)),
+                                 args.rounds, args.repeats)]
+    return {"script": "bench/repeats.py --engines", "env": _env(), "repeats": args.repeats,
+            "sequences": sequences, "temperature_scan": scan}
 
 
 def _random_decomps(rng: np.random.Generator, d: int, eigenbasis: bool):
@@ -179,24 +321,32 @@ def tolerance(rng: np.random.Generator, models: int) -> dict:
     return {"rows": rows, "by_kind": summary}
 
 
+def _env() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "machine": platform.machine(),
+            "cpus": os.cpu_count(), "blas_threads": 1}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_11.json"))
+    parser.add_argument("--out")
     parser.add_argument("--label", default="change")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--models", type=int, default=20, help="random models per generator kind")
+    parser.add_argument("--engines", action="store_true",
+                        help="record the interleaved sequences and the temperature scan instead")
+    parser.add_argument("--rounds", type=int, default=3, help="passes per interleaved sequence")
+    parser.add_argument("--seed", type=int, default=13, help="seed of the general-sweep configs")
+    parser.add_argument("--scan-points", type=int, default=200)
     args = parser.parse_args(argv)
-    rng = np.random.default_rng(11)
-    rows = [measure_calls(name, call, args.repeats) for name, call in workloads(rng).items()]
-    result = {
-        "script": "bench/repeats.py",
-        "env": {"python": platform.python_version(), "numpy": np.__version__,
-                "scipy": scipy.__version__, "machine": platform.machine(),
-                "cpus": os.cpu_count(), "blas_threads": 1},
-        "repeats": args.repeats,
-        "calls": rows,
-        "tolerance": tolerance(rng, args.models),
-    }
+    args.out = args.out or str(ROOT / ("BENCH_13.json" if args.engines else "BENCH_11.json"))
+    if args.engines:
+        result = engines(args)
+    else:
+        rng = np.random.default_rng(11)
+        rows = [measure_calls(name, call, args.repeats) for name, call in workloads(rng).items()]
+        result = {"script": "bench/repeats.py", "env": _env(), "repeats": args.repeats,
+                  "calls": rows, "tolerance": tolerance(rng, args.models)}
     out = Path(args.out)
     record = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     record[args.label] = result
