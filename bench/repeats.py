@@ -1,7 +1,7 @@
 """Repeated calls on the held engine, and the engine tolerance.
 
     python3 bench/repeats.py [--out BENCH_11.json] [--label change] [--repeats 3]
-    python3 bench/repeats.py --engines [--out BENCH_13.json] [--label change] [--repeats 3]
+    python3 bench/repeats.py --engines [--out BENCH_14.json] [--label change] [--repeats 3]
 
 Run it from the root of a checkout: it imports lindcorr from that checkout's
 `src`, so running the same file in two checkouts compares them.  With BLAS
@@ -33,15 +33,20 @@ held between calls.  First a scan: the dimer OTOC W = XI, V = ZZ on the grid
 linspace(0, 20, 41) against the steady state, at each of `--scan-points`
 bath temperatures from 0.2 to 2.0, each a new model; after each call it
 records the engines held, their bytes (`_SlotEvolver.held_bytes`; the
-engines other than the last call's are the idle ones, bounded by
+engines other than the last call's hold only idle entries, bounded by
 `propagation._IDLE_BYTE_CAP`) and the process's ru_maxrss.  Then
-`--rounds` passes of two interleaved sequences, each pass from no held
+`--rounds` passes of three interleaved sequences, each pass from no held
 engine over `--repeats` sequences, with the median time of every call: the
-damped and the rate-free dimer OTOC of the otoc-map workload, and the five
+damped and the rate-free dimer OTOC of the otoc-map workload; the five
 `corr` configs of perfbench's general-sweep workload (seed `--seed`) run
-through `lindcorr.cli.run`.  The first pass is cold; a later call is warm
-when its model's engine is still held.  Each call's values are checked to
-be the bytes of its first pass.
+through `lindcorr.cli.run`; and, as in the wide-slots workload, the steady
+state and then the 2-slot OTOC W = x, V = n on linspace(0, 10, 41) of the 6-
+and the 9-level oscillator, two calls on each model's two levels.  The first
+pass is cold; a later call is warm when what it uses is still held.  Each
+call's values are checked to be the bytes of its first pass.  The first of
+the `--repeats` runs also records after every call the bytes held by all
+engines and, on a checkout that counts them (`propagation._counts`), the
+hits, misses and evictions of the call's cache lookups.
 
 The rows go under `--label` in `--out`, next to what else that file holds.
 """
@@ -134,6 +139,13 @@ def held_bytes(ev) -> int | None:
     return ev.held_bytes() if hasattr(ev, "held_bytes") else None
 
 
+def counts() -> dict | None:
+    """The held entries' counters (hits, misses, evictions, bytes held), or None on a
+    checkout without them."""
+    held = getattr(propagation, "_counts", None)
+    return None if held is None else dict(held)
+
+
 def _mib(b: int | None) -> str:
     return "n/a" if b is None else f"{b / 2**20:.1f}"
 
@@ -188,25 +200,53 @@ def general_sweep_configs(seed: int, workdir: Path) -> list:
             for c in perfbench_workloads.build("general-sweep", seed, "full", workdir)]
 
 
+def oscillator_levels() -> list:
+    """(name, call, values) of the steady state and then the OTOC W = x, V = n of the
+    6- and the 9-level oscillator of perfbench's wide-slots workload."""
+    grid = np.linspace(0.0, 10.0, 41)
+    out = []
+    for dim in (6, 9):
+        model = lc.truncated_oscillator(omega0=1.0, dim=dim, gamma=0.1, temperature=0.5)
+        decs = lc.decompose_model(model)
+        a = lc.annihilation(dim)
+        x, n = a + a.conj().T, a.conj().T @ a
+        rho = lc.steady_state(model, decs)
+        out.append((f"steady_state:oscillator:d={dim}",
+                    lambda m=model, dc=decs: lc.steady_state(m, dc), np.asarray))
+        out.append((f"otoc:oscillator:d={dim}:x,n",
+                    lambda m=model, dc=decs, r=rho, x=x, n=n: lc.otoc(m.hamiltonian, dc, x, n, r, grid),
+                    lambda trace: np.asarray(trace.values)))
+    return out
+
+
 def interleaved(name: str, calls: list, rounds: int, repeats: int) -> dict:
     """Median time of each call of `rounds` passes over `calls`, over `repeats`
     sequences that each start with no engine held: a model's first call is
     cold, a later one finds its engine warm if it is still held."""
     times = [[[] for _ in calls] for _ in range(rounds)]
+    held = [[None for _ in calls] for _ in range(rounds)]
+    lookups = [[None for _ in calls] for _ in range(rounds)]
     first, same = {}, True
-    for _sequence in range(repeats):
+    for sequence in range(repeats):
         release()
         for r in range(rounds):
             for k, (_label, call, values) in enumerate(calls):
+                before = counts()
                 start = time.perf_counter()
                 out = call()
                 times[r][k].append(time.perf_counter() - start)
+                if sequence == 0:
+                    held[r][k] = sum(held_bytes(ev) or 0 for ev in held_engines())
+                    after = counts()
+                    lookups[r][k] = after and {key: after[key] - before[key]
+                                               for key in ("hits", "misses", "evictions")}
                 got = values(out)
                 same &= bool(np.array_equal(got, first.setdefault(k, got)))
     release()
     passes = [[statistics.median(t) for t in row] for row in times]
     result = {"sequence": name, "calls": [label for label, _c, _v in calls], "rounds": rounds,
               "call_s_by_round": passes, "pass_s_by_round": [sum(row) for row in passes],
+              "held_bytes_by_round": held, "lookups_by_round": lookups,
               "same_bytes_every_round": same}
     print(f"{name}: pass " + " | ".join(f"round {r + 1} {t:.4f} s" for r, t in
                                        enumerate(result["pass_s_by_round"]))
@@ -269,7 +309,9 @@ def engines(args) -> dict:
                                  args.rounds, args.repeats),
                      interleaved(f"general-sweep:seed={args.seed}",
                                  general_sweep_configs(args.seed, Path(workdir)),
-                                 args.rounds, args.repeats)]
+                                 args.rounds, args.repeats),
+                     interleaved("same-model:steady_state,otoc_oscillator_d6,d9",
+                                 oscillator_levels(), args.rounds, args.repeats)]
     return {"script": "bench/repeats.py --engines", "env": _env(), "repeats": args.repeats,
             "sequences": sequences, "temperature_scan": scan}
 
@@ -339,7 +381,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=13, help="seed of the general-sweep configs")
     parser.add_argument("--scan-points", type=int, default=200)
     args = parser.parse_args(argv)
-    args.out = args.out or str(ROOT / ("BENCH_13.json" if args.engines else "BENCH_11.json"))
+    args.out = args.out or str(ROOT / ("BENCH_14.json" if args.engines else "BENCH_11.json"))
     if args.engines:
         result = engines(args)
     else:

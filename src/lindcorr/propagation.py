@@ -51,17 +51,17 @@ The n-slot generators and their propagators depend only on the model (H and
 the dissipation channels), not on the operators or the state, so the drivers
 share them across calls: the engines of the models evaluated lately are held
 between calls, most recently used last, and reused by every later call on an
-equal model, recognised by content rather than identity.  At the start of a
-call every held engine but the requested one is idle, and idle engines are
-dropped, least recently used first, while they hold more than
-``_IDLE_BYTE_CAP`` bytes, before a new engine is built; so an engine larger
-than the cap is released before the next model's generators are assembled.
-After each call an engine keeps only the generators and the steps' block
-propagators that call used, so between calls the engines hold at most the
-cap plus the last call's own working set (the blocks of one step hold at
-most the entries of the whole level's propagator).  What they hold changes
-the time of a later call, never its path or its values: a repeated call
-returns the same bytes.
+equal model, recognised by content rather than identity.  One LRU, counted in
+bytes, runs over the entries of every engine: a level's generator, its block
+labels or block order, or one step's block propagators.  Entries are idle at
+the start of a call if they are another model's, at its end if the call did
+not use them, and idle entries are dropped, least recently used first, while
+they hold more than ``_IDLE_BYTE_CAP`` bytes; so an entry larger than the cap
+is released before the next model's generators are assembled, and between
+calls the engines hold at most the cap plus the last call's own working set
+(the blocks of one step hold at most the entries of the whole level's
+propagator).  What they hold changes the time of a later call, never its
+path or its values: a repeated call returns the same bytes.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import groupby
+from itertools import count, groupby
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -309,8 +309,8 @@ class _SlotEvolver:
     cached per level and step as one map from block to matrix, or by one
     ``integrate_ode`` action (:meth:`_steps`).  Cache keys carry the engine
     choice, so a changed slot budget is never served an engine built under
-    another.  `_used` collects the keys touched since the last
-    :meth:`keep_used`.
+    another.  Every generator, block labelling, block order and step's
+    propagator map is an entry of the one LRU over held entries (:func:`_hold`).
     """
 
     def __init__(self, hamiltonian, decomps):
@@ -327,34 +327,31 @@ class _SlotEvolver:
         self._propagators: dict[tuple, dict[int, np.ndarray]] = {}
         self._labels: dict[tuple[int, bool], np.ndarray] = {}
         self._grouped: dict[tuple[int, bool], np.ndarray] = {}
-        self._used: set[tuple] = set()
-        self.kept_bytes = 0  # held_bytes() at the last keep_used
+
+    def _caches(self) -> tuple[dict, ...]:
+        return self._generators, self._propagators, self._labels, self._grouped
 
     def dense(self, n_slots: int) -> bool:
         return _dense_fits(self.dim, n_slots)
+
+    def _cached(self, cache: dict, key: tuple, build):
+        """The entry of `cache` under `key`, built by `build()` on a miss, held as the
+        most recently used."""
+        value = cache.get(key)
+        return _hold(self, cache, key, build() if value is None else value, value is not None)
 
     def generator(self, n_slots: int):
         """G_n as a dense ndarray on a dense level, else as a CSR matrix whose
         bytes are checked before assembly."""
         key = (n_slots, self.dense(n_slots))
-        self._used.add(key)
-        gen = self._generators.get(key)
-        if gen is None:
-            if key[1]:
-                gen = multi_slot_generator(self.h, self.decomps, n_slots).matrix
-            else:
-                gen = multi_slot_action(self.h, self.decomps, n_slots).to_csr()
-            self._generators[key] = gen
-        return gen
+        return self._cached(self._generators, key, lambda: (
+            multi_slot_generator(self.h, self.decomps, n_slots).matrix if key[1]
+            else multi_slot_action(self.h, self.decomps, n_slots).to_csr()))
 
     def labels(self, n_slots: int) -> np.ndarray:
         """Block of each coordinate of G_n (:func:`_block_labels`), found once per level."""
-        key = (n_slots, self.dense(n_slots))
-        gen = self.generator(n_slots)
-        labels = self._labels.get(key)
-        if labels is None:
-            labels = self._labels[key] = _block_labels(gen)
-        return labels
+        return self._cached(self._labels, (n_slots, self.dense(n_slots)),
+                            lambda: _block_labels(self.generator(n_slots)))
 
     def _level(self, n_slots: int, *vectors: np.ndarray) -> np.ndarray | None:
         """Coordinates of the n-slot level that `vectors` are stepped on, grouped by block.
@@ -366,9 +363,7 @@ class _SlotEvolver:
         """
         labels = self.labels(n_slots)
         key = (n_slots, self.dense(n_slots))
-        grouped = self._grouped.get(key)
-        if grouped is None:
-            grouped = self._grouped[key] = np.argsort(labels, kind="stable")
+        grouped = self._cached(self._grouped, key, lambda: np.argsort(labels, kind="stable"))
         touched = np.ones(int(labels.max()) + 1, dtype=bool)
         for v in vectors:
             hit = np.zeros_like(touched)
@@ -386,11 +381,11 @@ class _SlotEvolver:
         the gap, one matrix per block.
         """
         key = (*level, gap)
-        self._used.add(key)
-        held = self._propagators.setdefault(key, {})
-        for block, start, stop in spans:
-            if block not in held:
-                held[block] = expm(block_generator(start, stop), gap)
+        held = self._propagators.get(key, {})
+        missing = [span for span in spans if span[0] not in held]
+        for block, start, stop in missing:
+            held[block] = expm(block_generator(start, stop), gap)
+        _hold(self, self._propagators, key, held, not missing)
         if len(spans) == 1:
             return held[spans[0][0]]
         prop = np.zeros((spans[-1][2], spans[-1][2]), dtype=complex)
@@ -398,22 +393,10 @@ class _SlotEvolver:
             prop[start:stop, start:stop] = held[block]
         return prop
 
-    def keep_used(self) -> None:
-        """Drop every generator, propagator, block labelling and block order not
-        used since the last call of this, and count the bytes kept."""
-        for held in (self._generators, self._propagators, self._labels, self._grouped):
-            for key in held.keys() - self._used:
-                held.pop(key, None)  # a concurrent call on the model may have dropped it
-        self._used.clear()
-        self.kept_bytes = self.held_bytes()
-
     def held_bytes(self) -> int:
         """Bytes of the arrays the engine holds: its dense and CSR generators (data,
         indices and indptr), block propagators, block labels and block orders."""
-        arrays = [*self._generators.values(), *self._labels.values(), *self._grouped.values(),
-                  *(m for blocks in list(self._propagators.values()) for m in list(blocks.values()))]
-        return sum(part.nbytes for m in arrays
-                   for part in ((m.data, m.indices, m.indptr) if hasattr(m, "indptr") else (m,)))
+        return sum(_nbytes(m) for cache in self._caches() for m in list(cache.values()))
 
     def _steps(self, n_slots: int, coords: np.ndarray | None, v: np.ndarray, taus: np.ndarray,
                origin: float, adjoint: bool) -> Iterator[np.ndarray]:
@@ -510,19 +493,69 @@ def _model_key(h: np.ndarray, decomps) -> bytes:
     return digest.digest()
 
 
-# idle engines are dropped, least recently used first, while they hold more
+def _nbytes(m) -> int:
+    """Bytes of a held entry: an array, a CSR matrix (data, indices and indptr) or a
+    map from block to propagator."""
+    if isinstance(m, dict):
+        return sum(_nbytes(block) for block in list(m.values()))
+    return sum(part.nbytes for part in ((m.data, m.indices, m.indptr) if hasattr(m, "indptr") else (m,)))
+
+
+# idle entries are dropped, least recently used first, while they hold more
 # than this many bytes: 32 dense order-256 levels
 _IDLE_BYTE_CAP = 32 * 2 ** 20
 
 # model key -> evolver of the models evaluated lately, most recently used last
 _held: dict[bytes, _SlotEvolver] = {}
-_held_lock = threading.Lock()  # guards the map's lookups, reordering and eviction
+# (id of its cache, key) -> (cache, engine, tick of its last use, bytes) of every
+# held entry, least recently used first
+_entries: dict[tuple, tuple] = {}
+_ticks = count()
+# lookups that found their entry whole, lookups that built it, entries dropped
+# and bytes held (read by bench/repeats.py)
+_counts = {"hits": 0, "misses": 0, "evictions": 0, "bytes": 0}
+_held_lock = threading.Lock()  # guards the maps, the counts and the caches' keys
+
+
+def _hold(ev: _SlotEvolver, cache: dict, key: tuple, value, hit: bool):
+    """`value`, held in `cache`, one of `ev`'s, under `key` as the most recently used
+    entry; its bytes are counted again unless it was found whole (`hit`)."""
+    with _held_lock:
+        cache[key] = value
+        old = _entries.pop((id(cache), key), None)
+        size = old[3] if hit and old else _nbytes(value)
+        _entries[id(cache), key] = (cache, ev, next(_ticks), size)
+        _counts["bytes"] += size - (old[3] if old else 0)
+        _counts["hits" if hit else "misses"] += 1
+    return value
+
+
+def _evict(busy) -> None:
+    """Drop idle entries, those whose (engine, tick of last use) `busy` rejects, least
+    recently used first while they hold more than ``_IDLE_BYTE_CAP`` bytes; an engine
+    left with no entry leaves `_held`.  The caller holds `_held_lock`."""
+    if _counts["bytes"] <= _IDLE_BYTE_CAP:
+        return
+    idle = [(entry, record) for entry, record in _entries.items() if not busy(*record[1:3])]
+    excess = sum(record[3] for _entry, record in idle) - _IDLE_BYTE_CAP
+    for entry, (cache, _ev, _tick, size) in idle:
+        if excess <= 0:
+            break
+        del _entries[entry]
+        cache.pop(entry[1], None)
+        excess -= size
+        _counts["bytes"] -= size
+        _counts["evictions"] += 1
+    for key in [key for key, ev in _held.items() if not any(ev._caches())]:
+        del _held[key]
 
 
 def _release_engines() -> None:
-    """Drop every held engine."""
+    """Drop every held engine and entry."""
     with _held_lock:
         _held.clear()
+        _entries.clear()
+        _counts["bytes"] = 0
 
 
 def _recent_engine() -> _SlotEvolver | None:
@@ -536,29 +569,26 @@ def _model_evolver(hamiltonian, decomp) -> Iterator[_SlotEvolver]:
     """The held evolver whose model's content matches, else a fresh one, held
     from then on as the most recently used.
 
-    Every other held evolver is idle; before anything is built, idle ones are
-    dropped, least recently used first, while their bytes, counted at their
-    last :meth:`_SlotEvolver.keep_used`, add up to more than ``_IDLE_BYTE_CAP``.
-    On exit the evolver keeps only the generators and propagators this call
-    used.
+    Idle entries are dropped (:func:`_evict`) at both ends of the call: before
+    anything is built, those of the other models; on exit, also after an
+    exception, those this call did not use.  An evolver left holding nothing
+    leaves the map.
     """
     h = as_operator(hamiltonian, "hamiltonian")
     decomps = _as_decomps(decomp)
     key = _model_key(h, decomps)
     with _held_lock:
-        idle = {k: ev.kept_bytes for k, ev in _held.items() if k != key}
-        total = sum(idle.values())
-        for k, size in idle.items():  # least recently used first
-            if total <= _IDLE_BYTE_CAP:
-                break
-            _held.pop(k, None)
-            total -= size
-        ev = _held.pop(key, None) or _SlotEvolver(h, decomps)
-        _held[key] = ev
+        warm = _held.pop(key, None)
+        _evict(lambda engine, _tick: engine is warm)
+        ev = _held[key] = warm or _SlotEvolver(h, decomps)
+        start = next(_ticks)
     try:
         yield ev
     finally:
-        ev.keep_used()
+        with _held_lock:
+            _evict(lambda _engine, tick: tick > start)
+            if not any(ev._caches()) and _held.get(key) is ev:
+                del _held[key]
 
 
 def _densities(ev: _SlotEvolver, rho0: np.ndarray, times: np.ndarray) -> list[np.ndarray]:

@@ -693,36 +693,35 @@ def test_single_use_pull_back_acts_on_every_call(rng, monkeypatch):
     # without an expm, on every call and with the same bytes; the block
     # propagators of the gap cached by a uniform run leave the choice as it is
     h, decs = _dimer()
-    ev = propagation._SlotEvolver(h, decs)
-    gen = ev.generator(2)
-    blocks = int(ev.labels(2).max()) + 1
-    assert ev.dense(2) and len(gen) > propagation._SINGLE_USE_ORDER and blocks > 1
+
+    def call(act):
+        with propagation._model_evolver(h, decs) as ev:  # one correlator call
+            return act(ev)
+    gen = call(lambda ev: ev.generator(2))
+    blocks = call(lambda ev: int(ev.labels(2).max()) + 1)
+    assert call(lambda ev: ev.dense(2)) and len(gen) > propagation._SINGLE_USE_ORDER and blocks > 1
     w = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     expected = w @ expm(gen, 0.8)
     calls = _count_expm(monkeypatch)
     orders = _sparse_orders(monkeypatch)
-    pulled = []
-    for _call in range(3):
-        pulled.append(ev.pull_back(w, 2, 0.8))
-        ev.keep_used()  # the end of a correlator call
+    pulled = [call(lambda ev: ev.pull_back(w, 2, 0.8)) for _call in range(3)]
     assert calls == [] and orders == [256] * 3
     assert all(np.array_equal(p, pulled[0]) for p in pulled)
     assert np.max(np.abs(pulled[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
-    list(ev.trajectory(w, 2, np.array([0.8, 1.6]), adjoint=True))  # one run of two steps
-    assert calls == [0.8] * blocks and len(ev._propagators[(2, True, 0.8)]) == blocks
-    assert np.array_equal(ev.pull_back(w, 2, 0.8), pulled[0])
+    call(lambda ev: list(ev.trajectory(w, 2, np.array([0.8, 1.6]), adjoint=True)))  # one run of two steps
+    assert calls == [0.8] * blocks
+    assert len(propagation._recent_engine()._propagators[(2, True, 0.8)]) == blocks
+    assert np.array_equal(call(lambda ev: ev.pull_back(w, 2, 0.8)), pulled[0])
     assert calls == [0.8] * blocks and orders == [256] * 4
 
 
 def _dimer_pull_back(rng):
     h, decs = _dimer()
-    ev = propagation._SlotEvolver(h, decs)
     w = rng.standard_normal(256) + 1j * rng.standard_normal(256)
 
     def call():
-        pulled = ev.pull_back(w, 2, 0.8)
-        ev.keep_used()  # the end of a correlator call
-        return pulled
+        with propagation._model_evolver(h, decs) as ev:  # one correlator call
+            return ev.pull_back(w, 2, 0.8)
     return call
 
 
@@ -859,7 +858,7 @@ def test_held_engine_bytes_bounded(rng):
     general_correlator(h, decs, _swept_spec(rng, 4, [None, None, None, 0.5], taus), taus=taus)
     ev = propagation._recent_engine()
     assert (3, False) in ev._generators
-    assert ev.held_bytes() == ev.kept_bytes < 16 * 2 ** 20
+    assert ev.held_bytes() == propagation._counts["bytes"] < 16 * 2 ** 20
 
 
 def test_csr_byte_cap_refuses_before_assembly(rng, monkeypatch):
@@ -1064,32 +1063,49 @@ def test_idle_engines_evicted_least_recently_used_first(rng, monkeypatch):
             engines.append(propagation._recent_engine())
         held = _held_models()
         assert held[-1] is engines[k]
-        assert sum(ev.kept_bytes for ev in held[:-1]) <= propagation._IDLE_BYTE_CAP
+        assert sum(ev.held_bytes() for ev in held[:-1]) <= propagation._IDLE_BYTE_CAP
         return [engines.index(ev) for ev in held]
 
     call(0)
-    size = engines[0].kept_bytes
+    size = engines[0].held_bytes()
     assert size > 0
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", int(2.5 * size))
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 2 * size)
     assert call(1) == [0, 1]
     assert call(2) == [0, 1, 2]
-    assert {ev.kept_bytes for ev in engines} == {size}
-    assert call(3) == [1, 2, 3]     # three idle engines are over the cap: 0 goes
+    assert {ev.held_bytes() for ev in engines} == {size}
+    assert call(3) == [1, 2, 3]     # three idle engines are over the cap: all of 0's entries go
     assert call(1) == [2, 3, 1]     # a hit moves the engine last and evicts nothing
     assert call(4) == [3, 1, 4]     # 2 is now the least recently used
+    # half an engine over the cap: only the least recently used entries go, all of them 3's
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", int(1.5 * size))
+    before, evictions = list(propagation._entries), propagation._counts["evictions"]
+    assert call(1) == [3, 4, 1]
+    dropped = [entry for entry in before if entry not in propagation._entries]
+    assert dropped and dropped == before[:len(dropped)]
+    assert propagation._counts["evictions"] == evictions + len(dropped)
+    assert 0 < engines[3].held_bytes() < size
     monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)
     assert call(1) == [1]           # every idle engine goes, the requested one stays
 
 
 def test_engine_over_cap_is_released_before_next_build(rng, monkeypatch):
+    # the dimer's dense G_2 alone is over the cap, so it goes before the qubit's
+    # first generator is built; under cap 0 the whole engine goes
     otoc(*_dimer(), *_otoc_inputs(rng, 4), np.linspace(0.0, 2.0, 5))
     big = weakref.ref(propagation._recent_engine())
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", big().kept_bytes - 1)
+    level = weakref.ref(big()._generators[(2, True)])
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", level().nbytes - 1)
     released = []
     dense = propagation.multi_slot_generator
     monkeypatch.setattr(propagation, "multi_slot_generator",
-                        lambda h, d, n: released.append(big() is None) or dense(h, d, n))
+                        lambda h, d, n: released.append(level() is None) or dense(h, d, n))
     otoc(*_qubit(), *_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
+    assert released and all(released)
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)
+    monkeypatch.setattr(propagation, "multi_slot_generator",
+                        lambda h, d, n: released.append(big() is None) or dense(h, d, n))
+    released.clear()
+    otoc(*_qubit(gamma=0.2), *_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
     assert released and all(released)
     assert len(_held_models()) == 1
 
@@ -1137,11 +1153,16 @@ def test_lowered_budget_switches_held_engine(rng, monkeypatch):
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 100)
     free = otoc(h, decs, *args)
     assert calls == [] and set(orders) == {16 ** 2}
+    assert set(propagation._recent_engine()._generators) == {(2, True), (2, False)}
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)  # now only the last call's entries stay
+    again = otoc(h, decs, *args)
+    assert calls == [] and set(orders) == {16 ** 2}
     assert list(propagation._recent_engine()._generators) == [(2, False)]
+    assert np.array_equal(again.values, free.values)
     assert np.max(np.abs(dense.values - free.values)) < 1e-12
 
 
-def test_held_propagators_are_the_last_calls(rng):
+def test_held_propagators_are_the_last_calls(rng, monkeypatch):
     h, decs = _dimer()
     floor = 1.0
     first, second = np.linspace(1.3, 4.0, 5), np.linspace(1.0, 3.0, 7)
@@ -1156,10 +1177,90 @@ def test_held_propagators_are_the_last_calls(rng):
         return {(2, True, step) for step in sweep} | {(1, True, floor)}
 
     general_correlator(h, decs, spec, taus=first)
-    assert held() and held() <= used(first)
+    kept = held()
+    assert kept and kept <= used(first) and kept - used(second)
+    general_correlator(h, decs, spec, taus=second)  # the default cap holds the first call's too
+    assert kept <= held() <= used(first) | used(second)
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)  # now only the last call's entries stay
     general_correlator(h, decs, spec, taus=second)
     assert held() and held() <= used(second)
     assert not held() & (used(first) - used(second))
+
+
+def test_steady_state_keeps_the_otoc_level_held(monkeypatch):
+    # the wide-slots sequence on the 6-level oscillator: the steady state uses only
+    # G_1, and the OTOC after it still finds its G_2, labels and propagators held
+    model = _oscillator(6)
+    decs = decompose_model(model)
+    a = annihilation(6)
+    x, n = a + dagger(a), dagger(a) @ a
+    taus = np.linspace(0.0, 10.0, 41)
+    rho = steady_state(model, decs)
+    first = otoc(model.hamiltonian, decs, x, n, rho, taus)
+    assert not propagation._recent_engine().dense(2)
+    built, calls = _count_assembly(monkeypatch), _count_expm(monkeypatch)
+    assert np.array_equal(steady_state(model, decs), rho)
+    misses = propagation._counts["misses"]
+    again = otoc(model.hamiltonian, decs, x, n, rho, taus)
+    assert built == [] and calls == []
+    assert propagation._counts["misses"] == misses
+    assert np.array_equal(again.values, first.values)
+
+
+def test_held_bytes_bounded_by_cap_plus_last_call(rng, monkeypatch):
+    # 3 models x 2 levels x 3 grids under a cap of 1.5 order-256 levels: after
+    # every call the entries beyond that call's own working set fit in the cap
+    models = {"dimer": _dimer(), "qubit": _qubit(gamma=0.1, temperature=0.5),
+              "oscillator": (_oscillator(4).hamiltonian, decompose_model(_oscillator(4)))}
+    inputs = {name: _otoc_inputs(rng, len(h)) for name, (h, _decs) in models.items()}
+    grids = [np.linspace(0.0, 2.0, 5), np.linspace(0.0, 3.0, 7), np.linspace(0.0, 1.0, 9)]
+
+    def call(name, level, taus):
+        (h, decs), (w_op, v_op, rho) = models[name], inputs[name]
+        if level == 1:
+            return qrt_correlator(h, decs, identity(len(h)), w_op, v_op, rho, taus).values
+        return otoc(h, decs, w_op, v_op, rho, taus).values
+
+    sequence = [(name, level, k) for k in range(3) for name in models for level in (1, 2)]
+    working = {}
+    for name, level, k in sequence:  # each call's working set, from no held entry
+        propagation._release_engines()
+        call(name, level, grids[k])
+        working[name, level, k] = propagation._counts["bytes"]
+    propagation._release_engines()
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 3 * 256 ** 2 * 16 // 2)
+    idle, evictions = [], propagation._counts["evictions"]
+    for name, level, k in sequence:
+        call(name, level, grids[k])
+        held = sum(ev.held_bytes() for ev in _held_models())
+        assert held == propagation._counts["bytes"]
+        idle.append(held - working[name, level, k])
+        assert idle[-1] <= propagation._IDLE_BYTE_CAP
+    assert propagation._counts["evictions"] > evictions and max(idle) > 0  # the cap binds and holds
+
+
+def test_one_model_under_concurrent_mixed_calls(rng, monkeypatch):
+    # four threads mix the steady state, an OTOC and a general correlator on one
+    # model while cap 1 drops every entry a call leaves unused
+    model = two_level_atom(1.0, 0.1, 0.5)
+    h, decs = model.hamiltonian, decompose_model(model)
+    taus = np.linspace(1.0, 3.0, 5)
+    ops, spec = _otoc_inputs(rng, 2), _swept_spec(rng, 2, [None, 1.0, None, 0.5], taus)
+    kinds = [lambda: steady_state(model, decs), lambda: otoc(h, decs, *ops, taus).values,
+             lambda: general_correlator(h, decs, spec, taus=taus).values]
+    expected = [kind() for kind in kinds]
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 1)
+    order = [k % len(kinds) for k in range(30)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda k: kinds[k](), order, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, values in zip(order, got):
+        assert np.array_equal(values, expected[k])
+    assert len(_held_models()) <= 1
 
 
 # ------------------------------------------------------------- ode integrator

@@ -252,7 +252,8 @@ def test_disjoint_tensor_and_contraction_give_exact_zeros(monkeypatch):
 
 
 def test_held_engine_trims_its_block_labels(rng, monkeypatch):
-    # at budget 8 both dimer levels are sparse; each call keeps only its level's labels
+    # at budget 8 both dimer levels are sparse; the default cap holds both levels'
+    # labels, under cap 0 a call keeps only its own level's
     model = coupled_dimer(**DIMER)
     decs = decompose_model(model)
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 8)
@@ -261,6 +262,10 @@ def test_held_engine_trims_its_block_labels(rng, monkeypatch):
     ev = propagation._recent_engine()
     assert set(ev._labels) == {(2, False)}
     a = _site(sigma_minus, 1)
+    qrt_correlator(model.hamiltonian, decs, identity(4), dagger(a), a, rho, TAUS)
+    assert propagation._recent_engine() is ev
+    assert set(ev._labels) == {(1, False), (2, False)}
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)
     qrt_correlator(model.hamiltonian, decs, identity(4), dagger(a), a, rho, TAUS)
     assert propagation._recent_engine() is ev
     assert set(ev._labels) == {(1, False)}
