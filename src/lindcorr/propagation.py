@@ -56,12 +56,13 @@ bytes, runs over the entries of every engine: a level's generator, its block
 labels or block order, or one step's block propagators.  Entries are idle at
 the start of a call if they are another model's, at its end if the call did
 not use them, and idle entries are dropped, least recently used first, while
-they hold more than ``_IDLE_BYTE_CAP`` bytes; so an entry larger than the cap
-is released before the next model's generators are assembled, and between
-calls the engines hold at most the cap plus the last call's own working set
-(the blocks of one step hold at most the entries of the whole level's
-propagator).  What they hold changes the time of a later call, never its
-path or its values: a repeated call returns the same bytes.
+they hold more than ``_IDLE_BYTE_CAP`` bytes, at the start of a call with
+every entry of their engine; so an engine larger than the cap is released
+before the next model's generators are assembled, and between calls the
+engines hold at most the cap plus the last call's own working set (the blocks
+of one step hold at most the entries of the whole level's propagator).  What
+they hold changes the time of a later call, never its path or its values: a
+repeated call returns the same bytes.
 """
 
 from __future__ import annotations
@@ -310,7 +311,7 @@ class _SlotEvolver:
     ``integrate_ode`` action (:meth:`_steps`).  Cache keys carry the engine
     choice, so a changed slot budget is never served an engine built under
     another.  Every generator, block labelling, block order and step's
-    propagator map is an entry of the one LRU over held entries (:func:`_hold`).
+    propagator map is an entry of the one LRU over held entries (:meth:`_cached`).
     """
 
     def __init__(self, hamiltonian, decomps):
@@ -327,18 +328,23 @@ class _SlotEvolver:
         self._propagators: dict[tuple, dict[int, np.ndarray]] = {}
         self._labels: dict[tuple[int, bool], np.ndarray] = {}
         self._grouped: dict[tuple[int, bool], np.ndarray] = {}
-
-    def _caches(self) -> tuple[dict, ...]:
-        return self._generators, self._propagators, self._labels, self._grouped
+        self.key: bytes | None = None  # its model key in `_held`, set when held
 
     def dense(self, n_slots: int) -> bool:
         return _dense_fits(self.dim, n_slots)
 
     def _cached(self, cache: dict, key: tuple, build):
-        """The entry of `cache` under `key`, built by `build()` on a miss, held as the
-        most recently used."""
-        value = cache.get(key)
-        return _hold(self, cache, key, build() if value is None else value, value is not None)
+        """`cache[key]`, built by `build()` on a miss; while the engine is held, the
+        most recently used entry of the LRU over held entries."""
+        hit = (value := cache.get(key)) is not None
+        value = value if hit else build()
+        with _held_lock:
+            cache[key] = value
+            if _held.get(self.key) is self:  # its bytes are counted at the call's end
+                record = _entries.pop((id(cache), key), None)
+                _entries[id(cache), key] = (cache, self, next(_ticks), record[3] if record else 0)
+                _counts["hits" if hit else "misses"] += 1
+        return value
 
     def generator(self, n_slots: int):
         """G_n as a dense ndarray on a dense level, else as a CSR matrix whose
@@ -380,12 +386,10 @@ class _SlotEvolver:
         The level's block propagators exp(gap G_b) are cached under `level` and
         the gap, one matrix per block.
         """
-        key = (*level, gap)
-        held = self._propagators.get(key, {})
-        missing = [span for span in spans if span[0] not in held]
-        for block, start, stop in missing:
-            held[block] = expm(block_generator(start, stop), gap)
-        _hold(self, self._propagators, key, held, not missing)
+        held = self._cached(self._propagators, (*level, gap), dict)
+        for block, start, stop in spans:
+            if block not in held:
+                held[block] = expm(block_generator(start, stop), gap)
         if len(spans) == 1:
             return held[spans[0][0]]
         prop = np.zeros((spans[-1][2], spans[-1][2]), dtype=complex)
@@ -396,7 +400,8 @@ class _SlotEvolver:
     def held_bytes(self) -> int:
         """Bytes of the arrays the engine holds: its dense and CSR generators (data,
         indices and indptr), block propagators, block labels and block orders."""
-        return sum(_nbytes(m) for cache in self._caches() for m in list(cache.values()))
+        return sum(_nbytes(m) for cache in (self._generators, self._propagators, self._labels,
+                                            self._grouped) for m in list(cache.values()))
 
     def _steps(self, n_slots: int, coords: np.ndarray | None, v: np.ndarray, taus: np.ndarray,
                origin: float, adjoint: bool) -> Iterator[np.ndarray]:
@@ -494,8 +499,7 @@ def _model_key(h: np.ndarray, decomps) -> bytes:
 
 
 def _nbytes(m) -> int:
-    """Bytes of a held entry: an array, a CSR matrix (data, indices and indptr) or a
-    map from block to propagator."""
+    """Bytes of an array, a CSR matrix (data, indices and indptr) or a map of them."""
     if isinstance(m, dict):
         return sum(_nbytes(block) for block in list(m.values()))
     return sum(part.nbytes for part in ((m.data, m.indices, m.indptr) if hasattr(m, "indptr") else (m,)))
@@ -511,42 +515,31 @@ _held: dict[bytes, _SlotEvolver] = {}
 # held entry, least recently used first
 _entries: dict[tuple, tuple] = {}
 _ticks = count()
-# lookups that found their entry whole, lookups that built it, entries dropped
-# and bytes held (read by bench/repeats.py)
+# lookups that found their entry, lookups that built it, entries dropped and
+# bytes held (read by bench/repeats.py)
 _counts = {"hits": 0, "misses": 0, "evictions": 0, "bytes": 0}
 _held_lock = threading.Lock()  # guards the maps, the counts and the caches' keys
 
 
-def _hold(ev: _SlotEvolver, cache: dict, key: tuple, value, hit: bool):
-    """`value`, held in `cache`, one of `ev`'s, under `key` as the most recently used
-    entry; its bytes are counted again unless it was found whole (`hit`)."""
-    with _held_lock:
-        cache[key] = value
-        old = _entries.pop((id(cache), key), None)
-        size = old[3] if hit and old else _nbytes(value)
-        _entries[id(cache), key] = (cache, ev, next(_ticks), size)
-        _counts["bytes"] += size - (old[3] if old else 0)
-        _counts["hits" if hit else "misses"] += 1
-    return value
-
-
-def _evict(busy) -> None:
-    """Drop idle entries, those whose (engine, tick of last use) `busy` rejects, least
-    recently used first while they hold more than ``_IDLE_BYTE_CAP`` bytes; an engine
-    left with no entry leaves `_held`.  The caller holds `_held_lock`."""
-    if _counts["bytes"] <= _IDLE_BYTE_CAP:
-        return
-    idle = [(entry, record) for entry, record in _entries.items() if not busy(*record[1:3])]
-    excess = sum(record[3] for _entry, record in idle) - _IDLE_BYTE_CAP
-    for entry, (cache, _ev, _tick, size) in idle:
-        if excess <= 0:
-            break
-        del _entries[entry]
-        cache.pop(entry[1], None)
-        excess -= size
-        _counts["bytes"] -= size
-        _counts["evictions"] += 1
-    for key in [key for key, ev in _held.items() if not any(ev._caches())]:
+def _evict(is_idle, whole: bool) -> None:
+    """Drop idle entries, those whose (engine, tick of last use) `is_idle` accepts, least
+    recently used first while they hold more than ``_IDLE_BYTE_CAP`` bytes, each with
+    every idle entry of its engine when `whole`; an engine left with no entry leaves
+    `_held`.  The caller holds `_held_lock`."""
+    if _counts["bytes"] > _IDLE_BYTE_CAP:
+        idle = [(entry, record) for entry, record in _entries.items() if is_idle(*record[1:3])]
+        excess, gone = sum(record[3] for _entry, record in idle) - _IDLE_BYTE_CAP, set()
+        for entry, (cache, ev, _tick, size) in idle:
+            unit = ev if whole else entry
+            if excess > 0 or unit in gone:
+                gone.add(unit)
+                del _entries[entry]
+                cache.pop(entry[1], None)
+                excess -= size
+                _counts["bytes"] -= size
+                _counts["evictions"] += 1
+    live = {record[1] for record in _entries.values()}
+    for key in [key for key, ev in _held.items() if ev not in live]:
         del _held[key]
 
 
@@ -570,8 +563,9 @@ def _model_evolver(hamiltonian, decomp) -> Iterator[_SlotEvolver]:
     from then on as the most recently used.
 
     Idle entries are dropped (:func:`_evict`) at both ends of the call: before
-    anything is built, those of the other models; on exit, also after an
-    exception, those this call did not use.  An evolver left holding nothing
+    anything is built, the other models' engines, each whole; on exit, also
+    after an exception, once the bytes of the entries this call used are
+    counted, the entries it did not use.  An evolver left holding nothing
     leaves the map.
     """
     h = as_operator(hamiltonian, "hamiltonian")
@@ -579,16 +573,18 @@ def _model_evolver(hamiltonian, decomp) -> Iterator[_SlotEvolver]:
     key = _model_key(h, decomps)
     with _held_lock:
         warm = _held.pop(key, None)
-        _evict(lambda engine, _tick: engine is warm)
+        _evict(lambda engine, _tick: engine is not warm, whole=True)
         ev = _held[key] = warm or _SlotEvolver(h, decomps)
-        start = next(_ticks)
+        ev.key, start = key, next(_ticks)
     try:
         yield ev
     finally:
         with _held_lock:
-            _evict(lambda _engine, tick: tick > start)
-            if not any(ev._caches()) and _held.get(key) is ev:
-                del _held[key]
+            for entry, (cache, engine, tick, size) in list(_entries.items()):
+                if tick > start:  # built or grown since: count its bytes again
+                    _entries[entry] = (cache, engine, tick, _nbytes(cache[entry[1]]))
+                    _counts["bytes"] += _entries[entry][3] - size
+            _evict(lambda _engine, tick: tick < start, whole=False)
 
 
 def _densities(ev: _SlotEvolver, rho0: np.ndarray, times: np.ndarray) -> list[np.ndarray]:

@@ -1069,43 +1069,26 @@ def test_idle_engines_evicted_least_recently_used_first(rng, monkeypatch):
     call(0)
     size = engines[0].held_bytes()
     assert size > 0
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 2 * size)
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", int(2.5 * size))
     assert call(1) == [0, 1]
     assert call(2) == [0, 1, 2]
     assert {ev.held_bytes() for ev in engines} == {size}
-    assert call(3) == [1, 2, 3]     # three idle engines are over the cap: all of 0's entries go
+    assert call(3) == [1, 2, 3]     # three idle engines are over the cap: 0 goes
     assert call(1) == [2, 3, 1]     # a hit moves the engine last and evicts nothing
     assert call(4) == [3, 1, 4]     # 2 is now the least recently used
-    # half an engine over the cap: only the least recently used entries go, all of them 3's
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", int(1.5 * size))
-    before, evictions = list(propagation._entries), propagation._counts["evictions"]
-    assert call(1) == [3, 4, 1]
-    dropped = [entry for entry in before if entry not in propagation._entries]
-    assert dropped and dropped == before[:len(dropped)]
-    assert propagation._counts["evictions"] == evictions + len(dropped)
-    assert 0 < engines[3].held_bytes() < size
     monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)
     assert call(1) == [1]           # every idle engine goes, the requested one stays
 
 
 def test_engine_over_cap_is_released_before_next_build(rng, monkeypatch):
-    # the dimer's dense G_2 alone is over the cap, so it goes before the qubit's
-    # first generator is built; under cap 0 the whole engine goes
     otoc(*_dimer(), *_otoc_inputs(rng, 4), np.linspace(0.0, 2.0, 5))
     big = weakref.ref(propagation._recent_engine())
-    level = weakref.ref(big()._generators[(2, True)])
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", level().nbytes - 1)
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", big().held_bytes() - 1)
     released = []
     dense = propagation.multi_slot_generator
     monkeypatch.setattr(propagation, "multi_slot_generator",
-                        lambda h, d, n: released.append(level() is None) or dense(h, d, n))
-    otoc(*_qubit(), *_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
-    assert released and all(released)
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)
-    monkeypatch.setattr(propagation, "multi_slot_generator",
                         lambda h, d, n: released.append(big() is None) or dense(h, d, n))
-    released.clear()
-    otoc(*_qubit(gamma=0.2), *_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
+    otoc(*_qubit(), *_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
     assert released and all(released)
     assert len(_held_models()) == 1
 
@@ -1239,6 +1222,24 @@ def test_held_bytes_bounded_by_cap_plus_last_call(rng, monkeypatch):
     assert propagation._counts["evictions"] > evictions and max(idle) > 0  # the cap binds and holds
 
 
+def test_grown_propagator_map_counted_again():
+    # two calls step the dimer's G_2 by the same gap on different blocks: the second
+    # adds blocks to the step's held map, and the count of held bytes follows
+    h, decs = _dimer()
+    taus = np.linspace(0.0, 2.0, 5)
+    with propagation._model_evolver(h, decs) as ev:
+        labels = ev.labels(2)
+    sizes = []
+    for block in (0, 1):
+        v = (labels == block).astype(complex)
+        with propagation._model_evolver(h, decs) as ev:
+            list(ev.trajectory(v, 2, taus))
+        assert len(ev._propagators[(2, True, 0.5)]) == block + 1
+        sizes.append(propagation._counts["bytes"])
+        assert sizes[-1] == ev.held_bytes()
+    assert sizes[1] > sizes[0]
+
+
 def test_one_model_under_concurrent_mixed_calls(rng, monkeypatch):
     # four threads mix the steady state, an OTOC and a general correlator on one
     # model while cap 1 drops every entry a call leaves unused
@@ -1261,6 +1262,7 @@ def test_one_model_under_concurrent_mixed_calls(rng, monkeypatch):
     for k, values in zip(order, got):
         assert np.array_equal(values, expected[k])
     assert len(_held_models()) <= 1
+    assert sum(ev.held_bytes() for ev in _held_models()) == propagation._counts["bytes"]
 
 
 # ------------------------------------------------------------- ode integrator
