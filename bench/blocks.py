@@ -7,14 +7,13 @@ Run it from the root of a checkout.  A level steps only the blocks of its
 generator where both the slot tensor T and the dual vector w are nonzero.
 For each case below, with BLAS and OpenMP threads fixed at 1, it times:
 
-* assembly of the generator G_n (CSR on a sparse level, more than
-  `lindcorr.generators.DEFAULT_SLOT_BUDGET` coordinates, dense below) and its
-  block labels (the connected components of its sparsity pattern,
-  `propagation._block_labels`: `connected_components` on a CSR level, NumPy
-  min-label propagation on a dense one);
+* assembly of the generator G_n as the engine holds it, a CSR matrix
+  (`_SlotEvolver.generator`: from CSR slot factors on a sparse level, more
+  than `lindcorr.generators.DEFAULT_SLOT_BUDGET` coordinates, assembled dense
+  and converted below) and its block labels (the connected components of its
+  sparsity pattern, `propagation._block_labels`);
 * extraction of the restricted generator G[S, S] over the touched
-  coordinates S: on a sparse level as CSR and, when S is within the budget,
-  as a dense array; on a dense level as the dense slice;
+  coordinates S, as CSR and, when S is within the budget, as a dense array;
 * the sweep on the restricted level (`_SlotEvolver.sweep` with the labels
   held: cold, with its propagator built, and warm, on the held engine)
   against the sweep of the whole level, w @ exp(tau G_n) T: by
@@ -179,35 +178,28 @@ def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, 
     tensor = lc.elementary_tensor(b_ops)
     w = lc.contraction_functional(a_ops, rho)
     dense = generators._dense_fits(h.shape[0], n)
-    action = generators.multi_slot_action(h, decs, n)
-    assemble_s, gen = _median(action.to_dense if dense else action.to_csr, repeats)
+    assemble_s, gen = _median(lambda: propagation._SlotEvolver(h, decs).generator(n), repeats)
     labels_s, labels = _median(lambda: propagation._block_labels(gen), repeats)
     sizes = np.bincount(labels)
 
     def held_evolver():
         ev = propagation._SlotEvolver(h, decs)
-        ev._generators[(n, dense)] = gen
-        ev._labels[(n, dense)] = labels
+        ev._generators[n] = gen
+        ev._labels[n] = labels
         return ev
 
-    coords = held_evolver()._level(n, tensor, w)
+    _labels, coords = held_evolver()._level(n, tensor, w)
     order = len(tensor) if coords is None else len(coords)
     if coords is None:
         coords = np.arange(len(tensor))
-    if dense:
-        extract_csr_s, extract_dense_s = None, _median(lambda: gen[np.ix_(coords, coords)],
-                                                       repeats)[0]
-        touched_nnz = int(np.count_nonzero(gen[np.ix_(coords, coords)]))
-    else:
-        extract_csr_s, part = _median(lambda: gen[coords][:, coords], repeats)
-        extract_dense_s = (_median(lambda: gen[coords][:, coords].toarray(), repeats)[0]
-                           if generators._dense_order(order) else None)
-        touched_nnz = int(part.nnz)
+    extract_csr_s, part = _median(lambda: gen[coords][:, coords], repeats)
+    extract_dense_s = (_median(lambda: gen[coords][:, coords].toarray(), repeats)[0]
+                       if generators._dense_order(order) else None)
 
     def full_sweep():
         if not dense:
             return np.array([w @ v for v in propagation.integrate_ode(gen, tensor, TAUS)])
-        prop, v, out = lc.expm(gen, float(TAUS[1] - TAUS[0])), tensor, [w @ tensor]
+        prop, v, out = lc.expm(gen.toarray(), float(TAUS[1] - TAUS[0])), tensor, [w @ tensor]
         for _ in TAUS[1:]:
             v = prop @ v
             out.append(w @ v)
@@ -225,20 +217,20 @@ def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, 
     engine = "dense" if generators._dense_order(order) else "csr"
     row = {
         "case": name, "slots": n, "level_order": len(tensor),
-        "level_engine": "dense" if dense else "csr",
-        "level_nnz": int(np.count_nonzero(gen)) if dense else int(gen.nnz),
+        "level_assembly": "dense" if dense else "csr",
+        "level_nnz": int(gen.nnz),
         "assemble_s": assemble_s, "labels_s": labels_s, "blocks": len(sizes),
         "largest_block": int(sizes.max()),
         "touched_blocks": int(len(np.unique(labels[coords]))) if order else 0,
         "touched_order": order, "touched_engine": engine,
         "extract_csr_s": extract_csr_s, "extract_dense_s": extract_dense_s,
-        "touched_nnz": touched_nnz,
+        "touched_nnz": int(part.nnz),
         "full_sweep_s": full_s, "sector_sweep_cold_s": cold_s, "sector_sweep_warm_s": warm_s,
         "speedup_cold": full_s / cold_s, "speedup_warm": full_s / warm_s,
         "full_sweep_peak_b": _peak(full_sweep), "sector_sweep_peak_b": _peak(cold_sweep),
         "max_rel_deviation": float(np.max(np.abs(values - expected))) / scale,
     }
-    print(f"{name:34s} order {len(tensor):6d} ({row['level_engine']}) blocks {len(sizes):3d} "
+    print(f"{name:34s} order {len(tensor):6d} ({row['level_assembly']}) blocks {len(sizes):3d} "
           f"touched {order:5d} ({engine}) | labels {labels_s:.4f} s | "
           f"sweep full {full_s:.4f} s sector cold {cold_s:.4f} s warm {warm_s:.4f} s | "
           f"peak {row['full_sweep_peak_b'] / 2**20:.1f} -> {row['sector_sweep_peak_b'] / 2**20:.1f} MiB"
@@ -250,16 +242,16 @@ def measure_dimer_otoc(name, h, decs, a_ops, b_ops, rho, repeats: int) -> dict:
     """How a dimer OTOC's sweep forms its propagators, cold and warm."""
     tensor = lc.elementary_tensor(b_ops)
     w = lc.contraction_functional(a_ops, rho)
-    gen = generators.multi_slot_generator(h, decs, 2).matrix
+    gen = propagation._SlotEvolver(h, decs).generator(2)
     labels = propagation._block_labels(gen)
 
     def held_evolver():
         ev = propagation._SlotEvolver(h, decs)
-        ev._generators[(2, True)] = gen
-        ev._labels[(2, True)] = labels
+        ev._generators[2] = gen
+        ev._labels[2] = labels
         return ev
 
-    coords = held_evolver()._level(2, tensor, w)
+    _labels, coords = held_evolver()._level(2, tensor, w)
     sizes = np.bincount(labels if coords is None else labels[coords])
     cold_s, _ = _median(lambda: held_evolver().sweep(tensor, 2, TAUS, w), repeats)
     orders, expm = [], propagation.expm
@@ -270,7 +262,7 @@ def measure_dimer_otoc(name, h, decs, a_ops, b_ops, rho, repeats: int) -> dict:
     finally:
         propagation.expm = expm
     warm_s, _ = _median(lambda: warm.sweep(tensor, 2, TAUS, w), repeats)
-    row = {"case": name, "level_order": len(gen), "sweep_cold_s": cold_s, "sweep_warm_s": warm_s,
+    row = {"case": name, "level_order": gen.shape[0], "sweep_cold_s": cold_s, "sweep_warm_s": warm_s,
            "touched_block_sizes": sorted(int(b) for b in sizes[sizes > 0]),
            "expm_orders": sorted(orders), "held_b": warm.held_bytes()}
     print(f"{name:34s} touched {row['touched_block_sizes']} | expm orders {row['expm_orders']} | "
@@ -302,28 +294,28 @@ def measure_pull_back(name, h, decs, n, w, repeats: int) -> dict:
     """A dense level's pull-back across one gap: the whole propagator and one product
     against the engine's action, cold and held."""
     gap = 0.8
-    gen = generators.multi_slot_generator(h, decs, n).matrix
-    labels = propagation._block_labels(gen)
+    gen = propagation._SlotEvolver(h, decs).generator(n)
+    labels, dense = propagation._block_labels(gen), gen.toarray()
 
     def held_evolver():
         ev = propagation._SlotEvolver(h, decs)
-        ev._generators[(n, True)] = gen
-        ev._labels[(n, True)] = labels
+        ev._generators[n] = gen
+        ev._labels[n] = labels
         return ev
 
-    coords = held_evolver()._level(n, w)
-    full_s, expected = _median(lambda: w @ lc.expm(gen, gap), repeats)
+    _labels, coords = held_evolver()._level(n, w)
+    full_s, expected = _median(lambda: w @ lc.expm(dense, gap), repeats)
     cold_s, pulled = _median(lambda: held_evolver().pull_back(w, n, gap), repeats)
     held = held_evolver()
     held.pull_back(w, n, gap)
     held_s, _ = _median(lambda: held.pull_back(w, n, gap), repeats)
-    row = {"case": name, "slots": n, "level_order": len(gen), "gap": gap,
-           "touched_order": len(gen) if coords is None else len(coords),
+    row = {"case": name, "slots": n, "level_order": gen.shape[0], "gap": gap,
+           "touched_order": gen.shape[0] if coords is None else len(coords),
            "full_propagator_s": full_s, "pull_back_cold_s": cold_s,
            "pull_back_held_s": held_s,
            "speedup_cold": full_s / cold_s,
            "max_rel_deviation": float(np.max(np.abs(pulled - expected)) / np.max(np.abs(expected)))}
-    print(f"{name:38s} order {len(gen):4d} touched {row['touched_order']:4d} | full "
+    print(f"{name:38s} order {gen.shape[0]:4d} touched {row['touched_order']:4d} | full "
           f"{full_s * 1e3:.2f} ms | pull_back cold {cold_s * 1e3:.2f} ms held "
           f"{held_s * 1e3:.3f} ms | deviation "
           f"{row['max_rel_deviation']:.1e}", flush=True)
@@ -407,7 +399,7 @@ def main(argv=None) -> int:
     for name, *inputs in cases(rng):
         row, gen, labels = measure_case(name, *inputs, args.repeats)
         rows.append(row)
-        if row["level_engine"] == "csr" and all(
+        if row["level_assembly"] == "csr" and all(
                 len(labels) != len(seen) or gen.nnz != g.nnz for _n, g, seen in levels):
             levels.append((name, gen, labels))  # the OTOCs of one model share a level
     pull_backs = [measure_pull_back(*case, args.repeats) for case in pull_back_cases(rng)]

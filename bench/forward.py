@@ -3,9 +3,9 @@
     python3 bench/forward.py [--out BENCH_6.json] [--repeats 3]
 
 Run it from the root of a checkout.  For a `truncated_oscillator` of dimension
-d = 6, 9, 12, 17, 20, 30 and 40 (one-slot order d**2; levels above
-`lindcorr.generators.DEFAULT_SLOT_BUDGET` = 256, i.e. d >= 17, are sparse) it
-times, with BLAS and OpenMP threads fixed at 1:
+d = 6, 9, 12, 17, 20, 30 and 40 (one-slot order d**2; `steady_state` takes
+the bordered LU on levels above `lindcorr.generators.DEFAULT_SLOT_BUDGET` =
+256, i.e. d >= 17) it times, with BLAS and OpenMP threads fixed at 1:
 
 * the steady state by the dense SVD of `forward_lindbladian` (the former
   `steady_state`), by the bordered sparse LU of the one-slot generator G_1
@@ -46,7 +46,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
-import scipy.sparse  # noqa: E402
 
 import lindcorr as lc  # noqa: E402
 from lindcorr import generators, propagation  # noqa: E402
@@ -81,12 +80,9 @@ def expm_evolution(model, decs, rho0):
 
 
 def lu_steady_state(model, decs):
-    """Bordered LU on the held engine's CSR G_1 (assembled here at dense levels too)."""
+    """Bordered LU on the held engine's CSR G_1, at every level order."""
     with propagation._model_evolver(model.hamiltonian, decs) as ev:
-        gen = ev.generator(1)
-        if ev.dense(1):
-            gen = scipy.sparse.csr_array(gen)
-        w, _kappa = propagation._bordered_null_vector(gen)
+        w, _kappa = propagation._bordered_null_vector(ev.generator(1))
     return lc.unvec(w).T
 
 

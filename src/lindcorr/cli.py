@@ -501,6 +501,9 @@ def run(config_path: str | None, task: str | None = None, out: str | None = None
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # e.g. NumPy refusing a grid of more points than memory holds
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 def main(argv=None) -> int:

@@ -16,8 +16,9 @@ them:
   ``multi_slot_generator``) or a CSR matrix (``to_csr`` with
   ``scipy.sparse.kron``, making no dense d^2 x d^2 array).
 
-The propagation engine picks the form by the slot tensor's length d**(2n):
-dense up to ``DEFAULT_SLOT_BUDGET``, the measured crossover, and CSR above it.
+The propagation engine holds every level as one CSR matrix and picks the
+assembly by the slot tensor's length d**(2n): dense, stored without its zeros,
+up to ``DEFAULT_SLOT_BUDGET``, the measured crossover, and ``to_csr`` above it.
 The CSR slot factors are bounded in bytes from the operators' nonzeros before
 any is built, the CSR generator from the factors' nonzeros before it is
 assembled, and either bound over ``_CSR_BYTE_CAP`` is refused.

@@ -7,10 +7,12 @@ and the state.  The contraction is carried by a dual vector `w` built once per
 one dot product per point.  For general time patterns `w` also carries the
 earlier insertions: it is pulled back through them once per sweep.
 
-A level of n slots has d**(2n) coordinates.  Up to
-``generators.DEFAULT_SLOT_BUDGET``, the measured crossover, its generator is
-dense; above, it is a CSR matrix whose byte bound is checked against the cap
-before assembly (SlotBudgetError).
+A level of n slots has d**(2n) coordinates, and its generator is held as one
+CSR matrix.  Up to ``generators.DEFAULT_SLOT_BUDGET`` coordinates, the
+measured crossover, it is assembled dense and stored without its zeros; above,
+it is assembled from CSR slot factors, whose byte bound is checked against the
+cap before assembly (SlotBudgetError).  The budget decides how each run of a
+grid is stepped (below), never what a level holds.
 
 Every level is split into blocks that its generator never couples (under
 the exact decomposition G_n conserves the total Bohr frequency over all
@@ -43,9 +45,9 @@ own block, where the SVD leaves roundoff.
 The forward dynamics has no engine of its own.  Under the trace pairing
 trace(B rho) = vec(rho^T) . vec(B) a density matrix is a dual vector of the
 one-slot level G_1: rho(t) is vec(rho0^T) pulled back through exp(t G_1), and
-the stationary state is the left null vector of G_1, found by SVD on a dense
-level and by a sparse LU of G_1^T bordered with the trace functional on a
-sparse one.
+the stationary state is the left null vector of G_1, found by SVD on a level
+within the budget and by a sparse LU of G_1^T bordered with the trace
+functional above it.
 
 The n-slot generators and their propagators depend only on the model (H and
 the dissipation channels), not on the operators or the state, so the drivers
@@ -56,13 +58,13 @@ bytes, runs over the entries of every engine: a level's generator, its block
 labels or block order, or one step's block propagators.  Entries are idle at
 the start of a call if they are another model's, at its end if the call did
 not use them, and idle entries are dropped, least recently used first, while
-they hold more than ``_IDLE_BYTE_CAP`` bytes, at the start of a call with
-every entry of their engine; so an engine larger than the cap is released
-before the next model's generators are assembled, and between calls the
-engines hold at most the cap plus the last call's own working set (the blocks
-of one step hold at most the entries of the whole level's propagator).  What
-they hold changes the time of a later call, never its path or its values: a
-repeated call returns the same bytes.
+they hold more than ``_IDLE_BYTE_CAP`` bytes, at the start of a call engine
+by engine, least recently used model first; so an engine larger than the cap
+is released before the next model's generators are assembled, and between
+calls the engines hold at most the cap plus the last call's own working set
+(the blocks of one step hold at most the entries of the whole level's
+propagator).  What they hold changes the time of a later call, never its path
+or its values: a repeated call returns the same bytes.
 """
 
 from __future__ import annotations
@@ -264,33 +266,21 @@ def integrate_ode(generator, v0, tau_grid) -> list[np.ndarray]:
 
 
 def _block_labels(gen) -> np.ndarray:
-    """Block of each coordinate of the generator `gen`, numbered from 0: the connected
-    components of its sparsity pattern.
+    """Block of each coordinate of the CSR generator `gen`, numbered from 0: the
+    connected components of its sparsity pattern.
 
-    A CSR generator's pattern is read from its stored positions, never from the
-    values, so every stored entry links its row and column whatever its phase.
-    A dense one's is `gen != 0`, labelled in NumPy by min-label propagation
-    (so a dense level never imports scipy.sparse).
+    The pattern is read from the stored positions, never from the values, so
+    every stored entry links its row and column whatever its phase.
     """
-    if isinstance(gen, np.ndarray):
-        linked = gen != 0
-        linked |= linked.T
-        labels = np.arange(len(gen))
-        while True:
-            lowest = np.minimum(labels, np.where(linked, labels, len(gen)).min(axis=1))
-            lowest = lowest[lowest]  # a label is a coordinate of the block: jump to its label
-            if np.array_equal(lowest, labels):
-                return np.unique(labels, return_inverse=True)[1]
-            labels = lowest
-    import scipy.sparse as sp  # imported here: only sparse levels store a pattern
+    import scipy.sparse as sp  # imported here: `import lindcorr` leaves scipy.sparse unloaded
     from scipy.sparse.csgraph import connected_components
 
     pattern = sp.csr_array((np.ones(gen.nnz), gen.indices, gen.indptr), shape=gen.shape)
     return connected_components(pattern, directed=False)[1]
 
 
-# a step applied once on a dense generator of more than this order is taken as
-# the action exp(step G) v by expm_multiply instead of forming exp(step G):
+# a step applied once on more coordinates than this, within the budget, is taken
+# as the action exp(step G) v by expm_multiply instead of forming exp(step G):
 # against one expm and one product the action measured slower up to order 49,
 # about even at 64 and 2-13x faster from 81 to 256 (bench/crossover.py, BENCH_10.json)
 _SINGLE_USE_ORDER = 49
@@ -299,19 +289,17 @@ _SINGLE_USE_ORDER = 49
 class _SlotEvolver:
     """Generator and propagator caches of one (hamiltonian, decomps) model.
 
-    A level of n slots is dense when its tensor has at most
-    ``generators.DEFAULT_SLOT_BUDGET`` coordinates and a CSR generator above.
-    Each level also holds its blocks, the connected components of its
-    generator's sparsity pattern, and its coordinates sorted by block, both
-    found once per level.  The generator never couples two blocks, so a
-    vector stays zero on the blocks where it is zero, and only the
-    coordinates S of the touched blocks are stepped, block by block, under
-    G[S, S]: each run of equal steps by the block propagators exp(step G_b),
-    cached per level and step as one map from block to matrix, or by one
-    ``integrate_ode`` action (:meth:`_steps`).  Cache keys carry the engine
-    choice, so a changed slot budget is never served an engine built under
-    another.  Every generator, block labelling, block order and step's
-    propagator map is an entry of the one LRU over held entries (:meth:`_cached`).
+    Each level of n slots holds its generator G_n as one CSR matrix, its
+    blocks, the connected components of the generator's sparsity pattern, and
+    its coordinates sorted by block, each found once per level.  The generator
+    never couples two blocks, so a vector stays zero on the blocks where it is
+    zero, and only the coordinates S of the touched blocks are stepped, block
+    by block, under G[S, S]: each run of equal steps by the block propagators
+    exp(step G_b), cached per level and step as one map from block to matrix,
+    or by one ``integrate_ode`` action (:meth:`_steps`).  The slot budget
+    picks between the two run by run, so what a level holds serves any budget.
+    Every generator, block labelling, block order and step's propagator map is
+    an entry of the one LRU over held entries (:meth:`_cached`).
     """
 
     def __init__(self, hamiltonian, decomps):
@@ -324,16 +312,13 @@ class _SlotEvolver:
                 f"hamiltonian dimension {self.h.shape[0]}"
             )
         self.dim = self.h.shape[0]
-        self._generators: dict[tuple, object] = {}
-        self._propagators: dict[tuple, dict[int, np.ndarray]] = {}
-        self._labels: dict[tuple[int, bool], np.ndarray] = {}
-        self._grouped: dict[tuple[int, bool], np.ndarray] = {}
+        self._generators: dict[int, object] = {}
+        self._propagators: dict[tuple[int, float], dict[int, np.ndarray]] = {}
+        self._labels: dict[int, np.ndarray] = {}
+        self._grouped: dict[int, np.ndarray] = {}
         self.key: bytes | None = None  # its model key in `_held`, set when held
 
-    def dense(self, n_slots: int) -> bool:
-        return _dense_fits(self.dim, n_slots)
-
-    def _cached(self, cache: dict, key: tuple, build):
+    def _cached(self, cache: dict, key, build):
         """`cache[key]`, built by `build()` on a miss; while the engine is held, the
         most recently used entry of the LRU over held entries."""
         hit = (value := cache.get(key)) is not None
@@ -347,46 +332,43 @@ class _SlotEvolver:
         return value
 
     def generator(self, n_slots: int):
-        """G_n as a dense ndarray on a dense level, else as a CSR matrix whose
-        bytes are checked before assembly."""
-        key = (n_slots, self.dense(n_slots))
-        return self._cached(self._generators, key, lambda: (
-            multi_slot_generator(self.h, self.decomps, n_slots).matrix if key[1]
-            else multi_slot_action(self.h, self.decomps, n_slots).to_csr()))
+        """G_n as a CSR matrix.  Within the budget it is assembled dense, which is
+        faster there than the sparse Kronecker assembly, and stored without its
+        zeros; above, it is assembled from CSR slot factors, its bytes checked
+        before assembly."""
+        def build():
+            if not _dense_fits(self.dim, n_slots):
+                return multi_slot_action(self.h, self.decomps, n_slots).to_csr()
+            import scipy.sparse as sp  # imported here: `import lindcorr` leaves it unloaded
+            return sp.csr_array(multi_slot_generator(self.h, self.decomps, n_slots).matrix)
+        return self._cached(self._generators, n_slots, build)
 
     def labels(self, n_slots: int) -> np.ndarray:
         """Block of each coordinate of G_n (:func:`_block_labels`), found once per level."""
-        return self._cached(self._labels, (n_slots, self.dense(n_slots)),
-                            lambda: _block_labels(self.generator(n_slots)))
+        return self._cached(self._labels, n_slots, lambda: _block_labels(self.generator(n_slots)))
 
-    def _level(self, n_slots: int, *vectors: np.ndarray) -> np.ndarray | None:
-        """Coordinates of the n-slot level that `vectors` are stepped on, grouped by block.
-
-        None (every coordinate, in order) when `vectors` touch every block and
-        the level has one block or is sparse, so it is stepped whole, as held;
-        else the coordinates of the blocks where every one of `vectors` is
-        nonzero, possibly none, block after block in label order.
-        """
+    def _level(self, n_slots: int, *vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The level's block labels, and the coordinates `vectors` are stepped on,
+        grouped by block: None (every one, in order) when `vectors` touch every
+        block and the level has one block or is above the budget, so it is stepped
+        whole, as held; else those of the blocks where every one of `vectors` is
+        nonzero, possibly none, block after block in label order."""
         labels = self.labels(n_slots)
-        key = (n_slots, self.dense(n_slots))
-        grouped = self._cached(self._grouped, key, lambda: np.argsort(labels, kind="stable"))
         touched = np.ones(int(labels.max()) + 1, dtype=bool)
         for v in vectors:
             hit = np.zeros_like(touched)
             hit[labels[v != 0]] = True
             touched &= hit
-        if touched.all() and (len(touched) == 1 or not key[1]):
-            return None
-        return grouped[touched[labels[grouped]]]
+        if touched.all() and (len(touched) == 1 or not _dense_order(len(labels))):
+            return labels, None
+        grouped = self._cached(self._grouped, n_slots, lambda: np.argsort(labels, kind="stable"))
+        return labels, grouped[touched[labels[grouped]]]
 
-    def _propagator(self, level: tuple, gap: float, spans, block_generator) -> np.ndarray:
+    def _propagator(self, n_slots: int, gap: float, spans, block_generator) -> np.ndarray:
         """exp(gap G[S, S]), block-diagonal over `spans`, (block, start, stop) of each
-        block of S; `block_generator(start, stop)` gives the block's G_b on a miss.
-
-        The level's block propagators exp(gap G_b) are cached under `level` and
-        the gap, one matrix per block.
-        """
-        held = self._cached(self._propagators, (*level, gap), dict)
+        block of S, from the block propagators exp(gap G_b) cached per level and
+        gap; `block_generator(start, stop)` gives the block's G_b on a miss."""
+        held = self._cached(self._propagators, (n_slots, gap), dict)
         for block, start, stop in spans:
             if block not in held:
                 held[block] = expm(block_generator(start, stop), gap)
@@ -398,15 +380,15 @@ class _SlotEvolver:
         return prop
 
     def held_bytes(self) -> int:
-        """Bytes of the arrays the engine holds: its dense and CSR generators (data,
-        indices and indptr), block propagators, block labels and block orders."""
+        """Bytes of the arrays the engine holds: its CSR generators (data, indices and
+        indptr), block propagators, block labels and block orders."""
         return sum(_nbytes(m) for cache in (self._generators, self._propagators, self._labels,
                                             self._grouped) for m in list(cache.values()))
 
-    def _steps(self, n_slots: int, coords: np.ndarray | None, v: np.ndarray, taus: np.ndarray,
-               origin: float, adjoint: bool) -> Iterator[np.ndarray]:
+    def _steps(self, n_slots: int, labels: np.ndarray, coords: np.ndarray | None, v: np.ndarray,
+               taus: np.ndarray, origin: float, adjoint: bool) -> Iterator[np.ndarray]:
         """`v`, a vector on `coords` of the n-slot level (None: every coordinate),
-        carried along the grid under G[S, S].
+        carried along the grid under G[S, S]; `labels` are the level's block labels.
 
         Each run of equal steps (steps that differ only by rounding are one
         step) is stepped by the block-diagonal propagator of its step, made of
@@ -414,23 +396,18 @@ class _SlotEvolver:
         most ``DEFAULT_SLOT_BUDGET`` coordinates and the run has more than one
         step or S at most ``_SINGLE_USE_ORDER``; otherwise by one
         ``integrate_ode`` call on G[S, S].  The choice reads the run alone,
-        never what earlier calls held.
+        never what earlier calls held; the generator is looked up only by these.
         """
-        level = (n_slots, self.dense(n_slots))
-        gen = self.generator(n_slots)
-        restricted = cache(lambda: gen if coords is None else (
-            gen[np.ix_(coords, coords)] if level[1] else gen[coords][:, coords]))
         if coords is None:  # the whole level as one span
-            order, spans = gen.shape[0], [(0, 0, gen.shape[0])]
+            order, spans = len(labels), [(0, 0, len(labels))]
         else:
-            order, blocks = len(coords), self.labels(n_slots)[coords]
+            order, blocks = len(coords), labels[coords]
             starts = np.flatnonzero(np.diff(blocks, prepend=-1))
             spans = list(zip(blocks[starts].tolist(), starts.tolist(),
                              [*starts[1:].tolist(), order]))
 
-        def block_generator(start, stop):
-            block = restricted()[start:stop, start:stop]
-            return block if level[1] else block.toarray()
+        restricted = cache(lambda: self.generator(n_slots) if coords is None  # G[S, S]
+                           else self.generator(n_slots)[coords][:, coords])
 
         for step, run in groupby(_grid_steps(taus, origin)):
             count, gap = len(list(run)), float(step)
@@ -438,7 +415,8 @@ class _SlotEvolver:
                 for _ in range(count):
                     yield v
             elif _dense_order(order) and (count > 1 or order <= _SINGLE_USE_ORDER):
-                prop = self._propagator(level, gap, spans, block_generator)
+                prop = self._propagator(n_slots, gap, spans, lambda start, stop: (
+                    restricted()[start:stop, start:stop].toarray()))
                 for _ in range(count):
                     v = v @ prop if adjoint else prop @ v
                     yield v
@@ -456,13 +434,13 @@ class _SlotEvolver:
 
         Only the blocks where `v` is nonzero are stepped.
         """
-        coords = self._level(n_slots, v)
+        labels, coords = self._level(n_slots, v)
         if coords is None:
-            yield from self._steps(n_slots, None, v, taus, origin, adjoint)
+            yield from self._steps(n_slots, labels, None, v, taus, origin, adjoint)
             return
         part = v[coords]
-        steps = self._steps(n_slots, coords, part, taus, origin, adjoint) if len(coords) else (
-            part for _tau in taus)
+        steps = (self._steps(n_slots, labels, coords, part, taus, origin, adjoint) if len(coords)
+                 else (part for _tau in taus))
         for u in steps:
             out = np.zeros(len(v), dtype=complex)
             out[coords] = u
@@ -480,12 +458,13 @@ class _SlotEvolver:
         Only the blocks where both T and w are nonzero are stepped; when they
         share none, the values are exact zeros.
         """
-        coords = self._level(n_slots, tensor, w)
+        labels, coords = self._level(n_slots, tensor, w)
         if coords is not None:
             if not len(coords):
                 return np.zeros(len(taus), dtype=complex)
             tensor, w = tensor[coords], w[coords]
-        return np.array([w @ v for v in self._steps(n_slots, coords, tensor, taus, origin, False)])
+        return np.array([w @ v for v in self._steps(n_slots, labels, coords, tensor, taus, origin,
+                                                    False)])
 
 
 def _model_key(h: np.ndarray, decomps) -> bytes:
@@ -506,7 +485,7 @@ def _nbytes(m) -> int:
 
 
 # idle entries are dropped, least recently used first, while they hold more
-# than this many bytes: 32 dense order-256 levels
+# than this many bytes: 32 order-256 propagators
 _IDLE_BYTE_CAP = 32 * 2 ** 20
 
 # model key -> evolver of the models evaluated lately, most recently used last
@@ -523,11 +502,14 @@ _held_lock = threading.Lock()  # guards the maps, the counts and the caches' key
 
 def _evict(is_idle, whole: bool) -> None:
     """Drop idle entries, those whose (engine, tick of last use) `is_idle` accepts, least
-    recently used first while they hold more than ``_IDLE_BYTE_CAP`` bytes, each with
-    every idle entry of its engine when `whole`; an engine left with no entry leaves
-    `_held`.  The caller holds `_held_lock`."""
+    recently used first while they hold more than ``_IDLE_BYTE_CAP`` bytes; when `whole`,
+    engine by engine, least recently used model first.  An engine left with no entry
+    leaves `_held`.  The caller holds `_held_lock`."""
     if _counts["bytes"] > _IDLE_BYTE_CAP:
         idle = [(entry, record) for entry, record in _entries.items() if is_idle(*record[1:3])]
+        if whole:  # model by model: what a warm call did not need (its generator) stays old
+            rank = {ev: place for place, ev in enumerate(_held.values())}
+            idle.sort(key=lambda item: rank.get(item[1][1], -1))
         excess, gone = sum(record[3] for _entry, record in idle) - _IDLE_BYTE_CAP, set()
         for entry, (cache, ev, _tick, size) in idle:
             unit = ev if whole else entry
@@ -671,7 +653,7 @@ def _bordered_null_vector(g) -> tuple[np.ndarray, float]:
     others, so the bordered matrix is nonsingular exactly when the null space
     is one-dimensional.  splu raises RuntimeError when it is exactly singular.
     """
-    import scipy.sparse as sp  # imported here: only sparse levels solve this way
+    import scipy.sparse as sp  # imported here: only levels above the budget solve this way
     from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
     n = g.shape[0]
@@ -692,11 +674,12 @@ def steady_state(model: SystemModel, decomp=None, null_tol: float = 1e-9) -> np.
 
     The stationary rho satisfies trace(G_1[B] rho) = 0 for every B, so
     vec(rho^T) is the left null vector of the one-slot adjoint generator G_1,
-    taken from the model's held engine.  A dense level finds it by SVD; a
-    sparse one by a sparse LU of G_1^T bordered with the trace functional,
-    falling back to the SVD when the LU is singular or its condition estimate
-    exceeds 0.1 / null_tol; an SVD null vector is set to exact zeros outside
-    its block of G_1.  `null_tol` must lie strictly between 0 and 1.
+    taken from the model's held engine.  A level within the slot budget finds
+    it by SVD; one above it by a sparse LU of G_1^T bordered with the trace
+    functional, falling back to the SVD when the LU is singular or its
+    condition estimate exceeds 0.1 / null_tol; an SVD null vector is set to
+    exact zeros outside its block of G_1.  `null_tol` must lie strictly
+    between 0 and 1.
 
     Raises DegenerateSteadyStateError when more or fewer than one singular
     value of G_1 is at most null_tol times the largest (e.g. any rate-free
@@ -707,16 +690,14 @@ def steady_state(model: SystemModel, decomp=None, null_tol: float = 1e-9) -> np.
         raise ValueError(f"null_tol must lie strictly between 0 and 1, got {null_tol}")
     decomps = decompose_model(model) if decomp is None else _as_decomps(decomp)
     with _model_evolver(model.hamiltonian, decomps) as ev:
-        gen = ev.generator(1)
-        if ev.dense(1):
-            w = _svd_null_vector(gen, null_tol, ev.labels(1))
-        else:
+        gen, kappa = ev.generator(1), np.inf
+        if not _dense_fits(ev.dim, 1):
             try:
                 w, kappa = _bordered_null_vector(gen)
             except RuntimeError:  # splu: the bordered matrix is exactly singular
-                kappa = np.inf
-            if not kappa <= _LU_MARGIN / null_tol:  # also a NaN estimate
-                w = _svd_null_vector(gen.toarray(), null_tol, ev.labels(1))
+                pass
+        if not kappa <= _LU_MARGIN / null_tol:  # within the budget, refused, or a NaN estimate
+            w = _svd_null_vector(gen.toarray(), null_tol, ev.labels(1))
     rho = unvec(w).T
     tr = complex(np.trace(rho))
     if abs(tr) < 1e-10 * np.linalg.norm(rho):

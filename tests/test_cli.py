@@ -505,6 +505,19 @@ def test_grid_validation(tmp_path, capsys):
     assert "must not precede" in capsys.readouterr().err
 
 
+def test_grid_beyond_memory_exits_one(tmp_path, capsys):
+    # NumPy refuses 10**15 points (8 PB) at once, allocating nothing
+    cfg = {
+        "model": _atom_config(),
+        "task": "otoc",
+        "params": {"w": "sx", "v": "sz", "initial_state": "maximally_mixed",
+                   "taus": {"start": 0, "stop": 1, "points": 10 ** 15}},
+    }
+    assert cli.run(_write(tmp_path, cfg)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "Traceback" not in err
+
+
 def test_corr_requires_exactly_one_form(tmp_path, capsys):
     cfg = {
         "model": _atom_config(),

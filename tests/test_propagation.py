@@ -205,7 +205,7 @@ def test_steady_state_sparse_level_matches_svd(dim):
     model = _oscillator(dim)
     expected = _svd_steady_state(model)
     rho = steady_state(model)
-    assert not propagation._recent_engine().dense(1)
+    assert not generators._dense_fits(propagation._recent_engine().dim, 1)
     assert np.max(np.abs(rho - expected)) < 1e-12
     assert np.max(np.abs(rho - rho.conj().T)) == 0.0
 
@@ -274,14 +274,6 @@ def test_steady_state_is_exactly_zero_outside_its_block(family, monkeypatch):
         assert np.max(np.abs(rho - expected)) < 1e-10
 
 
-def test_steady_state_leaves_sparse_unloaded_on_dense_level():
-    code = ("import sys, lindcorr as lc; "
-            "lc.steady_state(lc.coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6)); "
-            "print('scipy.sparse' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
 def test_steady_state_shares_the_one_slot_generator(monkeypatch):
     model = _oscillator(30)
     decs = decompose_model(model)
@@ -305,7 +297,7 @@ def test_evolve_density_sparse_level_matches_forward_expm(rng):
         expected = unvec(expm(f, t) @ vec(rho0))
         rho = evolve_density(model.hamiltonian, decs, rho0, t)
         assert np.max(np.abs(rho - expected)) < 1e-12
-    assert not propagation._recent_engine().dense(1)
+    assert not generators._dense_fits(propagation._recent_engine().dim, 1)
 
 
 def test_general_correlator_enters_the_engine_once(rng, monkeypatch):
@@ -699,9 +691,10 @@ def test_single_use_pull_back_acts_on_every_call(rng, monkeypatch):
             return act(ev)
     gen = call(lambda ev: ev.generator(2))
     blocks = call(lambda ev: int(ev.labels(2).max()) + 1)
-    assert call(lambda ev: ev.dense(2)) and len(gen) > propagation._SINGLE_USE_ORDER and blocks > 1
+    assert call(lambda ev: generators._dense_fits(ev.dim, 2))
+    assert gen.shape[0] > propagation._SINGLE_USE_ORDER and blocks > 1
     w = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-    expected = w @ expm(gen, 0.8)
+    expected = w @ expm(gen.toarray(), 0.8)
     calls = _count_expm(monkeypatch)
     orders = _sparse_orders(monkeypatch)
     pulled = [call(lambda ev: ev.pull_back(w, 2, 0.8)) for _call in range(3)]
@@ -710,7 +703,7 @@ def test_single_use_pull_back_acts_on_every_call(rng, monkeypatch):
     assert np.max(np.abs(pulled[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
     call(lambda ev: list(ev.trajectory(w, 2, np.array([0.8, 1.6]), adjoint=True)))  # one run of two steps
     assert calls == [0.8] * blocks
-    assert len(propagation._recent_engine()._propagators[(2, True, 0.8)]) == blocks
+    assert len(propagation._recent_engine()._propagators[(2, 0.8)]) == blocks
     assert np.array_equal(call(lambda ev: ev.pull_back(w, 2, 0.8)), pulled[0])
     assert calls == [0.8] * blocks and orders == [256] * 4
 
@@ -822,7 +815,7 @@ def test_uniform_sweep_makes_one_step_expm(rng, monkeypatch):
     calls = _count_expm(monkeypatch)
     dense = otoc(h, decs, *args)
     assert len(set(calls)) == 1
-    assert len(calls) == len(propagation._recent_engine()._propagators[(2, True, calls[0])])
+    assert len(calls) == len(propagation._recent_engine()._propagators[(2, calls[0])])
     multiply = []
     expm_multiply = scipy.sparse.linalg.expm_multiply
     monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
@@ -847,7 +840,7 @@ def test_sparse_engine_leaves_global_rng_alone(rng):
         np.random.seed(seed)
         assert after == np.random.random()
         runs.append(trace.values)
-    assert not propagation._recent_engine().dense(1)
+    assert not generators._dense_fits(propagation._recent_engine().dim, 1)
     assert np.array_equal(runs[0], runs[1])
 
 
@@ -857,7 +850,7 @@ def test_held_engine_bytes_bounded(rng):
     taus = np.linspace(0.5, 2.5, 5)
     general_correlator(h, decs, _swept_spec(rng, 4, [None, None, None, 0.5], taus), taus=taus)
     ev = propagation._recent_engine()
-    assert (3, False) in ev._generators
+    assert 3 in ev._generators
     assert ev.held_bytes() == propagation._counts["bytes"] < 16 * 2 ** 20
 
 
@@ -1069,7 +1062,8 @@ def test_idle_engines_evicted_least_recently_used_first(rng, monkeypatch):
     call(0)
     size = engines[0].held_bytes()
     assert size > 0
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", int(2.5 * size))
+    # two idle engines and the generator a warm call leaves unused fit, three engines do not
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", int(2.75 * size))
     assert call(1) == [0, 1]
     assert call(2) == [0, 1, 2]
     assert {ev.held_bytes() for ev in engines} == {size}
@@ -1117,14 +1111,13 @@ def test_held_bytes_counts_generators_and_labels(monkeypatch):
     ev = propagation._SlotEvolver(*_dimer())
     assert ev.held_bytes() == 0
     gen = ev.generator(2)
-    assert ev.held_bytes() == gen.nbytes == 256 ** 2 * 16
+    assert ev.held_bytes() == propagation._nbytes(gen) == 20 * gen.nnz + 4 * (256 + 1)
     labels = ev.labels(2)
-    assert ev.held_bytes() == gen.nbytes + labels.nbytes
+    assert ev.held_bytes() == propagation._nbytes(gen) + labels.nbytes
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 100)
-    csr = ev.generator(2)
-    assert not ev.dense(2)
-    assert ev.held_bytes() == (gen.nbytes + labels.nbytes + csr.data.nbytes
-                               + csr.indices.nbytes + csr.indptr.nbytes)
+    assert ev.generator(2) is gen  # one form serves every budget
+    assert not generators._dense_fits(ev.dim, 2)
+    assert ev.held_bytes() == propagation._nbytes(gen) + labels.nbytes
 
 
 def test_lowered_budget_switches_held_engine(rng, monkeypatch):
@@ -1132,17 +1125,75 @@ def test_lowered_budget_switches_held_engine(rng, monkeypatch):
     args = (*_otoc_inputs(rng, 4), np.linspace(0.0, 2.0, 5))
     dense = otoc(h, decs, *args)
     orders = _sparse_orders(monkeypatch)
-    calls = _count_expm(monkeypatch)
+    calls, built = _count_expm(monkeypatch), _count_assembly(monkeypatch)
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 100)
     free = otoc(h, decs, *args)
     assert calls == [] and set(orders) == {16 ** 2}
-    assert set(propagation._recent_engine()._generators) == {(2, True), (2, False)}
+    assert built == [] and list(propagation._recent_engine()._generators) == [2]
     monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)  # now only the last call's entries stay
     again = otoc(h, decs, *args)
     assert calls == [] and set(orders) == {16 ** 2}
-    assert list(propagation._recent_engine()._generators) == [(2, False)]
+    assert built == [] and list(propagation._recent_engine()._generators) == [2]
     assert np.array_equal(again.values, free.values)
     assert np.max(np.abs(dense.values - free.values)) < 1e-12
+
+
+def test_held_levels_within_budget_are_csr_of_the_dense_generator():
+    # one level form: a level within the budget is held as CSR, with the dense
+    # assembly's entries bit for bit and none of its zeros stored
+    import scipy.sparse
+
+    qubit = _qubit(gamma=0.1, temperature=0.5)
+    for (h, decs), levels in ((_dimer(), (1, 2)), (qubit, (1, 2, 3, 4))):
+        for n in levels:
+            with propagation._model_evolver(h, decs) as ev:
+                ev.generator(n)
+            assert generators._dense_fits(ev.dim, n)
+            gen = ev._generators[n]
+            matrix = multi_slot_generator(h, decs, n).matrix
+            assert scipy.sparse.issparse(gen) and gen.format == "csr"
+            assert gen.toarray().tobytes() == matrix.tobytes()
+            assert gen.nnz == np.count_nonzero(matrix)
+        assert all(scipy.sparse.issparse(m) for m in ev._generators.values())
+
+
+def test_lowered_budget_reuses_held_level(rng, monkeypatch):
+    # the budget picks how each run is stepped, not what a level holds: after a
+    # call at the default budget, the dimer's steady state (bordered LU instead of
+    # SVD), OTOC and general correlator at budget 8 assemble and label nothing
+    model = coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6)
+    h, decs = model.hamiltonian, decompose_model(model)
+    w_op, v_op, rho = _otoc_inputs(rng, 4)
+    taus = np.linspace(1.0, 3.0, 5)
+    spec = _swept_spec(rng, 4, [None, 1.0, None, 0.5], taus)
+    calls = [lambda: steady_state(model, decs), lambda: otoc(h, decs, w_op, v_op, rho, taus).values,
+             lambda: general_correlator(h, decs, spec, taus=taus).values]
+    before = [call() for call in calls]
+    ev = propagation._recent_engine()
+    held = {n: (ev._generators[n], ev._labels[n]) for n in (1, 2)}
+    built, labelled = _count_assembly(monkeypatch), []
+    labels = propagation._block_labels
+    monkeypatch.setattr(propagation, "_block_labels", lambda g: labelled.append(g) or labels(g))
+    monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 8)
+    after = [call() for call in calls]
+    assert built == [] and labelled == [] and propagation._recent_engine() is ev
+    assert all(ev._generators[n] is gen and ev._labels[n] is lab for n, (gen, lab) in held.items())
+    for old, new in zip(before, after):
+        assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+
+
+def test_warm_sweep_makes_three_lookups():
+    # a warm OTOC on the dimer's order-256 level reads its labels once, its block
+    # order and its one step's propagator map: the generator is not looked up
+    h, decs = _dimer()
+    rho = steady_state(coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6))
+    args = (np.kron(sigma_x, EYE2), np.kron(sigma_z, sigma_z), rho, np.linspace(0.0, 4.0, 41))
+    first = otoc(h, decs, *args)
+    hits, misses = propagation._counts["hits"], propagation._counts["misses"]
+    again = otoc(h, decs, *args)
+    assert propagation._counts["misses"] == misses
+    assert propagation._counts["hits"] - hits <= 3
+    assert np.array_equal(again.values, first.values)
 
 
 def test_held_propagators_are_the_last_calls(rng, monkeypatch):
@@ -1157,7 +1208,7 @@ def test_held_propagators_are_the_last_calls(rng, monkeypatch):
     def used(taus):
         # the 2-slot sweep steps, and the 1-slot evolution of the state to the floor
         sweep = set(np.diff(taus - floor, prepend=0.0)) - {0.0}
-        return {(2, True, step) for step in sweep} | {(1, True, floor)}
+        return {(2, step) for step in sweep} | {(1, floor)}
 
     general_correlator(h, decs, spec, taus=first)
     kept = held()
@@ -1180,7 +1231,7 @@ def test_steady_state_keeps_the_otoc_level_held(monkeypatch):
     taus = np.linspace(0.0, 10.0, 41)
     rho = steady_state(model, decs)
     first = otoc(model.hamiltonian, decs, x, n, rho, taus)
-    assert not propagation._recent_engine().dense(2)
+    assert not generators._dense_fits(propagation._recent_engine().dim, 2)
     built, calls = _count_assembly(monkeypatch), _count_expm(monkeypatch)
     assert np.array_equal(steady_state(model, decs), rho)
     misses = propagation._counts["misses"]
@@ -1191,8 +1242,8 @@ def test_steady_state_keeps_the_otoc_level_held(monkeypatch):
 
 
 def test_held_bytes_bounded_by_cap_plus_last_call(rng, monkeypatch):
-    # 3 models x 2 levels x 3 grids under a cap of 1.5 order-256 levels: after
-    # every call the entries beyond that call's own working set fit in the cap
+    # 3 models x 2 levels x 3 grids under a cap of 1.5 times the largest working
+    # set: after every call the entries beyond that call's own working set fit in the cap
     models = {"dimer": _dimer(), "qubit": _qubit(gamma=0.1, temperature=0.5),
               "oscillator": (_oscillator(4).hamiltonian, decompose_model(_oscillator(4)))}
     inputs = {name: _otoc_inputs(rng, len(h)) for name, (h, _decs) in models.items()}
@@ -1211,7 +1262,7 @@ def test_held_bytes_bounded_by_cap_plus_last_call(rng, monkeypatch):
         call(name, level, grids[k])
         working[name, level, k] = propagation._counts["bytes"]
     propagation._release_engines()
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 3 * 256 ** 2 * 16 // 2)
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 3 * max(working.values()) // 2)
     idle, evictions = [], propagation._counts["evictions"]
     for name, level, k in sequence:
         call(name, level, grids[k])
@@ -1234,7 +1285,7 @@ def test_grown_propagator_map_counted_again():
         v = (labels == block).astype(complex)
         with propagation._model_evolver(h, decs) as ev:
             list(ev.trajectory(v, 2, taus))
-        assert len(ev._propagators[(2, True, 0.5)]) == block + 1
+        assert len(ev._propagators[(2, 0.5)]) == block + 1
         sizes.append(propagation._counts["bytes"])
         assert sizes[-1] == ev.held_bytes()
     assert sizes[1] > sizes[0]

@@ -138,7 +138,8 @@ def test_block_engine_matches_full_engine(case, monkeypatch):
     orders = _stepped(monkeypatch)
     values = equal_time_group_correlator(h, decs, a_ops, b_ops, rho, TAUS).values
     assert orders and max(orders) < len(tensor)  # only some blocks were stepped
-    assert all(len(key) == 2 for key in propagation._recent_engine()._generators)  # no G[S, S] held
+    held = propagation._recent_engine()._generators
+    assert all(isinstance(key, int) for key in held)  # no G[S, S] held
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -153,7 +154,7 @@ def test_rate_free_oscillator_steps_single_coordinates(rng, monkeypatch):
     expected = _full_sweep(model.hamiltonian, decs, tensor, w, TAUS)
     orders = _stepped(monkeypatch)
     values = equal_time_group_correlator(model.hamiltonian, decs, a_ops, [x, x], rho, TAUS).values
-    labels = propagation._recent_engine()._labels[(2, False)]
+    labels = propagation._recent_engine()._labels[2]
     assert len(np.unique(labels)) == 9 ** 4
     assert orders == [1] * np.count_nonzero(tensor * w)  # one order-1 expm per touched coordinate
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -176,7 +177,7 @@ def test_general_correlator_pull_back_on_sparse_level(rng, monkeypatch):
                         lambda ev, w, n, gap: pulled.append(n) or pull_back(ev, w, n, gap))
     orders = _stepped(monkeypatch)
     sparse = general_correlator(model.hamiltonian, decs, spec, taus=taus).values
-    assert pulled == [2] and not propagation._recent_engine().dense(2)
+    assert pulled == [2] and not generators._dense_fits(propagation._recent_engine().dim, 2)
     assert 0 < max(orders) < 256
     assert np.max(np.abs(sparse - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -206,7 +207,7 @@ def test_one_block_model_is_byte_identical_to_full_engine(rng, monkeypatch):
     b_ops = [random_matrix(rng, 3) for _ in range(2)]
     rho = random_density(rng, 3)
     values = equal_time_group_correlator(h, dec, a_ops, b_ops, rho, TAUS).values
-    assert np.all(propagation._recent_engine()._labels[(2, False)] == 0)
+    assert np.all(propagation._recent_engine()._labels[2] == 0)
     expected = _full_sweep(h, dec, elementary_tensor(b_ops), contraction_functional(a_ops, rho), TAUS)
     assert np.array_equal(values, expected)
 
@@ -226,7 +227,7 @@ def test_blocks_come_from_the_pattern_not_the_values(rng, monkeypatch):
     ev = propagation._recent_engine()
     gen = ev.generator(2)
     assert np.all(gen.data.real == 0) and np.all(gen.data != 0)
-    assert len(np.unique(ev._labels[(2, False)])) == 4 ** 2  # 4 blocks per slot
+    assert len(np.unique(ev._labels[2])) == 4 ** 2  # 4 blocks per slot
     tensor, w = elementary_tensor(b_ops), contraction_functional(a_ops, rho)
     expected = _full_sweep(h, dec, tensor, w, TAUS)
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -246,7 +247,7 @@ def test_disjoint_tensor_and_contraction_give_exact_zeros(monkeypatch):
                         lambda *a, **k: multiply.append(k["num"]) or expm_multiply(*a, **k))
     orders = _stepped(monkeypatch)
     trace = equal_time_group_correlator(model.hamiltonian, decs, [identity(9)] * 3, [a, a], rho, TAUS)
-    assert not propagation._recent_engine().dense(2)
+    assert not generators._dense_fits(propagation._recent_engine().dim, 2)
     assert np.array_equal(trace.values, np.zeros(len(TAUS)))
     assert multiply == [] and orders == []
 
@@ -260,17 +261,17 @@ def test_held_engine_trims_its_block_labels(rng, monkeypatch):
     rho = random_density(rng, 4)
     otoc(model.hamiltonian, decs, _site(sigma_plus, 0), _site(sigma_z, 1), rho, TAUS)
     ev = propagation._recent_engine()
-    assert set(ev._labels) == {(2, False)}
+    assert set(ev._labels) == {2}
     a = _site(sigma_minus, 1)
     qrt_correlator(model.hamiltonian, decs, identity(4), dagger(a), a, rho, TAUS)
     assert propagation._recent_engine() is ev
-    assert set(ev._labels) == {(1, False), (2, False)}
+    assert set(ev._labels) == {1, 2}
     monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)
     qrt_correlator(model.hamiltonian, decs, identity(4), dagger(a), a, rho, TAUS)
     assert propagation._recent_engine() is ev
-    assert set(ev._labels) == {(1, False)}
-    assert (2, False) not in ev._generators
-    assert all(key[0] == 1 for key in [*ev._generators, *ev._propagators])
+    assert set(ev._labels) == {1}
+    assert 2 not in ev._generators
+    assert all(key == 1 for key in ev._generators) and all(key[0] == 1 for key in ev._propagators)
 
 
 # ------------------------------------------------------------ dense levels
@@ -286,13 +287,12 @@ def _dense_level(name):
 
 @pytest.mark.parametrize("name", ["dimer-2", "qubit-3"])
 def test_dense_labels_and_exact_zero_propagators(name):
-    # the NumPy labelling finds the components connected_components finds, and
-    # the dense expm is exactly zero between them, so slicing it is exact
+    # the dense expm of the level is exactly zero between the components
+    # connected_components finds, so slicing it is exact
     ev, n = _dense_level(name)
-    gen = ev.generator(n)
+    gen = ev.generator(n).toarray()
     labels = ev.labels(n)
-    assert ev.dense(n) and 1 < labels.max() + 1 < len(gen)
-    assert np.array_equal(labels, propagation._block_labels(scipy.sparse.csr_array(gen)))
+    assert generators._dense_fits(ev.dim, n) and 1 < labels.max() + 1 < len(gen)
     apart = labels[:, None] != labels[None, :]
     assert not np.any(gen[apart])
     for gap in (0.3, 2.5):
@@ -304,11 +304,11 @@ def test_dense_block_sweep_and_pull_back_match_full_propagator(name, rng):
     # a tensor on some blocks against a w on others and on them: the restricted
     # sweep, a trajectory and a pull-back against the full propagator's products
     ev, n = _dense_level(name)
-    gen = ev.generator(n)
+    gen = ev.generator(n).toarray()
     labels = ev.labels(n)
     tensor = (rng.standard_normal(len(gen)) + 1j) * (labels % 3 == 0)
     w = (rng.standard_normal(len(gen)) + 1j) * (labels % 2 == 0)
-    coords = ev._level(n, tensor, w)
+    _labels, coords = ev._level(n, tensor, w)
     assert 0 < len(coords) < len(gen)
     taus = np.linspace(0.5, 4.5, 9)
     expected = np.array([w @ scipy.linalg.expm(tau * gen) @ tensor for tau in taus])
@@ -333,7 +333,7 @@ def test_one_block_dense_level_is_byte_identical_to_full_propagator(rng):
     rho = random_density(rng, 3)
     values = equal_time_group_correlator(h, dec, a_ops, b_ops, rho, TAUS).values
     ev = propagation._recent_engine()
-    assert ev.dense(2) and np.all(ev.labels(2) == 0)
+    assert generators._dense_fits(ev.dim, 2) and np.all(ev.labels(2) == 0)
     gen = multi_slot_generator(h, dec, 2).matrix
     v, w = elementary_tensor(b_ops), contraction_functional(a_ops, rho)
     expected = []
@@ -362,10 +362,10 @@ def test_dimer_otoc_forms_only_its_touched_blocks(monkeypatch):
     ev = propagation._recent_engine()
     tensor = elementary_tensor([dagger(w_op), w_op])
     w = contraction_functional([identity(4), dagger(v_op), v_op], rho)
-    coords = ev._level(2, tensor, w)
+    _labels, coords = ev._level(2, tensor, w)
     sizes = np.bincount(ev.labels(2)[coords])
     sizes = sizes[sizes > 0]
-    assert ev.dense(2) and len(coords) == 70
+    assert generators._dense_fits(ev.dim, 2) and len(coords) == 70
     assert orders and max(orders) <= 70
     assert sorted(orders) == sorted(sizes.tolist())  # one uniform grid: each block once
     (blocks,) = ev._propagators.values()
@@ -504,7 +504,7 @@ def test_block_propagators_match_level_propagator(model, kind, touch, data):
     with _budget(order), mock.patch.object(propagation, "integrate_ode") as acted:
         ev = propagation._SlotEvolver(h, dec)
         got = list(ev.trajectory(v, 2, taus))
-        assert not acted.called and ev.dense(2) == (kind == "dense")
+        assert not acted.called and generators._dense_fits(ev.dim, 2) == (kind == "dense")
     (blocks,) = ev._propagators.values()
     assert sorted(blocks) == np.flatnonzero(picked).tolist()
     full = gen.toarray() if kind == "dense" else gen[inside][:, inside].toarray()
