@@ -357,8 +357,9 @@ def check_finite_bath_agreement() -> str:
 
 
 def check_integrator_consistency() -> str:
-    """9: the sparse engine's expm_multiply stepping against the dense
-    exponential propagator; first-order convergence of the naive stepper."""
+    """9: the sparse engine's action kernel (``integrate_ode``, Al-Mohy & Higham's
+    interval algorithm) against the dense exponential propagator; first-order
+    convergence of the naive stepper."""
     from .models import truncated_oscillator
 
     rng = np.random.default_rng(907)
@@ -375,7 +376,7 @@ def check_integrator_consistency() -> str:
         for t, v in zip(grid, stepped):
             ref = expm(lind.matrix, float(t)) @ v0
             worst = max(worst, float(np.max(np.abs(v - ref))))
-    assert worst <= 1e-9, f"expm_multiply-vs-expm deviation {worst:.3e} exceeds 1e-9"
+    assert worst <= 1e-9, f"action-kernel-vs-expm deviation {worst:.3e} exceeds 1e-9"
 
     model = two_level_atom(1.0, 0.25, 0.0)
     decs = decompose_model(model)
@@ -390,7 +391,7 @@ def check_integrator_consistency() -> str:
     ]
     order = math.log2(errs[0] / errs[1])
     assert 0.9 <= order <= 1.1, f"Euler convergence order {order:.3f} outside [0.9, 1.1]"
-    return f"expm_multiply deviation {worst:.2e}; Euler order {order:.3f}"
+    return f"action kernel deviation {worst:.2e}; Euler order {order:.3f}"
 
 
 def check_cli_determinism() -> str:

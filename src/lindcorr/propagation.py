@@ -31,14 +31,20 @@ than one step or S at most ``_SINGLE_USE_ORDER`` coordinates, the run is
 stepped by matrix-vector products with the block-diagonal propagator of its
 step, made of the block propagators exp(step G_b), each formed once per
 level and step and cached.  Otherwise the run is one action of G[S, S] by
-``integrate_ode`` (``expm_multiply``); a pull-back uses the transposed
-matrix.  So a uniform grid forms each touched block's propagator once, and
-a step used once on many coordinates, such as a pull-back across one gap,
-forms none.  A level of one block is its own block: its propagator is
-formed from the whole generator.  The two ways agree within the engine
-tolerance, 1e-12 of the result's largest entry: measured at most 7.9e-14 on
-random models of order 26 to 625 (``bench/repeats.py``, BENCH_11.json) and
-1.5e-13 at order 196 (BENCH_10.json).  The steady state's null-space count
+``integrate_ode``; a pull-back uses the transposed matrix.  The action is
+Al-Mohy & Higham's interval algorithm (SIAM J. Sci. Comput. 33, 488, 2011),
+run here with the arithmetic of scipy's ``expm_multiply`` and so with its
+results, on a plan held per level, touched blocks and direction: the shifted
+slice G[S, S] - mu I, its 1-norm, and the Taylor degree and step count found
+for each step length, whose 1-norm estimates of powers of the slice are the
+costly part of a cold action, so a warm action only multiplies.  A uniform
+grid forms each touched block's propagator once, and a step used once on
+many coordinates, such as a pull-back across one gap, forms none.  A level
+of one block is its own block: its propagator is formed from the whole
+generator.  The two ways agree within the engine tolerance, 1e-12 of the
+result's largest entry: measured at most 7.9e-14 on random models of order
+26 to 625 (``bench/repeats.py``, BENCH_11.json) and 1.5e-13 at order 196
+(BENCH_10.json).  The steady state's null-space count
 sees every block; its SVD null vector is then set to exact zeros outside its
 own block, where the SVD leaves roundoff.
 
@@ -55,7 +61,8 @@ share them across calls: the engines of the models evaluated lately are held
 between calls, most recently used last, and reused by every later call on an
 equal model, recognised by content rather than identity.  One LRU, counted in
 bytes, runs over the entries of every engine: a level's generator, its block
-labels or block order, or one step's block propagators.  Entries are idle at
+labels or block order, one step's block propagators, an action plan, or the
+stationary state for one null tolerance.  Entries are idle at
 the start of a call if they are another model's, at its end if the call did
 not use them, and idle entries are dropped, least recently used first, while
 they hold more than ``_IDLE_BYTE_CAP`` bytes, at the start of a call engine
@@ -82,6 +89,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .decomposition import decompose_model
+from . import generators
 from .errors import DegenerateSteadyStateError, NumericsError
 from .generators import (
     _as_decomps,
@@ -241,27 +249,183 @@ def _seeded_global_rng() -> Iterator[None]:
         np.random.set_state(state)
 
 
+# Al-Mohy & Higham (2011): theta_m, the largest norm of t*A for which m terms of
+# the Taylor series meet the double-precision tolerance 2**-53, up to m = 30 from
+# table A.3 of Higham & Al-Mohy, Acta Numer. 19, 159 (2010), beyond from table 3.1
+_THETA = {1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
+          7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
+          13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
+          19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64,
+          27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
+_TOL = 2.0 ** -53
+_M_MAX = 55
+_P_MAX = 8  # the largest p with p (p - 1) <= m_max + 1
+# condition (3.13) for one vector and ell = 2: at most this 1-norm, m* and s are
+# read from the 1-norm alone and no power of the matrix is estimated
+_NORM_ONLY = 2 * 2 * _P_MAX * (_P_MAX + 3) * (_THETA[_M_MAX] / float(_M_MAX))
+
+
+class _ActionPlan:
+    """What the action exp(t A) v needs of A alone, prepared once: the shifted matrix
+    A - mu I (mu = trace(A) / n, in A's own format), its exact 1-norm, and the
+    Taylor degree and step count (m*, s) found for each (t, scale).
+
+    The engine holds one plan per slice it acts on, so a warm action estimates no
+    norm and copies no matrix.  ``shape`` is A's.
+    """
+
+    def __init__(self, a):
+        import scipy.sparse as sp  # imported here: only actions need it
+
+        a = a if sp.issparse(a) else np.asarray(a)
+        n = a.shape[0]
+        self.mu = a.trace() / float(n)
+        if sp.issparse(a):
+            self.shifted = a - self.mu * sp.eye(n, n, dtype=a.dtype).asformat(a.format)
+            self.norm = max(abs(self.shifted).sum(axis=0).flat)
+        else:
+            self.shifted = a - self.mu * np.eye(n, n, dtype=a.dtype)
+            self.norm = np.linalg.norm(self.shifted, 1)
+        self.shape = a.shape
+        self.params: dict[tuple[float, float], tuple[int, int]] = {}
+
+    def degrees(self, t: float, scale: float, roots) -> tuple[int, int]:
+        """(m*, s) for exp(scale t A) on one vector by Code Fragment 3.1 of Al-Mohy &
+        Higham (2011), m_max = 55 and ell = 2, found once per (t, scale); `roots()`
+        gives d_p = ||(t A)^p||_1^(1/p), p = 2 .. 9, when the 1-norm is too large alone."""
+        key = (t, scale)
+        if key not in self.params:
+            norm, best_m, best_s = scale * (t * self.norm), None, None
+            if norm <= _NORM_ONLY:
+                for m, theta in _THETA.items():
+                    s = math.ceil(norm / theta)
+                    if best_m is None or m * s < best_m * best_s:
+                        best_m, best_s = m, s
+            else:
+                d = [scale * root for root in roots()]
+                for p in range(2, _P_MAX + 1):
+                    alpha = max(d[p - 2], d[p - 1])
+                    for m in range(p * (p - 1) - 1, _M_MAX + 1):
+                        if m in _THETA:
+                            s = math.ceil(alpha / _THETA[m])
+                            if best_m is None or m * s < best_m * best_s:
+                                best_m, best_s = m, s
+                best_s = max(best_s, 1)
+            self.params[key] = best_m, best_s
+        return self.params[key]
+
+    def roots(self, t: float) -> list[float]:
+        """||(t A)^p||_1^(1/p) for p = 2 .. 9, each estimated by scipy's ``onenormest``
+        in that order on t A, from NumPy's global stream seeded for the estimates."""
+        from scipy.sparse.linalg import aslinearoperator, onenormest
+
+        scaled = aslinearoperator(t * self.shifted)
+        with _seeded_global_rng():
+            roots = [onenormest(scaled ** p) ** (1.0 / p) for p in range(2, _P_MAX + 2)]
+        _count(norm_estimates=len(roots))
+        return roots
+
+
+def _taylor(a, b: np.ndarray, t: float, mu, m: int, s: int) -> tuple[np.ndarray, int]:
+    """exp(t (a + mu I)) b by s steps of the Taylor series of degree at most m, each
+    cut short once two terms fall below the tolerance (Al-Mohy & Higham 2011,
+    Algorithm 3.2), and the number of products with `a` made."""
+    f, eta, matvecs = b, np.exp(t * mu / float(s)), 0
+    for _i in range(s):
+        c1 = np.abs(b).max()
+        for j in range(m):
+            b = t / float(s * (j + 1)) * a.dot(b)
+            matvecs += 1
+            c2 = np.abs(b).max()
+            f = f + b
+            if c1 + c2 <= _TOL * np.abs(f).max():
+                break
+            c1 = c2
+        f = eta * f
+        b = f
+    return f, matvecs
+
+
+def _interval(plan: _ActionPlan, b: np.ndarray, t: float, q: int) -> np.ndarray:
+    """exp(k (t / q) A) b for k = 0 .. q, A the plan's matrix, as rows.
+
+    Algorithm 5.2 of Al-Mohy & Higham (2011) from time 0, with the arithmetic
+    of scipy's ``expm_multiply``: when q <= s, each point is stepped from the
+    one before by :func:`_taylor` with the (m*, s) of one step; otherwise the
+    points are stepped in intervals of d = q // s points (the last holding the
+    rest) from the Taylor terms K[p] of each interval's start, each term and
+    its norm formed once.  The workspace, the q + 1 rows and the m* + 1 terms,
+    is checked against the CSR byte cap before it is made.
+    """
+    a, mu, n, h = plan.shifted, plan.mu, len(b), t / q
+    roots = cache(lambda: plan.roots(t))
+    zero = t * plan.norm == 0
+    m, s = (0, 1) if zero else plan.degrees(t, 1, roots)
+    stepwise = q <= s
+    if stepwise and not zero:
+        m, s = plan.degrees(t, 1.0 / q, roots)
+    dtype = np.result_type(a.dtype, b.dtype, float)
+    work = ((m + 1) + (q + 1)) * n * dtype.itemsize
+    if work > generators._CSR_BYTE_CAP:
+        raise MemoryError(f"an action needs {work} bytes of workspace, over the cap of "
+                          f"{generators._CSR_BYTE_CAP}")
+    x = np.empty((q + 1, n), dtype=dtype)
+    x[0] = b
+    matvecs = 0
+    if stepwise:
+        for k in range(q):
+            x[k + 1], made = _taylor(a, x[k], h, mu, m, s)
+            matvecs += made
+    else:
+        d = q // s
+        j = q // d
+        terms = np.empty((m + 1, n), dtype=dtype)
+        for i in range(j + 1):
+            span = d if i < j else q - d * j
+            if not span:
+                break
+            terms[0] = x[i * d]
+            norms = [np.abs(terms[0]).max()]  # ||K[p]||_inf of the terms formed
+            for k in range(1, span + 1):
+                f, c1 = terms[0], norms[0]
+                for p in range(1, m + 1):
+                    if p == len(norms):
+                        terms[p] = h * a.dot(terms[p - 1]) / float(p)
+                        norms.append(np.abs(terms[p]).max())
+                        matvecs += 1
+                    coeff = float(pow(k, p))
+                    f = f + coeff * terms[p]
+                    c2 = coeff * norms[p]
+                    if c1 + c2 <= _TOL * np.abs(f).max():
+                        break
+                    c1 = c2
+                x[k + i * d] = np.exp(k * h * mu) * f
+    _count(matvecs=matvecs)
+    return x
+
+
 def integrate_ode(generator, v0, tau_grid) -> list[np.ndarray]:
     """Solution exp((tau - tau_grid[0]) G) v0 of dv/dtau = G v, sampled on `tau_grid`.
 
-    `generator` is a dense or scipy.sparse matrix.  The action of the
-    exponential is computed by scipy's ``expm_multiply`` (Al-Mohy & Higham,
-    SIAM J. Sci. Comput. 33, 2011), one call per run of equal steps, which it
-    evaluates at the run's evenly spaced points.
+    `generator` is a dense or scipy.sparse matrix, or the engine's held plan of
+    one.  The action of the exponential is Al-Mohy & Higham's interval
+    algorithm (SIAM J. Sci. Comput. 33, 488, 2011), as scipy's
+    ``expm_multiply`` runs it and with its results, one interval per run of
+    equal steps, evaluated at the run's evenly spaced points.  The shifted
+    matrix and the Taylor degrees a matrix needs are prepared once per plan
+    (:class:`_ActionPlan`), so a call on a held plan estimates no norm it has
+    estimated before.  A non-finite result raises NumericsError.
     """
-    # imported here: only action steps need it, and the import is heavy
-    from scipy.sparse.linalg import expm_multiply
-
     grid = _check_taus(tau_grid)
+    plan = generator if isinstance(generator, _ActionPlan) else _ActionPlan(generator)
     states = [np.asarray(v0, dtype=complex)]
-    with _seeded_global_rng():
-        for step, run in groupby(_grid_steps(grid, grid[0])[1:]):
-            count = len(list(run))
-            out = expm_multiply(generator, states[-1], start=0.0, stop=count * step,
-                                num=count + 1, endpoint=True)
-            states.extend(out[1:])
+    if states[0].shape != plan.shape[1:]:
+        raise ValueError(f"v0 must be a vector of length {plan.shape[1]}, got shape {states[0].shape}")
+    for step, run in groupby(_grid_steps(grid, grid[0])[1:]):
+        count = len(list(run))
+        states.extend(_interval(plan, states[-1], count * step, count)[1:])
     if not all(np.all(np.isfinite(v)) for v in states):
-        raise NumericsError("expm_multiply produced non-finite values")
+        raise NumericsError("the exponential's action produced non-finite values")
     return states
 
 
@@ -280,8 +444,9 @@ def _block_labels(gen) -> np.ndarray:
 
 
 # a step applied once on more coordinates than this, within the budget, is taken
-# as the action exp(step G) v by expm_multiply instead of forming exp(step G):
-# against one expm and one product the action measured slower up to order 49,
+# as the action exp(step G) v by integrate_ode instead of forming exp(step G):
+# against one expm and one product the action (then scipy's expm_multiply,
+# whose results integrate_ode keeps) measured slower up to order 49,
 # about even at 64 and 2-13x faster from 81 to 256 (bench/crossover.py, BENCH_10.json)
 _SINGLE_USE_ORDER = 49
 
@@ -316,6 +481,8 @@ class _SlotEvolver:
         self._propagators: dict[tuple[int, float], dict[int, np.ndarray]] = {}
         self._labels: dict[int, np.ndarray] = {}
         self._grouped: dict[int, np.ndarray] = {}
+        self._plans: dict[tuple[int, bytes | None, bool], _ActionPlan] = {}
+        self._steady: dict[float, np.ndarray] = {}
         self.key: bytes | None = None  # its model key in `_held`, set when held
 
     def _cached(self, cache: dict, key, build):
@@ -381,9 +548,11 @@ class _SlotEvolver:
 
     def held_bytes(self) -> int:
         """Bytes of the arrays the engine holds: its CSR generators (data, indices and
-        indptr), block propagators, block labels and block orders."""
+        indptr), block propagators, block labels, block orders, action plans' shifted
+        matrices and steady states."""
         return sum(_nbytes(m) for cache in (self._generators, self._propagators, self._labels,
-                                            self._grouped) for m in list(cache.values()))
+                                            self._grouped, self._plans, self._steady)
+                   for m in list(cache.values()))
 
     def _steps(self, n_slots: int, labels: np.ndarray, coords: np.ndarray | None, v: np.ndarray,
                taus: np.ndarray, origin: float, adjoint: bool) -> Iterator[np.ndarray]:
@@ -395,16 +564,20 @@ class _SlotEvolver:
         the cached propagators exp(step G_b) of the blocks of S, when S has at
         most ``DEFAULT_SLOT_BUDGET`` coordinates and the run has more than one
         step or S at most ``_SINGLE_USE_ORDER``; otherwise by one
-        ``integrate_ode`` call on G[S, S].  The choice reads the run alone,
-        never what earlier calls held; the generator is looked up only by these.
+        ``integrate_ode`` call on the held action plan of G[S, S], or of its
+        transpose for a pull-back, one per level, touched blocks and direction.
+        The choice reads the run alone, never what earlier calls held; the
+        generator is looked up only by these, so an action keeps it held with
+        its plan.
         """
         if coords is None:  # the whole level as one span
-            order, spans = len(labels), [(0, 0, len(labels))]
+            order, spans, touched = len(labels), [(0, 0, len(labels))], None
         else:
             order, blocks = len(coords), labels[coords]
             starts = np.flatnonzero(np.diff(blocks, prepend=-1))
-            spans = list(zip(blocks[starts].tolist(), starts.tolist(),
-                             [*starts[1:].tolist(), order]))
+            touched = blocks[starts]
+            spans = list(zip(touched.tolist(), starts.tolist(), [*starts[1:].tolist(), order]))
+            touched = touched.tobytes()
 
         restricted = cache(lambda: self.generator(n_slots) if coords is None  # G[S, S]
                            else self.generator(n_slots)[coords][:, coords])
@@ -421,9 +594,10 @@ class _SlotEvolver:
                     v = v @ prop if adjoint else prop @ v
                     yield v
             else:
-                part = restricted()
-                (_start, *states) = integrate_ode(part.T if adjoint else part, v,
-                                                  gap * np.arange(count + 1))
+                self.generator(n_slots)  # held with the plan made from it
+                plan = self._cached(self._plans, (n_slots, touched, adjoint), lambda: _ActionPlan(
+                    restricted().T if adjoint else restricted()))
+                (_start, *states) = integrate_ode(plan, v, gap * np.arange(count + 1))
                 yield from states
                 v = states[-1]
 
@@ -478,9 +652,12 @@ def _model_key(h: np.ndarray, decomps) -> bytes:
 
 
 def _nbytes(m) -> int:
-    """Bytes of an array, a CSR matrix (data, indices and indptr) or a map of them."""
+    """Bytes of an array, a sparse matrix (data, indices and indptr), a map of them or
+    an action plan's shifted matrix."""
     if isinstance(m, dict):
         return sum(_nbytes(block) for block in list(m.values()))
+    if isinstance(m, _ActionPlan):
+        return _nbytes(m.shifted)
     return sum(part.nbytes for part in ((m.data, m.indices, m.indptr) if hasattr(m, "indptr") else (m,)))
 
 
@@ -494,10 +671,18 @@ _held: dict[bytes, _SlotEvolver] = {}
 # held entry, least recently used first
 _entries: dict[tuple, tuple] = {}
 _ticks = count()
-# lookups that found their entry, lookups that built it, entries dropped and
-# bytes held (read by bench/repeats.py)
-_counts = {"hits": 0, "misses": 0, "evictions": 0, "bytes": 0}
+# lookups that found their entry, lookups that built it, entries dropped, bytes
+# held, and the actions' matrix-vector products and 1-norm estimates (read by
+# bench/repeats.py)
+_counts = {"hits": 0, "misses": 0, "evictions": 0, "bytes": 0, "matvecs": 0, "norm_estimates": 0}
 _held_lock = threading.Lock()  # guards the maps, the counts and the caches' keys
+
+
+def _count(**amounts: int) -> None:
+    """Add `amounts` to the counts."""
+    with _held_lock:
+        for key, amount in amounts.items():
+            _counts[key] += amount
 
 
 def _evict(is_idle, whole: bool) -> None:
@@ -669,6 +854,24 @@ def _bordered_null_vector(g) -> tuple[np.ndarray, float]:
     return lu.solve(rhs), kappa
 
 
+def _stationary(ev: _SlotEvolver, null_tol: float) -> np.ndarray:
+    """The trace-one stationary state of `ev`'s model (:func:`steady_state`)."""
+    gen, kappa = ev.generator(1), np.inf
+    if not _dense_fits(ev.dim, 1):
+        try:
+            w, kappa = _bordered_null_vector(gen)
+        except RuntimeError:  # splu: the bordered matrix is exactly singular
+            pass
+    if not kappa <= _LU_MARGIN / null_tol:  # within the budget, refused, or a NaN estimate
+        w = _svd_null_vector(gen.toarray(), null_tol, ev.labels(1))
+    rho = unvec(w).T
+    tr = complex(np.trace(rho))
+    if abs(tr) < 1e-10 * np.linalg.norm(rho):
+        raise NumericsError("steady-state candidate is traceless; cannot normalize")
+    rho = rho / tr
+    return 0.5 * (rho + rho.conj().T)
+
+
 def steady_state(model: SystemModel, decomp=None, null_tol: float = 1e-9) -> np.ndarray:
     """Unique trace-one stationary state: the left null vector of G_1.
 
@@ -679,7 +882,8 @@ def steady_state(model: SystemModel, decomp=None, null_tol: float = 1e-9) -> np.
     functional, falling back to the SVD when the LU is singular or its
     condition estimate exceeds 0.1 / null_tol; an SVD null vector is set to
     exact zeros outside its block of G_1.  `null_tol` must lie strictly
-    between 0 and 1.
+    between 0 and 1.  The state is held on the engine, one per `null_tol`, as
+    an entry of the LRU over held entries; each call returns a copy.
 
     Raises DegenerateSteadyStateError when more or fewer than one singular
     value of G_1 is at most null_tol times the largest (e.g. any rate-free
@@ -690,20 +894,8 @@ def steady_state(model: SystemModel, decomp=None, null_tol: float = 1e-9) -> np.
         raise ValueError(f"null_tol must lie strictly between 0 and 1, got {null_tol}")
     decomps = decompose_model(model) if decomp is None else _as_decomps(decomp)
     with _model_evolver(model.hamiltonian, decomps) as ev:
-        gen, kappa = ev.generator(1), np.inf
-        if not _dense_fits(ev.dim, 1):
-            try:
-                w, kappa = _bordered_null_vector(gen)
-            except RuntimeError:  # splu: the bordered matrix is exactly singular
-                pass
-        if not kappa <= _LU_MARGIN / null_tol:  # within the budget, refused, or a NaN estimate
-            w = _svd_null_vector(gen.toarray(), null_tol, ev.labels(1))
-    rho = unvec(w).T
-    tr = complex(np.trace(rho))
-    if abs(tr) < 1e-10 * np.linalg.norm(rho):
-        raise NumericsError("steady-state candidate is traceless; cannot normalize")
-    rho = rho / tr
-    return 0.5 * (rho + rho.conj().T)
+        rho = ev._cached(ev._steady, null_tol, lambda: _stationary(ev, null_tol))
+    return rho.copy()
 
 
 def qrt_correlator(hamiltonian, decomp, a1, b, a2, rho_t, taus) -> CorrelatorTrace:

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from lindcorr import (
@@ -16,6 +16,7 @@ from lindcorr import (
     CorrelatorSpec,
     CorrelatorTrace,
     DegenerateSteadyStateError,
+    NumericsError,
     SlotBudgetError,
     annihilation,
     assign_rates,
@@ -805,9 +806,7 @@ def test_general_sweep_expm_count(rng, monkeypatch):
 def test_uniform_sweep_makes_one_step_expm(rng, monkeypatch):
     # the steps of a linspace grid differ in their last bits; they share one gap
     # on the dense engine, each touched block's propagator formed once, and one
-    # expm_multiply call on the sparse one
-    import scipy.sparse.linalg
-
+    # interval of the action kernel, over all 200 points, on the sparse one
     h, decs = _qubit(gamma=0.1, temperature=0.5)
     args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 20.0, 200))
     steps = np.diff(args[-1])
@@ -817,9 +816,9 @@ def test_uniform_sweep_makes_one_step_expm(rng, monkeypatch):
     assert len(set(calls)) == 1
     assert len(calls) == len(propagation._recent_engine()._propagators[(2, calls[0])])
     multiply = []
-    expm_multiply = scipy.sparse.linalg.expm_multiply
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
-                        lambda *a, **k: multiply.append(k["num"]) or expm_multiply(*a, **k))
+    interval = propagation._interval
+    monkeypatch.setattr(propagation, "_interval",
+                        lambda plan, b, t, q: multiply.append(q + 1) or interval(plan, b, t, q))
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 4)
     sparse = otoc(h, decs, *args)
     assert multiply == [200]
@@ -1342,6 +1341,119 @@ def test_integrate_ode_matches_expm(rng):
     out = integrate_ode(g, v0, grid)
     for t, v in zip(grid, out):
         assert np.max(np.abs(v - expm(g, t) @ v0)) < 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["zero", "stepwise", "divides", "rest"]), st.booleans(),
+       st.integers(2, 12), st.sampled_from([0.1, 1.0, 8.0]), st.floats(0.2, 3.0),
+       st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+@example("rest", False, 8, 8.0, 2.0, 2, 0)  # s = 5, q = 11
+@example("rest", True, 8, 8.0, 2.0, 2, 1)  # s = 6, q = 14
+@example("divides", False, 8, 8.0, 2.0, 1, 2)  # s = 7, q = 14
+@example("stepwise", True, 8, 8.0, 2.0, 3, 0)  # s = 5, q = 3
+@example("zero", False, 3, 1.0, 1.0, 1, 0)
+def test_action_kernel_equals_expm_multiply(branch, sparse, n, scale, t, k, seed):
+    # the kernel is scipy's interval algorithm with its arithmetic: equal under
+    # np.array_equal on dense and CSR matrices, for q <= s, s | q and s !| q,
+    # and for a matrix whose shifted 1-norm is zero
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    rng = np.random.default_rng(seed)
+    a = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    a[rng.random((n, n)) < 0.4] = 0.0
+    if branch == "zero":
+        a = (1.5 - 0.5j) * np.eye(n)
+    a = scipy.sparse.csr_array(a) if sparse else a
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    plan = propagation._ActionPlan(a)
+    m, s = (0, 1) if branch == "zero" else plan.degrees(t, 1, lambda: plan.roots(t))
+    q = {"zero": k, "stepwise": min(k, s), "divides": s * (k + 1),
+         "rest": s * k + 1 + seed % max(s - 1, 1)}[branch]
+    assume(branch != "rest" or s > 1)
+    got = propagation._interval(plan, v, t, q)
+    with propagation._seeded_global_rng():
+        want = scipy.sparse.linalg.expm_multiply(a, v, start=0.0, stop=t, num=q + 1, endpoint=True)
+    ran = "stepwise" if q <= s else "rest" if q % s else "divides"
+    event(f"{branch} ran {ran}, sparse {sparse}")
+    assert (plan.norm == 0) == (branch == "zero") and branch in ("zero", ran)
+    assert np.array_equal(got, want)
+
+
+def test_warm_action_estimates_no_norm(rng, monkeypatch):
+    # every step of a geomspace grid is distinct, so each is an action on the
+    # dimer's touched block of 70; its plans are held, and a warm call makes no
+    # 1-norm estimate and returns the same bytes
+    import scipy.sparse.linalg
+
+    estimates = []
+    onenormest = scipy.sparse.linalg.onenormest
+    monkeypatch.setattr(scipy.sparse.linalg, "onenormest",
+                        lambda *a, **k: estimates.append(1) or onenormest(*a, **k))
+    h, decs = _dimer()
+    kron = np.kron
+    args = (kron(sigma_x, EYE2), kron(sigma_z, sigma_z), random_density(rng, 4),
+            np.geomspace(1e-2, 400.0, 30))
+    counted = []
+    for _call in range(2):
+        before = dict(propagation._counts)
+        values = otoc(h, decs, *args).values
+        counted.append({key: propagation._counts[key] - before[key]
+                        for key in ("matvecs", "norm_estimates")})
+        counted[-1]["onenormest"] = len(estimates)
+        estimates.clear()
+        counted[-1]["bytes"] = values.tobytes()
+    cold, warm = counted
+    assert cold["onenormest"] == cold["norm_estimates"] > 0
+    assert warm["onenormest"] == warm["norm_estimates"] == 0
+    assert warm["matvecs"] == cold["matvecs"] > 0
+    assert warm["bytes"] == cold["bytes"]
+    ev = propagation._recent_engine()
+    assert len(ev._plans) == 1 and ev.held_bytes() == propagation._counts["bytes"]
+
+
+def test_steady_state_is_a_held_entry(monkeypatch):
+    # the state is held once per null_tol, counted in bytes, and handed out as a copy
+    model = coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6)
+    decs = decompose_model(model)
+    first = steady_state(model, decs)
+    ev = propagation._recent_engine()
+    (held,) = ev._steady.values()
+    assert list(ev._steady) == [1e-9] and (id(ev._steady), 1e-9) in propagation._entries
+    assert ev.held_bytes() == propagation._counts["bytes"] >= held.nbytes > 0
+    solved = []
+    svd = propagation._svd_null_vector
+    monkeypatch.setattr(propagation, "_svd_null_vector", lambda *a: solved.append(1) or svd(*a))
+    first[0, 0] = 7.0
+    again = steady_state(model, decs)
+    assert solved == [] and again is not held
+    assert np.array_equal(again, held) and again[0, 0] != 7.0
+    steady_state(model, decs, null_tol=1e-8)
+    assert solved == [1] and sorted(ev._steady) == [1e-9, 1e-8]
+
+
+def test_action_refuses_workspace_over_cap(monkeypatch):
+    # the rows and Taylor terms of an action are checked against the byte cap
+    # before they are made
+    v0 = np.ones(4, dtype=complex)
+    grid = np.linspace(0.0, 1.0, 51)
+    assert len(integrate_ode(-np.eye(4), v0, grid)) == 51
+    monkeypatch.setattr(generators, "_CSR_BYTE_CAP", 51 * 4 * 16)
+    with pytest.raises(MemoryError, match="workspace"):
+        integrate_ode(-np.eye(4), v0, grid)
+
+
+def test_non_finite_action_raises():
+    # an overflowing step, with a zero shifted matrix or through the Taylor terms
+    import scipy.sparse
+
+    v0 = np.ones(2, dtype=complex)
+    swap = scipy.sparse.csr_array(np.array([[0.0, 400.0], [400.0, 0.0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericsError, match="non-finite"):
+            integrate_ode(800.0 * np.eye(2), v0, [0.0, 1.0])
+        with pytest.raises(NumericsError, match="non-finite"):
+            integrate_ode(swap, v0, [0.0, 1.0, 2.0])
 
 
 def test_import_leaves_ode_solver_unloaded():

@@ -13,8 +13,6 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -242,9 +240,9 @@ def test_disjoint_tensor_and_contraction_give_exact_zeros(monkeypatch):
     rho = np.diag(np.exp(-np.arange(9.0))).astype(complex)
     rho /= np.trace(rho)
     multiply = []
-    expm_multiply = scipy.sparse.linalg.expm_multiply
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
-                        lambda *a, **k: multiply.append(k["num"]) or expm_multiply(*a, **k))
+    interval = propagation._interval
+    monkeypatch.setattr(propagation, "_interval",
+                        lambda plan, b, t, q: multiply.append(q + 1) or interval(plan, b, t, q))
     orders = _stepped(monkeypatch)
     trace = equal_time_group_correlator(model.hamiltonian, decs, [identity(9)] * 3, [a, a], rho, TAUS)
     assert not generators._dense_fits(propagation._recent_engine().dim, 2)
