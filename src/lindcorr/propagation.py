@@ -27,10 +27,10 @@ slice of the restricted generator G[S, S].
 A grid is walked in runs of equal steps (steps that differ only by rounding
 are one step), and each run is stepped in one of two ways, chosen from the
 run alone.  If S has at most the budget's coordinates and the run has more
-than one step or S at most ``_SINGLE_USE_ORDER`` coordinates, the run is
-stepped by matrix-vector products with the block-diagonal propagator of its
-step, made of the block propagators exp(step G_b), each formed once per
-level and step and cached.  Otherwise the run is one action of G[S, S] by
+than one step or no block of S has more than ``_SINGLE_USE_ORDER``
+coordinates, the run is stepped by matrix-vector products with the
+block-diagonal propagator of its step, made of the block propagators
+exp(step G_b), each formed once per level and step and cached.  Otherwise the run is one action of G[S, S] by
 ``integrate_ode``; a pull-back uses the transposed matrix.  The action is
 Al-Mohy & Higham's interval algorithm (SIAM J. Sci. Comput. 33, 488, 2011),
 run here with the arithmetic of scipy's ``expm_multiply`` and so with its
@@ -443,8 +443,8 @@ def _block_labels(gen) -> np.ndarray:
     return connected_components(pattern, directed=False)[1]
 
 
-# a step applied once on more coordinates than this, within the budget, is taken
-# as the action exp(step G) v by integrate_ode instead of forming exp(step G):
+# a step applied once to blocks of which one has more coordinates than this,
+# within the budget, is taken as the action exp(step G) v by integrate_ode instead of forming exp(step G):
 # against one expm and one product the action (then scipy's expm_multiply,
 # whose results integrate_ode keeps) measured slower up to order 49,
 # about even at 64 and 2-13x faster from 81 to 256 (bench/crossover.py, BENCH_10.json)
@@ -563,7 +563,7 @@ class _SlotEvolver:
         step) is stepped by the block-diagonal propagator of its step, made of
         the cached propagators exp(step G_b) of the blocks of S, when S has at
         most ``DEFAULT_SLOT_BUDGET`` coordinates and the run has more than one
-        step or S at most ``_SINGLE_USE_ORDER``; otherwise by one
+        step or its largest block at most ``_SINGLE_USE_ORDER``; otherwise by one
         ``integrate_ode`` call on the held action plan of G[S, S], or of its
         transpose for a pull-back, one per level, touched blocks and direction.
         The choice reads the run alone, never what earlier calls held; the
@@ -578,6 +578,7 @@ class _SlotEvolver:
             touched = blocks[starts]
             spans = list(zip(touched.tolist(), starts.tolist(), [*starts[1:].tolist(), order]))
             touched = touched.tobytes()
+        largest = max(stop - start for _block, start, stop in spans)
 
         restricted = cache(lambda: self.generator(n_slots) if coords is None  # G[S, S]
                            else self.generator(n_slots)[coords][:, coords])
@@ -587,7 +588,7 @@ class _SlotEvolver:
             if gap == 0.0:
                 for _ in range(count):
                     yield v
-            elif _dense_order(order) and (count > 1 or order <= _SINGLE_USE_ORDER):
+            elif _dense_order(order) and (count > 1 or largest <= _SINGLE_USE_ORDER):
                 prop = self._propagator(n_slots, gap, spans, lambda start, stop: (
                     restricted()[start:stop, start:stop].toarray()))
                 for _ in range(count):

@@ -709,6 +709,27 @@ def test_single_use_pull_back_acts_on_every_call(rng, monkeypatch):
     assert calls == [0.8] * blocks and orders == [256] * 4
 
 
+def test_single_use_gap_on_small_blocks_takes_their_propagators(rng, monkeypatch):
+    # the single-use rule reads the largest touched block: the rate-free dimer's
+    # fixed gap 0.8 touches blocks of at most 16 coordinates of its 2-slot level,
+    # so it is pulled back by their propagators, cold and warm, and no action;
+    # forced to be an action, it gives the same value within the engine tolerance
+    free = coupled_dimer(1.0, 1.25, 0.3, 0.0, 0.0, 0.6)
+    h, decs = free.hamiltonian, decompose_model(free)
+    spec = CorrelatorSpec(tuple(zip((random_matrix(rng, 4) for _ in range(3)), (2.0, 1.2, 0.4))),
+                          random_density(rng, 4))
+    orders, calls = _sparse_orders(monkeypatch), _count_expm(monkeypatch)
+    got = [general_correlator(h, decs, spec) for _call in range(2)]
+    sizes = np.bincount(propagation._recent_engine().labels(2))
+    assert orders == [] and 0.8 in calls and got[0] == got[1]
+    assert sizes.max() <= propagation._SINGLE_USE_ORDER < sizes.sum()
+    monkeypatch.setattr(propagation, "_SINGLE_USE_ORDER", 0)
+    acted = general_correlator(h, decs, spec)
+    assert orders  # every single-use step is now an action
+    exact = closed_correlator(h, spec)
+    assert abs(got[0] - exact) <= 1e-12 and abs(acted - exact) <= 1e-12
+
+
 def _dimer_pull_back(rng):
     h, decs = _dimer()
     w = rng.standard_normal(256) + 1j * rng.standard_normal(256)
@@ -800,7 +821,10 @@ def test_general_sweep_expm_count(rng, monkeypatch):
     steps = np.diff(taus - t2, prepend=0.0)
     distinct_steps = len(set(steps[steps != 0.0]))
     fixed_levels = 2
-    assert len(calls) <= distinct_steps + fixed_levels + 1
+    # each expm is one touched block's propagator, formed once and held
+    held = propagation._recent_engine()._propagators
+    assert len(calls) == sum(len(blocks) for blocks in held.values())
+    assert len(set(calls)) <= distinct_steps + fixed_levels + 1
 
 
 def test_uniform_sweep_makes_one_step_expm(rng, monkeypatch):
