@@ -2,6 +2,7 @@
 
     python3 bench/repeats.py [--out BENCH_11.json] [--label change] [--repeats 3]
     python3 bench/repeats.py --engines [--out BENCH_14.json] [--label change] [--repeats 3]
+    python3 bench/repeats.py --step-peak [--out BENCH_16.json] [--label change]
 
 Run it from the root of a checkout: it imports lindcorr from that checkout's
 `src`, so running the same file in two checkouts compares them.  With BLAS
@@ -46,7 +47,19 @@ pass is cold; a later call is warm when what it uses is still held.  Each
 call's values are checked to be the bytes of its first pass.  The first of
 the `--repeats` runs also records after every call the bytes held by all
 engines and, on a checkout that counts them (`propagation._counts`), the
-hits, misses and evictions of the call's cache lookups.
+hits, misses and evictions of the call's cache lookups and, where they are
+counted, the actions' matrix-vector products and 1-norm estimates; the
+products and estimates of each round are printed.
+
+With `--step-peak` it measures the memory of an action on a large level: a
+sweep of a random tensor against a random dual vector, both nonzero on every
+block, on the 3-slot level of the 9-level oscillator (order 531441, one
+action of the whole level) over the grid 0, 0.5, 1, made twice on the held
+engine.  The level's CSR generator and block labels are assembled before
+tracemalloc starts, so each sweep's peak of traced bytes is what the step
+adds to what the engine held before it; the record gives it, the
+generator's CSR bytes, the bytes held before the sweep, the peak in all
+(held before plus traced) over the CSR bytes, and ru_maxrss.
 
 The rows go under `--label` in `--out`, next to what else that file holds.
 """
@@ -238,8 +251,8 @@ def interleaved(name: str, calls: list, rounds: int, repeats: int) -> dict:
                 if sequence == 0:
                     held[r][k] = sum(held_bytes(ev) or 0 for ev in held_engines())
                     after = counts()
-                    lookups[r][k] = after and {key: after[key] - before[key]
-                                               for key in ("hits", "misses", "evictions")}
+                    lookups[r][k] = after and {key: after[key] - before[key] for key in (
+                        "hits", "misses", "evictions", "matvecs", "norm_estimates") if key in after}
                 got = values(out)
                 same &= bool(np.array_equal(got, first.setdefault(k, got)))
     release()
@@ -251,6 +264,11 @@ def interleaved(name: str, calls: list, rounds: int, repeats: int) -> dict:
     print(f"{name}: pass " + " | ".join(f"round {r + 1} {t:.4f} s" for r, t in
                                        enumerate(result["pass_s_by_round"]))
           + f" | same bytes {same}", flush=True)
+    if lookups[0][0] and "matvecs" in lookups[0][0]:
+        print("  action work: " + " | ".join(
+            f"round {r + 1} {sum(c['matvecs'] for c in row)} matvecs, "
+            f"{sum(c['norm_estimates'] for c in row)} norm estimates"
+            for r, row in enumerate(lookups)), flush=True)
     return result
 
 
@@ -316,6 +334,43 @@ def engines(args) -> dict:
             "sequences": sequences, "temperature_scan": scan}
 
 
+def step_peak() -> dict:
+    """Traced peak bytes of two sweeps on the whole 3-slot level of the 9-level
+    oscillator, over the CSR bytes of the level's held generator."""
+    import tracemalloc
+
+    model = lc.truncated_oscillator(omega0=1.0, dim=9, gamma=0.1, temperature=0.5)
+    decs = lc.decompose_model(model)
+    rng = np.random.default_rng(16)
+    tensor, w = (rng.standard_normal(9 ** 6) + 1j * rng.standard_normal(9 ** 6) for _ in range(2))
+    release()
+    start = time.perf_counter()
+    with propagation._model_evolver(model.hamiltonian, decs) as ev:
+        csr = propagation._nbytes(ev.generator(3))
+        ev.labels(3)
+    assembly_s = time.perf_counter() - start
+    calls = []
+    for call in (1, 2):
+        before = held_bytes(held_engines()[-1])
+        tracemalloc.start()
+        start = time.perf_counter()
+        with propagation._model_evolver(model.hamiltonian, decs) as ev:
+            ev.sweep(tensor, 3, np.array([0.0, 0.5, 1.0]), w)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        calls.append({"call": call, "time_s": elapsed, "held_bytes_before": before,
+                      "step_peak_bytes": peak, "step_peak_over_csr": peak / csr,
+                      "peak_in_all_over_csr": (before + peak) / csr,
+                      "held_bytes_after": held_bytes(held_engines()[-1])})
+        print(f"step peak, call {call}: {peak / 2**20:.1f} MiB above the {before / 2**20:.1f} MiB "
+              f"held, {(before + peak) / csr:.2f} times the {csr / 2**20:.1f} MiB CSR generator "
+              f"in all, {elapsed:.2f} s", flush=True)
+    release()
+    return {"script": "bench/repeats.py --step-peak", "env": _env(), "csr_bytes": csr,
+            "assembly_s": assembly_s, "calls": calls, "maxrss_mib": _maxrss_mib()}
+
+
 def _random_decomps(rng: np.random.Generator, d: int, eigenbasis: bool):
     def hermitian():
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -377,12 +432,17 @@ def main(argv=None) -> int:
     parser.add_argument("--models", type=int, default=20, help="random models per generator kind")
     parser.add_argument("--engines", action="store_true",
                         help="record the interleaved sequences and the temperature scan instead")
+    parser.add_argument("--step-peak", action="store_true",
+                        help="record the traced peak of an action on a large level instead")
     parser.add_argument("--rounds", type=int, default=3, help="passes per interleaved sequence")
     parser.add_argument("--seed", type=int, default=13, help="seed of the general-sweep configs")
     parser.add_argument("--scan-points", type=int, default=200)
     args = parser.parse_args(argv)
-    args.out = args.out or str(ROOT / ("BENCH_14.json" if args.engines else "BENCH_11.json"))
-    if args.engines:
+    args.out = args.out or str(ROOT / ("BENCH_16.json" if args.step_peak else
+                                       "BENCH_14.json" if args.engines else "BENCH_11.json"))
+    if args.step_peak:
+        result = step_peak()
+    elif args.engines:
         result = engines(args)
     else:
         rng = np.random.default_rng(11)

@@ -30,23 +30,24 @@ run alone.  If S has at most the budget's coordinates and the run has more
 than one step or no block of S has more than ``_SINGLE_USE_ORDER``
 coordinates, the run is stepped by matrix-vector products with the
 block-diagonal propagator of its step, made of the block propagators
-exp(step G_b), each formed once per level and step and cached.  Otherwise the run is one action of G[S, S] by
-``integrate_ode``; a pull-back uses the transposed matrix.  The action is
-Al-Mohy & Higham's interval algorithm (SIAM J. Sci. Comput. 33, 488, 2011),
-run here with the arithmetic of scipy's ``expm_multiply`` and so with its
-results, on a plan held per level, touched blocks and direction: the shifted
-slice G[S, S] - mu I, its 1-norm, and the Taylor degree and step count found
-for each step length, whose 1-norm estimates of powers of the slice are the
-costly part of a cold action, so a warm action only multiplies.  A uniform
-grid forms each touched block's propagator once, and a step used once on
-many coordinates, such as a pull-back across one gap, forms none.  A level
-of one block is its own block: its propagator is formed from the whole
+exp(step G_b), each formed once per level and step and cached.  Otherwise
+the run is one action of G[S, S] by ``integrate_ode``; a pull-back uses the
+transposed matrix.  The action is Al-Mohy & Higham's interval algorithm
+(SIAM J. Sci. Comput. 33, 488, 2011), run here with the arithmetic of
+scipy's ``expm_multiply`` and so with its results, on a plan held per level,
+touched blocks and direction: the shifted slice G[S, S] - mu I, its 1-norm,
+and the Taylor degree and step count found for each step length, whose
+1-norm estimates of powers of the slice are the costly part of a cold
+action, so a warm action only multiplies.  A uniform grid forms each touched
+block's propagator once, and a step used once on a block of many
+coordinates, such as a pull-back across one gap, forms none.  A level of
+one block is its own block: its propagator is formed from the whole
 generator.  The two ways agree within the engine tolerance, 1e-12 of the
 result's largest entry: measured at most 7.9e-14 on random models of order
 26 to 625 (``bench/repeats.py``, BENCH_11.json) and 1.5e-13 at order 196
-(BENCH_10.json).  The steady state's null-space count
-sees every block; its SVD null vector is then set to exact zeros outside its
-own block, where the SVD leaves roundoff.
+(BENCH_10.json).  The steady state's null-space count sees every block; its
+SVD null vector is then set to exact zeros outside its own block, where the
+SVD leaves roundoff.
 
 The forward dynamics has no engine of its own.  Under the trace pairing
 trace(B rho) = vec(rho^T) . vec(B) a density matrix is a dual vector of the
@@ -88,8 +89,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .decomposition import decompose_model
 from . import generators
+from .decomposition import decompose_model
 from .errors import DegenerateSteadyStateError, NumericsError
 from .generators import (
     _as_decomps,
@@ -234,19 +235,25 @@ def _grid_steps(taus: np.ndarray, origin: float = 0.0) -> np.ndarray:
     return steps
 
 
+_rng_lock = threading.Lock()  # one seeded block at a time
+
+
 @contextmanager
 def _seeded_global_rng() -> Iterator[None]:
     """Seed NumPy's global stream for the block and restore the caller's state after.
 
     scipy's 1-norm estimator draws from the global stream; seeding it makes
     the result independent of the caller's state and leaves that state alone.
+    The blocks of concurrent calls run one at a time, so none draws from
+    another's stream.
     """
-    state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        yield
-    finally:
-        np.random.set_state(state)
+    with _rng_lock:
+        state = np.random.get_state()
+        np.random.seed(0)
+        try:
+            yield
+        finally:
+            np.random.set_state(state)
 
 
 # Al-Mohy & Higham (2011): theta_m, the largest norm of t*A for which m terms of
@@ -420,7 +427,8 @@ def integrate_ode(generator, v0, tau_grid) -> list[np.ndarray]:
     plan = generator if isinstance(generator, _ActionPlan) else _ActionPlan(generator)
     states = [np.asarray(v0, dtype=complex)]
     if states[0].shape != plan.shape[1:]:
-        raise ValueError(f"v0 must be a vector of length {plan.shape[1]}, got shape {states[0].shape}")
+        raise ValueError(f"v0 must be a vector of length {plan.shape[1]}, "
+                         f"got shape {states[0].shape}")
     for step, run in groupby(_grid_steps(grid, grid[0])[1:]):
         count = len(list(run))
         states.extend(_interval(plan, states[-1], count * step, count)[1:])
@@ -444,10 +452,11 @@ def _block_labels(gen) -> np.ndarray:
 
 
 # a step applied once to blocks of which one has more coordinates than this,
-# within the budget, is taken as the action exp(step G) v by integrate_ode instead of forming exp(step G):
-# against one expm and one product the action (then scipy's expm_multiply,
-# whose results integrate_ode keeps) measured slower up to order 49,
-# about even at 64 and 2-13x faster from 81 to 256 (bench/crossover.py, BENCH_10.json)
+# within the budget, is taken as the action exp(step G) v by integrate_ode
+# instead of forming exp(step G): against one expm and one product the action
+# (then scipy's expm_multiply, whose results integrate_ode keeps) measured
+# slower up to order 49, about even at 64 and 2-13x faster from 81 to 256
+# (bench/crossover.py, BENCH_10.json)
 _SINGLE_USE_ORDER = 49
 
 

@@ -1436,6 +1436,27 @@ def test_warm_action_estimates_no_norm(rng, monkeypatch):
     assert len(ev._plans) == 1 and ev.held_bytes() == propagation._counts["bytes"]
 
 
+def test_action_plans_under_concurrent_calls(rng, monkeypatch):
+    # four threads share the dimer's action plans while a cap of 1 drops them
+    # between calls, so plans and their 1-norm estimates are made concurrently
+    h, decs = _dimer()
+    args = (np.kron(sigma_x, EYE2), np.kron(sigma_z, sigma_z), random_density(rng, 4))
+    grids = [np.geomspace(1e-2, 400.0, 12), np.geomspace(2e-2, 300.0, 8)]
+    expected = [otoc(h, decs, *args, grid).values for grid in grids]
+    assert propagation._counts["norm_estimates"] > 0
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 1)
+    order = [k % len(grids) for k in range(12)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda k: otoc(h, decs, *args, grids[k]).values, order, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, values in zip(order, got):
+        assert np.array_equal(values, expected[k])
+
+
 def test_steady_state_is_a_held_entry(monkeypatch):
     # the state is held once per null_tol, counted in bytes, and handed out as a copy
     model = coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6)

@@ -464,8 +464,8 @@ def test_action_matches_propagator_within_engine_tolerance(model, engine, gap, s
         w[labels == np.argmin(np.bincount(labels))] = 0.0
         touched = np.count_nonzero(w)
     expected = w @ propagation.expm(csr.toarray(), gap)
-    with _budget(budget), mock.patch.object(propagation, "_SINGLE_USE_ORDER", 0), \
-            mock.patch.object(propagation, "integrate_ode", wraps=propagation.integrate_ode) as acted:
+    acts = mock.patch.object(propagation, "integrate_ode", wraps=propagation.integrate_ode)
+    with _budget(budget), mock.patch.object(propagation, "_SINGLE_USE_ORDER", 0), acts as acted:
         got = propagation._SlotEvolver(h, dec).pull_back(w, n, gap)
         assert acted.call_count == (touched > propagation._SINGLE_USE_ORDER)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
