@@ -1391,7 +1391,7 @@ def test_action_kernel_equals_expm_multiply(branch, sparse, n, scale, t, k, seed
     a = scipy.sparse.csr_array(a) if sparse else a
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     plan = propagation._ActionPlan(a)
-    m, s = (0, 1) if branch == "zero" else plan.degrees(t, 1, lambda: plan.roots(t))
+    _m, s = (0, 1) if branch == "zero" else plan.degrees(t, 1, lambda: plan.roots(t))
     q = {"zero": k, "stepwise": min(k, s), "divides": s * (k + 1),
          "rest": s * k + 1 + seed % max(s - 1, 1)}[branch]
     assume(branch != "rest" or s > 1)
@@ -1415,8 +1415,7 @@ def test_warm_action_estimates_no_norm(rng, monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "onenormest",
                         lambda *a, **k: estimates.append(1) or onenormest(*a, **k))
     h, decs = _dimer()
-    kron = np.kron
-    args = (kron(sigma_x, EYE2), kron(sigma_z, sigma_z), random_density(rng, 4),
+    args = (np.kron(sigma_x, EYE2), np.kron(sigma_z, sigma_z), random_density(rng, 4),
             np.geomspace(1e-2, 400.0, 30))
     counted = []
     for _call in range(2):
