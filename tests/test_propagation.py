@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lindcorr import (
@@ -1399,7 +1399,6 @@ def test_action_kernel_equals_expm_multiply(branch, sparse, n, scale, t, k, seed
     with propagation._seeded_global_rng():
         want = scipy.sparse.linalg.expm_multiply(a, v, start=0.0, stop=t, num=q + 1, endpoint=True)
     ran = "stepwise" if q <= s else "rest" if q % s else "divides"
-    event(f"{branch} ran {ran}, sparse {sparse}")
     assert (plan.norm == 0) == (branch == "zero") and branch in ("zero", ran)
     assert np.array_equal(got, want)
 
