@@ -63,7 +63,7 @@ between calls, most recently used last, and reused by every later call on an
 equal model, recognised by content rather than identity.  One LRU, counted in
 bytes, runs over the entries of every engine: a level's generator, its block
 labels or block order, one step's block propagators, an action plan, or the
-stationary state for one null tolerance.  Entries are idle at
+stationary state for one null tolerance and solver.  Entries are idle at
 the start of a call if they are another model's, at its end if the call did
 not use them, and idle entries are dropped, least recently used first, while
 they hold more than ``_IDLE_BYTE_CAP`` bytes, at the start of a call engine
@@ -361,8 +361,9 @@ def _interval(plan: _ActionPlan, b: np.ndarray, t: float, q: int) -> np.ndarray:
     one before by :func:`_taylor` with the (m*, s) of one step; otherwise the
     points are stepped in intervals of d = q // s points (the last holding the
     rest) from the Taylor terms K[p] of each interval's start, each term and
-    its norm formed once.  The workspace, the q + 1 rows and the m* + 1 terms,
-    is checked against the CSR byte cap before it is made.
+    its norm formed once.  The workspace, the q + 1 rows and, when stepped in
+    intervals, the m* + 1 terms, is checked against the CSR byte cap before it
+    is made.
     """
     a, mu, n, h = plan.shifted, plan.mu, len(b), t / q
     roots = cache(lambda: plan.roots(t))
@@ -372,7 +373,7 @@ def _interval(plan: _ActionPlan, b: np.ndarray, t: float, q: int) -> np.ndarray:
     if stepwise and not zero:
         m, s = plan.degrees(t, 1.0 / q, roots)
     dtype = np.result_type(a.dtype, b.dtype, float)
-    work = ((m + 1) + (q + 1)) * n * dtype.itemsize
+    work = ((0 if stepwise else m + 1) + (q + 1)) * n * dtype.itemsize
     if work > generators._CSR_BYTE_CAP:
         raise MemoryError(f"an action needs {work} bytes of workspace, over the cap of "
                           f"{generators._CSR_BYTE_CAP}")
@@ -491,7 +492,7 @@ class _SlotEvolver:
         self._labels: dict[int, np.ndarray] = {}
         self._grouped: dict[int, np.ndarray] = {}
         self._plans: dict[tuple[int, bytes | None, bool], _ActionPlan] = {}
-        self._steady: dict[float, np.ndarray] = {}
+        self._steady: dict[tuple[float, bool], np.ndarray] = {}
         self.key: bytes | None = None  # its model key in `_held`, set when held
 
     def _cached(self, cache: dict, key, build):
@@ -575,9 +576,9 @@ class _SlotEvolver:
         step or its largest block at most ``_SINGLE_USE_ORDER``; otherwise by one
         ``integrate_ode`` call on the held action plan of G[S, S], or of its
         transpose for a pull-back, one per level, touched blocks and direction.
-        The choice reads the run alone, never what earlier calls held; the
-        generator is looked up only by these, so an action keeps it held with
-        its plan.
+        The choice reads the run alone, never what earlier calls held.  A warm
+        action reads only its plan, so the generator it was made from is idle
+        unless the call uses it otherwise.
         """
         if coords is None:  # the whole level as one span
             order, spans, touched = len(labels), [(0, 0, len(labels))], None
@@ -604,7 +605,6 @@ class _SlotEvolver:
                     v = v @ prop if adjoint else prop @ v
                     yield v
             else:
-                self.generator(n_slots)  # held with the plan made from it
                 plan = self._cached(self._plans, (n_slots, touched, adjoint), lambda: _ActionPlan(
                     restricted().T if adjoint else restricted()))
                 (_start, *states) = integrate_ode(plan, v, gap * np.arange(count + 1))
@@ -892,8 +892,9 @@ def steady_state(model: SystemModel, decomp=None, null_tol: float = 1e-9) -> np.
     functional, falling back to the SVD when the LU is singular or its
     condition estimate exceeds 0.1 / null_tol; an SVD null vector is set to
     exact zeros outside its block of G_1.  `null_tol` must lie strictly
-    between 0 and 1.  The state is held on the engine, one per `null_tol`, as
-    an entry of the LRU over held entries; each call returns a copy.
+    between 0 and 1.  The state is held on the engine, one per `null_tol` and
+    side of the budget (so per solver), as an entry of the LRU over held
+    entries; each call returns a copy.
 
     Raises DegenerateSteadyStateError when more or fewer than one singular
     value of G_1 is at most null_tol times the largest (e.g. any rate-free
@@ -904,7 +905,8 @@ def steady_state(model: SystemModel, decomp=None, null_tol: float = 1e-9) -> np.
         raise ValueError(f"null_tol must lie strictly between 0 and 1, got {null_tol}")
     decomps = decompose_model(model) if decomp is None else _as_decomps(decomp)
     with _model_evolver(model.hamiltonian, decomps) as ev:
-        rho = ev._cached(ev._steady, null_tol, lambda: _stationary(ev, null_tol))
+        rho = ev._cached(ev._steady, (null_tol, _dense_fits(ev.dim, 1)),  # and its solver
+                         lambda: _stationary(ev, null_tol))
     return rho.copy()
 
 

@@ -230,14 +230,20 @@ NEAR_DEGENERATE = {
 @pytest.mark.parametrize("family", NEAR_DEGENERATE)
 def test_steady_state_near_degenerate_family_matches_svd_decision(family, monkeypatch):
     # rates going to 0 cross the SVD threshold; the bordered LU (every level
-    # made sparse below) and the dense SVD of G_1 must decide as the SVD of F
-    differing = []
+    # made sparse below) and the dense SVD of G_1 must decide as the SVD of F;
+    # every call at budget 1 solves by the bordered LU, also after one at the
+    # default budget on the same engine
+    differing, sparse_calls, solved = [], 0, []
+    bordered = propagation._bordered_null_vector
+    monkeypatch.setattr(propagation, "_bordered_null_vector",
+                        lambda g: solved.append(1) or bordered(g))
     for rate in np.geomspace(1e-3, 1e-12, 28):
         model = NEAR_DEGENERATE[family](rate)
         multiplicity = _svd_nullity(model)
         dense = model.dim ** 2 <= generators.DEFAULT_SLOT_BUDGET
         for budget in (generators.DEFAULT_SLOT_BUDGET, 1) if dense else (1,):
             monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", budget)
+            sparse_calls += budget == 1
             try:
                 rho = steady_state(model)
             except DegenerateSteadyStateError as exc:
@@ -248,13 +254,13 @@ def test_steady_state_near_degenerate_family_matches_svd_decision(family, monkey
                 differing.append((rate, budget, 1, multiplicity))
                 continue
             g = multi_slot_action(model.hamiltonian, decompose_model(model), 1).to_csr()
-            _w, kappa = propagation._bordered_null_vector(g)
+            _w, kappa = bordered(g)
             if kappa <= 1e4:
                 assert np.max(np.abs(rho - _svd_steady_state(model))) < 1e-10
             else:
                 residual = g.T @ vec(rho.T)
                 assert np.max(np.abs(residual)) < 1e-12 * abs(g).sum(axis=0).max()
-    assert differing == []
+    assert differing == [] and len(solved) == sparse_calls
 
 
 @pytest.mark.parametrize("family", NEAR_DEGENERATE)
@@ -264,10 +270,15 @@ def test_steady_state_is_exactly_zero_outside_its_block(family, monkeypatch):
     rate = 1e-3
     model = NEAR_DEGENERATE[family](rate)
     expected = _svd_steady_state(model)
+    solved, sides = [], set()
+    svd = propagation._svd_null_vector
+    monkeypatch.setattr(propagation, "_svd_null_vector", lambda *a: solved.append(1) or svd(*a))
     for budget in (generators.DEFAULT_SLOT_BUDGET, 1):
         monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", budget)
         monkeypatch.setattr(propagation, "_LU_MARGIN", 0.0)  # the sparse level falls back to SVD
         rho = steady_state(model)
+        sides.add(model.dim ** 2 <= budget)
+        assert len(solved) == len(sides)  # each solver runs, neither reads the other's state
         labels = propagation._recent_engine().labels(1)
         w = vec(rho.T)
         outside = labels != labels[np.argmax(np.abs(w))]
@@ -814,17 +825,27 @@ def test_general_sweep_expm_count(rng, monkeypatch):
     t1, t2 = 0.6, 1.4
     taus = np.linspace(t2, t2 + 20.0, 200)
     spec = _swept_spec(rng, 2, [None, None, t2, t1], taus)
-    calls = []
+    calls, stepped = [], {}
     expm_ = propagation.expm
     monkeypatch.setattr(propagation, "expm", lambda m, t: calls.append(t) or expm_(m, t))
+    level = propagation._SlotEvolver._level
+    monkeypatch.setattr(propagation._SlotEvolver, "_level",
+                        lambda ev, n, *vs: stepped.update({n: vs}) or level(ev, n, *vs))
     general_correlator(h, decs, spec, taus=taus)
     steps = np.diff(taus - t2, prepend=0.0)
     distinct_steps = len(set(steps[steps != 0.0]))
     fixed_levels = 2
-    # each expm is one touched block's propagator, formed once and held
-    held = propagation._recent_engine()._propagators
-    assert len(calls) == sum(len(blocks) for blocks in held.values())
     assert len(set(calls)) <= distinct_steps + fixed_levels + 1
+    # each expm is one block's propagator, formed once, one per block where every
+    # vector stepped is nonzero, at each gap: the state's t1 on one slot, the
+    # pull-back's t2 - t1 on three and the sweep's one step on two
+    ev = propagation._recent_engine()
+    touched = {n: len(set.intersection(*(set(ev.labels(n)[v != 0]) for v in vectors)))
+               for n, vectors in stepped.items()}
+    gaps = set(propagation._grid_steps(taus, t2)) - {0.0}
+    assert sorted(stepped) == [1, 2, 3] and len(gaps) == 1
+    assert len(calls) == touched[1] + touched[3] + touched[2] * len(gaps)
+    assert len(calls) == sum(len(held) for held in ev._propagators.values())
 
 
 def test_uniform_sweep_makes_one_step_expm(rng, monkeypatch):
@@ -1156,7 +1177,9 @@ def test_lowered_budget_switches_held_engine(rng, monkeypatch):
     monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)  # now only the last call's entries stay
     again = otoc(h, decs, *args)
     assert calls == [] and set(orders) == {16 ** 2}
-    assert built == [] and list(propagation._recent_engine()._generators) == [2]
+    # the warm action reads its held plan alone, so the generator is idle and dropped
+    ev = propagation._recent_engine()
+    assert built == [] and list(ev._generators) == [] and list(ev._plans) == [(2, None, False)]
     assert np.array_equal(again.values, free.values)
     assert np.max(np.abs(dense.values - free.values)) < 1e-12
 
@@ -1456,13 +1479,15 @@ def test_action_plans_under_concurrent_calls(rng, monkeypatch):
 
 
 def test_steady_state_is_a_held_entry(monkeypatch):
-    # the state is held once per null_tol, counted in bytes, and handed out as a copy
+    # the state is held once per null_tol and solver, counted in bytes, and handed
+    # out as a copy; a budget that changes the solver solves again
     model = coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6)
     decs = decompose_model(model)
     first = steady_state(model, decs)
     ev = propagation._recent_engine()
     (held,) = ev._steady.values()
-    assert list(ev._steady) == [1e-9] and (id(ev._steady), 1e-9) in propagation._entries
+    key = (1e-9, True)
+    assert list(ev._steady) == [key] and (id(ev._steady), key) in propagation._entries
     assert ev.held_bytes() == propagation._counts["bytes"] >= held.nbytes > 0
     solved = []
     svd = propagation._svd_null_vector
@@ -1472,18 +1497,30 @@ def test_steady_state_is_a_held_entry(monkeypatch):
     assert solved == [] and again is not held
     assert np.array_equal(again, held) and again[0, 0] != 7.0
     steady_state(model, decs, null_tol=1e-8)
-    assert solved == [1] and sorted(ev._steady) == [1e-9, 1e-8]
+    assert solved == [1] and sorted(ev._steady) == [(1e-9, True), (1e-8, True)]
+    bordered, lu = [], propagation._bordered_null_vector
+    monkeypatch.setattr(propagation, "_bordered_null_vector", lambda g: bordered.append(1) or lu(g))
+    monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 1)
+    sparse = steady_state(model, decs)
+    assert bordered == [1] and solved == [1] and (1e-9, False) in ev._steady
+    assert np.max(np.abs(sparse - held)) < 1e-10
 
 
 def test_action_refuses_workspace_over_cap(monkeypatch):
     # the rows and Taylor terms of an action are checked against the byte cap
-    # before they are made
+    # before they are made; a step taken point by point (q <= s) makes no terms
     v0 = np.ones(4, dtype=complex)
     grid = np.linspace(0.0, 1.0, 51)
     assert len(integrate_ode(-np.eye(4), v0, grid)) == 51
     monkeypatch.setattr(generators, "_CSR_BYTE_CAP", 51 * 4 * 16)
     with pytest.raises(MemoryError, match="workspace"):
         integrate_ode(-np.eye(4), v0, grid)
+    shift = np.diag([-3.0, -1.0, 1.0, 3.0]).astype(complex)  # one step, so q = 1 <= s
+    monkeypatch.setattr(generators, "_CSR_BYTE_CAP", 2 * 4 * 16)
+    assert len(integrate_ode(shift, v0, [0.0, 1.0])) == 2
+    monkeypatch.setattr(generators, "_CSR_BYTE_CAP", 2 * 4 * 16 - 1)
+    with pytest.raises(MemoryError, match="workspace"):
+        integrate_ode(shift, v0, [0.0, 1.0])
 
 
 def test_non_finite_action_raises():
