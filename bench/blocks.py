@@ -14,8 +14,9 @@ For each case below, with BLAS and OpenMP threads fixed at 1, it times:
   sparsity pattern, `propagation._block_labels`);
 * extraction of the restricted generator G[S, S] over the touched
   coordinates S, as CSR and, when S is within the budget, as a dense array;
-* the sweep on the restricted level (`_SlotEvolver.sweep` with the labels
-  held: cold, with its propagator built, and warm, on the held engine)
+* the sweep on the restricted level (`_SlotEvolver.sweep` in one call through
+  `propagation._model_evolver`: cold, from a store holding only the level's
+  generator and blocks, with its propagators built, and warm, with them held)
   against the sweep of the whole level, w @ exp(tau G_n) T: by
   `integrate_ode` on the full CSR generator on a sparse level (the sparse
   engine before blocks), by one propagator of the whole level and 40
@@ -34,8 +35,8 @@ time is the median of `--repeats` runs.
 It also times single-use pull-backs w @ exp(gap G_n) on dense levels, as the
 general-pattern sweeps make them: the whole level's propagator and one
 product (the engine before this measurement) against `_SlotEvolver.pull_back`
-on the touched blocks, an action by `expm_multiply` on every call, cold and
-on an engine that holds the level's generator and labels.
+on the touched blocks, an action on every call, cold (from a store holding
+only the level's generator and blocks) and with its action plan held.
 
 It then re-runs the dense/CSR crossover at block orders: for unions of whole
 blocks of the sparse generators (what the engine steps), of orders 35 to
@@ -48,11 +49,11 @@ time ratio stays at or below 1.  The result goes under the key "blocks" of
 
 With `--dimer-otocs` it measures only the Pauli-string OTOCs of the dimer
 (order-256 dense level) and how their propagators are formed: per case the
-cold sweep (a fresh engine holding the level's generator and labels) and the
-warm one (on the engine the cold sweep left), the sizes of the touched
-blocks, the order of every `expm` the cold sweep made and the bytes the
-engine holds after it (`_SlotEvolver.held_bytes`: generator, block labels
-and order, and propagators).  The rows go under `--label` in the key
+cold sweep (from a store holding only the level's generator and blocks) and
+the warm one (on what the cold sweep left held), the sizes of the touched
+blocks, the order of every `expm` the cold sweep made and the bytes held
+after it (`propagation._counts["bytes"]`: generator, block labels and order,
+and propagators).  The rows go under `--label` in the key
 "dimer_otocs" of `--out` (default BENCH_12.json).
 """
 
@@ -154,9 +155,13 @@ def _pauli(label: str) -> np.ndarray:
     return np.kron(paulis[label[0]], paulis[label[1]])
 
 
-def _median(fn, repeats: int) -> tuple[float, object]:
+def _median(fn, repeats: int, setup=None) -> tuple[float, object]:
+    """Median time of `fn()` over `repeats` runs, each after `setup()` when given, and
+    the last run's result."""
     times, out = [], None
     for _ in range(repeats):
+        if setup is not None:
+            setup()
         start = time.perf_counter()
         out = fn()
         times.append(time.perf_counter() - start)
@@ -172,23 +177,33 @@ def _peak(fn) -> int:
         tracemalloc.stop()
 
 
+def _call(h, decs, act):
+    """`act(ev)` on the model's engine, in one call through `propagation._model_evolver`."""
+    with propagation._model_evolver(h, decs) as ev:
+        return act(ev)
+
+
+def _keep_level(h, decs, n: int) -> None:
+    """Leave only the n-slot level's generator and blocks held: one call that uses
+    them, under an idle-byte cap of 0, so every other entry is dropped."""
+    cap, propagation._IDLE_BYTE_CAP = propagation._IDLE_BYTE_CAP, 0
+    try:
+        _call(h, decs, lambda ev: (ev.generator(n), ev.blocks(n)))
+    finally:
+        propagation._IDLE_BYTE_CAP = cap
+
+
 def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, object, np.ndarray]:
     """The case's row, and its level's generator and block labels."""
     n = len(b_ops)
     tensor = lc.elementary_tensor(b_ops)
     w = lc.contraction_functional(a_ops, rho)
     dense = generators._dense_fits(h.shape[0], n)
-    assemble_s, gen = _median(lambda: propagation._SlotEvolver(h, decs).generator(n), repeats)
+    assemble_s, gen = _median(lambda: _call(h, decs, lambda ev: ev.generator(n)), repeats,
+                              setup=propagation._release_engines)
     labels_s, labels = _median(lambda: propagation._block_labels(gen), repeats)
     sizes = np.bincount(labels)
-
-    def held_evolver():
-        ev = propagation._SlotEvolver(h, decs)
-        ev._generators[n] = gen
-        ev._labels[n] = labels
-        return ev
-
-    _labels, coords = held_evolver()._level(n, tensor, w)
+    _labels, coords = _call(h, decs, lambda ev: ev._level(n, tensor, w))
     order = len(tensor) if coords is None else len(coords)
     if coords is None:
         coords = np.arange(len(tensor))
@@ -205,14 +220,17 @@ def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, 
             out.append(w @ v)
         return np.array(out)
 
-    def cold_sweep():
-        return held_evolver().sweep(tensor, n, TAUS, w)
+    def sweep():
+        return _call(h, decs, lambda ev: ev.sweep(tensor, n, TAUS, w))
+
+    def cold_peak():
+        _keep_level(h, decs, n)
+        return _peak(sweep)
 
     full_s, expected = _median(full_sweep, repeats)
-    cold_s, values = _median(cold_sweep, repeats)
-    warm = held_evolver()
-    warm.sweep(tensor, n, TAUS, w)
-    warm_s, _ = _median(lambda: warm.sweep(tensor, n, TAUS, w), repeats)
+    cold_s, values = _median(sweep, repeats, setup=lambda: _keep_level(h, decs, n))
+    sweep()
+    warm_s, _ = _median(sweep, repeats)
     scale = float(np.max(np.abs(expected))) or 1.0
     engine = "dense" if generators._dense_order(order) else "csr"
     row = {
@@ -227,7 +245,7 @@ def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, 
         "touched_nnz": int(part.nnz),
         "full_sweep_s": full_s, "sector_sweep_cold_s": cold_s, "sector_sweep_warm_s": warm_s,
         "speedup_cold": full_s / cold_s, "speedup_warm": full_s / warm_s,
-        "full_sweep_peak_b": _peak(full_sweep), "sector_sweep_peak_b": _peak(cold_sweep),
+        "full_sweep_peak_b": _peak(full_sweep), "sector_sweep_peak_b": cold_peak(),
         "max_rel_deviation": float(np.max(np.abs(values - expected))) / scale,
     }
     print(f"{name:34s} order {len(tensor):6d} ({row['level_assembly']}) blocks {len(sizes):3d} "
@@ -242,29 +260,26 @@ def measure_dimer_otoc(name, h, decs, a_ops, b_ops, rho, repeats: int) -> dict:
     """How a dimer OTOC's sweep forms its propagators, cold and warm."""
     tensor = lc.elementary_tensor(b_ops)
     w = lc.contraction_functional(a_ops, rho)
-    gen = propagation._SlotEvolver(h, decs).generator(2)
-    labels = propagation._block_labels(gen)
-
-    def held_evolver():
-        ev = propagation._SlotEvolver(h, decs)
-        ev._generators[2] = gen
-        ev._labels[2] = labels
-        return ev
-
-    _labels, coords = held_evolver()._level(2, tensor, w)
+    gen = _call(h, decs, lambda ev: ev.generator(2))
+    labels, coords = _call(h, decs, lambda ev: ev._level(2, tensor, w))
     sizes = np.bincount(labels if coords is None else labels[coords])
-    cold_s, _ = _median(lambda: held_evolver().sweep(tensor, 2, TAUS, w), repeats)
+
+    def sweep():
+        return _call(h, decs, lambda ev: ev.sweep(tensor, 2, TAUS, w))
+
+    cold_s, _ = _median(sweep, repeats, setup=lambda: _keep_level(h, decs, 2))
     orders, expm = [], propagation.expm
     propagation.expm = lambda m, t: orders.append(int(m.shape[0])) or expm(m, t)
     try:
-        warm = held_evolver()
-        warm.sweep(tensor, 2, TAUS, w)
+        _keep_level(h, decs, 2)
+        sweep()
     finally:
         propagation.expm = expm
-    warm_s, _ = _median(lambda: warm.sweep(tensor, 2, TAUS, w), repeats)
+    held_b = propagation._counts["bytes"]  # the other models' entries went with _keep_level
+    warm_s, _ = _median(sweep, repeats)
     row = {"case": name, "level_order": gen.shape[0], "sweep_cold_s": cold_s, "sweep_warm_s": warm_s,
            "touched_block_sizes": sorted(int(b) for b in sizes[sizes > 0]),
-           "expm_orders": sorted(orders), "held_b": warm.held_bytes()}
+           "expm_orders": sorted(orders), "held_b": held_b}
     print(f"{name:34s} touched {row['touched_block_sizes']} | expm orders {row['expm_orders']} | "
           f"sweep cold {cold_s * 1e3:.2f} ms warm {warm_s * 1e3:.3f} ms | held "
           f"{row['held_b']} B", flush=True)
@@ -294,21 +309,17 @@ def measure_pull_back(name, h, decs, n, w, repeats: int) -> dict:
     """A dense level's pull-back across one gap: the whole propagator and one product
     against the engine's action, cold and held."""
     gap = 0.8
-    gen = propagation._SlotEvolver(h, decs).generator(n)
-    labels, dense = propagation._block_labels(gen), gen.toarray()
+    gen = _call(h, decs, lambda ev: ev.generator(n))
+    dense = gen.toarray()
+    _labels, coords = _call(h, decs, lambda ev: ev._level(n, w))
 
-    def held_evolver():
-        ev = propagation._SlotEvolver(h, decs)
-        ev._generators[n] = gen
-        ev._labels[n] = labels
-        return ev
+    def pull_back():
+        return _call(h, decs, lambda ev: ev.pull_back(w, n, gap))
 
-    _labels, coords = held_evolver()._level(n, w)
     full_s, expected = _median(lambda: w @ lc.expm(dense, gap), repeats)
-    cold_s, pulled = _median(lambda: held_evolver().pull_back(w, n, gap), repeats)
-    held = held_evolver()
-    held.pull_back(w, n, gap)
-    held_s, _ = _median(lambda: held.pull_back(w, n, gap), repeats)
+    cold_s, pulled = _median(pull_back, repeats, setup=lambda: _keep_level(h, decs, n))
+    pull_back()
+    held_s, _ = _median(pull_back, repeats)
     row = {"case": name, "slots": n, "level_order": gen.shape[0], "gap": gap,
            "touched_order": gen.shape[0] if coords is None else len(coords),
            "full_propagator_s": full_s, "pull_back_cold_s": cold_s,

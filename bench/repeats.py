@@ -8,8 +8,9 @@ Run it from the root of a checkout: it imports lindcorr from that checkout's
 `src`, so running the same file in two checkouts compares them.  With BLAS
 and OpenMP threads fixed at 1 it makes three calls in a row of each workload
 below on one held engine and records, per call, the median time over
-`--repeats` sequences (each on a fresh engine), the bytes the engine holds
-after the call and whether the call returned the bytes of the first call:
+`--repeats` sequences (each from no held entry), the bytes held after the
+call (`propagation._counts["bytes"]`) and whether the call returned the bytes
+of the first call:
 
 * the dimer OTOC W = XI, V = ZZ against the steady state on the 400-point
   grid geomspace(1e-3, 20), whose steps are all distinct (dense 2-slot level
@@ -29,15 +30,16 @@ of a sparse 2-slot level in the energy eigenbasis (d = 3 to 5, half the
 blocks) and a CSR 2-slot level (d = 4, 5).  The deviation is the largest
 entry of the difference over the largest entry of the propagator product.
 
-With `--engines` it records instead how the engines of several models are
-held between calls.  First a scan: the dimer OTOC W = XI, V = ZZ on the grid
+With `--engines` it records instead what several models leave held between
+calls.  First a scan: the dimer OTOC W = XI, V = ZZ on the grid
 linspace(0, 20, 41) against the steady state, at each of `--scan-points`
 bath temperatures from 0.2 to 2.0, each a new model; after each call it
-records the engines held, their bytes (`_SlotEvolver.held_bytes`; the
-engines other than the last call's hold only idle entries, bounded by
-`propagation._IDLE_BYTE_CAP`) and the process's ru_maxrss.  Then
-`--rounds` passes of three interleaved sequences, each pass from no held
-engine over `--repeats` sequences, with the median time of every call: the
+records the `_SlotEvolver` objects alive (found by `gc` after a full
+collection), the bytes held (`propagation._counts["bytes"]`; beyond the last
+call's own entries they are idle, bounded by `propagation._IDLE_BYTE_CAP`)
+and the process's ru_maxrss.  Then `--rounds` passes of three interleaved
+sequences, each pass from no held entry over `--repeats` sequences, with the
+median time of every call: the
 damped and the rate-free dimer OTOC of the otoc-map workload; the five
 `corr` configs of perfbench's general-sweep workload (seed `--seed`) run
 through `lindcorr.cli.run`; and, as in the wide-slots workload, the steady
@@ -45,11 +47,11 @@ state and then the 2-slot OTOC W = x, V = n on linspace(0, 10, 41) of the 6-
 and the 9-level oscillator, two calls on each model's two levels.  The first
 pass is cold; a later call is warm when what it uses is still held.  Each
 call's values are checked to be the bytes of its first pass.  The first of
-the `--repeats` runs also records after every call the bytes held by all
-engines and, on a checkout that counts them (`propagation._counts`), the
-hits, misses and evictions of the call's cache lookups and, where they are
-counted, the actions' matrix-vector products and 1-norm estimates; the
-products and estimates of each round are printed.
+the `--repeats` runs also records after every call the bytes held and, from
+`propagation._counts`, the hits, misses and evictions of the call's lookups
+of held entries and, where they are counted, the actions' matrix-vector
+products and 1-norm estimates; the products and estimates of each round are
+printed.
 
 With `--step-peak` it measures the memory of an action on a large level: a
 sweep of a random tensor against a random dual vector, both nonzero on every
@@ -67,6 +69,7 @@ The rows go under `--label` in `--out`, next to what else that file holds.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -130,44 +133,21 @@ def workloads(rng: np.random.Generator) -> dict:
             "otoc:oscillator:d=9:x,x:geomspace25": oscillator_otoc}
 
 
-def release() -> None:
-    """Drop every held engine (a checkout from before the engine map holds one,
-    as (key, engine), in `propagation._held`)."""
-    if hasattr(propagation, "_release_engines"):
-        propagation._release_engines()
-    else:
-        propagation._held = None
+def live_engines() -> int:
+    """The `_SlotEvolver` objects alive, counted after a full collection."""
+    gc.collect()
+    return sum(isinstance(obj, propagation._SlotEvolver) for obj in gc.get_objects())
 
 
-def held_engines() -> list:
-    """The held engines, least recently used first."""
-    held = propagation._held
-    if isinstance(held, dict):
-        return list(held.values())
-    return [] if held is None else [held[1]]
-
-
-def held_bytes(ev) -> int | None:
-    """`ev.held_bytes()`, or None on a checkout whose engine does not count its bytes."""
-    return ev.held_bytes() if hasattr(ev, "held_bytes") else None
-
-
-def counts() -> dict | None:
-    """The held entries' counters (hits, misses, evictions, bytes held), or None on a
-    checkout without them."""
-    held = getattr(propagation, "_counts", None)
-    return None if held is None else dict(held)
-
-
-def _mib(b: int | None) -> str:
-    return "n/a" if b is None else f"{b / 2**20:.1f}"
+def _mib(b: int) -> str:
+    return f"{b / 2**20:.1f}"
 
 
 def measure_calls(name, call, repeats: int) -> dict:
     times = [[] for _ in range(CALLS)]
     held, same = [], []
     for _sequence in range(repeats):
-        release()
+        propagation._release_engines()
         first = None
         for k in range(CALLS):
             start = time.perf_counter()
@@ -175,9 +155,9 @@ def measure_calls(name, call, repeats: int) -> dict:
             times[k].append(time.perf_counter() - start)
             first = values if first is None else first
             if _sequence == 0:
-                held.append(held_bytes(held_engines()[-1]))
+                held.append(propagation._counts["bytes"])
                 same.append(bool(np.array_equal(values, first)))
-    release()
+    propagation._release_engines()
     row = {"workload": name, "calls": [
         {"call": k + 1, "time_s": statistics.median(times[k]), "held_bytes": held[k],
          "same_bytes_as_first_call": same[k]} for k in range(CALLS)]}
@@ -241,21 +221,21 @@ def interleaved(name: str, calls: list, rounds: int, repeats: int) -> dict:
     lookups = [[None for _ in calls] for _ in range(rounds)]
     first, same = {}, True
     for sequence in range(repeats):
-        release()
+        propagation._release_engines()
         for r in range(rounds):
             for k, (_label, call, values) in enumerate(calls):
-                before = counts()
+                before = dict(propagation._counts)
                 start = time.perf_counter()
                 out = call()
                 times[r][k].append(time.perf_counter() - start)
                 if sequence == 0:
-                    held[r][k] = sum(held_bytes(ev) or 0 for ev in held_engines())
-                    after = counts()
-                    lookups[r][k] = after and {key: after[key] - before[key] for key in (
+                    held[r][k] = propagation._counts["bytes"]
+                    after = propagation._counts
+                    lookups[r][k] = {key: after[key] - before[key] for key in (
                         "hits", "misses", "evictions", "matvecs", "norm_estimates") if key in after}
                 got = values(out)
                 same &= bool(np.array_equal(got, first.setdefault(k, got)))
-    release()
+    propagation._release_engines()
     passes = [[statistics.median(t) for t in row] for row in times]
     result = {"sequence": name, "calls": [label for label, _c, _v in calls], "rounds": rounds,
               "call_s_by_round": passes, "pass_s_by_round": [sum(row) for row in passes],
@@ -264,7 +244,7 @@ def interleaved(name: str, calls: list, rounds: int, repeats: int) -> dict:
     print(f"{name}: pass " + " | ".join(f"round {r + 1} {t:.4f} s" for r, t in
                                        enumerate(result["pass_s_by_round"]))
           + f" | same bytes {same}", flush=True)
-    if lookups[0][0] and "matvecs" in lookups[0][0]:
+    if "matvecs" in lookups[0][0]:
         print("  action work: " + " | ".join(
             f"round {r + 1} {sum(c['matvecs'] for c in row)} matvecs, "
             f"{sum(c['norm_estimates'] for c in row)} norm estimates"
@@ -278,10 +258,10 @@ def _maxrss_mib() -> float:
 
 def temperature_scan(points: int) -> dict:
     """A damped-dimer OTOC at each of `points` bath temperatures, each a new model:
-    per call its time, the engines held after it and their bytes, and ru_maxrss."""
+    per call its time, the engines alive and the bytes held after it, and ru_maxrss."""
     grid = np.linspace(0.0, 20.0, 41)
     start_rss = _maxrss_mib()
-    release()
+    propagation._release_engines()
     rows = []
     for temperature in np.linspace(0.2, 2.0, points):
         model = lc.coupled_dimer(**{**DIMER, "temperature": float(temperature)})
@@ -290,29 +270,20 @@ def temperature_scan(points: int) -> dict:
         rho = lc.steady_state(model, decs)
         lc.otoc(model.hamiltonian, decs, _pauli("XI"), _pauli("ZZ"), rho, grid)
         elapsed = time.perf_counter() - start
-        engines = held_engines()
-        sizes = [held_bytes(ev) for ev in engines]
-        counted = None not in sizes
-        rows.append({"temperature": float(temperature), "time_s": elapsed, "engines": len(engines),
-                     "held_bytes": sum(sizes) if counted else None,
-                     "idle_bytes": sum(sizes[:-1]) if counted else None,
-                     "last_engine_bytes": sizes[-1] if counted else None,
-                     "maxrss_mib": _maxrss_mib()})
-    release()
-    cap = getattr(propagation, "_IDLE_BYTE_CAP", None)
-    counted = rows[0]["held_bytes"] is not None
+        rows.append({"temperature": float(temperature), "time_s": elapsed, "engines": live_engines(),
+                     "held_bytes": propagation._counts["bytes"], "maxrss_mib": _maxrss_mib()})
+    propagation._release_engines()
+    cap = propagation._IDLE_BYTE_CAP
     summary = {
         "points": points, "idle_byte_cap": cap,
-        "max_engines": max(r["engines"] for r in rows),
-        "max_held_bytes": max(r["held_bytes"] for r in rows) if counted else None,
-        "max_idle_bytes": max(r["idle_bytes"] for r in rows) if counted else None,
-        "max_engine_bytes": max(r["last_engine_bytes"] for r in rows) if counted else None,
+        "max_engines": max(r["engines"] for r in rows), "last_engines": rows[-1]["engines"],
+        "max_held_bytes": max(r["held_bytes"] for r in rows),
         "maxrss_before_mib": start_rss, "maxrss_after_mib": rows[-1]["maxrss_mib"],
         "median_call_s": statistics.median(r["time_s"] for r in rows),
     }
-    print(f"temperature scan, {points} models: at most {summary['max_engines']} engines, "
-          f"held {_mib(summary['max_held_bytes'])} MiB, idle {_mib(summary['max_idle_bytes'])} MiB "
-          f"(cap {_mib(cap)}), maxrss {start_rss:.1f} -> {summary['maxrss_after_mib']:.1f} MiB",
+    print(f"temperature scan, {points} models: at most {summary['max_engines']} engines alive "
+          f"({summary['last_engines']} at the end), held {_mib(summary['max_held_bytes'])} MiB "
+          f"(idle cap {_mib(cap)}), maxrss {start_rss:.1f} -> {summary['maxrss_after_mib']:.1f} MiB",
           flush=True)
     return {"summary": summary, "rows": rows}
 
@@ -343,15 +314,15 @@ def step_peak() -> dict:
     decs = lc.decompose_model(model)
     rng = np.random.default_rng(16)
     tensor, w = (rng.standard_normal(9 ** 6) + 1j * rng.standard_normal(9 ** 6) for _ in range(2))
-    release()
+    propagation._release_engines()
     start = time.perf_counter()
     with propagation._model_evolver(model.hamiltonian, decs) as ev:
         csr = propagation._nbytes(ev.generator(3))
-        ev.labels(3)
+        ev.blocks(3)
     assembly_s = time.perf_counter() - start
     calls = []
     for call in (1, 2):
-        before = held_bytes(held_engines()[-1])
+        before = propagation._counts["bytes"]
         tracemalloc.start()
         start = time.perf_counter()
         with propagation._model_evolver(model.hamiltonian, decs) as ev:
@@ -362,11 +333,11 @@ def step_peak() -> dict:
         calls.append({"call": call, "time_s": elapsed, "held_bytes_before": before,
                       "step_peak_bytes": peak, "step_peak_over_csr": peak / csr,
                       "peak_in_all_over_csr": (before + peak) / csr,
-                      "held_bytes_after": held_bytes(held_engines()[-1])})
+                      "held_bytes_after": propagation._counts["bytes"]})
         print(f"step peak, call {call}: {peak / 2**20:.1f} MiB above the {before / 2**20:.1f} MiB "
               f"held, {(before + peak) / csr:.2f} times the {csr / 2**20:.1f} MiB CSR generator "
               f"in all, {elapsed:.2f} s", flush=True)
-    release()
+    propagation._release_engines()
     return {"script": "bench/repeats.py --step-peak", "env": _env(), "csr_bytes": csr,
             "assembly_s": assembly_s, "calls": calls, "maxrss_mib": _maxrss_mib()}
 

@@ -58,21 +58,22 @@ functional above it.
 
 The n-slot generators and their propagators depend only on the model (H and
 the dissipation channels), not on the operators or the state, so the drivers
-share them across calls: the engines of the models evaluated lately are held
-between calls, most recently used last, and reused by every later call on an
-equal model, recognised by content rather than identity.  One LRU, counted in
-bytes, runs over the entries of every engine: a level's generator, its block
-labels or block order, one step's block propagators, an action plan, or the
-stationary state for one null tolerance and solver.  Entries are idle at
-the start of a call if they are another model's, at its end if the call did
-not use them, and idle entries are dropped, least recently used first, while
-they hold more than ``_IDLE_BYTE_CAP`` bytes, at the start of a call engine
-by engine, least recently used model first; so an engine larger than the cap
-is released before the next model's generators are assembled, and between
-calls the engines hold at most the cap plus the last call's own working set
-(the blocks of one step hold at most the entries of the whole level's
-propagator).  What they hold changes the time of a later call, never its path
-or its values: a repeated call returns the same bytes.
+share them across calls.  Each call makes a new engine of its model, which
+keeps nothing but the model and its key, a digest of H and the channels:
+what the engine builds is held in one store, keyed by (model key, kind,
+key), and found again by every later call on an equal model, recognised by
+content rather than identity.  An entry is a level's generator, its blocks
+(labels and block order), one step's block propagators, an action plan, or
+the stationary state for one null tolerance and solver.  The store is one
+LRU counted in bytes: entries are idle at the start of a call if they are
+another model's, at its end if the call did not use them, and idle entries
+are dropped, least recently used first, while they hold more than
+``_IDLE_BYTE_CAP`` bytes.  So another model's entries beyond the cap are
+released before a call builds anything, and between calls the store holds
+at most the cap plus the last call's own working set (the blocks of one
+step hold at most the entries of the whole level's propagator).  What it
+holds changes the time of a later call, never its path or its values: a
+repeated call returns the same bytes.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ from __future__ import annotations
 import hashlib
 import math
 import string
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -462,24 +464,25 @@ _SINGLE_USE_ORDER = 49
 
 
 class _SlotEvolver:
-    """Generator and propagator caches of one (hamiltonian, decomps) model.
+    """Propagation engine of one (hamiltonian, decomps) model, made for one call.
 
-    Each level of n slots holds its generator G_n as one CSR matrix, its
-    blocks, the connected components of the generator's sparsity pattern, and
-    its coordinates sorted by block, each found once per level.  The generator
-    never couples two blocks, so a vector stays zero on the blocks where it is
-    zero, and only the coordinates S of the touched blocks are stepped, block
-    by block, under G[S, S]: each run of equal steps by the block propagators
-    exp(step G_b), cached per level and step as one map from block to matrix,
-    or by one ``integrate_ode`` action (:meth:`_steps`).  The slot budget
-    picks between the two run by run, so what a level holds serves any budget.
-    Every generator, block labelling, block order and step's propagator map is
-    an entry of the one LRU over held entries (:meth:`_cached`).
+    Each level of n slots has its generator G_n as one CSR matrix and its
+    blocks: the connected components of the generator's sparsity pattern, and
+    its coordinates sorted by block.  The generator never couples two blocks,
+    so a vector stays zero on the blocks where it is zero, and only the
+    coordinates S of the touched blocks are stepped, block by block, under
+    G[S, S]: each run of equal steps by the block propagators exp(step G_b),
+    kept per level and step as one map from block to matrix, or by one
+    ``integrate_ode`` action (:meth:`_steps`).  The slot budget picks between
+    the two run by run, so what a level holds serves any budget.  The engine
+    keeps only its model and the model's key: every generator, level's blocks,
+    step's propagator map, action plan and stationary state is an entry of the
+    held store under that key (:meth:`_cached`), found again by every engine of
+    an equal model.
     """
 
     def __init__(self, hamiltonian, decomps):
-        self.h = as_operator(hamiltonian, "hamiltonian").copy()
-        self.h.setflags(write=False)
+        self.h = as_operator(hamiltonian, "hamiltonian")
         self.decomps = _as_decomps(decomps)
         if self.decomps[0].dim != self.h.shape[0]:
             raise ValueError(
@@ -487,25 +490,19 @@ class _SlotEvolver:
                 f"hamiltonian dimension {self.h.shape[0]}"
             )
         self.dim = self.h.shape[0]
-        self._generators: dict[int, object] = {}
-        self._propagators: dict[tuple[int, float], dict[int, np.ndarray]] = {}
-        self._labels: dict[int, np.ndarray] = {}
-        self._grouped: dict[int, np.ndarray] = {}
-        self._plans: dict[tuple[int, bytes | None, bool], _ActionPlan] = {}
-        self._steady: dict[tuple[float, bool], np.ndarray] = {}
-        self.key: bytes | None = None  # its model key in `_held`, set when held
+        self.key = _model_key(self.h, self.decomps)
 
-    def _cached(self, cache: dict, key, build):
-        """`cache[key]`, built by `build()` on a miss; while the engine is held, the
-        most recently used entry of the LRU over held entries."""
-        hit = (value := cache.get(key)) is not None
-        value = value if hit else build()
+    def _cached(self, kind: str, key, build):
+        """The held entry (model key, `kind`, `key`), built by `build()` on a miss; the
+        most recently used entry of the store from then on."""
+        entry = (self.key, kind, key)
+        record = _store.get(entry)
+        value = build() if record is None else record[0]
         with _held_lock:
-            cache[key] = value
-            if _held.get(self.key) is self:  # its bytes are counted at the call's end
-                record = _entries.pop((id(cache), key), None)
-                _entries[id(cache), key] = (cache, self, next(_ticks), record[3] if record else 0)
-                _counts["hits" if hit else "misses"] += 1
+            held = _store.pop(entry, None)  # read again: built or dropped meanwhile
+            value = value if held is None else held[0]
+            _store[entry] = (value, next(_ticks), 0 if held is None else held[2])
+            _counts["misses" if record is None else "hits"] += 1
         return value
 
     def generator(self, n_slots: int):
@@ -518,11 +515,15 @@ class _SlotEvolver:
                 return multi_slot_action(self.h, self.decomps, n_slots).to_csr()
             import scipy.sparse as sp  # imported here: `import lindcorr` leaves it unloaded
             return sp.csr_array(multi_slot_generator(self.h, self.decomps, n_slots).matrix)
-        return self._cached(self._generators, n_slots, build)
+        return self._cached("generator", n_slots, build)
 
-    def labels(self, n_slots: int) -> np.ndarray:
-        """Block of each coordinate of G_n (:func:`_block_labels`), found once per level."""
-        return self._cached(self._labels, n_slots, lambda: _block_labels(self.generator(n_slots)))
+    def blocks(self, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
+        """Block of each coordinate of G_n (:func:`_block_labels`) and the coordinates
+        in block order, stably sorted, found once per level."""
+        def build():
+            labels = _block_labels(self.generator(n_slots))
+            return labels, np.argsort(labels, kind="stable")
+        return self._cached("blocks", n_slots, build)
 
     def _level(self, n_slots: int, *vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The level's block labels, and the coordinates `vectors` are stepped on,
@@ -530,7 +531,7 @@ class _SlotEvolver:
         block and the level has one block or is above the budget, so it is stepped
         whole, as held; else those of the blocks where every one of `vectors` is
         nonzero, possibly none, block after block in label order."""
-        labels = self.labels(n_slots)
+        labels, grouped = self.blocks(n_slots)
         touched = np.ones(int(labels.max()) + 1, dtype=bool)
         for v in vectors:
             hit = np.zeros_like(touched)
@@ -538,14 +539,13 @@ class _SlotEvolver:
             touched &= hit
         if touched.all() and (len(touched) == 1 or not _dense_order(len(labels))):
             return labels, None
-        grouped = self._cached(self._grouped, n_slots, lambda: np.argsort(labels, kind="stable"))
         return labels, grouped[touched[labels[grouped]]]
 
     def _propagator(self, n_slots: int, gap: float, spans, block_generator) -> np.ndarray:
         """exp(gap G[S, S]), block-diagonal over `spans`, (block, start, stop) of each
         block of S, from the block propagators exp(gap G_b) cached per level and
         gap; `block_generator(start, stop)` gives the block's G_b on a miss."""
-        held = self._cached(self._propagators, (n_slots, gap), dict)
+        held = self._cached("propagators", (n_slots, gap), dict)
         for block, start, stop in spans:
             if block not in held:
                 held[block] = expm(block_generator(start, stop), gap)
@@ -555,14 +555,6 @@ class _SlotEvolver:
         for block, start, stop in spans:
             prop[start:stop, start:stop] = held[block]
         return prop
-
-    def held_bytes(self) -> int:
-        """Bytes of the arrays the engine holds: its CSR generators (data, indices and
-        indptr), block propagators, block labels, block orders, action plans' shifted
-        matrices and steady states."""
-        return sum(_nbytes(m) for cache in (self._generators, self._propagators, self._labels,
-                                            self._grouped, self._plans, self._steady)
-                   for m in list(cache.values()))
 
     def _steps(self, n_slots: int, labels: np.ndarray, coords: np.ndarray | None, v: np.ndarray,
                taus: np.ndarray, origin: float, adjoint: bool) -> Iterator[np.ndarray]:
@@ -605,7 +597,7 @@ class _SlotEvolver:
                     v = v @ prop if adjoint else prop @ v
                     yield v
             else:
-                plan = self._cached(self._plans, (n_slots, touched, adjoint), lambda: _ActionPlan(
+                plan = self._cached("plan", (n_slots, touched, adjoint), lambda: _ActionPlan(
                     restricted().T if adjoint else restricted()))
                 (_start, *states) = integrate_ode(plan, v, gap * np.arange(count + 1))
                 yield from states
@@ -662,12 +654,17 @@ def _model_key(h: np.ndarray, decomps) -> bytes:
 
 
 def _nbytes(m) -> int:
-    """Bytes of an array, a sparse matrix (data, indices and indptr), a map of them or
-    an action plan's shifted matrix."""
+    """Bytes of an array, a sparse matrix (data, indices and indptr), a map or a tuple
+    of them, or an action plan: its shifted matrix, and its map of Taylor degrees
+    with the map's key and value tuples."""
     if isinstance(m, dict):
         return sum(_nbytes(block) for block in list(m.values()))
+    if isinstance(m, tuple):
+        return sum(map(_nbytes, m))
     if isinstance(m, _ActionPlan):
-        return _nbytes(m.shifted)
+        params = list(m.params.items())
+        return _nbytes(m.shifted) + sys.getsizeof(m.params) + sum(
+            sys.getsizeof(key) + sys.getsizeof(value) for key, value in params)
     return sum(part.nbytes for part in ((m.data, m.indices, m.indptr) if hasattr(m, "indptr") else (m,)))
 
 
@@ -675,17 +672,15 @@ def _nbytes(m) -> int:
 # than this many bytes: 32 order-256 propagators
 _IDLE_BYTE_CAP = 32 * 2 ** 20
 
-# model key -> evolver of the models evaluated lately, most recently used last
-_held: dict[bytes, _SlotEvolver] = {}
-# (id of its cache, key) -> (cache, engine, tick of its last use, bytes) of every
-# held entry, least recently used first
-_entries: dict[tuple, tuple] = {}
+# (model key, kind, key) -> (value, tick of its last use, bytes) of every held
+# entry, least recently used first
+_store: dict[tuple, tuple] = {}
 _ticks = count()
 # lookups that found their entry, lookups that built it, entries dropped, bytes
 # held, and the actions' matrix-vector products and 1-norm estimates (read by
 # bench/repeats.py)
 _counts = {"hits": 0, "misses": 0, "evictions": 0, "bytes": 0, "matvecs": 0, "norm_estimates": 0}
-_held_lock = threading.Lock()  # guards the maps, the counts and the caches' keys
+_held_lock = threading.Lock()  # guards the store and the counts
 
 
 def _count(**amounts: int) -> None:
@@ -695,73 +690,53 @@ def _count(**amounts: int) -> None:
             _counts[key] += amount
 
 
-def _evict(is_idle, whole: bool) -> None:
-    """Drop idle entries, those whose (engine, tick of last use) `is_idle` accepts, least
-    recently used first while they hold more than ``_IDLE_BYTE_CAP`` bytes; when `whole`,
-    engine by engine, least recently used model first.  An engine left with no entry
-    leaves `_held`.  The caller holds `_held_lock`."""
-    if _counts["bytes"] > _IDLE_BYTE_CAP:
-        idle = [(entry, record) for entry, record in _entries.items() if is_idle(*record[1:3])]
-        if whole:  # model by model: what a warm call did not need (its generator) stays old
-            rank = {ev: place for place, ev in enumerate(_held.values())}
-            idle.sort(key=lambda item: rank.get(item[1][1], -1))
-        excess, gone = sum(record[3] for _entry, record in idle) - _IDLE_BYTE_CAP, set()
-        for entry, (cache, ev, _tick, size) in idle:
-            unit = ev if whole else entry
-            if excess > 0 or unit in gone:
-                gone.add(unit)
-                del _entries[entry]
-                cache.pop(entry[1], None)
-                excess -= size
-                _counts["bytes"] -= size
-                _counts["evictions"] += 1
-    live = {record[1] for record in _entries.values()}
-    for key in [key for key, ev in _held.items() if ev not in live]:
-        del _held[key]
+def _evict(is_idle) -> None:
+    """Drop idle entries, those whose (model key, tick of last use) `is_idle` accepts,
+    least recently used first while they hold more than ``_IDLE_BYTE_CAP`` bytes.
+    The caller holds `_held_lock`."""
+    if _counts["bytes"] <= _IDLE_BYTE_CAP:
+        return
+    idle = [(entry, size) for entry, (_value, tick, size) in _store.items()
+            if is_idle(entry[0], tick)]
+    excess = sum(size for _entry, size in idle) - _IDLE_BYTE_CAP
+    for entry, size in idle:
+        if excess <= 0:
+            break
+        del _store[entry]
+        excess -= size
+        _counts["bytes"] -= size
+        _counts["evictions"] += 1
 
 
 def _release_engines() -> None:
-    """Drop every held engine and entry."""
+    """Drop every held entry."""
     with _held_lock:
-        _held.clear()
-        _entries.clear()
+        _store.clear()
         _counts["bytes"] = 0
-
-
-def _recent_engine() -> _SlotEvolver | None:
-    """The engine of the model evaluated last, or None when none is held."""
-    with _held_lock:
-        return next(reversed(_held.values()), None)
 
 
 @contextmanager
 def _model_evolver(hamiltonian, decomp) -> Iterator[_SlotEvolver]:
-    """The held evolver whose model's content matches, else a fresh one, held
-    from then on as the most recently used.
+    """A new engine of the model, which finds the entries held under its key.
 
     Idle entries are dropped (:func:`_evict`) at both ends of the call: before
-    anything is built, the other models' engines, each whole; on exit, also
-    after an exception, once the bytes of the entries this call used are
-    counted, the entries it did not use.  An evolver left holding nothing
-    leaves the map.
+    anything is built, the other models' entries; on exit, also after an
+    exception, once the bytes of the entries this call used are counted, the
+    entries it did not use.
     """
-    h = as_operator(hamiltonian, "hamiltonian")
-    decomps = _as_decomps(decomp)
-    key = _model_key(h, decomps)
+    ev = _SlotEvolver(hamiltonian, decomp)
     with _held_lock:
-        warm = _held.pop(key, None)
-        _evict(lambda engine, _tick: engine is not warm, whole=True)
-        ev = _held[key] = warm or _SlotEvolver(h, decomps)
-        ev.key, start = key, next(_ticks)
+        _evict(lambda model, _tick: model != ev.key)
+        start = next(_ticks)
     try:
         yield ev
     finally:
         with _held_lock:
-            for entry, (cache, engine, tick, size) in list(_entries.items()):
+            for entry, (value, tick, size) in list(_store.items()):
                 if tick > start:  # built or grown since: count its bytes again
-                    _entries[entry] = (cache, engine, tick, _nbytes(cache[entry[1]]))
-                    _counts["bytes"] += _entries[entry][3] - size
-            _evict(lambda _engine, tick: tick < start, whole=False)
+                    _store[entry] = (value, tick, _nbytes(value))
+                    _counts["bytes"] += _store[entry][2] - size
+            _evict(lambda _model, tick: tick < start)
 
 
 def _densities(ev: _SlotEvolver, rho0: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
@@ -803,7 +778,7 @@ def _evolve_grid(hamiltonian, decomp, rho0, times) -> list[np.ndarray]:
 def evolve_density(hamiltonian, decomp, rho0, t: float) -> np.ndarray:
     """Forward evolution rho(t) of a density matrix under the dissipative generator.
 
-    Runs on the held engine of the model: vec(rho(t)^T) is vec(rho0^T) pulled
+    Runs on the engine of the model: vec(rho(t)^T) is vec(rho0^T) pulled
     back through exp(t G_1), G_1 the one-slot adjoint generator, so the
     forward dynamics shares the correlators' generator and propagators.
     """
@@ -873,7 +848,7 @@ def _stationary(ev: _SlotEvolver, null_tol: float) -> np.ndarray:
         except RuntimeError:  # splu: the bordered matrix is exactly singular
             pass
     if not kappa <= _LU_MARGIN / null_tol:  # within the budget, refused, or a NaN estimate
-        w = _svd_null_vector(gen.toarray(), null_tol, ev.labels(1))
+        w = _svd_null_vector(gen.toarray(), null_tol, ev.blocks(1)[0])
     rho = unvec(w).T
     tr = complex(np.trace(rho))
     if abs(tr) < 1e-10 * np.linalg.norm(rho):
@@ -887,14 +862,14 @@ def steady_state(model: SystemModel, decomp=None, null_tol: float = 1e-9) -> np.
 
     The stationary rho satisfies trace(G_1[B] rho) = 0 for every B, so
     vec(rho^T) is the left null vector of the one-slot adjoint generator G_1,
-    taken from the model's held engine.  A level within the slot budget finds
+    taken from the model's engine.  A level within the slot budget finds
     it by SVD; one above it by a sparse LU of G_1^T bordered with the trace
     functional, falling back to the SVD when the LU is singular or its
     condition estimate exceeds 0.1 / null_tol; an SVD null vector is set to
     exact zeros outside its block of G_1.  `null_tol` must lie strictly
-    between 0 and 1.  The state is held on the engine, one per `null_tol` and
-    side of the budget (so per solver), as an entry of the LRU over held
-    entries; each call returns a copy.
+    between 0 and 1.  The state is held, one per `null_tol` and side of the
+    budget (so per solver), as an entry of the store of the model's engine;
+    each call returns a copy.
 
     Raises DegenerateSteadyStateError when more or fewer than one singular
     value of G_1 is at most null_tol times the largest (e.g. any rate-free
@@ -905,7 +880,7 @@ def steady_state(model: SystemModel, decomp=None, null_tol: float = 1e-9) -> np.
         raise ValueError(f"null_tol must lie strictly between 0 and 1, got {null_tol}")
     decomps = decompose_model(model) if decomp is None else _as_decomps(decomp)
     with _model_evolver(model.hamiltonian, decomps) as ev:
-        rho = ev._cached(ev._steady, (null_tol, _dense_fits(ev.dim, 1)),  # and its solver
+        rho = ev._cached("steady", (null_tol, _dense_fits(ev.dim, 1)),  # and its solver
                          lambda: _stationary(ev, null_tol))
     return rho.copy()
 

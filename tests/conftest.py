@@ -44,9 +44,24 @@ def _src_on_child_path():
     patch.undo()
 
 
+def held(kind=None, model=None) -> dict:
+    """The held entries of the propagation store, least recently used first: key ->
+    value for one `kind` ("generator", "blocks", "propagators", "plan" or "steady"),
+    or (model key, kind, key) -> value for every kind when `kind` is None; only
+    those of the model whose key is `model` when it is given."""
+    return {(entry if kind is None else entry[2]): value
+            for entry, (value, _tick, _size) in list(propagation._store.items())
+            if kind in (None, entry[1]) and model in (None, entry[0])}
+
+
+def held_bytes(model=None) -> int:
+    """Bytes of the held entries' values (of one model when given), counted afresh."""
+    return sum(map(propagation._nbytes, held(model=model).values()))
+
+
 @pytest.fixture(autouse=True)
 def _no_held_engine():
-    """Start and end each test without a propagation engine held from another call."""
+    """Start and end each test with no propagation entry held from another call."""
     propagation._release_engines()
     yield
     propagation._release_engines()

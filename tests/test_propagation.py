@@ -50,7 +50,7 @@ from lindcorr import (
 )
 from lindcorr import generators, propagation
 
-from conftest import random_density, random_hermitian, random_matrix
+from conftest import held, held_bytes, random_density, random_hermitian, random_matrix
 
 
 EYE2 = identity(2)
@@ -206,7 +206,7 @@ def test_steady_state_sparse_level_matches_svd(dim):
     model = _oscillator(dim)
     expected = _svd_steady_state(model)
     rho = steady_state(model)
-    assert not generators._dense_fits(propagation._recent_engine().dim, 1)
+    assert not generators._dense_fits(model.dim, 1)
     assert np.max(np.abs(rho - expected)) < 1e-12
     assert np.max(np.abs(rho - rho.conj().T)) == 0.0
 
@@ -279,7 +279,7 @@ def test_steady_state_is_exactly_zero_outside_its_block(family, monkeypatch):
         rho = steady_state(model)
         sides.add(model.dim ** 2 <= budget)
         assert len(solved) == len(sides)  # each solver runs, neither reads the other's state
-        labels = propagation._recent_engine().labels(1)
+        labels, _order = held("blocks")[1]
         w = vec(rho.T)
         outside = labels != labels[np.argmax(np.abs(w))]
         assert np.any(outside) and not np.any(w[outside])
@@ -309,7 +309,7 @@ def test_evolve_density_sparse_level_matches_forward_expm(rng):
         expected = unvec(expm(f, t) @ vec(rho0))
         rho = evolve_density(model.hamiltonian, decs, rho0, t)
         assert np.max(np.abs(rho - expected)) < 1e-12
-    assert not generators._dense_fits(propagation._recent_engine().dim, 1)
+    assert not generators._dense_fits(model.dim, 1)
 
 
 def test_general_correlator_enters_the_engine_once(rng, monkeypatch):
@@ -702,7 +702,7 @@ def test_single_use_pull_back_acts_on_every_call(rng, monkeypatch):
         with propagation._model_evolver(h, decs) as ev:  # one correlator call
             return act(ev)
     gen = call(lambda ev: ev.generator(2))
-    blocks = call(lambda ev: int(ev.labels(2).max()) + 1)
+    blocks = call(lambda ev: int(ev.blocks(2)[0].max()) + 1)
     assert call(lambda ev: generators._dense_fits(ev.dim, 2))
     assert gen.shape[0] > propagation._SINGLE_USE_ORDER and blocks > 1
     w = rng.standard_normal(256) + 1j * rng.standard_normal(256)
@@ -715,7 +715,7 @@ def test_single_use_pull_back_acts_on_every_call(rng, monkeypatch):
     assert np.max(np.abs(pulled[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
     call(lambda ev: list(ev.trajectory(w, 2, np.array([0.8, 1.6]), adjoint=True)))  # one run of two steps
     assert calls == [0.8] * blocks
-    assert len(propagation._recent_engine()._propagators[(2, 0.8)]) == blocks
+    assert len(held("propagators")[2, 0.8]) == blocks
     assert np.array_equal(call(lambda ev: ev.pull_back(w, 2, 0.8)), pulled[0])
     assert calls == [0.8] * blocks and orders == [256] * 4
 
@@ -731,7 +731,7 @@ def test_single_use_gap_on_small_blocks_takes_their_propagators(rng, monkeypatch
                           random_density(rng, 4))
     orders, calls = _sparse_orders(monkeypatch), _count_expm(monkeypatch)
     got = [general_correlator(h, decs, spec) for _call in range(2)]
-    sizes = np.bincount(propagation._recent_engine().labels(2))
+    sizes = np.bincount(held("blocks")[2][0])
     assert orders == [] and 0.8 in calls and got[0] == got[1]
     assert sizes.max() <= propagation._SINGLE_USE_ORDER < sizes.sum()
     monkeypatch.setattr(propagation, "_SINGLE_USE_ORDER", 0)
@@ -788,7 +788,7 @@ def test_repeated_geomspace_otoc_forms_no_level_propagator(monkeypatch):
     monkeypatch.setattr(propagation, "expm", lambda m, t: orders.append(len(m)) or expm_(m, t))
     second = otoc(h, decs, w_op, v_op, rho, taus)
     assert 256 not in orders
-    assert not [key for key in propagation._recent_engine()._propagators if key[0] == 2]
+    assert not [key for key in held("propagators") if key[0] == 2]
     assert np.array_equal(second.values, first.values)
 
 
@@ -839,13 +839,13 @@ def test_general_sweep_expm_count(rng, monkeypatch):
     # each expm is one block's propagator, formed once, one per block where every
     # vector stepped is nonzero, at each gap: the state's t1 on one slot, the
     # pull-back's t2 - t1 on three and the sweep's one step on two
-    ev = propagation._recent_engine()
-    touched = {n: len(set.intersection(*(set(ev.labels(n)[v != 0]) for v in vectors)))
+    labels = {n: level[0] for n, level in held("blocks").items()}
+    touched = {n: len(set.intersection(*(set(labels[n][v != 0]) for v in vectors)))
                for n, vectors in stepped.items()}
     gaps = set(propagation._grid_steps(taus, t2)) - {0.0}
     assert sorted(stepped) == [1, 2, 3] and len(gaps) == 1
     assert len(calls) == touched[1] + touched[3] + touched[2] * len(gaps)
-    assert len(calls) == sum(len(held) for held in ev._propagators.values())
+    assert len(calls) == sum(len(blocks) for blocks in held("propagators").values())
 
 
 def test_uniform_sweep_makes_one_step_expm(rng, monkeypatch):
@@ -859,7 +859,7 @@ def test_uniform_sweep_makes_one_step_expm(rng, monkeypatch):
     calls = _count_expm(monkeypatch)
     dense = otoc(h, decs, *args)
     assert len(set(calls)) == 1
-    assert len(calls) == len(propagation._recent_engine()._propagators[(2, calls[0])])
+    assert len(calls) == len(held("propagators")[2, calls[0]])
     multiply = []
     interval = propagation._interval
     monkeypatch.setattr(propagation, "_interval",
@@ -884,7 +884,7 @@ def test_sparse_engine_leaves_global_rng_alone(rng):
         np.random.seed(seed)
         assert after == np.random.random()
         runs.append(trace.values)
-    assert not generators._dense_fits(propagation._recent_engine().dim, 1)
+    assert not generators._dense_fits(model.dim, 1)
     assert np.array_equal(runs[0], runs[1])
 
 
@@ -893,9 +893,8 @@ def test_held_engine_bytes_bounded(rng):
     h, decs = _dimer()
     taus = np.linspace(0.5, 2.5, 5)
     general_correlator(h, decs, _swept_spec(rng, 4, [None, None, None, 0.5], taus), taus=taus)
-    ev = propagation._recent_engine()
-    assert 3 in ev._generators
-    assert ev.held_bytes() == propagation._counts["bytes"] < 16 * 2 ** 20
+    assert 3 in held("generator")
+    assert held_bytes() == propagation._counts["bytes"] < 16 * 2 ** 20
 
 
 def test_csr_byte_cap_refuses_before_assembly(rng, monkeypatch):
@@ -1003,8 +1002,16 @@ def _count_assembly(monkeypatch):
 
 
 def _held_models():
-    """The held engines, least recently used first."""
-    return list(propagation._held.values())
+    """Keys of the models with held entries, least recently used first (by the last
+    use of any of their entries)."""
+    return list(reversed(dict.fromkeys(model for model, _kind, _key in reversed(held()))))
+
+
+def _stored_minus_counted():
+    """The sizes recorded in the store, summed, less the bytes counted; read under its lock."""
+    with propagation._held_lock:
+        return (sum(size for _value, _tick, size in propagation._store.values())
+                - propagation._counts["bytes"])
 
 
 def test_engine_reused_on_equal_model(rng, monkeypatch):
@@ -1038,7 +1045,7 @@ def test_engine_misses_on_hamiltonian_mutated_in_place(rng, monkeypatch):
     h = h.copy()
     args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
     otoc(h, decs, *args)
-    assert not np.shares_memory(propagation._recent_engine().h, h)
+    assert _held_models() == [propagation._SlotEvolver(h, decs).key]  # a digest of h's content
     h[0, 0] += 0.5
     calls = _count_expm(monkeypatch)
     mutated = otoc(h, decs, *args)
@@ -1076,13 +1083,13 @@ def test_returning_model_finds_its_engine_warm(rng, monkeypatch):
     a_args = (*_otoc_inputs(rng, 4), np.linspace(0.0, 2.0, 5))
     b_args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
     first = otoc(*_dimer(), *a_args)
-    engine = propagation._recent_engine()
+    (dimer,) = _held_models()
     otoc(*_qubit(), *b_args)
     calls, built = _count_expm(monkeypatch), _count_assembly(monkeypatch)
     back = otoc(*_dimer(), *a_args)
     assert calls == [] and built == []
-    assert propagation._recent_engine() is engine
-    assert _held_models()[0] is not engine  # the qubit's engine is now the least recent
+    assert len(_held_models()) == 2
+    assert _held_models()[-1] == dimer  # the qubit's entries are now the least recent
     propagation._release_engines()
     fresh = otoc(*_dimer(), *a_args)
     assert calls and built
@@ -1090,44 +1097,57 @@ def test_returning_model_finds_its_engine_warm(rng, monkeypatch):
 
 
 def test_idle_engines_evicted_least_recently_used_first(rng, monkeypatch):
+    # five qubit models, each holding its 2-slot blocks, one step's propagators and
+    # its generator, under a cap of 2.75 models' bytes: idle entries go one at a
+    # time, least recently used first, whatever model they belong to
     args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
     models = [_qubit(gamma=gamma, temperature=0.5) for gamma in (0.1, 0.2, 0.3, 0.4, 0.5)]
-    engines = []
+    keys = [propagation._SlotEvolver(*model).key for model in models]
 
     def call(k):
         otoc(*models[k], *args)
-        if k == len(engines):
-            engines.append(propagation._recent_engine())
-        held = _held_models()
-        assert held[-1] is engines[k]
-        assert sum(ev.held_bytes() for ev in held[:-1]) <= propagation._IDLE_BYTE_CAP
-        return [engines.index(ev) for ev in held]
+        assert held_bytes() == propagation._counts["bytes"]
+        assert held_bytes() - held_bytes(keys[k]) <= propagation._IDLE_BYTE_CAP
+        return [(keys.index(model), kind) for model, kind, _key in held()]
 
-    call(0)
-    size = engines[0].held_bytes()
-    assert size > 0
-    # two idle engines and the generator a warm call leaves unused fit, three engines do not
+    def cold(*ks):  # the generator is last used by the blocks' propagators
+        return [(k, kind) for k in ks for kind in ("blocks", "propagators", "generator")]
+
+    assert call(0) == cold(0)
+    size = held_bytes()
     monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", int(2.75 * size))
-    assert call(1) == [0, 1]
-    assert call(2) == [0, 1, 2]
-    assert {ev.held_bytes() for ev in engines} == {size}
-    assert call(3) == [1, 2, 3]     # three idle engines are over the cap: 0 goes
-    assert call(1) == [2, 3, 1]     # a hit moves the engine last and evicts nothing
-    assert call(4) == [3, 1, 4]     # 2 is now the least recently used
+    assert call(1) == cold(0, 1)
+    assert call(2) == cold(0, 1, 2)
+    assert {held_bytes(key) for key in keys[:3]} == {size}
+    # three idle models are over the cap: 0's two oldest entries go, its generator stays
+    assert call(3) == [(0, "generator"), *cold(1, 2, 3)]
+    # a warm call uses 1's blocks and propagators, which move last; at its end the
+    # generators it left unused are idle too, and 0's, now the oldest, goes
+    assert call(1) == [(1, "generator"), *cold(2, 3), (1, "blocks"), (1, "propagators")]
+    assert call(4) == [*cold(2, 3), (1, "blocks"), (1, "propagators"), *cold(4)]
     monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)
-    assert call(1) == [1]           # every idle engine goes, the requested one stays
+    assert call(1) == [(1, "blocks"), (1, "propagators")]  # every idle entry goes
 
 
 def test_engine_over_cap_is_released_before_next_build(rng, monkeypatch):
-    otoc(*_dimer(), *_otoc_inputs(rng, 4), np.linspace(0.0, 2.0, 5))
-    big = weakref.ref(propagation._recent_engine())
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", big().held_bytes() - 1)
-    released = []
+    # another model's entries beyond the cap are dropped, least recently used first,
+    # before a call builds anything: one byte over the cap takes the dimer's oldest
+    # entry, cap 0 all of them
+    dimer_args = (*_otoc_inputs(rng, 4), np.linspace(0.0, 2.0, 5))
+    qubit_args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
     dense = propagation.multi_slot_generator
-    monkeypatch.setattr(propagation, "multi_slot_generator",
-                        lambda h, d, n: released.append(big() is None) or dense(h, d, n))
-    otoc(*_qubit(), *_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
-    assert released and all(released)
+    for over in (1, None):
+        propagation._release_engines()
+        otoc(*_dimer(), *dimer_args)
+        dimer = list(held())
+        cap = 0 if over is None else held_bytes() - over
+        monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", cap)
+        seen = []
+        monkeypatch.setattr(propagation, "multi_slot_generator",
+                            lambda h, d, n: seen.append(list(held())) or dense(h, d, n))
+        otoc(*_qubit(), *qubit_args)
+        monkeypatch.setattr(propagation, "multi_slot_generator", dense)
+        assert len(dimer) > 1 and seen and seen[0] == (dimer[1:] if over else [])
     assert len(_held_models()) == 1
 
 
@@ -1142,26 +1162,77 @@ def test_engine_map_under_concurrent_calls(rng, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(lambda k: otoc(*models[k], *args).values, order, timeout=120))
+            got = list(pool.map(lambda k: (otoc(*models[k], *args).values, _stored_minus_counted()),
+                                order, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    for k, values in zip(order, got):
-        assert np.array_equal(values, expected[k])
+    for k, (values, drift) in zip(order, got):
+        assert np.array_equal(values, expected[k]) and drift == 0
     otoc(*models[0], *args)
-    assert len(_held_models()) == 1
+    assert len(_held_models()) == 1 and held_bytes() == propagation._counts["bytes"]
+
+
+def test_no_engine_survives_a_call(rng, monkeypatch):
+    # an engine keeps only its model: what it builds is held under the model's key,
+    # so after a 6-model temperature scan every model's entries are held and no
+    # engine is alive
+    engines = []
+    init = propagation._SlotEvolver.__init__
+    monkeypatch.setattr(propagation._SlotEvolver, "__init__",
+                        lambda ev, *args: engines.append(weakref.ref(ev)) or init(ev, *args))
+    w_op, v_op, rho = _otoc_inputs(rng, 4)
+    taus = np.linspace(0.0, 2.0, 5)
+    for temperature in np.linspace(0.2, 2.0, 6):
+        model = coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, temperature)
+        decs = decompose_model(model)
+        otoc(model.hamiltonian, decs, w_op, v_op, steady_state(model, decs), taus)
+        spec = _swept_spec(rng, 4, [None, 1.0, 0.5], taus)
+        general_correlator(model.hamiltonian, decs, spec, taus=taus + 1.0)
+    assert len(engines) == 18 and len(_held_models()) == 6
+    assert [engine for engine in engines if engine() is not None] == []
+
+
+def test_action_plan_bytes_count_its_degrees():
+    # the plan's (t, scale) -> (m*, s) map grows by one entry per step length, and
+    # its counted bytes grow with it: the map and its key and value tuples, equal
+    # within 2x to what tracemalloc reads while the map grows
+    import scipy.sparse
+
+    a = 0.1 * random_matrix(np.random.default_rng(5), 16)
+    plan = propagation._ActionPlan(scipy.sparse.csr_array(a))
+    steps = [float(t) for t in np.geomspace(1e-3, 20.0, 400)]
+    assert 20.0 * plan.norm <= propagation._NORM_ONLY  # (m*, s) read from the 1-norm alone
+    counted = [propagation._nbytes(plan)]
+    # empty the free list of 2-tuples, so the map's tuples are allocated where tracemalloc sees them
+    drained = [(k, k) for k in range(3000)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for k, t in enumerate(steps):
+            plan.degrees(t, 1, None)
+            if k in (0, 99):
+                counted.append(propagation._nbytes(plan))
+        traced = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    counted.append(propagation._nbytes(plan))
+    assert len(plan.params) == len(steps) and len(drained) == 3000
+    assert counted[0] == propagation._nbytes(plan.shifted) + sys.getsizeof({})
+    assert counted == sorted(set(counted))  # grows with every reading
+    assert traced / 2 <= counted[-1] - counted[0] <= 2 * traced
 
 
 def test_held_bytes_counts_generators_and_labels(monkeypatch):
     ev = propagation._SlotEvolver(*_dimer())
-    assert ev.held_bytes() == 0
+    assert held_bytes() == 0
     gen = ev.generator(2)
-    assert ev.held_bytes() == propagation._nbytes(gen) == 20 * gen.nnz + 4 * (256 + 1)
-    labels = ev.labels(2)
-    assert ev.held_bytes() == propagation._nbytes(gen) + labels.nbytes
+    assert held_bytes() == propagation._nbytes(gen) == 20 * gen.nnz + 4 * (256 + 1)
+    labels, order = ev.blocks(2)
+    assert held_bytes() == propagation._nbytes(gen) + labels.nbytes + order.nbytes
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 100)
     assert ev.generator(2) is gen  # one form serves every budget
     assert not generators._dense_fits(ev.dim, 2)
-    assert ev.held_bytes() == propagation._nbytes(gen) + labels.nbytes
+    assert held_bytes() == propagation._nbytes(gen) + labels.nbytes + order.nbytes
 
 
 def test_lowered_budget_switches_held_engine(rng, monkeypatch):
@@ -1173,13 +1244,13 @@ def test_lowered_budget_switches_held_engine(rng, monkeypatch):
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 100)
     free = otoc(h, decs, *args)
     assert calls == [] and set(orders) == {16 ** 2}
-    assert built == [] and list(propagation._recent_engine()._generators) == [2]
+    assert built == [] and list(held("generator")) == [2]
     monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)  # now only the last call's entries stay
     again = otoc(h, decs, *args)
     assert calls == [] and set(orders) == {16 ** 2}
     # the warm action reads its held plan alone, so the generator is idle and dropped
-    ev = propagation._recent_engine()
-    assert built == [] and list(ev._generators) == [] and list(ev._plans) == [(2, None, False)]
+    assert built == [] and list(held("generator")) == []
+    assert list(held("plan")) == [(2, None, False)]
     assert np.array_equal(again.values, free.values)
     assert np.max(np.abs(dense.values - free.values)) < 1e-12
 
@@ -1195,12 +1266,12 @@ def test_held_levels_within_budget_are_csr_of_the_dense_generator():
             with propagation._model_evolver(h, decs) as ev:
                 ev.generator(n)
             assert generators._dense_fits(ev.dim, n)
-            gen = ev._generators[n]
+            gen = held("generator", ev.key)[n]
             matrix = multi_slot_generator(h, decs, n).matrix
             assert scipy.sparse.issparse(gen) and gen.format == "csr"
             assert gen.toarray().tobytes() == matrix.tobytes()
             assert gen.nnz == np.count_nonzero(matrix)
-        assert all(scipy.sparse.issparse(m) for m in ev._generators.values())
+        assert all(scipy.sparse.issparse(m) for m in held("generator", ev.key).values())
 
 
 def test_lowered_budget_reuses_held_level(rng, monkeypatch):
@@ -1215,22 +1286,22 @@ def test_lowered_budget_reuses_held_level(rng, monkeypatch):
     calls = [lambda: steady_state(model, decs), lambda: otoc(h, decs, w_op, v_op, rho, taus).values,
              lambda: general_correlator(h, decs, spec, taus=taus).values]
     before = [call() for call in calls]
-    ev = propagation._recent_engine()
-    held = {n: (ev._generators[n], ev._labels[n]) for n in (1, 2)}
+    levels = {n: (held("generator")[n], held("blocks")[n]) for n in (1, 2)}
     built, labelled = _count_assembly(monkeypatch), []
     labels = propagation._block_labels
     monkeypatch.setattr(propagation, "_block_labels", lambda g: labelled.append(g) or labels(g))
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 8)
     after = [call() for call in calls]
-    assert built == [] and labelled == [] and propagation._recent_engine() is ev
-    assert all(ev._generators[n] is gen and ev._labels[n] is lab for n, (gen, lab) in held.items())
+    assert built == [] and labelled == [] and len(_held_models()) == 1
+    assert all(held("generator")[n] is gen and held("blocks")[n] is blocks
+               for n, (gen, blocks) in levels.items())
     for old, new in zip(before, after):
         assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
 
 
-def test_warm_sweep_makes_three_lookups():
-    # a warm OTOC on the dimer's order-256 level reads its labels once, its block
-    # order and its one step's propagator map: the generator is not looked up
+def test_warm_sweep_makes_two_lookups():
+    # a warm OTOC on the dimer's order-256 level reads its blocks (labels and block
+    # order) once and its one step's propagator map: the generator is not looked up
     h, decs = _dimer()
     rho = steady_state(coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6))
     args = (np.kron(sigma_x, EYE2), np.kron(sigma_z, sigma_z), rho, np.linspace(0.0, 4.0, 41))
@@ -1238,7 +1309,7 @@ def test_warm_sweep_makes_three_lookups():
     hits, misses = propagation._counts["hits"], propagation._counts["misses"]
     again = otoc(h, decs, *args)
     assert propagation._counts["misses"] == misses
-    assert propagation._counts["hits"] - hits <= 3
+    assert propagation._counts["hits"] - hits <= 2
     assert np.array_equal(again.values, first.values)
 
 
@@ -1248,8 +1319,8 @@ def test_held_propagators_are_the_last_calls(rng, monkeypatch):
     first, second = np.linspace(1.3, 4.0, 5), np.linspace(1.0, 3.0, 7)
     spec = _swept_spec(rng, 4, [None, floor, None, floor], first)
 
-    def held():
-        return set(propagation._recent_engine()._propagators)
+    def steps():
+        return set(held("propagators"))
 
     def used(taus):
         # the 2-slot sweep steps, and the 1-slot evolution of the state to the floor
@@ -1257,14 +1328,14 @@ def test_held_propagators_are_the_last_calls(rng, monkeypatch):
         return {(2, step) for step in sweep} | {(1, floor)}
 
     general_correlator(h, decs, spec, taus=first)
-    kept = held()
+    kept = steps()
     assert kept and kept <= used(first) and kept - used(second)
     general_correlator(h, decs, spec, taus=second)  # the default cap holds the first call's too
-    assert kept <= held() <= used(first) | used(second)
+    assert kept <= steps() <= used(first) | used(second)
     monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)  # now only the last call's entries stay
     general_correlator(h, decs, spec, taus=second)
-    assert held() and held() <= used(second)
-    assert not held() & (used(first) - used(second))
+    assert steps() and steps() <= used(second)
+    assert not steps() & (used(first) - used(second))
 
 
 def test_steady_state_keeps_the_otoc_level_held(monkeypatch):
@@ -1277,7 +1348,7 @@ def test_steady_state_keeps_the_otoc_level_held(monkeypatch):
     taus = np.linspace(0.0, 10.0, 41)
     rho = steady_state(model, decs)
     first = otoc(model.hamiltonian, decs, x, n, rho, taus)
-    assert not generators._dense_fits(propagation._recent_engine().dim, 2)
+    assert not generators._dense_fits(model.dim, 2)
     built, calls = _count_assembly(monkeypatch), _count_expm(monkeypatch)
     assert np.array_equal(steady_state(model, decs), rho)
     misses = propagation._counts["misses"]
@@ -1312,9 +1383,9 @@ def test_held_bytes_bounded_by_cap_plus_last_call(rng, monkeypatch):
     idle, evictions = [], propagation._counts["evictions"]
     for name, level, k in sequence:
         call(name, level, grids[k])
-        held = sum(ev.held_bytes() for ev in _held_models())
-        assert held == propagation._counts["bytes"]
-        idle.append(held - working[name, level, k])
+        total = held_bytes()
+        assert total == propagation._counts["bytes"]
+        idle.append(total - working[name, level, k])
         assert idle[-1] <= propagation._IDLE_BYTE_CAP
     assert propagation._counts["evictions"] > evictions and max(idle) > 0  # the cap binds and holds
 
@@ -1325,15 +1396,15 @@ def test_grown_propagator_map_counted_again():
     h, decs = _dimer()
     taus = np.linspace(0.0, 2.0, 5)
     with propagation._model_evolver(h, decs) as ev:
-        labels = ev.labels(2)
+        labels, _order = ev.blocks(2)
     sizes = []
     for block in (0, 1):
         v = (labels == block).astype(complex)
         with propagation._model_evolver(h, decs) as ev:
             list(ev.trajectory(v, 2, taus))
-        assert len(ev._propagators[(2, 0.5)]) == block + 1
+        assert len(held("propagators")[2, 0.5]) == block + 1
         sizes.append(propagation._counts["bytes"])
-        assert sizes[-1] == ev.held_bytes()
+        assert sizes[-1] == held_bytes()
     assert sizes[1] > sizes[0]
 
 
@@ -1353,13 +1424,14 @@ def test_one_model_under_concurrent_mixed_calls(rng, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(lambda k: kinds[k](), order, timeout=120))
+            got = list(pool.map(lambda k: (kinds[k](), _stored_minus_counted()), order,
+                                timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    for k, values in zip(order, got):
-        assert np.array_equal(values, expected[k])
+    for k, (values, drift) in zip(order, got):
+        assert np.array_equal(values, expected[k]) and drift == 0
     assert len(_held_models()) <= 1
-    assert sum(ev.held_bytes() for ev in _held_models()) == propagation._counts["bytes"]
+    assert held_bytes() == propagation._counts["bytes"]
 
 
 # ------------------------------------------------------------- ode integrator
@@ -1453,8 +1525,7 @@ def test_warm_action_estimates_no_norm(rng, monkeypatch):
     assert warm["onenormest"] == warm["norm_estimates"] == 0
     assert warm["matvecs"] == cold["matvecs"] > 0
     assert warm["bytes"] == cold["bytes"]
-    ev = propagation._recent_engine()
-    assert len(ev._plans) == 1 and ev.held_bytes() == propagation._counts["bytes"]
+    assert len(held("plan")) == 1 and held_bytes() == propagation._counts["bytes"]
 
 
 def test_action_plans_under_concurrent_calls(rng, monkeypatch):
@@ -1471,11 +1542,12 @@ def test_action_plans_under_concurrent_calls(rng, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(lambda k: otoc(h, decs, *args, grids[k]).values, order, timeout=120))
+            got = list(pool.map(lambda k: (otoc(h, decs, *args, grids[k]).values,
+                                           _stored_minus_counted()), order, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    for k, values in zip(order, got):
-        assert np.array_equal(values, expected[k])
+    for k, (values, drift) in zip(order, got):
+        assert np.array_equal(values, expected[k]) and drift == 0
 
 
 def test_steady_state_is_a_held_entry(monkeypatch):
@@ -1484,26 +1556,24 @@ def test_steady_state_is_a_held_entry(monkeypatch):
     model = coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6)
     decs = decompose_model(model)
     first = steady_state(model, decs)
-    ev = propagation._recent_engine()
-    (held,) = ev._steady.values()
-    key = (1e-9, True)
-    assert list(ev._steady) == [key] and (id(ev._steady), key) in propagation._entries
-    assert ev.held_bytes() == propagation._counts["bytes"] >= held.nbytes > 0
+    (state,) = held("steady").values()
+    assert list(held("steady")) == [(1e-9, True)]
+    assert held_bytes() == propagation._counts["bytes"] >= state.nbytes > 0
     solved = []
     svd = propagation._svd_null_vector
     monkeypatch.setattr(propagation, "_svd_null_vector", lambda *a: solved.append(1) or svd(*a))
     first[0, 0] = 7.0
     again = steady_state(model, decs)
-    assert solved == [] and again is not held
-    assert np.array_equal(again, held) and again[0, 0] != 7.0
+    assert solved == [] and again is not state
+    assert np.array_equal(again, state) and again[0, 0] != 7.0
     steady_state(model, decs, null_tol=1e-8)
-    assert solved == [1] and sorted(ev._steady) == [(1e-9, True), (1e-8, True)]
+    assert solved == [1] and sorted(held("steady")) == [(1e-9, True), (1e-8, True)]
     bordered, lu = [], propagation._bordered_null_vector
     monkeypatch.setattr(propagation, "_bordered_null_vector", lambda g: bordered.append(1) or lu(g))
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 1)
     sparse = steady_state(model, decs)
-    assert bordered == [1] and solved == [1] and (1e-9, False) in ev._steady
-    assert np.max(np.abs(sparse - held)) < 1e-10
+    assert bordered == [1] and solved == [1] and (1e-9, False) in held("steady")
+    assert np.max(np.abs(sparse - state)) < 1e-10
 
 
 def test_action_refuses_workspace_over_cap(monkeypatch):

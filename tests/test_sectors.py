@@ -50,7 +50,7 @@ from lindcorr import (
 from lindcorr import generators, propagation
 from lindcorr.operators import hermitian_eig, kron
 
-from conftest import random_density, random_hermitian, random_matrix
+from conftest import held, random_density, random_hermitian, random_matrix
 
 TAUS = np.linspace(0.0, 4.0, 9)
 DIMER = dict(omega1=1.0, omega2=1.25, g=0.3, gamma1=0.08, gamma2=0.05, temperature=0.6)
@@ -136,8 +136,7 @@ def test_block_engine_matches_full_engine(case, monkeypatch):
     orders = _stepped(monkeypatch)
     values = equal_time_group_correlator(h, decs, a_ops, b_ops, rho, TAUS).values
     assert orders and max(orders) < len(tensor)  # only some blocks were stepped
-    held = propagation._recent_engine()._generators
-    assert all(isinstance(key, int) for key in held)  # no G[S, S] held
+    assert all(isinstance(key, int) for key in held("generator"))  # no G[S, S] held
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -152,7 +151,7 @@ def test_rate_free_oscillator_steps_single_coordinates(rng, monkeypatch):
     expected = _full_sweep(model.hamiltonian, decs, tensor, w, TAUS)
     orders = _stepped(monkeypatch)
     values = equal_time_group_correlator(model.hamiltonian, decs, a_ops, [x, x], rho, TAUS).values
-    labels = propagation._recent_engine()._labels[2]
+    labels, _order = held("blocks")[2]
     assert len(np.unique(labels)) == 9 ** 4
     assert orders == [1] * np.count_nonzero(tensor * w)  # one order-1 expm per touched coordinate
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -175,7 +174,7 @@ def test_general_correlator_pull_back_on_sparse_level(rng, monkeypatch):
                         lambda ev, w, n, gap: pulled.append(n) or pull_back(ev, w, n, gap))
     orders = _stepped(monkeypatch)
     sparse = general_correlator(model.hamiltonian, decs, spec, taus=taus).values
-    assert pulled == [2] and not generators._dense_fits(propagation._recent_engine().dim, 2)
+    assert pulled == [2] and not generators._dense_fits(model.dim, 2)
     assert 0 < max(orders) < 256
     assert np.max(np.abs(sparse - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -205,7 +204,7 @@ def test_one_block_model_is_byte_identical_to_full_engine(rng, monkeypatch):
     b_ops = [random_matrix(rng, 3) for _ in range(2)]
     rho = random_density(rng, 3)
     values = equal_time_group_correlator(h, dec, a_ops, b_ops, rho, TAUS).values
-    assert np.all(propagation._recent_engine()._labels[2] == 0)
+    assert np.all(held("blocks")[2][0] == 0)
     expected = _full_sweep(h, dec, elementary_tensor(b_ops), contraction_functional(a_ops, rho), TAUS)
     assert np.array_equal(values, expected)
 
@@ -222,10 +221,9 @@ def test_blocks_come_from_the_pattern_not_the_values(rng, monkeypatch):
     b_ops = [hop, random_matrix(rng, 3)]
     rho = random_density(rng, 3)
     values = equal_time_group_correlator(h, dec, a_ops, b_ops, rho, TAUS).values
-    ev = propagation._recent_engine()
-    gen = ev.generator(2)
+    gen, (labels, _order) = held("generator")[2], held("blocks")[2]
     assert np.all(gen.data.real == 0) and np.all(gen.data != 0)
-    assert len(np.unique(ev._labels[2])) == 4 ** 2  # 4 blocks per slot
+    assert len(np.unique(labels)) == 4 ** 2  # 4 blocks per slot
     tensor, w = elementary_tensor(b_ops), contraction_functional(a_ops, rho)
     expected = _full_sweep(h, dec, tensor, w, TAUS)
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -245,7 +243,7 @@ def test_disjoint_tensor_and_contraction_give_exact_zeros(monkeypatch):
                         lambda plan, b, t, q: multiply.append(q + 1) or interval(plan, b, t, q))
     orders = _stepped(monkeypatch)
     trace = equal_time_group_correlator(model.hamiltonian, decs, [identity(9)] * 3, [a, a], rho, TAUS)
-    assert not generators._dense_fits(propagation._recent_engine().dim, 2)
+    assert not generators._dense_fits(model.dim, 2)
     assert np.array_equal(trace.values, np.zeros(len(TAUS)))
     assert multiply == [] and orders == []
 
@@ -258,18 +256,16 @@ def test_held_engine_trims_its_block_labels(rng, monkeypatch):
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 8)
     rho = random_density(rng, 4)
     otoc(model.hamiltonian, decs, _site(sigma_plus, 0), _site(sigma_z, 1), rho, TAUS)
-    ev = propagation._recent_engine()
-    assert set(ev._labels) == {2}
+    assert set(held("blocks")) == {2}
     a = _site(sigma_minus, 1)
     qrt_correlator(model.hamiltonian, decs, identity(4), dagger(a), a, rho, TAUS)
-    assert propagation._recent_engine() is ev
-    assert set(ev._labels) == {1, 2}
+    assert set(held("blocks")) == {1, 2}
     monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)
     qrt_correlator(model.hamiltonian, decs, identity(4), dagger(a), a, rho, TAUS)
-    assert propagation._recent_engine() is ev
-    assert set(ev._labels) == {1}
-    assert 2 not in ev._generators
-    assert all(key == 1 for key in ev._generators) and all(key[0] == 1 for key in ev._propagators)
+    assert set(held("blocks")) == {1}
+    assert 2 not in held("generator")
+    assert all(key == 1 for key in held("generator"))
+    assert all(key[0] == 1 for kind in ("propagators", "plan") for key in held(kind))
 
 
 # ------------------------------------------------------------ dense levels
@@ -289,7 +285,7 @@ def test_dense_labels_and_exact_zero_propagators(name):
     # connected_components finds, so slicing it is exact
     ev, n = _dense_level(name)
     gen = ev.generator(n).toarray()
-    labels = ev.labels(n)
+    labels, _order = ev.blocks(n)
     assert generators._dense_fits(ev.dim, n) and 1 < labels.max() + 1 < len(gen)
     apart = labels[:, None] != labels[None, :]
     assert not np.any(gen[apart])
@@ -303,7 +299,7 @@ def test_dense_block_sweep_and_pull_back_match_full_propagator(name, rng):
     # sweep, a trajectory and a pull-back against the full propagator's products
     ev, n = _dense_level(name)
     gen = ev.generator(n).toarray()
-    labels = ev.labels(n)
+    labels, _order = ev.blocks(n)
     tensor = (rng.standard_normal(len(gen)) + 1j) * (labels % 3 == 0)
     w = (rng.standard_normal(len(gen)) + 1j) * (labels % 2 == 0)
     _labels, coords = ev._level(n, tensor, w)
@@ -330,8 +326,7 @@ def test_one_block_dense_level_is_byte_identical_to_full_propagator(rng):
     b_ops = [random_matrix(rng, 3) for _ in range(2)]
     rho = random_density(rng, 3)
     values = equal_time_group_correlator(h, dec, a_ops, b_ops, rho, TAUS).values
-    ev = propagation._recent_engine()
-    assert generators._dense_fits(ev.dim, 2) and np.all(ev.labels(2) == 0)
+    assert generators._dense_fits(len(h), 2) and np.all(held("blocks")[2][0] == 0)
     gen = multi_slot_generator(h, dec, 2).matrix
     v, w = elementary_tensor(b_ops), contraction_functional(a_ops, rho)
     expected = []
@@ -357,16 +352,16 @@ def test_dimer_otoc_forms_only_its_touched_blocks(monkeypatch):
     w_op, v_op = _pauli("XI"), _pauli("ZZ")
     orders = _stepped(monkeypatch)
     values = otoc(model.hamiltonian, decs, w_op, v_op, rho, TAUS).values
-    ev = propagation._recent_engine()
+    ev = propagation._SlotEvolver(model.hamiltonian, decs)  # finds the call's held entries
     tensor = elementary_tensor([dagger(w_op), w_op])
     w = contraction_functional([identity(4), dagger(v_op), v_op], rho)
-    _labels, coords = ev._level(2, tensor, w)
-    sizes = np.bincount(ev.labels(2)[coords])
+    labels, coords = ev._level(2, tensor, w)
+    sizes = np.bincount(labels[coords])
     sizes = sizes[sizes > 0]
     assert generators._dense_fits(ev.dim, 2) and len(coords) == 70
     assert orders and max(orders) <= 70
     assert sorted(orders) == sorted(sizes.tolist())  # one uniform grid: each block once
-    (blocks,) = ev._propagators.values()
+    (blocks,) = held("propagators").values()
     assert sum(m.nbytes for m in blocks.values()) == 16 * int(np.sum(sizes ** 2))
     expected = _full_sweep(model.hamiltonian, decs, tensor, w, TAUS)
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -501,11 +496,12 @@ def test_block_propagators_match_level_propagator(model, kind, touch, data):
     v = (rng.standard_normal(len(labels)) + 1j * rng.standard_normal(len(labels))) * inside
     taus = np.linspace(0.0, data.draw(st.floats(0.5, 8.0)), 5)
     order = len(labels) if kind == "dense" else len(labels) - 1
+    propagation._release_engines()  # each example starts from no held entry
     with _budget(order), mock.patch.object(propagation, "integrate_ode") as acted:
         ev = propagation._SlotEvolver(h, dec)
         got = list(ev.trajectory(v, 2, taus))
         assert not acted.called and generators._dense_fits(ev.dim, 2) == (kind == "dense")
-    (blocks,) = ev._propagators.values()
+    (blocks,) = held("propagators", ev.key).values()
     assert sorted(blocks) == np.flatnonzero(picked).tolist()
     full = gen.toarray() if kind == "dense" else gen[inside][:, inside].toarray()
     prop = propagation.expm(full, float(taus[1]))
