@@ -496,13 +496,13 @@ class _SlotEvolver:
         """The held entry (model key, `kind`, `key`), built by `build()` on a miss; the
         most recently used entry of the store from then on."""
         entry = (self.key, kind, key)
-        record = _store.get(entry)
-        value = build() if record is None else record[0]
+        found = _store.get(entry)
+        value = build() if found is None else found[0]
         with _held_lock:
-            held = _store.pop(entry, None)  # read again: built or dropped meanwhile
-            value = value if held is None else held[0]
-            _store[entry] = (value, next(_ticks), 0 if held is None else held[2])
-            _counts["misses" if record is None else "hits"] += 1
+            record = _store.pop(entry, None)  # read again: built or dropped meanwhile
+            value = value if record is None else record[0]
+            _store[entry] = (value, next(_ticks), 0 if record is None else record[2])
+            _counts["misses" if found is None else "hits"] += 1
         return value
 
     def generator(self, n_slots: int):
