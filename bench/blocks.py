@@ -2,6 +2,7 @@
 
     python3 bench/blocks.py [--out BENCH_10.json] [--repeats 3]
     python3 bench/blocks.py --dimer-otocs [--label change] [--out BENCH_12.json]
+    python3 bench/blocks.py --block-order [--label change] [--out BENCH_19.json]
 
 Run it from the root of a checkout.  A level steps only the blocks of its
 generator where both the slot tensor T and the dual vector w are nonzero.
@@ -55,6 +56,14 @@ blocks, the order of every `expm` the cold sweep made and the bytes held
 after it (`propagation._counts["bytes"]`: generator, block labels and order,
 and propagators).  The rows go under `--label` in the key
 "dimer_otocs" of `--out` (default BENCH_12.json).
+
+With `--block-order` it measures, on the 3-slot levels of the 6- and 9-level
+oscillators, what a level's blocks entry costs cold: the time of
+`_SlotEvolver.blocks` from a store holding only the level's generator, its
+bytes after a call that steps the whole level (a vector on every block), and
+the time and bytes of the first call that groups coordinates by block (a
+vector on one block).  The rows go under `--label` in the key "block_order"
+of `--out` (default BENCH_19.json).
 """
 
 from __future__ import annotations
@@ -385,16 +394,65 @@ def _env() -> dict:
             "cpus": os.cpu_count(), "blas_threads": 1}
 
 
+def measure_block_order(dim: int, repeats: int) -> dict:
+    """Cold cost of the 3-slot level's blocks entry of a `dim`-level oscillator."""
+    model = lc.truncated_oscillator(dim=dim, **OSCILLATOR)
+    h, decs = model.hamiltonian, lc.decompose_model(model)
+    propagation._release_engines()
+    _call(h, decs, lambda ev: ev.generator(3))
+    key = propagation._SlotEvolver(h, decs).key
+
+    def drop():  # the blocks entry only, and its bytes
+        with propagation._held_lock:
+            record = propagation._store.pop((key, "blocks", 3), None)
+            propagation._counts["bytes"] -= 0 if record is None else record[2]
+
+    def entry_bytes():
+        return propagation._nbytes(propagation._store[key, "blocks", 3][0])
+
+    entry_s, _ = _median(lambda: _call(h, decs, lambda ev: ev.blocks(3)), repeats, setup=drop)
+    everywhere = np.ones(dim ** 6, dtype=complex)
+    whole_s, _ = _median(lambda: _call(h, decs, lambda ev: ev._level(3, everywhere)), repeats)
+    whole_b = entry_bytes()
+    labels = propagation._store[key, "blocks", 3][0][0]
+    one = (labels == labels[0]).astype(complex)
+
+    def cold_entry():
+        drop()
+        _call(h, decs, lambda ev: ev.blocks(3))
+    group_s, _ = _median(lambda: _call(h, decs, lambda ev: ev._level(3, one)), repeats,
+                         setup=cold_entry)
+    row = {"level": f"oscillator:d={dim},n=3", "order": dim ** 6, "labels_b": int(labels.nbytes),
+           "entry_s": entry_s, "stepped_whole_s": whole_s, "stepped_whole_entry_b": whole_b,
+           "first_grouping_s": group_s, "grouped_entry_b": entry_bytes()}
+    propagation._release_engines()
+    print(row, flush=True)
+    return row
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--dimer-otocs", action="store_true",
                         help="measure only the dimer OTOCs' propagators, under --label")
+    parser.add_argument("--block-order", action="store_true",
+                        help="measure only the 3-slot levels' blocks entries, under --label")
     parser.add_argument("--label", default="change")
     args = parser.parse_args(argv)
-    args.out = args.out or str(ROOT / ("BENCH_12.json" if args.dimer_otocs else "BENCH_10.json"))
+    args.out = args.out or str(ROOT / ("BENCH_12.json" if args.dimer_otocs else
+                                       "BENCH_19.json" if args.block_order else "BENCH_10.json"))
     rng = np.random.default_rng(9)
+    if args.block_order:
+        rows = [measure_block_order(dim, args.repeats) for dim in (6, 9)]
+        out = Path(args.out)
+        record = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+        record.setdefault("block_order", {})[args.label] = {
+            "script": "bench/blocks.py --block-order", "env": _env(), "repeats": args.repeats,
+            "rows": rows}
+        out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        print(f"written to {args.out} under {args.label!r}")
+        return 0
     if args.dimer_otocs:
         rows = [measure_dimer_otoc(name, *inputs, args.repeats) for name, *inputs in cases(rng)
                 if name.startswith("otoc:coupled_dimer")]

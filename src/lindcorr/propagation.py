@@ -31,14 +31,20 @@ than one step or no block of S has more than ``_SINGLE_USE_ORDER``
 coordinates, the run is stepped by matrix-vector products with the
 block-diagonal propagator of its step, made of the block propagators
 exp(step G_b), each formed once per level and step and cached.  Otherwise
-the run is one action of G[S, S] by ``integrate_ode``; a pull-back uses the
-transposed matrix.  The action is Al-Mohy & Higham's interval algorithm
-(SIAM J. Sci. Comput. 33, 488, 2011), run here with the arithmetic of
-scipy's ``expm_multiply`` and so with its results, on a plan held per level,
-touched blocks and direction: the shifted slice G[S, S] - mu I, its 1-norm,
-and the Taylor degree and step count found for each step length, whose
-1-norm estimates of powers of the slice are the costly part of a cold
-action, so a warm action only multiplies.  A uniform grid forms each touched
+the run is one action of G[S, S]; a pull-back uses the transposed matrix.
+The action is Al-Mohy & Higham's interval algorithm (SIAM J. Sci. Comput.
+33, 488, 2011), run here with the arithmetic of scipy's ``expm_multiply``,
+on a plan held per level, touched blocks and direction: the shifted slice
+G[S, S] - mu I, its 1-norm, and the Taylor degree and step count found for
+each step length, whose 1-norm estimates of powers of the slice are the
+costly part of a cold action, so a warm action only multiplies.  Its
+vectors (``integrate_ode``, the pull-backs and density evolutions) are
+scipy's bit for bit.  A sweep needs only the values w @ T(tau), so its
+action returns them: each interval's end point is still summed as a vector,
+with scipy's bits and so its value, but an interior point's value is the
+contraction of w with the interval's Taylor terms, which differs from w @
+scipy's vector by rounding (at most 7.6e-16 of the largest value on the
+9-level oscillator OTOC).  A uniform grid forms each touched
 block's propagator once, and a step used once on a block of many
 coordinates, such as a pull-back across one gap, forms none.  A level of
 one block is its own block: its propagator is formed from the whole
@@ -59,21 +65,22 @@ functional above it.
 The n-slot generators and their propagators depend only on the model (H and
 the dissipation channels), not on the operators or the state, so the drivers
 share them across calls.  Each call makes a new engine of its model, which
-keeps nothing but the model and its key, a digest of H and the channels:
-what the engine builds is held in one store, keyed by (model key, kind,
-key), and found again by every later call on an equal model, recognised by
-content rather than identity.  An entry is a level's generator, its blocks
-(labels and block order), one step's block propagators, an action plan, or
-the stationary state for one null tolerance and solver.  The store is one
+keeps nothing but the model, its key (a digest of H and the channels) and
+the keys of the entries it touched: what the engine builds is held in one
+store, keyed by (model key, kind, key), and found again by every later call
+on an equal model, recognised by content rather than identity.  An entry is
+a level's generator, its blocks (labels, and the block order once a call
+groups coordinates by block), one step's block propagators, an action plan,
+or the stationary state for one null tolerance and solver.  The store is one
 LRU counted in bytes: entries are idle at the start of a call if they are
 another model's, at its end if the call did not use them, and idle entries
 are dropped, least recently used first, while they hold more than
 ``_IDLE_BYTE_CAP`` bytes.  So another model's entries beyond the cap are
-released before a call builds anything, and between calls the store holds
-at most the cap plus the last call's own working set (the blocks of one
-step hold at most the entries of the whole level's propagator).  What it
-holds changes the time of a later call, never its path or its values: a
-repeated call returns the same bytes.
+released before a call builds anything, and between calls the store holds at
+most the cap plus the last call's own working set (the blocks of one step
+hold at most the entries of the whole level's propagator).  What it holds
+changes the time of a later call, never its path or its values: a repeated
+call returns the same bytes.
 """
 
 from __future__ import annotations
@@ -325,9 +332,14 @@ class _ActionPlan:
 
     def roots(self, t: float) -> list[float]:
         """||(t A)^p||_1^(1/p) for p = 2 .. 9, each estimated by scipy's ``onenormest``
-        in that order on t A, from NumPy's global stream seeded for the estimates."""
+        in that order on t A, from NumPy's global stream seeded for the estimates.
+        The copy t A is checked against the CSR byte cap before it is made."""
         from scipy.sparse.linalg import aslinearoperator, onenormest
 
+        copy = _nbytes(self.shifted)  # t * shifted copies the data, indices and indptr
+        if copy > generators._CSR_BYTE_CAP:
+            raise MemoryError(f"a 1-norm estimate needs a scaled copy of {copy} bytes, over "
+                              f"the cap of {generators._CSR_BYTE_CAP}")
         scaled = aslinearoperator(t * self.shifted)
         with _seeded_global_rng():
             roots = [onenormest(scaled ** p) ** (1.0 / p) for p in range(2, _P_MAX + 2)]
@@ -335,19 +347,38 @@ class _ActionPlan:
         return roots
 
 
+# the computed norm of a partial sum exceeds the computed norm before a term was
+# added, plus the term's, by a few roundings at most; this factor covers them
+_SLACK = 1.0 + 2.0 ** -30
+
+
+def _stopped(f: np.ndarray, c1: float, c2: float, bound: float) -> tuple[bool, float]:
+    """Whether the partial sum `f` meets the stopping test c1 + c2 <= tol ||f||_inf,
+    c2 the norm of the term just added and `bound` a bound on ||f||_inf before it,
+    and a bound on ||f||_inf now.  The norm is taken only where ||f|| <= bound + c2
+    (times the slack) does not already show that the test fails, so the outcome is
+    the test's, bit for bit."""
+    bound = (bound + c2) * _SLACK
+    if c1 + c2 > _TOL * bound:
+        return False, bound
+    norm = np.abs(f).max()
+    return c1 + c2 <= _TOL * norm, norm
+
+
 def _taylor(a, b: np.ndarray, t: float, mu, m: int, s: int) -> tuple[np.ndarray, int]:
     """exp(t (a + mu I)) b by s steps of the Taylor series of degree at most m, each
     cut short once two terms fall below the tolerance (Al-Mohy & Higham 2011,
-    Algorithm 3.2), and the number of products with `a` made."""
+    Algorithm 3.2; :func:`_stopped`), and the number of products with `a` made."""
     f, eta, matvecs = b, np.exp(t * mu / float(s)), 0
     for _i in range(s):
-        c1 = np.abs(b).max()
+        c1 = bound = np.abs(b).max()
         for j in range(m):
             b = t / float(s * (j + 1)) * a.dot(b)
             matvecs += 1
             c2 = np.abs(b).max()
             f = f + b
-            if c1 + c2 <= _TOL * np.abs(f).max():
+            stop, bound = _stopped(f, c1, c2, bound)
+            if stop:
                 break
             c1 = c2
         f = eta * f
@@ -355,17 +386,73 @@ def _taylor(a, b: np.ndarray, t: float, mu, m: int, s: int) -> tuple[np.ndarray,
     return f, matvecs
 
 
-def _interval(plan: _ActionPlan, b: np.ndarray, t: float, q: int) -> np.ndarray:
-    """exp(k (t / q) A) b for k = 0 .. q, A the plan's matrix, as rows.
+def _point(a, terms: np.ndarray, norms: list, k: int, m: int, h: float) -> tuple[np.ndarray, int]:
+    """sum_p k^p K[p] over the Taylor terms K[p] = (h a)^p K[0] / p! of `terms`, whose
+    norms ||K[p]||_inf are `norms`, each term formed there when first needed; cut
+    short once two terms fall below the tolerance (:func:`_stopped`).  Also the
+    number of products with `a` made."""
+    f, c1, bound, matvecs = terms[0].copy(), norms[0], norms[0], 0
+    scaled = np.empty_like(f)
+    for p in range(1, m + 1):
+        if p == len(norms):
+            terms[p] = h * a.dot(terms[p - 1]) / float(p)
+            norms.append(np.abs(terms[p]).max())
+            matvecs += 1
+        coeff = float(pow(k, p))
+        np.multiply(coeff, terms[p], out=scaled)
+        f += scaled
+        c2 = coeff * norms[p]
+        stop, bound = _stopped(f, c1, c2, bound)
+        if stop:
+            break
+        c1 = c2
+    return f, matvecs
+
+
+def _interior(terms: np.ndarray, norms: list, span: int, h: float, mu, w: np.ndarray,
+              wnorm: float) -> tuple[np.ndarray, np.ndarray]:
+    """Values w @ x_k at the interior points k = 1 .. span - 1 of an interval, from its
+    formed Taylor terms: exp(k h mu) sum_{p <= P} k^p (w . K[p]), P the first p at
+    which the point's stopping test is shown from the value, and whether it is shown.
+
+    The test c_{p-1} + c_p <= tol ||f||_inf (c_p = k^p ||K[p]||_inf, f the partial sum)
+    holds wherever tol |w . f| / ||w||_1 exceeds its left side, since |w . f| <=
+    ||w||_1 ||f||_inf; the value is lowered by a bound on the rounding of the dot
+    products and sums first.  So a value stops no earlier than the summed point.
+    """
+    n, top = terms.shape[1], len(norms)
+    ks = np.arange(1, span, dtype=float)[:, None]
+    powers = ks ** np.arange(top)
+    sums = np.cumsum(powers * (terms[:top] @ w), axis=1)
+    c = powers * np.array(norms)
+    slack = 4 * (n + top + 8) * _TOL  # the dot products', the sums' and the test's roundings
+    lower = np.abs(sums) - slack * (np.abs(sums) + wnorm * np.cumsum(c, axis=1))
+    shown = np.zeros(c.shape, dtype=bool)  # never at p = 0
+    shown[:, 1:] = wnorm * (c[:, :-1] + c[:, 1:]) <= _TOL * lower[:, 1:]
+    cut = np.argmax(shown, axis=1)
+    values = np.exp(ks[:, 0] * h * mu) * sums[np.arange(span - 1), cut]
+    return values, shown.any(axis=1)
+
+
+def _interval(plan: _ActionPlan, b: np.ndarray, t: float, q: int,
+              w: np.ndarray | None = None) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """exp(k (t / q) A) b for k = 0 .. q, A the plan's matrix, as rows; given a dual
+    vector `w`, the values w @ exp(k (t / q) A) b for k = 0 .. q and the last row.
 
     Algorithm 5.2 of Al-Mohy & Higham (2011) from time 0, with the arithmetic
     of scipy's ``expm_multiply``: when q <= s, each point is stepped from the
     one before by :func:`_taylor` with the (m*, s) of one step; otherwise the
     points are stepped in intervals of d = q // s points (the last holding the
     rest) from the Taylor terms K[p] of each interval's start, each term and
-    its norm formed once.  The workspace, the q + 1 rows and, when stepped in
-    intervals, the m* + 1 terms, is checked against the CSR byte cap before it
-    is made.
+    its norm formed once, and each point summed by :func:`_point`.  So every
+    row is scipy's, and so is every value at a point stepped from the one
+    before or at an interval's end.  An interior point's value is instead
+    taken from the terms by :func:`_interior`, one product of the terms with
+    `w`, and summed as a row only where its stopping test is not shown; no
+    term is formed that the rows would not form.  The workspace, the q + 1
+    rows (given `w`, one carried row and the interior's arrays of d by m* + 1
+    products, sums and bounds) and, when stepped in intervals, the m* + 1
+    terms, is checked against the CSR byte cap before it is made.
     """
     a, mu, n, h = plan.shifted, plan.mu, len(b), t / q
     roots = cache(lambda: plan.roots(t))
@@ -375,17 +462,28 @@ def _interval(plan: _ActionPlan, b: np.ndarray, t: float, q: int) -> np.ndarray:
     if stepwise and not zero:
         m, s = plan.degrees(t, 1.0 / q, roots)
     dtype = np.result_type(a.dtype, b.dtype, float)
-    work = ((0 if stepwise else m + 1) + (q + 1)) * n * dtype.itemsize
+    work = ((0 if stepwise else m + 1) + (q + 1 if w is None else 1)) * n * dtype.itemsize
+    if w is not None and not stepwise:
+        work += 4 * (q // s) * (m + 1) * dtype.itemsize
     if work > generators._CSR_BYTE_CAP:
         raise MemoryError(f"an action needs {work} bytes of workspace, over the cap of "
                           f"{generators._CSR_BYTE_CAP}")
-    x = np.empty((q + 1, n), dtype=dtype)
-    x[0] = b
+    rows = np.empty((q + 1 if w is None else 1, n), dtype=dtype)
+    rows[0] = b
+    if w is not None:
+        values = np.empty(q + 1, dtype=np.result_type(dtype, w.dtype))
+        values[0] = w @ rows[0]
+        wnorm = np.abs(w).sum()
     matvecs = 0
     if stepwise:
         for k in range(q):
-            x[k + 1], made = _taylor(a, x[k], h, mu, m, s)
+            row, made = _taylor(a, rows[0 if w is not None else k], h, mu, m, s)
             matvecs += made
+            if w is None:
+                rows[k + 1] = row
+            else:
+                rows[0] = row
+                values[k + 1] = w @ row
     else:
         d = q // s
         j = q // d
@@ -394,24 +492,26 @@ def _interval(plan: _ActionPlan, b: np.ndarray, t: float, q: int) -> np.ndarray:
             span = d if i < j else q - d * j
             if not span:
                 break
-            terms[0] = x[i * d]
+            terms[0] = rows[i * d if w is None else 0]
             norms = [np.abs(terms[0]).max()]  # ||K[p]||_inf of the terms formed
-            for k in range(1, span + 1):
-                f, c1 = terms[0], norms[0]
-                for p in range(1, m + 1):
-                    if p == len(norms):
-                        terms[p] = h * a.dot(terms[p - 1]) / float(p)
-                        norms.append(np.abs(terms[p]).max())
-                        matvecs += 1
-                    coeff = float(pow(k, p))
-                    f = f + coeff * terms[p]
-                    c2 = coeff * norms[p]
-                    if c1 + c2 <= _TOL * np.abs(f).max():
-                        break
-                    c1 = c2
-                x[k + i * d] = np.exp(k * h * mu) * f
+            if w is None:
+                for k in range(1, span + 1):
+                    f, made = _point(a, terms, norms, k, m, h)
+                    rows[k + i * d] = np.exp(k * h * mu) * f
+                    matvecs += made
+                continue
+            f, made = _point(a, terms, norms, span, m, h)  # the end point first
+            rows[0] = np.exp(span * h * mu) * f
+            matvecs += made
+            values[i * d + span] = w @ rows[0]
+            inner, shown = _interior(terms, norms, span, h, mu, w, wnorm)
+            for k in np.flatnonzero(~shown).tolist():
+                f, made = _point(a, terms, norms, k + 1, m, h)
+                inner[k] = w @ (np.exp((k + 1) * h * mu) * f)
+                matvecs += made
+            values[i * d + 1:i * d + span] = inner
     _count(matvecs=matvecs)
-    return x
+    return rows if w is None else (values, rows[0])
 
 
 def integrate_ode(generator, v0, tau_grid) -> list[np.ndarray]:
@@ -435,9 +535,14 @@ def integrate_ode(generator, v0, tau_grid) -> list[np.ndarray]:
     for step, run in groupby(_grid_steps(grid, grid[0])[1:]):
         count = len(list(run))
         states.extend(_interval(plan, states[-1], count * step, count)[1:])
-    if not all(np.all(np.isfinite(v)) for v in states):
-        raise NumericsError("the exponential's action produced non-finite values")
+    _check_finite(*states)
     return states
+
+
+def _check_finite(*arrays) -> None:
+    """Raise NumericsError unless every entry of `arrays` is finite."""
+    if not all(np.all(np.isfinite(x)) for x in arrays):
+        raise NumericsError("the exponential's action produced non-finite values")
 
 
 def _block_labels(gen) -> np.ndarray:
@@ -467,18 +572,18 @@ class _SlotEvolver:
     """Propagation engine of one (hamiltonian, decomps) model, made for one call.
 
     Each level of n slots has its generator G_n as one CSR matrix and its
-    blocks: the connected components of the generator's sparsity pattern, and
-    its coordinates sorted by block.  The generator never couples two blocks,
-    so a vector stays zero on the blocks where it is zero, and only the
-    coordinates S of the touched blocks are stepped, block by block, under
+    blocks: the connected components of the generator's sparsity pattern, and,
+    once needed, its coordinates sorted by block.  The generator never couples
+    two blocks, so a vector stays zero on the blocks where it is zero, and only
+    the coordinates S of the touched blocks are stepped, block by block, under
     G[S, S]: each run of equal steps by the block propagators exp(step G_b),
-    kept per level and step as one map from block to matrix, or by one
-    ``integrate_ode`` action (:meth:`_steps`).  The slot budget picks between
+    kept per level and step as one map from block to matrix, or by one action
+    (:meth:`_steps`).  The slot budget picks between
     the two run by run, so what a level holds serves any budget.  The engine
-    keeps only its model and the model's key: every generator, level's blocks,
-    step's propagator map, action plan and stationary state is an entry of the
-    held store under that key (:meth:`_cached`), found again by every engine of
-    an equal model.
+    keeps only its model, the model's key and the keys of the entries it
+    touched: every generator, level's blocks, step's propagator map, action
+    plan and stationary state is an entry of the held store under that key
+    (:meth:`_cached`), found again by every engine of an equal model.
     """
 
     def __init__(self, hamiltonian, decomps):
@@ -491,11 +596,14 @@ class _SlotEvolver:
             )
         self.dim = self.h.shape[0]
         self.key = _model_key(self.h, self.decomps)
+        self.touched: set[tuple] = set()  # the entries this call looked up
 
     def _cached(self, kind: str, key, build):
         """The held entry (model key, `kind`, `key`), built by `build()` on a miss; the
-        most recently used entry of the store from then on."""
+        most recently used entry of the store from then on, and one of the entries
+        this engine touched."""
         entry = (self.key, kind, key)
+        self.touched.add(entry)
         found = _store.get(entry)
         value = build() if found is None else found[0]
         with _held_lock:
@@ -517,13 +625,12 @@ class _SlotEvolver:
             return sp.csr_array(multi_slot_generator(self.h, self.decomps, n_slots).matrix)
         return self._cached("generator", n_slots, build)
 
-    def blocks(self, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
-        """Block of each coordinate of G_n (:func:`_block_labels`) and the coordinates
-        in block order, stably sorted, found once per level."""
-        def build():
-            labels = _block_labels(self.generator(n_slots))
-            return labels, np.argsort(labels, kind="stable")
-        return self._cached("blocks", n_slots, build)
+    def blocks(self, n_slots: int) -> list:
+        """[labels, order]: the block of each coordinate of G_n (:func:`_block_labels`),
+        found once per level, and the coordinates in block order, stably sorted,
+        None until :meth:`_level` first groups the level's coordinates by block."""
+        return self._cached("blocks", n_slots,
+                            lambda: [_block_labels(self.generator(n_slots)), None])
 
     def _level(self, n_slots: int, *vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The level's block labels, and the coordinates `vectors` are stepped on,
@@ -531,7 +638,8 @@ class _SlotEvolver:
         block and the level has one block or is above the budget, so it is stepped
         whole, as held; else those of the blocks where every one of `vectors` is
         nonzero, possibly none, block after block in label order."""
-        labels, grouped = self.blocks(n_slots)
+        held = self.blocks(n_slots)
+        labels = held[0]
         touched = np.ones(int(labels.max()) + 1, dtype=bool)
         for v in vectors:
             hit = np.zeros_like(touched)
@@ -539,6 +647,9 @@ class _SlotEvolver:
             touched &= hit
         if touched.all() and (len(touched) == 1 or not _dense_order(len(labels))):
             return labels, None
+        if held[1] is None:  # a level only ever stepped whole never sorts
+            held[1] = np.argsort(labels, kind="stable")
+        grouped = held[1]
         return labels, grouped[touched[labels[grouped]]]
 
     def _propagator(self, n_slots: int, gap: float, spans, block_generator) -> np.ndarray:
@@ -557,9 +668,11 @@ class _SlotEvolver:
         return prop
 
     def _steps(self, n_slots: int, labels: np.ndarray, coords: np.ndarray | None, v: np.ndarray,
-               taus: np.ndarray, origin: float, adjoint: bool) -> Iterator[np.ndarray]:
+               taus: np.ndarray, origin: float, adjoint: bool,
+               w: np.ndarray | None = None) -> Iterator[np.ndarray]:
         """`v`, a vector on `coords` of the n-slot level (None: every coordinate),
         carried along the grid under G[S, S]; `labels` are the level's block labels.
+        Given a dual vector `w` on the same coordinates, the values w @ v instead.
 
         Each run of equal steps (steps that differ only by rounding are one
         step) is stepped by the block-diagonal propagator of its step, made of
@@ -570,7 +683,8 @@ class _SlotEvolver:
         transpose for a pull-back, one per level, touched blocks and direction.
         The choice reads the run alone, never what earlier calls held.  A warm
         action reads only its plan, so the generator it was made from is idle
-        unless the call uses it otherwise.
+        unless the call uses it otherwise.  Given `w`, an action's values are
+        :func:`_interval`'s, which forms no row between the interval ends.
         """
         if coords is None:  # the whole level as one span
             order, spans, touched = len(labels), [(0, 0, len(labels))], None
@@ -589,19 +703,24 @@ class _SlotEvolver:
             count, gap = len(list(run)), float(step)
             if gap == 0.0:
                 for _ in range(count):
-                    yield v
+                    yield v if w is None else w @ v
             elif _dense_order(order) and (count > 1 or largest <= _SINGLE_USE_ORDER):
                 prop = self._propagator(n_slots, gap, spans, lambda start, stop: (
                     restricted()[start:stop, start:stop].toarray()))
                 for _ in range(count):
                     v = v @ prop if adjoint else prop @ v
-                    yield v
+                    yield v if w is None else w @ v
             else:
                 plan = self._cached("plan", (n_slots, touched, adjoint), lambda: _ActionPlan(
                     restricted().T if adjoint else restricted()))
-                (_start, *states) = integrate_ode(plan, v, gap * np.arange(count + 1))
-                yield from states
-                v = states[-1]
+                if w is None:
+                    (_start, *states) = integrate_ode(plan, v, gap * np.arange(count + 1))
+                    yield from states
+                    v = states[-1]
+                    continue
+                (_start, *values), v = _interval(plan, v, count * gap, count, w)
+                _check_finite(values, v)
+                yield from values
 
     def trajectory(self, v: np.ndarray, n_slots: int, taus: np.ndarray,
                    origin: float = 0.0, adjoint: bool = False) -> Iterator[np.ndarray]:
@@ -639,8 +758,7 @@ class _SlotEvolver:
             if not len(coords):
                 return np.zeros(len(taus), dtype=complex)
             tensor, w = tensor[coords], w[coords]
-        return np.array([w @ v for v in self._steps(n_slots, labels, coords, tensor, taus, origin,
-                                                    False)])
+        return np.array(list(self._steps(n_slots, labels, coords, tensor, taus, origin, False, w)))
 
 
 def _model_key(h: np.ndarray, decomps) -> bytes:
@@ -654,13 +772,13 @@ def _model_key(h: np.ndarray, decomps) -> bytes:
 
 
 def _nbytes(m) -> int:
-    """Bytes of an array, a sparse matrix (data, indices and indptr), a map or a tuple
-    of them, or an action plan: its shifted matrix, and its map of Taylor degrees
-    with the map's key and value tuples."""
+    """Bytes of an array, a sparse matrix (data, indices and indptr), a map, tuple or
+    list of them (None counting 0), or an action plan: its shifted matrix, and its
+    map of Taylor degrees with the map's key and value tuples."""
     if isinstance(m, dict):
         return sum(_nbytes(block) for block in list(m.values()))
-    if isinstance(m, tuple):
-        return sum(map(_nbytes, m))
+    if isinstance(m, (tuple, list)):
+        return sum(_nbytes(part) for part in list(m) if part is not None)
     if isinstance(m, _ActionPlan):
         params = list(m.params.items())
         return _nbytes(m.shifted) + sys.getsizeof(m.params) + sum(
@@ -721,8 +839,8 @@ def _model_evolver(hamiltonian, decomp) -> Iterator[_SlotEvolver]:
 
     Idle entries are dropped (:func:`_evict`) at both ends of the call: before
     anything is built, the other models' entries; on exit, also after an
-    exception, once the bytes of the entries this call used are counted, the
-    entries it did not use.
+    exception, once the bytes of the entries this call touched are counted
+    again (built or grown since), the entries it did not use.
     """
     ev = _SlotEvolver(hamiltonian, decomp)
     with _held_lock:
@@ -732,8 +850,9 @@ def _model_evolver(hamiltonian, decomp) -> Iterator[_SlotEvolver]:
         yield ev
     finally:
         with _held_lock:
-            for entry, (value, tick, size) in list(_store.items()):
-                if tick > start:  # built or grown since: count its bytes again
+            for entry in ev.touched:
+                if entry in _store:  # else dropped by another call meanwhile
+                    value, tick, size = _store[entry]
                     _store[entry] = (value, tick, _nbytes(value))
                     _counts["bytes"] += _store[entry][2] - size
             _evict(lambda _model, tick: tick < start)

@@ -593,15 +593,22 @@ def test_general_matrix_free_recursion(rng, monkeypatch):
 
 
 def _sparse_orders(monkeypatch):
-    """Orders of the generators stepped by integrate_ode, one entry per call."""
+    """Orders of the generators stepped by actions, one entry per integrate_ode call
+    and per action run of a sweep, which returns values (an _interval call given w)."""
     orders = []
-    integrate = propagation.integrate_ode
+    integrate, interval = propagation.integrate_ode, propagation._interval
 
     def counted(gen, v0, grid):
         orders.append(gen.shape[0])
         return integrate(gen, v0, grid)
 
+    def valued(plan, b, t, q, w=None):
+        if w is not None:
+            orders.append(plan.shape[0])
+        return interval(plan, b, t, q, w)
+
     monkeypatch.setattr(propagation, "integrate_ode", counted)
+    monkeypatch.setattr(propagation, "_interval", valued)
     return orders
 
 
@@ -863,7 +870,7 @@ def test_uniform_sweep_makes_one_step_expm(rng, monkeypatch):
     multiply = []
     interval = propagation._interval
     monkeypatch.setattr(propagation, "_interval",
-                        lambda plan, b, t, q: multiply.append(q + 1) or interval(plan, b, t, q))
+                        lambda plan, b, t, q, w=None: multiply.append(q + 1) or interval(plan, b, t, q, w))
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 4)
     sparse = otoc(h, decs, *args)
     assert multiply == [200]
@@ -1172,6 +1179,35 @@ def test_engine_map_under_concurrent_calls(rng, monkeypatch):
     assert len(_held_models()) == 1 and held_bytes() == propagation._counts["bytes"]
 
 
+def test_call_exit_recounts_only_its_own_entries(rng, monkeypatch):
+    # with five other models' entries held, a warm call's exit measures the bytes
+    # of the entries it touched and of no other model's, and (under the cap, so
+    # nothing is dropped) does not walk the store
+    args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
+    models = [_qubit(gamma=gamma, temperature=0.5) for gamma in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)]
+    for model in models:
+        otoc(*model, *args)
+    key = propagation._SlotEvolver(*models[0]).key
+    others = [value for (model, _kind, _key), value in held().items() if model != key]
+    assert len(_held_models()) == len(models) and others
+    measured, scans = [], []
+
+    class Watched(dict):
+        def items(self):
+            scans.append(len(self))
+            return super().items()
+
+    nbytes = propagation._nbytes
+    monkeypatch.setattr(propagation, "_nbytes", lambda m: measured.append(m) or nbytes(m))
+    monkeypatch.setattr(propagation, "_store", Watched(propagation._store))
+    otoc(*models[0], *args)
+    assert scans == []
+    own = list(held(model=key).values())
+    assert any(m is value for m in measured for value in own)
+    assert not any(m is value for m in measured for value in others)
+    assert _stored_minus_counted() == 0 and held_bytes() == propagation._counts["bytes"]
+
+
 def test_no_engine_survives_a_call(rng, monkeypatch):
     # an engine keeps only its model: what it builds is held under the model's key,
     # so after a 6-model temperature scan every model's entries are held and no
@@ -1227,6 +1263,9 @@ def test_held_bytes_counts_generators_and_labels(monkeypatch):
     assert held_bytes() == 0
     gen = ev.generator(2)
     assert held_bytes() == propagation._nbytes(gen) == 20 * gen.nnz + 4 * (256 + 1)
+    labels, order = ev.blocks(2)
+    assert order is None and held_bytes() == propagation._nbytes(gen) + labels.nbytes
+    ev._level(2, (labels == 0).astype(complex))  # groups the level's coordinates: sorts
     labels, order = ev.blocks(2)
     assert held_bytes() == propagation._nbytes(gen) + labels.nbytes + order.nbytes
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 100)
@@ -1498,6 +1537,87 @@ def test_action_kernel_equals_expm_multiply(branch, sparse, n, scale, t, k, seed
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(["stepwise", "divides", "rest"]), st.booleans(), st.integers(2, 12),
+       st.sampled_from([0.1, 1.0, 8.0]), st.floats(0.2, 3.0), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+@example("rest", True, 8, 8.0, 2.0, 2, 1)  # s = 6, q = 14
+@example("divides", False, 8, 8.0, 2.0, 1, 2)  # s = 7, q = 14
+def test_action_values_match_expm_multiply(branch, sparse, n, scale, t, k, seed):
+    # given a dual vector w the kernel returns values: at the interval ends (every
+    # point when q <= s) w @ scipy's rows under np.array_equal, with its last row,
+    # and inside them the contraction of w with the Taylor terms, within
+    # 1e-14 ||w||_1 max_k ||x_k||_inf
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    rng = np.random.default_rng(seed)
+    a = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    a[rng.random((n, n)) < 0.4] = 0.0
+    a = scipy.sparse.csr_array(a) if sparse else a
+    v, w = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+    plan = propagation._ActionPlan(a)
+    _m, s = plan.degrees(t, 1, lambda: plan.roots(t))
+    q = {"stepwise": min(k, s), "divides": s * (k + 1),
+         "rest": s * k + 1 + seed % max(s - 1, 1)}[branch]
+    assume(branch != "rest" or s > 1)
+    values, last = propagation._interval(plan, v, t, q, w)
+    with propagation._seeded_global_rng():
+        rows = scipy.sparse.linalg.expm_multiply(a, v, start=0.0, stop=t, num=q + 1, endpoint=True)
+    want = np.array([w @ row for row in rows])
+    ends = sorted({*range(0, q + 1, max(q // s, 1)), q})
+    assert ("stepwise" if q <= s else "rest" if q % s else "divides") == branch
+    assert np.array_equal(values[ends], want[ends]) and np.array_equal(last, rows[-1])
+    assert np.max(np.abs(values - want)) <= 1e-14 * np.abs(w).sum() * np.abs(rows).max()
+
+
+def test_action_value_that_vanishes_is_summed_as_a_row(monkeypatch):
+    # a rotation's cosine vanishes at an interior point, where the stopping test
+    # cannot be shown from the value: that point is summed as a row, so its value
+    # is w @ scipy's row, bit for bit, and the other interior points are not
+    import scipy.sparse.linalg
+
+    omega, t, q = np.pi / 2, 2.0, 10  # cos(omega tau) = 0 at tau = 1.0, point 5
+    a = omega * np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    v, w = np.array([1.0, 0.0], dtype=complex), np.array([1.0, 0.0], dtype=complex)
+    plan = propagation._ActionPlan(a)
+    _m, s = plan.degrees(t, 1, lambda: plan.roots(t))
+    summed = []
+    point = propagation._point
+    monkeypatch.setattr(propagation, "_point",
+                        lambda a, terms, norms, k, m, h: summed.append(k) or point(a, terms, norms, k, m, h))
+    values, _last = propagation._interval(plan, v, t, q, w)
+    with propagation._seeded_global_rng():
+        rows = scipy.sparse.linalg.expm_multiply(a, v, start=0.0, stop=t, num=q + 1, endpoint=True)
+    want = np.array([w @ row for row in rows])
+    d = q // s
+    inner = 5 % d  # point 5 within its interval, not an end
+    assert q > s and inner and abs(want[5]) < 1e-15
+    assert summed.count(inner) == 1 and sorted(set(summed)) == sorted({d, q - d * (q // d), inner} - {0})
+    assert values[5] == want[5]
+    assert np.max(np.abs(values - want)) <= 1e-15
+
+
+def test_norm_estimate_copy_is_capped(monkeypatch):
+    # the scaled copy t A that the 1-norm estimates act on is checked against the
+    # byte cap before it is made: at exactly its bytes the estimates are made, and
+    # unchanged, one byte below it they are refused
+    import scipy.sparse
+
+    rng = np.random.default_rng(5)
+    for sparse in (False, True):
+        a = 8.0 * rng.standard_normal((12, 12))
+        plan = propagation._ActionPlan(scipy.sparse.csr_array(a) if sparse else a)
+        roots = plan.roots(3.0)
+        copy = propagation._nbytes(plan.shifted)
+        monkeypatch.setattr(generators, "_CSR_BYTE_CAP", copy)
+        assert plan.roots(3.0) == roots
+        monkeypatch.setattr(generators, "_CSR_BYTE_CAP", copy - 1)
+        with pytest.raises(MemoryError, match="1-norm estimate"):
+            plan.roots(3.0)
+        monkeypatch.undo()
+
+
 def test_warm_action_estimates_no_norm(rng, monkeypatch):
     # every step of a geomspace grid is distinct, so each is an action on the
     # dimer's touched block of 70; its plans are held, and a warm call makes no
@@ -1591,6 +1711,15 @@ def test_action_refuses_workspace_over_cap(monkeypatch):
     monkeypatch.setattr(generators, "_CSR_BYTE_CAP", 2 * 4 * 16 - 1)
     with pytest.raises(MemoryError, match="workspace"):
         integrate_ode(shift, v0, [0.0, 1.0])
+    # given a dual vector: the carried row, the one term of the zero shifted
+    # matrix, and four arrays of 50 interior points by one term
+    plan = propagation._ActionPlan(-np.eye(4))
+    monkeypatch.setattr(generators, "_CSR_BYTE_CAP", 2 * 4 * 16 + 4 * 50 * 16)
+    values, _last = propagation._interval(plan, v0, 1.0, 50, v0)
+    assert np.max(np.abs(values - 4 * np.exp(-grid))) <= 1e-15
+    monkeypatch.setattr(generators, "_CSR_BYTE_CAP", 2 * 4 * 16 + 4 * 50 * 16 - 1)
+    with pytest.raises(MemoryError, match="workspace"):
+        propagation._interval(plan, v0, 1.0, 50, v0)
 
 
 def test_non_finite_action_raises():

@@ -50,7 +50,7 @@ from lindcorr import (
 from lindcorr import generators, propagation
 from lindcorr.operators import hermitian_eig, kron
 
-from conftest import held, random_density, random_hermitian, random_matrix
+from conftest import held, held_bytes, random_density, random_hermitian, random_matrix
 
 TAUS = np.linspace(0.0, 4.0, 9)
 DIMER = dict(omega1=1.0, omega2=1.25, g=0.3, gamma1=0.08, gamma2=0.05, temperature=0.6)
@@ -75,11 +75,14 @@ def _full_sweep(h, decs, tensor, w, taus):
 
 
 def _stepped(monkeypatch):
-    """Orders of the generators stepped, one entry per expm or integrate_ode call."""
+    """Orders of the generators stepped, one entry per expm or integrate_ode call and
+    per action run of a sweep, which returns values (an _interval call given w)."""
     orders = []
-    integrate, expm = propagation.integrate_ode, propagation.expm
+    integrate, expm, interval = propagation.integrate_ode, propagation.expm, propagation._interval
     monkeypatch.setattr(propagation, "integrate_ode",
                         lambda g, v, grid: orders.append(g.shape[0]) or integrate(g, v, grid))
+    monkeypatch.setattr(propagation, "_interval", lambda plan, b, t, q, w=None: orders.extend(
+        [plan.shape[0]] * (w is not None)) or interval(plan, b, t, q, w))
     monkeypatch.setattr(propagation, "expm", lambda m, t: orders.append(m.shape[0]) or expm(m, t))
     return orders
 
@@ -195,7 +198,9 @@ def test_density_trajectory_steps_the_blocks_of_the_state(rng, monkeypatch):
 
 def test_one_block_model_is_byte_identical_to_full_engine(rng, monkeypatch):
     # a random H and a random coupling make one block in the computational basis,
-    # so the held generator itself is stepped, exactly as without blocks
+    # so the held generator itself is stepped, exactly as without blocks: one
+    # action run of the whole CSR generator that returns the sweep's values, whose
+    # interior points differ from w @ the rows by rounding only
     h = random_hermitian(rng, 3)
     dec = assign_rates(exact_bohr_decomposition(h, random_hermitian(rng, 3)),
                        BathSpec(temperature=0.5, rate_profile=0.2, gamma0=0.05))
@@ -205,8 +210,12 @@ def test_one_block_model_is_byte_identical_to_full_engine(rng, monkeypatch):
     rho = random_density(rng, 3)
     values = equal_time_group_correlator(h, dec, a_ops, b_ops, rho, TAUS).values
     assert np.all(held("blocks")[2][0] == 0)
-    expected = _full_sweep(h, dec, elementary_tensor(b_ops), contraction_functional(a_ops, rho), TAUS)
+    tensor, w = elementary_tensor(b_ops), contraction_functional(a_ops, rho)
+    plan = propagation._ActionPlan(multi_slot_action(h, dec, 2).to_csr())
+    expected, _last = propagation._interval(plan, tensor, float(TAUS[-1]), len(TAUS) - 1, w)
     assert np.array_equal(values, expected)
+    rows = _full_sweep(h, dec, tensor, w, TAUS)
+    assert np.max(np.abs(values - rows)) <= 1e-15 * np.max(np.abs(rows))
 
 
 def test_blocks_come_from_the_pattern_not_the_values(rng, monkeypatch):
@@ -230,6 +239,26 @@ def test_blocks_come_from_the_pattern_not_the_values(rng, monkeypatch):
     assert np.ptp(np.abs(values)) > 1e-3  # the hopping moves it
 
 
+def test_level_stepped_whole_holds_no_block_order(rng):
+    # a one-block level is stepped whole and never reads its block order, so its
+    # blocks entry holds the labels alone; a call that groups the dimer's
+    # coordinates by block sorts them once, and the bytes held count the order
+    h = random_hermitian(rng, 3)
+    dec = assign_rates(exact_bohr_decomposition(h, random_hermitian(rng, 3)),
+                       BathSpec(temperature=0.5, rate_profile=0.2, gamma0=0.05))
+    otoc(h, dec, random_matrix(rng, 3), random_matrix(rng, 3), random_density(rng, 3), TAUS)
+    (labels, order), = held("blocks").values()
+    assert not labels.any() and order is None
+    assert propagation._counts["bytes"] == held_bytes()
+    propagation._release_engines()
+    model = coupled_dimer(**DIMER)
+    decs = decompose_model(model)
+    otoc(model.hamiltonian, decs, _site(sigma_x, 0), _site(sigma_z, 1), random_density(rng, 4), TAUS)
+    labels, order = held("blocks")[2]
+    assert np.array_equal(order, np.argsort(labels, kind="stable"))
+    assert propagation._counts["bytes"] == held_bytes()
+
+
 def test_disjoint_tensor_and_contraction_give_exact_zeros(monkeypatch):
     # trace(a(tau) a(tau) rho) in a diagonal state: T = a (x) a has total Bohr
     # frequency -2 and the contraction lives at 0, so no block is stepped
@@ -240,7 +269,7 @@ def test_disjoint_tensor_and_contraction_give_exact_zeros(monkeypatch):
     multiply = []
     interval = propagation._interval
     monkeypatch.setattr(propagation, "_interval",
-                        lambda plan, b, t, q: multiply.append(q + 1) or interval(plan, b, t, q))
+                        lambda plan, b, t, q, w=None: multiply.append(q + 1) or interval(plan, b, t, q, w))
     orders = _stepped(monkeypatch)
     trace = equal_time_group_correlator(model.hamiltonian, decs, [identity(9)] * 3, [a, a], rho, TAUS)
     assert not generators._dense_fits(model.dim, 2)
