@@ -426,7 +426,8 @@ def _interior(terms: np.ndarray, norms: list, span: int, h: float, mu, w: np.nda
     sums = np.cumsum(powers * (terms[:top] @ w), axis=1)
     c = powers * np.array(norms)
     slack = 4 * (n + top + 8) * _TOL  # the dot products', the sums' and the test's roundings
-    lower = np.abs(sums) - slack * (np.abs(sums) + wnorm * np.cumsum(c, axis=1))
+    size = np.abs(sums)
+    lower = size - slack * (size + wnorm * np.cumsum(c, axis=1))
     shown = np.zeros(c.shape, dtype=bool)  # never at p = 0
     shown[:, 1:] = wnorm * (c[:, :-1] + c[:, 1:]) <= _TOL * lower[:, 1:]
     cut = np.argmax(shown, axis=1)
