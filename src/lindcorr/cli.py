@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -58,37 +59,43 @@ def _require(obj: dict, path: str, key: str):
     return obj[key]
 
 
-def _as_number(value, path: str) -> float:
+def _where(path: str, index) -> str:
+    return path + "".join(f"[{k}]" for k in index)
+
+
+def _as_number(value, path: str, *index: int) -> float:
+    """`value` as a finite float; `path` and the `index` after it name it in errors."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number")
+        raise ConfigError(f"{_where(path, index)} must be a number")
     try:
         number = float(value)
     except OverflowError:  # an integer literal beyond the float range
         number = float("inf")
-    if not np.isfinite(number):
-        raise ConfigError(f"{path} must be a finite number, got {number}")
+    if not math.isfinite(number):
+        raise ConfigError(f"{_where(path, index)} must be a finite number, got {number}")
     return number
 
 
-def _as_complex(value, path: str) -> complex:
-    pair = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair):
-        raise ConfigError(f"{path} must be a number or an [re, im] pair")
-    return complex(*(_as_number(v, path) for v in pair))
+def _as_complex(value, path: str, *index: int) -> complex:
+    re, im = value if isinstance(value, list) and len(value) == 2 else (value, 0.0)
+    if type(re) is float and type(im) is float and math.isfinite(re) and math.isfinite(im):
+        return complex(re, im)  # what JSON gives most entries, checked as below
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
+        raise ConfigError(f"{_where(path, index)} must be a number or an [re, im] pair")
+    return complex(_as_number(re, path, *index), _as_number(im, path, *index))
 
 
 def _parse_matrix(value, path: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path} must be a non-empty list of rows")
     n = len(value)
-    out = np.zeros((n, n), dtype=complex)
+    rows = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != n:
             raise ConfigError(f"{path}[{i}] must be a list of {n} entries "
                               f"(square matrix expected)")
-        for j, entry in enumerate(row):
-            out[i, j] = _as_complex(entry, f"{path}[{i}][{j}]")
-    return out
+        rows.append([_as_complex(entry, path, i, j) for j, entry in enumerate(row)])
+    return np.array(rows, dtype=complex)
 
 
 def _parse_operator(value, dim: int, path: str) -> np.ndarray:
@@ -268,8 +275,9 @@ def _encode_complex_matrix(mat: np.ndarray) -> list:
             for row in np.asarray(mat)]
 
 
-def _fmt(x: float) -> str:
-    return f"{x + 0.0:.17g}"
+def _abs_values(trace: CorrelatorTrace) -> list[float]:
+    # Python's abs, which differs from np.abs in the last bit for some values
+    return [abs(v) for v in trace.values.tolist()]
 
 
 def _trace_payload(trace: CorrelatorTrace, with_abs: bool) -> dict:
@@ -278,18 +286,20 @@ def _trace_payload(trace: CorrelatorTrace, with_abs: bool) -> dict:
         "values": [[float(v.real) + 0.0, float(v.imag) + 0.0] for v in trace.values],
     }
     if with_abs:
-        payload["abs"] = [float(a) for a in np.abs(trace.values)]
+        payload["abs"] = _abs_values(trace)
     return payload
 
 
 def _trace_csv(trace: CorrelatorTrace, with_abs: bool) -> str:
-    lines = ["tau,re,im,abs" if with_abs else "tau,re,im"]
-    for t, v in zip(trace.taus, trace.values):
-        row = [_fmt(float(t)), _fmt(float(v.real)), _fmt(float(v.imag))]
-        if with_abs:
-            row.append(_fmt(float(abs(v))))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    """The trace as CSV rows of tau, re, im (and abs), each value to 17 significant
+    digits, formatted by one % operation."""
+    columns = [trace.taus, trace.values.real, trace.values.imag]
+    if with_abs:
+        columns.append(_abs_values(trace))
+    flat = (np.column_stack(columns) + 0.0).ravel().tolist()  # + 0.0 folds negative zeros
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    header = "tau,re,im,abs\n" if with_abs else "tau,re,im\n"
+    return header + row * len(trace) % tuple(flat)
 
 
 def _atomic_write(path: str, data: str) -> None:

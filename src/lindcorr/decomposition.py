@@ -14,6 +14,7 @@ Thermal rates attach per mode via the detailed-balance assignment.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, replace
 
@@ -117,14 +118,24 @@ def exact_bohr_decomposition(hamiltonian, coupling_op, freq_tol: float | None = 
         raise ValueError(f"dimension mismatch: hamiltonian {h.shape[0]} vs coupling {s.shape[0]}")
     if not is_hermitian(s, 1e-10):
         raise ValueError("coupling operator must be Hermitian within 1e-10")
+    return _bohr_split(*_spectrum(h, freq_tol), s)
+
+
+def _spectrum(h: np.ndarray, freq_tol: float | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenvalues and eigenvectors of `h`, and `freq_tol`, defaulted and checked."""
     energies, u = hermitian_eig(h)
     if freq_tol is None:
         freq_tol = default_freq_tol(energies)
     if not freq_tol > 0:
         raise ValueError(f"freq_tol must be > 0, got {freq_tol}")
+    return energies, u, freq_tol
 
+
+def _bohr_split(energies: np.ndarray, u: np.ndarray, freq_tol: float, s: np.ndarray) -> JumpDecomposition:
+    """The exact decomposition of `s` (:func:`exact_bohr_decomposition`) on the spectrum
+    (`energies`, `u`) of H."""
     s_eig = u.conj().T @ s @ u
-    d = h.shape[0]
+    d = len(energies)
     gaps = energies[None, :] - energies[:, None]  # gaps[a, b] = E_b - E_a
 
     c0_mask = np.abs(gaps) <= freq_tol
@@ -200,8 +211,30 @@ def assign_rates(decomp: JumpDecomposition, bath: BathSpec) -> JumpDecomposition
 
 
 def decompose_model(model: SystemModel, freq_tol: float | None = None) -> tuple[JumpDecomposition, ...]:
-    """Exact decomposition of every coupling of `model`, rates assigned."""
-    return tuple(
-        assign_rates(exact_bohr_decomposition(model.hamiltonian, c.operator, freq_tol), c.bath)
-        for c in model.couplings
-    )
+    """Exact decomposition of every coupling of `model`, rates assigned.
+
+    H is diagonalised once for all couplings.  The result depends only on the
+    model's content and `freq_tol`, so it is an entry of the propagation
+    engine's held store (``propagation._held``), keyed by a digest of H, each
+    coupling operator and bath, and `freq_tol`: an equal model, also one built
+    from fresh arrays, finds it again without diagonalising H.
+    """
+    from .propagation import _held  # imported here: propagation imports this module
+
+    def build():
+        spectrum = _spectrum(model.hamiltonian, freq_tol)
+        return tuple(assign_rates(_bohr_split(*spectrum, c.operator), c.bath)
+                     for c in model.couplings)
+
+    entry = (_model_digest(model), "decomposition", repr(freq_tol))
+    return _held(entry, build, lambda other, _tick: other[1] == "decomposition" and other != entry)
+
+
+def _model_digest(model: SystemModel) -> bytes:
+    """Digest of what a decomposition reads: H, and every coupling operator and bath."""
+    digest = hashlib.sha256(repr(model.hamiltonian.shape).encode())
+    digest.update(model.hamiltonian.tobytes())
+    for c in model.couplings:
+        digest.update(c.operator.tobytes())
+        digest.update(repr(c.bath).encode())
+    return digest.digest()

@@ -144,6 +144,17 @@ def truncated_oscillator(omega0: float, dim: int, gamma: float, temperature: flo
     return SystemModel(h, (Coupling(a + dagger(a), bath),))
 
 
+# the dimer's two-qubit operators, built once
+_ZI = kron(sigma_z, identity(2))
+_IZ = kron(identity(2), sigma_z)
+_XI = kron(sigma_x, identity(2))
+_IX = kron(identity(2), sigma_x)
+_EXCHANGE = kron(sigma_plus, sigma_minus) + kron(sigma_minus, sigma_plus)
+for _op in (_ZI, _IZ, _XI, _IX, _EXCHANGE):
+    _op.setflags(write=False)
+del _op
+
+
 def coupled_dimer(
     omega1: float,
     omega2: float,
@@ -157,15 +168,10 @@ def coupled_dimer(
         raise ValueError(f"qubit frequencies must be > 0, got {omega1}, {omega2}")
     if gamma1 < 0 or gamma2 < 0:
         raise ValueError(f"rates must be >= 0, got {gamma1}, {gamma2}")
-    eye2 = identity(2)
-    h = (
-        0.5 * omega1 * kron(sigma_z, eye2)
-        + 0.5 * omega2 * kron(eye2, sigma_z)
-        + g * (kron(sigma_plus, sigma_minus) + kron(sigma_minus, sigma_plus))
-    )
+    h = 0.5 * omega1 * _ZI + 0.5 * omega2 * _IZ + g * _EXCHANGE
     couplings = (
-        Coupling(kron(sigma_x, eye2), BathSpec(temperature, gamma1)),
-        Coupling(kron(eye2, sigma_x), BathSpec(temperature, gamma2)),
+        Coupling(_XI, BathSpec(temperature, gamma1)),
+        Coupling(_IX, BathSpec(temperature, gamma2)),
     )
     return SystemModel(h, couplings)
 

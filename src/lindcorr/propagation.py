@@ -71,16 +71,21 @@ store, keyed by (model key, kind, key), and found again by every later call
 on an equal model, recognised by content rather than identity.  An entry is
 a level's generator, its blocks (labels, and the block order once a call
 groups coordinates by block), one step's block propagators, an action plan,
-or the stationary state for one null tolerance and solver.  The store is one
-LRU counted in bytes: entries are idle at the start of a call if they are
-another model's, at its end if the call did not use them, and idle entries
-are dropped, least recently used first, while they hold more than
-``_IDLE_BYTE_CAP`` bytes.  So another model's entries beyond the cap are
-released before a call builds anything, and between calls the store holds at
-most the cap plus the last call's own working set (the blocks of one step
-hold at most the entries of the whole level's propagator).  What it holds
-changes the time of a later call, never its path or its values: a repeated
-call returns the same bytes.
+or the stationary state for one null tolerance and solver.  The exact
+decompositions of a model's couplings (``decomposition.decompose_model``)
+are one more entry, keyed by a digest of H, the coupling operators and their
+baths, and the frequency tolerance, since the channels the model key reads
+are made from them.  The store is one LRU counted in bytes: entries are idle
+at the start of a call if they are another model's (a decomposition among
+them), at its end if the call did not use them, and idle entries are
+dropped, least recently used first, while they hold more than
+``_IDLE_BYTE_CAP`` bytes; a new decomposition also drops idle decompositions
+over the cap.  So another model's entries beyond the cap are released before
+a call builds anything, and between calls the store holds at most the cap
+plus the last call's own working set (the blocks of one step hold at most the
+entries of the whole level's propagator).  What it holds changes the time of
+a later call, never its path or its values: a repeated call returns the same
+bytes.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import generators
-from .decomposition import decompose_model
+from .decomposition import JumpDecomposition, decompose_model
 from .errors import DegenerateSteadyStateError, NumericsError
 from .generators import (
     _as_decomps,
@@ -605,14 +610,7 @@ class _SlotEvolver:
         this engine touched."""
         entry = (self.key, kind, key)
         self.touched.add(entry)
-        found = _store.get(entry)
-        value = build() if found is None else found[0]
-        with _held_lock:
-            record = _store.pop(entry, None)  # read again: built or dropped meanwhile
-            value = value if record is None else record[0]
-            _store[entry] = (value, next(_ticks), 0 if record is None else record[2])
-            _counts["misses" if found is None else "hits"] += 1
-        return value
+        return _held(entry, build)
 
     def generator(self, n_slots: int):
         """G_n as a CSR matrix.  Within the budget it is assembled dense, which is
@@ -774,12 +772,15 @@ def _model_key(h: np.ndarray, decomps) -> bytes:
 
 def _nbytes(m) -> int:
     """Bytes of an array, a sparse matrix (data, indices and indptr), a map, tuple or
-    list of them (None counting 0), or an action plan: its shifted matrix, and its
-    map of Taylor degrees with the map's key and value tuples."""
+    list of them (None counting 0), a jump decomposition (c0 and the mode operators),
+    or an action plan: its shifted matrix, and its map of Taylor degrees with the
+    map's key and value tuples."""
     if isinstance(m, dict):
         return sum(_nbytes(block) for block in list(m.values()))
     if isinstance(m, (tuple, list)):
         return sum(_nbytes(part) for part in list(m) if part is not None)
+    if isinstance(m, JumpDecomposition):
+        return _nbytes((m.c0, *(mode.operator for mode in m.modes)))
     if isinstance(m, _ActionPlan):
         params = list(m.params.items())
         return _nbytes(m.shifted) + sys.getsizeof(m.params) + sum(
@@ -792,7 +793,8 @@ def _nbytes(m) -> int:
 _IDLE_BYTE_CAP = 32 * 2 ** 20
 
 # (model key, kind, key) -> (value, tick of its last use, bytes) of every held
-# entry, least recently used first
+# entry, least recently used first; a decomposition's first key is the digest
+# of its model instead
 _store: dict[tuple, tuple] = {}
 _ticks = count()
 # lookups that found their entry, lookups that built it, entries dropped, bytes
@@ -809,14 +811,33 @@ def _count(**amounts: int) -> None:
             _counts[key] += amount
 
 
+def _held(entry: tuple, build, is_idle=None):
+    """The value held under `entry`, (content key, kind, key), built by `build()` on a
+    miss and counted in bytes; from then on the most recently used entry of the store.
+    A value another thread stored meanwhile is kept.  Given `is_idle`, idle entries
+    are then dropped over the cap (:func:`_evict`)."""
+    found = _store.get(entry)
+    value = build() if found is None else found[0]
+    with _held_lock:
+        record = _store.pop(entry, None)  # read again: built or dropped meanwhile
+        if record is None:
+            record = (value, None, _nbytes(value))
+            _counts["bytes"] += record[2]
+        _store[entry] = (record[0], next(_ticks), record[2])
+        _counts["misses" if found is None else "hits"] += 1
+        if is_idle is not None:
+            _evict(is_idle)
+    return record[0]
+
+
 def _evict(is_idle) -> None:
-    """Drop idle entries, those whose (model key, tick of last use) `is_idle` accepts,
-    least recently used first while they hold more than ``_IDLE_BYTE_CAP`` bytes.
-    The caller holds `_held_lock`."""
+    """Drop idle entries, those whose ((content key, kind, key), tick of last use)
+    `is_idle` accepts, least recently used first while they hold more than
+    ``_IDLE_BYTE_CAP`` bytes.  The caller holds `_held_lock`."""
     if _counts["bytes"] <= _IDLE_BYTE_CAP:
         return
     idle = [(entry, size) for entry, (_value, tick, size) in _store.items()
-            if is_idle(entry[0], tick)]
+            if is_idle(entry, tick)]
     excess = sum(size for _entry, size in idle) - _IDLE_BYTE_CAP
     for entry, size in idle:
         if excess <= 0:
@@ -845,7 +866,7 @@ def _model_evolver(hamiltonian, decomp) -> Iterator[_SlotEvolver]:
     """
     ev = _SlotEvolver(hamiltonian, decomp)
     with _held_lock:
-        _evict(lambda model, _tick: model != ev.key)
+        _evict(lambda entry, _tick: entry[0] != ev.key)
         start = next(_ticks)
     try:
         yield ev
@@ -856,7 +877,7 @@ def _model_evolver(hamiltonian, decomp) -> Iterator[_SlotEvolver]:
                     value, tick, size = _store[entry]
                     _store[entry] = (value, tick, _nbytes(value))
                     _counts["bytes"] += _store[entry][2] - size
-            _evict(lambda _model, tick: tick < start)
+            _evict(lambda _entry, tick: tick < start)
 
 
 def _densities(ev: _SlotEvolver, rho0: np.ndarray, times: np.ndarray) -> list[np.ndarray]:

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lindcorr import cli, decompose_model, evolve_density, generators, otoc, qrt_correlator
+from lindcorr import CorrelatorTrace, cli, decompose_model, evolve_density, generators, otoc, qrt_correlator
 from lindcorr import propagation
 from lindcorr import sigma_minus, sigma_plus, sigma_x, sigma_z, two_level_atom
 
@@ -579,3 +581,97 @@ def test_readme_json_blocks_parse_and_run(tmp_path, capsys):
             assert code == 0, f"README config block {i} failed with exit code {code}"
             ran += 1
     assert ran >= 2, "README should contain runnable task configs"
+
+
+# ------------------------------------------------------------ trace output
+
+
+def _per_value_csv(trace, with_abs):
+    """The trace's CSV made one value at a time: each value + 0.0, to 17 digits."""
+    def fmt(x):
+        return f"{x + 0.0:.17g}"
+
+    lines = ["tau,re,im,abs" if with_abs else "tau,re,im"]
+    for t, v in zip(trace.taus, trace.values):
+        row = [fmt(float(t)), fmt(float(v.real)), fmt(float(v.imag))]
+        if with_abs:
+            row.append(fmt(float(abs(v))))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, -1e-310,
+                1e300, -1e300, 1.0, -2.5)
+
+
+@st.composite
+def _traces(draw):
+    rows = draw(st.sampled_from([1, 2, 9, 200]))
+    parts = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(-1e300, 1e300))
+    taus = draw(st.lists(st.one_of(st.sampled_from((0.0, 5e-324, 1e-310, 1e300)),
+                                   st.floats(0.0, 1e300)),
+                         min_size=rows, max_size=rows, unique=True))
+    values = [complex(draw(parts), draw(parts)) for _ in range(rows)]
+    return CorrelatorTrace(np.array(sorted(taus)) + 0.0, np.array(values))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_traces(), st.booleans())
+def test_one_pass_csv_equals_per_value_join(trace, with_abs):
+    assert cli._trace_csv(trace, with_abs) == _per_value_csv(trace, with_abs)
+
+
+def test_json_and_csv_give_the_same_abs(tmp_path):
+    cfg = {
+        "model": _atom_config(temperature=0.5),
+        "task": "otoc",
+        "params": {"w": "sx", "v": "sy", "initial_state": "excited",
+                   "taus": {"start": 0.0, "stop": 10.0, "points": 41}},
+        "output": {"abs": True},
+    }
+    config = _write(tmp_path, cfg)
+    assert cli.run(config, out=str(tmp_path / "out.csv"), fmt="csv") == 0
+    assert cli.run(config, out=str(tmp_path / "out.json"), fmt="json") == 0
+    rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+    from_csv = [float(row.split(",")[3]) for row in rows]  # 17 digits read back exactly
+    payload = json.loads((tmp_path / "out.json").read_text())
+    assert payload["abs"] == from_csv
+    values = np.array([complex(*v) for v in payload["values"]])
+    assert not np.array_equal(np.abs(values), from_csv)  # np.abs would differ in the last bit
+
+
+def test_bad_matrix_entry_messages(tmp_path, capsys):
+    # the entry's path is built for the message only, and the messages keep their words
+    for entry, message in (
+            ('"x"', "model.hamiltonian[1][0] must be a number or an [re, im] pair"),
+            ("[0.5, true]", "model.hamiltonian[1][0] must be a number or an [re, im] pair"),
+            ("[0.5, 0.25, 0.0]", "model.hamiltonian[1][0] must be a number or an [re, im] pair"),
+            ("1e999", "model.hamiltonian[1][0] must be a finite number, got inf"),
+            ("[0.5, -1e999]", "model.hamiltonian[1][0] must be a finite number, got -inf")):
+        path = tmp_path / "run.json"
+        path.write_text('{"model": {"hamiltonian": [[0.5, 0.0], [%s, -0.5]], '
+                        '"couplings": [{"operator": "sx"}]}, '
+                        '"bath": {"temperature": 0.0, "rate_profile": 0.1}, '
+                        '"task": "steady"}' % entry, encoding="utf-8")
+        assert cli.run(str(path)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_repeated_config_reuses_its_decomposition(tmp_path, monkeypatch):
+    from lindcorr import decomposition
+
+    cfg = {"model": {"name": "coupled_dimer", "params": {
+               "omega1": 1.0, "omega2": 1.25, "g": 0.3, "gamma1": 0.08, "gamma2": 0.05,
+               "temperature": 0.6}},
+           "task": "corr",
+           "params": {"insertions": [{"operator": "I", "time": 2.0}, {"operator": "I", "time": 0.5}],
+                      "initial_state": "maximally_mixed",
+                      "taus": {"start": 0.5, "stop": 3.0, "points": 6}}}
+    config = _write(tmp_path, cfg)
+    outputs, eig_calls = [], []
+    eig = decomposition.hermitian_eig
+    monkeypatch.setattr(decomposition, "hermitian_eig", lambda h: eig_calls.append(h) or eig(h))
+    for k in range(2):
+        assert cli.run(config, out=str(tmp_path / f"out_{k}.csv"), fmt="csv") == 0
+        outputs.append((tmp_path / f"out_{k}.csv").read_bytes())
+    assert len(eig_calls) == 1 and outputs[0] == outputs[1]

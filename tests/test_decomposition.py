@@ -1,8 +1,13 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from lindcorr import decomposition, propagation
 from lindcorr import (
     BathSpec,
+    Coupling,
     JumpDecomposition,
     JumpMode,
     assign_rates,
@@ -17,10 +22,11 @@ from lindcorr import (
     sigma_plus,
     sigma_x,
     sigma_z,
+    SystemModel,
     two_level_atom,
 )
 
-from conftest import random_hermitian
+from conftest import held, held_bytes, random_hermitian
 
 
 def test_qubit_exact_decomposition():
@@ -193,3 +199,132 @@ def test_decompose_model_per_coupling():
     assert isinstance(decs[0], JumpDecomposition)
     assert decs[0].rates_assigned
     assert decs[0].modes[0].gamma_down == 0.25
+
+
+# ------------------------------------------------------------ held decompositions
+
+
+def _random_model(rng, d=4, temperature=0.7, rate=0.2):
+    bath = BathSpec(temperature=temperature, rate_profile=rate, gamma0=0.05)
+    ops = [random_hermitian(rng, d) for _ in range(3)]
+    return SystemModel(ops[0], (Coupling(ops[1], bath), Coupling(ops[2], BathSpec(0.3, 0.1))))
+
+
+def _count_eig(monkeypatch):
+    calls = []
+    eig = decomposition.hermitian_eig
+    monkeypatch.setattr(decomposition, "hermitian_eig", lambda h: calls.append(h) or eig(h))
+    return calls
+
+
+def _held_decompositions():
+    """The held decompositions, least recently used first."""
+    return [value for (_model, kind, _key), value in held().items() if kind == "decomposition"]
+
+
+def _same(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(x.c0, y.c0) and x.gamma0 == y.gamma0 and x.freq_tol == y.freq_tol
+        and [(m.frequency, m.gamma_down, m.gamma_up) for m in x.modes]
+        == [(m.frequency, m.gamma_down, m.gamma_up) for m in y.modes]
+        and all(np.array_equal(m.operator, n.operator) for m, n in zip(x.modes, y.modes))
+        for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("freq_tol", [None, 1e-6])
+def test_decompose_model_diagonalises_once_with_the_bytes_of_each_coupling(rng, monkeypatch, freq_tol):
+    model = _random_model(rng)
+    calls = _count_eig(monkeypatch)
+    decs = decompose_model(model, freq_tol)
+    assert len(calls) == 1
+    alone = tuple(assign_rates(exact_bohr_decomposition(model.hamiltonian, c.operator, freq_tol), c.bath)
+                  for c in model.couplings)
+    assert len(calls) == 3 and _same(decs, alone)
+
+
+def test_equal_model_from_fresh_arrays_finds_its_decomposition(rng, monkeypatch):
+    model = _random_model(rng)
+    first = decompose_model(model)
+    fresh = SystemModel(model.hamiltonian.copy(), tuple(
+        Coupling(c.operator.copy(), BathSpec(c.bath.temperature, c.bath.rate_profile, c.bath.gamma0))
+        for c in model.couplings))
+    calls = _count_eig(monkeypatch)
+    hits, misses = propagation._counts["hits"], propagation._counts["misses"]
+    again = decompose_model(fresh)
+    assert calls == [] and again is first
+    assert (propagation._counts["hits"] - hits, propagation._counts["misses"] - misses) == (1, 0)
+    assert _held_decompositions() == [first]
+
+
+def test_changed_model_or_tolerance_misses(rng, monkeypatch):
+    model = _random_model(rng)
+    decompose_model(model)
+    h, (c1, c2) = model.hamiltonian, model.couplings
+    changed = {
+        "temperature": SystemModel(h, (Coupling(c1.operator, BathSpec(0.8, 0.2, 0.05)), c2)),
+        "rate": SystemModel(h, (Coupling(c1.operator, BathSpec(0.7, 0.25, 0.05)), c2)),
+        "gamma0": SystemModel(h, (Coupling(c1.operator, BathSpec(0.7, 0.2, 0.0)), c2)),
+        "coupling": SystemModel(h, (c1, Coupling(c2.operator + 0.125 * np.eye(4), c2.bath))),
+        "hamiltonian": SystemModel(h + 0.125 * np.eye(4), model.couplings),
+    }
+    calls = _count_eig(monkeypatch)
+    for name, other in changed.items():
+        misses = propagation._counts["misses"]
+        fresh = decompose_model(other)
+        assert len(calls) == 1 and propagation._counts["misses"] == misses + 1, name
+        propagation._release_engines()
+        assert _same(fresh, decompose_model(other))  # a fresh build gives the same bytes
+        decompose_model(model)
+        calls.clear()
+    for k, freq_tol in enumerate((1e-6, 1e-3)):
+        decompose_model(model, freq_tol)
+        assert len(calls) == k + 1
+    assert len(_held_decompositions()) == 4  # the last changed model's, and three of the model's
+
+
+def test_invalid_freq_tol_raises_on_every_call_and_holds_nothing(rng):
+    model = _random_model(rng)
+    for freq_tol in (0.0, -1e-9, float("nan"), 0.0):
+        with pytest.raises(ValueError, match="freq_tol must be > 0"):
+            decompose_model(model, freq_tol)
+    assert held() == {} and propagation._counts["bytes"] == 0
+
+
+def test_held_decomposition_bytes_are_counted_and_released(rng):
+    model = _random_model(rng)
+    decs = decompose_model(model)
+    operators = [d.c0 for d in decs] + [m.operator for d in decs for m in d.modes]
+    assert propagation._counts["bytes"] == held_bytes() == sum(op.nbytes for op in operators) > 0
+    propagation._release_engines()
+    assert held() == {} and propagation._counts["bytes"] == 0
+    assert decompose_model(model) is not decs
+
+
+def test_idle_decompositions_over_the_cap_go_least_recently_used_first(rng, monkeypatch):
+    models = [_random_model(rng, temperature=t) for t in (0.2, 0.4, 0.6, 0.8)]
+    first = decompose_model(models[0])
+    size = propagation._counts["bytes"]
+    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", int(1.5 * size))
+    decompose_model(models[1])
+    assert len(_held_decompositions()) == 2  # one idle decomposition, under the cap
+    decompose_model(models[0])  # used again: models[1] is now the least recent
+    decompose_model(models[2])  # two idle, over the cap: models[1]'s goes
+    assert _held_decompositions() == [first, decompose_model(models[2])]
+    assert propagation._counts["bytes"] == held_bytes()
+
+
+def test_concurrent_decompositions_keep_the_byte_count(rng, monkeypatch):
+    models = [_random_model(rng, temperature=t) for t in (0.2, 0.4, 0.6)]
+    expected = [decompose_model(m) for m in models]
+    propagation._release_engines()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda k: decompose_model(models[k % 3]), range(48), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(_same(decs, expected[k % 3]) for k, decs in enumerate(got))
+    assert len(_held_decompositions()) == 3
+    assert propagation._counts["bytes"] == held_bytes()
+    assert all(got[k] is got[k % 3] for k in range(48))  # one value held per model

@@ -153,3 +153,17 @@ def test_system_model_validation():
         SystemModel(sigma_z, ())
     with pytest.raises(ValueError):
         SystemModel(sigma_z, (Coupling(np.eye(3, dtype=complex), bath),))
+
+
+@pytest.mark.parametrize("params", [(1.0, 1.25, 0.3, 0.08, 0.05, 0.6), (0.7, 2.0, -0.15, 0.0, 0.3, 0.0)])
+def test_coupled_dimer_keeps_the_bytes_of_its_kronecker_build(params):
+    omega1, omega2, g, gamma1, gamma2, temperature = params
+    eye2 = np.eye(2, dtype=complex)
+    sp, sm = np.array([[0, 1], [0, 0]], dtype=complex), np.array([[0, 0], [1, 0]], dtype=complex)
+    h = (0.5 * omega1 * np.kron(sigma_z, eye2) + 0.5 * omega2 * np.kron(eye2, sigma_z)
+         + g * (np.kron(sp, sm) + np.kron(sm, sp)))
+    model = coupled_dimer(*params)
+    assert np.array_equal(model.hamiltonian, h)
+    assert [np.array_equal(c.operator, op) for c, op in zip(
+        model.couplings, (np.kron(sigma_x, eye2), np.kron(eye2, sigma_x)))] == [True, True]
+    assert [c.bath for c in model.couplings] == [BathSpec(temperature, gamma1), BathSpec(temperature, gamma2)]

@@ -1009,9 +1009,10 @@ def _count_assembly(monkeypatch):
 
 
 def _held_models():
-    """Keys of the models with held entries, least recently used first (by the last
-    use of any of their entries)."""
-    return list(reversed(dict.fromkeys(model for model, _kind, _key in reversed(held()))))
+    """Keys of the models with held engine entries, least recently used first (by the
+    last use of any of their entries); held decompositions are not engine entries."""
+    return list(reversed(dict.fromkeys(model for model, kind, _key in reversed(held())
+                                       if kind != "decomposition")))
 
 
 def _stored_minus_counted():
@@ -1110,6 +1111,7 @@ def test_idle_engines_evicted_least_recently_used_first(rng, monkeypatch):
     args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
     models = [_qubit(gamma=gamma, temperature=0.5) for gamma in (0.1, 0.2, 0.3, 0.4, 0.5)]
     keys = [propagation._SlotEvolver(*model).key for model in models]
+    propagation._release_engines()  # drop the models' held decompositions: engine entries alone
 
     def call(k):
         otoc(*models[k], *args)
@@ -1143,16 +1145,17 @@ def test_engine_over_cap_is_released_before_next_build(rng, monkeypatch):
     dimer_args = (*_otoc_inputs(rng, 4), np.linspace(0.0, 2.0, 5))
     qubit_args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
     dense = propagation.multi_slot_generator
+    dimer_model, qubit_model = _dimer(), _qubit()
     for over in (1, None):
-        propagation._release_engines()
-        otoc(*_dimer(), *dimer_args)
+        propagation._release_engines()  # also the models' held decompositions
+        otoc(*dimer_model, *dimer_args)
         dimer = list(held())
         cap = 0 if over is None else held_bytes() - over
         monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", cap)
         seen = []
         monkeypatch.setattr(propagation, "multi_slot_generator",
                             lambda h, d, n: seen.append(list(held())) or dense(h, d, n))
-        otoc(*_qubit(), *qubit_args)
+        otoc(*qubit_model, *qubit_args)
         monkeypatch.setattr(propagation, "multi_slot_generator", dense)
         assert len(dimer) > 1 and seen and seen[0] == (dimer[1:] if over else [])
     assert len(_held_models()) == 1
@@ -1260,6 +1263,7 @@ def test_action_plan_bytes_count_its_degrees():
 
 def test_held_bytes_counts_generators_and_labels(monkeypatch):
     ev = propagation._SlotEvolver(*_dimer())
+    propagation._release_engines()  # drop the dimer's held decomposition
     assert held_bytes() == 0
     gen = ev.generator(2)
     assert held_bytes() == propagation._nbytes(gen) == 20 * gen.nnz + 4 * (256 + 1)
