@@ -3,6 +3,7 @@
     python3 bench/repeats.py [--out BENCH_11.json] [--label change] [--repeats 3]
     python3 bench/repeats.py --engines [--out BENCH_14.json] [--label change] [--repeats 3]
     python3 bench/repeats.py --step-peak [--out BENCH_16.json] [--label change]
+    python3 bench/repeats.py --cli-stages [--out BENCH_20.json] [--label change] [--seed 0]
 
 Run it from the root of a checkout: it imports lindcorr from that checkout's
 `src`, so running the same file in two checkouts compares them.  With BLAS
@@ -62,6 +63,21 @@ tracemalloc starts, so each sweep's peak of traced bytes is what the step
 adds to what the engine held before it; the record gives it, the
 generator's CSR bytes, the bytes held before the sweep, the peak in all
 (held before plus traced) over the CSR bytes, and ru_maxrss.
+
+With `--cli-stages` it times the stages of `lindcorr.cli.run` on the five
+`corr` configs of perfbench's general-sweep workload (seed `--seed`), warm:
+after one cold pass from no held entry, `--passes` passes, each config once
+per pass.  Each stage is the self time of the CLI functions it names, found
+by wrapping them in the `lindcorr.cli` namespace (a wrapped call's time is
+taken out of the stage of the wrapped call it runs in): `read` (`json.load`
+of the config), `model` (`_parse_model`), `decomposition`
+(`_parse_decompositions`), `parse` (`_parse_operator`, `_parse_state`,
+`_parse_grid` and the `CorrelatorSpec` they feed), `engine`
+(`general_correlator`), `format` (`_trace_csv`), `write` (`_atomic_write`),
+and `other`, the rest of `run`.  The record gives the median of each stage
+per config and per pass, the median time of a pass with and without the
+wrappers, and per warm pass the calls of `exact_bohr_decomposition` and of
+`hermitian_eig` in the decomposition module and the held-store lookups.
 
 The rows go under `--label` in `--out`, next to what else that file holds.
 """
@@ -342,6 +358,127 @@ def step_peak() -> dict:
             "assembly_s": assembly_s, "calls": calls, "maxrss_mib": _maxrss_mib()}
 
 
+CLI_STAGES = {"read": ("json.load",), "model": ("_parse_model",),
+              "decomposition": ("_parse_decompositions",),
+              "parse": ("_parse_operator", "_parse_state", "_parse_grid", "CorrelatorSpec"),
+              "engine": ("general_correlator",), "format": ("_trace_csv",),
+              "write": ("_atomic_write",)}
+
+
+class StageClock:
+    """Self time per stage of wrapped functions, and call counts of counted ones."""
+
+    def __init__(self):
+        self.times = dict.fromkeys([*CLI_STAGES, "other"], 0.0)
+        self.calls: dict[str, int] = {}
+        self._inner: list[float] = []  # time of wrapped calls inside each open one
+
+    def timed(self, stage: str, fn):
+        def wrapper(*args, **kwargs):
+            self._inner.append(0.0)
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - start
+                self.times[stage] += elapsed - self._inner.pop()
+                if self._inner:
+                    self._inner[-1] += elapsed
+        return wrapper
+
+    def counted(self, name: str, fn):
+        def wrapper(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def reset(self) -> None:
+        self.times = dict.fromkeys(self.times, 0.0)
+        self.calls = {}
+
+
+def cli_stages(args) -> dict:
+    """Stage times of the warm general-sweep configs through `lindcorr.cli.run`."""
+    import types
+
+    from lindcorr import cli, decomposition
+
+    clock = StageClock()
+    originals = []
+
+    def patch(owner, name, wrapper):
+        originals.append((owner, name, getattr(owner, name)))
+        setattr(owner, name, wrapper)
+
+    with tempfile.TemporaryDirectory() as workdir:
+        configs = general_sweep_configs(args.seed, Path(workdir))
+        plain = []
+        propagation._release_engines()
+        for _name, call, _values in configs:  # the cold pass
+            call()
+        for _pass in range(args.passes):
+            start = time.perf_counter()
+            for _name, call, _values in configs:
+                call()
+            plain.append(time.perf_counter() - start)
+
+        json_module = cli.json
+        patch(cli, "json", types.SimpleNamespace(
+            load=clock.timed("read", json_module.load), dumps=json_module.dumps,
+            JSONDecodeError=json_module.JSONDecodeError))
+        for stage, names in CLI_STAGES.items():
+            for name in names:
+                if name != "json.load":
+                    patch(cli, name, clock.timed(stage, getattr(cli, name)))
+        for name in ("exact_bohr_decomposition", "hermitian_eig"):
+            patch(decomposition, name, clock.counted(name, getattr(decomposition, name)))
+        try:
+            per_config = {name: {stage: [] for stage in clock.times} for name, _c, _v in configs}
+            traced, calls, lookups = [], [], []
+            for _pass in range(args.passes):
+                before = dict(propagation._counts)
+                clock.reset()
+                start = time.perf_counter()
+                for name, call, values in configs:
+                    stage_before = dict(clock.times)
+                    call_start = time.perf_counter()
+                    if call() != 0:
+                        raise RuntimeError(f"{name}: lindcorr.cli.run failed")
+                    call_s = time.perf_counter() - call_start
+                    spent = {stage: clock.times[stage] - stage_before[stage] for stage in clock.times}
+                    spent["other"] = call_s - sum(spent.values())
+                    for stage, t in spent.items():
+                        per_config[name][stage].append(t)
+                traced.append(time.perf_counter() - start)
+                calls.append(dict(clock.calls))
+                lookups.append({key: propagation._counts[key] - before[key]
+                                for key in ("hits", "misses", "evictions")})
+        finally:
+            for owner, name, original in reversed(originals):
+                setattr(owner, name, original)
+        propagation._release_engines()
+
+    stages = {name: {stage: statistics.median(t) for stage, t in times.items()}
+              for name, times in per_config.items()}
+    pass_stages = {stage: sum(stages[name][stage] for name in stages) for stage in clock.times}
+    total = sum(pass_stages.values())
+    counts = {name: max(c.get(name, 0) for c in calls)
+              for name in ("exact_bohr_decomposition", "hermitian_eig")}
+    print(f"general-sweep seed {args.seed}, {args.passes} warm passes: pass "
+          f"{statistics.median(plain) * 1e3:.2f} ms plain, {statistics.median(traced) * 1e3:.2f} ms "
+          f"with the stage wrappers", flush=True)
+    print("  " + " | ".join(f"{stage} {t * 1e3:.3f} ms ({t / total:.1%})"
+                            for stage, t in pass_stages.items()), flush=True)
+    print(f"  per warm pass at most: {counts['exact_bohr_decomposition']} exact_bohr_decomposition, "
+          f"{counts['hermitian_eig']} hermitian_eig calls; lookups {lookups[-1]}", flush=True)
+    return {"script": "bench/repeats.py --cli-stages", "env": _env(), "seed": args.seed,
+            "passes": args.passes, "pass_s_plain": statistics.median(plain),
+            "pass_s_plain_quartiles": statistics.quantiles(plain, n=4)[::2],
+            "pass_s_with_wrappers": statistics.median(traced),
+            "stage_s_per_pass": pass_stages, "stage_s_by_config": stages,
+            "warm_pass_calls_max": counts, "warm_pass_lookups_last": lookups[-1]}
+
+
 def _random_decomps(rng: np.random.Generator, d: int, eigenbasis: bool):
     def hermitian():
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -405,13 +542,19 @@ def main(argv=None) -> int:
                         help="record the interleaved sequences and the temperature scan instead")
     parser.add_argument("--step-peak", action="store_true",
                         help="record the traced peak of an action on a large level instead")
+    parser.add_argument("--cli-stages", action="store_true",
+                        help="record the stage times of the warm general-sweep configs instead")
+    parser.add_argument("--passes", type=int, default=200, help="warm passes of --cli-stages")
     parser.add_argument("--rounds", type=int, default=3, help="passes per interleaved sequence")
     parser.add_argument("--seed", type=int, default=13, help="seed of the general-sweep configs")
     parser.add_argument("--scan-points", type=int, default=200)
     args = parser.parse_args(argv)
-    args.out = args.out or str(ROOT / ("BENCH_16.json" if args.step_peak else
+    args.out = args.out or str(ROOT / ("BENCH_20.json" if args.cli_stages else
+                                       "BENCH_16.json" if args.step_peak else
                                        "BENCH_14.json" if args.engines else "BENCH_11.json"))
-    if args.step_peak:
+    if args.cli_stages:
+        result = cli_stages(args)
+    elif args.step_peak:
         result = step_peak()
     elif args.engines:
         result = engines(args)

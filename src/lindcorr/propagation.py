@@ -73,14 +73,13 @@ a level's generator, its blocks (labels, and the block order once a call
 groups coordinates by block), one step's block propagators, an action plan,
 or the stationary state for one null tolerance and solver.  The exact
 decompositions of a model's couplings (``decomposition.decompose_model``)
-are one more entry, keyed by a digest of H, the coupling operators and their
-baths, and the frequency tolerance, since the channels the model key reads
-are made from them.  The store is one LRU counted in bytes: entries are idle
-at the start of a call if they are another model's (a decomposition among
-them), at its end if the call did not use them, and idle entries are
-dropped, least recently used first, while they hold more than
-``_IDLE_BYTE_CAP`` bytes; a new decomposition also drops idle decompositions
-over the cap.  So another model's entries beyond the cap are released before
+are one more entry, keyed by a digest of what they are made from: H, the
+coupling operators, their baths and the frequency tolerance.  The store is
+one LRU counted in bytes: entries are idle at the start of a call if they
+are another model's (a decomposition among them), at its end if the call did
+not use them, and idle entries are dropped, least recently used first, while
+they hold more than ``_IDLE_BYTE_CAP`` bytes; a new decomposition also drops
+idle decompositions over the cap.  So another model's entries beyond the cap are released before
 a call builds anything, and between calls the store holds at most the cap
 plus the last call's own working set (the blocks of one step hold at most the
 entries of the whole level's propagator).  What it holds changes the time of
