@@ -66,8 +66,8 @@ generator's CSR bytes, the bytes held before the sweep, the peak in all
 
 With `--cli-stages` it times the stages of `lindcorr.cli.run` on the five
 `corr` configs of perfbench's general-sweep workload (seed `--seed`), warm:
-after one cold pass from no held entry, `--passes` passes, each config once
-per pass.  Each stage is the self time of the CLI functions it names, found
+after one cold pass from no held entry, `CLI_PASSES` passes, each config
+once per pass.  Each stage is the self time of the CLI functions it names, found
 by wrapping them in the `lindcorr.cli` namespace (a wrapped call's time is
 taken out of the stage of the wrapped call it runs in): `read` (`json.load`
 of the config), `model` (`_parse_model`), `decomposition`
@@ -358,6 +358,7 @@ def step_peak() -> dict:
             "assembly_s": assembly_s, "calls": calls, "maxrss_mib": _maxrss_mib()}
 
 
+CLI_PASSES = 200  # warm passes of --cli-stages
 CLI_STAGES = {"read": ("json.load",), "model": ("_parse_model",),
               "decomposition": ("_parse_decompositions",),
               "parse": ("_parse_operator", "_parse_state", "_parse_grid", "CorrelatorSpec"),
@@ -416,7 +417,7 @@ def cli_stages(args) -> dict:
         propagation._release_engines()
         for _name, call, _values in configs:  # the cold pass
             call()
-        for _pass in range(args.passes):
+        for _pass in range(CLI_PASSES):
             start = time.perf_counter()
             for _name, call, _values in configs:
                 call()
@@ -435,7 +436,7 @@ def cli_stages(args) -> dict:
         try:
             per_config = {name: {stage: [] for stage in clock.times} for name, _c, _v in configs}
             traced, calls, lookups = [], [], []
-            for _pass in range(args.passes):
+            for _pass in range(CLI_PASSES):
                 before = dict(propagation._counts)
                 clock.reset()
                 start = time.perf_counter()
@@ -464,7 +465,7 @@ def cli_stages(args) -> dict:
     total = sum(pass_stages.values())
     counts = {name: max(c.get(name, 0) for c in calls)
               for name in ("exact_bohr_decomposition", "hermitian_eig")}
-    print(f"general-sweep seed {args.seed}, {args.passes} warm passes: pass "
+    print(f"general-sweep seed {args.seed}, {CLI_PASSES} warm passes: pass "
           f"{statistics.median(plain) * 1e3:.2f} ms plain, {statistics.median(traced) * 1e3:.2f} ms "
           f"with the stage wrappers", flush=True)
     print("  " + " | ".join(f"{stage} {t * 1e3:.3f} ms ({t / total:.1%})"
@@ -472,7 +473,7 @@ def cli_stages(args) -> dict:
     print(f"  per warm pass at most: {counts['exact_bohr_decomposition']} exact_bohr_decomposition, "
           f"{counts['hermitian_eig']} hermitian_eig calls; lookups {lookups[-1]}", flush=True)
     return {"script": "bench/repeats.py --cli-stages", "env": _env(), "seed": args.seed,
-            "passes": args.passes, "pass_s_plain": statistics.median(plain),
+            "passes": CLI_PASSES, "pass_s_plain": statistics.median(plain),
             "pass_s_plain_quartiles": statistics.quantiles(plain, n=4)[::2],
             "pass_s_with_wrappers": statistics.median(traced),
             "stage_s_per_pass": pass_stages, "stage_s_by_config": stages,
@@ -544,7 +545,6 @@ def main(argv=None) -> int:
                         help="record the traced peak of an action on a large level instead")
     parser.add_argument("--cli-stages", action="store_true",
                         help="record the stage times of the warm general-sweep configs instead")
-    parser.add_argument("--passes", type=int, default=200, help="warm passes of --cli-stages")
     parser.add_argument("--rounds", type=int, default=3, help="passes per interleaved sequence")
     parser.add_argument("--seed", type=int, default=13, help="seed of the general-sweep configs")
     parser.add_argument("--scan-points", type=int, default=200)

@@ -46,10 +46,11 @@ def _src_on_child_path():
 
 def held(kind=None, model=None) -> dict:
     """The held entries of the propagation store, least recently used first: key ->
-    value for one `kind` ("generator", "blocks", "propagators", "plan", "steady" or
-    "decomposition"), or (model key, kind, key) -> value for every kind when `kind`
+    value for one engine `kind` ("generator", "blocks", "propagators", "plan" or
+    "steady"), (model digest, key) -> value for "decomposition", whose entries are
+    the models' own, or (model key, kind, key) -> value for every kind when `kind`
     is None; only those of the model whose key is `model` when it is given."""
-    return {(entry if kind is None else entry[2]): value
+    return {(entry if kind is None else entry[::2] if kind == "decomposition" else entry[2]): value
             for entry, (value, _tick, _size) in list(propagation._store.items())
             if kind in (None, entry[1]) and model in (None, entry[0])}
 

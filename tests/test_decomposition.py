@@ -217,11 +217,6 @@ def _count_eig(monkeypatch):
     return calls
 
 
-def _held_decompositions():
-    """The held decompositions, least recently used first."""
-    return [value for (_model, kind, _key), value in held().items() if kind == "decomposition"]
-
-
 def _same(a, b):
     return len(a) == len(b) and all(
         np.array_equal(x.c0, y.c0) and x.gamma0 == y.gamma0 and x.freq_tol == y.freq_tol
@@ -253,7 +248,7 @@ def test_equal_model_from_fresh_arrays_finds_its_decomposition(rng, monkeypatch)
     again = decompose_model(fresh)
     assert calls == [] and again is first
     assert (propagation._counts["hits"] - hits, propagation._counts["misses"] - misses) == (1, 0)
-    assert _held_decompositions() == [first]
+    assert list(held("decomposition").values()) == [first]
 
 
 def test_changed_model_or_tolerance_misses(rng, monkeypatch):
@@ -279,7 +274,10 @@ def test_changed_model_or_tolerance_misses(rng, monkeypatch):
     for k, freq_tol in enumerate((1e-6, 1e-3)):
         decompose_model(model, freq_tol)
         assert len(calls) == k + 1
-    assert len(_held_decompositions()) == 4  # the last changed model's, and three of the model's
+    digest = decomposition._model_digest(model)
+    assert [key for model_digest, key in held("decomposition") if model_digest == digest] \
+        == ["None", "1e-06", "0.001"]
+    assert len(held("decomposition")) == 4  # and the last changed model's
 
 
 def test_invalid_freq_tol_raises_on_every_call_and_holds_nothing(rng):
@@ -306,10 +304,10 @@ def test_idle_decompositions_over_the_cap_go_least_recently_used_first(rng, monk
     size = propagation._counts["bytes"]
     monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", int(1.5 * size))
     decompose_model(models[1])
-    assert len(_held_decompositions()) == 2  # one idle decomposition, under the cap
+    assert len(held("decomposition")) == 2  # one idle decomposition, under the cap
     decompose_model(models[0])  # used again: models[1] is now the least recent
     decompose_model(models[2])  # two idle, over the cap: models[1]'s goes
-    assert _held_decompositions() == [first, decompose_model(models[2])]
+    assert list(held("decomposition").values()) == [first, decompose_model(models[2])]
     assert propagation._counts["bytes"] == held_bytes()
 
 
@@ -325,6 +323,6 @@ def test_concurrent_decompositions_keep_the_byte_count(rng, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all(_same(decs, expected[k % 3]) for k, decs in enumerate(got))
-    assert len(_held_decompositions()) == 3
+    assert len(held("decomposition")) == 3
     assert propagation._counts["bytes"] == held_bytes()
     assert all(got[k] is got[k % 3] for k in range(48))  # one value held per model
