@@ -3,16 +3,17 @@
     python3 bench/blocks.py [--out BENCH_10.json] [--repeats 3]
     python3 bench/blocks.py --dimer-otocs [--label change] [--out BENCH_12.json]
     python3 bench/blocks.py --block-order [--label change] [--out BENCH_19.json]
+    python3 bench/blocks.py --assembly [--label change] [--out BENCH_21.json]
 
 Run it from the root of a checkout.  A level steps only the blocks of its
 generator where both the slot tensor T and the dual vector w are nonzero.
 For each case below, with BLAS and OpenMP threads fixed at 1, it times:
 
-* assembly of the generator G_n as the engine holds it, a CSR matrix
-  (`_SlotEvolver.generator`: from CSR slot factors on a sparse level, more
-  than `lindcorr.generators.DEFAULT_SLOT_BUDGET` coordinates, assembled dense
-  and converted below) and its block labels (the connected components of its
-  sparsity pattern, `propagation._block_labels`);
+* assembly of the generator G_n as the engine holds it, a CSR matrix summed
+  from its slot-factor terms (`_SlotEvolver.generator`), and its block labels
+  (the connected components of its sparsity pattern,
+  `propagation._block_labels`); a level is sparse when it has more than
+  `lindcorr.generators.DEFAULT_SLOT_BUDGET` coordinates;
 * extraction of the restricted generator G[S, S] over the touched
   coordinates S, as CSR and, when S is within the budget, as a dense array;
 * the sweep on the restricted level (`_SlotEvolver.sweep` in one call through
@@ -64,11 +65,31 @@ bytes after a call that steps the whole level (a vector on every block), and
 the time and bytes of the first call that groups coordinates by block (a
 vector on one block).  The rows go under `--label` in the key "block_order"
 of `--out` (default BENCH_19.json).
+
+With `--assembly` it measures only the cold assembly of levels: per level,
+on an emptied store, the median and the least time of
+`_SlotEvolver.generator` alone, in one call through
+`propagation._model_evolver` (ASSEMBLY_REPEATS runs, 3 for 3 slots, after
+one untimed run; the runs go round the levels in turn), the tracemalloc
+peak of one more such call, and a SHA-256 digest of the held matrix's data,
+indices and indptr bytes with its index dtype, so rows of two checkouts show
+whether they hold the same bytes.  The levels are the `coupled_dimer` with
+its exact (1 to 3 slots) and local (sigma- per site, 1 to 2 slots)
+decompositions, the qubit (1 to 4 slots), truncated oscillators of 6 and 9
+levels (1 to 2 slots), 30 levels (1 slot) and 9 levels (3 slots), and random
+exact models of 3 to 6 levels (1 to 2 slots).  Where the checkout checks
+unitality (`propagation._unital`), it also records the residual
+||G_n vec(I)^(x)n||_inf of each level over the bound on ||G_n||_1 it is
+checked against, the time of that check, and the residuals of random exact
+and local models of 3 to 8 levels and 1 to 3 slots (those whose CSR byte
+bound is under 2**28).  The rows go under `--label` in the key "assembly" of
+`--out` (default BENCH_21.json).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -93,6 +114,7 @@ from lindcorr import generators, propagation  # noqa: E402
 TAUS = np.linspace(0.0, 10.0, 41)
 OSCILLATOR = dict(omega0=1.0, gamma=0.1, temperature=0.5)
 DIMER = dict(omega1=1.0, omega2=1.25, g=0.3, gamma1=0.08, gamma2=0.05, temperature=0.6)
+ASSEMBLY_REPEATS = 15
 BLOCK_ORDERS = (35, 56, 104, 146, 180, 200, 220, 240, 256, 270, 300, 324, 420, 489, 792, 924, 1666)
 LEVELS_PER_ORDER = 2
 
@@ -207,7 +229,7 @@ def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, 
     n = len(b_ops)
     tensor = lc.elementary_tensor(b_ops)
     w = lc.contraction_functional(a_ops, rho)
-    dense = generators._dense_fits(h.shape[0], n)
+    within = generators._dense_fits(h.shape[0], n)
     assemble_s, gen = _median(lambda: _call(h, decs, lambda ev: ev.generator(n)), repeats,
                               setup=propagation._release_engines)
     labels_s, labels = _median(lambda: propagation._block_labels(gen), repeats)
@@ -221,7 +243,7 @@ def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, 
                        if generators._dense_order(order) else None)
 
     def full_sweep():
-        if not dense:
+        if not within:
             return np.array([w @ v for v in propagation.integrate_ode(gen, tensor, TAUS)])
         prop, v, out = lc.expm(gen.toarray(), float(TAUS[1] - TAUS[0])), tensor, [w @ tensor]
         for _ in TAUS[1:]:
@@ -244,7 +266,7 @@ def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, 
     engine = "dense" if generators._dense_order(order) else "csr"
     row = {
         "case": name, "slots": n, "level_order": len(tensor),
-        "level_assembly": "dense" if dense else "csr",
+        "level_within_budget": within,
         "level_nnz": int(gen.nnz),
         "assemble_s": assemble_s, "labels_s": labels_s, "blocks": len(sizes),
         "largest_block": int(sizes.max()),
@@ -257,7 +279,8 @@ def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, 
         "full_sweep_peak_b": _peak(full_sweep), "sector_sweep_peak_b": cold_peak(),
         "max_rel_deviation": float(np.max(np.abs(values - expected))) / scale,
     }
-    print(f"{name:34s} order {len(tensor):6d} ({row['level_assembly']}) blocks {len(sizes):3d} "
+    print(f"{name:34s} order {len(tensor):6d} ({'dense' if within else 'sparse'}) "
+          f"blocks {len(sizes):3d} "
           f"touched {order:5d} ({engine}) | labels {labels_s:.4f} s | "
           f"sweep full {full_s:.4f} s sector cold {cold_s:.4f} s warm {warm_s:.4f} s | "
           f"peak {row['full_sweep_peak_b'] / 2**20:.1f} -> {row['sector_sweep_peak_b'] / 2**20:.1f} MiB"
@@ -388,6 +411,121 @@ def block_crossover(levels, rng: np.random.Generator, repeats: int) -> list[dict
     return rows
 
 
+def _random_model(d: int, seed: int, local: bool = False):
+    """A random Hamiltonian of `d` levels and its exact decomposition of a random
+    coupling, or, if `local`, a local one with two random jump operators."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = draw()
+    h = (h + h.conj().T) / 2
+    bath = lc.BathSpec(temperature=0.5, rate_profile=0.1, gamma0=0.05)
+    if local:
+        dec = lc.local_decomposition(np.zeros((d, d)), [(draw(), 0.7), (draw(), 1.3)])
+    else:
+        c = draw()
+        dec = lc.exact_bohr_decomposition(h, (c + c.conj().T) / 2)
+    return h, (lc.assign_rates(dec, bath),)
+
+
+def assembly_levels() -> list[tuple[str, object, tuple, int]]:
+    """(name, hamiltonian, decomps, slots) of each level `--assembly` builds."""
+    dimer = lc.coupled_dimer(**DIMER)
+    sites = [_site(lc.sigma_minus, 0), _site(lc.sigma_minus, 1)]
+    local = tuple(lc.assign_rates(lc.local_decomposition(np.zeros((4, 4)), [(op, w)]), c.bath)
+                  for op, w, c in zip(sites, (DIMER["omega1"], DIMER["omega2"]), dimer.couplings))
+    qubit = lc.two_level_atom(1.0, 0.1, 0.5)
+    models = [("coupled_dimer", dimer.hamiltonian, lc.decompose_model(dimer), (1, 2, 3)),
+              ("coupled_dimer:local", dimer.hamiltonian, local, (1, 2)),
+              ("two_level_atom", qubit.hamiltonian, lc.decompose_model(qubit), (1, 2, 3, 4))]
+    for dim, levels in ((6, (1, 2)), (9, (1, 2)), (30, (1,)), (9, (3,))):
+        model = lc.truncated_oscillator(dim=dim, **OSCILLATOR)
+        models.append((f"oscillator:d={dim}", model.hamiltonian, lc.decompose_model(model), levels))
+    for d in (3, 4, 5, 6):
+        models.append((f"random_exact:d={d}", *_random_model(d, 21 + d), (1, 2)))
+    return [(f"{name}:n={n}", h, decs, n) for name, h, decs, levels in models for n in levels]
+
+
+def _unitality(gen, h, decs, n: int) -> tuple[float | None, float | None]:
+    """The unitality residual ||G vec(I)^(x)n||_inf of the CSR generator `gen` over
+    the bound on ||G||_1 the engine checks it against, and the time of the engine's
+    check (`propagation._unital`); None for a checkout without the check."""
+    if not hasattr(propagation, "_unital"):
+        return None, None
+    action = lc.multi_slot_action(h, decs, n)
+    action._terms  # the factors, built before the check is timed
+    start = time.perf_counter()
+    propagation._unital(gen, action)
+    check_s = time.perf_counter() - start
+    residual = float(np.abs(gen @ lc.elementary_tensor([lc.identity(action.dim)] * n)).max())
+    return residual / action._norm_bound(), check_s
+
+
+def _build(h, decs, n):
+    """The n-slot generator built on an emptied store, and the time of ev.generator alone."""
+    propagation._release_engines()
+    with propagation._model_evolver(h, decs) as ev:
+        start = time.perf_counter()
+        gen = ev.generator(n)
+        return gen, time.perf_counter() - start
+
+
+def measure_assembly(levels) -> list[dict]:
+    """Cold assembly of each level: median and least time, tracemalloc peak and held
+    bytes' digest.  The timed builds go round the levels in turn, each level
+    built once untimed first, so a slow spell of the machine falls on many
+    levels' runs rather than on one level's."""
+    times = {name: [] for name, *_ in levels}
+    for name, h, decs, n in levels:
+        _build(h, decs, n)  # so no timed run pays for a first call's set-up
+    for run in range(ASSEMBLY_REPEATS):
+        for name, h, decs, n in levels:
+            if run < (3 if n == 3 else ASSEMBLY_REPEATS):
+                times[name].append(_build(h, decs, n)[1])
+    rows = []
+    for name, h, decs, n in levels:
+        gen = _build(h, decs, n)[0]
+        digest = hashlib.sha256()
+        for part in (gen.data, gen.indices, gen.indptr):
+            digest.update(part.tobytes())
+        residual, check_s = _unitality(gen, h, decs, n)
+        row = {"level": name, "order": gen.shape[0], "nnz": int(gen.nnz),
+               "held_b": int(gen.data.nbytes + gen.indices.nbytes + gen.indptr.nbytes),
+               "index_dtype": str(gen.indices.dtype), "sha256": digest.hexdigest(),
+               "build_s": statistics.median(times[name]), "build_min_s": min(times[name]),
+               "runs": len(times[name]), "unitality_residual": residual,
+               "unitality_check_s": check_s}
+        del gen
+        row["peak_b"] = _peak(lambda: _build(h, decs, n))
+        propagation._release_engines()
+        print(f"{name:32s} order {row['order']:7d} nnz {row['nnz']:9d} | build "
+              f"{row['build_s'] * 1e3:9.3f} ms (least {row['build_min_s'] * 1e3:9.3f}) | peak "
+              f"{row['peak_b'] / 2 ** 20:7.1f} MiB | residual {residual} | {row['sha256'][:12]}",
+              flush=True)
+        rows.append(row)
+    return rows
+
+
+def unitality_sweep() -> list[dict]:
+    """Unitality residuals of random exact and local models, 3 to 8 levels, 1 to 3
+    slots, of the levels whose CSR byte bound is under 2**28."""
+    rows = []
+    for d in range(3, 9):
+        for seed in range(3):
+            for local in (False, True):
+                h, decs = _random_model(d, 1000 + 10 * d + seed, local)
+                for n in (1, 2, 3):
+                    if lc.multi_slot_action(h, decs, n).csr_bytes() > 2 ** 28:
+                        continue
+                    gen = _call(h, decs, lambda ev: ev.generator(n))
+                    residual, check_s = _unitality(gen, h, decs, n)
+                    propagation._release_engines()
+                    rows.append({"model": f"random_{'local' if local else 'exact'}:d={d}:seed={seed}",
+                                 "slots": n, "residual": residual, "check_s": check_s})
+    return rows
+
+
 def _env() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "machine": platform.machine(),
@@ -438,11 +576,26 @@ def main(argv=None) -> int:
                         help="measure only the dimer OTOCs' propagators, under --label")
     parser.add_argument("--block-order", action="store_true",
                         help="measure only the 3-slot levels' blocks entries, under --label")
+    parser.add_argument("--assembly", action="store_true",
+                        help="measure only the cold assembly of levels, under --label")
     parser.add_argument("--label", default="change")
     args = parser.parse_args(argv)
     args.out = args.out or str(ROOT / ("BENCH_12.json" if args.dimer_otocs else
-                                       "BENCH_19.json" if args.block_order else "BENCH_10.json"))
+                                       "BENCH_19.json" if args.block_order else
+                                       "BENCH_21.json" if args.assembly else "BENCH_10.json"))
     rng = np.random.default_rng(9)
+    if args.assembly:
+        rows = measure_assembly(assembly_levels())
+        sweep = unitality_sweep() if hasattr(propagation, "_unital") else []
+        out = Path(args.out)
+        record = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+        record.setdefault("assembly", {})[args.label] = {
+            "script": "bench/blocks.py --assembly", "env": _env(), "repeats": ASSEMBLY_REPEATS,
+            "rows": rows, "unitality_sweep": sweep, "largest_residual": max(
+                [row["unitality_residual"] or 0.0 for row in rows] + [row["residual"] for row in sweep])}
+        out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        print(f"written to {args.out} under {args.label!r}")
+        return 0
     if args.block_order:
         rows = [measure_block_order(dim, args.repeats) for dim in (6, 9)]
         out = Path(args.out)
@@ -468,7 +621,7 @@ def main(argv=None) -> int:
     for name, *inputs in cases(rng):
         row, gen, labels = measure_case(name, *inputs, args.repeats)
         rows.append(row)
-        if row["level_assembly"] == "csr" and all(
+        if not row["level_within_budget"] and all(
                 len(labels) != len(seen) or gen.nnz != g.nnz for _n, g, seen in levels):
             levels.append((name, gen, labels))  # the OTOCs of one model share a level
     pull_backs = [measure_pull_back(*case, args.repeats) for case in pull_back_cases(rng)]

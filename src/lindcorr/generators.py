@@ -10,18 +10,24 @@ them:
   the duality checks' reference, written out on its own.
 * ``multi_slot_action`` — the full n-slot generator, held as its d x d
   operators.  One builder, ``_slot_factors``, makes its slot factors with a
-  given Kronecker product: the one place the generator is defined.  The
-  factors act matrix-free (``SlotKroneckerAction.apply``) or assemble, by one
-  loop, into a dense matrix (``to_dense`` with ``np.kron``, behind
-  ``multi_slot_generator``) or a CSR matrix (``to_csr`` with
-  ``scipy.sparse.kron``, making no dense d^2 x d^2 array).
+  given Kronecker product: the one place the generator is defined.  Its
+  terms, L on each slot and each channel's cross-factor pair on each slot
+  pair, are Kronecker products of the factors with identities; ``to_csr``
+  sums them into one CSR matrix, each term's entries placed by index
+  arithmetic from its factors' entries (``_kron``) and the terms added in
+  order by one sparse product (``_csr_sum``).  ``to_dense`` (behind
+  ``multi_slot_generator``) is that sum densified, and ``apply`` its product
+  with a vector.
 
-The propagation engine holds every level as one CSR matrix and picks the
-assembly by the slot tensor's length d**(2n): dense, stored without its zeros,
-up to ``DEFAULT_SLOT_BUDGET``, the measured crossover, and ``to_csr`` above it.
-The CSR slot factors are bounded in bytes from the operators' nonzeros before
-any is built, the CSR generator from the factors' nonzeros before it is
-assembled, and either bound over ``_CSR_BYTE_CAP`` is refused.
+The propagation engine holds every level as that CSR matrix, assembled the
+same way on both sides of ``DEFAULT_SLOT_BUDGET``.  Only the slot factors'
+form depends on d: they are built with ``np.kron`` while the one-slot level
+fits the budget, and from the d x d operators' entries above it, so no dense
+d^2 x d^2 array is made there.  The factors are bounded in bytes from the
+operators' nonzeros before any is built, the CSR generator from the factors'
+nonzeros before it is assembled, and either bound over ``_CSR_BYTE_CAP`` is
+refused.  A level's cold assembly, and its bytes, are recorded by
+``bench/blocks.py --assembly`` (BENCH_21.json).
 
 Channel bookkeeping: each decomposition contributes gamma0 with operator c0,
 then per mode gamma_down with C_j and gamma_up with C_j^dag, in that order.
@@ -49,6 +55,9 @@ from .operators import as_operator, dagger, identity, vec
 DEFAULT_SLOT_BUDGET = 256
 # the largest CSR generator admitted, in bytes
 _CSR_BYTE_CAP = 2 ** 30
+# the terms' entries that to_csr sums at once, about: a level holding more is
+# summed in runs of rows of its first slot, each with about this many
+_RUN = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -93,12 +102,93 @@ def _slot_factors(h, channels, eye, kron, cross: bool = False):
     return lind, pairs
 
 
-def _csr_forms():
-    """The identity (of a given order) and the Kronecker product of the CSR assembly."""
-    import scipy.sparse as sp  # imported here: only the sparse engine assembles
+def _dense_kron(a, b) -> np.ndarray:
+    # np.kron of two 2-d arrays, the same products without its generality
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
-    return (lambda n: sp.eye_array(n, dtype=complex, format="csr"),
-            lambda a, b: sp.kron(sp.csr_array(a), b, format="csr"))
+
+def _entries(f) -> tuple[np.ndarray, ...]:
+    """A matrix's nonzero entries row by row, as (values, columns, rows, places in
+    their rows, row lengths, row pointer); `f` is a dense or a canonical CSR array."""
+    rows, cols = f.nonzero()
+    lengths = np.bincount(rows, minlength=f.shape[0]).astype(np.int32)
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int32)
+    np.cumsum(lengths, out=indptr[1:])
+    values = f[rows, cols] if isinstance(f, np.ndarray) else f.data[f.data != 0]
+    return values, cols.astype(np.int32), rows, np.arange(len(rows)) - indptr[rows], lengths, indptr
+
+
+def _rows(block, lo: int, hi: int) -> tuple:
+    """Rows lo .. hi - 1 of the :func:`_entries` `block`, numbered from 0."""
+    v, c, r, p, lengths, indptr = block
+    a, z = indptr[lo], indptr[hi]
+    return (None if v is None else v[a:z], c[a:z], r[a:z] - lo, None if p is None else p[a:z],
+            lengths[lo:hi], indptr[lo:hi + 1] - a)
+
+
+def _kron(blocks, order: int) -> tuple[np.ndarray, ...]:
+    """The entries of the Kronecker product of `blocks`, the :func:`_entries` of
+    order x order matrices (without values or places for the identity), over the
+    broadcast shape of the blocks' entries: each one's row, column and place in its
+    row, the mixed-radix numbers of its factors' (places in radices of the factors'
+    row lengths, so the columns of a row come out sorted), and its value, their
+    product left to right as ``np.kron`` forms it (leaving out the identity's ones)."""
+    rows = cols = place = 0
+    values = None
+    for axis, (v, c, r, p, lengths, _indptr) in enumerate(blocks):
+        shape = (-1,) + (1,) * (len(blocks) - 1 - axis)
+        rows, cols = rows * order + r.reshape(shape), cols * order + c.reshape(shape)
+        if v is not None:
+            place = place * lengths[r].reshape(shape) + p.reshape(shape)
+            values = v.reshape(shape) if values is None else values * v.reshape(shape)
+    return rows, cols, place, values
+
+
+def _csr_sum(terms, order: int):
+    """The sum of `terms`, each the :func:`_entries` of order x order matrices
+    whose Kronecker product it is, as a CSR array.
+
+    V stacks the terms' CSR arrays, each entry placed at its row's start plus its
+    place (:func:`_kron`), and S = [I ... I], so S @ V adds each entry's terms in
+    term order from zero, as scipy adds CSR arrays, and stores no zero sum; a
+    single term is its own sum.  V is made for one run of rows of the first
+    factor at a time, each holding about ``_RUN`` entries, and the runs' sums
+    are joined, so no array of all the terms' entries is made.
+    """
+    import scipy.sparse as sp  # imported here: `import lindcorr` leaves it unloaded
+
+    k, size = len(terms), order ** len(terms[0])
+    # V's entries and S's; a run holds at least `size`, as its sum makes two arrays of that length
+    entries = max(sum(math.prod(len(b[1]) for b in t) for t in terms), k * size)
+    runs = min(order, max(1, -(-entries // max(_RUN, size))))
+    cuts, parts = [order * i // runs for i in range(runs + 1)], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        run, m = [[_rows(t[0], lo, hi), *t[1:]] for t in terms], (hi - lo) * (size // order)
+        ends = np.cumsum([0] + [math.prod(len(b[1]) for b in t) for t in run])
+        stacked = np.empty(ends[-1], dtype=complex), np.empty(ends[-1], dtype=np.int32)
+        indptr = np.zeros(k * m + 1, dtype=np.int32)  # row j m + i: row i of term j
+        for j, t in enumerate(run):
+            row_ends = indptr[j * m + 1:][:m]
+            np.cumsum(reduce(np.multiply.outer, [b[4] for b in t]).ravel(), out=row_ends)
+            row_ends += ends[j]
+            rows, cols, place, values = _kron(t, order)
+            at = indptr[j * m + rows] + place
+            stacked[0][at], stacked[1][at] = values, cols
+        a = sp.csr_array((*stacked, indptr), shape=(k * m, size))
+        if k > 1:
+            s = np.arange(m, dtype=np.int32)[:, None] + m * np.arange(k, dtype=np.int32)
+            a = sp.csr_array((np.ones(k * m, dtype=complex), s.ravel(),
+                              np.arange(0, k * m + 1, k, dtype=np.int32)), shape=(m, k * m)) @ a
+            a.sort_indices()
+        parts.append((a.data, a.indices, a.indptr))
+    if runs == 1:
+        return a
+    starts = np.cumsum([0] + [len(part[0]) for part in parts], dtype=np.int32)
+    indptr = np.concatenate([[0], *(part[2][1:] + start for part, start in zip(parts, starts))])
+    a, parts = None, list(zip(*parts))  # each run's array is then freed once it is joined
+    data = np.concatenate(parts.pop(0))
+    return sp.csr_array((data, np.concatenate(parts.pop(0)), indptr.astype(np.int32)),
+                        shape=(size, size))
 
 
 @dataclass(frozen=True)
@@ -106,9 +196,15 @@ class SlotKroneckerAction:
     """The n-slot generator, held as its d x d operators.
 
     Its terms are L on each slot and each channel's cross-factor pair on each
-    slot pair m1 < m2.  :meth:`to_dense` and :meth:`to_csr` build the factors
-    with their own Kronecker product and assemble each term with identities on
-    the other slots; :meth:`apply` contracts the CSR factors slot by slot.
+    slot pair m1 < m2, in that order, each with the identity on the slots it
+    leaves alone.  The slot factors are built once, with ``np.kron`` while the
+    one-slot level fits the budget and from the d x d operators' entries above
+    it, so no dense d^2 x d^2 array is made there, and kept as their nonzero
+    entries.  :meth:`to_csr` is the one assembly: each term's entries are placed
+    by index arithmetic from its factors' and the terms are added in order
+    (:func:`_csr_sum`), which stores the nonzeros of the sum of the terms' dense
+    ``np.kron`` products, value for value; :meth:`to_dense` is that sum
+    densified and :meth:`apply` its product with a vector.
     """
 
     dim: int
@@ -116,35 +212,28 @@ class SlotKroneckerAction:
     hamiltonian: np.ndarray
     channels: tuple[tuple[float, np.ndarray], ...]
 
-    def _terms(self, eye, kron) -> list[tuple[tuple[int, object], ...]]:
-        # each term as (slot, factor) pairs over distinct slots
-        lind, pairs = _slot_factors(self.hamiltonian, self.channels, eye(self.dim), kron,
+    @cached_property
+    def _terms(self) -> list[tuple[tuple[int, tuple], ...]]:
+        # each term as (slot, factor) pairs over distinct slots, a factor as its
+        # _entries; above the budget each Kronecker product of two d x d operators
+        # is summed from their entries as well
+        kron = _dense_kron if _dense_fits(self.dim, 1) else (
+            lambda a, b: _csr_sum([[_entries(a), _entries(b)]], self.dim))
+        lind, pairs = _slot_factors(self.hamiltonian, self.channels, identity(self.dim), kron,
                                     cross=self.slots > 1)
+        lind, pairs = _entries(lind), [(_entries(f1), _entries(f2)) for f1, f2 in pairs]
         slots = range(1, self.slots + 1)
         return [((slot, lind),) for slot in slots] + [
             ((m1, f1), (m2, f2)) for m1, m2 in combinations(slots, 2) for f1, f2 in pairs]
 
-    @cached_property
-    def _csr_terms(self):
-        # shared by csr_bytes, to_csr and apply, so the factors are built once
-        return self._terms(*_csr_forms())
-
     def apply(self, coords: np.ndarray) -> np.ndarray:
-        d2 = self.dim ** 2
-        shape = (d2,) * self.slots
-        t = np.asarray(coords, dtype=complex).reshape(shape)
-        out = np.zeros(shape, dtype=complex)
-        for factors in self._csr_terms:
-            y = t
-            for slot, f in factors:
-                y = np.moveaxis(y, slot - 1, 0)
-                y = np.moveaxis((f @ y.reshape(d2, -1)).reshape(y.shape), 0, slot - 1)
-            out += y
-        return out.reshape(-1)
+        """G_n applied to the slot tensor `coords`, by the assembled CSR matrix."""
+        return self.to_csr() @ np.asarray(coords, dtype=complex)
 
     def _factor_bytes(self) -> int:
-        """Bound on the CSR slot factors' bytes (20 per entry, 4 per row) from the d x d
-        operators' nonzeros: nnz(kron(A, B)) = nnz(A) nnz(B), and L has <= d**4."""
+        """Bound on the bytes of the slot factors' CSR arrays (20 per entry, 4 per row)
+        from the d x d operators' nonzeros: nnz(kron(A, B)) = nnz(A) nnz(B), and L
+        has <= d**4."""
         d, cross = self.dim, self.slots > 1
         lind, pairs = 2 * d * int(np.count_nonzero(self.hamiltonian)), 0
         for _rate, c in self.channels:
@@ -155,28 +244,29 @@ class SlotKroneckerAction:
         return 20 * nnz + 4 * (d * d + 1) * (1 + cross * 2 * len(self.channels))
 
     def csr_bytes(self) -> int:
-        """Upper bound on the bytes of :meth:`to_csr`, from the CSR factors' nonzeros.
+        """Upper bound on the bytes of :meth:`to_csr`, from the factors' nonzeros.
 
         A term stores the product of its factors' nonzeros times d**2 per slot
         it leaves alone; the terms' sum stores at most their total.  Each entry
         takes 16 bytes of value and 4 of column index, each row 4 of pointer.
         """
         d2 = self.dim ** 2
-        nnz = sum(math.prod(f.count_nonzero() for _slot, f in factors)
-                  * d2 ** (self.slots - len(factors)) for factors in self._csr_terms)
+        nnz = sum(math.prod(len(f[0]) for _slot, f in factors)
+                  * d2 ** (self.slots - len(factors)) for factors in self._terms)
         return 20 * nnz + 4 * (d2 ** self.slots + 1)
 
-    def _assemble(self, terms, eye, kron):
-        # the sum of the terms, each the Kronecker product of its factors with
-        # the identity on the slots it leaves alone
-        eye = eye(self.dim ** 2)
-        total = None
-        for factors in terms:
-            by_slot = dict(factors)
-            blocks = [by_slot[s] if s in by_slot else eye for s in range(1, self.slots + 1)]
-            term = reduce(kron, blocks)
-            total = term if total is None else total + term
-        return total
+    def _norm_bound(self) -> float:
+        """Upper bound on the generator's 1-norm: a term's is the product of its
+        factors' (the identity's is 1), and the sum's at most the terms' total."""
+        factors = {id(f): f for term in self._terms for _slot, f in term}
+        norms = {key: np.bincount(f[1], np.abs(f[0]), len(f[4])).max() for key, f in factors.items()}
+        return sum(math.prod(norms[id(f)] for _slot, f in term) for term in self._terms)
+
+    def _assemble(self):
+        count = np.arange(self.dim ** 2 + 1, dtype=np.int32)  # the identity's entries
+        eye = (None, count[:-1], count[:-1], None, np.ones(self.dim ** 2, dtype=np.int32), count)
+        return _csr_sum([[dict(t).get(s, eye) for s in range(1, self.slots + 1)]
+                         for t in self._terms], self.dim ** 2)
 
     def to_dense(self) -> np.ndarray:
         """The generator as a dense matrix, refused with SlotBudgetError when its
@@ -184,17 +274,16 @@ class SlotKroneckerAction:
         if not _dense_fits(self.dim, self.slots):
             raise SlotBudgetError(slots=self.slots, required=self.dim ** (2 * self.slots),
                                   budget=DEFAULT_SLOT_BUDGET)
-        return self._assemble(self._terms(identity, np.kron), identity, np.kron)
+        return self._assemble().toarray()
 
     def to_csr(self):
-        """The generator as a scipy.sparse CSR array, built from CSR factors only;
-        refused with SlotBudgetError, before assembly, when :meth:`csr_bytes`
-        exceeds ``_CSR_BYTE_CAP``."""
+        """The generator as a scipy.sparse CSR array; refused with SlotBudgetError,
+        before assembly, when :meth:`csr_bytes` exceeds ``_CSR_BYTE_CAP``."""
         size = self.csr_bytes()
         if size > _CSR_BYTE_CAP:
             raise SlotBudgetError(slots=self.slots, required=size, budget=_CSR_BYTE_CAP,
                                   quantity="sparse generator bytes")
-        return self._assemble(self._csr_terms, *_csr_forms())
+        return self._assemble()
 
 
 def _as_decomps(decomp) -> tuple[JumpDecomposition, ...]:
@@ -263,10 +352,10 @@ def _dense_fits(dim: int, n_slots: int) -> bool:
 def multi_slot_generator(hamiltonian, decomp, n_slots: int) -> SuperOperator:
     """Dense n-slot generator: single-slot Lindbladians plus all cross terms.
 
-    The dense assembly of :func:`multi_slot_action`; for n_slots = 1 this is
-    exactly the adjoint Lindbladian.  Memory guard: the state dimension
-    d**(2n) must stay within DEFAULT_SLOT_BUDGET (the dense matrix then holds
-    at most DEFAULT_SLOT_BUDGET**2 entries).
+    The CSR sum of :func:`multi_slot_action`, densified (``to_dense``); for
+    n_slots = 1 this equals the adjoint Lindbladian.  Memory guard: the state
+    dimension d**(2n) must stay within DEFAULT_SLOT_BUDGET (the dense matrix then
+    holds at most DEFAULT_SLOT_BUDGET**2 entries).
     """
     action = multi_slot_action(hamiltonian, decomp, n_slots)
     return SuperOperator(dim=action.dim, slots=n_slots, matrix=action.to_dense())

@@ -8,11 +8,15 @@ one dot product per point.  For general time patterns `w` also carries the
 earlier insertions: it is pulled back through them once per sweep.
 
 A level of n slots has d**(2n) coordinates, and its generator is held as one
-CSR matrix.  Up to ``generators.DEFAULT_SLOT_BUDGET`` coordinates, the
-measured crossover, it is assembled dense and stored without its zeros; above,
-it is assembled from CSR slot factors, whose byte bound is checked against the
-cap before assembly (SlotBudgetError).  The budget decides how each run of a
-grid is stepped (below), never what a level holds.
+CSR matrix, assembled the same way at every size
+(``generators.SlotKroneckerAction.to_csr``: each term's entries placed by
+index arithmetic from its slot factors', the terms added in order), its byte
+bound checked against the cap before assembly (SlotBudgetError).  When it is
+built it is checked once to be unital: ||G_n vec(I)^(x)n||_inf may be at most
+``_UNITAL_RTOL`` times a bound on ||G_n||_1 read from the factors, one
+matrix-vector product (NumericsError).  The slot budget,
+``generators.DEFAULT_SLOT_BUDGET`` coordinates, the measured crossover,
+decides how each run of a grid is stepped (below), never what a level holds.
 
 Every level is split into blocks that its generator never couples (under
 the exact decomposition G_n conserves the total Bohr frequency over all
@@ -112,7 +116,6 @@ from .generators import (
     dissipation_channels,
     elementary_tensor,
     multi_slot_action,
-    multi_slot_generator,
 )
 from .models import SystemModel
 from .operators import as_operator, dagger, expm, identity, is_hermitian, unvec, vec
@@ -573,6 +576,26 @@ def _block_labels(gen) -> np.ndarray:
 _SINGLE_USE_ORDER = 49
 
 
+# the largest unitality residual ||G_n vec(I)^(x)n||_inf over the bound on ||G_n||_1
+# admitted; on the benchmarked levels and on random exact and local models of 3 to
+# 8 levels and 1 to 3 slots at most 1.2e-16 was measured (BENCH_21.json)
+_UNITAL_RTOL = 1e-13
+
+
+def _unital(gen, action):
+    """`gen`, the CSR generator of `action`, once it annihilates the identity on
+    every slot within ``_UNITAL_RTOL`` of the bound on its 1-norm, read from the
+    action's factors, so the check is one matrix-vector product; else NumericsError."""
+    unit = reduce(np.multiply.outer, [np.eye(action.dim).ravel()] * action.slots).ravel()
+    residual = float(np.abs(gen @ unit).max())
+    bound = _UNITAL_RTOL * action._norm_bound()
+    if not residual <= bound:
+        raise NumericsError(f"the {action.slots}-slot generator is not unital: ||G vec(I)||_inf = "
+                            f"{residual:.3e} exceeds the bound {bound:.3e} ({_UNITAL_RTOL:.0e} "
+                            f"times a bound on ||G||_1)")
+    return gen
+
+
 class _SlotEvolver:
     """Propagation engine of one (hamiltonian, decomps) model, made for one call.
 
@@ -612,15 +635,12 @@ class _SlotEvolver:
         return _held(entry, build)
 
     def generator(self, n_slots: int):
-        """G_n as a CSR matrix.  Within the budget it is assembled dense, which is
-        faster there than the sparse Kronecker assembly, and stored without its
-        zeros; above, it is assembled from CSR slot factors, its bytes checked
-        before assembly."""
+        """G_n as a CSR matrix, summed from its slot-factor terms
+        (``SlotKroneckerAction.to_csr``, its bytes checked before assembly), and
+        checked once, when built, to be unital (:func:`_unital`)."""
         def build():
-            if not _dense_fits(self.dim, n_slots):
-                return multi_slot_action(self.h, self.decomps, n_slots).to_csr()
-            import scipy.sparse as sp  # imported here: `import lindcorr` leaves it unloaded
-            return sp.csr_array(multi_slot_generator(self.h, self.decomps, n_slots).matrix)
+            action = multi_slot_action(self.h, self.decomps, n_slots)
+            return _unital(action.to_csr(), action)
         return self._cached("generator", n_slots, build)
 
     def blocks(self, n_slots: int) -> list:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lindcorr import CorrelatorTrace, cli, decompose_model, evolve_density, generators, otoc, qrt_correlator
+from lindcorr import CorrelatorTrace, NumericsError, cli, decompose_model, evolve_density, generators, otoc, qrt_correlator
 from lindcorr import propagation
 from lindcorr import sigma_minus, sigma_plus, sigma_x, sigma_z, two_level_atom
 
@@ -480,6 +480,26 @@ def test_degenerate_steady_state_exits_two(tmp_path, capsys):
     cfg = {"model": _atom_config(gamma=0.0), "task": "steady"}
     assert cli.run(_write(tmp_path, cfg)) == 2
     assert "null space" in capsys.readouterr().err
+
+
+def test_non_unital_generator_raises_and_exits_two(tmp_path, capsys, monkeypatch):
+    # L corrupted by eps (I (x) X) maps the identity to eps vec(X): the engine refuses
+    # the level it builds, naming the level, the residual and the bound, and the CLI
+    # exits with code 2
+    slot_factors = generators._slot_factors
+
+    def corrupted(h, channels, eye, kron, cross=False):
+        lind, pairs = slot_factors(h, channels, eye, kron, cross)
+        return lind + 1e-9 * kron(eye, np.ones_like(h)), pairs
+
+    monkeypatch.setattr(generators, "_slot_factors", corrupted)
+    model = two_level_atom(1.0, 0.1, 0.5)
+    with pytest.raises(NumericsError, match=r"^the 2-slot generator is not unital: \|\|G vec\(I\)"
+                                            r"\|\|_inf = 2\.0\d*e-09 exceeds the bound \d\.\d+e-1[34] "
+                                            r"\(1e-13 times a bound on \|\|G\|\|_1\)$"):
+        otoc(model.hamiltonian, decompose_model(model), sigma_x, sigma_z, np.eye(2) / 2, [0.0, 1.0])
+    assert cli.run(_write(tmp_path, {"model": _atom_config(temperature=0.5), "task": "steady"})) == 2
+    assert "the 1-slot generator is not unital" in capsys.readouterr().err
 
 
 def test_unknown_state_name(tmp_path, capsys):

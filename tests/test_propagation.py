@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -35,10 +36,12 @@ from lindcorr import (
     general_correlator,
     identity,
     integrate_ode,
+    local_decomposition,
     multi_slot_action,
     multi_slot_generator,
     otoc,
     qrt_correlator,
+    sigma_minus,
     sigma_plus,
     sigma_x,
     sigma_z,
@@ -998,11 +1001,9 @@ def _otoc_inputs(rng, dim):
 
 
 def _count_assembly(monkeypatch):
-    """Levels assembled, one entry (n_slots) per dense or CSR generator built."""
+    """Levels assembled, one entry (n_slots) per generator built."""
     built = []
-    dense, action = propagation.multi_slot_generator, propagation.multi_slot_action
-    monkeypatch.setattr(propagation, "multi_slot_generator",
-                        lambda h, d, n: built.append(n) or dense(h, d, n))
+    action = propagation.multi_slot_action
     monkeypatch.setattr(propagation, "multi_slot_action",
                         lambda h, d, n: built.append(n) or action(h, d, n))
     return built
@@ -1144,7 +1145,7 @@ def test_engine_over_cap_is_released_before_next_build(rng, monkeypatch):
     # entry, cap 0 all of them
     dimer_args = (*_otoc_inputs(rng, 4), np.linspace(0.0, 2.0, 5))
     qubit_args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
-    dense = propagation.multi_slot_generator
+    action = propagation.multi_slot_action
     dimer_model, qubit_model = _dimer(), _qubit()
     for over in (1, None):
         propagation._release_engines()  # also the models' held decompositions
@@ -1153,10 +1154,10 @@ def test_engine_over_cap_is_released_before_next_build(rng, monkeypatch):
         cap = 0 if over is None else held_bytes() - over
         monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", cap)
         seen = []
-        monkeypatch.setattr(propagation, "multi_slot_generator",
-                            lambda h, d, n: seen.append(list(held())) or dense(h, d, n))
+        monkeypatch.setattr(propagation, "multi_slot_action",
+                            lambda h, d, n: seen.append(list(held())) or action(h, d, n))
         otoc(*qubit_model, *qubit_args)
-        monkeypatch.setattr(propagation, "multi_slot_generator", dense)
+        monkeypatch.setattr(propagation, "multi_slot_action", action)
         assert len(dimer) > 1 and seen and seen[0] == (dimer[1:] if over else [])
     assert len(_held_models()) == 1
 
@@ -1298,23 +1299,51 @@ def test_lowered_budget_switches_held_engine(rng, monkeypatch):
     assert np.max(np.abs(dense.values - free.values)) < 1e-12
 
 
-def test_held_levels_within_budget_are_csr_of_the_dense_generator():
-    # one level form: a level within the budget is held as CSR, with the dense
-    # assembly's entries bit for bit and none of its zeros stored
+def _dense_kron_reference(action):
+    """The level as a reference: each of the action's own terms a dense np.kron
+    product of its factors, with the identity on the slots it leaves alone, the
+    terms summed in term order and stored without zeros."""
     import scipy.sparse
 
-    qubit = _qubit(gamma=0.1, temperature=0.5)
-    for (h, decs), levels in ((_dimer(), (1, 2)), (qubit, (1, 2, 3, 4))):
+    d2, total = action.dim ** 2, 0
+    for term in action._terms:
+        by_slot, blocks = dict(term), []
+        for slot in range(1, action.slots + 1):
+            block = np.eye(d2, dtype=complex)
+            if slot in by_slot:
+                values, cols, rows, *_ = by_slot[slot]
+                block = np.zeros((d2, d2), dtype=complex)
+                block[rows, cols] = values
+            blocks.append(block)
+        total = total + reduce(np.kron, blocks)
+    return scipy.sparse.csr_array(total)
+
+
+def test_held_levels_equal_the_dense_kron_reference(rng):
+    # one assembly: the engine's held level has the reference's entries, column
+    # indices and row pointer, with the same index dtype, on levels of order 4 to 1296
+    dimer = coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6)
+    sites = [np.kron(sigma_minus, identity(2)), np.kron(identity(2), sigma_minus)]
+    local = tuple(assign_rates(local_decomposition(np.zeros((4, 4)), [(op, w)]), c.bath)
+                  for op, w, c in zip(sites, (1.0, 1.25), dimer.couplings))
+    models = [((dimer.hamiltonian, decompose_model(dimer)), (1, 2)),
+              ((dimer.hamiltonian, local), (1, 2)),
+              (_qubit(gamma=0.1, temperature=0.5), (1, 2, 3, 4)),
+              ((_oscillator(6).hamiltonian, decompose_model(_oscillator(6))), (1, 2))]
+    for d in (3, 4):
+        h = random_hermitian(rng, d)
+        bath = BathSpec(temperature=0.5, rate_profile=0.1, gamma0=0.05)
+        models.append(((h, assign_rates(exact_bohr_decomposition(h, random_hermitian(rng, d)), bath)),
+                       (1, 2)))
+    for (h, decs), levels in models:
         for n in levels:
             with propagation._model_evolver(h, decs) as ev:
                 ev.generator(n)
-            assert generators._dense_fits(ev.dim, n)
             gen = held("generator", ev.key)[n]
-            matrix = multi_slot_generator(h, decs, n).matrix
-            assert scipy.sparse.issparse(gen) and gen.format == "csr"
-            assert gen.toarray().tobytes() == matrix.tobytes()
-            assert gen.nnz == np.count_nonzero(matrix)
-        assert all(scipy.sparse.issparse(m) for m in held("generator", ev.key).values())
+            ref = _dense_kron_reference(multi_slot_action(h, decs, n))
+            for got, want in ((gen.data, ref.data), (gen.indices, ref.indices),
+                              (gen.indptr, ref.indptr)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_lowered_budget_reuses_held_level(rng, monkeypatch):
