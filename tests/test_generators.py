@@ -236,6 +236,17 @@ def test_multi_slot_action_transpose_matches_dense(rng):
         assert np.max(np.abs(transposed @ y - dense.T @ y)) < 1e-12
 
 
+def test_multi_slot_action_csr_matches_dense():
+    model = two_level_atom(1.0, 0.15, 0.4)
+    h = model.hamiltonian
+    decs = decompose_model(model)
+    for n in (1, 2, 3):
+        dense = multi_slot_generator(h, decs, n).matrix
+        csr = multi_slot_action(h, decs, n).to_csr()
+        assert csr.format == "csr"
+        assert np.array_equal(csr.toarray(), dense)
+
+
 def test_csr_bytes_bound_the_assembled_matrix():
     for model in (two_level_atom(1.0, 0.15, 0.4), coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6),
                   truncated_oscillator(omega0=1.0, dim=5, gamma=0.1, temperature=0.5)):

@@ -1299,6 +1299,25 @@ def test_lowered_budget_switches_held_engine(rng, monkeypatch):
     assert np.max(np.abs(dense.values - free.values)) < 1e-12
 
 
+def test_held_levels_within_budget_are_csr_of_the_dense_generator():
+    # one level form: a level within the budget is held as CSR, with the dense
+    # assembly's entries bit for bit and none of its zeros stored
+    import scipy.sparse
+
+    qubit = _qubit(gamma=0.1, temperature=0.5)
+    for (h, decs), levels in ((_dimer(), (1, 2)), (qubit, (1, 2, 3, 4))):
+        for n in levels:
+            with propagation._model_evolver(h, decs) as ev:
+                ev.generator(n)
+            assert generators._dense_fits(ev.dim, n)
+            gen = held("generator", ev.key)[n]
+            matrix = multi_slot_generator(h, decs, n).matrix
+            assert scipy.sparse.issparse(gen) and gen.format == "csr"
+            assert gen.toarray().tobytes() == matrix.tobytes()
+            assert gen.nnz == np.count_nonzero(matrix)
+        assert all(scipy.sparse.issparse(m) for m in held("generator", ev.key).values())
+
+
 def _dense_kron_reference(action):
     """The level as a reference: each of the action's own terms a dense np.kron
     product of its factors, with the identity on the slots it leaves alone, the
