@@ -54,7 +54,7 @@ With `--dimer-otocs` it measures only the Pauli-string OTOCs of the dimer
 cold sweep (from a store holding only the level's generator and blocks) and
 the warm one (on what the cold sweep left held), the sizes of the touched
 blocks, the order of every `expm` the cold sweep made and the bytes held
-after it (`propagation._counts["bytes"]`: generator, block labels and order,
+after it (`_held.counts["bytes"]`: generator, block labels and order,
 and propagators).  The rows go under `--label` in the key
 "dimer_otocs" of `--out` (default BENCH_12.json).
 
@@ -109,7 +109,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import lindcorr as lc  # noqa: E402
-from lindcorr import generators, propagation  # noqa: E402
+from lindcorr import _held, generators, propagation  # noqa: E402
 
 TAUS = np.linspace(0.0, 10.0, 41)
 OSCILLATOR = dict(omega0=1.0, gamma=0.1, temperature=0.5)
@@ -215,13 +215,18 @@ def _call(h, decs, act):
 
 
 def _keep_level(h, decs, n: int) -> None:
-    """Leave only the n-slot level's generator and blocks held: one call that uses
-    them, under an idle-byte cap of 0, so every other entry is dropped."""
-    cap, propagation._IDLE_BYTE_CAP = propagation._IDLE_BYTE_CAP, 0
+    """Leave only the n-slot level's generator and blocks held."""
+    _hold_only(h, decs, lambda ev: (ev.generator(n), ev.blocks(n)))
+
+
+def _hold_only(h, decs, act) -> None:
+    """Leave only the entries `act(ev)` uses held: one call that uses them, under an
+    idle-byte cap of 0, so every other entry is dropped."""
+    cap, _held.IDLE_BYTE_CAP = _held.IDLE_BYTE_CAP, 0
     try:
-        _call(h, decs, lambda ev: (ev.generator(n), ev.blocks(n)))
+        _call(h, decs, act)
     finally:
-        propagation._IDLE_BYTE_CAP = cap
+        _held.IDLE_BYTE_CAP = cap
 
 
 def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, object, np.ndarray]:
@@ -229,9 +234,9 @@ def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, 
     n = len(b_ops)
     tensor = lc.elementary_tensor(b_ops)
     w = lc.contraction_functional(a_ops, rho)
-    within = generators._dense_fits(h.shape[0], n)
+    within = generators._within_budget(h.shape[0] ** (2 * n))
     assemble_s, gen = _median(lambda: _call(h, decs, lambda ev: ev.generator(n)), repeats,
-                              setup=propagation._release_engines)
+                              setup=_held.drop_all)
     labels_s, labels = _median(lambda: propagation._block_labels(gen), repeats)
     sizes = np.bincount(labels)
     _labels, coords = _call(h, decs, lambda ev: ev._level(n, tensor, w))
@@ -240,7 +245,7 @@ def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, 
         coords = np.arange(len(tensor))
     extract_csr_s, part = _median(lambda: gen[coords][:, coords], repeats)
     extract_dense_s = (_median(lambda: gen[coords][:, coords].toarray(), repeats)[0]
-                       if generators._dense_order(order) else None)
+                       if generators._within_budget(order) else None)
 
     def full_sweep():
         if not within:
@@ -263,7 +268,7 @@ def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, 
     sweep()
     warm_s, _ = _median(sweep, repeats)
     scale = float(np.max(np.abs(expected))) or 1.0
-    engine = "dense" if generators._dense_order(order) else "csr"
+    engine = "dense" if generators._within_budget(order) else "csr"
     row = {
         "case": name, "slots": n, "level_order": len(tensor),
         "level_within_budget": within,
@@ -307,7 +312,7 @@ def measure_dimer_otoc(name, h, decs, a_ops, b_ops, rho, repeats: int) -> dict:
         sweep()
     finally:
         propagation.expm = expm
-    held_b = propagation._counts["bytes"]  # the other models' entries went with _keep_level
+    held_b = _held.counts["bytes"]  # the other models' entries went with _keep_level
     warm_s, _ = _median(sweep, repeats)
     row = {"case": name, "level_order": gen.shape[0], "sweep_cold_s": cold_s, "sweep_warm_s": warm_s,
            "touched_block_sizes": sorted(int(b) for b in sizes[sizes > 0]),
@@ -464,7 +469,7 @@ def _unitality(gen, h, decs, n: int) -> tuple[float | None, float | None]:
 
 def _build(h, decs, n):
     """The n-slot generator built on an emptied store, and the time of ev.generator alone."""
-    propagation._release_engines()
+    _held.drop_all()
     with propagation._model_evolver(h, decs) as ev:
         start = time.perf_counter()
         gen = ev.generator(n)
@@ -498,7 +503,7 @@ def measure_assembly(levels) -> list[dict]:
                "unitality_check_s": check_s}
         del gen
         row["peak_b"] = _peak(lambda: _build(h, decs, n))
-        propagation._release_engines()
+        _held.drop_all()
         print(f"{name:32s} order {row['order']:7d} nnz {row['nnz']:9d} | build "
               f"{row['build_s'] * 1e3:9.3f} ms (least {row['build_min_s'] * 1e3:9.3f}) | peak "
               f"{row['peak_b'] / 2 ** 20:7.1f} MiB | residual {residual} | {row['sha256'][:12]}",
@@ -520,7 +525,7 @@ def unitality_sweep() -> list[dict]:
                         continue
                     gen = _call(h, decs, lambda ev: ev.generator(n))
                     residual, check_s = _unitality(gen, h, decs, n)
-                    propagation._release_engines()
+                    _held.drop_all()
                     rows.append({"model": f"random_{'local' if local else 'exact'}:d={d}:seed={seed}",
                                  "slots": n, "residual": residual, "check_s": check_s})
     return rows
@@ -536,34 +541,34 @@ def measure_block_order(dim: int, repeats: int) -> dict:
     """Cold cost of the 3-slot level's blocks entry of a `dim`-level oscillator."""
     model = lc.truncated_oscillator(dim=dim, **OSCILLATOR)
     h, decs = model.hamiltonian, lc.decompose_model(model)
-    propagation._release_engines()
+    _held.drop_all()
     _call(h, decs, lambda ev: ev.generator(3))
-    key = propagation._SlotEvolver(h, decs).key
 
-    def drop():  # the blocks entry only, and its bytes
-        with propagation._held_lock:
-            record = propagation._store.pop((key, "blocks", 3), None)
-            propagation._counts["bytes"] -= 0 if record is None else record[2]
+    def drop():  # the blocks entry: only the generator stays held
+        _hold_only(h, decs, lambda ev: ev.generator(3))
+
+    def blocks():
+        return _call(h, decs, lambda ev: ev.blocks(3))
 
     def entry_bytes():
-        return propagation._nbytes(propagation._store[key, "blocks", 3][0])
+        return _held.nbytes(blocks())
 
-    entry_s, _ = _median(lambda: _call(h, decs, lambda ev: ev.blocks(3)), repeats, setup=drop)
+    entry_s, _ = _median(blocks, repeats, setup=drop)
     everywhere = np.ones(dim ** 6, dtype=complex)
     whole_s, _ = _median(lambda: _call(h, decs, lambda ev: ev._level(3, everywhere)), repeats)
     whole_b = entry_bytes()
-    labels = propagation._store[key, "blocks", 3][0][0]
+    labels = blocks()[0]
     one = (labels == labels[0]).astype(complex)
 
     def cold_entry():
         drop()
-        _call(h, decs, lambda ev: ev.blocks(3))
+        blocks()
     group_s, _ = _median(lambda: _call(h, decs, lambda ev: ev._level(3, one)), repeats,
                          setup=cold_entry)
     row = {"level": f"oscillator:d={dim},n=3", "order": dim ** 6, "labels_b": int(labels.nbytes),
            "entry_s": entry_s, "stepped_whole_s": whole_s, "stepped_whole_entry_b": whole_b,
            "first_grouping_s": group_s, "grouped_entry_b": entry_bytes()}
-    propagation._release_engines()
+    _held.drop_all()
     print(row, flush=True)
     return row
 

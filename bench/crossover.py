@@ -52,7 +52,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import lindcorr as lc  # noqa: E402
-from lindcorr import generators, propagation  # noqa: E402
+from lindcorr import _held, generators, propagation  # noqa: E402
 
 ORDERS = (144, 196, 256, 324, 400, 625, 900, 1296)
 TAUS = np.linspace(0.0, 10.0, 41)
@@ -97,13 +97,13 @@ def timed(call, warm: bool, repeats: int) -> tuple[float, np.ndarray]:
     """Median seconds of `repeats` calls, and the values of the last one."""
     times = []
     for _ in range(repeats):
-        propagation._release_engines()
+        _held.drop_all()
         if warm:
             call()
         start = time.perf_counter()
         values = call().values
         times.append(time.perf_counter() - start)
-    propagation._release_engines()
+    _held.drop_all()
     return statistics.median(times), np.asarray(values)
 
 

@@ -48,7 +48,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import lindcorr as lc  # noqa: E402
-from lindcorr import generators, propagation  # noqa: E402
+from lindcorr import _held, generators, propagation  # noqa: E402
 
 DIMS = (6, 9, 12, 17, 20, 30, 40)
 OSCILLATOR = dict(omega0=1.0, gamma=0.1, temperature=0.5)
@@ -90,20 +90,20 @@ def timed(call, warm: bool, repeats: int):
     """Median seconds of `repeats` calls, the tracemalloc peak of one more, and its result."""
     times = []
     for _ in range(repeats):
-        propagation._release_engines()
+        _held.drop_all()
         if warm:
             call()
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
-    propagation._release_engines()
+    _held.drop_all()
     if warm:
         call()
     tracemalloc.start()
     result = call()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    propagation._release_engines()
+    _held.drop_all()
     return {"s": statistics.median(times), "peak_mb": peak / 2 ** 20}, result
 
 

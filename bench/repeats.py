@@ -10,7 +10,7 @@ Run it from the root of a checkout: it imports lindcorr from that checkout's
 and OpenMP threads fixed at 1 it makes three calls in a row of each workload
 below on one held engine and records, per call, the median time over
 `--repeats` sequences (each from no held entry), the bytes held after the
-call (`propagation._counts["bytes"]`) and whether the call returned the bytes
+call (`_held.counts["bytes"]`) and whether the call returned the bytes
 of the first call:
 
 * the dimer OTOC W = XI, V = ZZ against the steady state on the 400-point
@@ -36,8 +36,8 @@ calls.  First a scan: the dimer OTOC W = XI, V = ZZ on the grid
 linspace(0, 20, 41) against the steady state, at each of `--scan-points`
 bath temperatures from 0.2 to 2.0, each a new model; after each call it
 records the `_SlotEvolver` objects alive (found by `gc` after a full
-collection), the bytes held (`propagation._counts["bytes"]`; beyond the last
-call's own entries they are idle, bounded by `propagation._IDLE_BYTE_CAP`)
+collection), the bytes held (`_held.counts["bytes"]`; beyond the last
+call's own entries they are idle, bounded by `_held.IDLE_BYTE_CAP`)
 and the process's ru_maxrss.  Then `--rounds` passes of three interleaved
 sequences, each pass from no held entry over `--repeats` sequences, with the
 median time of every call: the
@@ -49,7 +49,7 @@ and the 9-level oscillator, two calls on each model's two levels.  The first
 pass is cold; a later call is warm when what it uses is still held.  Each
 call's values are checked to be the bytes of its first pass.  The first of
 the `--repeats` runs also records after every call the bytes held and, from
-`propagation._counts`, the hits, misses and evictions of the call's lookups
+`_held.counts`, the hits, misses and evictions of the call's lookups
 of held entries and, where they are counted, the actions' matrix-vector
 products and 1-norm estimates; the products and estimates of each round are
 printed.
@@ -106,7 +106,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import lindcorr as lc  # noqa: E402
-from lindcorr import propagation  # noqa: E402
+from lindcorr import _held, propagation  # noqa: E402
 from lindcorr.operators import hermitian_eig  # noqa: E402
 
 DIMER = dict(omega1=1.0, omega2=1.25, g=0.3, gamma1=0.08, gamma2=0.05, temperature=0.6)
@@ -163,7 +163,7 @@ def measure_calls(name, call, repeats: int) -> dict:
     times = [[] for _ in range(CALLS)]
     held, same = [], []
     for _sequence in range(repeats):
-        propagation._release_engines()
+        _held.drop_all()
         first = None
         for k in range(CALLS):
             start = time.perf_counter()
@@ -171,9 +171,9 @@ def measure_calls(name, call, repeats: int) -> dict:
             times[k].append(time.perf_counter() - start)
             first = values if first is None else first
             if _sequence == 0:
-                held.append(propagation._counts["bytes"])
+                held.append(_held.counts["bytes"])
                 same.append(bool(np.array_equal(values, first)))
-    propagation._release_engines()
+    _held.drop_all()
     row = {"workload": name, "calls": [
         {"call": k + 1, "time_s": statistics.median(times[k]), "held_bytes": held[k],
          "same_bytes_as_first_call": same[k]} for k in range(CALLS)]}
@@ -237,21 +237,21 @@ def interleaved(name: str, calls: list, rounds: int, repeats: int) -> dict:
     lookups = [[None for _ in calls] for _ in range(rounds)]
     first, same = {}, True
     for sequence in range(repeats):
-        propagation._release_engines()
+        _held.drop_all()
         for r in range(rounds):
             for k, (_label, call, values) in enumerate(calls):
-                before = dict(propagation._counts)
+                before = dict(_held.counts)
                 start = time.perf_counter()
                 out = call()
                 times[r][k].append(time.perf_counter() - start)
                 if sequence == 0:
-                    held[r][k] = propagation._counts["bytes"]
-                    after = propagation._counts
+                    held[r][k] = _held.counts["bytes"]
+                    after = _held.counts
                     lookups[r][k] = {key: after[key] - before[key] for key in (
                         "hits", "misses", "evictions", "matvecs", "norm_estimates") if key in after}
                 got = values(out)
                 same &= bool(np.array_equal(got, first.setdefault(k, got)))
-    propagation._release_engines()
+    _held.drop_all()
     passes = [[statistics.median(t) for t in row] for row in times]
     result = {"sequence": name, "calls": [label for label, _c, _v in calls], "rounds": rounds,
               "call_s_by_round": passes, "pass_s_by_round": [sum(row) for row in passes],
@@ -277,7 +277,7 @@ def temperature_scan(points: int) -> dict:
     per call its time, the engines alive and the bytes held after it, and ru_maxrss."""
     grid = np.linspace(0.0, 20.0, 41)
     start_rss = _maxrss_mib()
-    propagation._release_engines()
+    _held.drop_all()
     rows = []
     for temperature in np.linspace(0.2, 2.0, points):
         model = lc.coupled_dimer(**{**DIMER, "temperature": float(temperature)})
@@ -287,9 +287,9 @@ def temperature_scan(points: int) -> dict:
         lc.otoc(model.hamiltonian, decs, _pauli("XI"), _pauli("ZZ"), rho, grid)
         elapsed = time.perf_counter() - start
         rows.append({"temperature": float(temperature), "time_s": elapsed, "engines": live_engines(),
-                     "held_bytes": propagation._counts["bytes"], "maxrss_mib": _maxrss_mib()})
-    propagation._release_engines()
-    cap = propagation._IDLE_BYTE_CAP
+                     "held_bytes": _held.counts["bytes"], "maxrss_mib": _maxrss_mib()})
+    _held.drop_all()
+    cap = _held.IDLE_BYTE_CAP
     summary = {
         "points": points, "idle_byte_cap": cap,
         "max_engines": max(r["engines"] for r in rows), "last_engines": rows[-1]["engines"],
@@ -330,15 +330,15 @@ def step_peak() -> dict:
     decs = lc.decompose_model(model)
     rng = np.random.default_rng(16)
     tensor, w = (rng.standard_normal(9 ** 6) + 1j * rng.standard_normal(9 ** 6) for _ in range(2))
-    propagation._release_engines()
+    _held.drop_all()
     start = time.perf_counter()
     with propagation._model_evolver(model.hamiltonian, decs) as ev:
-        csr = propagation._nbytes(ev.generator(3))
+        csr = _held.nbytes(ev.generator(3))
         ev.blocks(3)
     assembly_s = time.perf_counter() - start
     calls = []
     for call in (1, 2):
-        before = propagation._counts["bytes"]
+        before = _held.counts["bytes"]
         tracemalloc.start()
         start = time.perf_counter()
         with propagation._model_evolver(model.hamiltonian, decs) as ev:
@@ -349,11 +349,11 @@ def step_peak() -> dict:
         calls.append({"call": call, "time_s": elapsed, "held_bytes_before": before,
                       "step_peak_bytes": peak, "step_peak_over_csr": peak / csr,
                       "peak_in_all_over_csr": (before + peak) / csr,
-                      "held_bytes_after": propagation._counts["bytes"]})
+                      "held_bytes_after": _held.counts["bytes"]})
         print(f"step peak, call {call}: {peak / 2**20:.1f} MiB above the {before / 2**20:.1f} MiB "
               f"held, {(before + peak) / csr:.2f} times the {csr / 2**20:.1f} MiB CSR generator "
               f"in all, {elapsed:.2f} s", flush=True)
-    propagation._release_engines()
+    _held.drop_all()
     return {"script": "bench/repeats.py --step-peak", "env": _env(), "csr_bytes": csr,
             "assembly_s": assembly_s, "calls": calls, "maxrss_mib": _maxrss_mib()}
 
@@ -414,7 +414,7 @@ def cli_stages(args) -> dict:
     with tempfile.TemporaryDirectory() as workdir:
         configs = general_sweep_configs(args.seed, Path(workdir))
         plain = []
-        propagation._release_engines()
+        _held.drop_all()
         for _name, call, _values in configs:  # the cold pass
             call()
         for _pass in range(CLI_PASSES):
@@ -437,7 +437,7 @@ def cli_stages(args) -> dict:
             per_config = {name: {stage: [] for stage in clock.times} for name, _c, _v in configs}
             traced, calls, lookups = [], [], []
             for _pass in range(CLI_PASSES):
-                before = dict(propagation._counts)
+                before = dict(_held.counts)
                 clock.reset()
                 start = time.perf_counter()
                 for name, call, values in configs:
@@ -452,12 +452,12 @@ def cli_stages(args) -> dict:
                         per_config[name][stage].append(t)
                 traced.append(time.perf_counter() - start)
                 calls.append(dict(clock.calls))
-                lookups.append({key: propagation._counts[key] - before[key]
+                lookups.append({key: _held.counts[key] - before[key]
                                 for key in ("hits", "misses", "evictions")})
         finally:
             for owner, name, original in reversed(originals):
                 setattr(owner, name, original)
-        propagation._release_engines()
+        _held.drop_all()
 
     stages = {name: {stage: statistics.median(t) for stage, t in times.items()}
               for name, times in per_config.items()}

@@ -357,7 +357,7 @@ def check_finite_bath_agreement() -> str:
 
 
 def check_integrator_consistency() -> str:
-    """9: the sparse engine's action kernel (``integrate_ode``, Al-Mohy & Higham's
+    """9: the action kernel (``integrate_ode``, Al-Mohy & Higham's
     interval algorithm) against the dense exponential propagator; first-order
     convergence of the naive stepper."""
     from .models import truncated_oscillator

@@ -14,12 +14,12 @@ Thermal rates attach per mode via the detailed-balance assignment.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _held
 from .models import BathSpec, SystemModel
 from .operators import as_operator, hermitian_eig, is_hermitian
 
@@ -88,6 +88,10 @@ class JumpDecomposition:
     @property
     def dim(self) -> int:
         return self.c0.shape[0]
+
+    def _nbytes(self) -> int:
+        """Bytes held, for the held store: c0 and the mode operators."""
+        return sum(op.nbytes for op in (self.c0, *(mode.operator for mode in self.modes)))
 
     @property
     def rates_assigned(self) -> bool:
@@ -214,27 +218,21 @@ def decompose_model(model: SystemModel, freq_tol: float | None = None) -> tuple[
     """Exact decomposition of every coupling of `model`, rates assigned.
 
     H is diagonalised once for all couplings.  The result depends only on the
-    model's content and `freq_tol`, so it is an entry of the propagation
-    engine's held store (``propagation._held``), keyed by a digest of H, each
-    coupling operator and bath, and `freq_tol`: an equal model, also one built
-    from fresh arrays, finds it again without diagonalising H.
+    model's content and `freq_tol`, so it is an entry of the held store
+    (``lindcorr._held``), owned by a digest of H, each coupling operator and
+    bath, and keyed by `freq_tol`: an equal model, also one built from fresh
+    arrays, finds it again without diagonalising H.  Every other held
+    decomposition is then idle, and dropped over the store's cap.
     """
-    from .propagation import _held  # imported here: propagation imports this module
-
     def build():
         spectrum = _spectrum(model.hamiltonian, freq_tol)
         return tuple(assign_rates(_bohr_split(*spectrum, c.operator), c.bath)
                      for c in model.couplings)
 
-    entry = (_model_digest(model), "decomposition", repr(freq_tol))
-    return _held(entry, build, lambda other, _tick: other[1] == "decomposition" and other != entry)
+    return _held.find(_model_digest(model), "decomposition", repr(freq_tol), build, kind_idle=True)
 
 
 def _model_digest(model: SystemModel) -> bytes:
     """Digest of what a decomposition reads: H, and every coupling operator and bath."""
-    digest = hashlib.sha256(repr(model.hamiltonian.shape).encode())
-    digest.update(model.hamiltonian.tobytes())
-    for c in model.couplings:
-        digest.update(c.operator.tobytes())
-        digest.update(repr(c.bath).encode())
-    return digest.digest()
+    return _held.digest(model.hamiltonian.shape, model.hamiltonian,
+                        *(part for c in model.couplings for part in (c.operator, c.bath)))

@@ -49,9 +49,10 @@ from .decomposition import JumpDecomposition
 from .errors import SlotBudgetError
 from .operators import as_operator, dagger, identity, vec
 
-# dense/sparse engine crossover in slot-tensor coordinates, measured by
-# bench/crossover.py (BENCH_5.json): dense and CSR tie on a cold call at order
-# 256, CSR wins from 324 on, and dense wins at 256 once its propagator is reused
+# the slot budget in slot-tensor coordinates (_within_budget): the crossover
+# measured by bench/crossover.py (BENCH_5.json) when a whole level was stepped
+# either by its dense propagator or by a CSR action; they tied on a cold call
+# at order 256, the action won from 324 on, and the propagator at 256 once reused
 DEFAULT_SLOT_BUDGET = 256
 # the largest CSR generator admitted, in bytes
 _CSR_BYTE_CAP = 2 ** 30
@@ -217,7 +218,7 @@ class SlotKroneckerAction:
         # each term as (slot, factor) pairs over distinct slots, a factor as its
         # _entries; above the budget each Kronecker product of two d x d operators
         # is summed from their entries as well
-        kron = _dense_kron if _dense_fits(self.dim, 1) else (
+        kron = _dense_kron if _within_budget(self.dim ** 2) else (
             lambda a, b: _csr_sum([[_entries(a), _entries(b)]], self.dim))
         lind, pairs = _slot_factors(self.hamiltonian, self.channels, identity(self.dim), kron,
                                     cross=self.slots > 1)
@@ -231,9 +232,10 @@ class SlotKroneckerAction:
         return self.to_csr() @ np.asarray(coords, dtype=complex)
 
     def _factor_bytes(self) -> int:
-        """Bound on the bytes of the slot factors' CSR arrays (20 per entry, 4 per row)
-        from the d x d operators' nonzeros: nnz(kron(A, B)) = nnz(A) nnz(B), and L
-        has <= d**4."""
+        """Bound on the bytes of the slot factors' :func:`_entries` arrays from the d x d
+        operators' nonzeros, nnz(kron(A, B)) = nnz(A) nnz(B), and L has <= d**4: 36
+        per entry (value 16, column 4, row and place 8 each) and 8 per row (length
+        and row pointer 4 each), plus the row pointer's last 4."""
         d, cross = self.dim, self.slots > 1
         lind, pairs = 2 * d * int(np.count_nonzero(self.hamiltonian)), 0
         for _rate, c in self.channels:
@@ -241,7 +243,7 @@ class SlotKroneckerAction:
             lind += c_nnz ** 2 + 2 * d * cdc_nnz
             pairs += 4 * d * c_nnz
         nnz = min(lind, d ** 4) + cross * pairs
-        return 20 * nnz + 4 * (d * d + 1) * (1 + cross * 2 * len(self.channels))
+        return 36 * nnz + (8 * d * d + 4) * (1 + cross * 2 * len(self.channels))
 
     def csr_bytes(self) -> int:
         """Upper bound on the bytes of :meth:`to_csr`, from the factors' nonzeros.
@@ -271,7 +273,7 @@ class SlotKroneckerAction:
     def to_dense(self) -> np.ndarray:
         """The generator as a dense matrix, refused with SlotBudgetError when its
         tensor has more than ``DEFAULT_SLOT_BUDGET`` coordinates."""
-        if not _dense_fits(self.dim, self.slots):
+        if not _within_budget(self.dim ** (2 * self.slots)):
             raise SlotBudgetError(slots=self.slots, required=self.dim ** (2 * self.slots),
                                   budget=DEFAULT_SLOT_BUDGET)
         return self._assemble().toarray()
@@ -339,14 +341,14 @@ def forward_lindbladian(hamiltonian, decomp) -> SuperOperator:
     return SuperOperator(dim=h.shape[0], slots=1, matrix=m)
 
 
-def _dense_order(order: int) -> bool:
-    """Whether a generator of this order takes the dense engine: order <= DEFAULT_SLOT_BUDGET."""
+def _within_budget(order: int) -> bool:
+    """Whether this many slot-tensor coordinates, d**(2n) for a level of n slots,
+    are within the slot budget: order <= DEFAULT_SLOT_BUDGET.  Only then may a
+    run of steps take block propagators instead of an action, and ``to_dense``
+    build a level; above it a level whose vectors touch every block is stepped
+    whole.  At n = 1 it picks the steady state's solver (SVD, else a bordered LU)
+    and the slot factors' form (``np.kron``, else from the operators' entries)."""
     return order <= DEFAULT_SLOT_BUDGET
-
-
-def _dense_fits(dim: int, n_slots: int) -> bool:
-    """Whether the n-slot level takes the dense engine: d**(2n) <= DEFAULT_SLOT_BUDGET."""
-    return _dense_order(dim ** (2 * n_slots))
 
 
 def multi_slot_generator(hamiltonian, decomp, n_slots: int) -> SuperOperator:

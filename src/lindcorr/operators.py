@@ -128,11 +128,22 @@ def hermitian_eig(h, tol: float = 1e-10):
 
 
 def expm(a, s: float = 1.0) -> np.ndarray:
-    """exp(s*A) of a square matrix; raises NumericsError on overflow."""
+    """exp(s*A) of a square matrix; raises NumericsError on overflow.
+
+    scipy steps a triangular matrix by its own route, whose first off-diagonal
+    (e^x - e^y) / (x - y) of two diagonal entries cancels when they differ by a
+    rounding (2.5e-3 wrong on a 2 x 2 block of an eigenbasis generator).  So a
+    triangular, non-diagonal A is exponentiated as the top-left block of
+    diag(s A, sigma_x), which scipy takes as a full matrix.
+    """
     a = as_operator(a, "expm argument")
     if s == 0:
         return np.eye(a.shape[0], dtype=complex)
-    out = scipy.linalg.expm(a * s)
+    lower, upper = scipy.linalg.bandwidth(a)
+    if (lower == 0) != (upper == 0):
+        out = scipy.linalg.expm(scipy.linalg.block_diag(a * s, sigma_x))[:-2, :-2].copy()
+    else:
+        out = scipy.linalg.expm(a * s)
     if not np.all(np.isfinite(out)):
         raise NumericsError(f"expm overflow: norm(s*A) = {np.linalg.norm(a * s):.3e}")
     return out

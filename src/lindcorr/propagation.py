@@ -67,33 +67,13 @@ within the budget and by a sparse LU of G_1^T bordered with the trace
 functional above it.
 
 The n-slot generators and their propagators depend only on the model (H and
-the dissipation channels), not on the operators or the state, so the drivers
-share them across calls.  Each call makes a new engine of its model, which
-keeps nothing but the model, its key (a digest of H and the channels) and
-the keys of the entries it touched: what the engine builds is held in one
-store, keyed by (model key, kind, key), and found again by every later call
-on an equal model, recognised by content rather than identity.  An entry is
-a level's generator, its blocks (labels, and the block order once a call
-groups coordinates by block), one step's block propagators, an action plan,
-or the stationary state for one null tolerance and solver.  The exact
-decompositions of a model's couplings (``decomposition.decompose_model``)
-are one more entry, keyed by a digest of what they are made from: H, the
-coupling operators, their baths and the frequency tolerance.  The store is
-one LRU counted in bytes: entries are idle at the start of a call if they
-are another model's (a decomposition among them), at its end if the call did
-not use them, and idle entries are dropped, least recently used first, while
-they hold more than ``_IDLE_BYTE_CAP`` bytes; a new decomposition also drops
-idle decompositions over the cap.  So another model's entries beyond the cap are released before
-a call builds anything, and between calls the store holds at most the cap
-plus the last call's own working set (the blocks of one step hold at most the
-entries of the whole level's propagator).  What it holds changes the time of
-a later call, never its path or its values: a repeated call returns the same
-bytes.
+the dissipation channels), not on the operators or the state, so what an
+engine builds is held across calls in the store of ``lindcorr._held``, keyed
+by the model's content, and found again by every later call on an equal model.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import string
 import sys
@@ -101,18 +81,17 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import count, groupby
+from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import generators
-from .decomposition import JumpDecomposition, decompose_model
+from . import _held, generators
+from .decomposition import decompose_model
 from .errors import DegenerateSteadyStateError, NumericsError
 from .generators import (
     _as_decomps,
-    _dense_fits,
-    _dense_order,
+    _within_budget,
     dissipation_channels,
     elementary_tensor,
     multi_slot_action,
@@ -343,15 +322,22 @@ class _ActionPlan:
         The copy t A is checked against the CSR byte cap before it is made."""
         from scipy.sparse.linalg import aslinearoperator, onenormest
 
-        copy = _nbytes(self.shifted)  # t * shifted copies the data, indices and indptr
+        copy = _held.nbytes(self.shifted)  # t * shifted copies the data, indices and indptr
         if copy > generators._CSR_BYTE_CAP:
             raise MemoryError(f"a 1-norm estimate needs a scaled copy of {copy} bytes, over "
                               f"the cap of {generators._CSR_BYTE_CAP}")
         scaled = aslinearoperator(t * self.shifted)
         with _seeded_global_rng():
             roots = [onenormest(scaled ** p) ** (1.0 / p) for p in range(2, _P_MAX + 2)]
-        _count(norm_estimates=len(roots))
+        _held.tally(norm_estimates=len(roots))
         return roots
+
+    def _nbytes(self) -> int:
+        """Bytes held: the shifted matrix, and the map of Taylor degrees with the map's
+        key and value tuples."""
+        params = list(self.params.items())
+        return _held.nbytes(self.shifted) + sys.getsizeof(self.params) + sum(
+            sys.getsizeof(key) + sys.getsizeof(value) for key, value in params)
 
 
 # the computed norm of a partial sum exceeds the computed norm before a term was
@@ -518,7 +504,7 @@ def _interval(plan: _ActionPlan, b: np.ndarray, t: float, q: int,
                 inner[k] = w @ (np.exp((k + 1) * h * mu) * f)
                 matvecs += made
             values[i * d + 1:i * d + span] = inner
-    _count(matvecs=matvecs)
+    _held.tally(matvecs=matvecs)
     return rows if w is None else (values, rows[0])
 
 
@@ -630,9 +616,7 @@ class _SlotEvolver:
         """The held entry (model key, `kind`, `key`), built by `build()` on a miss; the
         most recently used entry of the store from then on, and one of the entries
         this engine touched."""
-        entry = (self.key, kind, key)
-        self.touched.add(entry)
-        return _held(entry, build)
+        return _held.find(self.key, kind, key, build, self.touched)
 
     def generator(self, n_slots: int):
         """G_n as a CSR matrix, summed from its slot-factor terms
@@ -663,7 +647,7 @@ class _SlotEvolver:
             hit = np.zeros_like(touched)
             hit[labels[v != 0]] = True
             touched &= hit
-        if touched.all() and (len(touched) == 1 or not _dense_order(len(labels))):
+        if touched.all() and (len(touched) == 1 or not _within_budget(len(labels))):
             return labels, None
         if held[1] is None:  # a level only ever stepped whole never sorts
             held[1] = np.argsort(labels, kind="stable")
@@ -722,7 +706,7 @@ class _SlotEvolver:
             if gap == 0.0:
                 for _ in range(count):
                     yield v if w is None else w @ v
-            elif _dense_order(order) and (count > 1 or largest <= _SINGLE_USE_ORDER):
+            elif _within_budget(order) and (count > 1 or largest <= _SINGLE_USE_ORDER):
                 prop = self._propagator(n_slots, gap, spans, lambda start, stop: (
                     restricted()[start:stop, start:stop].toarray()))
                 for _ in range(count):
@@ -781,122 +765,17 @@ class _SlotEvolver:
 
 def _model_key(h: np.ndarray, decomps) -> bytes:
     """Digest of what the generators read: H and every (rate, C) channel."""
-    digest = hashlib.sha256(repr(h.shape).encode())
-    digest.update(h.tobytes())
-    for rate, c in dissipation_channels(decomps):
-        digest.update(repr((float(rate), c.shape)).encode())
-        digest.update(c.tobytes())
-    return digest.digest()
-
-
-def _nbytes(m) -> int:
-    """Bytes of an array, a sparse matrix (data, indices and indptr), a map, tuple or
-    list of them (None counting 0), a jump decomposition (c0 and the mode operators),
-    or an action plan: its shifted matrix, and its map of Taylor degrees with the
-    map's key and value tuples."""
-    if isinstance(m, dict):
-        return sum(_nbytes(block) for block in list(m.values()))
-    if isinstance(m, (tuple, list)):
-        return sum(_nbytes(part) for part in list(m) if part is not None)
-    if isinstance(m, JumpDecomposition):
-        return _nbytes((m.c0, *(mode.operator for mode in m.modes)))
-    if isinstance(m, _ActionPlan):
-        params = list(m.params.items())
-        return _nbytes(m.shifted) + sys.getsizeof(m.params) + sum(
-            sys.getsizeof(key) + sys.getsizeof(value) for key, value in params)
-    return sum(part.nbytes for part in ((m.data, m.indices, m.indptr) if hasattr(m, "indptr") else (m,)))
-
-
-# idle entries are dropped, least recently used first, while they hold more
-# than this many bytes: 32 order-256 propagators
-_IDLE_BYTE_CAP = 32 * 2 ** 20
-
-# (model key, kind, key) -> (value, tick of its last use, bytes) of every held
-# entry, least recently used first; a decomposition's first key is the digest
-# of its model instead
-_store: dict[tuple, tuple] = {}
-_ticks = count()
-# lookups that found their entry, lookups that built it, entries dropped, bytes
-# held, and the actions' matrix-vector products and 1-norm estimates (read by
-# bench/repeats.py)
-_counts = {"hits": 0, "misses": 0, "evictions": 0, "bytes": 0, "matvecs": 0, "norm_estimates": 0}
-_held_lock = threading.Lock()  # guards the store and the counts
-
-
-def _count(**amounts: int) -> None:
-    """Add `amounts` to the counts."""
-    with _held_lock:
-        for key, amount in amounts.items():
-            _counts[key] += amount
-
-
-def _held(entry: tuple, build, is_idle=None):
-    """The value held under `entry`, (content key, kind, key), built by `build()` on a
-    miss and counted in bytes; from then on the most recently used entry of the store.
-    A value another thread stored meanwhile is kept.  Given `is_idle`, idle entries
-    are then dropped over the cap (:func:`_evict`)."""
-    found = _store.get(entry)
-    value = build() if found is None else found[0]
-    with _held_lock:
-        record = _store.pop(entry, None)  # read again: built or dropped meanwhile
-        if record is None:
-            record = (value, None, _nbytes(value))
-            _counts["bytes"] += record[2]
-        _store[entry] = (record[0], next(_ticks), record[2])
-        _counts["misses" if found is None else "hits"] += 1
-        if is_idle is not None:
-            _evict(is_idle)
-    return record[0]
-
-
-def _evict(is_idle) -> None:
-    """Drop idle entries, those whose ((content key, kind, key), tick of last use)
-    `is_idle` accepts, least recently used first while they hold more than
-    ``_IDLE_BYTE_CAP`` bytes.  The caller holds `_held_lock`."""
-    if _counts["bytes"] <= _IDLE_BYTE_CAP:
-        return
-    idle = [(entry, size) for entry, (_value, tick, size) in _store.items()
-            if is_idle(entry, tick)]
-    excess = sum(size for _entry, size in idle) - _IDLE_BYTE_CAP
-    for entry, size in idle:
-        if excess <= 0:
-            break
-        del _store[entry]
-        excess -= size
-        _counts["bytes"] -= size
-        _counts["evictions"] += 1
-
-
-def _release_engines() -> None:
-    """Drop every held entry."""
-    with _held_lock:
-        _store.clear()
-        _counts["bytes"] = 0
+    return _held.digest(h.shape, h, *(part for rate, c in dissipation_channels(decomps)
+                                      for part in ((float(rate), c.shape), c)))
 
 
 @contextmanager
 def _model_evolver(hamiltonian, decomp) -> Iterator[_SlotEvolver]:
-    """A new engine of the model, which finds the entries held under its key.
-
-    Idle entries are dropped (:func:`_evict`) at both ends of the call: before
-    anything is built, the other models' entries; on exit, also after an
-    exception, once the bytes of the entries this call touched are counted
-    again (built or grown since), the entries it did not use.
-    """
+    """A new engine of the model, which finds the entries held under its key, in one
+    call of the store (:func:`_held.engine_call`)."""
     ev = _SlotEvolver(hamiltonian, decomp)
-    with _held_lock:
-        _evict(lambda entry, _tick: entry[0] != ev.key)
-        start = next(_ticks)
-    try:
+    with _held.engine_call(ev.key, ev.touched):
         yield ev
-    finally:
-        with _held_lock:
-            for entry in ev.touched:
-                if entry in _store:  # else dropped by another call meanwhile
-                    value, tick, size = _store[entry]
-                    _store[entry] = (value, tick, _nbytes(value))
-                    _counts["bytes"] += _store[entry][2] - size
-            _evict(lambda _entry, tick: tick < start)
 
 
 def _densities(ev: _SlotEvolver, rho0: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
@@ -1002,7 +881,7 @@ def _bordered_null_vector(g) -> tuple[np.ndarray, float]:
 def _stationary(ev: _SlotEvolver, null_tol: float) -> np.ndarray:
     """The trace-one stationary state of `ev`'s model (:func:`steady_state`)."""
     gen, kappa = ev.generator(1), np.inf
-    if not _dense_fits(ev.dim, 1):
+    if not _within_budget(ev.dim ** 2):
         try:
             w, kappa = _bordered_null_vector(gen)
         except RuntimeError:  # splu: the bordered matrix is exactly singular
@@ -1040,7 +919,7 @@ def steady_state(model: SystemModel, decomp=None, null_tol: float = 1e-9) -> np.
         raise ValueError(f"null_tol must lie strictly between 0 and 1, got {null_tol}")
     decomps = decompose_model(model) if decomp is None else _as_decomps(decomp)
     with _model_evolver(model.hamiltonian, decomps) as ev:
-        rho = ev._cached("steady", (null_tol, _dense_fits(ev.dim, 1)),  # and its solver
+        rho = ev._cached("steady", (null_tol, _within_budget(ev.dim ** 2)),  # and its solver
                          lambda: _stationary(ev, null_tol))
     return rho.copy()
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lindcorr import propagation
+from lindcorr import _held
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -45,24 +45,25 @@ def _src_on_child_path():
 
 
 def held(kind=None, model=None) -> dict:
-    """The held entries of the propagation store, least recently used first: key ->
-    value for one engine `kind` ("generator", "blocks", "propagators", "plan" or
-    "steady"), (model digest, key) -> value for "decomposition", whose entries are
-    the models' own, or (model key, kind, key) -> value for every kind when `kind`
-    is None; only those of the model whose key is `model` when it is given."""
-    return {(entry if kind is None else entry[::2] if kind == "decomposition" else entry[2]): value
-            for entry, (value, _tick, _size) in list(propagation._store.items())
-            if kind in (None, entry[1]) and model in (None, entry[0])}
+    """The entries of the held store, least recently used first: key -> value for one
+    engine `kind` ("generator", "blocks", "propagators", "plan" or "steady"), (model
+    digest, key) -> value for "decomposition", whose entries are the models' own, or
+    (model key, kind, key) -> value for every kind when `kind` is None; only those
+    of the model whose key is `model` when it is given."""
+    entries, _counts = _held.snapshot()
+    return {((owner, k, key) if kind is None else (owner, key) if kind == "decomposition" else key): value
+            for owner, k, key, value, _size in entries
+            if kind in (None, k) and model in (None, owner)}
 
 
 def held_bytes(model=None) -> int:
     """Bytes of the held entries' values (of one model when given), counted afresh."""
-    return sum(map(propagation._nbytes, held(model=model).values()))
+    return sum(map(_held.nbytes, held(model=model).values()))
 
 
 @pytest.fixture(autouse=True)
 def _no_held_engine():
-    """Start and end each test with no propagation entry held from another call."""
-    propagation._release_engines()
+    """Start and end each test with no entry held from another test."""
+    _held.drop_all()
     yield
-    propagation._release_engines()
+    _held.drop_all()

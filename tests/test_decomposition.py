@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from lindcorr import decomposition, propagation
+from lindcorr import _held, decomposition
 from lindcorr import (
     BathSpec,
     Coupling,
@@ -244,10 +244,10 @@ def test_equal_model_from_fresh_arrays_finds_its_decomposition(rng, monkeypatch)
         Coupling(c.operator.copy(), BathSpec(c.bath.temperature, c.bath.rate_profile, c.bath.gamma0))
         for c in model.couplings))
     calls = _count_eig(monkeypatch)
-    hits, misses = propagation._counts["hits"], propagation._counts["misses"]
+    hits, misses = _held.counts["hits"], _held.counts["misses"]
     again = decompose_model(fresh)
     assert calls == [] and again is first
-    assert (propagation._counts["hits"] - hits, propagation._counts["misses"] - misses) == (1, 0)
+    assert (_held.counts["hits"] - hits, _held.counts["misses"] - misses) == (1, 0)
     assert list(held("decomposition").values()) == [first]
 
 
@@ -264,10 +264,10 @@ def test_changed_model_or_tolerance_misses(rng, monkeypatch):
     }
     calls = _count_eig(monkeypatch)
     for name, other in changed.items():
-        misses = propagation._counts["misses"]
+        misses = _held.counts["misses"]
         fresh = decompose_model(other)
-        assert len(calls) == 1 and propagation._counts["misses"] == misses + 1, name
-        propagation._release_engines()
+        assert len(calls) == 1 and _held.counts["misses"] == misses + 1, name
+        _held.drop_all()
         assert _same(fresh, decompose_model(other))  # a fresh build gives the same bytes
         decompose_model(model)
         calls.clear()
@@ -285,36 +285,36 @@ def test_invalid_freq_tol_raises_on_every_call_and_holds_nothing(rng):
     for freq_tol in (0.0, -1e-9, float("nan"), 0.0):
         with pytest.raises(ValueError, match="freq_tol must be > 0"):
             decompose_model(model, freq_tol)
-    assert held() == {} and propagation._counts["bytes"] == 0
+    assert held() == {} and _held.counts["bytes"] == 0
 
 
 def test_held_decomposition_bytes_are_counted_and_released(rng):
     model = _random_model(rng)
     decs = decompose_model(model)
     operators = [d.c0 for d in decs] + [m.operator for d in decs for m in d.modes]
-    assert propagation._counts["bytes"] == held_bytes() == sum(op.nbytes for op in operators) > 0
-    propagation._release_engines()
-    assert held() == {} and propagation._counts["bytes"] == 0
+    assert _held.counts["bytes"] == held_bytes() == sum(op.nbytes for op in operators) > 0
+    _held.drop_all()
+    assert held() == {} and _held.counts["bytes"] == 0
     assert decompose_model(model) is not decs
 
 
 def test_idle_decompositions_over_the_cap_go_least_recently_used_first(rng, monkeypatch):
     models = [_random_model(rng, temperature=t) for t in (0.2, 0.4, 0.6, 0.8)]
     first = decompose_model(models[0])
-    size = propagation._counts["bytes"]
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", int(1.5 * size))
+    size = _held.counts["bytes"]
+    monkeypatch.setattr(_held, "IDLE_BYTE_CAP", int(1.5 * size))
     decompose_model(models[1])
     assert len(held("decomposition")) == 2  # one idle decomposition, under the cap
     decompose_model(models[0])  # used again: models[1] is now the least recent
     decompose_model(models[2])  # two idle, over the cap: models[1]'s goes
     assert list(held("decomposition").values()) == [first, decompose_model(models[2])]
-    assert propagation._counts["bytes"] == held_bytes()
+    assert _held.counts["bytes"] == held_bytes()
 
 
 def test_concurrent_decompositions_keep_the_byte_count(rng, monkeypatch):
     models = [_random_model(rng, temperature=t) for t in (0.2, 0.4, 0.6)]
     expected = [decompose_model(m) for m in models]
-    propagation._release_engines()
+    _held.drop_all()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -324,5 +324,5 @@ def test_concurrent_decompositions_keep_the_byte_count(rng, monkeypatch):
         sys.setswitchinterval(interval)
     assert all(_same(decs, expected[k % 3]) for k, decs in enumerate(got))
     assert len(held("decomposition")) == 3
-    assert propagation._counts["bytes"] == held_bytes()
+    assert _held.counts["bytes"] == held_bytes()
     assert all(got[k] is got[k % 3] for k in range(48))  # one value held per model

@@ -151,7 +151,7 @@ def test_generator_matches_brute_force(model, n, rng):
     assert np.max(np.abs(action.to_csr().toarray() - brute)) < 1e-12
     y = (rng.standard_normal(len(brute)) + 1j * rng.standard_normal(len(brute))) / len(brute)
     assert np.max(np.abs(action.apply(y) - brute @ y)) < 1e-12
-    if generators._dense_fits(model.dim, n):
+    if generators._within_budget(model.dim ** (2 * n)):
         dense = multi_slot_generator(model.hamiltonian, decs, n).matrix
         assert np.max(np.abs(dense - brute)) < 1e-12
 
@@ -259,9 +259,9 @@ def test_csr_bytes_bound_the_assembled_matrix():
 
 
 def test_factor_bytes_bound_the_built_factors(rng):
-    # the bound read from the d x d operators covers the CSR factors the assembly
-    # builds; a random model's many dense channels sum past d**4 entries for L,
-    # which holds at most that many
+    # the bound read from the d x d operators covers every array of the factors the
+    # assembly builds; a random model's many dense channels sum past d**4 entries
+    # for L, which holds at most that many
     h6 = random_hermitian(rng, 6)
     random6 = (h6, assign_rates(exact_bohr_decomposition(h6, random_hermitian(rng, 6)),
                                 BathSpec(temperature=0.5, rate_profile=0.1, gamma0=0.05)))
@@ -272,11 +272,10 @@ def test_factor_bytes_bound_the_built_factors(rng):
         for n in (1, 2):
             action = multi_slot_action(h, decs, n)
             factors = {id(f): f for term in action._terms for _slot, f in term}
-            held = sum(values.nbytes + cols.nbytes + indptr.nbytes
-                       for values, cols, _rows, _places, _lengths, indptr in factors.values())
+            held = sum(part.nbytes for f in factors.values() for part in f)
             assert len(factors) == 1 + (n - 1) * 2 * len(action.channels)
             assert held <= action._factor_bytes()
-    assert multi_slot_action(*random6, 1)._factor_bytes() == 20 * 6 ** 4 + 4 * (6 * 6 + 1)
+    assert multi_slot_action(*random6, 1)._factor_bytes() == 36 * 6 ** 4 + 8 * 6 * 6 + 4
 
 
 def test_slot_budget_enforcement(monkeypatch):

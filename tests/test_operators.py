@@ -208,6 +208,17 @@ def test_expm_diagonal():
     assert np.allclose(got, np.diag([np.e, np.exp(-2.0)]), atol=1e-14)
 
 
+def test_expm_triangular_with_diagonal_entries_one_rounding_apart():
+    # exp([[a, 0], [c, b]]) has c (e^b - e^a) / (b - a), about c e^((a + b) / 2), below
+    # its diagonal; with b one ulp from a the difference quotient cancels entirely
+    a = complex(-0.142, 4.34)
+    b = complex(np.nextafter(a.real, 0.0), a.imag)
+    lower = np.array([[a, 0.0], [-0.043, b]])
+    exact = np.array([[np.exp(a), 0.0], [-0.043 * np.exp((a + b) / 2), np.exp(b)]])
+    for m, want in ((lower, exact), (lower.T, exact.T)):
+        assert np.max(np.abs(expm(m, 1.0) - want)) < 1e-15
+
+
 def test_expm_inverse(rng):
     for _ in range(10):
         a = random_matrix(rng, 4)

@@ -51,7 +51,7 @@ from lindcorr import (
     unvec,
     vec,
 )
-from lindcorr import generators, propagation
+from lindcorr import _held, generators, propagation
 
 from conftest import held, held_bytes, random_density, random_hermitian, random_matrix
 
@@ -209,7 +209,7 @@ def test_steady_state_sparse_level_matches_svd(dim):
     model = _oscillator(dim)
     expected = _svd_steady_state(model)
     rho = steady_state(model)
-    assert not generators._dense_fits(model.dim, 1)
+    assert not generators._within_budget(model.dim ** 2)
     assert np.max(np.abs(rho - expected)) < 1e-12
     assert np.max(np.abs(rho - rho.conj().T)) == 0.0
 
@@ -312,7 +312,7 @@ def test_evolve_density_sparse_level_matches_forward_expm(rng):
         expected = unvec(expm(f, t) @ vec(rho0))
         rho = evolve_density(model.hamiltonian, decs, rho0, t)
         assert np.max(np.abs(rho - expected)) < 1e-12
-    assert not generators._dense_fits(model.dim, 1)
+    assert not generators._within_budget(model.dim ** 2)
 
 
 def test_general_correlator_enters_the_engine_once(rng, monkeypatch):
@@ -713,7 +713,7 @@ def test_single_use_pull_back_acts_on_every_call(rng, monkeypatch):
             return act(ev)
     gen = call(lambda ev: ev.generator(2))
     blocks = call(lambda ev: int(ev.blocks(2)[0].max()) + 1)
-    assert call(lambda ev: generators._dense_fits(ev.dim, 2))
+    assert call(lambda ev: generators._within_budget(ev.dim ** 4))
     assert gen.shape[0] > propagation._SINGLE_USE_ORDER and blocks > 1
     w = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     expected = w @ expm(gen.toarray(), 0.8)
@@ -894,7 +894,7 @@ def test_sparse_engine_leaves_global_rng_alone(rng):
         np.random.seed(seed)
         assert after == np.random.random()
         runs.append(trace.values)
-    assert not generators._dense_fits(model.dim, 1)
+    assert not generators._within_budget(model.dim ** 2)
     assert np.array_equal(runs[0], runs[1])
 
 
@@ -904,7 +904,7 @@ def test_held_engine_bytes_bounded(rng):
     taus = np.linspace(0.5, 2.5, 5)
     general_correlator(h, decs, _swept_spec(rng, 4, [None, None, None, 0.5], taus), taus=taus)
     assert 3 in held("generator")
-    assert held_bytes() == propagation._counts["bytes"] < 16 * 2 ** 20
+    assert held_bytes() == _held.counts["bytes"] < 16 * 2 ** 20
 
 
 def test_csr_byte_cap_refuses_before_assembly(rng, monkeypatch):
@@ -926,7 +926,7 @@ def test_csr_byte_cap_refuses_before_assembly(rng, monkeypatch):
 
 
 def test_slot_factor_bytes_refused_before_any_factor(monkeypatch):
-    # the CSR slot factors of a 30-level oscillator are bounded from its d x d
+    # the slot factors of a 30-level oscillator are bounded from its d x d
     # operators' nonzeros, nnz(kron(A, B)) = nnz(A) nnz(B); under a cap one byte
     # below that bound the steady state is refused before a factor is built
     model = _oscillator(30)
@@ -934,7 +934,7 @@ def test_slot_factor_bytes_refused_before_any_factor(monkeypatch):
     d, nnz = 30, np.count_nonzero
     lind = 2 * d * nnz(model.hamiltonian) + sum(
         nnz(c) ** 2 + 2 * d * nnz(c.conj().T @ c) for _rate, c in dissipation_channels(decs))
-    bound = 20 * lind + 4 * (d * d + 1)
+    bound = 36 * lind + 8 * d * d + 4
     built = []
     slot_factors = generators._slot_factors
     monkeypatch.setattr(generators, "_slot_factors",
@@ -1018,9 +1018,8 @@ def _held_models():
 
 def _stored_minus_counted():
     """The sizes recorded in the store, summed, less the bytes counted; read under its lock."""
-    with propagation._held_lock:
-        return (sum(size for _value, _tick, size in propagation._store.values())
-                - propagation._counts["bytes"])
+    entries, counts = _held.snapshot()
+    return sum(size for *_entry, size in entries) - counts["bytes"]
 
 
 def test_engine_reused_on_equal_model(rng, monkeypatch):
@@ -1045,7 +1044,7 @@ def test_engine_misses_on_changed_rates(rng, monkeypatch):
     calls = _count_expm(monkeypatch)
     changed = otoc(h2, decs2, *args)
     assert calls and len(_held_models()) == 2  # missed while the first engine is held
-    propagation._release_engines()
+    _held.drop_all()
     assert np.array_equal(changed.values, otoc(h2, decs2, *args).values)
 
 
@@ -1059,7 +1058,7 @@ def test_engine_misses_on_hamiltonian_mutated_in_place(rng, monkeypatch):
     calls = _count_expm(monkeypatch)
     mutated = otoc(h, decs, *args)
     assert calls and len(_held_models()) == 2  # missed while the first engine is held
-    propagation._release_engines()
+    _held.drop_all()
     assert np.array_equal(mutated.values, otoc(h, decs, *args).values)
 
 
@@ -1079,9 +1078,9 @@ def test_model_sequence_matches_fresh_evaluations(rng):
 
     fresh = {}
     for name in runs:
-        propagation._release_engines()
+        _held.drop_all()
         fresh[name] = evaluate(name)
-    propagation._release_engines()
+    _held.drop_all()
     for name in ("A", "B", "A"):
         for got, expected in zip(evaluate(name), fresh[name]):
             assert np.array_equal(got, expected)
@@ -1099,7 +1098,7 @@ def test_returning_model_finds_its_engine_warm(rng, monkeypatch):
     assert calls == [] and built == []
     assert len(_held_models()) == 2
     assert _held_models()[-1] == dimer  # the qubit's entries are now the least recent
-    propagation._release_engines()
+    _held.drop_all()
     fresh = otoc(*_dimer(), *a_args)
     assert calls and built
     assert np.array_equal(back.values, fresh.values) and np.array_equal(back.values, first.values)
@@ -1112,12 +1111,12 @@ def test_idle_engines_evicted_least_recently_used_first(rng, monkeypatch):
     args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
     models = [_qubit(gamma=gamma, temperature=0.5) for gamma in (0.1, 0.2, 0.3, 0.4, 0.5)]
     keys = [propagation._SlotEvolver(*model).key for model in models]
-    propagation._release_engines()  # drop the models' held decompositions: engine entries alone
+    _held.drop_all()  # drop the models' held decompositions: engine entries alone
 
     def call(k):
         otoc(*models[k], *args)
-        assert held_bytes() == propagation._counts["bytes"]
-        assert held_bytes() - held_bytes(keys[k]) <= propagation._IDLE_BYTE_CAP
+        assert held_bytes() == _held.counts["bytes"]
+        assert held_bytes() - held_bytes(keys[k]) <= _held.IDLE_BYTE_CAP
         return [(keys.index(model), kind) for model, kind, _key in held()]
 
     def cold(*ks):  # the generator is last used by the blocks' propagators
@@ -1125,7 +1124,7 @@ def test_idle_engines_evicted_least_recently_used_first(rng, monkeypatch):
 
     assert call(0) == cold(0)
     size = held_bytes()
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", int(2.75 * size))
+    monkeypatch.setattr(_held, "IDLE_BYTE_CAP", int(2.75 * size))
     assert call(1) == cold(0, 1)
     assert call(2) == cold(0, 1, 2)
     assert {held_bytes(key) for key in keys[:3]} == {size}
@@ -1135,7 +1134,7 @@ def test_idle_engines_evicted_least_recently_used_first(rng, monkeypatch):
     # generators it left unused are idle too, and 0's, now the oldest, goes
     assert call(1) == [(1, "generator"), *cold(2, 3), (1, "blocks"), (1, "propagators")]
     assert call(4) == [*cold(2, 3), (1, "blocks"), (1, "propagators"), *cold(4)]
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)
+    monkeypatch.setattr(_held, "IDLE_BYTE_CAP", 0)
     assert call(1) == [(1, "blocks"), (1, "propagators")]  # every idle entry goes
 
 
@@ -1148,11 +1147,11 @@ def test_engine_over_cap_is_released_before_next_build(rng, monkeypatch):
     action = propagation.multi_slot_action
     dimer_model, qubit_model = _dimer(), _qubit()
     for over in (1, None):
-        propagation._release_engines()  # also the models' held decompositions
+        _held.drop_all()  # also the models' held decompositions
         otoc(*dimer_model, *dimer_args)
         dimer = list(held())
         cap = 0 if over is None else held_bytes() - over
-        monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", cap)
+        monkeypatch.setattr(_held, "IDLE_BYTE_CAP", cap)
         seen = []
         monkeypatch.setattr(propagation, "multi_slot_action",
                             lambda h, d, n: seen.append(list(held())) or action(h, d, n))
@@ -1167,7 +1166,7 @@ def test_engine_map_under_concurrent_calls(rng, monkeypatch):
     args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
     models = [_qubit(gamma=gamma, temperature=0.5) for gamma in (0.1, 0.2, 0.3, 0.4, 0.5)]
     expected = [otoc(*model, *args).values for model in models]
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 1)
+    monkeypatch.setattr(_held, "IDLE_BYTE_CAP", 1)
     order = [k % len(models) for k in range(40)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1180,7 +1179,7 @@ def test_engine_map_under_concurrent_calls(rng, monkeypatch):
     for k, (values, drift) in zip(order, got):
         assert np.array_equal(values, expected[k]) and drift == 0
     otoc(*models[0], *args)
-    assert len(_held_models()) == 1 and held_bytes() == propagation._counts["bytes"]
+    assert len(_held_models()) == 1 and held_bytes() == _held.counts["bytes"]
 
 
 def test_call_exit_recounts_only_its_own_entries(rng, monkeypatch):
@@ -1201,15 +1200,15 @@ def test_call_exit_recounts_only_its_own_entries(rng, monkeypatch):
             scans.append(len(self))
             return super().items()
 
-    nbytes = propagation._nbytes
-    monkeypatch.setattr(propagation, "_nbytes", lambda m: measured.append(m) or nbytes(m))
-    monkeypatch.setattr(propagation, "_store", Watched(propagation._store))
+    nbytes = _held.nbytes
+    monkeypatch.setattr(_held, "nbytes", lambda m: measured.append(m) or nbytes(m))
+    monkeypatch.setattr(_held, "_store", Watched(_held._store))
     otoc(*models[0], *args)
     assert scans == []
     own = list(held(model=key).values())
     assert any(m is value for m in measured for value in own)
     assert not any(m is value for m in measured for value in others)
-    assert _stored_minus_counted() == 0 and held_bytes() == propagation._counts["bytes"]
+    assert _stored_minus_counted() == 0 and held_bytes() == _held.counts["bytes"]
 
 
 def test_no_engine_survives_a_call(rng, monkeypatch):
@@ -1242,7 +1241,7 @@ def test_action_plan_bytes_count_its_degrees():
     plan = propagation._ActionPlan(scipy.sparse.csr_array(a))
     steps = [float(t) for t in np.geomspace(1e-3, 20.0, 400)]
     assert 20.0 * plan.norm <= propagation._NORM_ONLY  # (m*, s) read from the 1-norm alone
-    counted = [propagation._nbytes(plan)]
+    counted = [_held.nbytes(plan)]
     # empty the free list of 2-tuples, so the map's tuples are allocated where tracemalloc sees them
     drained = [(k, k) for k in range(3000)]
     tracemalloc.start()
@@ -1251,32 +1250,32 @@ def test_action_plan_bytes_count_its_degrees():
         for k, t in enumerate(steps):
             plan.degrees(t, 1, None)
             if k in (0, 99):
-                counted.append(propagation._nbytes(plan))
+                counted.append(_held.nbytes(plan))
         traced = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    counted.append(propagation._nbytes(plan))
+    counted.append(_held.nbytes(plan))
     assert len(plan.params) == len(steps) and len(drained) == 3000
-    assert counted[0] == propagation._nbytes(plan.shifted) + sys.getsizeof({})
+    assert counted[0] == _held.nbytes(plan.shifted) + sys.getsizeof({})
     assert counted == sorted(set(counted))  # grows with every reading
     assert traced / 2 <= counted[-1] - counted[0] <= 2 * traced
 
 
 def test_held_bytes_counts_generators_and_labels(monkeypatch):
     ev = propagation._SlotEvolver(*_dimer())
-    propagation._release_engines()  # drop the dimer's held decomposition
+    _held.drop_all()  # drop the dimer's held decomposition
     assert held_bytes() == 0
     gen = ev.generator(2)
-    assert held_bytes() == propagation._nbytes(gen) == 20 * gen.nnz + 4 * (256 + 1)
+    assert held_bytes() == _held.nbytes(gen) == 20 * gen.nnz + 4 * (256 + 1)
     labels, order = ev.blocks(2)
-    assert order is None and held_bytes() == propagation._nbytes(gen) + labels.nbytes
+    assert order is None and held_bytes() == _held.nbytes(gen) + labels.nbytes
     ev._level(2, (labels == 0).astype(complex))  # groups the level's coordinates: sorts
     labels, order = ev.blocks(2)
-    assert held_bytes() == propagation._nbytes(gen) + labels.nbytes + order.nbytes
+    assert held_bytes() == _held.nbytes(gen) + labels.nbytes + order.nbytes
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 100)
     assert ev.generator(2) is gen  # one form serves every budget
-    assert not generators._dense_fits(ev.dim, 2)
-    assert held_bytes() == propagation._nbytes(gen) + labels.nbytes + order.nbytes
+    assert not generators._within_budget(ev.dim ** 4)
+    assert held_bytes() == _held.nbytes(gen) + labels.nbytes + order.nbytes
 
 
 def test_lowered_budget_switches_held_engine(rng, monkeypatch):
@@ -1289,7 +1288,7 @@ def test_lowered_budget_switches_held_engine(rng, monkeypatch):
     free = otoc(h, decs, *args)
     assert calls == [] and set(orders) == {16 ** 2}
     assert built == [] and list(held("generator")) == [2]
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)  # now only the last call's entries stay
+    monkeypatch.setattr(_held, "IDLE_BYTE_CAP", 0)  # now only the last call's entries stay
     again = otoc(h, decs, *args)
     assert calls == [] and set(orders) == {16 ** 2}
     # the warm action reads its held plan alone, so the generator is idle and dropped
@@ -1309,7 +1308,7 @@ def test_held_levels_within_budget_are_csr_of_the_dense_generator():
         for n in levels:
             with propagation._model_evolver(h, decs) as ev:
                 ev.generator(n)
-            assert generators._dense_fits(ev.dim, n)
+            assert generators._within_budget(ev.dim ** (2 * n))
             gen = held("generator", ev.key)[n]
             matrix = multi_slot_generator(h, decs, n).matrix
             assert scipy.sparse.issparse(gen) and gen.format == "csr"
@@ -1397,10 +1396,10 @@ def test_warm_sweep_makes_two_lookups():
     rho = steady_state(coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6))
     args = (np.kron(sigma_x, EYE2), np.kron(sigma_z, sigma_z), rho, np.linspace(0.0, 4.0, 41))
     first = otoc(h, decs, *args)
-    hits, misses = propagation._counts["hits"], propagation._counts["misses"]
+    hits, misses = _held.counts["hits"], _held.counts["misses"]
     again = otoc(h, decs, *args)
-    assert propagation._counts["misses"] == misses
-    assert propagation._counts["hits"] - hits <= 2
+    assert _held.counts["misses"] == misses
+    assert _held.counts["hits"] - hits <= 2
     assert np.array_equal(again.values, first.values)
 
 
@@ -1423,7 +1422,7 @@ def test_held_propagators_are_the_last_calls(rng, monkeypatch):
     assert kept and kept <= used(first) and kept - used(second)
     general_correlator(h, decs, spec, taus=second)  # the default cap holds the first call's too
     assert kept <= steps() <= used(first) | used(second)
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)  # now only the last call's entries stay
+    monkeypatch.setattr(_held, "IDLE_BYTE_CAP", 0)  # now only the last call's entries stay
     general_correlator(h, decs, spec, taus=second)
     assert steps() and steps() <= used(second)
     assert not steps() & (used(first) - used(second))
@@ -1439,13 +1438,13 @@ def test_steady_state_keeps_the_otoc_level_held(monkeypatch):
     taus = np.linspace(0.0, 10.0, 41)
     rho = steady_state(model, decs)
     first = otoc(model.hamiltonian, decs, x, n, rho, taus)
-    assert not generators._dense_fits(model.dim, 2)
+    assert not generators._within_budget(model.dim ** 4)
     built, calls = _count_assembly(monkeypatch), _count_expm(monkeypatch)
     assert np.array_equal(steady_state(model, decs), rho)
-    misses = propagation._counts["misses"]
+    misses = _held.counts["misses"]
     again = otoc(model.hamiltonian, decs, x, n, rho, taus)
     assert built == [] and calls == []
-    assert propagation._counts["misses"] == misses
+    assert _held.counts["misses"] == misses
     assert np.array_equal(again.values, first.values)
 
 
@@ -1466,19 +1465,19 @@ def test_held_bytes_bounded_by_cap_plus_last_call(rng, monkeypatch):
     sequence = [(name, level, k) for k in range(3) for name in models for level in (1, 2)]
     working = {}
     for name, level, k in sequence:  # each call's working set, from no held entry
-        propagation._release_engines()
+        _held.drop_all()
         call(name, level, grids[k])
-        working[name, level, k] = propagation._counts["bytes"]
-    propagation._release_engines()
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 3 * max(working.values()) // 2)
-    idle, evictions = [], propagation._counts["evictions"]
+        working[name, level, k] = _held.counts["bytes"]
+    _held.drop_all()
+    monkeypatch.setattr(_held, "IDLE_BYTE_CAP", 3 * max(working.values()) // 2)
+    idle, evictions = [], _held.counts["evictions"]
     for name, level, k in sequence:
         call(name, level, grids[k])
         total = held_bytes()
-        assert total == propagation._counts["bytes"]
+        assert total == _held.counts["bytes"]
         idle.append(total - working[name, level, k])
-        assert idle[-1] <= propagation._IDLE_BYTE_CAP
-    assert propagation._counts["evictions"] > evictions and max(idle) > 0  # the cap binds and holds
+        assert idle[-1] <= _held.IDLE_BYTE_CAP
+    assert _held.counts["evictions"] > evictions and max(idle) > 0  # the cap binds and holds
 
 
 def test_grown_propagator_map_counted_again():
@@ -1494,22 +1493,31 @@ def test_grown_propagator_map_counted_again():
         with propagation._model_evolver(h, decs) as ev:
             list(ev.trajectory(v, 2, taus))
         assert len(held("propagators")[2, 0.5]) == block + 1
-        sizes.append(propagation._counts["bytes"])
+        sizes.append(_held.counts["bytes"])
         assert sizes[-1] == held_bytes()
     assert sizes[1] > sizes[0]
 
 
 def test_one_model_under_concurrent_mixed_calls(rng, monkeypatch):
-    # four threads mix the steady state, an OTOC and a general correlator on one
-    # model while cap 1 drops every entry a call leaves unused
-    model = two_level_atom(1.0, 0.1, 0.5)
+    # four threads mix the steady state (also with its decomposition looked up in
+    # the thread), an OTOC and a general correlator on one model and the
+    # decomposition of a second, while cap 1 drops every entry a call leaves
+    # unused: the engine's calls and the decomposition lookups share one store
+    model, other = two_level_atom(1.0, 0.1, 0.5), coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6)
     h, decs = model.hamiltonian, decompose_model(model)
     taus = np.linspace(1.0, 3.0, 5)
     ops, spec = _otoc_inputs(rng, 2), _swept_spec(rng, 2, [None, 1.0, None, 0.5], taus)
+
+    def flat(decomps):  # every operator, frequency and rate of `decomps`, as one array
+        return np.concatenate([np.append(op, numbers) for d in decomps for op, numbers in (
+            (d.c0, [d.gamma0]), *((m.operator, [m.frequency, m.gamma_down, m.gamma_up])
+                                  for m in d.modes))])
+
     kinds = [lambda: steady_state(model, decs), lambda: otoc(h, decs, *ops, taus).values,
-             lambda: general_correlator(h, decs, spec, taus=taus).values]
+             lambda: general_correlator(h, decs, spec, taus=taus).values,
+             lambda: steady_state(model), lambda: flat(decompose_model(other))]
     expected = [kind() for kind in kinds]
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 1)
+    monkeypatch.setattr(_held, "IDLE_BYTE_CAP", 1)
     order = [k % len(kinds) for k in range(30)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1522,7 +1530,7 @@ def test_one_model_under_concurrent_mixed_calls(rng, monkeypatch):
     for k, (values, drift) in zip(order, got):
         assert np.array_equal(values, expected[k]) and drift == 0
     assert len(_held_models()) <= 1
-    assert held_bytes() == propagation._counts["bytes"]
+    assert held_bytes() == _held.counts["bytes"]
 
 
 # ------------------------------------------------------------- ode integrator
@@ -1661,7 +1669,7 @@ def test_norm_estimate_copy_is_capped(monkeypatch):
         a = 8.0 * rng.standard_normal((12, 12))
         plan = propagation._ActionPlan(scipy.sparse.csr_array(a) if sparse else a)
         roots = plan.roots(3.0)
-        copy = propagation._nbytes(plan.shifted)
+        copy = _held.nbytes(plan.shifted)
         monkeypatch.setattr(generators, "_CSR_BYTE_CAP", copy)
         assert plan.roots(3.0) == roots
         monkeypatch.setattr(generators, "_CSR_BYTE_CAP", copy - 1)
@@ -1685,9 +1693,9 @@ def test_warm_action_estimates_no_norm(rng, monkeypatch):
             np.geomspace(1e-2, 400.0, 30))
     counted = []
     for _call in range(2):
-        before = dict(propagation._counts)
+        before = dict(_held.counts)
         values = otoc(h, decs, *args).values
-        counted.append({key: propagation._counts[key] - before[key]
+        counted.append({key: _held.counts[key] - before[key]
                         for key in ("matvecs", "norm_estimates")})
         counted[-1]["onenormest"] = len(estimates)
         estimates.clear()
@@ -1697,7 +1705,7 @@ def test_warm_action_estimates_no_norm(rng, monkeypatch):
     assert warm["onenormest"] == warm["norm_estimates"] == 0
     assert warm["matvecs"] == cold["matvecs"] > 0
     assert warm["bytes"] == cold["bytes"]
-    assert len(held("plan")) == 1 and held_bytes() == propagation._counts["bytes"]
+    assert len(held("plan")) == 1 and held_bytes() == _held.counts["bytes"]
 
 
 def test_action_plans_under_concurrent_calls(rng, monkeypatch):
@@ -1707,8 +1715,8 @@ def test_action_plans_under_concurrent_calls(rng, monkeypatch):
     args = (np.kron(sigma_x, EYE2), np.kron(sigma_z, sigma_z), random_density(rng, 4))
     grids = [np.geomspace(1e-2, 400.0, 12), np.geomspace(2e-2, 300.0, 8)]
     expected = [otoc(h, decs, *args, grid).values for grid in grids]
-    assert propagation._counts["norm_estimates"] > 0
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 1)
+    assert _held.counts["norm_estimates"] > 0
+    monkeypatch.setattr(_held, "IDLE_BYTE_CAP", 1)
     order = [k % len(grids) for k in range(12)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1730,7 +1738,7 @@ def test_steady_state_is_a_held_entry(monkeypatch):
     first = steady_state(model, decs)
     (state,) = held("steady").values()
     assert list(held("steady")) == [(1e-9, True)]
-    assert held_bytes() == propagation._counts["bytes"] >= state.nbytes > 0
+    assert held_bytes() == _held.counts["bytes"] >= state.nbytes > 0
     solved = []
     svd = propagation._svd_null_vector
     monkeypatch.setattr(propagation, "_svd_null_vector", lambda *a: solved.append(1) or svd(*a))

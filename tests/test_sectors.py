@@ -47,7 +47,7 @@ from lindcorr import (
     unvec,
     vec,
 )
-from lindcorr import generators, propagation
+from lindcorr import _held, generators, propagation
 from lindcorr.operators import hermitian_eig, kron
 
 from conftest import held, held_bytes, random_density, random_hermitian, random_matrix
@@ -169,7 +169,7 @@ def test_general_correlator_pull_back_on_sparse_level(rng, monkeypatch):
     spec_ops = ((_site(sigma_plus, 0), 3.0), (_site(sigma_z, 1), 1.0), (_site(sigma_minus, 0), 0.5))
     spec = propagation.CorrelatorSpec(spec_ops, random_density(rng, 4))
     dense = general_correlator(model.hamiltonian, decs, spec, taus=taus).values
-    propagation._release_engines()
+    _held.drop_all()
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 100)
     pulled = []
     pull_back = propagation._SlotEvolver.pull_back
@@ -177,7 +177,7 @@ def test_general_correlator_pull_back_on_sparse_level(rng, monkeypatch):
                         lambda ev, w, n, gap: pulled.append(n) or pull_back(ev, w, n, gap))
     orders = _stepped(monkeypatch)
     sparse = general_correlator(model.hamiltonian, decs, spec, taus=taus).values
-    assert pulled == [2] and not generators._dense_fits(model.dim, 2)
+    assert pulled == [2] and not generators._within_budget(model.dim ** 4)
     assert 0 < max(orders) < 256
     assert np.max(np.abs(sparse - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -249,14 +249,14 @@ def test_level_stepped_whole_holds_no_block_order(rng):
     otoc(h, dec, random_matrix(rng, 3), random_matrix(rng, 3), random_density(rng, 3), TAUS)
     (labels, order), = held("blocks").values()
     assert not labels.any() and order is None
-    assert propagation._counts["bytes"] == held_bytes()
-    propagation._release_engines()
+    assert _held.counts["bytes"] == held_bytes()
+    _held.drop_all()
     model = coupled_dimer(**DIMER)
     decs = decompose_model(model)
     otoc(model.hamiltonian, decs, _site(sigma_x, 0), _site(sigma_z, 1), random_density(rng, 4), TAUS)
     labels, order = held("blocks")[2]
     assert np.array_equal(order, np.argsort(labels, kind="stable"))
-    assert propagation._counts["bytes"] == held_bytes()
+    assert _held.counts["bytes"] == held_bytes()
 
 
 def test_disjoint_tensor_and_contraction_give_exact_zeros(monkeypatch):
@@ -272,7 +272,7 @@ def test_disjoint_tensor_and_contraction_give_exact_zeros(monkeypatch):
                         lambda plan, b, t, q, w=None: multiply.append(q + 1) or interval(plan, b, t, q, w))
     orders = _stepped(monkeypatch)
     trace = equal_time_group_correlator(model.hamiltonian, decs, [identity(9)] * 3, [a, a], rho, TAUS)
-    assert not generators._dense_fits(model.dim, 2)
+    assert not generators._within_budget(model.dim ** 4)
     assert np.array_equal(trace.values, np.zeros(len(TAUS)))
     assert multiply == [] and orders == []
 
@@ -289,7 +289,7 @@ def test_held_engine_trims_its_block_labels(rng, monkeypatch):
     a = _site(sigma_minus, 1)
     qrt_correlator(model.hamiltonian, decs, identity(4), dagger(a), a, rho, TAUS)
     assert set(held("blocks")) == {1, 2}
-    monkeypatch.setattr(propagation, "_IDLE_BYTE_CAP", 0)
+    monkeypatch.setattr(_held, "IDLE_BYTE_CAP", 0)
     qrt_correlator(model.hamiltonian, decs, identity(4), dagger(a), a, rho, TAUS)
     assert set(held("blocks")) == {1}
     assert 2 not in held("generator")
@@ -315,7 +315,7 @@ def test_dense_labels_and_exact_zero_propagators(name):
     ev, n = _dense_level(name)
     gen = ev.generator(n).toarray()
     labels, _order = ev.blocks(n)
-    assert generators._dense_fits(ev.dim, n) and 1 < labels.max() + 1 < len(gen)
+    assert generators._within_budget(ev.dim ** (2 * n)) and 1 < labels.max() + 1 < len(gen)
     apart = labels[:, None] != labels[None, :]
     assert not np.any(gen[apart])
     for gap in (0.3, 2.5):
@@ -355,7 +355,7 @@ def test_one_block_dense_level_is_byte_identical_to_full_propagator(rng):
     b_ops = [random_matrix(rng, 3) for _ in range(2)]
     rho = random_density(rng, 3)
     values = equal_time_group_correlator(h, dec, a_ops, b_ops, rho, TAUS).values
-    assert generators._dense_fits(len(h), 2) and np.all(held("blocks")[2][0] == 0)
+    assert generators._within_budget(len(h) ** 4) and np.all(held("blocks")[2][0] == 0)
     gen = multi_slot_generator(h, dec, 2).matrix
     v, w = elementary_tensor(b_ops), contraction_functional(a_ops, rho)
     expected = []
@@ -387,7 +387,7 @@ def test_dimer_otoc_forms_only_its_touched_blocks(monkeypatch):
     labels, coords = ev._level(2, tensor, w)
     sizes = np.bincount(labels[coords])
     sizes = sizes[sizes > 0]
-    assert generators._dense_fits(ev.dim, 2) and len(coords) == 70
+    assert generators._within_budget(ev.dim ** 4) and len(coords) == 70
     assert orders and max(orders) <= 70
     assert sorted(orders) == sorted(sizes.tolist())  # one uniform grid: each block once
     (blocks,) = held("propagators").values()
@@ -525,11 +525,11 @@ def test_block_propagators_match_level_propagator(model, kind, touch, data):
     v = (rng.standard_normal(len(labels)) + 1j * rng.standard_normal(len(labels))) * inside
     taus = np.linspace(0.0, data.draw(st.floats(0.5, 8.0)), 5)
     order = len(labels) if kind == "dense" else len(labels) - 1
-    propagation._release_engines()  # each example starts from no held entry
+    _held.drop_all()  # each example starts from no held entry
     with _budget(order), mock.patch.object(propagation, "integrate_ode") as acted:
         ev = propagation._SlotEvolver(h, dec)
         got = list(ev.trajectory(v, 2, taus))
-        assert not acted.called and generators._dense_fits(ev.dim, 2) == (kind == "dense")
+        assert not acted.called and generators._within_budget(ev.dim ** 4) == (kind == "dense")
     (blocks,) = held("propagators", ev.key).values()
     assert sorted(blocks) == np.flatnonzero(picked).tolist()
     full = gen.toarray() if kind == "dense" else gen[inside][:, inside].toarray()
