@@ -18,7 +18,8 @@ For each case below, with BLAS and OpenMP threads fixed at 1, it times:
   coordinates S, as CSR and, when S is within the budget, as a dense array;
 * the sweep on the restricted level (`_SlotEvolver.sweep` in one call through
   `propagation._model_evolver`: cold, from a store holding only the level's
-  generator and blocks, with its propagators built, and warm, with them held)
+  generator, block labels and block order, with its block propagators built,
+  and warm, with them held)
   against the sweep of the whole level, w @ exp(tau G_n) T: by
   `integrate_ode` on the full CSR generator on a sparse level (the sparse
   engine before blocks), by one propagator of the whole level and 40
@@ -38,7 +39,8 @@ It also times single-use pull-backs w @ exp(gap G_n) on dense levels, as the
 general-pattern sweeps make them: the whole level's propagator and one
 product (the engine before this measurement) against `_SlotEvolver.pull_back`
 on the touched blocks, an action on every call, cold (from a store holding
-only the level's generator and blocks) and with its action plan held.
+only the level's generator, block labels and block order) and with its action
+plan and run held.
 
 It then re-runs the dense/CSR crossover at block orders: for unions of whole
 blocks of the sparse generators (what the engine steps), of orders 35 to
@@ -51,19 +53,21 @@ time ratio stays at or below 1.  The result goes under the key "blocks" of
 
 With `--dimer-otocs` it measures only the Pauli-string OTOCs of the dimer
 (order-256 dense level) and how their propagators are formed: per case the
-cold sweep (from a store holding only the level's generator and blocks) and
-the warm one (on what the cold sweep left held), the sizes of the touched
-blocks, the order of every `expm` the cold sweep made and the bytes held
-after it (`_held.counts["bytes"]`: generator, block labels and order,
-and propagators).  The rows go under `--label` in the key
+cold sweep (from a store holding only the level's generator, block labels
+and block order) and the warm one (on what the cold sweep left held), the
+sizes of the touched blocks, the order of every `expm` the cold sweep made
+and the bytes held after it (`_held.counts["bytes"]`, each entry counted once
+when it was stored: generator, block labels, block order and one propagator
+per touched block).  The rows go under `--label` in the key
 "dimer_otocs" of `--out` (default BENCH_12.json).
 
 With `--block-order` it measures, on the 3-slot levels of the 6- and 9-level
-oscillators, what a level's blocks entry costs cold: the time of
-`_SlotEvolver.blocks` from a store holding only the level's generator, its
-bytes after a call that steps the whole level (a vector on every block), and
-the time and bytes of the first call that groups coordinates by block (a
-vector on one block).  The rows go under `--label` in the key "block_order"
+oscillators, what a level's block labels and block order cost cold: the
+time of `_SlotEvolver.labels` from a store holding only the level's
+generator, the bytes of the two entries after a call that steps the whole
+level (a vector on every block: the labels alone), and the time and bytes of
+the first call that groups coordinates by block (a vector on one block: it
+stores the order).  The rows go under `--label` in the key "block_order"
 of `--out` (default BENCH_19.json).
 
 With `--assembly` it measures only the cold assembly of levels: per level,
@@ -214,9 +218,10 @@ def _call(h, decs, act):
         return act(ev)
 
 
-def _keep_level(h, decs, n: int) -> None:
-    """Leave only the n-slot level's generator and blocks held."""
-    _hold_only(h, decs, lambda ev: (ev.generator(n), ev.blocks(n)))
+def _keep_level(h, decs, n: int, *vectors) -> None:
+    """Leave only the n-slot level's generator, block labels and, when `vectors` are
+    stepped on the coordinates of some blocks, its block order held."""
+    _hold_only(h, decs, lambda ev: (ev.generator(n), ev._level(n, *vectors)))
 
 
 def _hold_only(h, decs, act) -> None:
@@ -260,11 +265,11 @@ def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, 
         return _call(h, decs, lambda ev: ev.sweep(tensor, n, TAUS, w))
 
     def cold_peak():
-        _keep_level(h, decs, n)
+        _keep_level(h, decs, n, tensor, w)
         return _peak(sweep)
 
     full_s, expected = _median(full_sweep, repeats)
-    cold_s, values = _median(sweep, repeats, setup=lambda: _keep_level(h, decs, n))
+    cold_s, values = _median(sweep, repeats, setup=lambda: _keep_level(h, decs, n, tensor, w))
     sweep()
     warm_s, _ = _median(sweep, repeats)
     scale = float(np.max(np.abs(expected))) or 1.0
@@ -304,11 +309,11 @@ def measure_dimer_otoc(name, h, decs, a_ops, b_ops, rho, repeats: int) -> dict:
     def sweep():
         return _call(h, decs, lambda ev: ev.sweep(tensor, 2, TAUS, w))
 
-    cold_s, _ = _median(sweep, repeats, setup=lambda: _keep_level(h, decs, 2))
+    cold_s, _ = _median(sweep, repeats, setup=lambda: _keep_level(h, decs, 2, tensor, w))
     orders, expm = [], propagation.expm
     propagation.expm = lambda m, t: orders.append(int(m.shape[0])) or expm(m, t)
     try:
-        _keep_level(h, decs, 2)
+        _keep_level(h, decs, 2, tensor, w)
         sweep()
     finally:
         propagation.expm = expm
@@ -354,7 +359,7 @@ def measure_pull_back(name, h, decs, n, w, repeats: int) -> dict:
         return _call(h, decs, lambda ev: ev.pull_back(w, n, gap))
 
     full_s, expected = _median(lambda: w @ lc.expm(dense, gap), repeats)
-    cold_s, pulled = _median(pull_back, repeats, setup=lambda: _keep_level(h, decs, n))
+    cold_s, pulled = _median(pull_back, repeats, setup=lambda: _keep_level(h, decs, n, w))
     pull_back()
     held_s, _ = _median(pull_back, repeats)
     row = {"case": name, "slots": n, "level_order": gen.shape[0], "gap": gap,
@@ -538,34 +543,37 @@ def _env() -> dict:
 
 
 def measure_block_order(dim: int, repeats: int) -> dict:
-    """Cold cost of the 3-slot level's blocks entry of a `dim`-level oscillator."""
+    """Cold cost of the 3-slot level's block labels and block order of a `dim`-level
+    oscillator."""
     model = lc.truncated_oscillator(dim=dim, **OSCILLATOR)
     h, decs = model.hamiltonian, lc.decompose_model(model)
     _held.drop_all()
     _call(h, decs, lambda ev: ev.generator(3))
 
-    def drop():  # the blocks entry: only the generator stays held
+    def drop():  # the labels and the order: only the generator stays held
         _hold_only(h, decs, lambda ev: ev.generator(3))
 
-    def blocks():
-        return _call(h, decs, lambda ev: ev.blocks(3))
+    def labels():
+        return _call(h, decs, lambda ev: ev.labels(3))
 
-    def entry_bytes():
-        return _held.nbytes(blocks())
+    def entry_bytes():  # the level's labels and, once a call groups it, its block order
+        entries, _counts = _held.snapshot()
+        return sum(size for _owner, kind, key, _value, size in entries
+                   if kind in ("labels", "order") and key == 3)
 
-    entry_s, _ = _median(blocks, repeats, setup=drop)
+    entry_s, _ = _median(labels, repeats, setup=drop)
     everywhere = np.ones(dim ** 6, dtype=complex)
     whole_s, _ = _median(lambda: _call(h, decs, lambda ev: ev._level(3, everywhere)), repeats)
     whole_b = entry_bytes()
-    labels = blocks()[0]
-    one = (labels == labels[0]).astype(complex)
+    level = labels()
+    one = (level == level[0]).astype(complex)
 
     def cold_entry():
         drop()
-        blocks()
+        labels()
     group_s, _ = _median(lambda: _call(h, decs, lambda ev: ev._level(3, one)), repeats,
                          setup=cold_entry)
-    row = {"level": f"oscillator:d={dim},n=3", "order": dim ** 6, "labels_b": int(labels.nbytes),
+    row = {"level": f"oscillator:d={dim},n=3", "order": dim ** 6, "labels_b": int(level.nbytes),
            "entry_s": entry_s, "stepped_whole_s": whole_s, "stepped_whole_entry_b": whole_b,
            "first_grouping_s": group_s, "grouped_entry_b": entry_bytes()}
     _held.drop_all()

@@ -134,9 +134,9 @@ def measure(repeats: int) -> dict:
     for order in ORDERS:
         mine = [r for r in rows if r["order"] == order]
         by_order[str(order)] = {
-            f"{kind}_ratio_median": statistics.median(
-                r[f"dense_{kind}_s"] / r[f"sparse_{kind}_s"] for r in mine)
-            for kind in ("cold", "warm")
+            f"{when}_ratio_median": statistics.median(
+                r[f"dense_{when}_s"] / r[f"sparse_{when}_s"] for r in mine)
+            for when in ("cold", "warm")
         }
         by_order[str(order)]["max_rel_deviation"] = max(r["rel_deviation"] for r in mine)
     suggested = 0

@@ -334,7 +334,7 @@ def step_peak() -> dict:
     start = time.perf_counter()
     with propagation._model_evolver(model.hamiltonian, decs) as ev:
         csr = _held.nbytes(ev.generator(3))
-        ev.blocks(3)
+        ev.labels(3)
     assembly_s = time.perf_counter() - start
     calls = []
     for call in (1, 2):
@@ -497,13 +497,13 @@ def _random_decomps(rng: np.random.Generator, d: int, eigenbasis: bool):
 def tolerance(rng: np.random.Generator, models: int) -> dict:
     """Deviation of the action from the propagator product, per kind of generator."""
     rows = []
-    for kind, dims in (("dense_level", (3, 4)), ("sparse_level_block", (3, 4, 5)),
+    for level, dims in (("dense_level", (3, 4)), ("sparse_level_block", (3, 4, 5)),
                        ("csr_level", (4, 5))):
         for _model in range(models):
             d, gap = int(rng.choice(dims)), float(rng.uniform(0.05, 5.0))
-            h, decs = _random_decomps(rng, d, eigenbasis=kind == "sparse_level_block")
+            h, decs = _random_decomps(rng, d, eigenbasis=level == "sparse_level_block")
             gen = lc.multi_slot_action(h, decs, 2).to_csr()
-            if kind == "sparse_level_block":
+            if level == "sparse_level_block":
                 labels = propagation._block_labels(gen)
                 blocks = np.unique(labels)
                 picked = rng.permutation(blocks)[: max(1, len(blocks) // 2)]
@@ -511,18 +511,18 @@ def tolerance(rng: np.random.Generator, models: int) -> dict:
                 gen = gen[coords][:, coords]
             dense = gen.toarray()
             v = rng.standard_normal(len(dense)) + 1j * rng.standard_normal(len(dense))
-            acted = propagation.integrate_ode(dense if kind == "dense_level" else gen, v, [0.0, gap])[-1]
+            acted = propagation.integrate_ode(dense if level == "dense_level" else gen, v, [0.0, gap])[-1]
             product = lc.expm(dense, gap) @ v
-            rows.append({"kind": kind, "dim": d, "order": len(dense), "gap": gap,
+            rows.append({"kind": level, "dim": d, "order": len(dense), "gap": gap,
                          "rel_deviation": float(np.max(np.abs(acted - product))
                                                 / np.max(np.abs(product)))})
     by_kind = {}
     for row in rows:
         by_kind.setdefault(row["kind"], []).append(row["rel_deviation"])
-    summary = {kind: {"max": max(devs), "median": statistics.median(devs), "models": len(devs)}
-               for kind, devs in by_kind.items()}
-    for kind, stats in summary.items():
-        print(f"tolerance {kind:20s} max {stats['max']:.1e} median {stats['median']:.1e} "
+    summary = {level: {"max": max(devs), "median": statistics.median(devs), "models": len(devs)}
+               for level, devs in by_kind.items()}
+    for level, stats in summary.items():
+        print(f"tolerance {level:20s} max {stats['max']:.1e} median {stats['median']:.1e} "
               f"over {stats['models']} models", flush=True)
     return {"rows": rows, "by_kind": summary}
 

@@ -3,16 +3,24 @@
 The n-slot generators and their propagators depend only on the model (H and
 the dissipation channels), not on the operators or the state, so the drivers
 share them across calls.  Each call makes a new engine of its model, which
-keeps nothing but the model, its key (a digest of H and the channels) and
-the entries it touched: what the engine builds is held here, keyed by
-(owner, kind, key) with the model key as owner, and found again by every
-later call on an equal model, recognised by content rather than identity.
-An entry is a level's generator, its blocks (labels, and the block order once
-a call groups coordinates by block), one step's block propagators, an action
-plan, or the stationary state for one null tolerance and solver.  The exact
-decompositions of a model's couplings (``decomposition.decompose_model``)
-are one more entry, owned by a digest of what they are made from: H, the
-coupling operators and their baths, and keyed by the frequency tolerance.
+keeps nothing but the model and its key (a digest of H and the channels):
+what the engine builds is held here, keyed by (owner, kind, key) with the
+model key as owner, and found again by every later call on an equal model,
+recognised by content rather than identity.  An engine's entries are, by
+kind: a level's "generator", its block "labels" and, once a call groups its
+coordinates by block, its block "order"; one block's "propagator" for one
+step; an action "plan" of the touched blocks' slice, and each "run" of steps
+on it (its Taylor degree, step count and way of stepping); and the "steady"
+state for one null tolerance and solver.  The exact decompositions of a
+model's couplings (``decomposition.decompose_model``) are one more entry,
+owned by a digest of what they are made from: H, the coupling operators and
+their baths, and keyed by the frequency tolerance.
+
+An entry never changes once :func:`find` stores it: what a later call adds
+(another block's propagator at a step already used, a new step length on a
+held plan, the block order of a level first stepped whole) is an entry of its
+own.  So each entry's bytes are counted once, when it is stored, and the
+count of bytes held is exact without measuring any entry again.
 
 Entries are idle at the start of an engine's call if they are another
 owner's (a decomposition among them), at its end if the call did not use
@@ -21,15 +29,16 @@ first, while they hold more than ``IDLE_BYTE_CAP`` bytes; a new decomposition
 also drops idle decompositions over the cap (:func:`find`).  So another
 model's entries beyond the cap are released before a call builds anything,
 and between calls the store holds at most the cap plus the last call's own
-working set (the blocks of one step hold at most the entries of the whole
-level's propagator).  What it holds changes the time of a later call, never
-its path or its values: a repeated call returns the same bytes.
+working set (the block propagators of one step hold at most the entries of
+the whole level's propagator).  What it holds changes the time of a later
+call, never its path or its values: a repeated call returns the same bytes.
 
 This module is the only code that knows an entry's layout, its tick and byte
 bookkeeping and the eviction rules.  It imports no other lindcorr module.
 """
 
 import hashlib
+import sys
 import threading
 from collections import Counter
 from contextlib import contextmanager
@@ -68,26 +77,25 @@ def tally(**amounts: int) -> None:
 
 
 def nbytes(m) -> int:
-    """Bytes of an array, a sparse matrix (data, indices and indptr), a map, tuple or
-    list of them (None counting 0), or an object that counts its own (``_nbytes()``)."""
-    if isinstance(m, dict):
-        return sum(nbytes(block) for block in list(m.values()))
-    if isinstance(m, (tuple, list)):
-        return sum(nbytes(part) for part in list(m) if part is not None)
+    """Bytes of an array, a sparse matrix (data, indices and indptr), an object that
+    counts its own (``_nbytes()``), a tuple of them, or a tuple of Python numbers:
+    sys.getsizeof of the tuple and of each number."""
+    if isinstance(m, tuple):
+        if m and all(isinstance(part, (int, float)) for part in m):
+            return sys.getsizeof(m) + sum(map(sys.getsizeof, m))
+        return sum(map(nbytes, m))
     if hasattr(m, "_nbytes"):
         return m._nbytes()
     return sum(part.nbytes for part in ((m.data, m.indices, m.indptr) if hasattr(m, "indptr") else (m,)))
 
 
-def find(owner, kind: str, key, build, touched: set | None = None, *, kind_idle: bool = False):
+def find(owner, kind: str, key, build, *, kind_idle: bool = False):
     """The value held under (`owner`, `kind`, `key`), built by `build()` on a miss and
-    counted in bytes; from then on the most recently used entry of the store, and
-    one of `touched` when given.  A value another thread stored meanwhile is kept.
-    With `kind_idle`, the other entries of its kind are idle: they are then dropped
-    over the cap (:func:`_evict`)."""
+    counted in bytes, once: a held value is never changed.  From then on it is the
+    most recently used entry of the store.  A value another thread stored meanwhile
+    is kept.  With `kind_idle`, the other entries of its kind are idle: they are then
+    dropped over the cap (:func:`_evict`)."""
     entry = (owner, kind, key)
-    if touched is not None:
-        touched.add(entry)
     found = _store.get(entry)
     value = build() if found is None else found[0]
     with _lock:
@@ -121,13 +129,13 @@ def _evict(is_idle) -> None:
 
 
 @contextmanager
-def engine_call(owner, touched: set) -> Iterator[None]:
-    """One call of an engine of `owner`, whose lookups add their entries to `touched`.
+def engine_call(owner) -> Iterator[None]:
+    """One call of an engine of `owner`.
 
     Idle entries are dropped (:func:`_evict`) at both ends of the call: before
     anything is built, the other owners' entries; on exit, also after an
-    exception, once the bytes of the entries in `touched` are counted again
-    (built or grown since), the entries the call did not use.
+    exception, the entries the call did not use.  No entry is measured again:
+    each was counted when it was stored.
     """
     with _lock:
         _evict(lambda entry, _tick: entry[0] != owner)
@@ -136,11 +144,6 @@ def engine_call(owner, touched: set) -> Iterator[None]:
         yield
     finally:
         with _lock:
-            for entry in touched:
-                if entry in _store:  # else dropped by another call meanwhile
-                    value, tick, size = _store[entry]
-                    _store[entry] = (value, tick, nbytes(value))
-                    counts["bytes"] += _store[entry][2] - size
             _evict(lambda _entry, tick: tick < start)
 
 

@@ -109,38 +109,39 @@ def _dense_kron(a, b) -> np.ndarray:
 
 
 def _entries(f) -> tuple[np.ndarray, ...]:
-    """A matrix's nonzero entries row by row, as (values, columns, rows, places in
-    their rows, row lengths, row pointer); `f` is a dense or a canonical CSR array."""
+    """A matrix's nonzero entries row by row, as CSR arrays: (values, columns, row
+    pointer); `f` is a dense or a canonical CSR array."""
     rows, cols = f.nonzero()
-    lengths = np.bincount(rows, minlength=f.shape[0]).astype(np.int32)
-    indptr = np.zeros(len(lengths) + 1, dtype=np.int32)
-    np.cumsum(lengths, out=indptr[1:])
+    indptr = np.zeros(f.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=f.shape[0]), out=indptr[1:])
     values = f[rows, cols] if isinstance(f, np.ndarray) else f.data[f.data != 0]
-    return values, cols.astype(np.int32), rows, np.arange(len(rows)) - indptr[rows], lengths, indptr
+    return values, cols.astype(np.int32), indptr
 
 
 def _rows(block, lo: int, hi: int) -> tuple:
     """Rows lo .. hi - 1 of the :func:`_entries` `block`, numbered from 0."""
-    v, c, r, p, lengths, indptr = block
+    v, c, indptr = block
     a, z = indptr[lo], indptr[hi]
-    return (None if v is None else v[a:z], c[a:z], r[a:z] - lo, None if p is None else p[a:z],
-            lengths[lo:hi], indptr[lo:hi + 1] - a)
+    return None if v is None else v[a:z], c[a:z], indptr[lo:hi + 1] - a
 
 
 def _kron(blocks, order: int) -> tuple[np.ndarray, ...]:
     """The entries of the Kronecker product of `blocks`, the :func:`_entries` of
-    order x order matrices (without values or places for the identity), over the
-    broadcast shape of the blocks' entries: each one's row, column and place in its
-    row, the mixed-radix numbers of its factors' (places in radices of the factors'
-    row lengths, so the columns of a row come out sorted), and its value, their
-    product left to right as ``np.kron`` forms it (leaving out the identity's ones)."""
+    order x order matrices (without values for the identity), over the broadcast
+    shape of the blocks' entries: each one's row, column and place in its row, the
+    mixed-radix numbers of its factors' (places in radices of the factors' row
+    lengths, so the columns of a row come out sorted; each factor's rows and places
+    read from its row pointer), and its value, their product left to right as
+    ``np.kron`` forms it (leaving out the identity's ones)."""
     rows = cols = place = 0
     values = None
-    for axis, (v, c, r, p, lengths, _indptr) in enumerate(blocks):
+    for axis, (v, c, indptr) in enumerate(blocks):
         shape = (-1,) + (1,) * (len(blocks) - 1 - axis)
+        lengths = indptr[1:] - indptr[:-1]
+        r = np.arange(len(lengths)).repeat(lengths)
         rows, cols = rows * order + r.reshape(shape), cols * order + c.reshape(shape)
         if v is not None:
-            place = place * lengths[r].reshape(shape) + p.reshape(shape)
+            place = place * lengths[r].reshape(shape) + (np.arange(len(r)) - indptr[r]).reshape(shape)
             values = v.reshape(shape) if values is None else values * v.reshape(shape)
     return rows, cols, place, values
 
@@ -170,7 +171,7 @@ def _csr_sum(terms, order: int):
         indptr = np.zeros(k * m + 1, dtype=np.int32)  # row j m + i: row i of term j
         for j, t in enumerate(run):
             row_ends = indptr[j * m + 1:][:m]
-            np.cumsum(reduce(np.multiply.outer, [b[4] for b in t]).ravel(), out=row_ends)
+            np.cumsum(reduce(np.multiply.outer, [b[2][1:] - b[2][:-1] for b in t]).ravel(), out=row_ends)
             row_ends += ends[j]
             rows, cols, place, values = _kron(t, order)
             at = indptr[j * m + rows] + place
@@ -200,8 +201,8 @@ class SlotKroneckerAction:
     slot pair m1 < m2, in that order, each with the identity on the slots it
     leaves alone.  The slot factors are built once, with ``np.kron`` while the
     one-slot level fits the budget and from the d x d operators' entries above
-    it, so no dense d^2 x d^2 array is made there, and kept as their nonzero
-    entries.  :meth:`to_csr` is the one assembly: each term's entries are placed
+    it, so no dense d^2 x d^2 array is made there, and kept as the CSR arrays of
+    their nonzero entries.  :meth:`to_csr` is the one assembly: each term's entries are placed
     by index arithmetic from its factors' and the terms are added in order
     (:func:`_csr_sum`), which stores the nonzeros of the sum of the terms' dense
     ``np.kron`` products, value for value; :meth:`to_dense` is that sum
@@ -233,9 +234,8 @@ class SlotKroneckerAction:
 
     def _factor_bytes(self) -> int:
         """Bound on the bytes of the slot factors' :func:`_entries` arrays from the d x d
-        operators' nonzeros, nnz(kron(A, B)) = nnz(A) nnz(B), and L has <= d**4: 36
-        per entry (value 16, column 4, row and place 8 each) and 8 per row (length
-        and row pointer 4 each), plus the row pointer's last 4."""
+        operators' nonzeros, nnz(kron(A, B)) = nnz(A) nnz(B), and L has <= d**4: CSR,
+        20 per entry (value 16, column 4) and 4 per row, plus the row pointer's last 4."""
         d, cross = self.dim, self.slots > 1
         lind, pairs = 2 * d * int(np.count_nonzero(self.hamiltonian)), 0
         for _rate, c in self.channels:
@@ -243,7 +243,7 @@ class SlotKroneckerAction:
             lind += c_nnz ** 2 + 2 * d * cdc_nnz
             pairs += 4 * d * c_nnz
         nnz = min(lind, d ** 4) + cross * pairs
-        return 36 * nnz + (8 * d * d + 4) * (1 + cross * 2 * len(self.channels))
+        return 20 * nnz + (4 * d * d + 4) * (1 + cross * 2 * len(self.channels))
 
     def csr_bytes(self) -> int:
         """Upper bound on the bytes of :meth:`to_csr`, from the factors' nonzeros.
@@ -261,12 +261,12 @@ class SlotKroneckerAction:
         """Upper bound on the generator's 1-norm: a term's is the product of its
         factors' (the identity's is 1), and the sum's at most the terms' total."""
         factors = {id(f): f for term in self._terms for _slot, f in term}
-        norms = {key: np.bincount(f[1], np.abs(f[0]), len(f[4])).max() for key, f in factors.items()}
+        norms = {key: np.bincount(f[1], np.abs(f[0]), len(f[2]) - 1).max() for key, f in factors.items()}
         return sum(math.prod(norms[id(f)] for _slot, f in term) for term in self._terms)
 
     def _assemble(self):
         count = np.arange(self.dim ** 2 + 1, dtype=np.int32)  # the identity's entries
-        eye = (None, count[:-1], count[:-1], None, np.ones(self.dim ** 2, dtype=np.int32), count)
+        eye = (None, count[:-1], count)
         return _csr_sum([[dict(t).get(s, eye) for s in range(1, self.slots + 1)]
                          for t in self._terms], self.dim ** 2)
 

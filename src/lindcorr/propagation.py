@@ -34,16 +34,17 @@ run alone.  If S has at most the budget's coordinates and the run has more
 than one step or no block of S has more than ``_SINGLE_USE_ORDER``
 coordinates, the run is stepped by matrix-vector products with the
 block-diagonal propagator of its step, made of the block propagators
-exp(step G_b), each formed once per level and step and cached.  Otherwise
-the run is one action of G[S, S]; a pull-back uses the transposed matrix.
-The action is Al-Mohy & Higham's interval algorithm (SIAM J. Sci. Comput.
-33, 488, 2011), run here with the arithmetic of scipy's ``expm_multiply``,
-on a plan held per level, touched blocks and direction: the shifted slice
-G[S, S] - mu I, its 1-norm, and the Taylor degree and step count found for
-each step length, whose 1-norm estimates of powers of the slice are the
-costly part of a cold action, so a warm action only multiplies.  Its
-vectors (``integrate_ode``, the pull-backs and density evolutions) are
-scipy's bit for bit.  A sweep needs only the values w @ T(tau), so its
+exp(step G_b), each formed once per level, step and block and held.
+Otherwise the run is one action of G[S, S]; a pull-back uses the transposed
+matrix.  The action is Al-Mohy & Higham's interval algorithm (SIAM J. Sci.
+Comput. 33, 488, 2011), run here with the arithmetic of scipy's
+``expm_multiply``, on a plan held per level, touched blocks and direction
+(the shifted slice G[S, S] - mu I, its shift and its 1-norm) and the run's
+Taylor degree and step count, held per plan, run length and number of
+steps; their 1-norm estimates of powers of the slice are the costly part of
+a cold action, so a warm action only multiplies.  Its vectors (the
+pull-backs and density evolutions, and ``integrate_ode``'s) are scipy's bit
+for bit.  A sweep needs only the values w @ T(tau), so its
 action returns them: each interval's end point is still summed as a vector,
 with scipy's bits and so its value, but an interior point's value is the
 contraction of w with the interval's Taylor terms, which differs from w @
@@ -70,13 +71,13 @@ The n-slot generators and their propagators depend only on the model (H and
 the dissipation channels), not on the operators or the state, so what an
 engine builds is held across calls in the store of ``lindcorr._held``, keyed
 by the model's content, and found again by every later call on an equal model.
+A held value never changes: what a later call adds is an entry of its own.
 """
 
 from __future__ import annotations
 
 import math
 import string
-import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -269,11 +270,12 @@ _NORM_ONLY = 2 * 2 * _P_MAX * (_P_MAX + 3) * (_THETA[_M_MAX] / float(_M_MAX))
 
 class _ActionPlan:
     """What the action exp(t A) v needs of A alone, prepared once: the shifted matrix
-    A - mu I (mu = trace(A) / n, in A's own format), its exact 1-norm, and the
-    Taylor degree and step count (m*, s) found for each (t, scale).
+    A - mu I (mu = trace(A) / n, in A's own format), the shift mu and the shifted
+    matrix's exact 1-norm.  A plan is never changed once made: the Taylor degree
+    and step count of each run of steps on it are :meth:`run`'s.
 
-    The engine holds one plan per slice it acts on, so a warm action estimates no
-    norm and copies no matrix.  ``shape`` is A's.
+    The engine holds one plan per slice it acts on, and each run's (m*, s) as an
+    entry of its own, so a warm action estimates no norm and copies no matrix.
     """
 
     def __init__(self, a):
@@ -288,33 +290,41 @@ class _ActionPlan:
         else:
             self.shifted = a - self.mu * np.eye(n, n, dtype=a.dtype)
             self.norm = np.linalg.norm(self.shifted, 1)
-        self.shape = a.shape
-        self.params: dict[tuple[float, float], tuple[int, int]] = {}
+
+    def run(self, t: float, q: int) -> tuple[float, int, int, int, bool]:
+        """(t, q, m*, s, stepwise) of exp(k (t / q) A) b, k = 0 .. q (:func:`_interval`):
+        the Taylor degree and step count of exp(t A) by :meth:`degrees`, and whether
+        q <= s, when each of the q steps is taken alone with the (m*, s) of exp((t / q) A)
+        instead.  The 1-norm estimates, if any, are made once for both."""
+        if t * self.norm == 0:
+            return t, q, 0, 1, q <= 1
+        roots = cache(lambda: self.roots(t))
+        m, s = self.degrees(t, 1, roots)
+        if q <= s:
+            return (t, q, *self.degrees(t, 1.0 / q, roots), True)
+        return t, q, m, s, False
 
     def degrees(self, t: float, scale: float, roots) -> tuple[int, int]:
         """(m*, s) for exp(scale t A) on one vector by Code Fragment 3.1 of Al-Mohy &
-        Higham (2011), m_max = 55 and ell = 2, found once per (t, scale); `roots()`
-        gives d_p = ||(t A)^p||_1^(1/p), p = 2 .. 9, when the 1-norm is too large alone."""
-        key = (t, scale)
-        if key not in self.params:
-            norm, best_m, best_s = scale * (t * self.norm), None, None
-            if norm <= _NORM_ONLY:
-                for m, theta in _THETA.items():
-                    s = math.ceil(norm / theta)
-                    if best_m is None or m * s < best_m * best_s:
-                        best_m, best_s = m, s
-            else:
-                d = [scale * root for root in roots()]
-                for p in range(2, _P_MAX + 1):
-                    alpha = max(d[p - 2], d[p - 1])
-                    for m in range(p * (p - 1) - 1, _M_MAX + 1):
-                        if m in _THETA:
-                            s = math.ceil(alpha / _THETA[m])
-                            if best_m is None or m * s < best_m * best_s:
-                                best_m, best_s = m, s
-                best_s = max(best_s, 1)
-            self.params[key] = best_m, best_s
-        return self.params[key]
+        Higham (2011), m_max = 55 and ell = 2; `roots()` gives d_p = ||(t A)^p||_1^(1/p),
+        p = 2 .. 9, when the 1-norm is too large alone."""
+        norm, best_m, best_s = scale * (t * self.norm), None, None
+        if norm <= _NORM_ONLY:
+            for m, theta in _THETA.items():
+                s = math.ceil(norm / theta)
+                if best_m is None or m * s < best_m * best_s:
+                    best_m, best_s = m, s
+        else:
+            d = [scale * root for root in roots()]
+            for p in range(2, _P_MAX + 1):
+                alpha = max(d[p - 2], d[p - 1])
+                for m in range(p * (p - 1) - 1, _M_MAX + 1):
+                    if m in _THETA:
+                        s = math.ceil(alpha / _THETA[m])
+                        if best_m is None or m * s < best_m * best_s:
+                            best_m, best_s = m, s
+            best_s = max(best_s, 1)
+        return best_m, best_s
 
     def roots(self, t: float) -> list[float]:
         """||(t A)^p||_1^(1/p) for p = 2 .. 9, each estimated by scipy's ``onenormest``
@@ -333,11 +343,8 @@ class _ActionPlan:
         return roots
 
     def _nbytes(self) -> int:
-        """Bytes held: the shifted matrix, and the map of Taylor degrees with the map's
-        key and value tuples."""
-        params = list(self.params.items())
-        return _held.nbytes(self.shifted) + sys.getsizeof(self.params) + sum(
-            sys.getsizeof(key) + sys.getsizeof(value) for key, value in params)
+        """Bytes held: the shifted matrix."""
+        return _held.nbytes(self.shifted)
 
 
 # the computed norm of a partial sum exceeds the computed norm before a term was
@@ -428,33 +435,29 @@ def _interior(terms: np.ndarray, norms: list, span: int, h: float, mu, w: np.nda
     return values, shown.any(axis=1)
 
 
-def _interval(plan: _ActionPlan, b: np.ndarray, t: float, q: int,
+def _interval(plan: _ActionPlan, b: np.ndarray, run: tuple,
               w: np.ndarray | None = None) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """exp(k (t / q) A) b for k = 0 .. q, A the plan's matrix, as rows; given a dual
+    """exp(k (t / q) A) b for k = 0 .. q, A the plan's matrix and (t, q, m*, s,
+    stepwise) the plan's `run` (:meth:`_ActionPlan.run`), as rows; given a dual
     vector `w`, the values w @ exp(k (t / q) A) b for k = 0 .. q and the last row.
 
     Algorithm 5.2 of Al-Mohy & Higham (2011) from time 0, with the arithmetic
-    of scipy's ``expm_multiply``: when q <= s, each point is stepped from the
-    one before by :func:`_taylor` with the (m*, s) of one step; otherwise the
-    points are stepped in intervals of d = q // s points (the last holding the
-    rest) from the Taylor terms K[p] of each interval's start, each term and
-    its norm formed once, and each point summed by :func:`_point`.  So every
-    row is scipy's, and so is every value at a point stepped from the one
-    before or at an interval's end.  An interior point's value is instead
-    taken from the terms by :func:`_interior`, one product of the terms with
-    `w`, and summed as a row only where its stopping test is not shown; no
-    term is formed that the rows would not form.  The workspace, the q + 1
-    rows (given `w`, one carried row and the interior's arrays of d by m* + 1
-    products, sums and bounds) and, when stepped in intervals, the m* + 1
-    terms, is checked against the CSR byte cap before it is made.
+    of scipy's ``expm_multiply``: when q <= s (stepwise), each point is stepped
+    from the one before by :func:`_taylor` with the (m*, s) of one step;
+    otherwise the points are stepped in intervals of d = q // s points (the last
+    holding the rest) from the Taylor terms K[p] of each interval's start, each
+    term and its norm formed once, and each point summed by :func:`_point`.  So
+    every row is scipy's, and so is every value at a point stepped from the one
+    before or at an interval's end.  An interior point's value is instead taken
+    from the terms by :func:`_interior`, one product of the terms with `w`, and
+    summed as a row only where its stopping test is not shown; no term is formed
+    that the rows would not form.  The workspace, the q + 1 rows (given `w`, one
+    carried row and the interior's arrays of d by m* + 1 products, sums and
+    bounds) and, when stepped in intervals, the m* + 1 terms, is checked against
+    the CSR byte cap before it is made.
     """
+    t, q, m, s, stepwise = run
     a, mu, n, h = plan.shifted, plan.mu, len(b), t / q
-    roots = cache(lambda: plan.roots(t))
-    zero = t * plan.norm == 0
-    m, s = (0, 1) if zero else plan.degrees(t, 1, roots)
-    stepwise = q <= s
-    if stepwise and not zero:
-        m, s = plan.degrees(t, 1.0 / q, roots)
     dtype = np.result_type(a.dtype, b.dtype, float)
     work = ((0 if stepwise else m + 1) + (q + 1 if w is None else 1)) * n * dtype.itemsize
     if w is not None and not stepwise:
@@ -511,24 +514,22 @@ def _interval(plan: _ActionPlan, b: np.ndarray, t: float, q: int,
 def integrate_ode(generator, v0, tau_grid) -> list[np.ndarray]:
     """Solution exp((tau - tau_grid[0]) G) v0 of dv/dtau = G v, sampled on `tau_grid`.
 
-    `generator` is a dense or scipy.sparse matrix, or the engine's held plan of
-    one.  The action of the exponential is Al-Mohy & Higham's interval
-    algorithm (SIAM J. Sci. Comput. 33, 488, 2011), as scipy's
-    ``expm_multiply`` runs it and with its results, one interval per run of
-    equal steps, evaluated at the run's evenly spaced points.  The shifted
-    matrix and the Taylor degrees a matrix needs are prepared once per plan
-    (:class:`_ActionPlan`), so a call on a held plan estimates no norm it has
-    estimated before.  A non-finite result raises NumericsError.
+    `generator` is a dense or scipy.sparse matrix.  The action of the
+    exponential is Al-Mohy & Higham's interval algorithm (SIAM J. Sci. Comput.
+    33, 488, 2011), as scipy's ``expm_multiply`` runs it and with its results,
+    one interval per run of equal steps, evaluated at the run's evenly spaced
+    points (:func:`_interval`); the shifted matrix is prepared once per call
+    (:class:`_ActionPlan`).  A non-finite result raises NumericsError.
     """
     grid = _check_taus(tau_grid)
-    plan = generator if isinstance(generator, _ActionPlan) else _ActionPlan(generator)
+    plan = _ActionPlan(generator)
     states = [np.asarray(v0, dtype=complex)]
-    if states[0].shape != plan.shape[1:]:
-        raise ValueError(f"v0 must be a vector of length {plan.shape[1]}, "
+    if states[0].shape != plan.shifted.shape[1:]:
+        raise ValueError(f"v0 must be a vector of length {plan.shifted.shape[1]}, "
                          f"got shape {states[0].shape}")
     for step, run in groupby(_grid_steps(grid, grid[0])[1:]):
         count = len(list(run))
-        states.extend(_interval(plan, states[-1], count * step, count)[1:])
+        states.extend(_interval(plan, states[-1], plan.run(count * step, count))[1:])
     _check_finite(*states)
     return states
 
@@ -585,19 +586,19 @@ def _unital(gen, action):
 class _SlotEvolver:
     """Propagation engine of one (hamiltonian, decomps) model, made for one call.
 
-    Each level of n slots has its generator G_n as one CSR matrix and its
-    blocks: the connected components of the generator's sparsity pattern, and,
-    once needed, its coordinates sorted by block.  The generator never couples
-    two blocks, so a vector stays zero on the blocks where it is zero, and only
-    the coordinates S of the touched blocks are stepped, block by block, under
-    G[S, S]: each run of equal steps by the block propagators exp(step G_b),
-    kept per level and step as one map from block to matrix, or by one action
-    (:meth:`_steps`).  The slot budget picks between
-    the two run by run, so what a level holds serves any budget.  The engine
-    keeps only its model, the model's key and the keys of the entries it
-    touched: every generator, level's blocks, step's propagator map, action
-    plan and stationary state is an entry of the held store under that key
-    (:meth:`_cached`), found again by every engine of an equal model.
+    Each level of n slots has its generator G_n as one CSR matrix, its block
+    labels (the connected components of the generator's sparsity pattern) and,
+    once a call groups its coordinates by block, its block order.  The
+    generator never couples two blocks, so a vector stays zero on the blocks
+    where it is zero, and only the coordinates S of the touched blocks are
+    stepped, block by block, under G[S, S]: each run of equal steps by the
+    block propagators exp(step G_b), each held per level, step and block, or
+    by one action (:meth:`_steps`).  The slot budget picks between the two run
+    by run, so what a level holds serves any budget.  The engine keeps only
+    its model and the model's key: every generator, block labels, block order,
+    block propagator, action plan, action run and stationary state is an entry
+    of the held store under that key (:meth:`_cached`), never changed once
+    stored, and found again by every engine of an equal model.
     """
 
     def __init__(self, hamiltonian, decomps):
@@ -610,13 +611,11 @@ class _SlotEvolver:
             )
         self.dim = self.h.shape[0]
         self.key = _model_key(self.h, self.decomps)
-        self.touched: set[tuple] = set()  # the entries this call looked up
 
     def _cached(self, kind: str, key, build):
         """The held entry (model key, `kind`, `key`), built by `build()` on a miss; the
-        most recently used entry of the store from then on, and one of the entries
-        this engine touched."""
-        return _held.find(self.key, kind, key, build, self.touched)
+        most recently used entry of the store from then on."""
+        return _held.find(self.key, kind, key, build)
 
     def generator(self, n_slots: int):
         """G_n as a CSR matrix, summed from its slot-factor terms
@@ -627,21 +626,19 @@ class _SlotEvolver:
             return _unital(action.to_csr(), action)
         return self._cached("generator", n_slots, build)
 
-    def blocks(self, n_slots: int) -> list:
-        """[labels, order]: the block of each coordinate of G_n (:func:`_block_labels`),
-        found once per level, and the coordinates in block order, stably sorted,
-        None until :meth:`_level` first groups the level's coordinates by block."""
-        return self._cached("blocks", n_slots,
-                            lambda: [_block_labels(self.generator(n_slots)), None])
+    def labels(self, n_slots: int) -> np.ndarray:
+        """The block of each coordinate of G_n (:func:`_block_labels`), found once per level."""
+        return self._cached("labels", n_slots, lambda: _block_labels(self.generator(n_slots)))
 
     def _level(self, n_slots: int, *vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The level's block labels, and the coordinates `vectors` are stepped on,
         grouped by block: None (every one, in order) when `vectors` touch every
         block and the level has one block or is above the budget, so it is stepped
         whole, as held; else those of the blocks where every one of `vectors` is
-        nonzero, possibly none, block after block in label order."""
-        held = self.blocks(n_slots)
-        labels = held[0]
+        nonzero, possibly none, block after block in label order, read from the
+        level's block order (its coordinates stably sorted by block), held from the
+        first call that groups the level."""
+        labels = self.labels(n_slots)
         touched = np.ones(int(labels.max()) + 1, dtype=bool)
         for v in vectors:
             hit = np.zeros_like(touched)
@@ -649,24 +646,21 @@ class _SlotEvolver:
             touched &= hit
         if touched.all() and (len(touched) == 1 or not _within_budget(len(labels))):
             return labels, None
-        if held[1] is None:  # a level only ever stepped whole never sorts
-            held[1] = np.argsort(labels, kind="stable")
-        grouped = held[1]
+        grouped = self._cached("order", n_slots, lambda: np.argsort(labels, kind="stable"))
         return labels, grouped[touched[labels[grouped]]]
 
     def _propagator(self, n_slots: int, gap: float, spans, block_generator) -> np.ndarray:
         """exp(gap G[S, S]), block-diagonal over `spans`, (block, start, stop) of each
-        block of S, from the block propagators exp(gap G_b) cached per level and
-        gap; `block_generator(start, stop)` gives the block's G_b on a miss."""
-        held = self._cached("propagators", (n_slots, gap), dict)
-        for block, start, stop in spans:
-            if block not in held:
-                held[block] = expm(block_generator(start, stop), gap)
+        block of S, from the block propagators exp(gap G_b), each held per level, gap
+        and block; `block_generator(start, stop)` gives the block's G_b on a miss."""
+        held = [self._cached("propagator", (n_slots, gap, block),
+                             lambda: expm(block_generator(start, stop), gap))
+                for block, start, stop in spans]
         if len(spans) == 1:
-            return held[spans[0][0]]
+            return held[0]
         prop = np.zeros((spans[-1][2], spans[-1][2]), dtype=complex)
-        for block, start, stop in spans:
-            prop[start:stop, start:stop] = held[block]
+        for (_block, start, stop), block_prop in zip(spans, held):
+            prop[start:stop, start:stop] = block_prop
         return prop
 
     def _steps(self, n_slots: int, labels: np.ndarray, coords: np.ndarray | None, v: np.ndarray,
@@ -678,15 +672,17 @@ class _SlotEvolver:
 
         Each run of equal steps (steps that differ only by rounding are one
         step) is stepped by the block-diagonal propagator of its step, made of
-        the cached propagators exp(step G_b) of the blocks of S, when S has at
+        the held propagators exp(step G_b) of the blocks of S, when S has at
         most ``DEFAULT_SLOT_BUDGET`` coordinates and the run has more than one
         step or its largest block at most ``_SINGLE_USE_ORDER``; otherwise by one
-        ``integrate_ode`` call on the held action plan of G[S, S], or of its
-        transpose for a pull-back, one per level, touched blocks and direction.
-        The choice reads the run alone, never what earlier calls held.  A warm
-        action reads only its plan, so the generator it was made from is idle
-        unless the call uses it otherwise.  Given `w`, an action's values are
-        :func:`_interval`'s, which forms no row between the interval ends.
+        action (:func:`_interval`) on the held plan of G[S, S], or of its
+        transpose for a pull-back, one per level, touched blocks and direction,
+        with the run's (m*, s) held per plan, run length and number of steps
+        (:meth:`_ActionPlan.run`).  The choice reads the run alone, never what
+        earlier calls held.  A warm action reads only its plan and run, so the
+        generator it was made from is idle unless the call uses it otherwise.
+        Given `w`, an action returns its values, forming no row between the
+        interval ends.
         """
         if coords is None:  # the whole level as one span
             order, spans, touched = len(labels), [(0, 0, len(labels))], None
@@ -715,12 +711,16 @@ class _SlotEvolver:
             else:
                 plan = self._cached("plan", (n_slots, touched, adjoint), lambda: _ActionPlan(
                     restricted().T if adjoint else restricted()))
+                t = count * gap
+                run = self._cached("run", (n_slots, touched, adjoint, t, count),
+                                   lambda: plan.run(t, count))
                 if w is None:
-                    (_start, *states) = integrate_ode(plan, v, gap * np.arange(count + 1))
-                    yield from states
-                    v = states[-1]
+                    rows = _interval(plan, v, run)
+                    _check_finite(rows)
+                    yield from rows[1:]
+                    v = rows[-1]
                     continue
-                (_start, *values), v = _interval(plan, v, count * gap, count, w)
+                (_start, *values), v = _interval(plan, v, run, w)
                 _check_finite(values, v)
                 yield from values
 
@@ -774,7 +774,7 @@ def _model_evolver(hamiltonian, decomp) -> Iterator[_SlotEvolver]:
     """A new engine of the model, which finds the entries held under its key, in one
     call of the store (:func:`_held.engine_call`)."""
     ev = _SlotEvolver(hamiltonian, decomp)
-    with _held.engine_call(ev.key, ev.touched):
+    with _held.engine_call(ev.key):
         yield ev
 
 
@@ -887,7 +887,7 @@ def _stationary(ev: _SlotEvolver, null_tol: float) -> np.ndarray:
         except RuntimeError:  # splu: the bordered matrix is exactly singular
             pass
     if not kappa <= _LU_MARGIN / null_tol:  # within the budget, refused, or a NaN estimate
-        w = _svd_null_vector(gen.toarray(), null_tol, ev.blocks(1)[0])
+        w = _svd_null_vector(gen.toarray(), null_tol, ev.labels(1))
     rho = unvec(w).T
     tr = complex(np.trace(rho))
     if abs(tr) < 1e-10 * np.linalg.norm(rho):

@@ -46,14 +46,19 @@ def _src_on_child_path():
 
 def held(kind=None, model=None) -> dict:
     """The entries of the held store, least recently used first: key -> value for one
-    engine `kind` ("generator", "blocks", "propagators", "plan" or "steady"), (model
-    digest, key) -> value for "decomposition", whose entries are the models' own, or
-    (model key, kind, key) -> value for every kind when `kind` is None; only those
-    of the model whose key is `model` when it is given."""
+    engine `kind` ("generator", "labels", "order", "propagator", "plan", "run" or
+    "steady"), (model digest, key) -> value for "decomposition", whose entries are
+    the models' own, or (model key, kind, key) -> value for every kind when `kind` is
+    None; only those of the model whose key is `model` when it is given."""
     entries, _counts = _held.snapshot()
     return {((owner, k, key) if kind is None else (owner, key) if kind == "decomposition" else key): value
             for owner, k, key, value, _size in entries
             if kind in (None, k) and model in (None, owner)}
+
+
+def step_propagators(n, gap, model=None) -> dict:
+    """Block -> held block propagator exp(gap G_b) of the n-slot level."""
+    return {key[2]: value for key, value in held("propagator", model).items() if key[:2] == (n, gap)}
 
 
 def held_bytes(model=None) -> int:

@@ -275,7 +275,7 @@ def test_factor_bytes_bound_the_built_factors(rng):
             held = sum(part.nbytes for f in factors.values() for part in f)
             assert len(factors) == 1 + (n - 1) * 2 * len(action.channels)
             assert held <= action._factor_bytes()
-    assert multi_slot_action(*random6, 1)._factor_bytes() == 36 * 6 ** 4 + 8 * 6 * 6 + 4
+    assert multi_slot_action(*random6, 1)._factor_bytes() == 20 * 6 ** 4 + 4 * 36 + 4
 
 
 def test_slot_budget_enforcement(monkeypatch):

@@ -53,7 +53,14 @@ from lindcorr import (
 )
 from lindcorr import _held, generators, propagation
 
-from conftest import held, held_bytes, random_density, random_hermitian, random_matrix
+from conftest import (
+    held,
+    held_bytes,
+    random_density,
+    random_hermitian,
+    random_matrix,
+    step_propagators,
+)
 
 
 EYE2 = identity(2)
@@ -282,7 +289,7 @@ def test_steady_state_is_exactly_zero_outside_its_block(family, monkeypatch):
         rho = steady_state(model)
         sides.add(model.dim ** 2 <= budget)
         assert len(solved) == len(sides)  # each solver runs, neither reads the other's state
-        labels, _order = held("blocks")[1]
+        labels = held("labels")[1]
         w = vec(rho.T)
         outside = labels != labels[np.argmax(np.abs(w))]
         assert np.any(outside) and not np.any(w[outside])
@@ -596,22 +603,16 @@ def test_general_matrix_free_recursion(rng, monkeypatch):
 
 
 def _sparse_orders(monkeypatch):
-    """Orders of the generators stepped by actions, one entry per integrate_ode call
-    and per action run of a sweep, which returns values (an _interval call given w)."""
+    """Orders of the generators stepped by actions, one entry per action run, of
+    vectors or of a sweep's values alike: every action is one _interval call."""
     orders = []
-    integrate, interval = propagation.integrate_ode, propagation._interval
+    interval = propagation._interval
 
-    def counted(gen, v0, grid):
-        orders.append(gen.shape[0])
-        return integrate(gen, v0, grid)
+    def counted(plan, b, run, w=None):
+        orders.append(plan.shifted.shape[0])
+        return interval(plan, b, run, w)
 
-    def valued(plan, b, t, q, w=None):
-        if w is not None:
-            orders.append(plan.shape[0])
-        return interval(plan, b, t, q, w)
-
-    monkeypatch.setattr(propagation, "integrate_ode", counted)
-    monkeypatch.setattr(propagation, "_interval", valued)
+    monkeypatch.setattr(propagation, "_interval", counted)
     return orders
 
 
@@ -712,7 +713,7 @@ def test_single_use_pull_back_acts_on_every_call(rng, monkeypatch):
         with propagation._model_evolver(h, decs) as ev:  # one correlator call
             return act(ev)
     gen = call(lambda ev: ev.generator(2))
-    blocks = call(lambda ev: int(ev.blocks(2)[0].max()) + 1)
+    blocks = call(lambda ev: int(ev.labels(2).max()) + 1)
     assert call(lambda ev: generators._within_budget(ev.dim ** 4))
     assert gen.shape[0] > propagation._SINGLE_USE_ORDER and blocks > 1
     w = rng.standard_normal(256) + 1j * rng.standard_normal(256)
@@ -725,7 +726,7 @@ def test_single_use_pull_back_acts_on_every_call(rng, monkeypatch):
     assert np.max(np.abs(pulled[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
     call(lambda ev: list(ev.trajectory(w, 2, np.array([0.8, 1.6]), adjoint=True)))  # one run of two steps
     assert calls == [0.8] * blocks
-    assert len(held("propagators")[2, 0.8]) == blocks
+    assert len(step_propagators(2, 0.8)) == blocks
     assert np.array_equal(call(lambda ev: ev.pull_back(w, 2, 0.8)), pulled[0])
     assert calls == [0.8] * blocks and orders == [256] * 4
 
@@ -741,7 +742,7 @@ def test_single_use_gap_on_small_blocks_takes_their_propagators(rng, monkeypatch
                           random_density(rng, 4))
     orders, calls = _sparse_orders(monkeypatch), _count_expm(monkeypatch)
     got = [general_correlator(h, decs, spec) for _call in range(2)]
-    sizes = np.bincount(held("blocks")[2][0])
+    sizes = np.bincount(held("labels")[2])
     assert orders == [] and 0.8 in calls and got[0] == got[1]
     assert sizes.max() <= propagation._SINGLE_USE_ORDER < sizes.sum()
     monkeypatch.setattr(propagation, "_SINGLE_USE_ORDER", 0)
@@ -798,7 +799,7 @@ def test_repeated_geomspace_otoc_forms_no_level_propagator(monkeypatch):
     monkeypatch.setattr(propagation, "expm", lambda m, t: orders.append(len(m)) or expm_(m, t))
     second = otoc(h, decs, w_op, v_op, rho, taus)
     assert 256 not in orders
-    assert not [key for key in held("propagators") if key[0] == 2]
+    assert not [key for key in held("propagator") if key[0] == 2]
     assert np.array_equal(second.values, first.values)
 
 
@@ -817,15 +818,15 @@ def _closed_patterns(draw):
 @given(_closed_patterns())
 def test_general_correlator_matches_closed_system_on_acted_gaps(pattern):
     # at zero rates the adjoint engine is the Heisenberg picture; the fixed gap,
-    # used once on a level of order d**4 > _SINGLE_USE_ORDER, is one integrate_ode action
+    # used once on a level of order d**4 > _SINGLE_USE_ORDER, is one action
     seed, d, times = pattern
     rng = np.random.default_rng(seed)
     h = random_hermitian(rng, d)
     dec = _silent(h, random_hermitian(rng, d))
     spec = CorrelatorSpec(tuple((random_matrix(rng, d), t) for t in times), random_density(rng, d))
-    with mock.patch.object(propagation, "integrate_ode", wraps=propagation.integrate_ode) as acted:
+    with mock.patch.object(propagation, "_interval", wraps=propagation._interval) as acted:
         got = general_correlator(h, dec, spec)
-    assert [call.args[0].shape[0] for call in acted.call_args_list] == [d ** 4]
+    assert [call.args[0].shifted.shape[0] for call in acted.call_args_list] == [d ** 4]
     assert abs(got - closed_correlator(h, spec)) <= 1e-12
 
 
@@ -849,13 +850,13 @@ def test_general_sweep_expm_count(rng, monkeypatch):
     # each expm is one block's propagator, formed once, one per block where every
     # vector stepped is nonzero, at each gap: the state's t1 on one slot, the
     # pull-back's t2 - t1 on three and the sweep's one step on two
-    labels = {n: level[0] for n, level in held("blocks").items()}
+    labels = held("labels")
     touched = {n: len(set.intersection(*(set(labels[n][v != 0]) for v in vectors)))
                for n, vectors in stepped.items()}
     gaps = set(propagation._grid_steps(taus, t2)) - {0.0}
     assert sorted(stepped) == [1, 2, 3] and len(gaps) == 1
     assert len(calls) == touched[1] + touched[3] + touched[2] * len(gaps)
-    assert len(calls) == sum(len(blocks) for blocks in held("propagators").values())
+    assert len(calls) == len(held("propagator"))
 
 
 def test_uniform_sweep_makes_one_step_expm(rng, monkeypatch):
@@ -869,11 +870,11 @@ def test_uniform_sweep_makes_one_step_expm(rng, monkeypatch):
     calls = _count_expm(monkeypatch)
     dense = otoc(h, decs, *args)
     assert len(set(calls)) == 1
-    assert len(calls) == len(held("propagators")[2, calls[0]])
+    assert len(calls) == len(step_propagators(2, calls[0]))
     multiply = []
     interval = propagation._interval
     monkeypatch.setattr(propagation, "_interval",
-                        lambda plan, b, t, q, w=None: multiply.append(q + 1) or interval(plan, b, t, q, w))
+                        lambda plan, b, run, w=None: multiply.append(run[1] + 1) or interval(plan, b, run, w))
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 4)
     sparse = otoc(h, decs, *args)
     assert multiply == [200]
@@ -934,7 +935,7 @@ def test_slot_factor_bytes_refused_before_any_factor(monkeypatch):
     d, nnz = 30, np.count_nonzero
     lind = 2 * d * nnz(model.hamiltonian) + sum(
         nnz(c) ** 2 + 2 * d * nnz(c.conj().T @ c) for _rate, c in dissipation_channels(decs))
-    bound = 36 * lind + 8 * d * d + 4
+    bound = 20 * lind + 4 * d * d + 4
     built = []
     slot_factors = generators._slot_factors
     monkeypatch.setattr(generators, "_slot_factors",
@@ -1105,9 +1106,9 @@ def test_returning_model_finds_its_engine_warm(rng, monkeypatch):
 
 
 def test_idle_engines_evicted_least_recently_used_first(rng, monkeypatch):
-    # five qubit models, each holding its 2-slot blocks, one step's propagators and
-    # its generator, under a cap of 2.75 models' bytes: idle entries go one at a
-    # time, least recently used first, whatever model they belong to
+    # five qubit models, each holding its 2-slot labels, block order, generator and
+    # one step's block propagators, under a cap of 2.75 models' bytes: idle entries
+    # go one at a time, least recently used first, whatever model they belong to
     args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
     models = [_qubit(gamma=gamma, temperature=0.5) for gamma in (0.1, 0.2, 0.3, 0.4, 0.5)]
     keys = [propagation._SlotEvolver(*model).key for model in models]
@@ -1119,23 +1120,28 @@ def test_idle_engines_evicted_least_recently_used_first(rng, monkeypatch):
         assert held_bytes() - held_bytes(keys[k]) <= _held.IDLE_BYTE_CAP
         return [(keys.index(model), kind) for model, kind, _key in held()]
 
-    def cold(*ks):  # the generator is last used by the blocks' propagators
-        return [(k, kind) for k in ks for kind in ("blocks", "propagators", "generator")]
+    def cold(*ks):  # the generator is last used by the slice the propagators are formed from
+        return [(k, kind) for k in ks
+                for kind in ("labels", "order", "generator", *["propagator"] * blocks)]
 
-    assert call(0) == cold(0)
+    first = call(0)
+    blocks = len(held("propagator"))
+    assert blocks > 1 and first == cold(0)
     size = held_bytes()
     monkeypatch.setattr(_held, "IDLE_BYTE_CAP", int(2.75 * size))
     assert call(1) == cold(0, 1)
     assert call(2) == cold(0, 1, 2)
     assert {held_bytes(key) for key in keys[:3]} == {size}
-    # three idle models are over the cap: 0's two oldest entries go, its generator stays
-    assert call(3) == [(0, "generator"), *cold(1, 2, 3)]
-    # a warm call uses 1's blocks and propagators, which move last; at its end the
-    # generators it left unused are idle too, and 0's, now the oldest, goes
-    assert call(1) == [(1, "generator"), *cold(2, 3), (1, "blocks"), (1, "propagators")]
-    assert call(4) == [*cold(2, 3), (1, "blocks"), (1, "propagators"), *cold(4)]
+    # three idle models are over the cap: 0's three oldest entries go, its propagators stay
+    assert call(3) == [*[(0, "propagator")] * blocks, *cold(1, 2, 3)]
+    # a warm call uses 1's labels, block order and propagators, which move last; at
+    # its end the generator it left unused is idle too, and 0's oldest entry goes
+    warm = [(1, kind) for kind in ("labels", "order", *["propagator"] * blocks)]
+    assert call(1) == [*[(0, "propagator")] * (blocks - 1), (1, "generator"), *cold(2, 3), *warm]
+    # before 4 builds anything, 0's last entries and then 1's generator go
+    assert call(4) == [*cold(2, 3), *warm, *cold(4)]
     monkeypatch.setattr(_held, "IDLE_BYTE_CAP", 0)
-    assert call(1) == [(1, "blocks"), (1, "propagators")]  # every idle entry goes
+    assert call(1) == warm  # every idle entry goes
 
 
 def test_engine_over_cap_is_released_before_next_build(rng, monkeypatch):
@@ -1183,16 +1189,14 @@ def test_engine_map_under_concurrent_calls(rng, monkeypatch):
 
 
 def test_call_exit_recounts_only_its_own_entries(rng, monkeypatch):
-    # with five other models' entries held, a warm call's exit measures the bytes
-    # of the entries it touched and of no other model's, and (under the cap, so
-    # nothing is dropped) does not walk the store
+    # with five other models' entries held, a warm call's exit measures no entry,
+    # since each was counted once when it was stored and never changes, and (under
+    # the cap, so nothing is dropped) does not walk the store
     args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
     models = [_qubit(gamma=gamma, temperature=0.5) for gamma in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)]
     for model in models:
         otoc(*model, *args)
-    key = propagation._SlotEvolver(*models[0]).key
-    others = [value for (model, _kind, _key), value in held().items() if model != key]
-    assert len(_held_models()) == len(models) and others
+    assert len(_held_models()) == len(models)
     measured, scans = [], []
 
     class Watched(dict):
@@ -1204,10 +1208,7 @@ def test_call_exit_recounts_only_its_own_entries(rng, monkeypatch):
     monkeypatch.setattr(_held, "nbytes", lambda m: measured.append(m) or nbytes(m))
     monkeypatch.setattr(_held, "_store", Watched(_held._store))
     otoc(*models[0], *args)
-    assert scans == []
-    own = list(held(model=key).values())
-    assert any(m is value for m in measured for value in own)
-    assert not any(m is value for m in measured for value in others)
+    assert scans == [] and measured == []
     assert _stored_minus_counted() == 0 and held_bytes() == _held.counts["bytes"]
 
 
@@ -1232,33 +1233,23 @@ def test_no_engine_survives_a_call(rng, monkeypatch):
 
 
 def test_action_plan_bytes_count_its_degrees():
-    # the plan's (t, scale) -> (m*, s) map grows by one entry per step length, and
-    # its counted bytes grow with it: the map and its key and value tuples, equal
-    # within 2x to what tracemalloc reads while the map grows
-    import scipy.sparse
-
-    a = 0.1 * random_matrix(np.random.default_rng(5), 16)
-    plan = propagation._ActionPlan(scipy.sparse.csr_array(a))
-    steps = [float(t) for t in np.geomspace(1e-3, 20.0, 400)]
-    assert 20.0 * plan.norm <= propagation._NORM_ONLY  # (m*, s) read from the 1-norm alone
-    counted = [_held.nbytes(plan)]
-    # empty the free list of 2-tuples, so the map's tuples are allocated where tracemalloc sees them
-    drained = [(k, k) for k in range(3000)]
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        for k, t in enumerate(steps):
-            plan.degrees(t, 1, None)
-            if k in (0, 99):
-                counted.append(_held.nbytes(plan))
-        traced = tracemalloc.get_traced_memory()[0] - start
-    finally:
-        tracemalloc.stop()
-    counted.append(_held.nbytes(plan))
-    assert len(plan.params) == len(steps) and len(drained) == 3000
-    assert counted[0] == _held.nbytes(plan.shifted) + sys.getsizeof({})
-    assert counted == sorted(set(counted))  # grows with every reading
-    assert traced / 2 <= counted[-1] - counted[0] <= 2 * traced
+    # every step of a 400-point geomspace grid is a run of one step on the dimer's
+    # held plan, held as an entry of its own with its (m*, s) and counted once, when
+    # stored: at least what a map from each (t, scale) to (m*, s), with its key and
+    # value tuples, would count for the same degrees
+    h, decs = _dimer()
+    rho = steady_state(coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6))
+    taus = np.geomspace(1e-3, 20.0, 400)
+    otoc(h, decs, np.kron(sigma_x, EYE2), np.kron(sigma_z, sigma_z), rho, taus)
+    entries, counts = _held.snapshot()
+    runs = {key: (value, size) for _owner, kind, key, value, size in entries if kind == "run"}
+    assert len(runs) == len(taus) and {key[4] for key in runs} == {1}
+    assert all(size == _held.nbytes(value) > 0 for value, size in runs.values())
+    degrees = {(t, 1.0 / q): (m, s) for (t, q, m, s, _stepwise), _size in runs.values()}
+    as_map = sys.getsizeof(degrees) + sum(
+        sys.getsizeof(key) + sys.getsizeof(value) for key, value in degrees.items())
+    assert sum(size for _value, size in runs.values()) >= as_map
+    assert held_bytes() == counts["bytes"]
 
 
 def test_held_bytes_counts_generators_and_labels(monkeypatch):
@@ -1267,10 +1258,10 @@ def test_held_bytes_counts_generators_and_labels(monkeypatch):
     assert held_bytes() == 0
     gen = ev.generator(2)
     assert held_bytes() == _held.nbytes(gen) == 20 * gen.nnz + 4 * (256 + 1)
-    labels, order = ev.blocks(2)
-    assert order is None and held_bytes() == _held.nbytes(gen) + labels.nbytes
+    labels = ev.labels(2)
+    assert list(held("order")) == [] and held_bytes() == _held.nbytes(gen) + labels.nbytes
     ev._level(2, (labels == 0).astype(complex))  # groups the level's coordinates: sorts
-    labels, order = ev.blocks(2)
+    order = held("order")[2]
     assert held_bytes() == _held.nbytes(gen) + labels.nbytes + order.nbytes
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 100)
     assert ev.generator(2) is gen  # one form serves every budget
@@ -1329,9 +1320,7 @@ def _dense_kron_reference(action):
         for slot in range(1, action.slots + 1):
             block = np.eye(d2, dtype=complex)
             if slot in by_slot:
-                values, cols, rows, *_ = by_slot[slot]
-                block = np.zeros((d2, d2), dtype=complex)
-                block[rows, cols] = values
+                block = scipy.sparse.csr_array(by_slot[slot], shape=(d2, d2)).toarray()
             blocks.append(block)
         total = total + reduce(np.kron, blocks)
     return scipy.sparse.csr_array(total)
@@ -1376,30 +1365,35 @@ def test_lowered_budget_reuses_held_level(rng, monkeypatch):
     calls = [lambda: steady_state(model, decs), lambda: otoc(h, decs, w_op, v_op, rho, taus).values,
              lambda: general_correlator(h, decs, spec, taus=taus).values]
     before = [call() for call in calls]
-    levels = {n: (held("generator")[n], held("blocks")[n]) for n in (1, 2)}
+    levels = {n: (held("generator")[n], held("labels")[n], held("order")[n]) for n in (1, 2)}
     built, labelled = _count_assembly(monkeypatch), []
     labels = propagation._block_labels
     monkeypatch.setattr(propagation, "_block_labels", lambda g: labelled.append(g) or labels(g))
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 8)
     after = [call() for call in calls]
     assert built == [] and labelled == [] and len(_held_models()) == 1
-    assert all(held("generator")[n] is gen and held("blocks")[n] is blocks
-               for n, (gen, blocks) in levels.items())
+    assert all(held("generator")[n] is gen and held("labels")[n] is labels and held("order")[n] is order
+               for n, (gen, labels, order) in levels.items())
     for old, new in zip(before, after):
         assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
 
 
-def test_warm_sweep_makes_two_lookups():
-    # a warm OTOC on the dimer's order-256 level reads its blocks (labels and block
-    # order) once and its one step's propagator map: the generator is not looked up
+def test_warm_sweep_makes_two_lookups(monkeypatch):
+    # a warm OTOC on the dimer's order-256 level reads its labels and block order
+    # once each and its one step's propagator of each touched block: no miss, and
+    # the generator is not looked up
     h, decs = _dimer()
     rho = steady_state(coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6))
     args = (np.kron(sigma_x, EYE2), np.kron(sigma_z, sigma_z), rho, np.linspace(0.0, 4.0, 41))
     first = otoc(h, decs, *args)
+    touched = len(held("propagator"))
+    kinds, find = [], _held.find
+    monkeypatch.setattr(_held, "find", lambda owner, kind, *rest, **kw: kinds.append(kind) or find(
+        owner, kind, *rest, **kw))
     hits, misses = _held.counts["hits"], _held.counts["misses"]
     again = otoc(h, decs, *args)
-    assert _held.counts["misses"] == misses
-    assert _held.counts["hits"] - hits <= 2
+    assert _held.counts["misses"] == misses and "generator" not in kinds
+    assert _held.counts["hits"] - hits == len(kinds) <= 2 + touched
     assert np.array_equal(again.values, first.values)
 
 
@@ -1410,7 +1404,7 @@ def test_held_propagators_are_the_last_calls(rng, monkeypatch):
     spec = _swept_spec(rng, 4, [None, floor, None, floor], first)
 
     def steps():
-        return set(held("propagators"))
+        return {key[:2] for key in held("propagator")}
 
     def used(taus):
         # the 2-slot sweep steps, and the 1-slot evolution of the state to the floor
@@ -1482,20 +1476,91 @@ def test_held_bytes_bounded_by_cap_plus_last_call(rng, monkeypatch):
 
 def test_grown_propagator_map_counted_again():
     # two calls step the dimer's G_2 by the same gap on different blocks: the second
-    # adds blocks to the step's held map, and the count of held bytes follows
+    # adds the step's propagator of another block, counted when it is stored, and
+    # leaves every entry the first stored as it was
     h, decs = _dimer()
     taus = np.linspace(0.0, 2.0, 5)
     with propagation._model_evolver(h, decs) as ev:
-        labels, _order = ev.blocks(2)
+        labels = ev.labels(2)
     sizes = []
     for block in (0, 1):
         v = (labels == block).astype(complex)
         with propagation._model_evolver(h, decs) as ev:
             list(ev.trajectory(v, 2, taus))
-        assert len(held("propagators")[2, 0.5]) == block + 1
+        assert sorted(step_propagators(2, 0.5)) == list(range(block + 1))
         sizes.append(_held.counts["bytes"])
         assert sizes[-1] == held_bytes()
-    assert sizes[1] > sizes[0]
+    assert sizes[1] - sizes[0] == step_propagators(2, 0.5)[1].nbytes > 0
+
+
+def _digest(value) -> bytes:
+    """SHA-256 of what a held value holds: the bytes of its arrays, through sparse
+    matrices, tuples, lists, maps and objects' attributes, and any other part's repr."""
+    import hashlib
+    import scipy.sparse
+
+    sha = hashlib.sha256()
+
+    def walk(part):
+        if isinstance(part, np.ndarray):
+            sha.update(part.tobytes())
+        elif scipy.sparse.issparse(part):
+            walk((part.data, part.indices, part.indptr))
+        elif isinstance(part, dict):
+            walk(list(part.items()))
+        elif isinstance(part, (tuple, list)):
+            sha.update(b"(%d" % len(part))
+            for item in part:
+                walk(item)
+        elif hasattr(part, "__dict__"):
+            walk(sorted(vars(part).items()))
+        else:
+            sha.update(repr(part).encode())
+    walk(value)
+    return sha.digest()
+
+
+def test_no_held_value_changes_after_it_is_stored(rng, monkeypatch):
+    # later calls on the dimer add block propagators to a step already used, new
+    # step lengths to a held action plan, and the first grouping of a level that
+    # was stepped whole: each adds entries of its own, and every entry stored
+    # before keeps its bytes and its arrays
+    model = coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6)
+    h, decs = model.hamiltonian, decompose_model(model)
+    rho = steady_state(model, decs)
+    ops = (np.kron(sigma_x, EYE2), np.kron(sigma_z, sigma_z), rho)
+    labels = propagation._block_labels(multi_slot_action(h, decs, 2).to_csr())
+    states = [random_density(rng, 4), np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)]
+
+    def calls(k):
+        v = (labels == k).astype(complex)  # block k alone
+        with propagation._model_evolver(h, decs) as ev:
+            list(ev.trajectory(v, 2, np.linspace(0.0, 2.0, 5)))
+        otoc(h, decs, *ops, np.geomspace(1e-2 * (k + 1), 4.0 + k, 6))
+        with monkeypatch.context() as patch:  # the 1-slot level above the budget
+            patch.setattr(generators, "DEFAULT_SLOT_BUDGET", 8)
+            evolve_density(h, decs, states[k], 1.0)  # every block, then one
+
+    def snapshot():
+        entries, counts = _held.snapshot()
+        return {(owner, kind, key): (size, _digest(value))
+                for owner, kind, key, value, size in entries}, counts
+
+    calls(0)
+    stored, _counts = snapshot()
+    calls(1)
+    now, counts = snapshot()
+    assert [entry for entry in stored if entry in now and now[entry] != stored[entry]] == []
+    assert held_bytes() == counts["bytes"]
+    # what the second calls added, each as an entry of its own: a block's propagator
+    # at the step the first used, runs on the plan the first made, the block order
+    # of the level the first stepped whole
+    before, added = ({(kind, key) for _owner, kind, key in entries} for entries in (
+        stored, now.keys() - stored.keys()))
+    assert ("propagator", (2, 0.5, 0)) in before and ("propagator", (2, 0.5, 1)) in added
+    (plan,) = (key for kind, key in before if kind == "plan" and key[0] == 2)  # the OTOC's
+    assert any(kind == "run" and key[:3] == plan for kind, key in added)
+    assert ("labels", 1) in before and ("order", 1) not in before and ("order", 1) in added
 
 
 def test_one_model_under_concurrent_mixed_calls(rng, monkeypatch):
@@ -1589,7 +1654,7 @@ def test_action_kernel_equals_expm_multiply(branch, sparse, n, scale, t, k, seed
     q = {"zero": k, "stepwise": min(k, s), "divides": s * (k + 1),
          "rest": s * k + 1 + seed % max(s - 1, 1)}[branch]
     assume(branch != "rest" or s > 1)
-    got = propagation._interval(plan, v, t, q)
+    got = propagation._interval(plan, v, plan.run(t, q))
     with propagation._seeded_global_rng():
         want = scipy.sparse.linalg.expm_multiply(a, v, start=0.0, stop=t, num=q + 1, endpoint=True)
     ran = "stepwise" if q <= s else "rest" if q % s else "divides"
@@ -1621,7 +1686,7 @@ def test_action_values_match_expm_multiply(branch, sparse, n, scale, t, k, seed)
     q = {"stepwise": min(k, s), "divides": s * (k + 1),
          "rest": s * k + 1 + seed % max(s - 1, 1)}[branch]
     assume(branch != "rest" or s > 1)
-    values, last = propagation._interval(plan, v, t, q, w)
+    values, last = propagation._interval(plan, v, plan.run(t, q), w)
     with propagation._seeded_global_rng():
         rows = scipy.sparse.linalg.expm_multiply(a, v, start=0.0, stop=t, num=q + 1, endpoint=True)
     want = np.array([w @ row for row in rows])
@@ -1646,7 +1711,7 @@ def test_action_value_that_vanishes_is_summed_as_a_row(monkeypatch):
     point = propagation._point
     monkeypatch.setattr(propagation, "_point",
                         lambda a, terms, norms, k, m, h: summed.append(k) or point(a, terms, norms, k, m, h))
-    values, _last = propagation._interval(plan, v, t, q, w)
+    values, _last = propagation._interval(plan, v, plan.run(t, q), w)
     with propagation._seeded_global_rng():
         rows = scipy.sparse.linalg.expm_multiply(a, v, start=0.0, stop=t, num=q + 1, endpoint=True)
     want = np.array([w @ row for row in rows])
@@ -1775,11 +1840,11 @@ def test_action_refuses_workspace_over_cap(monkeypatch):
     # matrix, and four arrays of 50 interior points by one term
     plan = propagation._ActionPlan(-np.eye(4))
     monkeypatch.setattr(generators, "_CSR_BYTE_CAP", 2 * 4 * 16 + 4 * 50 * 16)
-    values, _last = propagation._interval(plan, v0, 1.0, 50, v0)
+    values, _last = propagation._interval(plan, v0, plan.run(1.0, 50), v0)
     assert np.max(np.abs(values - 4 * np.exp(-grid))) <= 1e-15
     monkeypatch.setattr(generators, "_CSR_BYTE_CAP", 2 * 4 * 16 + 4 * 50 * 16 - 1)
     with pytest.raises(MemoryError, match="workspace"):
-        propagation._interval(plan, v0, 1.0, 50, v0)
+        propagation._interval(plan, v0, plan.run(1.0, 50), v0)
 
 
 def test_non_finite_action_raises():

@@ -75,14 +75,12 @@ def _full_sweep(h, decs, tensor, w, taus):
 
 
 def _stepped(monkeypatch):
-    """Orders of the generators stepped, one entry per expm or integrate_ode call and
-    per action run of a sweep, which returns values (an _interval call given w)."""
+    """Orders of the generators stepped, one entry per expm call and per action run
+    (an _interval call, of vectors or of a sweep's values)."""
     orders = []
-    integrate, expm, interval = propagation.integrate_ode, propagation.expm, propagation._interval
-    monkeypatch.setattr(propagation, "integrate_ode",
-                        lambda g, v, grid: orders.append(g.shape[0]) or integrate(g, v, grid))
-    monkeypatch.setattr(propagation, "_interval", lambda plan, b, t, q, w=None: orders.extend(
-        [plan.shape[0]] * (w is not None)) or interval(plan, b, t, q, w))
+    expm, interval = propagation.expm, propagation._interval
+    monkeypatch.setattr(propagation, "_interval", lambda plan, b, run, w=None: orders.append(
+        plan.shifted.shape[0]) or interval(plan, b, run, w))
     monkeypatch.setattr(propagation, "expm", lambda m, t: orders.append(m.shape[0]) or expm(m, t))
     return orders
 
@@ -154,7 +152,7 @@ def test_rate_free_oscillator_steps_single_coordinates(rng, monkeypatch):
     expected = _full_sweep(model.hamiltonian, decs, tensor, w, TAUS)
     orders = _stepped(monkeypatch)
     values = equal_time_group_correlator(model.hamiltonian, decs, a_ops, [x, x], rho, TAUS).values
-    labels, _order = held("blocks")[2]
+    labels = held("labels")[2]
     assert len(np.unique(labels)) == 9 ** 4
     assert orders == [1] * np.count_nonzero(tensor * w)  # one order-1 expm per touched coordinate
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -209,10 +207,10 @@ def test_one_block_model_is_byte_identical_to_full_engine(rng, monkeypatch):
     b_ops = [random_matrix(rng, 3) for _ in range(2)]
     rho = random_density(rng, 3)
     values = equal_time_group_correlator(h, dec, a_ops, b_ops, rho, TAUS).values
-    assert np.all(held("blocks")[2][0] == 0)
+    assert np.all(held("labels")[2] == 0)
     tensor, w = elementary_tensor(b_ops), contraction_functional(a_ops, rho)
     plan = propagation._ActionPlan(multi_slot_action(h, dec, 2).to_csr())
-    expected, _last = propagation._interval(plan, tensor, float(TAUS[-1]), len(TAUS) - 1, w)
+    expected, _last = propagation._interval(plan, tensor, plan.run(float(TAUS[-1]), len(TAUS) - 1), w)
     assert np.array_equal(values, expected)
     rows = _full_sweep(h, dec, tensor, w, TAUS)
     assert np.max(np.abs(values - rows)) <= 1e-15 * np.max(np.abs(rows))
@@ -230,7 +228,7 @@ def test_blocks_come_from_the_pattern_not_the_values(rng, monkeypatch):
     b_ops = [hop, random_matrix(rng, 3)]
     rho = random_density(rng, 3)
     values = equal_time_group_correlator(h, dec, a_ops, b_ops, rho, TAUS).values
-    gen, (labels, _order) = held("generator")[2], held("blocks")[2]
+    gen, labels = held("generator")[2], held("labels")[2]
     assert np.all(gen.data.real == 0) and np.all(gen.data != 0)
     assert len(np.unique(labels)) == 4 ** 2  # 4 blocks per slot
     tensor, w = elementary_tensor(b_ops), contraction_functional(a_ops, rho)
@@ -240,21 +238,21 @@ def test_blocks_come_from_the_pattern_not_the_values(rng, monkeypatch):
 
 
 def test_level_stepped_whole_holds_no_block_order(rng):
-    # a one-block level is stepped whole and never reads its block order, so its
-    # blocks entry holds the labels alone; a call that groups the dimer's
-    # coordinates by block sorts them once, and the bytes held count the order
+    # a one-block level is stepped whole and never reads its block order, so only
+    # its labels are held; a call that groups the dimer's coordinates by block
+    # sorts them once, and the bytes held count the order
     h = random_hermitian(rng, 3)
     dec = assign_rates(exact_bohr_decomposition(h, random_hermitian(rng, 3)),
                        BathSpec(temperature=0.5, rate_profile=0.2, gamma0=0.05))
     otoc(h, dec, random_matrix(rng, 3), random_matrix(rng, 3), random_density(rng, 3), TAUS)
-    (labels, order), = held("blocks").values()
-    assert not labels.any() and order is None
+    (labels,) = held("labels").values()
+    assert not labels.any() and held("order") == {}
     assert _held.counts["bytes"] == held_bytes()
     _held.drop_all()
     model = coupled_dimer(**DIMER)
     decs = decompose_model(model)
     otoc(model.hamiltonian, decs, _site(sigma_x, 0), _site(sigma_z, 1), random_density(rng, 4), TAUS)
-    labels, order = held("blocks")[2]
+    labels, order = held("labels")[2], held("order")[2]
     assert np.array_equal(order, np.argsort(labels, kind="stable"))
     assert _held.counts["bytes"] == held_bytes()
 
@@ -269,7 +267,7 @@ def test_disjoint_tensor_and_contraction_give_exact_zeros(monkeypatch):
     multiply = []
     interval = propagation._interval
     monkeypatch.setattr(propagation, "_interval",
-                        lambda plan, b, t, q, w=None: multiply.append(q + 1) or interval(plan, b, t, q, w))
+                        lambda plan, b, run, w=None: multiply.append(run[1] + 1) or interval(plan, b, run, w))
     orders = _stepped(monkeypatch)
     trace = equal_time_group_correlator(model.hamiltonian, decs, [identity(9)] * 3, [a, a], rho, TAUS)
     assert not generators._within_budget(model.dim ** 4)
@@ -285,16 +283,16 @@ def test_held_engine_trims_its_block_labels(rng, monkeypatch):
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 8)
     rho = random_density(rng, 4)
     otoc(model.hamiltonian, decs, _site(sigma_plus, 0), _site(sigma_z, 1), rho, TAUS)
-    assert set(held("blocks")) == {2}
+    assert set(held("labels")) == {2}
     a = _site(sigma_minus, 1)
     qrt_correlator(model.hamiltonian, decs, identity(4), dagger(a), a, rho, TAUS)
-    assert set(held("blocks")) == {1, 2}
+    assert set(held("labels")) == {1, 2}
     monkeypatch.setattr(_held, "IDLE_BYTE_CAP", 0)
     qrt_correlator(model.hamiltonian, decs, identity(4), dagger(a), a, rho, TAUS)
-    assert set(held("blocks")) == {1}
+    assert set(held("labels")) == {1} and set(held("order")) <= {1}
     assert 2 not in held("generator")
     assert all(key == 1 for key in held("generator"))
-    assert all(key[0] == 1 for kind in ("propagators", "plan") for key in held(kind))
+    assert all(key[0] == 1 for kind in ("propagator", "plan", "run") for key in held(kind))
 
 
 # ------------------------------------------------------------ dense levels
@@ -314,7 +312,7 @@ def test_dense_labels_and_exact_zero_propagators(name):
     # connected_components finds, so slicing it is exact
     ev, n = _dense_level(name)
     gen = ev.generator(n).toarray()
-    labels, _order = ev.blocks(n)
+    labels = ev.labels(n)
     assert generators._within_budget(ev.dim ** (2 * n)) and 1 < labels.max() + 1 < len(gen)
     apart = labels[:, None] != labels[None, :]
     assert not np.any(gen[apart])
@@ -328,7 +326,7 @@ def test_dense_block_sweep_and_pull_back_match_full_propagator(name, rng):
     # sweep, a trajectory and a pull-back against the full propagator's products
     ev, n = _dense_level(name)
     gen = ev.generator(n).toarray()
-    labels, _order = ev.blocks(n)
+    labels = ev.labels(n)
     tensor = (rng.standard_normal(len(gen)) + 1j) * (labels % 3 == 0)
     w = (rng.standard_normal(len(gen)) + 1j) * (labels % 2 == 0)
     _labels, coords = ev._level(n, tensor, w)
@@ -355,7 +353,7 @@ def test_one_block_dense_level_is_byte_identical_to_full_propagator(rng):
     b_ops = [random_matrix(rng, 3) for _ in range(2)]
     rho = random_density(rng, 3)
     values = equal_time_group_correlator(h, dec, a_ops, b_ops, rho, TAUS).values
-    assert generators._within_budget(len(h) ** 4) and np.all(held("blocks")[2][0] == 0)
+    assert generators._within_budget(len(h) ** 4) and np.all(held("labels")[2] == 0)
     gen = multi_slot_generator(h, dec, 2).matrix
     v, w = elementary_tensor(b_ops), contraction_functional(a_ops, rho)
     expected = []
@@ -390,7 +388,8 @@ def test_dimer_otoc_forms_only_its_touched_blocks(monkeypatch):
     assert generators._within_budget(ev.dim ** 4) and len(coords) == 70
     assert orders and max(orders) <= 70
     assert sorted(orders) == sorted(sizes.tolist())  # one uniform grid: each block once
-    (blocks,) = held("propagators").values()
+    blocks = held("propagator")
+    assert len({key[:2] for key in blocks}) == 1  # one step
     assert sum(m.nbytes for m in blocks.values()) == 16 * int(np.sum(sizes ** 2))
     expected = _full_sweep(model.hamiltonian, decs, tensor, w, TAUS)
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -468,7 +467,7 @@ def test_block_engine_sweep_matches_full_engine(model, data):
        st.integers(0, 2 ** 32 - 1))
 def test_action_matches_propagator_within_engine_tolerance(model, engine, gap, seed):
     # the engine tolerance of the propagation module: one step above
-    # _SINGLE_USE_ORDER, taken by integrate_ode on a dense level, on a sparse
+    # _SINGLE_USE_ORDER, taken as an action on a dense level, on a sparse
     # level's restricted dense block or on a CSR level, against the product with
     # the whole level's propagator, within 1e-12 of the result's largest entry.
     # The rule reads the largest touched block, and these eigenbasis blocks are
@@ -488,7 +487,7 @@ def test_action_matches_propagator_within_engine_tolerance(model, engine, gap, s
         w[labels == np.argmin(np.bincount(labels))] = 0.0
         touched = np.count_nonzero(w)
     expected = w @ propagation.expm(csr.toarray(), gap)
-    acts = mock.patch.object(propagation, "integrate_ode", wraps=propagation.integrate_ode)
+    acts = mock.patch.object(propagation, "_interval", wraps=propagation._interval)
     with _budget(budget), mock.patch.object(propagation, "_SINGLE_USE_ORDER", 0), acts as acted:
         got = propagation._SlotEvolver(h, dec).pull_back(w, n, gap)
         assert acted.call_count == (touched > propagation._SINGLE_USE_ORDER)
@@ -498,7 +497,7 @@ def test_action_matches_propagator_within_engine_tolerance(model, engine, gap, s
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(_models(), st.sampled_from(["dense", "sparse"]), st.sampled_from(["all", "single", "union"]),
        st.data())
-def test_block_propagators_match_level_propagator(model, kind, touch, data):
+def test_block_propagators_match_level_propagator(model, level, touch, data):
     # a uniform run steps the touched blocks by their own propagators, put
     # together block-diagonally: against the whole level's expm on a dense level
     # and against expm(G[S, S]) on a sparse one, for vectors on every block, on
@@ -517,26 +516,27 @@ def test_block_propagators_match_level_propagator(model, kind, touch, data):
     else:
         picked = np.array(data.draw(st.lists(st.booleans(), min_size=len(sizes),
                                              max_size=len(sizes))))
-    if kind == "sparse":
+    if level == "sparse":
         picked[np.argmax(sizes)] = False  # S must fit the budget of a sparse level
     assume(len(sizes) > 1 and picked.any())
     inside = picked[labels]
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     v = (rng.standard_normal(len(labels)) + 1j * rng.standard_normal(len(labels))) * inside
     taus = np.linspace(0.0, data.draw(st.floats(0.5, 8.0)), 5)
-    order = len(labels) if kind == "dense" else len(labels) - 1
+    order = len(labels) if level == "dense" else len(labels) - 1
     _held.drop_all()  # each example starts from no held entry
-    with _budget(order), mock.patch.object(propagation, "integrate_ode") as acted:
+    with _budget(order), mock.patch.object(propagation, "_interval") as acted:
         ev = propagation._SlotEvolver(h, dec)
         got = list(ev.trajectory(v, 2, taus))
-        assert not acted.called and generators._within_budget(ev.dim ** 4) == (kind == "dense")
-    (blocks,) = held("propagators", ev.key).values()
-    assert sorted(blocks) == np.flatnonzero(picked).tolist()
-    full = gen.toarray() if kind == "dense" else gen[inside][:, inside].toarray()
+        assert not acted.called and generators._within_budget(ev.dim ** 4) == (level == "dense")
+    blocks = held("propagator", ev.key)
+    ((_n, _gap),) = {key[:2] for key in blocks}  # one step
+    assert sorted(key[2] for key in blocks) == np.flatnonzero(picked).tolist()
+    full = gen.toarray() if level == "dense" else gen[inside][:, inside].toarray()
     prop = propagation.expm(full, float(taus[1]))
-    expected = v if kind == "dense" else v[inside]
+    expected = v if level == "dense" else v[inside]
     for state in got[1:]:
         expected = prop @ expected
-        part = state if kind == "dense" else state[inside]
+        part = state if level == "dense" else state[inside]
         assert np.max(np.abs(part - expected)) <= 1e-12 * np.max(np.abs(expected))
-        assert kind == "dense" or not np.any(state[~inside])
+        assert level == "dense" or not np.any(state[~inside])
