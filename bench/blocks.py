@@ -18,8 +18,8 @@ For each case below, with BLAS and OpenMP threads fixed at 1, it times:
   coordinates S, as CSR and, when S is within the budget, as a dense array;
 * the sweep on the restricted level (`_SlotEvolver.sweep` in one call through
   `propagation._model_evolver`: cold, from a store holding only the level's
-  generator, block labels and block order, with its block propagators built,
-  and warm, with them held)
+  generator, block labels and the sweep's slice, with its slice propagator
+  built, and warm, with it held)
   against the sweep of the whole level, w @ exp(tau G_n) T: by
   `integrate_ode` on the full CSR generator on a sparse level (the sparse
   engine before blocks), by one propagator of the whole level and 40
@@ -39,8 +39,8 @@ It also times single-use pull-backs w @ exp(gap G_n) on dense levels, as the
 general-pattern sweeps make them: the whole level's propagator and one
 product (the engine before this measurement) against `_SlotEvolver.pull_back`
 on the touched blocks, an action on every call, cold (from a store holding
-only the level's generator, block labels and block order) and with its action
-plan and run held.
+only the level's generator, block labels and the pull-back's slice) and with
+its action plan and run held.
 
 It then re-runs the dense/CSR crossover at block orders: for unions of whole
 blocks of the sparse generators (what the engine steps), of orders 35 to
@@ -54,21 +54,21 @@ time ratio stays at or below 1.  The result goes under the key "blocks" of
 With `--dimer-otocs` it measures only the Pauli-string OTOCs of the dimer
 (order-256 dense level) and how their propagators are formed: per case the
 cold sweep (from a store holding only the level's generator, block labels
-and block order) and the warm one (on what the cold sweep left held), the
-sizes of the touched blocks, the order of every `expm` the cold sweep made
-and the bytes held after it (`_held.counts["bytes"]`, each entry counted once
-when it was stored: generator, block labels, block order and one propagator
-per touched block).  The rows go under `--label` in the key
+and the sweep's slice) and the warm one (on what the cold sweep left held),
+the sizes of the touched blocks, the order of every `expm` the cold sweep
+made and the bytes held after it (`_held.counts["bytes"]`, each entry counted
+once when it was stored: generator, block labels, slice and the slice's
+propagator at the grid's step).  The rows go under `--label` in the key
 "dimer_otocs" of `--out` (default BENCH_12.json).
 
 With `--block-order` it measures, on the 3-slot levels of the 6- and 9-level
-oscillators, what a level's block labels and block order cost cold: the
-time of `_SlotEvolver.labels` from a store holding only the level's
-generator, the bytes of the two entries after a call that steps the whole
-level (a vector on every block: the labels alone), and the time and bytes of
-the first call that groups coordinates by block (a vector on one block: it
-stores the order).  The rows go under `--label` in the key "block_order"
-of `--out` (default BENCH_19.json).
+oscillators, what a level's block labels and slices cost cold: the time of
+`_SlotEvolver.labels` from a store holding only the level's generator, the
+bytes of its labels and slices after a call that steps the whole level (a
+vector on every block: the labels alone), and the time and bytes of the
+first call that groups coordinates by block (a vector on one block: it
+stores that block's slice).  The rows go under `--label` in the key
+"block_order" of `--out` (default BENCH_19.json).
 
 With `--assembly` it measures only the cold assembly of levels: per level,
 on an emptied store, the median and the least time of
@@ -220,8 +220,8 @@ def _call(h, decs, act):
 
 def _keep_level(h, decs, n: int, *vectors) -> None:
     """Leave only the n-slot level's generator, block labels and, when `vectors` are
-    stepped on the coordinates of some blocks, its block order held."""
-    _hold_only(h, decs, lambda ev: (ev.generator(n), ev._level(n, *vectors)))
+    stepped on the coordinates of some blocks, their slice held."""
+    _hold_only(h, decs, lambda ev: (ev.generator(n), ev._slice(n, *vectors)))
 
 
 def _hold_only(h, decs, act) -> None:
@@ -244,7 +244,7 @@ def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> tuple[dict, 
                               setup=_held.drop_all)
     labels_s, labels = _median(lambda: propagation._block_labels(gen), repeats)
     sizes = np.bincount(labels)
-    _labels, coords = _call(h, decs, lambda ev: ev._level(n, tensor, w))
+    _key, coords, _spans = _call(h, decs, lambda ev: ev._slice(n, tensor, w))
     order = len(tensor) if coords is None else len(coords)
     if coords is None:
         coords = np.arange(len(tensor))
@@ -303,7 +303,8 @@ def measure_dimer_otoc(name, h, decs, a_ops, b_ops, rho, repeats: int) -> dict:
     tensor = lc.elementary_tensor(b_ops)
     w = lc.contraction_functional(a_ops, rho)
     gen = _call(h, decs, lambda ev: ev.generator(2))
-    labels, coords = _call(h, decs, lambda ev: ev._level(2, tensor, w))
+    labels, (_key, coords, _spans) = _call(h, decs, lambda ev: (ev.labels(2),
+                                                                 ev._slice(2, tensor, w)))
     sizes = np.bincount(labels if coords is None else labels[coords])
 
     def sweep():
@@ -353,7 +354,7 @@ def measure_pull_back(name, h, decs, n, w, repeats: int) -> dict:
     gap = 0.8
     gen = _call(h, decs, lambda ev: ev.generator(n))
     dense = gen.toarray()
-    _labels, coords = _call(h, decs, lambda ev: ev._level(n, w))
+    _key, coords, _spans = _call(h, decs, lambda ev: ev._slice(n, w))
 
     def pull_back():
         return _call(h, decs, lambda ev: ev.pull_back(w, n, gap))
@@ -543,27 +544,27 @@ def _env() -> dict:
 
 
 def measure_block_order(dim: int, repeats: int) -> dict:
-    """Cold cost of the 3-slot level's block labels and block order of a `dim`-level
+    """Cold cost of the 3-slot level's block labels and first slice of a `dim`-level
     oscillator."""
     model = lc.truncated_oscillator(dim=dim, **OSCILLATOR)
     h, decs = model.hamiltonian, lc.decompose_model(model)
     _held.drop_all()
     _call(h, decs, lambda ev: ev.generator(3))
 
-    def drop():  # the labels and the order: only the generator stays held
+    def drop():  # the labels and the slices: only the generator stays held
         _hold_only(h, decs, lambda ev: ev.generator(3))
 
     def labels():
         return _call(h, decs, lambda ev: ev.labels(3))
 
-    def entry_bytes():  # the level's labels and, once a call groups it, its block order
+    def entry_bytes():  # the level's labels and, once a call groups it, its slices
         entries, _counts = _held.snapshot()
         return sum(size for _owner, kind, key, _value, size in entries
-                   if kind in ("labels", "order") and key == 3)
+                   if (kind == "labels" and key == 3) or (kind == "slice" and key[0] == 3))
 
     entry_s, _ = _median(labels, repeats, setup=drop)
     everywhere = np.ones(dim ** 6, dtype=complex)
-    whole_s, _ = _median(lambda: _call(h, decs, lambda ev: ev._level(3, everywhere)), repeats)
+    whole_s, _ = _median(lambda: _call(h, decs, lambda ev: ev._slice(3, everywhere)), repeats)
     whole_b = entry_bytes()
     level = labels()
     one = (level == level[0]).astype(complex)
@@ -571,7 +572,7 @@ def measure_block_order(dim: int, repeats: int) -> dict:
     def cold_entry():
         drop()
         labels()
-    group_s, _ = _median(lambda: _call(h, decs, lambda ev: ev._level(3, one)), repeats,
+    group_s, _ = _median(lambda: _call(h, decs, lambda ev: ev._slice(3, one)), repeats,
                          setup=cold_entry)
     row = {"level": f"oscillator:d={dim},n=3", "order": dim ** 6, "labels_b": int(level.nbytes),
            "entry_s": entry_s, "stepped_whole_s": whole_s, "stepped_whole_entry_b": whole_b,

@@ -19,16 +19,20 @@ engines.  The budget it suggests is the largest order up to which that cold
 median ratio stays at or below 1: dense is at least as fast on a cold call,
 and the warm calls only add to its lead.
 
-`--single-use` times instead one step applied once on a dense generator, as
-a pull-back across one gap is: forming the propagator and applying it
-(`expm` and one matrix-vector product) against the action of the exponential
-(`integrate_ode`, which calls `expm_multiply`, on the generator and on its
-transpose), on the dense levels of qubits, oscillators and the dimer at
-orders 16 to 256.  The order it suggests for
-`propagation._SINGLE_USE_ORDER` is the largest order up to which the median
-propagator/action time ratio stays at or below 1; above it a step applied
-once is taken as an action.  The result goes under the key "single_use" of
-`--out`, next to what else that file holds.
+`--single-use` times instead one step applied once, a pull-back across one
+gap (`_SlotEvolver.pull_back` in one call through
+`propagation._model_evolver`), on levels within the budget of orders 16 to
+256: one block each of random exact models, and the qubit's and the dimer's
+levels of many blocks.  It times the engine's two ways of taking the step,
+with `propagation._SINGLE_USE_ORDER` set to pick each: the slice's
+propagator (each block's `expm`) and one product, and the in-house action,
+cold (a new plan and run) and warm (both held).  Each cold call starts from a
+store holding only the level's generator, block labels and slice.  The order
+it suggests for `_SINGLE_USE_ORDER`, cold and warm, is the largest order up
+to which the median propagator/action time ratio over the one-block levels
+stays at or below 1; above it a step applied once is taken as an action.  The
+result goes under the key "single_use" of `--out`, next to what else that
+file holds.
 """
 
 from __future__ import annotations
@@ -156,78 +160,119 @@ def measure(repeats: int) -> dict:
     }
 
 
-# (model, slots) of each dense level timed by --single-use, by order
+# (model, slots) of each level timed by --single-use, by order: a random exact
+# model's level is one block, the qubit's and the dimer's are split into blocks
 SINGLE_USE_LEVELS = {
-    16: [("two_level_atom", 2), ("oscillator:d=4", 1)],
-    25: [("oscillator:d=5", 1)],
-    36: [("oscillator:d=6", 1)],
-    49: [("oscillator:d=7", 1)],
-    64: [("two_level_atom", 3), ("oscillator:d=8", 1)],
-    81: [("oscillator:d=3", 2), ("oscillator:d=9", 1)],
-    100: [("oscillator:d=10", 1)],
-    144: [("oscillator:d=12", 1)],
-    196: [("oscillator:d=14", 1)],
-    256: [("coupled_dimer", 2), ("oscillator:d=16", 1)],
+    16: [("random_exact:d=4", 1), ("two_level_atom", 2)],
+    25: [("random_exact:d=5", 1)],
+    36: [("random_exact:d=6", 1)],
+    49: [("random_exact:d=7", 1)],
+    64: [("random_exact:d=8", 1), ("two_level_atom", 3)],
+    81: [("random_exact:d=9", 1), ("random_exact:d=3", 2)],
+    100: [("random_exact:d=10", 1)],
+    144: [("random_exact:d=12", 1)],
+    196: [("random_exact:d=14", 1)],
+    256: [("random_exact:d=16", 1), ("random_exact:d=4", 2), ("coupled_dimer", 2)],
 }
 
 
-def _level_model(name: str):
-    if name == "two_level_atom":
-        return lc.two_level_atom(1.0, 0.1, 0.5)
-    if name == "coupled_dimer":
-        return lc.coupled_dimer(**DIMER)
-    return lc.truncated_oscillator(dim=int(name.split("=")[1]), **OSCILLATOR)
+def _level_model(name: str) -> tuple:
+    """(hamiltonian, decomps) of a --single-use model."""
+    if name.startswith("random_exact"):
+        d = int(name.split("=")[1])
+        rng = np.random.default_rng(100 + d)
+
+        def hermitian():
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            return g + g.conj().T
+        h = hermitian()
+        bath = lc.BathSpec(temperature=0.5, rate_profile=0.2, gamma0=0.05)
+        return h, (lc.assign_rates(lc.exact_bohr_decomposition(h, hermitian()), bath),)
+    model = lc.two_level_atom(1.0, 0.1, 0.5) if name == "two_level_atom" else lc.coupled_dimer(**DIMER)
+    return model.hamiltonian, lc.decompose_model(model)
 
 
-def _median_s(fn, repeats: int) -> float:
+def _median_s(fn, repeats: int, setup=None) -> tuple[float, object]:
+    """Median seconds of `repeats` calls of `fn`, each after `setup()` when given,
+    and the last call's result."""
     times = []
     for _ in range(repeats):
+        if setup is not None:
+            setup()
         start = time.perf_counter()
-        fn()
+        out = fn()
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return statistics.median(times), out
 
 
 def measure_single_use(repeats: int) -> dict:
-    """One step exp(gap G) v applied once: propagator and product against the action."""
+    """One step w @ exp(gap G) applied once, a pull-back across one gap, by the engine:
+    the slice's propagator and one product against the action, cold and warm."""
     rng = np.random.default_rng(10)
     gap = 0.7
     rows = []
-    for order, levels in SINGLE_USE_LEVELS.items():
-        for name, slots in levels:
-            model = _level_model(name)
-            decs = lc.decompose_model(model)
-            gen = lc.multi_slot_generator(model.hamiltonian, decs, slots).matrix
-            assert len(gen) == order
-            v = rng.standard_normal(order) + 1j * rng.standard_normal(order)
-            prop_s = _median_s(lambda: lc.expm(gen, gap) @ v, repeats)
-            action_s = _median_s(lambda: propagation.integrate_ode(gen, v, [0.0, gap]), repeats)
-            adjoint_s = _median_s(lambda: propagation.integrate_ode(gen.T, v, [0.0, gap]), repeats)
-            exact = lc.expm(gen, gap) @ v
-            action = propagation.integrate_ode(gen, v, [0.0, gap])[-1]
-            rows.append({"order": order, "level": f"{name}:n={slots}", "propagator_s": prop_s,
-                         "action_s": action_s, "adjoint_action_s": adjoint_s,
-                         "propagator_over_action": prop_s / action_s,
-                         "rel_deviation": float(np.max(np.abs(action - exact))
-                                                / np.max(np.abs(exact)))})
-            print(f"{order:4d} {name}:n={slots:<3d} expm + product {prop_s * 1e3:8.3f} ms | action "
-                  f"{action_s * 1e3:7.3f} ms (transposed {adjoint_s * 1e3:7.3f} ms) | deviation "
-                  f"{rows[-1]['rel_deviation']:.1e}", flush=True)
-    by_order = {str(order): statistics.median(r["propagator_over_action"] for r in rows
-                                              if r["order"] == order)
-                for order in SINGLE_USE_LEVELS}
-    suggested = 0
-    for order in SINGLE_USE_LEVELS:
-        if by_order[str(order)] > 1.0:
-            break
-        suggested = order
+    saved = propagation._SINGLE_USE_ORDER
+    try:
+        for order, levels in SINGLE_USE_LEVELS.items():
+            for name, slots in levels:
+                h, decs = _level_model(name)
+                w = rng.standard_normal(order) + 1j * rng.standard_normal(order)
+
+                def pull_back(single_use_order):
+                    propagation._SINGLE_USE_ORDER = single_use_order
+                    with propagation._model_evolver(h, decs) as ev:
+                        return ev.pull_back(w, slots, gap)
+
+                def hold_level():  # only the level's generator, labels and slice stay held
+                    cap, _held.IDLE_BYTE_CAP = _held.IDLE_BYTE_CAP, 0
+                    try:
+                        with propagation._model_evolver(h, decs) as ev:
+                            ev.generator(slots), ev._slice(slots, w)
+                    finally:
+                        _held.IDLE_BYTE_CAP = cap
+
+                prop_s, formed = _median_s(lambda: pull_back(order), repeats, hold_level)
+                cold_s, acted = _median_s(lambda: pull_back(0), repeats, hold_level)
+                warm_s, _ = _median_s(lambda: pull_back(0), repeats)
+                with propagation._model_evolver(h, decs) as ev:
+                    assert len(ev.labels(slots)) == order
+                    spans = ev._slice(slots, w)[2]
+                rows.append({"order": order, "level": f"{name}:n={slots}", "blocks": len(spans),
+                             "largest_block": max(stop - start for start, stop in spans),
+                             "propagator_s": prop_s, "action_cold_s": cold_s,
+                             "action_warm_s": warm_s,
+                             "propagator_over_action_cold": prop_s / cold_s,
+                             "propagator_over_action_warm": prop_s / warm_s,
+                             "rel_deviation": float(np.max(np.abs(acted - formed))
+                                                    / np.max(np.abs(formed)))})
+                print(f"{order:4d} {name}:n={slots:<3d} largest block {rows[-1]['largest_block']:4d} | "
+                      f"propagator + product {prop_s * 1e3:8.3f} ms | action cold "
+                      f"{cold_s * 1e3:7.3f} ms warm {warm_s * 1e3:7.3f} ms | deviation "
+                      f"{rows[-1]['rel_deviation']:.1e}", flush=True)
+    finally:
+        propagation._SINGLE_USE_ORDER = saved
+        _held.drop_all()
+    # the rule reads a slice's largest block, so the order is read from the levels of
+    # one block; a level of many blocks forms one expm per block
+    orders = sorted({r["order"] for r in rows if r["blocks"] == 1})
+    by_order = {when: {str(order): statistics.median(r[f"propagator_over_action_{when}"] for r in rows
+                                                     if r["blocks"] == 1 and r["order"] == order)
+                       for order in orders}
+                for when in ("cold", "warm")}
+    suggested = {}
+    for when, ratios in by_order.items():
+        suggested[when] = 0
+        for order in orders:
+            if ratios[str(order)] > 1.0:
+                break
+            suggested[when] = order
     return {
         "script": "bench/crossover.py --single-use",
         "env": _env(),
         "gap": gap,
         "repeats": repeats,
         "rows": rows,
-        "propagator_over_action_median": by_order,
+        "one_block_propagator_over_action_median": by_order,
         "suggested_single_use_order": suggested,
         "single_use_order": propagation._SINGLE_USE_ORDER,
     }
@@ -251,7 +296,7 @@ def main(argv=None) -> int:
         record = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
         record["single_use"] = result
         out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-        print(f"suggested single-use order {result['suggested_single_use_order']} "
+        print(f"suggested single-use order {result['suggested_single_use_order']} (cold, warm) "
               f"(set: {result['single_use_order']}); written to {out}")
         return 0
     args.out = args.out or str(ROOT / "BENCH_5.json")

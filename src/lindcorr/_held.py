@@ -7,20 +7,23 @@ keeps nothing but the model and its key (a digest of H and the channels):
 what the engine builds is held here, keyed by (owner, kind, key) with the
 model key as owner, and found again by every later call on an equal model,
 recognised by content rather than identity.  An engine's entries are, by
-kind: a level's "generator", its block "labels" and, once a call groups its
-coordinates by block, its block "order"; one block's "propagator" for one
-step; an action "plan" of the touched blocks' slice, and each "run" of steps
-on it (its Taylor degree, step count and way of stepping); and the "steady"
-state for one null tolerance and solver.  The exact decompositions of a
-model's couplings (``decomposition.decompose_model``) are one more entry,
-owned by a digest of what they are made from: H, the coupling operators and
-their baths, and keyed by the frequency tolerance.
+kind: a level's "generator" and its block "labels"; a "slice", the blocks of
+a level that a call steps (their coordinates, grouped block by block, and
+each block's span among them), held per level and set of blocks; keyed by
+its slice (None for a level stepped whole), the slice's block-diagonal
+"propagator" for one step, its action "plan" for one direction and each
+"run" of steps on a plan (its Taylor degree, step count and way of
+stepping); and the "steady" state for one null tolerance and solver.  The
+exact decompositions of a model's couplings
+(``decomposition.decompose_model``) are one more entry, owned by a digest of
+what they are made from: H, the coupling operators and their baths, and
+keyed by the frequency tolerance.
 
 An entry never changes once :func:`find` stores it: what a later call adds
-(another block's propagator at a step already used, a new step length on a
-held plan, the block order of a level first stepped whole) is an entry of its
-own.  So each entry's bytes are counted once, when it is stored, and the
-count of bytes held is exact without measuring any entry again.
+(the propagator of another slice at a step already used, a new step length
+on a held plan, the first slice of a level stepped whole before) is an entry
+of its own.  So each entry's bytes are counted once, when it is stored, and
+the count of bytes held is exact without measuring any entry again.
 
 Entries are idle at the start of an engine's call if they are another
 owner's (a decomposition among them), at its end if the call did not use
@@ -29,9 +32,10 @@ first, while they hold more than ``IDLE_BYTE_CAP`` bytes; a new decomposition
 also drops idle decompositions over the cap (:func:`find`).  So another
 model's entries beyond the cap are released before a call builds anything,
 and between calls the store holds at most the cap plus the last call's own
-working set (the block propagators of one step hold at most the entries of
-the whole level's propagator).  What it holds changes the time of a later
-call, never its path or its values: a repeated call returns the same bytes.
+working set (the propagator of one slice and step holds at most
+``DEFAULT_SLOT_BUDGET ** 2`` entries, since a slice above the budget is
+never given one).  What it holds changes the time of a later call, never its
+path or its values: a repeated call returns the same bytes.
 
 This module is the only code that knows an entry's layout, its tick and byte
 bookkeeping and the eviction rules.  It imports no other lindcorr module.

@@ -118,30 +118,37 @@ def _entries(f) -> tuple[np.ndarray, ...]:
     return values, cols.astype(np.int32), indptr
 
 
-def _rows(block, lo: int, hi: int) -> tuple:
-    """Rows lo .. hi - 1 of the :func:`_entries` `block`, numbered from 0."""
+def _laid_out(block) -> tuple:
+    """The :func:`_entries` `block` and, read from its row pointer, each entry's
+    row, the length of that row and the entry's place in it."""
     v, c, indptr = block
+    lengths = indptr[1:] - indptr[:-1]
+    r = np.arange(len(lengths)).repeat(lengths)
+    return v, c, indptr, r, lengths[r], np.arange(len(r)) - indptr[r]
+
+
+def _rows(block, lo: int, hi: int) -> tuple:
+    """Rows lo .. hi - 1 of the :func:`_laid_out` `block`, numbered from 0."""
+    v, c, indptr, r, width, place = block
     a, z = indptr[lo], indptr[hi]
-    return None if v is None else v[a:z], c[a:z], indptr[lo:hi + 1] - a
+    return (None if v is None else v[a:z], c[a:z], indptr[lo:hi + 1] - a, r[a:z] - lo,
+            width[a:z], place[a:z])
 
 
 def _kron(blocks, order: int) -> tuple[np.ndarray, ...]:
-    """The entries of the Kronecker product of `blocks`, the :func:`_entries` of
-    order x order matrices (without values for the identity), over the broadcast
-    shape of the blocks' entries: each one's row, column and place in its row, the
-    mixed-radix numbers of its factors' (places in radices of the factors' row
-    lengths, so the columns of a row come out sorted; each factor's rows and places
-    read from its row pointer), and its value, their product left to right as
-    ``np.kron`` forms it (leaving out the identity's ones)."""
+    """The entries of the Kronecker product of `blocks`, the :func:`_laid_out`
+    entries of order x order matrices (without values for the identity), over the
+    broadcast shape of the blocks' entries: each one's row, column and place in its
+    row, the mixed-radix numbers of its factors' (places in radices of the factors'
+    row lengths, so the columns of a row come out sorted), and its value, their
+    product left to right as ``np.kron`` forms it (leaving out the identity's ones)."""
     rows = cols = place = 0
     values = None
-    for axis, (v, c, indptr) in enumerate(blocks):
+    for axis, (v, c, _indptr, r, width, at) in enumerate(blocks):
         shape = (-1,) + (1,) * (len(blocks) - 1 - axis)
-        lengths = indptr[1:] - indptr[:-1]
-        r = np.arange(len(lengths)).repeat(lengths)
         rows, cols = rows * order + r.reshape(shape), cols * order + c.reshape(shape)
         if v is not None:
-            place = place * lengths[r].reshape(shape) + (np.arange(len(r)) - indptr[r]).reshape(shape)
+            place = place * width.reshape(shape) + at.reshape(shape)
             values = v.reshape(shape) if values is None else values * v.reshape(shape)
     return rows, cols, place, values
 
@@ -155,10 +162,15 @@ def _csr_sum(terms, order: int):
     term order from zero, as scipy adds CSR arrays, and stores no zero sum; a
     single term is its own sum.  V is made for one run of rows of the first
     factor at a time, each holding about ``_RUN`` entries, and the runs' sums
-    are joined, so no array of all the terms' entries is made.
+    are joined, so no array of all the terms' entries is made.  Each factor's
+    rows and places are read from its row pointer once (:func:`_laid_out`), though
+    the same factors recur in many terms and every run reads them.
     """
     import scipy.sparse as sp  # imported here: `import lindcorr` leaves it unloaded
 
+    laid = {id(b): b for t in terms for b in t}
+    laid = {key: _laid_out(b) for key, b in laid.items()}
+    terms = [[laid[id(b)] for b in t] for t in terms]
     k, size = len(terms), order ** len(terms[0])
     # V's entries and S's; a run holds at least `size`, as its sum makes two arrays of that length
     entries = max(sum(math.prod(len(b[1]) for b in t) for t in terms), k * size)
@@ -218,7 +230,10 @@ class SlotKroneckerAction:
     def _terms(self) -> list[tuple[tuple[int, tuple], ...]]:
         # each term as (slot, factor) pairs over distinct slots, a factor as its
         # _entries; above the budget each Kronecker product of two d x d operators
-        # is summed from their entries as well
+        # is summed from their entries as well.  Both routes stay: within the budget
+        # the entries' route gives the same generators, byte for byte, but made the
+        # cold assembly of 21 levels 1.1-18x slower (median 6.5x, BENCH_25.json),
+        # and above it np.kron would make dense d^2 x d^2 products
         kron = _dense_kron if _within_budget(self.dim ** 2) else (
             lambda a, b: _csr_sum([[_entries(a), _entries(b)]], self.dim))
         lind, pairs = _slot_factors(self.hamiltonian, self.channels, identity(self.dim), kron,
@@ -344,7 +359,7 @@ def forward_lindbladian(hamiltonian, decomp) -> SuperOperator:
 def _within_budget(order: int) -> bool:
     """Whether this many slot-tensor coordinates, d**(2n) for a level of n slots,
     are within the slot budget: order <= DEFAULT_SLOT_BUDGET.  Only then may a
-    run of steps take block propagators instead of an action, and ``to_dense``
+    run of steps take a propagator instead of an action, and ``to_dense``
     build a level; above it a level whose vectors touch every block is stepped
     whole.  At n = 1 it picks the steady state's solver (SVD, else a bordered LU)
     and the slot factors' form (``np.kron``, else from the operators' entries)."""

@@ -26,39 +26,39 @@ a value sum_b w_b . exp(tau G_b) T_b needs only the blocks where both T and
 w are nonzero.  So a sweep steps only the coordinates S of those blocks, and
 a pull-back or a density evolution only those of the blocks where its vector
 is nonzero, grouped block by block so that each block G_b is a diagonal
-slice of the restricted generator G[S, S].
+block of the restricted generator G[S, S].  Those blocks are the call's
+slice: its coordinates and each block's span among them are held per level
+and set of blocks, and every value the call steps with is keyed by it.
 
 A grid is walked in runs of equal steps (steps that differ only by rounding
 are one step), and each run is stepped in one of two ways, chosen from the
 run alone.  If S has at most the budget's coordinates and the run has more
 than one step or no block of S has more than ``_SINGLE_USE_ORDER``
-coordinates, the run is stepped by matrix-vector products with the
-block-diagonal propagator of its step, made of the block propagators
-exp(step G_b), each formed once per level, step and block and held.
-Otherwise the run is one action of G[S, S]; a pull-back uses the transposed
-matrix.  The action is Al-Mohy & Higham's interval algorithm (SIAM J. Sci.
-Comput. 33, 488, 2011), run here with the arithmetic of scipy's
-``expm_multiply``, on a plan held per level, touched blocks and direction
-(the shifted slice G[S, S] - mu I, its shift and its 1-norm) and the run's
-Taylor degree and step count, held per plan, run length and number of
-steps; their 1-norm estimates of powers of the slice are the costly part of
-a cold action, so a warm action only multiplies.  Its vectors (the
-pull-backs and density evolutions, and ``integrate_ode``'s) are scipy's bit
-for bit.  A sweep needs only the values w @ T(tau), so its
-action returns them: each interval's end point is still summed as a vector,
-with scipy's bits and so its value, but an interior point's value is the
+coordinates, the run is stepped by matrix-vector products with the slice's
+propagator exp(step G[S, S]), block-diagonal, made of each block's
+exp(step G_b) once per level, step and slice and held.  Otherwise the run is
+one action of G[S, S]; a pull-back uses the transposed matrix.  The action
+is Al-Mohy & Higham's interval algorithm (SIAM J. Sci. Comput. 33, 488,
+2011), run here with the arithmetic of scipy's ``expm_multiply``, on a plan
+held per level, slice and direction (the shifted G[S, S] - mu I, its shift
+and its 1-norm) and the run's Taylor degree and step count, held per plan,
+run length and number of steps; their 1-norm estimates of powers of G[S, S]
+are the costly part of a cold action, so a warm action only multiplies.  Its
+vectors (the pull-backs and density evolutions, and ``integrate_ode``'s) are
+scipy's bit for bit.  A sweep needs only the values w @ T(tau), so its action
+returns them: each interval's end point is still summed as a vector, with
+scipy's bits and so its value, but an interior point's value is the
 contraction of w with the interval's Taylor terms, which differs from w @
 scipy's vector by rounding (at most 7.6e-16 of the largest value on the
-9-level oscillator OTOC).  A uniform grid forms each touched
-block's propagator once, and a step used once on a block of many
-coordinates, such as a pull-back across one gap, forms none.  A level of
-one block is its own block: its propagator is formed from the whole
-generator.  The two ways agree within the engine tolerance, 1e-12 of the
-result's largest entry: measured at most 7.9e-14 on random models of order
-26 to 625 (``bench/repeats.py``, BENCH_11.json) and 1.5e-13 at order 196
-(BENCH_10.json).  The steady state's null-space count sees every block; its
-SVD null vector is then set to exact zeros outside its own block, where the
-SVD leaves roundoff.
+9-level oscillator OTOC).  A uniform grid forms its slice's propagator once,
+and a step used once on a block of many coordinates, such as a pull-back
+across one gap, forms none.  A level of one block is stepped whole: its
+propagator is formed from the whole generator.  The two ways agree within
+the engine tolerance, 1e-12 of the result's largest entry: measured at most
+7.9e-14 on random models of order 26 to 625 (``bench/repeats.py``,
+BENCH_11.json) and 1.5e-13 at order 196 (BENCH_10.json).  The steady state's
+null-space count sees every block; its SVD null vector is then set to exact
+zeros outside its own block, where the SVD leaves roundoff.
 
 The forward dynamics has no engine of its own.  Under the trace pairing
 trace(B rho) = vec(rho^T) . vec(B) a density matrix is a dual vector of the
@@ -554,12 +554,14 @@ def _block_labels(gen) -> np.ndarray:
     return connected_components(pattern, directed=False)[1]
 
 
-# a step applied once to blocks of which one has more coordinates than this,
-# within the budget, is taken as the action exp(step G) v by integrate_ode
-# instead of forming exp(step G): against one expm and one product the action
-# (then scipy's expm_multiply, whose results integrate_ode keeps) measured
-# slower up to order 49, about even at 64 and 2-13x faster from 81 to 256
-# (bench/crossover.py, BENCH_10.json)
+# a step applied once to a slice of which one block has more coordinates than
+# this, within the budget, is one action instead of the slice's propagator:
+# against the propagator and one product of a one-block level, the in-house
+# action measured slower up to order 64, cold (a new plan and run) and warm
+# (both held), about even at 81 and 100 and 1.4-7x faster from 144 to 256; on
+# the qubit's and the dimer's slices of many blocks, one expm each, the warm
+# action was faster already at a largest block of 6 to 70 (bench/crossover.py
+# --single-use, BENCH_25.json)
 _SINGLE_USE_ORDER = 49
 
 
@@ -586,19 +588,19 @@ def _unital(gen, action):
 class _SlotEvolver:
     """Propagation engine of one (hamiltonian, decomps) model, made for one call.
 
-    Each level of n slots has its generator G_n as one CSR matrix, its block
-    labels (the connected components of the generator's sparsity pattern) and,
-    once a call groups its coordinates by block, its block order.  The
+    Each level of n slots has its generator G_n as one CSR matrix and its block
+    labels (the connected components of the generator's sparsity pattern).  The
     generator never couples two blocks, so a vector stays zero on the blocks
-    where it is zero, and only the coordinates S of the touched blocks are
-    stepped, block by block, under G[S, S]: each run of equal steps by the
-    block propagators exp(step G_b), each held per level, step and block, or
-    by one action (:meth:`_steps`).  The slot budget picks between the two run
-    by run, so what a level holds serves any budget.  The engine keeps only
-    its model and the model's key: every generator, block labels, block order,
-    block propagator, action plan, action run and stationary state is an entry
-    of the held store under that key (:meth:`_cached`), never changed once
-    stored, and found again by every engine of an equal model.
+    where it is zero, and a call steps only the slice of the blocks it touches,
+    its coordinates S grouped block by block, under G[S, S] (:meth:`_slice`):
+    each run of equal steps by the slice's propagator exp(step G[S, S]), held
+    per level, step and slice, or by one action (:meth:`_steps`).  The slot
+    budget picks between the two run by run, so what a level holds serves any
+    budget.  The engine keeps only its model and the model's key: every
+    generator, block labels, slice, slice propagator, action plan, action run
+    and stationary state is an entry of the held store under that key
+    (:meth:`_cached`), never changed once stored, and found again by every
+    engine of an equal model.
     """
 
     def __init__(self, hamiltonian, decomps):
@@ -630,14 +632,15 @@ class _SlotEvolver:
         """The block of each coordinate of G_n (:func:`_block_labels`), found once per level."""
         return self._cached("labels", n_slots, lambda: _block_labels(self.generator(n_slots)))
 
-    def _level(self, n_slots: int, *vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """The level's block labels, and the coordinates `vectors` are stepped on,
-        grouped by block: None (every one, in order) when `vectors` touch every
-        block and the level has one block or is above the budget, so it is stepped
-        whole, as held; else those of the blocks where every one of `vectors` is
-        nonzero, possibly none, block after block in label order, read from the
-        level's block order (its coordinates stably sorted by block), held from the
-        first call that groups the level."""
+    def _slice(self, n_slots: int, *vectors: np.ndarray) -> tuple:
+        """The slice of the n-slot level that `vectors` are stepped on, as (key,
+        coordinates, spans): the blocks where every one of `vectors` is nonzero,
+        possibly none, keyed by their numbers as bytes; their coordinates, block
+        after block in label order; and each block's (start, stop) among them.  The
+        coordinates and spans are held per level and key, made from the labels by the
+        first call on the slice.  When `vectors` touch every block and the level has
+        one block or is above the budget, the level is stepped whole, as held: key
+        and coordinates None, and one span."""
         labels = self.labels(n_slots)
         touched = np.ones(int(labels.max()) + 1, dtype=bool)
         for v in vectors:
@@ -645,82 +648,75 @@ class _SlotEvolver:
             hit[labels[v != 0]] = True
             touched &= hit
         if touched.all() and (len(touched) == 1 or not _within_budget(len(labels))):
-            return labels, None
-        grouped = self._cached("order", n_slots, lambda: np.argsort(labels, kind="stable"))
-        return labels, grouped[touched[labels[grouped]]]
+            return None, None, ((0, len(labels)),)
+        key = np.flatnonzero(touched).tobytes()
 
-    def _propagator(self, n_slots: int, gap: float, spans, block_generator) -> np.ndarray:
-        """exp(gap G[S, S]), block-diagonal over `spans`, (block, start, stop) of each
-        block of S, from the block propagators exp(gap G_b), each held per level, gap
-        and block; `block_generator(start, stop)` gives the block's G_b on a miss."""
-        held = [self._cached("propagator", (n_slots, gap, block),
-                             lambda: expm(block_generator(start, stop), gap))
-                for block, start, stop in spans]
-        if len(spans) == 1:
-            return held[0]
-        prop = np.zeros((spans[-1][2], spans[-1][2]), dtype=complex)
-        for (_block, start, stop), block_prop in zip(spans, held):
-            prop[start:stop, start:stop] = block_prop
-        return prop
+        def build():
+            coords = np.flatnonzero(touched[labels])
+            coords = coords[np.argsort(labels[coords], kind="stable")]
+            starts = np.flatnonzero(np.diff(labels[coords], prepend=-1)).tolist()
+            return coords, tuple(zip(starts, [*starts[1:], len(coords)]))
+        return key, *self._cached("slice", (n_slots, key), build)
 
-    def _steps(self, n_slots: int, labels: np.ndarray, coords: np.ndarray | None, v: np.ndarray,
-               taus: np.ndarray, origin: float, adjoint: bool,
-               w: np.ndarray | None = None) -> Iterator[np.ndarray]:
-        """`v`, a vector on `coords` of the n-slot level (None: every coordinate),
-        carried along the grid under G[S, S]; `labels` are the level's block labels.
-        Given a dual vector `w` on the same coordinates, the values w @ v instead.
+    def _steps(self, n_slots: int, touched: tuple, v: np.ndarray, taus: np.ndarray,
+               origin: float, adjoint: bool, w: np.ndarray | None = None) -> Iterator[np.ndarray]:
+        """`v`, a vector on the coordinates S of the `touched` slice of the n-slot
+        level (:meth:`_slice`), carried along the grid under G[S, S].  Given a dual
+        vector `w` on the same coordinates, the values w @ v instead.
 
         Each run of equal steps (steps that differ only by rounding are one
-        step) is stepped by the block-diagonal propagator of its step, made of
-        the held propagators exp(step G_b) of the blocks of S, when S has at
-        most ``DEFAULT_SLOT_BUDGET`` coordinates and the run has more than one
-        step or its largest block at most ``_SINGLE_USE_ORDER``; otherwise by one
-        action (:func:`_interval`) on the held plan of G[S, S], or of its
-        transpose for a pull-back, one per level, touched blocks and direction,
-        with the run's (m*, s) held per plan, run length and number of steps
-        (:meth:`_ActionPlan.run`).  The choice reads the run alone, never what
-        earlier calls held.  A warm action reads only its plan and run, so the
-        generator it was made from is idle unless the call uses it otherwise.
+        step) is stepped by the slice's propagator exp(step G[S, S]), held per
+        level, step and slice, when S has at most ``DEFAULT_SLOT_BUDGET``
+        coordinates and the run has more than one step or no block of S more
+        than ``_SINGLE_USE_ORDER``; otherwise by one action (:func:`_interval`)
+        on the held plan of G[S, S], or of its transpose for a pull-back, one per
+        level, slice and direction and looked up at most once per call, with the
+        run's (m*, s) held per plan, run length and number of steps
+        (:meth:`_ActionPlan.run`).  The propagator is block-diagonal, made of
+        each block's exp(step G_b), and is that block's own when the slice has
+        one.  The choice reads the run alone, never what earlier calls held.  A
+        warm call reads only its propagators, or its plan and runs, so the
+        generator they were made from is idle unless the call uses it otherwise.
         Given `w`, an action returns its values, forming no row between the
         interval ends.
         """
-        if coords is None:  # the whole level as one span
-            order, spans, touched = len(labels), [(0, 0, len(labels))], None
-        else:
-            order, blocks = len(coords), labels[coords]
-            starts = np.flatnonzero(np.diff(blocks, prepend=-1))
-            touched = blocks[starts]
-            spans = list(zip(touched.tolist(), starts.tolist(), [*starts[1:].tolist(), order]))
-            touched = touched.tobytes()
-        largest = max(stop - start for _block, start, stop in spans)
-
+        key, coords, spans = touched
+        order = spans[-1][1]
         restricted = cache(lambda: self.generator(n_slots) if coords is None  # G[S, S]
                            else self.generator(n_slots)[coords][:, coords])
+        plan = cache(lambda: self._cached("plan", (n_slots, key, adjoint), lambda: _ActionPlan(
+            restricted().T if adjoint else restricted())))
+
+        def propagator(gap):
+            blocks = (expm(restricted()[start:stop, start:stop].toarray(), gap) for start, stop in spans)
+            if len(spans) == 1:
+                return next(blocks)
+            prop = np.zeros((order, order), dtype=complex)
+            for (start, stop), block in zip(spans, blocks):
+                prop[start:stop, start:stop] = block
+            return prop
 
         for step, run in groupby(_grid_steps(taus, origin)):
             count, gap = len(list(run)), float(step)
             if gap == 0.0:
                 for _ in range(count):
                     yield v if w is None else w @ v
-            elif _within_budget(order) and (count > 1 or largest <= _SINGLE_USE_ORDER):
-                prop = self._propagator(n_slots, gap, spans, lambda start, stop: (
-                    restricted()[start:stop, start:stop].toarray()))
+            elif _within_budget(order) and (
+                    count > 1 or max(stop - start for start, stop in spans) <= _SINGLE_USE_ORDER):
+                prop = self._cached("propagator", (n_slots, gap, key), lambda: propagator(gap))
                 for _ in range(count):
                     v = v @ prop if adjoint else prop @ v
                     yield v if w is None else w @ v
             else:
-                plan = self._cached("plan", (n_slots, touched, adjoint), lambda: _ActionPlan(
-                    restricted().T if adjoint else restricted()))
-                t = count * gap
-                run = self._cached("run", (n_slots, touched, adjoint, t, count),
-                                   lambda: plan.run(t, count))
+                t, act = count * gap, plan()
+                run = self._cached("run", (n_slots, key, adjoint, t, count), lambda: act.run(t, count))
                 if w is None:
-                    rows = _interval(plan, v, run)
+                    rows = _interval(act, v, run)
                     _check_finite(rows)
                     yield from rows[1:]
                     v = rows[-1]
                     continue
-                (_start, *values), v = _interval(plan, v, run, w)
+                (_start, *values), v = _interval(act, v, run, w)
                 _check_finite(values, v)
                 yield from values
 
@@ -729,14 +725,15 @@ class _SlotEvolver:
         """`v` carried along an ascending grid from `origin`: exp((tau - origin) G_n) v,
         or the dual vector v @ exp((tau - origin) G_n) when `adjoint`.
 
-        Only the blocks where `v` is nonzero are stepped.
+        Only the slice of blocks where `v` is nonzero is stepped (:meth:`_slice`).
         """
-        labels, coords = self._level(n_slots, v)
+        touched = self._slice(n_slots, v)
+        coords = touched[1]
         if coords is None:
-            yield from self._steps(n_slots, labels, None, v, taus, origin, adjoint)
+            yield from self._steps(n_slots, touched, v, taus, origin, adjoint)
             return
         part = v[coords]
-        steps = (self._steps(n_slots, labels, coords, part, taus, origin, adjoint) if len(coords)
+        steps = (self._steps(n_slots, touched, part, taus, origin, adjoint) if len(coords)
                  else (part for _tau in taus))
         for u in steps:
             out = np.zeros(len(v), dtype=complex)
@@ -752,15 +749,16 @@ class _SlotEvolver:
               w: np.ndarray, origin: float = 0.0) -> np.ndarray:
         """Values w @ T(tau) along an ascending grid; `tensor` is T at `origin`.
 
-        Only the blocks where both T and w are nonzero are stepped; when they
-        share none, the values are exact zeros.
+        Only the slice of blocks where both T and w are nonzero is stepped
+        (:meth:`_slice`); when they share none, the values are exact zeros.
         """
-        labels, coords = self._level(n_slots, tensor, w)
+        touched = self._slice(n_slots, tensor, w)
+        coords = touched[1]
         if coords is not None:
             if not len(coords):
                 return np.zeros(len(taus), dtype=complex)
             tensor, w = tensor[coords], w[coords]
-        return np.array(list(self._steps(n_slots, labels, coords, tensor, taus, origin, False, w)))
+        return np.array(list(self._steps(n_slots, touched, tensor, taus, origin, False, w)))
 
 
 def _model_key(h: np.ndarray, decomps) -> bytes:

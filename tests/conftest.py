@@ -1,9 +1,12 @@
+import importlib
 import os
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lindcorr
 from lindcorr import _held
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -46,7 +49,7 @@ def _src_on_child_path():
 
 def held(kind=None, model=None) -> dict:
     """The entries of the held store, least recently used first: key -> value for one
-    engine `kind` ("generator", "labels", "order", "propagator", "plan", "run" or
+    engine `kind` ("generator", "labels", "slice", "propagator", "plan", "run" or
     "steady"), (model digest, key) -> value for "decomposition", whose entries are
     the models' own, or (model key, kind, key) -> value for every kind when `kind` is
     None; only those of the model whose key is `model` when it is given."""
@@ -56,9 +59,27 @@ def held(kind=None, model=None) -> dict:
             if kind in (None, k) and model in (None, owner)}
 
 
+def slice_key(*blocks) -> bytes:
+    """The key of the held slice of `blocks`."""
+    return np.array(blocks, dtype=np.intp).tobytes()
+
+
+def slice_blocks(key) -> list[int]:
+    """The block numbers of a held slice's key."""
+    return np.frombuffer(key, dtype=np.intp).tolist()
+
+
 def step_propagators(n, gap, model=None) -> dict:
-    """Block -> held block propagator exp(gap G_b) of the n-slot level."""
-    return {key[2]: value for key, value in held("propagator", model).items() if key[:2] == (n, gap)}
+    """Block -> exp(gap G_b) of the n-slot level: the diagonal blocks of the held slice
+    propagators exp(gap G[S, S]) of that level and step, each block's span read from
+    its held slice; a level stepped whole is block 0."""
+    slices, blocks = held("slice", model), {}
+    for (level, step, key), prop in held("propagator", model).items():
+        if (level, step) == (n, gap):
+            spans = ((0, len(prop)),) if key is None else slices[n, key][1]
+            for block, (start, stop) in zip([0] if key is None else slice_blocks(key), spans):
+                blocks[block] = prop[start:stop, start:stop]
+    return blocks
 
 
 def held_bytes(model=None) -> int:
@@ -72,3 +93,14 @@ def _no_held_engine():
     _held.drop_all()
     yield
     _held.drop_all()
+
+
+# Hypothesis draws some values from the constants of the local modules loaded
+# when a test draws.  Every lindcorr module and test module is loaded here, once
+# the helpers they import are defined and before any test runs, so that pool, and
+# with it every derandomized test's examples, is the same whichever tests a run
+# collects.
+for _module in pkgutil.iter_modules(lindcorr.__path__):
+    importlib.import_module(f"lindcorr.{_module.name}")
+for _path in sorted(Path(__file__).parent.glob("test_*.py")):
+    importlib.import_module(_path.stem)

@@ -44,6 +44,7 @@ from lindcorr import (
     sigma_minus,
     sigma_plus,
     sigma_x,
+    sigma_y,
     sigma_z,
     steady_state,
     truncated_oscillator,
@@ -59,6 +60,8 @@ from conftest import (
     random_density,
     random_hermitian,
     random_matrix,
+    slice_blocks,
+    slice_key,
     step_propagators,
 )
 
@@ -705,8 +708,8 @@ def test_general_matrix_free_pull_back(rng, monkeypatch):
 
 def test_single_use_pull_back_acts_on_every_call(rng, monkeypatch):
     # an order-256 gap used once is the action of the dimer's 2-slot generator,
-    # without an expm, on every call and with the same bytes; the block
-    # propagators of the gap cached by a uniform run leave the choice as it is
+    # without an expm, on every call and with the same bytes; the slice
+    # propagator of the gap cached by a uniform run leaves the choice as it is
     h, decs = _dimer()
 
     def call(act):
@@ -839,8 +842,8 @@ def test_general_sweep_expm_count(rng, monkeypatch):
     calls, stepped = [], {}
     expm_ = propagation.expm
     monkeypatch.setattr(propagation, "expm", lambda m, t: calls.append(t) or expm_(m, t))
-    level = propagation._SlotEvolver._level
-    monkeypatch.setattr(propagation._SlotEvolver, "_level",
+    level = propagation._SlotEvolver._slice
+    monkeypatch.setattr(propagation._SlotEvolver, "_slice",
                         lambda ev, n, *vs: stepped.update({n: vs}) or level(ev, n, *vs))
     general_correlator(h, decs, spec, taus=taus)
     steps = np.diff(taus - t2, prepend=0.0)
@@ -856,7 +859,8 @@ def test_general_sweep_expm_count(rng, monkeypatch):
     gaps = set(propagation._grid_steps(taus, t2)) - {0.0}
     assert sorted(stepped) == [1, 2, 3] and len(gaps) == 1
     assert len(calls) == touched[1] + touched[3] + touched[2] * len(gaps)
-    assert len(calls) == len(held("propagator"))
+    assert len(calls) == sum(1 if key is None else len(slice_blocks(key))
+                             for _n, _gap, key in held("propagator"))
 
 
 def test_uniform_sweep_makes_one_step_expm(rng, monkeypatch):
@@ -1106,9 +1110,9 @@ def test_returning_model_finds_its_engine_warm(rng, monkeypatch):
 
 
 def test_idle_engines_evicted_least_recently_used_first(rng, monkeypatch):
-    # five qubit models, each holding its 2-slot labels, block order, generator and
-    # one step's block propagators, under a cap of 2.75 models' bytes: idle entries
-    # go one at a time, least recently used first, whatever model they belong to
+    # five qubit models, each holding its 2-slot labels, slice, generator and one
+    # step's slice propagator, under a cap of 2.75 models' bytes: idle entries go
+    # one at a time, least recently used first, whatever model they belong to
     args = (*_otoc_inputs(rng, 2), np.linspace(0.0, 2.0, 5))
     models = [_qubit(gamma=gamma, temperature=0.5) for gamma in (0.1, 0.2, 0.3, 0.4, 0.5)]
     keys = [propagation._SlotEvolver(*model).key for model in models]
@@ -1120,26 +1124,26 @@ def test_idle_engines_evicted_least_recently_used_first(rng, monkeypatch):
         assert held_bytes() - held_bytes(keys[k]) <= _held.IDLE_BYTE_CAP
         return [(keys.index(model), kind) for model, kind, _key in held()]
 
-    def cold(*ks):  # the generator is last used by the slice the propagators are formed from
-        return [(k, kind) for k in ks
-                for kind in ("labels", "order", "generator", *["propagator"] * blocks)]
+    def cold(*ks):  # the generator is last used by the slice propagator formed from it
+        return [(k, kind) for k in ks for kind in ("labels", "slice", "generator", "propagator")]
 
     first = call(0)
-    blocks = len(held("propagator"))
-    assert blocks > 1 and first == cold(0)
+    ((_n, key),) = held("slice")
+    assert len(slice_blocks(key)) > 1 and first == cold(0)
     size = held_bytes()
+    assert held("propagator")[2, 0.5, key].nbytes > size / 2  # the largest entry
     monkeypatch.setattr(_held, "IDLE_BYTE_CAP", int(2.75 * size))
     assert call(1) == cold(0, 1)
     assert call(2) == cold(0, 1, 2)
     assert {held_bytes(key) for key in keys[:3]} == {size}
-    # three idle models are over the cap: 0's three oldest entries go, its propagators stay
-    assert call(3) == [*[(0, "propagator")] * blocks, *cold(1, 2, 3)]
-    # a warm call uses 1's labels, block order and propagators, which move last; at
-    # its end the generator it left unused is idle too, and 0's oldest entry goes
-    warm = [(1, kind) for kind in ("labels", "order", *["propagator"] * blocks)]
-    assert call(1) == [*[(0, "propagator")] * (blocks - 1), (1, "generator"), *cold(2, 3), *warm]
-    # before 4 builds anything, 0's last entries and then 1's generator go
-    assert call(4) == [*cold(2, 3), *warm, *cold(4)]
+    # three idle models are over the cap: 0's three oldest entries go, its propagator stays
+    assert call(3) == [(0, "propagator"), *cold(1, 2, 3)]
+    # a warm call uses 1's labels, slice and propagator, which move last; at its
+    # end the generator it left unused is idle too, and 0's last entry goes
+    warm = [(1, kind) for kind in ("labels", "slice", "propagator")]
+    assert call(1) == [(1, "generator"), *cold(2, 3), *warm]
+    # before 4 builds anything, 1's generator and then 2's labels and slice go
+    assert call(4) == [(2, "generator"), (2, "propagator"), *cold(3), *warm, *cold(4)]
     monkeypatch.setattr(_held, "IDLE_BYTE_CAP", 0)
     assert call(1) == warm  # every idle entry goes
 
@@ -1259,14 +1263,16 @@ def test_held_bytes_counts_generators_and_labels(monkeypatch):
     gen = ev.generator(2)
     assert held_bytes() == _held.nbytes(gen) == 20 * gen.nnz + 4 * (256 + 1)
     labels = ev.labels(2)
-    assert list(held("order")) == [] and held_bytes() == _held.nbytes(gen) + labels.nbytes
-    ev._level(2, (labels == 0).astype(complex))  # groups the level's coordinates: sorts
-    order = held("order")[2]
-    assert held_bytes() == _held.nbytes(gen) + labels.nbytes + order.nbytes
+    assert list(held("slice")) == [] and held_bytes() == _held.nbytes(gen) + labels.nbytes
+    ev._slice(2, (labels == 0).astype(complex))  # groups block 0's coordinates
+    coords, spans = held("slice")[2, slice_key(0)]
+    assert np.array_equal(coords, np.flatnonzero(labels == 0)) and spans == ((0, len(coords)),)
+    sliced = coords.nbytes + _held.nbytes(spans)
+    assert held_bytes() == _held.nbytes(gen) + labels.nbytes + sliced
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 100)
     assert ev.generator(2) is gen  # one form serves every budget
     assert not generators._within_budget(ev.dim ** 4)
-    assert held_bytes() == _held.nbytes(gen) + labels.nbytes + order.nbytes
+    assert held_bytes() == _held.nbytes(gen) + labels.nbytes + sliced
 
 
 def test_lowered_budget_switches_held_engine(rng, monkeypatch):
@@ -1365,23 +1371,26 @@ def test_lowered_budget_reuses_held_level(rng, monkeypatch):
     calls = [lambda: steady_state(model, decs), lambda: otoc(h, decs, w_op, v_op, rho, taus).values,
              lambda: general_correlator(h, decs, spec, taus=taus).values]
     before = [call() for call in calls]
-    levels = {n: (held("generator")[n], held("labels")[n], held("order")[n]) for n in (1, 2)}
+    levels = {n: (held("generator")[n], held("labels")[n]) for n in (1, 2)}
+    slices = held("slice")
+    assert {1, 2} <= {n for n, _key in slices}
     built, labelled = _count_assembly(monkeypatch), []
     labels = propagation._block_labels
     monkeypatch.setattr(propagation, "_block_labels", lambda g: labelled.append(g) or labels(g))
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 8)
     after = [call() for call in calls]
     assert built == [] and labelled == [] and len(_held_models()) == 1
-    assert all(held("generator")[n] is gen and held("labels")[n] is labels and held("order")[n] is order
-               for n, (gen, labels, order) in levels.items())
+    assert all(held("generator")[n] is gen and held("labels")[n] is labels
+               for n, (gen, labels) in levels.items())
+    assert all(held("slice")[key] is value for key, value in slices.items())
     for old, new in zip(before, after):
         assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
 
 
 def test_warm_sweep_makes_two_lookups(monkeypatch):
-    # a warm OTOC on the dimer's order-256 level reads its labels and block order
-    # once each and its one step's propagator of each touched block: no miss, and
-    # the generator is not looked up
+    # a warm OTOC on the dimer's order-256 level reads its labels and slice once
+    # each and its one step's slice propagator: no miss, and the generator is not
+    # looked up
     h, decs = _dimer()
     rho = steady_state(coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6))
     args = (np.kron(sigma_x, EYE2), np.kron(sigma_z, sigma_z), rho, np.linspace(0.0, 4.0, 41))
@@ -1394,7 +1403,42 @@ def test_warm_sweep_makes_two_lookups(monkeypatch):
     again = otoc(h, decs, *args)
     assert _held.counts["misses"] == misses and "generator" not in kinds
     assert _held.counts["hits"] - hits == len(kinds) <= 2 + touched
+    assert kinds == ["labels", "slice", "propagator"]
     assert np.array_equal(again.values, first.values)
+
+
+def test_warm_calls_look_up_their_slice_once(rng, monkeypatch):
+    # a warm sweep or pull-back on the dimer's order-256 level looks up the level's
+    # labels and its slice once each, then per run of equal steps one propagator of
+    # the slice, or the slice's action plan once and one action run per run: no
+    # block's own entry, no block order and no second plan lookup
+    h, decs = _dimer()
+    rho = steady_state(coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6))
+    ops = (np.kron(sigma_z, sigma_y), np.kron(sigma_x, EYE2), rho)  # blocks of 28, 28 and 70
+    w = rng.standard_normal(256) + 1j * rng.standard_normal(256)  # every block
+
+    def pulled(taus):
+        with propagation._model_evolver(h, decs) as ev:  # one correlator call
+            return np.array(list(ev.trajectory(w, 2, taus, adjoint=True)))
+    two_runs = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.25, 2.5, 6)])
+    cases = [(lambda: otoc(h, decs, *ops, np.linspace(0.0, 4.0, 41)).values, ["propagator"]),
+             (lambda: otoc(h, decs, *ops, two_runs).values, ["propagator"] * 2),
+             (lambda: otoc(h, decs, *ops, np.geomspace(1e-2, 4.0, 6)).values, ["plan", *["run"] * 6]),
+             (lambda: pulled(np.array([0.8])), ["plan", "run"]),
+             (lambda: pulled(np.array([0.8, 1.6])), ["propagator"])]
+    kinds, find = [], _held.find
+    monkeypatch.setattr(_held, "find", lambda owner, kind, *rest, **kw: kinds.append(kind) or find(
+        owner, kind, *rest, **kw))
+    for call, stepped in cases:
+        first = call()
+        kinds.clear()
+        hits, misses = _held.counts["hits"], _held.counts["misses"]
+        again = call()
+        assert _held.counts["misses"] == misses
+        assert _held.counts["hits"] - hits == len(kinds) == 2 + len(stepped)
+        assert kinds == ["labels", "slice", *stepped]
+        assert np.array_equal(again, first)
+    assert sorted(len(slice_blocks(key)) for _n, key in held("slice")) == [3, 9]
 
 
 def test_held_propagators_are_the_last_calls(rng, monkeypatch):
@@ -1476,8 +1520,8 @@ def test_held_bytes_bounded_by_cap_plus_last_call(rng, monkeypatch):
 
 def test_grown_propagator_map_counted_again():
     # two calls step the dimer's G_2 by the same gap on different blocks: the second
-    # adds the step's propagator of another block, counted when it is stored, and
-    # leaves every entry the first stored as it was
+    # adds the slice of another block and its propagator at the step, each counted
+    # when it is stored, and leaves every entry the first stored as it was
     h, decs = _dimer()
     taus = np.linspace(0.0, 2.0, 5)
     with propagation._model_evolver(h, decs) as ev:
@@ -1490,7 +1534,8 @@ def test_grown_propagator_map_counted_again():
         assert sorted(step_propagators(2, 0.5)) == list(range(block + 1))
         sizes.append(_held.counts["bytes"])
         assert sizes[-1] == held_bytes()
-    assert sizes[1] - sizes[0] == step_propagators(2, 0.5)[1].nbytes > 0
+    added = _held.nbytes(held("slice")[2, slice_key(1)])
+    assert sizes[1] - sizes[0] == step_propagators(2, 0.5)[1].nbytes + added > added > 0
 
 
 def _digest(value) -> bytes:
@@ -1521,9 +1566,9 @@ def _digest(value) -> bytes:
 
 
 def test_no_held_value_changes_after_it_is_stored(rng, monkeypatch):
-    # later calls on the dimer add block propagators to a step already used, new
-    # step lengths to a held action plan, and the first grouping of a level that
-    # was stepped whole: each adds entries of its own, and every entry stored
+    # later calls on the dimer step another block by a step already used, add new
+    # step lengths to a held action plan, and make the first grouping of a level
+    # that was stepped whole: each adds entries of its own, and every entry stored
     # before keeps its bytes and its arrays
     model = coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6)
     h, decs = model.hamiltonian, decompose_model(model)
@@ -1552,15 +1597,17 @@ def test_no_held_value_changes_after_it_is_stored(rng, monkeypatch):
     now, counts = snapshot()
     assert [entry for entry in stored if entry in now and now[entry] != stored[entry]] == []
     assert held_bytes() == counts["bytes"]
-    # what the second calls added, each as an entry of its own: a block's propagator
-    # at the step the first used, runs on the plan the first made, the block order
-    # of the level the first stepped whole
+    # what the second calls added, each as an entry of its own: another block's
+    # propagator at the step the first used, runs on the plan the first made, a
+    # slice of the level the first stepped whole
     before, added = ({(kind, key) for _owner, kind, key in entries} for entries in (
         stored, now.keys() - stored.keys()))
-    assert ("propagator", (2, 0.5, 0)) in before and ("propagator", (2, 0.5, 1)) in added
+    assert ("propagator", (2, 0.5, slice_key(0))) in before
+    assert ("propagator", (2, 0.5, slice_key(1))) in added
     (plan,) = (key for kind, key in before if kind == "plan" and key[0] == 2)  # the OTOC's
     assert any(kind == "run" and key[:3] == plan for kind, key in added)
-    assert ("labels", 1) in before and ("order", 1) not in before and ("order", 1) in added
+    level_1 = [{key[0] for kind, key in keys if kind == "slice"} for keys in (before, added)]
+    assert ("labels", 1) in before and 1 not in level_1[0] and 1 in level_1[1]
 
 
 def test_one_model_under_concurrent_mixed_calls(rng, monkeypatch):

@@ -3,8 +3,9 @@
 Every reference here steps the whole generator of the level, by
 ``integrate_ode`` on the CSR generator or by the dense level's full
 propagator, so a wrong block labelling or a wrong restriction shows as a
-deviation from it.  The one exception checks the block propagators of a
-sparse level against the exponential of the restricted generator G[S, S].
+deviation from it.  The exceptions check the block propagators of a sparse
+level against the exponential of the restricted generator G[S, S], and a held
+slice propagator against its blocks' own exponentials, bit for bit.
 """
 
 from contextlib import contextmanager
@@ -50,7 +51,15 @@ from lindcorr import (
 from lindcorr import _held, generators, propagation
 from lindcorr.operators import hermitian_eig, kron
 
-from conftest import held, held_bytes, random_density, random_hermitian, random_matrix
+from conftest import (
+    held,
+    held_bytes,
+    random_density,
+    random_hermitian,
+    random_matrix,
+    slice_blocks,
+    step_propagators,
+)
 
 TAUS = np.linspace(0.0, 4.0, 9)
 DIMER = dict(omega1=1.0, omega2=1.25, g=0.3, gamma1=0.08, gamma2=0.05, temperature=0.6)
@@ -238,22 +247,26 @@ def test_blocks_come_from_the_pattern_not_the_values(rng, monkeypatch):
 
 
 def test_level_stepped_whole_holds_no_block_order(rng):
-    # a one-block level is stepped whole and never reads its block order, so only
-    # its labels are held; a call that groups the dimer's coordinates by block
-    # sorts them once, and the bytes held count the order
+    # a one-block level is stepped whole and groups no coordinates, so only its
+    # labels are held; a call that groups the dimer's coordinates by block holds
+    # its slice, the level's stable block order on the touched blocks, and the
+    # bytes held count it
     h = random_hermitian(rng, 3)
     dec = assign_rates(exact_bohr_decomposition(h, random_hermitian(rng, 3)),
                        BathSpec(temperature=0.5, rate_profile=0.2, gamma0=0.05))
     otoc(h, dec, random_matrix(rng, 3), random_matrix(rng, 3), random_density(rng, 3), TAUS)
     (labels,) = held("labels").values()
-    assert not labels.any() and held("order") == {}
+    assert not labels.any() and held("slice") == {}
     assert _held.counts["bytes"] == held_bytes()
     _held.drop_all()
     model = coupled_dimer(**DIMER)
     decs = decompose_model(model)
     otoc(model.hamiltonian, decs, _site(sigma_x, 0), _site(sigma_z, 1), random_density(rng, 4), TAUS)
-    labels, order = held("labels")[2], held("order")[2]
-    assert np.array_equal(order, np.argsort(labels, kind="stable"))
+    labels, (((n, key), (coords, spans)),) = held("labels")[2], held("slice").items()
+    order = np.argsort(labels, kind="stable")
+    assert n == 2 and np.array_equal(coords, order[np.isin(labels[order], slice_blocks(key))])
+    assert [labels[coords[start:stop]].tolist() for start, stop in spans] == [
+        [block] * int(np.sum(labels == block)) for block in slice_blocks(key)]
     assert _held.counts["bytes"] == held_bytes()
 
 
@@ -289,7 +302,7 @@ def test_held_engine_trims_its_block_labels(rng, monkeypatch):
     assert set(held("labels")) == {1, 2}
     monkeypatch.setattr(_held, "IDLE_BYTE_CAP", 0)
     qrt_correlator(model.hamiltonian, decs, identity(4), dagger(a), a, rho, TAUS)
-    assert set(held("labels")) == {1} and set(held("order")) <= {1}
+    assert set(held("labels")) == {1} and {key[0] for key in held("slice")} <= {1}
     assert 2 not in held("generator")
     assert all(key == 1 for key in held("generator"))
     assert all(key[0] == 1 for kind in ("propagator", "plan", "run") for key in held(kind))
@@ -329,7 +342,7 @@ def test_dense_block_sweep_and_pull_back_match_full_propagator(name, rng):
     labels = ev.labels(n)
     tensor = (rng.standard_normal(len(gen)) + 1j) * (labels % 3 == 0)
     w = (rng.standard_normal(len(gen)) + 1j) * (labels % 2 == 0)
-    _labels, coords = ev._level(n, tensor, w)
+    _key, coords, _spans = ev._slice(n, tensor, w)
     assert 0 < len(coords) < len(gen)
     taus = np.linspace(0.5, 4.5, 9)
     expected = np.array([w @ scipy.linalg.expm(tau * gen) @ tensor for tau in taus])
@@ -372,7 +385,7 @@ def _pauli(label):
 def test_dimer_otoc_forms_only_its_touched_blocks(monkeypatch):
     # W = XI, V = ZZ touches 70 of the 256 coordinates of the dimer's 2-slot
     # level: only the touched blocks' propagators are formed, each once, and
-    # the held propagators are those blocks' exactly
+    # the held slice propagator holds those blocks' exactly, zero between them
     model = coupled_dimer(**DIMER)
     decs = decompose_model(model)
     rho = steady_state(model, decs)
@@ -382,17 +395,67 @@ def test_dimer_otoc_forms_only_its_touched_blocks(monkeypatch):
     ev = propagation._SlotEvolver(model.hamiltonian, decs)  # finds the call's held entries
     tensor = elementary_tensor([dagger(w_op), w_op])
     w = contraction_functional([identity(4), dagger(v_op), v_op], rho)
-    labels, coords = ev._level(2, tensor, w)
+    labels, (key, coords, spans) = ev.labels(2), ev._slice(2, tensor, w)
     sizes = np.bincount(labels[coords])
     sizes = sizes[sizes > 0]
     assert generators._within_budget(ev.dim ** 4) and len(coords) == 70
     assert orders and max(orders) <= 70
     assert sorted(orders) == sorted(sizes.tolist())  # one uniform grid: each block once
-    blocks = held("propagator")
-    assert len({key[:2] for key in blocks}) == 1  # one step
+    ((_n, gap, held_key), prop), = held("propagator").items()  # one step
+    blocks = step_propagators(2, gap)
+    assert held_key == key and prop.nbytes == 16 * 70 ** 2
     assert sum(m.nbytes for m in blocks.values()) == 16 * int(np.sum(sizes ** 2))
+    inside = np.zeros(prop.shape, dtype=bool)
+    for start, stop in spans:
+        inside[start:stop, start:stop] = True
+    assert not np.any(prop[~inside])
     expected = _full_sweep(model.hamiltonian, decs, tensor, w, TAUS)
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _held_slice_propagator(h, decs):
+    """The model's one held slice propagator and, for comparison, the block-diagonal
+    of expm(gap G_b) over the slice's blocks, each G_b cut from the whole level's
+    generator at the coordinates labelled b; and the slice's spans."""
+    ev = propagation._SlotEvolver(h, decs)  # finds the call's held entries
+    (((n, gap, key), prop),) = held("propagator", ev.key).items()
+    coords, spans = held("slice", ev.key)[n, key]
+    gen, labels = ev.generator(n), ev.labels(n)
+    expected = np.zeros((len(coords), len(coords)), dtype=complex)
+    for block, (start, stop) in zip(slice_blocks(key), spans):
+        inside = np.flatnonzero(labels == block)
+        assert np.array_equal(coords[start:stop], inside)
+        expected[start:stop, start:stop] = propagation.expm(gen[inside][:, inside].toarray(), gap)
+    return prop, expected, spans
+
+
+@pytest.mark.parametrize("ops, sizes", [(("XI", "ZZ"), [70]), (("ZY", "XI"), [28, 28, 70])],
+                         ids=["one-block", "three-blocks"])
+def test_held_slice_propagator_is_its_blocks_propagators(ops, sizes):
+    # a uniform OTOC on the dimer's 2-slot level holds one propagator of its slice,
+    # one block or several: bit for bit the block-diagonal of each block's expm
+    model = coupled_dimer(**DIMER)
+    decs = decompose_model(model)
+    w_op, v_op = (_pauli(label) for label in ops)
+    otoc(model.hamiltonian, decs, w_op, v_op, steady_state(model, decs), TAUS)
+    prop, expected, spans = _held_slice_propagator(model.hamiltonian, decs)
+    assert sorted(stop - start for start, stop in spans) == sizes
+    assert np.array_equal(prop, expected)
+    assert prop.size <= generators.DEFAULT_SLOT_BUDGET ** 2
+
+
+def test_held_slice_propagator_of_single_coordinates(rng):
+    # the rate-free 9-level oscillator's G_2 is diagonal: its slice propagator is
+    # the diagonal of each touched coordinate's expm, bit for bit
+    model, decs = _oscillator(9, gamma=0.0)
+    a = annihilation(9)
+    x = a + dagger(a)
+    equal_time_group_correlator(model.hamiltonian, decs, [identity(9), dagger(a), a], [x, x],
+                                random_density(rng, 9), TAUS)
+    prop, expected, spans = _held_slice_propagator(model.hamiltonian, decs)
+    assert len(spans) > 1 and {stop - start for start, stop in spans} == {1}
+    assert np.array_equal(prop, expected)
+    assert prop.size <= generators.DEFAULT_SLOT_BUDGET ** 2
 
 
 # ------------------------------------------------------------ properties
@@ -529,9 +592,8 @@ def test_block_propagators_match_level_propagator(model, level, touch, data):
         ev = propagation._SlotEvolver(h, dec)
         got = list(ev.trajectory(v, 2, taus))
         assert not acted.called and generators._within_budget(ev.dim ** 4) == (level == "dense")
-    blocks = held("propagator", ev.key)
-    ((_n, _gap),) = {key[:2] for key in blocks}  # one step
-    assert sorted(key[2] for key in blocks) == np.flatnonzero(picked).tolist()
+    ((_n, gap),) = {key[:2] for key in held("propagator", ev.key)}  # one step
+    assert sorted(step_propagators(2, gap, ev.key)) == np.flatnonzero(picked).tolist()
     full = gen.toarray() if level == "dense" else gen[inside][:, inside].toarray()
     prop = propagation.expm(full, float(taus[1]))
     expected = v if level == "dense" else v[inside]
