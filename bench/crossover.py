@@ -1,23 +1,30 @@
-"""Dense/sparse engine crossover: both engines timed at slot-tensor orders 144 to 1296.
+"""Slot-budget crossover: each call timed with the budget at its order and one below.
 
-    python3 bench/crossover.py [--out BENCH_5.json] [--repeats 5]
-    python3 bench/crossover.py --single-use [--out BENCH_10.json] [--repeats 7]
+    python3 bench/crossover.py --out PATH [--repeats 5]
+    python3 bench/crossover.py --single-use --out PATH [--repeats 7]
 
-Run it from the root of a checkout.  Each order is reached by `qrt_correlator`
-(one slot, order d**2) and, where d**4 hits it, by `otoc` (two slots), on a
-`truncated_oscillator` of dimension d; order 256 also has the `coupled_dimer`
-OTOC of the otoc-map benchmark workload.  Every call runs on the grid
-linspace(0, 10, 41) once per engine: dense when
-`lindcorr.generators.DEFAULT_SLOT_BUDGET` is set to the order, sparse when it
-is set one below.  A cold call starts from a fresh engine; a warm call is the
-second of two calls on the held engine, which reuses the dense propagator or
-the CSR generator.  Each time is the median of `--repeats` calls, with BLAS
-and OpenMP threads fixed at 1 as in perfbench.  The JSON written to `--out`
-lists every call and, per order, the median over its calls of the dense/sparse
-time ratio, cold and warm, and the largest relative deviation between the
-engines.  The budget it suggests is the largest order up to which that cold
-median ratio stays at or below 1: dense is at least as fast on a cold call,
-and the warm calls only add to its lead.
+Run it from the root of a checkout.  It times the calls whose slot tensor has
+144 to 1296 coordinates with `lindcorr.generators.DEFAULT_SLOT_BUDGET` set to
+the order (the level is within the budget) and to one below it (above).  That
+switches how the engine steps: within the budget a run of steps takes the
+slice's propagator, above it an action, and a level whose vectors touch every
+block is stepped whole; for one-slot calls it also switches the slot factors
+from `np.kron` to the factors built from the operators' entries.  Each order
+is reached by `qrt_correlator` (one slot, order d**2) and, where d**4 hits
+it, by `otoc` (two slots), on a `truncated_oscillator` of dimension d; order
+256 also has the `coupled_dimer` OTOC of the otoc-map benchmark workload.
+Every call runs on the grid linspace(0, 10, 41).  A cold call starts from no
+held entry; a warm call is the second of two calls, on what the first left
+held.  Each time is the median of `--repeats` calls, with BLAS and OpenMP
+threads fixed at 1 as in perfbench.  The record lists every call and, per
+order, the median over its calls of the within/above time ratio, cold and
+warm, and the largest relative deviation between the two settings.  The
+budget it suggests is the largest order up to which that cold median ratio
+stays at or below 1: the propagator is at least as fast on a cold call, and
+the warm calls only add to its lead.  The result goes under the key
+"slot_budget" of `--out`.  (Before one CSR form served every level, these
+two settings picked a dense and a sparse engine; BENCH_5.json holds that
+measurement.)
 
 `--single-use` times instead one step applied once, a pull-back across one
 gap (`_SlotEvolver.pull_back` in one call through
@@ -31,43 +38,25 @@ store holding only the level's generator, block labels and slice.  The order
 it suggests for `_SINGLE_USE_ORDER`, cold and warm, is the largest order up
 to which the median propagator/action time ratio over the one-block levels
 stays at or below 1; above it a step applied once is taken as an action.  The
-result goes under the key "single_use" of `--out`, next to what else that
-file holds.
+result goes under the key "single_use" of `--out`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import statistics
 import sys
-import time
-from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+# first, so the threads are fixed and lindcorr is this checkout's
+from _common import (DIMER, OSCILLATOR, TAUS, density, env, gaussian, keep_level, median_s,
+                     random_model, write_record)
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+import numpy as np
 
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
-
-import lindcorr as lc  # noqa: E402
-from lindcorr import _held, generators, propagation  # noqa: E402
+import lindcorr as lc
+from lindcorr import _held, generators, propagation
 
 ORDERS = (144, 196, 256, 324, 400, 625, 900, 1296)
-TAUS = np.linspace(0.0, 10.0, 41)
-OSCILLATOR = dict(omega0=1.0, gamma=0.1, temperature=0.5)
-DIMER = dict(omega1=1.0, omega2=1.25, g=0.3, gamma1=0.08, gamma2=0.05, temperature=0.6)
-
-
-def _density(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 def calls_at(order: int, rng: np.random.Generator) -> list[tuple[str, object]]:
@@ -78,7 +67,7 @@ def calls_at(order: int, rng: np.random.Generator) -> list[tuple[str, object]]:
         model = lc.truncated_oscillator(dim=d, **OSCILLATOR)
         decs = lc.decompose_model(model)
         a = lc.annihilation(d)
-        rho = _density(rng, d)
+        rho = density(rng, d)
         out.append((f"qrt_correlator:oscillator:d={d}", lambda m=model, dc=decs, a=a, r=rho:
                     lc.qrt_correlator(m.hamiltonian, dc, lc.identity(a.shape[0]), a.conj().T, a,
                                       r, TAUS)))
@@ -89,29 +78,14 @@ def calls_at(order: int, rng: np.random.Generator) -> list[tuple[str, object]]:
             systems.append(("coupled_dimer:d=4", lc.coupled_dimer(**DIMER)))
         for label, model in systems:
             decs = lc.decompose_model(model)
-            w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            v = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            rho = _density(rng, d)
+            w, v = gaussian(rng, d), gaussian(rng, d)
+            rho = density(rng, d)
             out.append((f"otoc:{label}", lambda m=model, dc=decs, w=w, v=v, r=rho: lc.otoc(
                 m.hamiltonian, dc, w, v, r, TAUS)))
     return out
 
 
-def timed(call, warm: bool, repeats: int) -> tuple[float, np.ndarray]:
-    """Median seconds of `repeats` calls, and the values of the last one."""
-    times = []
-    for _ in range(repeats):
-        _held.drop_all()
-        if warm:
-            call()
-        start = time.perf_counter()
-        values = call().values
-        times.append(time.perf_counter() - start)
-    _held.drop_all()
-    return statistics.median(times), np.asarray(values)
-
-
-def measure(repeats: int) -> dict:
+def measure_slot_budget(repeats: int) -> dict:
     rng = np.random.default_rng(5)
     rows = []
     saved = generators.DEFAULT_SLOT_BUDGET
@@ -120,16 +94,18 @@ def measure(repeats: int) -> dict:
             for name, call in calls_at(order, rng):
                 row = {"order": order, "call": name}
                 values = {}
-                for engine, budget in (("dense", order), ("sparse", order - 1)):
+                for side, budget in (("within", order), ("above", order - 1)):
                     generators.DEFAULT_SLOT_BUDGET = budget
-                    row[f"{engine}_cold_s"], values[engine] = timed(call, False, repeats)
-                    row[f"{engine}_warm_s"], _ = timed(call, True, repeats)
-                scale = float(np.max(np.abs(values["dense"])))
-                row["rel_deviation"] = float(np.max(np.abs(values["dense"] - values["sparse"]))) / scale
+                    row[f"{side}_cold_s"], values[side] = median_s(call, repeats, _held.drop_all)
+                    row[f"{side}_warm_s"], _ = median_s(
+                        call, repeats, lambda: (_held.drop_all(), call()))
+                    _held.drop_all()
+                within, above = values["within"].values, values["above"].values
+                row["rel_deviation"] = float(np.max(np.abs(within - above)) / np.max(np.abs(within)))
                 rows.append(row)
-                print(f"{order:5d} {name:34s} cold dense {row['dense_cold_s']:.4f} s "
-                      f"sparse {row['sparse_cold_s']:.4f} s | warm dense "
-                      f"{row['dense_warm_s']:.4f} s sparse {row['sparse_warm_s']:.4f} s | "
+                print(f"{order:5d} {name:34s} cold within {row['within_cold_s']:.4f} s "
+                      f"above {row['above_cold_s']:.4f} s | warm within "
+                      f"{row['within_warm_s']:.4f} s above {row['above_warm_s']:.4f} s | "
                       f"deviation {row['rel_deviation']:.1e}", flush=True)
     finally:
         generators.DEFAULT_SLOT_BUDGET = saved
@@ -139,7 +115,7 @@ def measure(repeats: int) -> dict:
         mine = [r for r in rows if r["order"] == order]
         by_order[str(order)] = {
             f"{when}_ratio_median": statistics.median(
-                r[f"dense_{when}_s"] / r[f"sparse_{when}_s"] for r in mine)
+                r[f"within_{when}_s"] / r[f"above_{when}_s"] for r in mine)
             for when in ("cold", "warm")
         }
         by_order[str(order)]["max_rel_deviation"] = max(r["rel_deviation"] for r in mine)
@@ -150,7 +126,7 @@ def measure(repeats: int) -> dict:
         suggested = order
     return {
         "script": "bench/crossover.py",
-        "env": _env(),
+        "env": env(),
         "grid": "linspace(0, 10, 41)",
         "repeats": repeats,
         "rows": rows,
@@ -180,29 +156,10 @@ def _level_model(name: str) -> tuple:
     """(hamiltonian, decomps) of a --single-use model."""
     if name.startswith("random_exact"):
         d = int(name.split("=")[1])
-        rng = np.random.default_rng(100 + d)
-
-        def hermitian():
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            return g + g.conj().T
-        h = hermitian()
         bath = lc.BathSpec(temperature=0.5, rate_profile=0.2, gamma0=0.05)
-        return h, (lc.assign_rates(lc.exact_bohr_decomposition(h, hermitian()), bath),)
+        return random_model(np.random.default_rng(100 + d), d, bath)
     model = lc.two_level_atom(1.0, 0.1, 0.5) if name == "two_level_atom" else lc.coupled_dimer(**DIMER)
     return model.hamiltonian, lc.decompose_model(model)
-
-
-def _median_s(fn, repeats: int, setup=None) -> tuple[float, object]:
-    """Median seconds of `repeats` calls of `fn`, each after `setup()` when given,
-    and the last call's result."""
-    times = []
-    for _ in range(repeats):
-        if setup is not None:
-            setup()
-        start = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), out
 
 
 def measure_single_use(repeats: int) -> dict:
@@ -223,17 +180,12 @@ def measure_single_use(repeats: int) -> dict:
                     with propagation._model_evolver(h, decs) as ev:
                         return ev.pull_back(w, slots, gap)
 
-                def hold_level():  # only the level's generator, labels and slice stay held
-                    cap, _held.IDLE_BYTE_CAP = _held.IDLE_BYTE_CAP, 0
-                    try:
-                        with propagation._model_evolver(h, decs) as ev:
-                            ev.generator(slots), ev._slice(slots, w)
-                    finally:
-                        _held.IDLE_BYTE_CAP = cap
+                def hold_level():
+                    keep_level(h, decs, slots, w)
 
-                prop_s, formed = _median_s(lambda: pull_back(order), repeats, hold_level)
-                cold_s, acted = _median_s(lambda: pull_back(0), repeats, hold_level)
-                warm_s, _ = _median_s(lambda: pull_back(0), repeats)
+                prop_s, formed = median_s(lambda: pull_back(order), repeats, hold_level)
+                cold_s, acted = median_s(lambda: pull_back(0), repeats, hold_level)
+                warm_s, _ = median_s(lambda: pull_back(0), repeats)
                 with propagation._model_evolver(h, decs) as ev:
                     assert len(ev.labels(slots)) == order
                     spans = ev._slice(slots, w)[2]
@@ -268,7 +220,7 @@ def measure_single_use(repeats: int) -> dict:
             suggested[when] = order
     return {
         "script": "bench/crossover.py --single-use",
-        "env": _env(),
+        "env": env(),
         "gap": gap,
         "repeats": repeats,
         "rows": rows,
@@ -278,32 +230,22 @@ def measure_single_use(repeats: int) -> dict:
     }
 
 
-def _env() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "machine": platform.machine(),
-            "cpus": os.cpu_count(), "blas_threads": 1}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=None)
+    parser.add_argument("--out", required=True)
     parser.add_argument("--repeats", type=int, default=None)
     parser.add_argument("--single-use", action="store_true")
     args = parser.parse_args(argv)
     if args.single_use:
-        out = Path(args.out or ROOT / "BENCH_10.json")
         result = measure_single_use(args.repeats or 7)
-        record = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-        record["single_use"] = result
-        out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
         print(f"suggested single-use order {result['suggested_single_use_order']} (cold, warm) "
-              f"(set: {result['single_use_order']}); written to {out}")
-        return 0
-    args.out = args.out or str(ROOT / "BENCH_5.json")
-    result = measure(args.repeats or 5)
-    Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
-    print(f"suggested DEFAULT_SLOT_BUDGET {result['suggested_slot_budget']} "
-          f"(set: {result['slot_budget']}); written to {args.out}")
+              f"(set: {result['single_use_order']})")
+        write_record(args.out, ("single_use",), result)
+    else:
+        result = measure_slot_budget(args.repeats or 5)
+        print(f"suggested DEFAULT_SLOT_BUDGET {result['suggested_slot_budget']} "
+              f"(set: {result['slot_budget']})")
+        write_record(args.out, ("slot_budget",), result)
     return 0
 
 

@@ -1,9 +1,9 @@
 """Repeated calls on the held engine, and the engine tolerance.
 
-    python3 bench/repeats.py [--out BENCH_11.json] [--label change] [--repeats 3]
-    python3 bench/repeats.py --engines [--out BENCH_14.json] [--label change] [--repeats 3]
-    python3 bench/repeats.py --step-peak [--out BENCH_16.json] [--label change]
-    python3 bench/repeats.py --cli-stages [--out BENCH_20.json] [--label change] [--seed 0]
+    python3 bench/repeats.py --out PATH [--label change] [--repeats 3]
+    python3 bench/repeats.py --engines --out PATH [--label change] [--repeats 3]
+    python3 bench/repeats.py --step-peak --out PATH [--label change]
+    python3 bench/repeats.py --cli-stages --out PATH [--label change] [--seed 0]
 
 Run it from the root of a checkout: it imports lindcorr from that checkout's
 `src`, so running the same file in two checkouts compares them.  With BLAS
@@ -14,33 +14,36 @@ call (`_held.counts["bytes"]`) and whether the call returned the bytes
 of the first call:
 
 * the dimer OTOC W = XI, V = ZZ against the steady state on the 400-point
-  grid geomspace(1e-3, 20), whose steps are all distinct (dense 2-slot level
-  of order 256, 70 coordinates touched);
+  grid geomspace(1e-3, 20), whose steps are all distinct (2-slot level of
+  order 256, within the slot budget, 70 coordinates touched);
 * a single-value `general_correlator` on the dimer with insertions at 2.0,
   1.2 and 0.4, whose fixed gap 0.8 is pulled back once on the 2-slot level;
 * the OTOC W = V = x of a 9-level oscillator against its steady state on the
-  25-point grid geomspace(1e-3, 20) (sparse 2-slot level of order 6561).
+  25-point grid geomspace(1e-3, 20) (2-slot level of order 6561, above the
+  budget).
 
 It then measures how far the two ways of taking one step exp(gap G) v
-differ: the action by `integrate_ode` (`expm_multiply`) against the product
-with the propagator `expm(G, gap)`, on random models (random Hermitian H and
-coupling under the exact decomposition, a thermal bath with random
-temperature, rate and gamma0, and a random gap in [0.05, 5]).  The
-generators are a dense 2-slot level (d = 3, 4), the restricted block G[S, S]
-of a sparse 2-slot level in the energy eigenbasis (d = 3 to 5, half the
-blocks) and a CSR 2-slot level (d = 4, 5).  The deviation is the largest
-entry of the difference over the largest entry of the propagator product.
+differ: the in-house action by `integrate_ode` (Al-Mohy and Higham's interval
+algorithm) against the product with the propagator `expm(G, gap)`, on random
+models (`random_model`: random Hermitian H and coupling under the exact
+decomposition, a thermal bath with random temperature, rate and gamma0, and
+a random gap in [0.05, 5]).  The generators are a 2-slot level as a dense
+array (d = 3, 4), the restricted block G[S, S] of a 2-slot level in the
+energy eigenbasis (d = 3 to 5, half the blocks) and a 2-slot level as CSR
+(d = 4, 5).  The deviation is the largest entry of the difference over the
+largest entry of the propagator product.  The rows go under `--label` in
+the key "calls" of `--out`.
 
 With `--engines` it records instead what several models leave held between
 calls.  First a scan: the dimer OTOC W = XI, V = ZZ on the grid
 linspace(0, 20, 41) against the steady state, at each of `--scan-points`
 bath temperatures from 0.2 to 2.0, each a new model; after each call it
-records the `_SlotEvolver` objects alive (found by `gc` after a full
-collection), the bytes held (`_held.counts["bytes"]`; beyond the last
-call's own entries they are idle, bounded by `_held.IDLE_BYTE_CAP`)
-and the process's ru_maxrss.  Then `--rounds` passes of three interleaved
-sequences, each pass from no held entry over `--repeats` sequences, with the
-median time of every call: the
+records the bytes held (`_held.counts["bytes"]`; beyond the last call's own
+entries they are idle, bounded by `_held.IDLE_BYTE_CAP`) and the process's
+ru_maxrss.  (It also counted the `_SlotEvolver` objects alive until no
+engine outlived its call; BENCH_14.json holds the last counts.)  Then
+`--rounds` passes of three interleaved sequences, each pass from no held
+entry over `--repeats` sequences, with the median time of every call: the
 damped and the rate-free dimer OTOC of the otoc-map workload; the five
 `corr` configs of perfbench's general-sweep workload (seed `--seed`) run
 through `lindcorr.cli.run`; and, as in the wide-slots workload, the steady
@@ -52,7 +55,7 @@ the `--repeats` runs also records after every call the bytes held and, from
 `_held.counts`, the hits, misses and evictions of the call's lookups
 of held entries and, where they are counted, the actions' matrix-vector
 products and 1-norm estimates; the products and estimates of each round are
-printed.
+printed.  The record goes under `--label` in the key "engines" of `--out`.
 
 With `--step-peak` it measures the memory of an action on a large level: a
 sweep of a random tensor against a random dual vector, both nonzero on every
@@ -62,7 +65,8 @@ engine.  The level's CSR generator and block labels are assembled before
 tracemalloc starts, so each sweep's peak of traced bytes is what the step
 adds to what the engine held before it; the record gives it, the
 generator's CSR bytes, the bytes held before the sweep, the peak in all
-(held before plus traced) over the CSR bytes, and ru_maxrss.
+(held before plus traced) over the CSR bytes, and ru_maxrss, under `--label`
+in the key "step_peak" of `--out`.
 
 With `--cli-stages` it times the stages of `lindcorr.cli.run` on the five
 `corr` configs of perfbench's general-sweep workload (seed `--seed`), warm:
@@ -77,18 +81,13 @@ of the config), `model` (`_parse_model`), `decomposition`
 and `other`, the rest of `run`.  The record gives the median of each stage
 per config and per pass, the median time of a pass with and without the
 wrappers, and per warm pass the calls of `exact_bohr_decomposition` and of
-`hermitian_eig` in the decomposition module and the held-store lookups.
-
-The rows go under `--label` in `--out`, next to what else that file holds.
+`hermitian_eig` in the decomposition module and the held-store lookups,
+under `--label` in the key "cli_stages" of `--out`.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
-import json
-import os
-import platform
 import resource
 import statistics
 import sys
@@ -96,26 +95,16 @@ import tempfile
 import time
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+# first, so the threads are fixed and lindcorr is this checkout's
+from _common import (DIMER, ROOT, density, env, gaussian, pauli, random_model, traced_peak,
+                     write_record)
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+import numpy as np
 
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
+import lindcorr as lc
+from lindcorr import _held, propagation
 
-import lindcorr as lc  # noqa: E402
-from lindcorr import _held, propagation  # noqa: E402
-from lindcorr.operators import hermitian_eig  # noqa: E402
-
-DIMER = dict(omega1=1.0, omega2=1.25, g=0.3, gamma1=0.08, gamma2=0.05, temperature=0.6)
 CALLS = 3
-
-
-def _pauli(label: str) -> np.ndarray:
-    paulis = {"I": lc.identity(2), "X": lc.sigma_x, "Y": lc.sigma_y, "Z": lc.sigma_z}
-    return np.kron(paulis[label[0]], paulis[label[1]])
 
 
 def workloads(rng: np.random.Generator) -> dict:
@@ -126,9 +115,9 @@ def workloads(rng: np.random.Generator) -> dict:
     grid = np.geomspace(1e-3, 20.0, 400)
 
     def dimer_otoc():
-        return lc.otoc(dimer.hamiltonian, decs, _pauli("XI"), _pauli("ZZ"), rho, grid).values
+        return lc.otoc(dimer.hamiltonian, decs, pauli("XI"), pauli("ZZ"), rho, grid).values
 
-    ops = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3)]
+    ops = [gaussian(rng, 4) for _ in range(3)]
     spec = lc.CorrelatorSpec(tuple(zip(ops, (2.0, 1.2, 0.4))), rho)
 
     def single_gap():
@@ -147,12 +136,6 @@ def workloads(rng: np.random.Generator) -> dict:
     return {"otoc:coupled_dimer:XI,ZZ:geomspace400": dimer_otoc,
             "general:coupled_dimer:single_gap_0.8": single_gap,
             "otoc:oscillator:d=9:x,x:geomspace25": oscillator_otoc}
-
-
-def live_engines() -> int:
-    """The `_SlotEvolver` objects alive, counted after a full collection."""
-    gc.collect()
-    return sum(isinstance(obj, propagation._SlotEvolver) for obj in gc.get_objects())
 
 
 def _mib(b: int) -> str:
@@ -193,10 +176,9 @@ def otoc_pair(rng: np.random.Generator) -> list:
         if name == "damped":
             rho = lc.steady_state(model, decs)
         else:
-            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+            rho = density(rng, 4)
         out.append((f"otoc:{name}_dimer:XI,ZZ", lambda h=model.hamiltonian, dc=decs, r=rho: lc.otoc(
-            h, dc, _pauli("XI"), _pauli("ZZ"), r, grid), lambda trace: np.asarray(trace.values)))
+            h, dc, pauli("XI"), pauli("ZZ"), r, grid), lambda trace: np.asarray(trace.values)))
     return out
 
 
@@ -274,7 +256,7 @@ def _maxrss_mib() -> float:
 
 def temperature_scan(points: int) -> dict:
     """A damped-dimer OTOC at each of `points` bath temperatures, each a new model:
-    per call its time, the engines alive and the bytes held after it, and ru_maxrss."""
+    per call its time and the bytes held after it, and ru_maxrss."""
     grid = np.linspace(0.0, 20.0, 41)
     start_rss = _maxrss_mib()
     _held.drop_all()
@@ -284,21 +266,19 @@ def temperature_scan(points: int) -> dict:
         start = time.perf_counter()
         decs = lc.decompose_model(model)
         rho = lc.steady_state(model, decs)
-        lc.otoc(model.hamiltonian, decs, _pauli("XI"), _pauli("ZZ"), rho, grid)
+        lc.otoc(model.hamiltonian, decs, pauli("XI"), pauli("ZZ"), rho, grid)
         elapsed = time.perf_counter() - start
-        rows.append({"temperature": float(temperature), "time_s": elapsed, "engines": live_engines(),
+        rows.append({"temperature": float(temperature), "time_s": elapsed,
                      "held_bytes": _held.counts["bytes"], "maxrss_mib": _maxrss_mib()})
     _held.drop_all()
     cap = _held.IDLE_BYTE_CAP
     summary = {
         "points": points, "idle_byte_cap": cap,
-        "max_engines": max(r["engines"] for r in rows), "last_engines": rows[-1]["engines"],
         "max_held_bytes": max(r["held_bytes"] for r in rows),
         "maxrss_before_mib": start_rss, "maxrss_after_mib": rows[-1]["maxrss_mib"],
         "median_call_s": statistics.median(r["time_s"] for r in rows),
     }
-    print(f"temperature scan, {points} models: at most {summary['max_engines']} engines alive "
-          f"({summary['last_engines']} at the end), held {_mib(summary['max_held_bytes'])} MiB "
+    print(f"temperature scan, {points} models: held at most {_mib(summary['max_held_bytes'])} MiB "
           f"(idle cap {_mib(cap)}), maxrss {start_rss:.1f} -> {summary['maxrss_after_mib']:.1f} MiB",
           flush=True)
     return {"summary": summary, "rows": rows}
@@ -317,15 +297,13 @@ def engines(args) -> dict:
                                  args.rounds, args.repeats),
                      interleaved("same-model:steady_state,otoc_oscillator_d6,d9",
                                  oscillator_levels(), args.rounds, args.repeats)]
-    return {"script": "bench/repeats.py --engines", "env": _env(), "repeats": args.repeats,
+    return {"script": "bench/repeats.py --engines", "env": env(), "repeats": args.repeats,
             "sequences": sequences, "temperature_scan": scan}
 
 
 def step_peak() -> dict:
     """Traced peak bytes of two sweeps on the whole 3-slot level of the 9-level
     oscillator, over the CSR bytes of the level's held generator."""
-    import tracemalloc
-
     model = lc.truncated_oscillator(omega0=1.0, dim=9, gamma=0.1, temperature=0.5)
     decs = lc.decompose_model(model)
     rng = np.random.default_rng(16)
@@ -337,15 +315,16 @@ def step_peak() -> dict:
         ev.labels(3)
     assembly_s = time.perf_counter() - start
     calls = []
-    for call in (1, 2):
-        before = _held.counts["bytes"]
-        tracemalloc.start()
+
+    def sweep() -> float:
         start = time.perf_counter()
         with propagation._model_evolver(model.hamiltonian, decs) as ev:
             ev.sweep(tensor, 3, np.array([0.0, 0.5, 1.0]), w)
-        elapsed = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        return time.perf_counter() - start
+
+    for call in (1, 2):
+        before = _held.counts["bytes"]
+        peak, elapsed = traced_peak(sweep)
         calls.append({"call": call, "time_s": elapsed, "held_bytes_before": before,
                       "step_peak_bytes": peak, "step_peak_over_csr": peak / csr,
                       "peak_in_all_over_csr": (before + peak) / csr,
@@ -354,7 +333,7 @@ def step_peak() -> dict:
               f"held, {(before + peak) / csr:.2f} times the {csr / 2**20:.1f} MiB CSR generator "
               f"in all, {elapsed:.2f} s", flush=True)
     _held.drop_all()
-    return {"script": "bench/repeats.py --step-peak", "env": _env(), "csr_bytes": csr,
+    return {"script": "bench/repeats.py --step-peak", "env": env(), "csr_bytes": csr,
             "assembly_s": assembly_s, "calls": calls, "maxrss_mib": _maxrss_mib()}
 
 
@@ -472,7 +451,7 @@ def cli_stages(args) -> dict:
                             for stage, t in pass_stages.items()), flush=True)
     print(f"  per warm pass at most: {counts['exact_bohr_decomposition']} exact_bohr_decomposition, "
           f"{counts['hermitian_eig']} hermitian_eig calls; lookups {lookups[-1]}", flush=True)
-    return {"script": "bench/repeats.py --cli-stages", "env": _env(), "seed": args.seed,
+    return {"script": "bench/repeats.py --cli-stages", "env": env(), "seed": args.seed,
             "passes": CLI_PASSES, "pass_s_plain": statistics.median(plain),
             "pass_s_plain_quartiles": statistics.quantiles(plain, n=4)[::2],
             "pass_s_with_wrappers": statistics.median(traced),
@@ -480,18 +459,9 @@ def cli_stages(args) -> dict:
             "warm_pass_calls_max": counts, "warm_pass_lookups_last": lookups[-1]}
 
 
-def _random_decomps(rng: np.random.Generator, d: int, eigenbasis: bool):
-    def hermitian():
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return m + m.conj().T
-
-    h, s = hermitian(), hermitian()
-    if eigenbasis:
-        energies, u = hermitian_eig(h)
-        h, s = np.diag(energies).astype(complex), u.conj().T @ s @ u
-    bath = lc.BathSpec(temperature=float(rng.uniform(0.0, 2.0)),
+def _random_bath(rng: np.random.Generator) -> lc.BathSpec:
+    return lc.BathSpec(temperature=float(rng.uniform(0.0, 2.0)),
                        rate_profile=float(rng.uniform(0.01, 0.5)), gamma0=float(rng.uniform(0.0, 0.2)))
-    return h, lc.assign_rates(lc.exact_bohr_decomposition(h, s), bath)
 
 
 def tolerance(rng: np.random.Generator, models: int) -> dict:
@@ -501,7 +471,7 @@ def tolerance(rng: np.random.Generator, models: int) -> dict:
                        ("csr_level", (4, 5))):
         for _model in range(models):
             d, gap = int(rng.choice(dims)), float(rng.uniform(0.05, 5.0))
-            h, decs = _random_decomps(rng, d, eigenbasis=level == "sparse_level_block")
+            h, decs = random_model(rng, d, _random_bath, eigenbasis=level == "sparse_level_block")
             gen = lc.multi_slot_action(h, decs, 2).to_csr()
             if level == "sparse_level_block":
                 labels = propagation._block_labels(gen)
@@ -527,15 +497,9 @@ def tolerance(rng: np.random.Generator, models: int) -> dict:
     return {"rows": rows, "by_kind": summary}
 
 
-def _env() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "machine": platform.machine(),
-            "cpus": os.cpu_count(), "blas_threads": 1}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out")
+    parser.add_argument("--out", required=True)
     parser.add_argument("--label", default="change")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--models", type=int, default=20, help="random models per generator kind")
@@ -549,25 +513,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=13, help="seed of the general-sweep configs")
     parser.add_argument("--scan-points", type=int, default=200)
     args = parser.parse_args(argv)
-    args.out = args.out or str(ROOT / ("BENCH_20.json" if args.cli_stages else
-                                       "BENCH_16.json" if args.step_peak else
-                                       "BENCH_14.json" if args.engines else "BENCH_11.json"))
     if args.cli_stages:
-        result = cli_stages(args)
+        key, result = "cli_stages", cli_stages(args)
     elif args.step_peak:
-        result = step_peak()
+        key, result = "step_peak", step_peak()
     elif args.engines:
-        result = engines(args)
+        key, result = "engines", engines(args)
     else:
         rng = np.random.default_rng(11)
         rows = [measure_calls(name, call, args.repeats) for name, call in workloads(rng).items()]
-        result = {"script": "bench/repeats.py", "env": _env(), "repeats": args.repeats,
-                  "calls": rows, "tolerance": tolerance(rng, args.models)}
-    out = Path(args.out)
-    record = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-    record[args.label] = result
-    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    print(f"written to {args.out} under {args.label!r}")
+        key, result = "calls", {"script": "bench/repeats.py", "env": env(), "repeats": args.repeats,
+                                "calls": rows, "tolerance": tolerance(rng, args.models)}
+    write_record(args.out, (key, args.label), result)
     return 0
 
 

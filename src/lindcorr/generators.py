@@ -50,9 +50,11 @@ from .errors import SlotBudgetError
 from .operators import as_operator, dagger, identity, vec
 
 # the slot budget in slot-tensor coordinates (_within_budget): the crossover
-# measured by bench/crossover.py (BENCH_5.json) when a whole level was stepped
-# either by its dense propagator or by a CSR action; they tied on a cold call
-# at order 256, the action won from 324 on, and the propagator at 256 once reused
+# measured by bench/crossover.py's slot-budget mode, which times each call with
+# the budget at its order and one below; its last run (BENCH_5.json, when the
+# two sides stepped a whole level by its dense propagator or by a CSR action)
+# tied on a cold call at order 256, the action won from 324 on, and the
+# propagator at 256 once reused
 DEFAULT_SLOT_BUDGET = 256
 # the largest CSR generator admitted, in bytes
 _CSR_BYTE_CAP = 2 ** 30
@@ -362,7 +364,9 @@ def _within_budget(order: int) -> bool:
     run of steps take a propagator instead of an action, and ``to_dense``
     build a level; above it a level whose vectors touch every block is stepped
     whole.  At n = 1 it picks the steady state's solver (SVD, else a bordered LU)
-    and the slot factors' form (``np.kron``, else from the operators' entries)."""
+    and the slot factors' form (``np.kron``, else from the operators' entries).
+    ``bench/crossover.py`` (its default, slot-budget mode) times each call on
+    both sides of this test."""
     return order <= DEFAULT_SLOT_BUDGET
 
 

@@ -116,16 +116,23 @@ def _check_density(rho, name: str = "state") -> np.ndarray:
     return rho
 
 
+def _check_times(times, what: str) -> np.ndarray:
+    """`times` as a float array whose entries are all finite and >= 0; `what`
+    names them in the error."""
+    arr = np.asarray(times, dtype=float)
+    if not (arr.min(initial=np.inf) >= 0 and arr.max(initial=-np.inf) < np.inf):  # NaN fails
+        bad = arr[~(np.isfinite(arr) & (arr >= 0))]
+        raise ValueError(f"{what} must be finite and >= 0, got {float(bad.flat[0])}")
+    return arr
+
+
 def _check_taus(taus) -> np.ndarray:
     arr = np.asarray(taus, dtype=float)
     if arr.ndim != 1 or len(arr) == 0:
         raise ValueError("tau grid must be a nonempty 1-d array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("tau grid has non-finite entries")
+    _check_times(arr, "tau grid")
     if len(arr) > 1 and not np.all(np.diff(arr) > 0):
         raise ValueError("tau grid must be strictly ascending")
-    if arr[0] < 0:
-        raise ValueError(f"tau grid must be nonnegative, starts at {arr[0]}")
     return arr
 
 
@@ -153,8 +160,7 @@ class CorrelatorSpec:
                     f"insertion {k} has dimension {op.shape[0]}, state has {rho.shape[0]}"
                 )
             t = float(t)
-            if not (t >= 0 and np.isfinite(t)):
-                raise ValueError(f"insertion {k} time must be finite and >= 0, got {t}")
+            _check_times(t, f"insertion {k} time")
             op.setflags(write=False)
             items.append((op, t))
         if not items:
@@ -799,10 +805,7 @@ def _densities(ev: _SlotEvolver, rho0: np.ndarray, times: np.ndarray) -> list[np
 def _evolve_grid(hamiltonian, decomp, rho0, times) -> list[np.ndarray]:
     """:func:`evolve_density` at every time of `times`, in their order, from one
     state stepped once along the sorted distinct times."""
-    times = np.asarray(times, dtype=float)
-    for t in times:
-        if not (t >= 0 and np.isfinite(t)):
-            raise ValueError(f"evolution time must be finite and >= 0, got {t}")
+    times = _check_times(times, "evolution time")
     rho0 = _check_density(rho0, "rho0")
     grid, where = np.unique(times, return_inverse=True)
     with _model_evolver(hamiltonian, decomp) as ev:

@@ -159,8 +159,8 @@ def test_evolve_density_validates_inputs(rng):
 def test_evolve_density_rejects_non_finite_time(rng):
     h, decs = _qubit()
     rho = random_density(rng, 2)
-    for t in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite"):
+    for t in (np.nan, np.inf, -np.inf, -1.0):
+        with pytest.raises(ValueError, match="finite and >= 0"):
             evolve_density(h, decs, rho, t)
 
 
@@ -1921,8 +1921,9 @@ def test_integrate_ode_validations(rng):
         integrate_ode(np.eye(2), v0, [1.0, 0.5])
     with pytest.raises(ValueError, match="nonempty"):
         integrate_ode(np.eye(2), v0, [])
-    with pytest.raises(ValueError, match="nonnegative"):
-        integrate_ode(np.eye(2), v0, [-1.0, 0.5])
+    for bad in (np.nan, np.inf, -np.inf, -1.0):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            integrate_ode(np.eye(2), v0, [bad, 0.5])
     single = integrate_ode(np.eye(2), v0, [0.7])
     assert len(single) == 1 and np.array_equal(single[0], v0)
 
@@ -1936,8 +1937,9 @@ def test_correlator_spec_validations(rng):
         CorrelatorSpec((), rho)
     with pytest.raises(ValueError, match="dimension"):
         CorrelatorSpec(((identity(3), 0.0),), rho)
-    with pytest.raises(ValueError, match=">= 0"):
-        CorrelatorSpec(((sigma_x, -1.0),), rho)
+    for bad in (np.nan, np.inf, -np.inf, -1.0):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            CorrelatorSpec(((sigma_x, bad),), rho)
     with pytest.raises(ValueError, match="unit trace"):
         CorrelatorSpec(((sigma_x, 0.0),), 3.0 * rho)
     spec = CorrelatorSpec(((sigma_x, 1.0),), rho)
@@ -1949,7 +1951,7 @@ def test_correlator_spec_validations(rng):
 def test_correlator_trace_validations():
     with pytest.raises(ValueError, match="ascending"):
         CorrelatorTrace(np.array([0.0, 0.0]), np.zeros(2))
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=">= 0"):
         CorrelatorTrace(np.array([-1.0, 0.0]), np.zeros(2))
     with pytest.raises(ValueError, match="shape"):
         CorrelatorTrace(np.array([0.0, 1.0]), np.zeros(3))
