@@ -16,11 +16,11 @@ For each case below, with BLAS and OpenMP threads fixed at 1, it times:
   most `lindcorr.generators.DEFAULT_SLOT_BUDGET` coordinates;
 * extraction of the restricted generator G[S, S] over the touched
   coordinates S, as CSR and, when S is within the budget, as a dense array;
-* the sweep on the restricted level (`_SlotEvolver.sweep` in one call through
-  `propagation._model_evolver`: cold, from a store holding only the level's
-  generator, block labels and the sweep's slice, with its slice propagator
-  built, and warm, with it held), and its tracemalloc peak (NumPy and SciPy
-  arrays; one more cold call).
+* the sweep on the restricted level (`_SlotEvolver.trajectory` given the dual
+  vector w, in one call through `propagation._model_evolver`: cold, from a
+  store holding only the level's generator, block labels and the sweep's
+  slice, with its slice propagator built, and warm, with it held), and its
+  tracemalloc peak (NumPy and SciPy arrays; one more cold call).
 
 The cases above the budget are the 2-slot OTOCs of 6- and 9-level oscillators
 with W = x, the 30-level regression trace from the steady state and the
@@ -170,7 +170,7 @@ def measure_case(name, h, decs, a_ops, b_ops, rho, repeats: int) -> dict:
                        if within else None)
 
     def sweep():
-        return on_engine(h, decs, lambda ev: ev.sweep(tensor, n, TAUS, w))
+        return on_engine(h, decs, lambda ev: list(ev.trajectory(tensor, n, TAUS, w=w)))
 
     def cold():
         keep_level(h, decs, n, tensor, w)
@@ -209,7 +209,7 @@ def measure_dimer_otoc(name, h, decs, a_ops, b_ops, rho, repeats: int) -> dict:
     sizes = np.bincount(labels if coords is None else labels[coords])
 
     def sweep():
-        return on_engine(h, decs, lambda ev: ev.sweep(tensor, 2, TAUS, w))
+        return on_engine(h, decs, lambda ev: list(ev.trajectory(tensor, 2, TAUS, w=w)))
 
     cold_s, _ = median_s(sweep, repeats, setup=lambda: keep_level(h, decs, 2, tensor, w))
     orders, expm = [], propagation.expm

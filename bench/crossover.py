@@ -27,7 +27,7 @@ two settings picked a dense and a sparse engine; BENCH_5.json holds that
 measurement.)
 
 `--single-use` times instead one step applied once, a pull-back across one
-gap (`_SlotEvolver.pull_back` in one call through
+gap (`_SlotEvolver.trajectory` of the dual vector, in one call through
 `propagation._model_evolver`), on levels within the budget of orders 16 to
 256: one block each of random exact models, and the qubit's and the dimer's
 levels of many blocks.  It times the engine's two ways of taking the step,
@@ -178,7 +178,8 @@ def measure_single_use(repeats: int) -> dict:
                 def pull_back(single_use_order):
                     propagation._SINGLE_USE_ORDER = single_use_order
                     with propagation._model_evolver(h, decs) as ev:
-                        return ev.pull_back(w, slots, gap)
+                        (pulled,) = ev.trajectory(w, slots, np.array([gap]), adjoint=True)
+                    return pulled
 
                 def hold_level():
                     keep_level(h, decs, slots, w)

@@ -319,7 +319,7 @@ def step_peak() -> dict:
     def sweep() -> float:
         start = time.perf_counter()
         with propagation._model_evolver(model.hamiltonian, decs) as ev:
-            ev.sweep(tensor, 3, np.array([0.0, 0.5, 1.0]), w)
+            list(ev.trajectory(tensor, 3, np.array([0.0, 0.5, 1.0]), w=w))
         return time.perf_counter() - start
 
     for call in (1, 2):

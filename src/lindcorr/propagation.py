@@ -30,7 +30,10 @@ block of the restricted generator G[S, S].  Those blocks are the call's
 slice: its coordinates and each block's span among them are held per level
 and set of blocks, and every value the call steps with is keyed by it.
 
-A grid is walked in runs of equal steps (steps that differ only by rounding
+One routine, ``_SlotEvolver.trajectory``, walks every grid: it carries a slot
+tensor forward, or a dual vector back (a pull-back or a density evolution),
+and yields the vectors, or, given a dual vector w, the values w @ T(tau).  A
+grid is walked in runs of equal steps (steps that differ only by rounding
 are one step), and each run is stepped in one of two ways, chosen from the
 run alone.  If S has at most the budget's coordinates and the run has more
 than one step or no block of S has more than ``_SINGLE_USE_ORDER``
@@ -598,14 +601,15 @@ class _SlotEvolver:
     labels (the connected components of the generator's sparsity pattern).  The
     generator never couples two blocks, so a vector stays zero on the blocks
     where it is zero, and a call steps only the slice of the blocks it touches,
-    its coordinates S grouped block by block, under G[S, S] (:meth:`_slice`):
-    each run of equal steps by the slice's propagator exp(step G[S, S]), held
-    per level, step and slice, or by one action (:meth:`_steps`).  The slot
-    budget picks between the two run by run, so what a level holds serves any
-    budget.  The engine keeps only its model and the model's key: every
+    its coordinates S grouped block by block, under G[S, S] (:meth:`_slice`).
+    One routine, :meth:`trajectory`, carries a slot tensor or a dual vector
+    along a grid: each run of equal steps by the slice's propagator
+    exp(step G[S, S]), held per level, step and slice, or by one action.  The
+    slot budget picks between the two run by run, so what a level holds serves
+    any budget.  The engine keeps only its model and the model's key: every
     generator, block labels, slice, slice propagator, action plan, action run
     and stationary state is an entry of the held store under that key
-    (:meth:`_cached`), never changed once stored, and found again by every
+    (``_held.find``), never changed once stored, and found again by every
     engine of an equal model.
     """
 
@@ -620,11 +624,6 @@ class _SlotEvolver:
         self.dim = self.h.shape[0]
         self.key = _model_key(self.h, self.decomps)
 
-    def _cached(self, kind: str, key, build):
-        """The held entry (model key, `kind`, `key`), built by `build()` on a miss; the
-        most recently used entry of the store from then on."""
-        return _held.find(self.key, kind, key, build)
-
     def generator(self, n_slots: int):
         """G_n as a CSR matrix, summed from its slot-factor terms
         (``SlotKroneckerAction.to_csr``, its bytes checked before assembly), and
@@ -632,11 +631,12 @@ class _SlotEvolver:
         def build():
             action = multi_slot_action(self.h, self.decomps, n_slots)
             return _unital(action.to_csr(), action)
-        return self._cached("generator", n_slots, build)
+        return _held.find(self.key, "generator", n_slots, build)
 
     def labels(self, n_slots: int) -> np.ndarray:
         """The block of each coordinate of G_n (:func:`_block_labels`), found once per level."""
-        return self._cached("labels", n_slots, lambda: _block_labels(self.generator(n_slots)))
+        return _held.find(self.key, "labels", n_slots,
+                          lambda: _block_labels(self.generator(n_slots)))
 
     def _slice(self, n_slots: int, *vectors: np.ndarray) -> tuple:
         """The slice of the n-slot level that `vectors` are stepped on, as (key,
@@ -662,35 +662,53 @@ class _SlotEvolver:
             coords = coords[np.argsort(labels[coords], kind="stable")]
             starts = np.flatnonzero(np.diff(labels[coords], prepend=-1)).tolist()
             return coords, tuple(zip(starts, [*starts[1:], len(coords)]))
-        return key, *self._cached("slice", (n_slots, key), build)
+        return key, *_held.find(self.key, "slice", (n_slots, key), build)
 
-    def _steps(self, n_slots: int, touched: tuple, v: np.ndarray, taus: np.ndarray,
-               origin: float, adjoint: bool, w: np.ndarray | None = None) -> Iterator[np.ndarray]:
-        """`v`, a vector on the coordinates S of the `touched` slice of the n-slot
-        level (:meth:`_slice`), carried along the grid under G[S, S].  Given a dual
-        vector `w` on the same coordinates, the values w @ v instead.
+    def trajectory(self, v: np.ndarray, n_slots: int, taus: np.ndarray, origin: float = 0.0,
+                   adjoint: bool = False, w: np.ndarray | None = None) -> Iterator:
+        """`v` carried along an ascending grid from `origin`: exp((tau - origin) G_n) v,
+        or the dual vector v @ exp((tau - origin) G_n) when `adjoint`.  Given a dual
+        vector `w`, the values w @ v(tau) instead.
 
-        Each run of equal steps (steps that differ only by rounding are one
-        step) is stepped by the slice's propagator exp(step G[S, S]), held per
-        level, step and slice, when S has at most ``DEFAULT_SLOT_BUDGET``
-        coordinates and the run has more than one step or no block of S more
-        than ``_SINGLE_USE_ORDER``; otherwise by one action (:func:`_interval`)
-        on the held plan of G[S, S], or of its transpose for a pull-back, one per
-        level, slice and direction and looked up at most once per call, with the
-        run's (m*, s) held per plan, run length and number of steps
-        (:meth:`_ActionPlan.run`).  The propagator is block-diagonal, made of
-        each block's exp(step G_b), and is that block's own when the slice has
-        one.  The choice reads the run alone, never what earlier calls held.  A
-        warm call reads only its propagators, or its plan and runs, so the
-        generator they were made from is idle unless the call uses it otherwise.
-        Given `w`, an action returns its values, forming no row between the
-        interval ends.
+        Only the slice of blocks where `v`, and `w` if given, are nonzero is stepped
+        (:meth:`_slice`), under G[S, S] with S its coordinates; each vector is
+        scattered back to the level, and when the slice is empty every vector or
+        value is exact zeros.  Each run of equal steps (steps that differ only by
+        rounding are one step) is stepped by the slice's propagator exp(step
+        G[S, S]), held per level, step and slice, when S has at most
+        ``DEFAULT_SLOT_BUDGET`` coordinates and the run has more than one step or
+        no block of S more than ``_SINGLE_USE_ORDER``; otherwise by one action
+        (:func:`_interval`) on the held plan of G[S, S], or of its transpose when
+        `adjoint`, one per level, slice and direction and looked up at most once
+        per call, with the run's (m*, s) held per plan, run length and number of
+        steps (:meth:`_ActionPlan.run`).  The propagator is block-diagonal, made of
+        each block's exp(step G_b), and is that block's own when the slice has one.
+        The choice reads the run alone, never what earlier calls held.  A warm call
+        reads only its propagators, or its plan and runs, so the generator they were
+        made from is idle unless the call uses it otherwise.  Given `w`, an action
+        returns its values, forming no row between the interval ends.
         """
-        key, coords, spans = touched
+        key, coords, spans = self._slice(n_slots, v) if w is None else self._slice(n_slots, v, w)
+        level = len(v)
+
+        def full(u):
+            """`u` on the whole level: as it is, or scattered from the slice."""
+            if coords is None:
+                return u
+            out = np.zeros(level, dtype=complex)
+            out[coords] = u
+            return out
+
+        if coords is not None:
+            v, w = v[coords], None if w is None else w[coords]
+            if not len(coords):
+                for _tau in taus:
+                    yield full(v) if w is None else 0j
+                return
         order = spans[-1][1]
         restricted = cache(lambda: self.generator(n_slots) if coords is None  # G[S, S]
                            else self.generator(n_slots)[coords][:, coords])
-        plan = cache(lambda: self._cached("plan", (n_slots, key, adjoint), lambda: _ActionPlan(
+        plan = cache(lambda: _held.find(self.key, "plan", (n_slots, key, adjoint), lambda: _ActionPlan(
             restricted().T if adjoint else restricted())))
 
         def propagator(gap):
@@ -706,65 +724,26 @@ class _SlotEvolver:
             count, gap = len(list(run)), float(step)
             if gap == 0.0:
                 for _ in range(count):
-                    yield v if w is None else w @ v
+                    yield full(v) if w is None else w @ v
             elif _within_budget(order) and (
                     count > 1 or max(stop - start for start, stop in spans) <= _SINGLE_USE_ORDER):
-                prop = self._cached("propagator", (n_slots, gap, key), lambda: propagator(gap))
+                prop = _held.find(self.key, "propagator", (n_slots, gap, key), lambda: propagator(gap))
                 for _ in range(count):
                     v = v @ prop if adjoint else prop @ v
-                    yield v if w is None else w @ v
+                    yield full(v) if w is None else w @ v
             else:
                 t, act = count * gap, plan()
-                run = self._cached("run", (n_slots, key, adjoint, t, count), lambda: act.run(t, count))
+                run = _held.find(self.key, "run", (n_slots, key, adjoint, t, count),
+                                 lambda: act.run(t, count))
                 if w is None:
                     rows = _interval(act, v, run)
                     _check_finite(rows)
-                    yield from rows[1:]
+                    yield from map(full, rows[1:])
                     v = rows[-1]
                     continue
                 (_start, *values), v = _interval(act, v, run, w)
                 _check_finite(values, v)
                 yield from values
-
-    def trajectory(self, v: np.ndarray, n_slots: int, taus: np.ndarray,
-                   origin: float = 0.0, adjoint: bool = False) -> Iterator[np.ndarray]:
-        """`v` carried along an ascending grid from `origin`: exp((tau - origin) G_n) v,
-        or the dual vector v @ exp((tau - origin) G_n) when `adjoint`.
-
-        Only the slice of blocks where `v` is nonzero is stepped (:meth:`_slice`).
-        """
-        touched = self._slice(n_slots, v)
-        coords = touched[1]
-        if coords is None:
-            yield from self._steps(n_slots, touched, v, taus, origin, adjoint)
-            return
-        part = v[coords]
-        steps = (self._steps(n_slots, touched, part, taus, origin, adjoint) if len(coords)
-                 else (part for _tau in taus))
-        for u in steps:
-            out = np.zeros(len(v), dtype=complex)
-            out[coords] = u
-            yield out
-
-    def pull_back(self, w: np.ndarray, n_slots: int, gap: float) -> np.ndarray:
-        """Dual vector w @ exp(gap G_n): a contraction moved `gap` earlier in time."""
-        (w,) = self.trajectory(w, n_slots, np.array([gap]), adjoint=True)
-        return w
-
-    def sweep(self, tensor: np.ndarray, n_slots: int, taus: np.ndarray,
-              w: np.ndarray, origin: float = 0.0) -> np.ndarray:
-        """Values w @ T(tau) along an ascending grid; `tensor` is T at `origin`.
-
-        Only the slice of blocks where both T and w are nonzero is stepped
-        (:meth:`_slice`); when they share none, the values are exact zeros.
-        """
-        touched = self._slice(n_slots, tensor, w)
-        coords = touched[1]
-        if coords is not None:
-            if not len(coords):
-                return np.zeros(len(taus), dtype=complex)
-            tensor, w = tensor[coords], w[coords]
-        return np.array(list(self._steps(n_slots, touched, tensor, taus, origin, False, w)))
 
 
 def _model_key(h: np.ndarray, decomps) -> bytes:
@@ -920,7 +899,7 @@ def steady_state(model: SystemModel, decomp=None, null_tol: float = 1e-9) -> np.
         raise ValueError(f"null_tol must lie strictly between 0 and 1, got {null_tol}")
     decomps = decompose_model(model) if decomp is None else _as_decomps(decomp)
     with _model_evolver(model.hamiltonian, decomps) as ev:
-        rho = ev._cached("steady", (null_tol, _within_budget(ev.dim ** 2)),  # and its solver
+        rho = _held.find(ev.key, "steady", (null_tol, _within_budget(ev.dim ** 2)),  # and its solver
                          lambda: _stationary(ev, null_tol))
     return rho.copy()
 
@@ -959,7 +938,7 @@ def equal_time_group_correlator(hamiltonian, decomp, a_ops, b_ops, rho_t,
             if op.shape[0] != ev.dim:
                 raise ValueError(f"operator dimension {op.shape[0]} does not match generator dimension {ev.dim}")
         w = contraction_functional(a_ops, rho_t)
-        values = ev.sweep(elementary_tensor(b_ops), n, taus, w)
+        values = list(ev.trajectory(elementary_tensor(b_ops), n, taus, w=w))
     return CorrelatorTrace(taus, values)
 
 
@@ -1000,7 +979,7 @@ def _pulled_back_functional(ev: _SlotEvolver, spec: CorrelatorSpec,
     (rho,) = _densities(ev, spec.initial_state, np.array([fixed[0]]))
     w = contraction_functional(a_ops, rho)
     for prev, t in zip(fixed, fixed[1:]):
-        w = ev.pull_back(w, len(slots), t - prev)
+        (w,) = ev.trajectory(w, len(slots), np.array([t - prev]), adjoint=True)
         for i in [i for i in slots if times[i] == t]:
             pos = slots.index(i)
             w = np.tensordot(w.reshape((d2,) * len(slots)), vec(spec.insertions[i][0]),
@@ -1046,12 +1025,12 @@ def general_correlator(hamiltonian, decomp, spec: CorrelatorSpec, taus=None):
         if fixed:
             swept = [op for op, t in spec.insertions if t == t_max]
             w = _pulled_back_functional(ev, spec, fixed)
-            values = ev.sweep(elementary_tensor(swept), len(swept), grid, w, origin=floor)
+            values = list(ev.trajectory(elementary_tensor(swept), len(swept), grid, floor, w=w))
         else:
             product = reduce(np.matmul, [op for op, _t in spec.insertions])
             eye = identity(ev.dim)
             w = contraction_functional([eye, eye], spec.initial_state)
-            values = ev.sweep(vec(product), 1, grid, w)
+            values = list(ev.trajectory(vec(product), 1, grid, w=w))
     if taus is None:
         return complex(values[0])
     return CorrelatorTrace(grid, values)

@@ -59,6 +59,12 @@ def held(kind=None, model=None) -> dict:
             if kind in (None, k) and model in (None, owner)}
 
 
+def pull_back(ev, w, n, gap):
+    """w @ exp(gap G_n) on the engine `ev`: the dual vector `w` carried across one gap."""
+    (pulled,) = ev.trajectory(w, n, np.array([gap]), adjoint=True)
+    return pulled
+
+
 def slice_key(*blocks) -> bytes:
     """The key of the held slice of `blocks`."""
     return np.array(blocks, dtype=np.intp).tobytes()

@@ -1,8 +1,8 @@
 """The bench scripts and the tests, read as text, and the scripts loaded in process.
 
-The suite runs no measurement, so a renamed attribute of lindcorr would
-otherwise break a script unseen, and a test that reads held entries of a
-renamed kind would assert on an empty map.  The scripts are loaded and their
+The suite runs no measurement, so a renamed attribute of lindcorr or of its
+engine would otherwise break a script unseen, and a test that reads held
+entries of a renamed kind would assert on an empty map.  The scripts are loaded and their
 argument parsers run, each helper is defined in one file under bench/, and no
 script writes a record without being told where.
 """
@@ -33,6 +33,18 @@ def test_bench_script_names_only_existing_attributes(script):
     missing = sorted(f"{module}.{name}" for module, name in found
                      if not hasattr(MODULES[module], name))
     assert found and missing == []
+
+
+# engine.attribute: called on an engine (`ev`) or on its class, in code, comments and docstrings
+ENGINE_REFERENCE = re.compile(r"(?:(?<![\w.])ev|\b_SlotEvolver)\.([A-Za-z_]\w*)")
+
+
+@pytest.mark.parametrize("script", sorted(BENCH.glob("*.py")), ids=lambda path: path.name)
+def test_bench_script_names_only_existing_engine_attributes(script):
+    atom = lindcorr.two_level_atom(1.0, 0.1, 0.5)
+    engine = propagation._SlotEvolver(atom.hamiltonian, decomposition.decompose_model(atom))
+    found = set(ENGINE_REFERENCE.findall(script.read_text()))
+    assert found and sorted(name for name in found if not hasattr(engine, name)) == []
 
 
 SCRIPTS = sorted(path for path in BENCH.glob("*.py") if path.name != "_common.py")
@@ -88,8 +100,8 @@ def test_bench_script_loads_and_needs_out(script, monkeypatch, capsys):
 
 
 SRC = Path(lindcorr.__file__).resolve().parent
-# the kinds the engine and the decompositions store: _cached("kind", ...), find(owner, "kind", ...)
-STORED = re.compile(r'\b(?:_cached\(|find\([^,]*?,)\s*"(\w+)"')
+# the kinds the engine and the decompositions store: find(owner, "kind", ...)
+STORED = re.compile(r'\bfind\([^,]*?,\s*"(\w+)"')
 # where a test or a bench script names a kind, where a stale one would select nothing:
 # held("kind"), find(owner, "kind"), kind == "kind", kind in ("kind", ...), "kind" in kinds
 NAMED = re.compile(r'\bheld\(\s*("\w+")|\bfind\([^,]*?,\s*("\w+")|\bkind\s*[!=]=\s*("\w+")'

@@ -57,6 +57,7 @@ from lindcorr import _held, generators, propagation
 from conftest import (
     held,
     held_bytes,
+    pull_back,
     random_density,
     random_hermitian,
     random_matrix,
@@ -652,9 +653,11 @@ def _dimer():
     return model.hamiltonian, decompose_model(model)
 
 
-def _swept_spec(rng, dim, pattern, taus):
-    """Random insertions at `pattern`'s times, None marking the swept ones (at taus[-1])."""
-    ops = [random_matrix(rng, dim) for _ in pattern]
+def _swept_spec(rng, dim, pattern, taus, zeroed=()):
+    """Random insertions at `pattern`'s times, None marking the swept ones (at taus[-1]);
+    those at the positions `zeroed` are zero matrices."""
+    ops = [np.zeros((dim, dim)) if k in zeroed else random_matrix(rng, dim)
+           for k in range(len(pattern))]
     times = [taus[-1] if t is None else t for t in pattern]
     return CorrelatorSpec(tuple(zip(ops, times)), random_density(rng, dim))
 
@@ -665,17 +668,21 @@ def _moved(spec, tau):
                           spec.initial_state)
 
 
-# (system, insertion times with None marking the swept ones, sweep grid); the
-# three-fixed-times pattern runs on the qubit only, since the oracle would need
-# a 4096-order expm for the dimer's 3-slot level
+# (system, insertion times with None marking the swept ones, sweep grid, positions
+# of zero insertions); the three-fixed-times pattern runs on the qubit only, since
+# the oracle would need a 4096-order expm for the dimer's 3-slot level.  A zero
+# insertion at the earliest fixed time makes a zero dual vector, pulled back
+# across the gap on an empty slice, and a zero swept one leaves nothing to sweep
 SWEEP_CASES = {
-    f"{name}-{system.__name__.strip('_')}": (system, pattern, taus)
-    for name, pattern, taus, systems in [
-        ("interleaved", [None, 1.0, None, 1.0], np.linspace(1.3, 4.0, 5), (_qubit, _dimer)),
-        ("two-fixed", [None, 1.4, 0.6], np.linspace(1.5, 4.5, 5), (_qubit, _dimer)),
-        ("three-fixed", [None, 1.5, 1.0, 0.5], np.linspace(1.5, 4.0, 6), (_qubit,)),
-        ("tau-at-floor", [1.0, None, 0.4], np.linspace(1.0, 3.0, 5), (_qubit, _dimer)),
-        ("all-swept", [None, None, None], np.linspace(0.0, 3.0, 5), (_qubit, _dimer)),
+    f"{name}-{system.__name__.strip('_')}": (system, pattern, taus, zeroed)
+    for name, pattern, taus, systems, zeroed in [
+        ("interleaved", [None, 1.0, None, 1.0], np.linspace(1.3, 4.0, 5), (_qubit, _dimer), ()),
+        ("two-fixed", [None, 1.4, 0.6], np.linspace(1.5, 4.5, 5), (_qubit, _dimer), ()),
+        ("three-fixed", [None, 1.5, 1.0, 0.5], np.linspace(1.5, 4.0, 6), (_qubit,), ()),
+        ("tau-at-floor", [1.0, None, 0.4], np.linspace(1.0, 3.0, 5), (_qubit, _dimer), ()),
+        ("all-swept", [None, None, None], np.linspace(0.0, 3.0, 5), (_qubit, _dimer), ()),
+        ("zero-fixed", [None, 1.4, 0.6], np.linspace(1.5, 4.5, 5), (_dimer,), (2,)),
+        ("zero-swept", [None, 1.4, 0.6], np.linspace(1.5, 4.5, 5), (_dimer,), (0,)),
     ]
     for system in systems
 }
@@ -683,12 +690,13 @@ SWEEP_CASES = {
 
 @pytest.mark.parametrize("case", SWEEP_CASES)
 def test_general_sweep_matches_forward_recursion(rng, case):
-    system, pattern, taus = SWEEP_CASES[case]
+    system, pattern, taus, zeroed = SWEEP_CASES[case]
     h, decs = system()
-    spec = _swept_spec(rng, h.shape[0], pattern, taus)
+    spec = _swept_spec(rng, h.shape[0], pattern, taus, zeroed)
     trace = general_correlator(h, decs, spec, taus=taus)
     expected = np.array([_forward_recursion(h, decs, _moved(spec, tau)) for tau in taus])
     assert np.max(np.abs(trace.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.array_equal(trace.values, np.zeros(len(taus))) == bool(zeroed)
 
 
 def test_general_matrix_free_pull_back(rng, monkeypatch):
@@ -723,14 +731,14 @@ def test_single_use_pull_back_acts_on_every_call(rng, monkeypatch):
     expected = w @ expm(gen.toarray(), 0.8)
     calls = _count_expm(monkeypatch)
     orders = _sparse_orders(monkeypatch)
-    pulled = [call(lambda ev: ev.pull_back(w, 2, 0.8)) for _call in range(3)]
+    pulled = [call(lambda ev: pull_back(ev, w, 2, 0.8)) for _call in range(3)]
     assert calls == [] and orders == [256] * 3
     assert all(np.array_equal(p, pulled[0]) for p in pulled)
     assert np.max(np.abs(pulled[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
     call(lambda ev: list(ev.trajectory(w, 2, np.array([0.8, 1.6]), adjoint=True)))  # one run of two steps
     assert calls == [0.8] * blocks
     assert len(step_propagators(2, 0.8)) == blocks
-    assert np.array_equal(call(lambda ev: ev.pull_back(w, 2, 0.8)), pulled[0])
+    assert np.array_equal(call(lambda ev: pull_back(ev, w, 2, 0.8)), pulled[0])
     assert calls == [0.8] * blocks and orders == [256] * 4
 
 
@@ -761,7 +769,7 @@ def _dimer_pull_back(rng):
 
     def call():
         with propagation._model_evolver(h, decs) as ev:  # one correlator call
-            return ev.pull_back(w, 2, 0.8)
+            return pull_back(ev, w, 2, 0.8)
     return call
 
 
@@ -831,6 +839,36 @@ def test_general_correlator_matches_closed_system_on_acted_gaps(pattern):
         got = general_correlator(h, dec, spec)
     assert [call.args[0].shifted.shape[0] for call in acted.call_args_list] == [d ** 4]
     assert abs(got - closed_correlator(h, spec)) <= 1e-12
+
+
+def _local_dimer(model):
+    """The couplings of the coupled dimer `model` (site frequencies 1.0 and 1.25)
+    under the local decomposition: sigma- on each site."""
+    sites = [np.kron(sigma_minus, EYE2), np.kron(EYE2, sigma_minus)]
+    return tuple(assign_rates(local_decomposition(np.zeros((4, 4)), [(op, w)]), c.bath)
+                 for op, w, c in zip(sites, (1.0, 1.25), model.couplings))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.sampled_from(["exact", "local"]), st.integers(2, 3), st.data())
+def test_grouped_slots_equal_split_slots(approach, n, data):
+    # the paper's self-consistency under both approaches, which acceptance check 4
+    # runs under the exact decomposition only: two adjacent slots with the identity
+    # between them, carried as their product on one slot, give the split values
+    model = coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6)
+    decs = decompose_model(model) if approach == "exact" else _local_dimer(model)
+    k = data.draw(st.integers(0, n - 2))  # slots k and k + 1 are grouped
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    b_ops = [random_matrix(rng, 4) for _ in range(n)]
+    a_ops = [random_matrix(rng, 4) for _ in range(n + 1)]
+    a_ops[k + 1] = identity(4)
+    rho, taus = random_density(rng, 4), np.linspace(0.0, 10.0, 6)
+    split = equal_time_group_correlator(model.hamiltonian, decs, a_ops, b_ops, rho, taus)
+    grouped = equal_time_group_correlator(
+        model.hamiltonian, decs, a_ops[:k + 1] + a_ops[k + 2:],
+        b_ops[:k] + [b_ops[k] @ b_ops[k + 1]] + b_ops[k + 2:], rho, taus)
+    scale = np.max(np.abs(grouped.values))
+    assert np.max(np.abs(grouped.values - split.values)) <= 1e-12 * scale
 
 
 def test_general_sweep_expm_count(rng, monkeypatch):
@@ -1336,11 +1374,8 @@ def test_held_levels_equal_the_dense_kron_reference(rng):
     # one assembly: the engine's held level has the reference's entries, column
     # indices and row pointer, with the same index dtype, on levels of order 4 to 1296
     dimer = coupled_dimer(1.0, 1.25, 0.3, 0.08, 0.05, 0.6)
-    sites = [np.kron(sigma_minus, identity(2)), np.kron(identity(2), sigma_minus)]
-    local = tuple(assign_rates(local_decomposition(np.zeros((4, 4)), [(op, w)]), c.bath)
-                  for op, w, c in zip(sites, (1.0, 1.25), dimer.couplings))
     models = [((dimer.hamiltonian, decompose_model(dimer)), (1, 2)),
-              ((dimer.hamiltonian, local), (1, 2)),
+              ((dimer.hamiltonian, _local_dimer(dimer)), (1, 2)),
               (_qubit(gamma=0.1, temperature=0.5), (1, 2, 3, 4)),
               ((_oscillator(6).hamiltonian, decompose_model(_oscillator(6))), (1, 2))]
     for d in (3, 4):

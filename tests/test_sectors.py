@@ -54,6 +54,7 @@ from lindcorr.operators import hermitian_eig, kron
 from conftest import (
     held,
     held_bytes,
+    pull_back,
     random_density,
     random_hermitian,
     random_matrix,
@@ -178,13 +179,17 @@ def test_general_correlator_pull_back_on_sparse_level(rng, monkeypatch):
     dense = general_correlator(model.hamiltonian, decs, spec, taus=taus).values
     _held.drop_all()
     monkeypatch.setattr(generators, "DEFAULT_SLOT_BUDGET", 100)
-    pulled = []
-    pull_back = propagation._SlotEvolver.pull_back
-    monkeypatch.setattr(propagation._SlotEvolver, "pull_back",
-                        lambda ev, w, n, gap: pulled.append(n) or pull_back(ev, w, n, gap))
+    carried, trajectory = [], propagation._SlotEvolver.trajectory
+
+    def traced(ev, v, n, taus, origin=0.0, adjoint=False, w=None):
+        carried.append((n, adjoint, w is not None))
+        return trajectory(ev, v, n, taus, origin, adjoint, w)
+    monkeypatch.setattr(propagation._SlotEvolver, "trajectory", traced)
     orders = _stepped(monkeypatch)
     sparse = general_correlator(model.hamiltonian, decs, spec, taus=taus).values
-    assert pulled == [2] and not generators._within_budget(model.dim ** 4)
+    # the state to the earliest time, the one pull-back of the 2-slot level, the sweep
+    assert carried == [(1, True, False), (2, True, False), (1, False, True)]
+    assert not generators._within_budget(model.dim ** 4)
     assert 0 < max(orders) < 256
     assert np.max(np.abs(sparse - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -346,12 +351,12 @@ def test_dense_block_sweep_and_pull_back_match_full_propagator(name, rng):
     assert 0 < len(coords) < len(gen)
     taus = np.linspace(0.5, 4.5, 9)
     expected = np.array([w @ scipy.linalg.expm(tau * gen) @ tensor for tau in taus])
-    values = ev.sweep(tensor, n, taus, w)
+    values = np.array(list(ev.trajectory(tensor, n, taus, w=w)))
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
     for v, tau in zip(ev.trajectory(tensor, n, taus, origin=0.5), taus):
         full = scipy.linalg.expm((tau - 0.5) * gen) @ tensor
         assert np.max(np.abs(v - full)) <= 1e-12 * np.max(np.abs(full))
-    pulled = ev.pull_back(w, n, 1.7)
+    pulled = pull_back(ev, w, n, 1.7)
     full = w @ scipy.linalg.expm(1.7 * gen)
     assert np.max(np.abs(pulled - full)) <= 1e-12 * np.max(np.abs(full))
 
@@ -520,7 +525,7 @@ def test_block_engine_sweep_matches_full_engine(model, data):
     budget = data.draw(st.integers(1, d ** 4 - 1))
     expected = _full_sweep(h, dec, tensor, w, TAUS)
     with _budget(budget):
-        values = propagation._SlotEvolver(h, dec).sweep(tensor, 2, TAUS, w)
+        values = np.array(list(propagation._SlotEvolver(h, dec).trajectory(tensor, 2, TAUS, w=w)))
     scale = np.linalg.norm(tensor) * np.linalg.norm(w)
     assert np.max(np.abs(values - expected)) <= 1e-12 * scale
 
@@ -552,7 +557,7 @@ def test_action_matches_propagator_within_engine_tolerance(model, engine, gap, s
     expected = w @ propagation.expm(csr.toarray(), gap)
     acts = mock.patch.object(propagation, "_interval", wraps=propagation._interval)
     with _budget(budget), mock.patch.object(propagation, "_SINGLE_USE_ORDER", 0), acts as acted:
-        got = propagation._SlotEvolver(h, dec).pull_back(w, n, gap)
+        got = pull_back(propagation._SlotEvolver(h, dec), w, n, gap)
         assert acted.call_count == (touched > propagation._SINGLE_USE_ORDER)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
