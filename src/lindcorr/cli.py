@@ -59,6 +59,15 @@ def _require(obj: dict, path: str, key: str):
     return obj[key]
 
 
+@contextlib.contextmanager
+def _reported_as(where: str):
+    """A ValueError raised inside is raised again as ConfigError("{where}: {message}")."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _where(path: str, index) -> str:
     return path + "".join(f"[{k}]" for k in index)
 
@@ -100,10 +109,8 @@ def _parse_matrix(value, path: str) -> np.ndarray:
 
 def _parse_operator(value, dim: int, path: str) -> np.ndarray:
     if isinstance(value, str):
-        try:
+        with _reported_as(path):
             return named_operator(value, dim)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
     mat = _parse_matrix(value, path)
     if mat.shape != (dim, dim):
         raise ConfigError(f"{path} has shape {mat.shape[0]}x{mat.shape[1]}, expected "
@@ -141,10 +148,8 @@ def _parse_bath(value, path: str) -> BathSpec:
         profile = tuple(rows)
     else:
         profile = _as_number(raw, f"{path}.rate_profile")
-    try:
+    with _reported_as(path):
         return BathSpec(temperature=temperature, rate_profile=profile, gamma0=gamma0)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _parse_model(config: dict) -> SystemModel:
@@ -170,10 +175,8 @@ def _parse_model(config: dict) -> SystemModel:
                 kwargs[field] = value
             else:
                 kwargs[field] = _as_number(value, f"model.params.{field}")
-        try:
+        with _reported_as("model.params"):
             model = factory(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"model.params: {exc}") from None
         if bath is not None:
             model = SystemModel(model.hamiltonian,
                                 tuple(Coupling(c.operator, bath) for c in model.couplings))
@@ -192,14 +195,10 @@ def _parse_model(config: dict) -> SystemModel:
         _check_keys(entry, f"model.couplings[{i}]", ("operator",))
         op = _parse_operator(_require(entry, f"model.couplings[{i}]", "operator"),
                              dim, f"model.couplings[{i}].operator")
-        try:
+        with _reported_as(f"model.couplings[{i}]"):
             couplings.append(Coupling(op, bath))
-        except ValueError as exc:
-            raise ConfigError(f"model.couplings[{i}]: {exc}") from None
-    try:
+    with _reported_as("model"):
         return SystemModel(h, tuple(couplings))
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from None
 
 
 def _parse_decompositions(config: dict, model: SystemModel) -> list:
@@ -212,10 +211,8 @@ def _parse_decompositions(config: dict, model: SystemModel) -> list:
     if kind == "exact":
         if "channels" in raw:
             raise ConfigError("decomposition.channels is only valid for kind 'local'")
-        try:
+        with _reported_as("decomposition"):
             return decompose_model(model, freq_tol=freq_tol)
-        except ValueError as exc:
-            raise ConfigError(f"decomposition: {exc}") from None
     if kind != "local":
         raise ConfigError(f"decomposition.kind must be 'exact' or 'local', got {kind!r}")
     channels = _require(raw, "decomposition", "channels")
@@ -240,15 +237,11 @@ def _parse_decompositions(config: dict, model: SystemModel) -> list:
                                  dim, f"{path}.modes[{j}].operator")
             freq = _as_number(_require(m, f"{path}.modes[{j}]", "frequency"),
                               f"{path}.modes[{j}].frequency")
-            try:
+            with _reported_as(f"{path}.modes[{j}]"):
                 modes.append(JumpMode(op, freq))
-            except ValueError as exc:
-                raise ConfigError(f"{path}.modes[{j}]: {exc}") from None
-        try:
+        with _reported_as(path):
             dec = local_decomposition(c0, modes, freq_tol=freq_tol)
             decomps.append(assign_rates(dec, coupling.bath))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
     return decomps
 
 

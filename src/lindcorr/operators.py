@@ -137,8 +137,6 @@ def expm(a, s: float = 1.0) -> np.ndarray:
     diag(s A, sigma_x), which scipy takes as a full matrix.
     """
     a = as_operator(a, "expm argument")
-    if s == 0:
-        return np.eye(a.shape[0], dtype=complex)
     lower, upper = scipy.linalg.bandwidth(a)
     if (lower == 0) != (upper == 0):
         out = scipy.linalg.expm(scipy.linalg.block_diag(a * s, sigma_x))[:-2, :-2].copy()

@@ -681,8 +681,8 @@ class _SlotEvolver:
         (:func:`_interval`) on the held plan of G[S, S], or of its transpose when
         `adjoint`, one per level, slice and direction and looked up at most once
         per call, with the run's (m*, s) held per plan, run length and number of
-        steps (:meth:`_ActionPlan.run`).  The propagator is block-diagonal, made of
-        each block's exp(step G_b), and is that block's own when the slice has one.
+        steps (:meth:`_ActionPlan.run`).  The propagator is scipy's ``block_diag``
+        of each block's exp(step G_b).
         The choice reads the run alone, never what earlier calls held.  A warm call
         reads only its propagators, or its plan and runs, so the generator they were
         made from is idle unless the call uses it otherwise.  Given `w`, an action
@@ -711,15 +711,6 @@ class _SlotEvolver:
         plan = cache(lambda: _held.find(self.key, "plan", (n_slots, key, adjoint), lambda: _ActionPlan(
             restricted().T if adjoint else restricted())))
 
-        def propagator(gap):
-            blocks = (expm(restricted()[start:stop, start:stop].toarray(), gap) for start, stop in spans)
-            if len(spans) == 1:
-                return next(blocks)
-            prop = np.zeros((order, order), dtype=complex)
-            for (start, stop), block in zip(spans, blocks):
-                prop[start:stop, start:stop] = block
-            return prop
-
         for step, run in groupby(_grid_steps(taus, origin)):
             count, gap = len(list(run)), float(step)
             if gap == 0.0:
@@ -727,7 +718,10 @@ class _SlotEvolver:
                     yield full(v) if w is None else w @ v
             elif _within_budget(order) and (
                     count > 1 or max(stop - start for start, stop in spans) <= _SINGLE_USE_ORDER):
-                prop = _held.find(self.key, "propagator", (n_slots, gap, key), lambda: propagator(gap))
+                from scipy.linalg import block_diag
+
+                prop = _held.find(self.key, "propagator", (n_slots, gap, key), lambda: block_diag(*(
+                    expm(restricted()[start:stop, start:stop].toarray(), gap) for start, stop in spans)))
                 for _ in range(count):
                     v = v @ prop if adjoint else prop @ v
                     yield full(v) if w is None else w @ v
@@ -813,18 +807,24 @@ def evolve_density(hamiltonian, decomp, rho0, t: float) -> np.ndarray:
 _LU_MARGIN = 0.1
 
 
-def _svd_null_vector(g: np.ndarray, null_tol: float, labels: np.ndarray) -> np.ndarray:
-    """Left null vector of the dense generator `g`, by SVD, exactly zero outside
-    its block (`labels` numbers the blocks of `g`).
+def _svd_null_vector(gen, null_tol: float, labels: np.ndarray) -> np.ndarray:
+    """Left null vector of the CSR generator `gen`, by SVD of its dense copy,
+    exactly zero outside its block (`labels` numbers the blocks of `gen`).
 
-    Raises DegenerateSteadyStateError unless exactly one singular value is at
-    most null_tol times the largest.  A one-dimensional null space of a
-    block-diagonal `g` lies in one block, the one holding the largest entry;
-    the SVD leaves roundoff in the others, which is set to zero after the count.
+    The SVD's arrays, the dense copy, u and vh, are checked against the CSR
+    byte cap before the copy is made (MemoryError).  Raises
+    DegenerateSteadyStateError unless exactly one singular value is at most
+    null_tol times the largest.  A zero generator counts every singular value:
+    a one-level model's G_1 is the zero 1 x 1 matrix, with its one stationary
+    state.  A one-dimensional null space of a block-diagonal `gen` lies in one
+    block, the one holding the largest entry; the SVD leaves roundoff in the
+    others, which is set to zero after the count.
     """
-    u, s, _vh = np.linalg.svd(g)
-    if s[0] == 0.0:
-        raise DegenerateSteadyStateError(multiplicity=len(s))
+    svd = 3 * gen.shape[0] ** 2 * gen.dtype.itemsize
+    if svd > generators._CSR_BYTE_CAP:
+        raise MemoryError(f"a steady-state SVD needs {svd} bytes, over the cap of "
+                          f"{generators._CSR_BYTE_CAP}")
+    u, s, _vh = np.linalg.svd(gen.toarray())
     nullity = int(np.sum(s <= null_tol * s[0]))
     if nullity != 1:
         raise DegenerateSteadyStateError(multiplicity=nullity)
@@ -859,7 +859,9 @@ def _bordered_null_vector(g) -> tuple[np.ndarray, float]:
 
 
 def _stationary(ev: _SlotEvolver, null_tol: float) -> np.ndarray:
-    """The trace-one stationary state of `ev`'s model (:func:`steady_state`)."""
+    """The trace-one stationary state of `ev`'s model (:func:`steady_state`), from the
+    bordered LU above the budget when it is kept, else from the SVD null vector,
+    whose arrays are bounded before the dense copy is made (:func:`_svd_null_vector`)."""
     gen, kappa = ev.generator(1), np.inf
     if not _within_budget(ev.dim ** 2):
         try:
@@ -867,7 +869,7 @@ def _stationary(ev: _SlotEvolver, null_tol: float) -> np.ndarray:
         except RuntimeError:  # splu: the bordered matrix is exactly singular
             pass
     if not kappa <= _LU_MARGIN / null_tol:  # within the budget, refused, or a NaN estimate
-        w = _svd_null_vector(gen.toarray(), null_tol, ev.labels(1))
+        w = _svd_null_vector(gen, null_tol, ev.labels(1))
     rho = unvec(w).T
     tr = complex(np.trace(rho))
     if abs(tr) < 1e-10 * np.linalg.norm(rho):
@@ -892,7 +894,9 @@ def steady_state(model: SystemModel, decomp=None, null_tol: float = 1e-9) -> np.
 
     Raises DegenerateSteadyStateError when more or fewer than one singular
     value of G_1 is at most null_tol times the largest (e.g. any rate-free
-    model), reporting that multiplicity.
+    model of two or more levels), reporting that multiplicity; a one-level
+    model's state is [[1]].  Raises MemoryError, before the dense copy is made,
+    when the SVD's three d**2 x d**2 complex arrays exceed the CSR byte cap.
     """
     null_tol = float(null_tol)
     if not 0.0 < null_tol < 1.0:  # also rejects NaN

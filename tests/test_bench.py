@@ -99,6 +99,37 @@ def test_bench_script_loads_and_needs_out(script, monkeypatch, capsys):
     assert done.value.code == 2 and "--out" in capsys.readouterr().err
 
 
+def _parser(script: Path) -> tuple[set[str], set[str]]:
+    """The argparse modes of a bench script, read from its AST: "" for its default
+    mode and each `store_true` flag; and every flag its parser has."""
+    modes, flags = {""}, set()
+    for node in ast.walk(ast.parse(script.read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            names = {arg.value for arg in node.args if isinstance(arg, ast.Constant)}
+            flags |= names
+            if any(kw.arg == "action" and getattr(kw.value, "value", None) == "store_true"
+                   for kw in node.keywords):
+                modes |= names
+    return modes, flags
+
+
+def test_readme_bench_table_lists_each_mode():
+    # README's "Benchmark scripts" table has one row per mode, named `script.py` or
+    # `script.py --flag`, and lists every mode of every script's parser
+    section = (BENCH.parent / "README.md").read_text().split("\n## Benchmark scripts\n")[1]
+    listed = {}
+    for row in re.findall(r"^\| `([^`]+)` \|", section.split("\n## ")[0], flags=re.M):
+        script, _, mode = row.partition(" ")
+        listed.setdefault(script, set()).add(mode)
+    assert listed == {script.name: _parser(script)[0] for script in SCRIPTS}
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
+def test_bench_script_usage_names_only_its_flags(script):
+    named = set(re.findall(r"--[a-z][\w-]*", ast.get_docstring(ast.parse(script.read_text()))))
+    assert "--out" in named and sorted(named - _parser(script)[1]) == []
+
+
 SRC = Path(lindcorr.__file__).resolve().parent
 # the kinds the engine and the decompositions store: find(owner, "kind", ...)
 STORED = re.compile(r'\bfind\([^,]*?,\s*"(\w+)"')

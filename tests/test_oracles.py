@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindcorr import (
     CorrelatorSpec,
     FiniteBath,
     closed_correlator,
+    contraction_functional,
     coupled_dimer,
     decompose_model,
+    elementary_tensor,
     equal_time_group_correlator,
     expm,
     finite_bath_correlator,
     finite_bath_correlators,
     golden_rule_band,
     identity,
+    multi_slot_generator,
     naive_equation_integrator,
     sigma_minus,
     sigma_plus,
@@ -253,6 +258,32 @@ def test_naive_richardson_extrapolation_hits_fast_path():
     fine = naive_equation_integrator(model, decs, [sigma_x, sigma_z],
                                      [EYE2, EYE2, EYE2], rho, tau, h / 2)
     assert abs((2.0 * fine - coarse) - ref) < 1e-6
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.floats(0.0, 2.0), st.floats(0.01, 0.5), st.floats(0.2, 1.0), st.integers(1, 2),
+       st.integers(0, 2 ** 32 - 1))
+def test_naive_richardson_extrapolation_is_second_order(temperature, gamma, tau, n, seed):
+    # Euler's value after tau / h steps of h is w . (I + h G)^(tau/h) x, G the n-slot
+    # generator, x the slot tensor and w the contraction; it expands as
+    # w . exp(tau G) (I - h tau G^2 / 2 + h^2 F + O(h^3)) x with
+    # F = tau G^3 / 3 + tau^2 G^4 / 8, so 2 v(h/2) - v(h) misses the value by
+    # h^2 w . exp(tau G) F x / 2 + O(h^3): it is held to twice the Cauchy-Schwarz
+    # bound of that term (measured at most a third of the bound)
+    rng = np.random.default_rng(seed)
+    model, decs = _qubit_ctx(gamma=gamma, temperature=temperature)
+    b_ops = [random_matrix(rng, 2) for _ in range(n)]
+    a_ops = [random_matrix(rng, 2) for _ in range(n + 1)]
+    rho = random_density(rng, 2)
+    ref = equal_time_group_correlator(model.hamiltonian, decs, a_ops, b_ops, rho, [tau]).values[0]
+    h = tau / 32
+    coarse = naive_equation_integrator(model, decs, b_ops, a_ops, rho, tau, h)
+    fine = naive_equation_integrator(model, decs, b_ops, a_ops, rho, tau, h / 2)
+    g = multi_slot_generator(model.hamiltonian, decs, n).matrix
+    cube = g @ g @ g
+    fx = expm(g, tau) @ (tau / 3 * cube + tau ** 2 / 8 * cube @ g) @ elementary_tensor(b_ops)
+    bound = h ** 2 * np.linalg.norm(contraction_functional(a_ops, rho)) * np.linalg.norm(fx)
+    assert abs((2.0 * fine - coarse) - ref) <= bound
 
 
 def test_naive_single_slot_expectation(rng):

@@ -1,4 +1,5 @@
 import bisect
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -52,7 +53,7 @@ from lindcorr import (
     unvec,
     vec,
 )
-from lindcorr import _held, generators, propagation
+from lindcorr import _held, cli, generators, propagation
 
 from conftest import (
     held,
@@ -187,6 +188,29 @@ def test_steady_state_degenerate_without_dissipation():
     assert excinfo.value.multiplicity == 2
 
 
+def test_one_level_model_through_every_driver(tmp_path, capsys):
+    # a one-level model's G_1 is the zero 1 x 1 matrix: its one singular value is
+    # zero and its null space one-dimensional, so the state [[1]] is unique, and
+    # every correlator is the constant product of its scalar insertions
+    config = {"model": {"hamiltonian": [[0.4]], "couplings": [{"operator": [[1.0]]}]},
+              "bath": {"temperature": 0.5, "rate_profile": 0.2, "gamma0": 0.3}, "task": "steady"}
+    model = cli._parse_model(config)
+    h, decs = model.hamiltonian, decompose_model(model)
+    assert np.array_equal(steady_state(model), [[1.0]])
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert cli.run(str(path)) == 0
+    assert json.loads(capsys.readouterr().out) == {"density_matrix": [[[1.0, 0.0]]]}
+    one, taus = np.eye(1), np.linspace(0.0, 2.0, 5)
+    a, b, c = np.array([[2.0]]), np.array([[3j]]), np.array([[-0.5]])
+    assert np.array_equal(evolve_density(h, decs, one, 0.7), one)
+    assert np.array_equal(qrt_correlator(h, decs, a, b, c, one, taus).values, [-3j] * 5)
+    assert np.array_equal(otoc(h, decs, b, a, one, taus).values, [36.0] * 5)
+    spec = CorrelatorSpec(((a, 2.0), (b, 0.3), (c, 0.0)), one)
+    assert general_correlator(h, decs, spec) == -3j
+    assert np.array_equal(general_correlator(h, decs, spec, taus=taus[2:]).values, [-3j] * 3)
+
+
 @pytest.mark.parametrize("null_tol", [-1.0, 0.0, 1.0, 2.0, np.nan, np.inf, -np.inf])
 def test_steady_state_rejects_null_tol_outside_unit_interval(null_tol):
     with pytest.raises(ValueError, match="null_tol"):
@@ -230,6 +254,47 @@ def test_steady_state_sparse_rate_free_reports_multiplicity():
     with pytest.raises(DegenerateSteadyStateError) as excinfo:
         steady_state(_oscillator(17, gamma=0.0))
     assert excinfo.value.multiplicity == 17
+
+
+@pytest.mark.parametrize("config, within", [
+    # the 17-level oscillator's bordered LU is exactly singular without rates
+    ({"name": "truncated_oscillator", "params": dict(omega0=1.0, dim=17, gamma=0.0, temperature=0.5)},
+     False),
+    ({"name": "coupled_dimer", "params": dict(omega1=1.0, omega2=1.25, g=0.3, gamma1=0.08, gamma2=0.05,
+                                              temperature=0.6)}, True),
+], ids=["oscillator-17-rate-free", "dimer"])
+def test_steady_state_svd_bytes_refused_before_the_dense_copy(config, within, tmp_path, capsys,
+                                                              monkeypatch):
+    # the SVD's dense copy of G_1, u and vh, 3 * 16 * (d**2)**2 bytes, are checked
+    # against the byte cap before the copy is made: at exactly those bytes the SVD
+    # runs, one byte below them it is refused, and the CLI exits with code 1
+    import scipy.sparse
+
+    config = {"model": config, "task": "steady"}
+    model = cli._parse_model(config)
+    bound = 3 * 16 * model.dim ** 4
+    assert generators._within_budget(model.dim ** 2) == within
+    densified = []
+    toarray = scipy.sparse.csr_array.toarray
+    monkeypatch.setattr(scipy.sparse.csr_array, "toarray",
+                        lambda m, *a, **kw: densified.append(m.shape[0]) or toarray(m, *a, **kw))
+    monkeypatch.setattr(generators, "_CSR_BYTE_CAP", bound)
+    if within:
+        assert abs(np.trace(steady_state(model)) - 1.0) < 1e-12
+    else:
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(model)
+    assert densified == [model.dim ** 2]
+    _held.drop_all()
+    monkeypatch.setattr(generators, "_CSR_BYTE_CAP", bound - 1)
+    refusal = f"a steady-state SVD needs {bound} bytes, over the cap of {bound - 1}"
+    with pytest.raises(MemoryError, match=f"^{refusal}$"):
+        steady_state(model)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert cli.run(str(path)) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {refusal}\n"
+    assert densified == [model.dim ** 2]
 
 
 NEAR_DEGENERATE = {
